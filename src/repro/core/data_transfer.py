@@ -20,10 +20,17 @@ from repro.core.probe_connection import ProbeConnection
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.host.raw_socket import ProbeHost
 from repro.net.errors import SampleTimeoutError
-from repro.net.packet import TcpFlags
+from repro.net.packet import Packet, TcpFlags
 from repro.net.seqnum import seq_add, seq_diff, seq_gt
 
 TEST_NAME = "data-transfer"
+
+
+def _carries_data(packet: Packet) -> bool:
+    """True for a response segment carrying object data (not a SYN or RST)."""
+    tcp = packet.tcp
+    assert tcp is not None
+    return bool(packet.payload) and not tcp.has(TcpFlags.SYN) and not tcp.has(TcpFlags.RST)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,24 +124,29 @@ class DataTransferTest:
     # ------------------------------------------------------------------ #
 
     def _receive_transfer(self, connection: ProbeConnection, cursor: int) -> list[ReceivedSegment]:
-        """Drive the transfer, acknowledging the largest sequence number seen."""
-        segments: list[ReceivedSegment] = []
-        seen_serials: set[int] = set()
-        highest_ack = connection.state.rcv_nxt
-        deadline = self.probe.sim.now + self.transfer_timeout
+        """Drive the transfer, acknowledging the largest sequence number seen.
 
-        while self.probe.sim.now < deadline and len(segments) < self.max_segments:
-            before = len(self._data_packets(connection, cursor))
-            arrived = self.probe.wait_for_predicate(
-                lambda: len(self._data_packets(connection, cursor)) > before,
-                timeout=self.quiet_period,
-            )
-            if not arrived:
+        A round waits for a data segment captured after the round began, then
+        folds every data segment captured since the previous fold, including
+        any captured while that fold's ACK was sent (a zero-delay path
+        delivers the server's reply within the send).
+        """
+        probe, port = self.probe, connection.local_port
+        segments: list[ReceivedSegment] = []
+        highest_ack = connection.state.rcv_nxt
+        deadline = probe.sim.now + self.transfer_timeout
+
+        while probe.sim.now < deadline and len(segments) < self.max_segments:
+            round_start = probe.capture_cursor()
+            if not probe.wait_for_packets(
+                round_start, 1, self.quiet_period, port, self.remote_addr, match=_carries_data
+            ):
                 break
-            for captured in self._data_packets(connection, cursor):
-                if captured.serial in seen_serials:
+            fresh = probe.tcp_packets_since(cursor, local_port=port, remote_addr=self.remote_addr)
+            cursor = probe.capture_cursor()
+            for captured in fresh:
+                if not _carries_data(captured.packet):
                     continue
-                seen_serials.add(captured.serial)
                 tcp = captured.packet.tcp
                 assert tcp is not None
                 length = len(captured.packet.payload)
@@ -155,17 +167,6 @@ class DataTransferTest:
             connection.state.rcv_nxt = highest_ack
             connection.send_ack(highest_ack)
         return segments
-
-    def _data_packets(self, connection: ProbeConnection, cursor: int):
-        packets = []
-        for captured in self.probe.tcp_packets_since(
-            cursor, local_port=connection.local_port, remote_addr=self.remote_addr
-        ):
-            tcp = captured.packet.tcp
-            assert tcp is not None
-            if captured.packet.payload and not tcp.has(TcpFlags.SYN) and not tcp.has(TcpFlags.RST):
-                packets.append(captured)
-        return packets
 
     # ------------------------------------------------------------------ #
     # Classification

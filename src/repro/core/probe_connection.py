@@ -21,6 +21,12 @@ from repro.net.seqnum import seq_add
 DEFAULT_HANDSHAKE_TIMEOUT = 3.0
 
 
+def _is_syn_ack(packet: Packet) -> bool:
+    tcp = packet.tcp
+    assert tcp is not None
+    return tcp.has(TcpFlags.SYN) and tcp.has(TcpFlags.ACK)
+
+
 @dataclass(slots=True)
 class ConnectionState:
     """Sequence-number bookkeeping for an established probe connection."""
@@ -121,32 +127,26 @@ class ProbeConnection:
         """
         cursor = self._probe.capture_cursor()
         self.send_syn()
-
-        def _got_syn_ack() -> bool:
-            return self._find_syn_ack(cursor) is not None
-
-        if not self._probe.wait_for_predicate(_got_syn_ack, timeout):
+        replies = self._probe.wait_for_packets(
+            cursor,
+            count=1,
+            timeout=timeout,
+            local_port=self.state.local_port,
+            remote_addr=self.state.remote_addr,
+            match=_is_syn_ack,
+        )
+        if not replies:
             raise SampleTimeoutError(
                 f"no SYN/ACK from {self.state.remote_addr}:{self.state.remote_port} "
                 f"within {timeout} s"
             )
-        syn_ack = self._find_syn_ack(cursor)
+        syn_ack = replies[0].packet.tcp
         assert syn_ack is not None
         self.state.irs = syn_ack.seq
         self.state.rcv_nxt = seq_add(syn_ack.seq, 1)
         self.state.remote_expected_seq = seq_add(self.state.iss, 1)
         self.state.established = True
         self.send_ack()
-
-    def _find_syn_ack(self, cursor: int) -> Optional[TcpHeader]:
-        for captured in self._probe.tcp_packets_since(
-            cursor, local_port=self.state.local_port, remote_addr=self.state.remote_addr
-        ):
-            tcp = captured.packet.tcp
-            assert tcp is not None
-            if tcp.has(TcpFlags.SYN) and tcp.has(TcpFlags.ACK):
-                return tcp
-        return None
 
     def send_ack(self, ack: Optional[int] = None) -> Packet:
         """Send a bare ACK (defaults to acknowledging everything received)."""

@@ -17,6 +17,27 @@ from repro.net.packet import Packet
 from repro.sim.simulator import Simulator, Waiter
 
 TransmitFn = Callable[[Packet], None]
+PacketFilter = Callable[[Packet], bool]
+
+
+def _tcp_filter(local_port: Optional[int], remote_addr: Optional[int], match: Optional[PacketFilter] = None) -> PacketFilter:
+    """Match TCP packets to ``local_port`` from ``remote_addr`` that pass ``match``."""
+
+    def _matches(packet: Packet) -> bool:
+        tcp = packet.tcp
+        return (
+            tcp is not None
+            and (local_port is None or tcp.dst_port == local_port)
+            and (remote_addr is None or packet.ip.src == remote_addr)
+            and (match is None or match(packet))
+        )
+
+    return _matches
+
+
+def _icmp_filter(remote_addr: Optional[int]) -> PacketFilter:
+    """Match ICMP packets from ``remote_addr``."""
+    return lambda packet: packet.icmp is not None and (remote_addr is None or packet.ip.src == remote_addr)
 
 
 class CapturedPacket(NamedTuple):
@@ -123,38 +144,14 @@ class ProbeHost:
         remote_addr: Optional[int] = None,
     ) -> tuple[CapturedPacket, ...]:
         """Return captured TCP packets after ``cursor`` filtered by port / peer."""
-        results = []
-        received = self._received
-        for index in range(cursor, len(received)):
-            captured = received[index]
-            packet = captured.packet
-            if not packet.is_tcp():
-                continue
-            assert packet.tcp is not None
-            if local_port is not None and packet.tcp.dst_port != local_port:
-                continue
-            if remote_addr is not None and packet.ip.src != remote_addr:
-                continue
-            results.append(captured)
-        return tuple(results)
+        return self._matches_since(cursor, _tcp_filter(local_port, remote_addr))
 
     def icmp_packets_since(self, cursor: int, remote_addr: Optional[int] = None) -> tuple[CapturedPacket, ...]:
         """Return captured ICMP packets after ``cursor`` filtered by peer address."""
-        results = []
-        received = self._received
-        for index in range(cursor, len(received)):
-            captured = received[index]
-            packet = captured.packet
-            if not packet.is_icmp():
-                continue
-            if remote_addr is not None and packet.ip.src != remote_addr:
-                continue
-            results.append(captured)
-        return tuple(results)
+        return self._matches_since(cursor, _icmp_filter(remote_addr))
 
-    def clear(self) -> None:
-        """Discard the capture buffer (useful between long campaign phases)."""
-        self._received.clear()
+    def _matches_since(self, cursor: int, match: PacketFilter) -> tuple[CapturedPacket, ...]:
+        return tuple(captured for captured in self._received[cursor:] if match(captured.packet))
 
     # ------------------------------------------------------------------ #
     # Blocking-style helpers for the measurement techniques
@@ -167,38 +164,16 @@ class ProbeHost:
         timeout: float,
         local_port: Optional[int] = None,
         remote_addr: Optional[int] = None,
+        match: Optional[PacketFilter] = None,
     ) -> tuple[CapturedPacket, ...]:
         """Run the simulator until ``count`` matching TCP packets arrive or timeout.
 
-        Returns whatever matched, which may be fewer than ``count`` on
-        timeout — callers decide how to classify incomplete samples.  The wait
-        is event-driven: the predicate is re-evaluated only when a packet is
-        actually captured, not after every simulator event, and each check
-        scans only the packets captured since the previous check rather than
-        re-filtering the whole window.
+        A packet matches when it is TCP to ``local_port`` from ``remote_addr``
+        (``None`` accepts any) and, if given, ``match(packet)`` holds.  Returns
+        every match after ``cursor``, which may be fewer than ``count`` on
+        timeout — callers decide how to classify incomplete samples.
         """
-        received = self._received
-        matched = 0
-        scan = cursor
-
-        def _enough() -> bool:
-            nonlocal matched, scan
-            end = len(received)
-            while scan < end:
-                packet = received[scan].packet
-                scan += 1
-                tcp = packet.tcp
-                if tcp is None:
-                    continue
-                if local_port is not None and tcp.dst_port != local_port:
-                    continue
-                if remote_addr is not None and packet.ip.src != remote_addr:
-                    continue
-                matched += 1
-            return matched >= count
-
-        self._sim.run_until(_enough, timeout=timeout, waiter=self._waiter)
-        return self.tcp_packets_since(cursor, local_port, remote_addr)
+        return self._wait_for_matches(cursor, count, timeout, _tcp_filter(local_port, remote_addr, match))
 
     def wait_for_predicate(
         self, predicate: Callable[[], bool], timeout: float, *, poll: bool = False
@@ -215,13 +190,36 @@ class ProbeHost:
         return self._sim.run_until(predicate, timeout=timeout, waiter=waiter)
 
     def wait_for_icmp(self, cursor: int, count: int, timeout: float, remote_addr: Optional[int] = None) -> tuple[CapturedPacket, ...]:
-        """Run the simulator until ``count`` ICMP packets arrive or timeout."""
+        """Run the simulator until ``count`` ICMP packets from ``remote_addr`` arrive or timeout.
+
+        Returns every match after ``cursor``, which may be fewer than ``count``.
+        """
+        return self._wait_for_matches(cursor, count, timeout, _icmp_filter(remote_addr))
+
+    def _wait_for_matches(self, cursor: int, count: int, timeout: float, match: PacketFilter) -> tuple[CapturedPacket, ...]:
+        """The scan loop behind every capture wait.
+
+        The predicate is re-evaluated only when a packet is captured, and each
+        check scans only the packets captured since the previous check, so a
+        wait costs time linear in its window.  The run loop checks once more
+        at the deadline, so on return the scan has reached the end of the
+        buffer and the collected matches are exactly those after ``cursor``.
+        """
+        received = self._received
+        matches: list[CapturedPacket] = []
+        scan = cursor
 
         def _enough() -> bool:
-            return len(self.icmp_packets_since(cursor, remote_addr)) >= count
+            nonlocal scan
+            end = len(received)
+            for captured in received[scan:end]:
+                if match(captured.packet):
+                    matches.append(captured)
+            scan = end
+            return len(matches) >= count
 
         self._sim.run_until(_enough, timeout=timeout, waiter=self._waiter)
-        return self.icmp_packets_since(cursor, remote_addr)
+        return tuple(matches)
 
     @staticmethod
     def acks_of(captured: Iterable[CapturedPacket]) -> list[int]:

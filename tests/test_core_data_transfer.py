@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core.data_transfer import DataTransferTest
 from repro.core.sample import Direction, SampleOutcome
+from repro.host.raw_socket import ProbeHost
 from repro.net.flow import parse_address
 from repro.workloads.testbed import HostSpec, PathSpec, Testbed
 
@@ -72,6 +73,26 @@ def test_unreachable_host_reports_handshake_failure():
     result = DataTransferTest(testbed.probe, parse_address("203.0.113.80")).run()
     assert result.sample_count() == 0
     assert result.notes == "handshake failed"
+
+
+def test_long_transfer_scans_each_captured_packet_a_bounded_number_of_times(monkeypatch):
+    """Capture consumption is linear: the ``*_since`` scans visit O(captured) packets."""
+    scanned = 0
+    for name in ("captured_since", "tcp_packets_since", "icmp_packets_since"):
+        original = getattr(ProbeHost, name)
+
+        def counting(self, cursor, *args, _original=original, **kwargs):
+            nonlocal scanned
+            scanned += self.received_count() - cursor
+            return _original(self, cursor, *args, **kwargs)
+
+        monkeypatch.setattr(ProbeHost, name, counting)
+
+    testbed, address = _testbed(object_size=64 * 1024)
+    result = DataTransferTest(testbed.probe, address, mss=256, advertised_window=1024).run()
+    # 64 KiB at 256-byte segments is 256 segments -> 255 adjacent pairs.
+    assert result.sample_count() == 255
+    assert scanned <= 4 * testbed.probe.received_count()
 
 
 def test_mss_and_window_are_honoured_by_the_server():

@@ -1,0 +1,150 @@
+"""Stop-event equivalence of the data-transfer receive loop against its oracle.
+
+``RescanningDataTransferTest`` keeps the original receive loop verbatim: every
+ACK round re-filters every packet captured since the transfer began (before
+the wait, on each capture wake, and after it), so a transfer costs time
+quadratic in its length.  The library's loop waits and folds incrementally.
+Both must see the same segments, stop the simulator on the same event and run
+the same number of events, on every path the grid below builds.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+
+import pytest
+
+from repro.core.data_transfer import DataTransferTest, ReceivedSegment
+from repro.core.probe_connection import ProbeConnection
+from repro.net.flow import parse_address
+from repro.net.packet import Packet, TcpFlags, TcpHeader
+from repro.net.seqnum import seq_add, seq_gt
+from repro.workloads.testbed import HostSpec, PathSpec, Testbed
+
+ADDRESS = parse_address("10.5.0.2")
+
+
+class RescanningDataTransferTest(DataTransferTest):
+    """The receive loop before capture consumption became incremental (oracle)."""
+
+    def _receive_transfer(self, connection: ProbeConnection, cursor: int) -> list[ReceivedSegment]:
+        """Drive the transfer, acknowledging the largest sequence number seen."""
+        segments: list[ReceivedSegment] = []
+        seen_serials: set[int] = set()
+        highest_ack = connection.state.rcv_nxt
+        deadline = self.probe.sim.now + self.transfer_timeout
+
+        while self.probe.sim.now < deadline and len(segments) < self.max_segments:
+            before = len(self._data_packets(connection, cursor))
+            arrived = self.probe.wait_for_predicate(
+                lambda: len(self._data_packets(connection, cursor)) > before,
+                timeout=self.quiet_period,
+            )
+            if not arrived:
+                break
+            for captured in self._data_packets(connection, cursor):
+                if captured.serial in seen_serials:
+                    continue
+                seen_serials.add(captured.serial)
+                tcp = captured.packet.tcp
+                assert tcp is not None
+                length = len(captured.packet.payload)
+                segments.append(
+                    ReceivedSegment(
+                        seq=tcp.seq,
+                        length=length,
+                        time=captured.time,
+                        serial=captured.serial,
+                        uid=captured.packet.uid,
+                    )
+                )
+                segment_end = seq_add(tcp.seq, length)
+                if seq_gt(segment_end, highest_ack):
+                    highest_ack = segment_end
+            # Acknowledge the largest sequence number received so far so the
+            # server keeps sending even if intermediate data was lost.
+            connection.state.rcv_nxt = highest_ack
+            connection.send_ack(highest_ack)
+        return segments
+
+    def _data_packets(self, connection: ProbeConnection, cursor: int):
+        packets = []
+        for captured in self.probe.tcp_packets_since(
+            cursor, local_port=connection.local_port, remote_addr=self.remote_addr
+        ):
+            tcp = captured.packet.tcp
+            assert tcp is not None
+            if captured.packet.payload and not tcp.has(TcpFlags.SYN) and not tcp.has(TcpFlags.RST):
+                packets.append(captured)
+        return packets
+
+
+# reverse-swap probability x loss (both directions) x mss x advertised window
+# x propagation delay.  A zero-delay path with no access-link serialisation
+# delivers the server's reply inside the probe's own send, so a segment can be
+# captured between one round's fold and the next round's wait.
+GRID = list(
+    itertools.product((0.0, 0.2, 0.5), (0.0, 0.05, 0.2), (128, 536), (512, 4096), (0.002, 0.0))
+)
+
+
+def _case_id(case: tuple) -> str:
+    return "rev{}-loss{}-mss{}-win{}-delay{}".format(*case)
+
+
+def _observe(test_class: type[DataTransferTest], case: tuple):
+    reverse, loss, mss, window, delay = case
+    seed = 1000 + GRID.index(case)
+    testbed = Testbed(seed=seed)
+    testbed.add_site(
+        HostSpec(
+            name="target",
+            address=ADDRESS,
+            path=PathSpec(
+                reverse_swap_probability=reverse,
+                forward_loss=loss,
+                reverse_loss=loss,
+                propagation_delay=delay,
+                access_bandwidth_bps=None if delay == 0.0 else 100e6,
+            ),
+            web_object_size=12 * 1024,
+        )
+    )
+    test = test_class(testbed.probe, ADDRESS, mss=mss, advertised_window=window)
+    transfers = []
+    receive = test._receive_transfer
+
+    def recording(connection, cursor):
+        transfers.append(receive(connection, cursor))
+        return transfers[-1]
+
+    test._receive_transfer = recording
+    # Packet uids are process-wide; count them from a marker packet so the
+    # two runs' segments compare equal when the same packets arrive.
+    base = Packet.tcp_packet(0, 0, TcpHeader(src_port=1, dst_port=1)).uid
+    result = test.run()
+    segments = [dataclasses.replace(segment, uid=segment.uid - base) for transfer in transfers for segment in transfer]
+    outcomes = [(sample.reverse, sample.time, sample.detail) for sample in result.samples]
+    return segments, outcomes, testbed.sim.now, testbed.sim.processed_events
+
+
+@pytest.mark.parametrize("case", GRID, ids=_case_id)
+def test_incremental_loop_matches_rescanning_oracle(case):
+    segments, outcomes, now, events = _observe(DataTransferTest, case)
+    expected_segments, expected_outcomes, expected_now, expected_events = _observe(RescanningDataTransferTest, case)
+    assert segments == expected_segments
+    assert outcomes == expected_outcomes
+    assert now == expected_now
+    assert events == expected_events
+
+
+def test_grid_paths_reorder_and_retransmit():
+    """The oracle check is only as strong as the paths the grid builds."""
+    reordered = retransmitted = 0
+    for case in GRID:
+        segments = _observe(DataTransferTest, case)[0]
+        reordered += any(seq_gt(earlier.seq, later.seq) for earlier, later in zip(segments, segments[1:]))
+        retransmitted += len({segment.seq for segment in segments}) < len(segments)
+    assert reordered >= len(GRID) // 4
+    assert retransmitted >= len(GRID) // 4

@@ -147,6 +147,76 @@ def test_probe_host_wait_helpers_time_out():
     assert not probe.wait_for_predicate(lambda: False, timeout=0.1)
 
 
+def _deliver_at(sim, probe, when, *packets):
+    """Schedule one event at ``when`` that delivers ``packets`` to the probe."""
+
+    def deliver():
+        for packet in packets:
+            probe.deliver(packet)
+
+    sim.schedule_at(when, deliver)
+
+
+def _echo_reply(src, sequence):
+    return Packet.icmp_packet(src, CLIENT, IcmpEcho(ICMP_ECHO_REPLY, identifier=1, sequence=sequence))
+
+
+def test_wait_for_icmp_stops_on_the_count_th_reply_and_returns_every_match():
+    sim = Simulator()
+    probe = ProbeHost(sim, CLIENT)
+    probe.deliver(_echo_reply(SERVER, 0))  # before the cursor: not counted
+    cursor = probe.capture_cursor()
+    other = parse_address("10.0.0.7")
+    _deliver_at(sim, probe, 0.1, _echo_reply(SERVER, 1))
+    _deliver_at(sim, probe, 0.2, Packet.tcp_packet(SERVER, CLIENT, TcpHeader(src_port=80, dst_port=4000)))
+    _deliver_at(sim, probe, 0.3, _echo_reply(other, 2))
+    # The event that delivers the second matching reply also delivers a third.
+    _deliver_at(sim, probe, 0.4, _echo_reply(SERVER, 3), _echo_reply(SERVER, 4))
+    _deliver_at(sim, probe, 0.5, _echo_reply(SERVER, 5))
+
+    replies = probe.wait_for_icmp(cursor, count=2, timeout=2.0, remote_addr=SERVER)
+    assert sim.now == 0.4
+    assert [captured.packet.icmp.sequence for captured in replies] == [1, 3, 4]
+    assert replies == probe.icmp_packets_since(cursor, remote_addr=SERVER)
+
+    # On timeout it returns the matches it has, from any address when unfiltered.
+    replies = probe.wait_for_icmp(cursor, count=10, timeout=1.0)
+    assert sim.now == pytest.approx(1.4)
+    assert [captured.packet.icmp.sequence for captured in replies] == [1, 2, 3, 4, 5]
+
+
+def test_wait_for_packets_match_stops_at_the_first_matching_packet():
+    sim = Simulator()
+    probe = ProbeHost(sim, CLIENT)
+    port = probe.allocate_port()
+
+    def segment(seq, payload=b""):
+        header = TcpHeader(src_port=80, dst_port=port, seq=seq, ack=1, flags=TcpFlags.ACK)
+        return Packet.tcp_packet(SERVER, CLIENT, header, payload=payload)
+
+    cursor = probe.capture_cursor()
+    _deliver_at(sim, probe, 0.1, segment(100))  # a pure ACK: first packet of the flow
+    _deliver_at(sim, probe, 0.2, segment(100, b"data"))
+    _deliver_at(sim, probe, 0.3, segment(104))
+    _deliver_at(sim, probe, 0.4, segment(104, b"more"))
+
+    def carries_data(packet):
+        return bool(packet.payload)
+
+    replies = probe.wait_for_packets(
+        cursor, count=1, timeout=1.0, local_port=port, remote_addr=SERVER, match=carries_data
+    )
+    assert sim.now == 0.2
+    assert [captured.packet.payload for captured in replies] == [b"data"]
+
+    replies = probe.wait_for_packets(cursor, count=2, timeout=1.0, local_port=port, match=carries_data)
+    assert sim.now == 0.4
+    assert [captured.packet.payload for captured in replies] == [b"data", b"more"]
+    # Without a match the same wait counts every packet of the flow.
+    assert len(probe.wait_for_packets(cursor, count=2, timeout=1.0, local_port=port)) == 4
+    assert sim.now == 0.4
+
+
 def test_probe_host_port_allocation_wraps():
     probe = ProbeHost(Simulator(), CLIENT, first_port=64998)
     ports = [probe.allocate_port() for _ in range(5)]
