@@ -6,7 +6,7 @@ Demonstrates the ``repro.api`` surface end to end:
 2. a ``CampaignRequest`` with a durable store plus job-handle progress,
 3. a ``ResumeRequest`` over the same store (a no-op here — the run
    completed — but the exact call that continues a crashed campaign),
-4. a ``MatrixRequest`` sweeping scenarios × OS columns with parallel cells.
+4. a ``MatrixRequest`` sweeping scenarios × OS columns as one shard stream.
 
 Every result is a versioned ``ResultEnvelope``; equal ``result_digest``
 values mean bit-identical measurements, whatever backend ran them.
@@ -83,7 +83,8 @@ def main() -> None:
         print("== resume ==")
         print(f"  digests match: {resumed.result_digest == campaign.result_digest}")
 
-        # 4. A scenario x OS sweep with cells fanned out across the backend.
+        # 4. A scenario x OS sweep: every cell's shards run as one stream
+        #    on the session's backend.
         sweep = session.run(
             MatrixRequest(
                 scenarios=("imc2002-survey", "route-flap"),
@@ -91,7 +92,6 @@ def main() -> None:
                 config=config,
                 hosts=4,
                 seed=7,
-                parallel_cells=True,
             )
         )
         print("== matrix ==")

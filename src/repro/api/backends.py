@@ -17,19 +17,16 @@ executor name is accepted.
 Two execution shapes cover every caller:
 
 * :meth:`ExecutionBackend.map_shards` / :meth:`ExecutionBackend.iter_shards`
-  run one campaign's :class:`~repro.core.runner.ShardTask` list — ordered
-  barrier map and completion-order iteration respectively.  Shards are
-  dispatched in adaptive *batches* (one pool future — for the process
-  backend, one IPC round-trip — per batch; sizing in
-  :func:`repro.core.transport.next_batch_size`), and batch results come back
-  as one struct-packed blob per batch.  The process backend keeps PR 3's
-  pickling optimisation: when its pool was created for the same run-wide
-  :class:`~repro.core.runner.ShardContext`, batches travel as bare
-  ``(index, specs)`` slices through the pool initializer's stashed context;
-  a reused pool serving a *different* campaign falls back to shipping whole
-  tasks (still correct, marginally more pickling).
-* :meth:`ExecutionBackend.map_items` runs arbitrary picklable work items —
-  the scenario matrix uses it to execute whole cells in parallel.
+  run a :class:`~repro.core.runner.ShardTask` list — ordered barrier map
+  and completion-order iteration respectively.  The list is one campaign's
+  shards, or every cell's shards of a matrix sweep; indexes are unique
+  within it.  Shards are dispatched in adaptive *batches* (one pool future
+  — for the process backend, one IPC round-trip — per batch; sizing in
+  :func:`repro.core.transport.next_batch_size`).  Tasks ship whole, so a
+  batch may span cells, and batch results come back as one struct-packed
+  blob per batch.
+* :meth:`ExecutionBackend.map_items` runs arbitrary picklable work items,
+  preserving their order.
 
 Failure discipline: backends raise the pool-infrastructure exceptions in
 :data:`POOL_FAILURES` (no semaphores in a sandbox, fork restrictions, broken
@@ -58,15 +55,7 @@ from concurrent.futures import (
 from pickle import PicklingError
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
-from repro.core.runner import (
-    ShardContext,
-    ShardOutcome,
-    ShardTask,
-    _init_shard_worker,
-    _run_shard_slice_batch,
-    _run_task_batch,
-    run_shard,
-)
+from repro.core.runner import ShardOutcome, ShardTask, _run_task_batch, run_shard
 from repro.core.transport import (
     MODE_PICKLE,
     batch_size_override,
@@ -91,22 +80,12 @@ wrong result).
 """
 
 
-def _shard_context(task: ShardTask) -> ShardContext:
-    """The run-wide half of a campaign, recovered from any of its tasks."""
-    return ShardContext(
-        config=task.config,
-        tests=task.tests,
-        seed=task.seed,
-        remote_port=task.remote_port,
-        scenario=task.scenario,
-    )
-
-
 def _shard_cost(task: ShardTask) -> int:
     """Estimated probe samples one shard simulates — dispatch sizing only.
 
-    Every shard of a campaign carries the same config, so one task stands in
-    for all of them.  The estimate feeds the :data:`~repro.core.transport.
+    Every shard of a dispatch carries the same config and tests (a matrix
+    sweep shares them across its cells), so one task stands in for all of
+    them.  The estimate feeds the :data:`~repro.core.transport.
     MIN_BATCH_SAMPLES` floor in :func:`~repro.core.transport.next_batch_size`;
     it never affects what is measured.
     """
@@ -248,14 +227,12 @@ class _PoolBackend(ExecutionBackend):
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = None
 
-    def _shard_submitter(
-        self, tasks: Sequence[ShardTask]
-    ) -> Callable[[tuple[ShardTask, ...]], "Future"]:
+    def _shard_submitter(self) -> Callable[[tuple[ShardTask, ...]], "Future"]:
         """A callable submitting one shard batch, bound to the warm pool.
 
-        The base (thread) flavour ships whole tasks and gets live objects
-        back — same address space, nothing to encode.  The process backend
-        overrides this with the stashed-context / binary-transport variants.
+        The base (thread) flavour gets live objects back — same address
+        space, nothing to encode.  The process backend overrides this with
+        the binary transport.
         """
         pool = self._ensure_pool()
         return lambda batch: pool.submit(_run_task_batch, (MODE_PICKLE, batch))
@@ -278,7 +255,7 @@ class _PoolBackend(ExecutionBackend):
         while True:
             batch_tasks = tuple(remaining.values())
             try:
-                submit = self._shard_submitter(batch_tasks)
+                submit = self._shard_submitter()
                 with closing(self._dispatch_batches(batch_tasks, submit)) as results:
                     for outcome in results:
                         remaining.pop(outcome.index, None)
@@ -391,65 +368,24 @@ class ThreadBackend(_PoolBackend):
 class ProcessBackend(_PoolBackend):
     """A lazily created, reusable :class:`ProcessPoolExecutor`.
 
-    The first campaign to touch the backend fixes the pool's worker
-    initializer to its run-wide :class:`ShardContext` (PR 3's
-    pickling-minimisation: per-batch IPC then carries only ``(index,
-    specs)`` slices).  Later campaigns with an *equal* context reuse the fast path;
-    campaigns with a different context — e.g. the other cells of a matrix
-    sweep — ship whole :class:`ShardTask` objects through the same warm pool
-    instead, trading a little pickling for zero worker spin-up.
+    Batches ship whole :class:`ShardTask` objects, so one warm pool serves
+    any mix of campaigns — a matrix sweep's batches span its cells — with
+    zero worker spin-up after the first.
     """
 
     name = "process"
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__(max_workers)
-        self._pool_context: Optional[ShardContext] = None
-
-    def _reset_broken_pool(self) -> None:
-        with self._pool_lock:
-            super()._reset_broken_pool()
-            self._pool_context = None
-
     def _create_pool(self) -> Executor:
-        # reprolint: allow(LOCK001): only called from _ensure_pool, which holds _pool_lock
-        if self._pool_context is not None:
-            return ProcessPoolExecutor(
-                max_workers=self._workers,
-                initializer=_init_shard_worker,
-                # reprolint: allow(LOCK001): same _ensure_pool-holds-_pool_lock contract
-                initargs=(self._pool_context,),
-            )
         return ProcessPoolExecutor(max_workers=self._workers)
 
-    def _ensure_shard_pool(self, tasks: Sequence[ShardTask]) -> tuple[Executor, bool]:
-        """The pool plus whether these tasks may use the stashed-context path."""
-        context = _shard_context(tasks[0])
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool_context = context
-            pool = self._ensure_pool()
-            return pool, self._pool_context == context
+    def _shard_submitter(self) -> Callable[[tuple[ShardTask, ...]], "Future"]:
+        """Submit batches whose results return as one struct-packed blob.
 
-    def _shard_submitter(
-        self, tasks: Sequence[ShardTask]
-    ) -> Callable[[tuple[ShardTask, ...]], "Future"]:
-        """Submit batches over the leanest transport the pool supports.
-
-        Parent->worker: a fast-path batch carries only ``(index, specs)``
-        slices (the stashed :class:`ShardContext` fills in the rest); a
-        reused pool serving a different campaign ships whole tasks.
-        Worker->parent: one struct-packed blob per batch (see
-        :mod:`repro.core.transport`), or live pickled objects when the
-        ``REPRO_TRANSPORT=pickle`` oracle is active.
+        See :mod:`repro.core.transport`; the ``REPRO_TRANSPORT=pickle``
+        oracle returns live pickled objects instead.
         """
-        pool, fast = self._ensure_shard_pool(tasks)
+        pool = self._ensure_pool()
         mode = transport_mode()
-        if fast:
-            return lambda batch: pool.submit(
-                _run_shard_slice_batch,
-                (mode, tuple((task.index, task.specs) for task in batch)),
-            )
         return lambda batch: pool.submit(_run_task_batch, (mode, batch))
 
 

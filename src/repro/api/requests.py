@@ -76,12 +76,10 @@ class NormalizedCampaign:
 
 @dataclass(frozen=True)
 class CellPlan:
-    """One matrix cell, fully materialized and picklable.
+    """One matrix cell, fully materialized.
 
-    Everything a worker process needs to execute the cell travels here —
-    ``scenario`` already carries the population-size and OS overrides — and
-    the host specs themselves are rebuilt inside the worker (a pure function
-    of ``(scenario, seed)``), keeping the pickled payload small.
+    ``scenario`` already carries the population-size and OS overrides, so
+    the cell's host specs are a pure function of ``(scenario, seed)``.
     """
 
     label: str
@@ -98,7 +96,6 @@ class NormalizedMatrix:
     """A sweep reduced to an ordered tuple of independent cell plans."""
 
     cells: tuple[CellPlan, ...]
-    parallel_cells: bool
 
 
 # --------------------------------------------------------------------- #
@@ -223,10 +220,9 @@ class MatrixRequest:
     Accepts either a prebuilt :class:`~repro.scenarios.matrix.ScenarioMatrix`
     or ``scenarios`` + ``os_names`` to build one.  Every cell's seed derives
     stably from ``(seed, scenario name, OS name)``, so adding or removing
-    cells never changes the other cells' datasets — which is also what makes
-    ``parallel_cells=True`` safe: cells are independent pure functions, and
-    the session fans them out across the backend (shards within each cell
-    then run serially inside their worker).
+    cells never changes the other cells' datasets.  The session dispatches
+    every cell's shards as one stream, so the backend's workers stay busy
+    across cell boundaries.
     """
 
     scenarios: tuple[ScenarioLike, ...] = ()
@@ -238,7 +234,6 @@ class MatrixRequest:
     shards: int = 1
     remote_port: int = 80
     tests: Optional[tuple[TestName, ...]] = None
-    parallel_cells: bool = False
 
     def scenario_matrix(self) -> ScenarioMatrix:
         if self.matrix is not None:
@@ -270,7 +265,7 @@ class MatrixRequest:
             )
             for cell in matrix.cells()
         )
-        return NormalizedMatrix(cells=cells, parallel_cells=self.parallel_cells)
+        return NormalizedMatrix(cells=cells)
 
 
 @dataclass(frozen=True)

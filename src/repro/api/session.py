@@ -29,14 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from contextlib import closing
 from typing import Any, Optional, Union
 
-from repro.api.backends import (
-    POOL_FAILURES,
-    ExecutionBackend,
-    backend_names,
-    create_backend,
-)
+from repro.api.backends import ExecutionBackend, backend_names, create_backend
 from repro.api.envelope import (
     KIND_CAMPAIGN,
     KIND_MATRIX,
@@ -44,7 +40,7 @@ from repro.api.envelope import (
     ResultEnvelope,
     plan_digest,
 )
-from repro.api.jobs import JobCancelled, JobHandle, ProgressEvent
+from repro.api.jobs import JobHandle, ProgressEvent
 from repro.api.requests import (
     CampaignRequest,
     CellPlan,
@@ -56,7 +52,13 @@ from repro.api.requests import (
 )
 from repro.core.campaign import CampaignResult
 from repro.core.prober import ProbeReport, Prober
-from repro.core.runner import CampaignRunner, result_digest
+from repro.core.runner import (
+    CampaignRunner,
+    ShardOutcome,
+    ShardTask,
+    _iter_completed,
+    result_digest,
+)
 from repro.net.errors import MeasurementError
 from repro.scenarios.matrix import MatrixResult, ScenarioRun
 from repro.scenarios.population import build_scenario_hosts
@@ -72,27 +74,6 @@ def _probe_signature(report: ProbeReport) -> tuple:
             for sample in report.result.samples
         )
     return (report.test.value, report.error or "", report.ineligible, samples)
-
-
-def _run_matrix_cell(cell: CellPlan) -> tuple[CellPlan, "CampaignPlan", CampaignResult]:
-    """Execute one matrix cell to completion (worker-process entry point).
-
-    Module-level so :class:`CellPlan` s can ship to a process pool; shards
-    inside the cell run serially because the cell itself is the unit of
-    parallelism here.  Returns the cell's campaign plan too, so the caller
-    can build the cell envelope without rebuilding the population.
-    """
-    specs = build_scenario_hosts(cell.scenario, seed=cell.seed)
-    runner = CampaignRunner(
-        specs,
-        cell.config,
-        seed=cell.seed,
-        remote_port=cell.remote_port,
-        shards=cell.shards,
-        executor="serial",
-        scenario=cell.label,
-    )
-    return cell, runner.plan(cell.tests), runner.execute(cell.tests)
 
 
 class Session:
@@ -331,38 +312,64 @@ class Session:
         )
 
     def _run_matrix(self, request: MatrixRequest, job: JobHandle) -> ResultEnvelope:
-        norm = request.normalized()
-        cells = norm.cells
-        outcomes: list[tuple[CellPlan, Any, CampaignResult]] = []
-        if norm.parallel_cells and len(cells) > 1 and self.backend.name != "serial":
-            # Cells are independent pure functions, so they fan out across
-            # the backend whole; shards inside each cell run serially in
-            # their worker.  Pool failure falls back to inline execution.
-            try:
-                outcomes = list(self.backend.map_items(_run_matrix_cell, cells))
-            except POOL_FAILURES:
-                outcomes = []
-            if outcomes:
-                # The barrier already ran every cell; a cancel() requested
-                # mid-sweep has no remaining work to stop, so the finished
-                # result is kept rather than discarded.
-                try:
-                    job._report(ProgressEvent("cell", len(cells), len(cells)))
-                except JobCancelled:
-                    pass
-        if not outcomes:
-            for index, cell in enumerate(cells):
-                outcomes.append(self._run_cell_inline(cell))
-                job._report(
-                    ProgressEvent("cell", index + 1, len(cells), label=cell.label)
+        """Every cell's shards as one completion-order stream on the backend.
+
+        Each cell keeps its own runner, shard layout, and merge; only the
+        shard indexes run on across cells, so one dispatch carries them all
+        and no worker idles at a cell boundary.  A cell's progress event
+        fires when its last shard lands, so cells finish in completion
+        order, and cancelling at that boundary closes the stream, which
+        drops the batches that have not started.
+        """
+        cells = request.normalized().cells
+        runners: list[CampaignRunner] = []
+        tasks: list[ShardTask] = []
+        owner: dict[int, int] = {}  # shard index -> cell position
+        unfinished: dict[int, int] = {}  # cell position -> shards still out
+        for position, cell in enumerate(cells):
+            runner = CampaignRunner(
+                build_scenario_hosts(cell.scenario, seed=cell.seed),
+                cell.config,
+                seed=cell.seed,
+                remote_port=cell.remote_port,
+                shards=cell.shards,
+                scenario=cell.label,
+            )
+            cell_tasks = runner.shard_tasks(cell.tests, first_index=len(tasks))
+            owner.update((task.index, position) for task in cell_tasks)
+            unfinished[position] = len(cell_tasks)
+            tasks.extend(cell_tasks)
+            runners.append(runner)
+        outcomes: list[list[ShardOutcome]] = [[] for _ in cells]
+
+        def finish(position: int) -> None:
+            del unfinished[position]
+            job._report(
+                ProgressEvent(
+                    "cell", len(cells) - len(unfinished), len(cells),
+                    label=cells[position].label,
                 )
+            )
+
+        with closing(_iter_completed(tasks, self.backend)) as stream:
+            for outcome in stream:
+                position = owner[outcome.index]
+                outcomes[position].append(outcome)
+                unfinished[position] -= 1
+                if not unfinished[position]:
+                    finish(position)
+        # A shard the remote backend quarantined never lands; its cell is
+        # as complete as it will get once the stream ends.
+        for position in sorted(unfinished):
+            finish(position)
         children = []
         runs: dict[str, ScenarioRun] = {}
-        for cell, plan, result in outcomes:
+        for cell, runner, cell_outcomes in zip(cells, runners, outcomes):
+            result = runner.merge(cell_outcomes, cell.tests)
             runs[cell.label] = ScenarioRun(
                 scenario=cell.scenario, seed=cell.seed, result=result
             )
-            children.append(self._cell_envelope(cell, plan, result))
+            children.append(self._cell_envelope(cell, runner.plan(cell.tests), result))
         cell_digests = tuple(
             sorted((child.scenario or "", child.result_digest or "") for child in children)
         )
@@ -375,28 +382,10 @@ class Session:
             meta={
                 "seed": request.seed,
                 "cells": len(cells),
-                "parallel_cells": norm.parallel_cells,
                 "backend": self._backend_name,
             },
             children=tuple(children),
         )
-
-    def _run_cell_inline(
-        self, cell: CellPlan
-    ) -> tuple[CellPlan, Any, CampaignResult]:
-        """One cell on the session's own backend (shards share the warm pool)."""
-        specs = build_scenario_hosts(cell.scenario, seed=cell.seed)
-        runner = CampaignRunner(
-            specs,
-            cell.config,
-            seed=cell.seed,
-            remote_port=cell.remote_port,
-            shards=cell.shards,
-            max_workers=self.max_workers,
-            scenario=cell.label,
-            backend=self.backend,
-        )
-        return cell, runner.plan(cell.tests), runner.execute(cell.tests)
 
     def _cell_envelope(
         self, cell: CellPlan, plan: Any, result: CampaignResult

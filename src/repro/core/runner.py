@@ -47,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.campaign import Campaign, CampaignConfig, CampaignResult, HostRoundResult
 from repro.core.prober import TestName
@@ -97,54 +97,6 @@ class ShardOutcome:
     records: list[HostRoundResult]
 
 
-@dataclass(frozen=True, slots=True)
-class ShardContext:
-    """The run-wide half of a :class:`ShardTask`, shipped to workers once.
-
-    Every shard of one campaign shares the same config, test tuple, seed,
-    port, and scenario label; only the spec slice differs.  Sending the
-    shared part through the :class:`~concurrent.futures.ProcessPoolExecutor`
-    *initializer* (once per worker) instead of inside every task cuts the
-    per-shard pickling to just ``(index, specs)``.
-    """
-
-    config: CampaignConfig
-    tests: Optional[tuple[TestName, ...]]
-    seed: int
-    remote_port: int
-    scenario: Optional[str]
-
-    def task(self, index: int, specs: tuple[HostSpec, ...]) -> ShardTask:
-        """Recombine this context with one shard's spec slice."""
-        return ShardTask(
-            index=index,
-            specs=specs,
-            config=self.config,
-            tests=self.tests,
-            seed=self.seed,
-            remote_port=self.remote_port,
-            scenario=self.scenario,
-        )
-
-
-_WORKER_CONTEXT: Optional[ShardContext] = None
-
-
-def _init_shard_worker(context: ShardContext) -> None:
-    """Process-pool initializer: stash the run-wide shard context."""
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _run_shard_slice(slice_: tuple[int, tuple[HostSpec, ...]]) -> ShardOutcome:
-    """Worker entry point: rebuild the full task from the stashed context."""
-    context = _WORKER_CONTEXT
-    if context is None:  # pragma: no cover - initializer always runs first
-        raise MeasurementError("shard worker used before its initializer ran")
-    index, specs = slice_
-    return run_shard(context.task(index, specs))
-
-
 def _encode_batch(outcomes: list[ShardOutcome], mode: str) -> "bytes | list[ShardOutcome]":
     """One batch's return value: a compact blob, or live objects (oracle mode).
 
@@ -158,33 +110,13 @@ def _encode_batch(outcomes: list[ShardOutcome], mode: str) -> "bytes | list[Shar
     return outcomes
 
 
-def _run_shard_slice_batch(
-    payload: tuple[str, tuple[tuple[int, tuple[HostSpec, ...]], ...]],
-) -> "bytes | list[ShardOutcome]":
-    """Worker entry point: run a whole batch of stashed-context slices.
-
-    The batch travels to the worker as bare ``(index, specs)`` slices (the
-    PR 3 pickling minimisation) and its results travel back as a single
-    struct-packed blob (see :mod:`repro.core.transport`) — one IPC
-    round-trip per batch in each direction.
-    """
-    mode, slices = payload
-    context = _WORKER_CONTEXT
-    if context is None:  # pragma: no cover - initializer always runs first
-        raise MeasurementError("shard worker used before its initializer ran")
-    return _encode_batch(
-        [run_shard(context.task(index, specs)) for index, specs in slices], mode
-    )
-
-
 def _run_task_batch(
     payload: tuple[str, tuple[ShardTask, ...]],
 ) -> "bytes | list[ShardOutcome]":
     """Worker entry point: run a batch of self-contained shard tasks.
 
-    Used when a warm pool's stashed context does not match the campaign
-    (e.g. the later cells of a matrix sweep) — tasks ship whole, results
-    still come back as one blob per batch.
+    Tasks ship whole, so one batch may mix the shards of several campaigns
+    (a matrix sweep's cells); results come back as one blob per batch.
     """
     mode, tasks = payload
     return _encode_batch([run_shard(task) for task in tasks], mode)
@@ -287,6 +219,54 @@ def run_shard(task: ShardTask) -> ShardOutcome:
     )
 
 
+def _iter_completed(
+    tasks: Sequence[ShardTask], backend: "ExecutionBackend"
+) -> Iterator[ShardOutcome]:
+    """Yield shard outcomes as they complete on ``backend``.
+
+    ``tasks`` may hold the shards of several campaigns (a matrix sweep
+    dispatches every cell's shards as one stream), so their indexes must be
+    unique within the list.  A generator so that only *pool* failures
+    trigger the serial fallback: exceptions raised by the consumer (store
+    writes, checkpoint hooks, a cancelled job) propagate out of the
+    ``yield`` and are never mistaken for pool infrastructure problems — and
+    closing the generator cancels the queued shards rather than running the
+    rest of the work first.  On pool failure, shards already yielded are not
+    re-run; the rest execute inline (shards are pure functions, so the retry
+    yields identical records).
+    """
+    if not tasks:
+        return
+    done: set[int] = set()
+    if backend.name != EXECUTOR_SERIAL and len(tasks) > 1:
+        from repro.api.backends import POOL_FAILURES
+
+        iterator = None
+        try:
+            iterator = backend.iter_shards(tasks)
+        except POOL_FAILURES:
+            iterator = None
+        pool_failed = False
+        if iterator is not None:
+            try:
+                for outcome in iterator:
+                    done.add(outcome.index)
+                    yield outcome
+            except POOL_FAILURES:
+                pool_failed = True
+            finally:
+                # Reached on success, pool failure, *and* generator close
+                # (consumer raised): the backend's iterator drops shards
+                # that have not started; the pool itself stays warm for
+                # its owner.
+                iterator.close()
+            if not pool_failed:
+                return
+            tasks = [task for task in tasks if task.index not in done]
+    for task in tasks:
+        yield run_shard(task)
+
+
 class CampaignRunner:
     """Runs a measurement campaign over a host population in parallel shards.
 
@@ -383,17 +363,53 @@ class CampaignRunner:
         """
         from repro.store.store import CampaignPlan, specs_digest
 
-        active_tests = tuple(tests) if tests is not None else self.config.tests
         return CampaignPlan(
             seed=self.seed,
             shards=len(self.shard_plan()),
             remote_port=self.remote_port,
             scenario=self.scenario,
-            tests=active_tests,
+            tests=self._active_tests(tests),
             config=self.config,
             specs_digest=specs_digest(self.specs),
             host_addresses=self.host_addresses,
             origin=origin,
+        )
+
+    def shard_tasks(
+        self, tests: Optional[Iterable[TestName]] = None, *, first_index: int = 0
+    ) -> list[ShardTask]:
+        """This campaign's shard work orders, indexed from ``first_index``.
+
+        A matrix sweep numbers each cell's shards on from the previous
+        cell's, so one dispatch can carry every cell; the index only names a
+        shard and never affects what it measures.
+        """
+        active_tests = self._active_tests(tests)
+        return [
+            ShardTask(
+                index=first_index + offset,
+                specs=tuple(shard),
+                config=self.config,
+                tests=active_tests,
+                seed=self.seed,
+                remote_port=self.remote_port,
+                scenario=self.scenario,
+            )
+            for offset, shard in enumerate(self.shard_plan())
+        ]
+
+    def merge(
+        self,
+        outcomes: Iterable[ShardOutcome],
+        tests: Optional[Iterable[TestName]] = None,
+    ) -> CampaignResult:
+        """Merge this campaign's shard outcomes, in any order, into one result."""
+        return merge_records(
+            (record for outcome in outcomes for record in outcome.records),
+            config=self.config,
+            host_addresses=self.host_addresses,
+            tests=self._active_tests(tests),
+            scenario=self.scenario,
         )
 
     def run(
@@ -447,29 +463,18 @@ class CampaignRunner:
         store (progress observation); with a store it fires only after the
         shard is durable.
         """
-        active_tests = tuple(tests) if tests is not None else self.config.tests
-        tasks = [
-            ShardTask(
-                index=index,
-                specs=tuple(shard),
-                config=self.config,
-                tests=active_tests,
-                seed=self.seed,
-                remote_port=self.remote_port,
-                scenario=self.scenario,
-            )
-            for index, shard in enumerate(self.shard_plan())
-        ]
+        active_tests = self._active_tests(tests)
+        tasks = self.shard_tasks(active_tests)
         backend, owned = self._resolve_backend()
         try:
             if store is None:
                 if on_checkpoint is None:
-                    return self._merge(self._execute(tasks, backend), active_tests)
+                    return self.merge(self._execute(tasks, backend), active_tests)
                 outcomes: list[ShardOutcome] = []
-                for outcome in self._iter_completed(tasks, backend):
+                for outcome in _iter_completed(tasks, backend):
                     outcomes.append(outcome)
                     on_checkpoint(outcome, len(outcomes), len(tasks))
-                return self._merge(outcomes, active_tests)
+                return self.merge(outcomes, active_tests)
             completed = store.begin(self.plan(active_tests, origin=origin), resume=resume)
             pending = [task for task in tasks if task.index not in completed]
             fresh = self._execute_checkpointed(
@@ -479,7 +484,7 @@ class CampaignRunner:
             # durable shards are read back (the codec is lossless, so both
             # sources yield signature-identical records).
             outcomes = [store.read_shard(index) for index in sorted(completed)] + fresh
-            return self._merge(outcomes, active_tests)
+            return self.merge(outcomes, active_tests)
         finally:
             if owned:
                 backend.close()
@@ -487,6 +492,9 @@ class CampaignRunner:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+
+    def _active_tests(self, tests: Optional[Iterable[TestName]]) -> tuple[TestName, ...]:
+        return tuple(tests) if tests is not None else self.config.tests
 
     def _resolve_backend(self) -> tuple["ExecutionBackend", bool]:
         """The backend to run on, plus whether this runner owns (closes) it."""
@@ -530,65 +538,9 @@ class CampaignRunner:
         order so the caller can merge them without reading them back.
         """
         outcomes: list[ShardOutcome] = []
-        for outcome in self._iter_completed(tasks, backend):
+        for outcome in _iter_completed(tasks, backend):
             store.write_shard(outcome)
             outcomes.append(outcome)
             if on_checkpoint is not None:
                 on_checkpoint(outcome, len(store.completed_shards()), total)
         return outcomes
-
-    def _iter_completed(
-        self, tasks: list[ShardTask], backend: "ExecutionBackend"
-    ) -> Iterable[ShardOutcome]:
-        """Yield shard outcomes as they complete.
-
-        A generator so that only *pool* failures trigger the serial fallback:
-        exceptions raised by the consumer (store writes, checkpoint hooks)
-        propagate out of the ``yield`` and are never mistaken for pool
-        infrastructure problems — and closing the generator cancels the
-        queued shards rather than running the rest of the campaign first.
-        On pool failure, shards already yielded are not re-run; the rest
-        execute inline (shards are pure functions, so the retry yields
-        identical records).
-        """
-        if not tasks:
-            return
-        done: set[int] = set()
-        if backend.name != EXECUTOR_SERIAL and len(tasks) > 1:
-            from repro.api.backends import POOL_FAILURES
-
-            iterator = None
-            try:
-                iterator = backend.iter_shards(tasks)
-            except POOL_FAILURES:
-                iterator = None
-            pool_failed = False
-            if iterator is not None:
-                try:
-                    for outcome in iterator:
-                        done.add(outcome.index)
-                        yield outcome
-                except POOL_FAILURES:
-                    pool_failed = True
-                finally:
-                    # Reached on success, pool failure, *and* generator close
-                    # (consumer raised): the backend's iterator drops shards
-                    # that have not started; the pool itself stays warm for
-                    # its owner.
-                    iterator.close()
-                if not pool_failed:
-                    return
-                tasks = [task for task in tasks if task.index not in done]
-        for task in tasks:
-            yield run_shard(task)
-
-    def _merge(
-        self, outcomes: Iterable[ShardOutcome], active_tests: tuple[TestName, ...]
-    ) -> CampaignResult:
-        return merge_records(
-            (record for outcome in outcomes for record in outcome.records),
-            config=self.config,
-            host_addresses=self.host_addresses,
-            tests=active_tests,
-            scenario=self.scenario,
-        )

@@ -328,9 +328,8 @@ class RemoteBackend(ExecutionBackend):
     def map_items(
         self, fn: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
     ) -> list[_ResultT]:
-        # Arbitrary work items (matrix cells) are not shard tasks; they run
-        # on the local fallback pool.  Campaigns inside the cells still
-        # route their shards wherever the cell's runner points.
+        # Arbitrary work items are not shard tasks; they run on the local
+        # fallback pool.
         return self._local().map_items(fn, items)
 
     def close(self) -> None:

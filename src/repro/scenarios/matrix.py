@@ -246,12 +246,11 @@ def run_matrix(
 ) -> MatrixResult:
     """Legacy shim: run every cell of the matrix through the session layer.
 
-    Equivalent to submitting a :class:`repro.api.MatrixRequest` — the
-    preferred spelling, which can also fan independent cells out across the
-    backend with ``parallel_cells=True``.  Each cell's seed is
-    :func:`derive_cell_seed` of the base seed and the cell key, so adding or
-    removing cells never changes the other cells' datasets.  Unlike the
-    pre-session implementation, all cells share one warm worker pool.
+    Equivalent to submitting a :class:`repro.api.MatrixRequest`, the
+    preferred spelling.  Each cell's seed is :func:`derive_cell_seed` of the
+    base seed and the cell key, so adding or removing cells never changes
+    the other cells' datasets.  Unlike the pre-session implementation, every
+    cell's shards run as one stream on one warm worker pool.
     """
     warnings.warn(
         "run_matrix() is a legacy entry point; submit a "

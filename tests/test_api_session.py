@@ -33,7 +33,8 @@ from repro.core.prober import TestName
 from repro.core.runner import EXECUTOR_SERIAL, result_digest
 from repro.net.errors import MeasurementError
 from repro.scenarios import scenario_names
-from repro.scenarios.matrix import derive_cell_seed
+from repro.scenarios.matrix import MIXED_OS, derive_cell_seed
+from _remote_helpers import make_backend
 from test_golden_signatures import (
     GOLDEN_CONFIG,
     GOLDEN_DIGESTS,
@@ -138,7 +139,7 @@ def test_probe_request_runs_requested_techniques():
     assert first.result_digest == second.result_digest
 
 
-def test_matrix_request_parallel_cells_measure_identically():
+def test_matrix_request_measures_identically_on_serial_and_process():
     scenarios = ("imc2002-survey", "bursty-loss")
     base = dict(
         scenarios=scenarios, config=GOLDEN_CONFIG, hosts=3, seed=11, shards=2
@@ -146,7 +147,7 @@ def test_matrix_request_parallel_cells_measure_identically():
     with Session(backend=EXECUTOR_SERIAL) as session:
         sequential = session.run(MatrixRequest(**base))
     with Session(backend="process") as session:
-        parallel = session.run(MatrixRequest(**base, parallel_cells=True))
+        parallel = session.run(MatrixRequest(**base))
     assert sequential.kind == parallel.kind == "matrix"
     assert sequential.result_digest == parallel.result_digest
     assert {child.scenario for child in sequential.children} == {
@@ -160,6 +161,152 @@ def test_matrix_request_parallel_cells_measure_identically():
     # Matrix envelopes stream into per-cell scenario slices.
     survey = survey_from_envelope(sequential)
     assert set(survey.scenario_slices()) == set(child.scenario for child in sequential.children)
+
+
+# --------------------------------------------------------------------- #
+# Matrix dispatch: one shard stream per sweep
+# --------------------------------------------------------------------- #
+
+
+def _matrix_request(scenarios, shards, os_names=(MIXED_OS,)) -> MatrixRequest:
+    return MatrixRequest(
+        scenarios=tuple(scenarios),
+        os_names=os_names,
+        config=GOLDEN_CONFIG,
+        hosts=GOLDEN_HOSTS,
+        seed=GOLDEN_SEED,
+        shards=shards,
+    )
+
+
+#: Three scenarios x two OS columns: six cells.
+SMALL_MATRIX = _matrix_request(
+    ("imc2002-survey", "bursty-loss", "route-flap"), 2, (MIXED_OS, "freebsd-4.4")
+)
+
+
+class _LoggingBackend(ThreadBackend):
+    """A thread backend that records every shard dispatch it is asked for."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=2)
+        self.calls: list[tuple[str, tuple]] = []
+
+    def map_shards(self, tasks):
+        self.calls.append(("map_shards", tuple(tasks)))
+        return super().map_shards(tasks)
+
+    def iter_shards(self, tasks):
+        self.calls.append(("iter_shards", tuple(tasks)))
+        return super().iter_shards(tasks)
+
+
+class _GatedBackend(ProcessBackend):
+    """A process backend whose dispatch waits until the test opens a gate,
+    so progress callbacks can be attached before the first cell lands."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=2)
+        self.gate = threading.Event()
+
+    def iter_shards(self, tasks):
+        assert self.gate.wait(60), "the test never opened the dispatch gate"
+        yield from super().iter_shards(tasks)
+
+
+def test_matrix_dispatches_every_cell_in_one_call():
+    backend = _LoggingBackend()
+    try:
+        with Session(backend=backend) as session:
+            session.run(SMALL_MATRIX)
+    finally:
+        backend.close()
+    assert len(backend.calls) == 1, [(name, len(tasks)) for name, tasks in backend.calls]
+    ((_, tasks),) = backend.calls
+    assert len(tasks) == 12
+    assert len({task.index for task in tasks}) == 12
+
+
+def _standalone_cell_digest(scenario: str, shards: int) -> str:
+    """The digest of one matrix cell, run as its own serial campaign."""
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        return session.run(
+            CampaignRequest(
+                scenario=scenario,
+                config=GOLDEN_CONFIG,
+                hosts=GOLDEN_HOSTS,
+                seed=derive_cell_seed(GOLDEN_SEED, scenario),
+                shards=shards,
+                scenario_label=f"{scenario}/{MIXED_OS}",
+            )
+        ).result_digest
+
+
+@pytest.mark.parametrize("shards", (1, 4))
+def test_matrix_digests_are_backend_invariant_and_match_standalone_cells(shards):
+    request = _matrix_request(sorted(scenario_names()), shards)
+    envelopes = {}
+    for name in BACKENDS:
+        with Session(backend=name, max_workers=2) as session:
+            envelopes[name] = session.run(request)
+    remote = make_backend(spawn_workers=2)
+    try:
+        with Session(backend=remote) as session:
+            envelopes["remote"] = session.run(request)
+    finally:
+        remote.close()
+    reference = envelopes[EXECUTOR_SERIAL]
+    cells = {child.scenario: child.result_digest for child in reference.children}
+    assert len(cells) == len(scenario_names())
+    for name, envelope in envelopes.items():
+        assert envelope.result_digest == reference.result_digest, name
+        assert {
+            child.scenario: child.result_digest for child in envelope.children
+        } == cells, name
+    for scenario in scenario_names():
+        assert cells[f"{scenario}/{MIXED_OS}"] == _standalone_cell_digest(scenario, shards), (
+            f"cell {scenario!r} measured differently inside the matrix"
+        )
+
+
+def test_matrix_progress_is_per_cell_and_cancel_closes_the_stream():
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        reference = session.run(SMALL_MATRIX).result_digest
+    backend = _GatedBackend()
+    try:
+        with Session(backend=backend) as session:
+            events = []
+            job = session.submit(SMALL_MATRIX)
+            job.add_progress_callback(events.append)
+            backend.gate.set()
+            envelope = job.result(timeout=300)
+
+            backend.gate.clear()
+            cancelled_events = []
+            job_box = {}
+
+            def cancel_at_first_cell(event):
+                cancelled_events.append(event)
+                job_box["job"].cancel()
+
+            job_box["job"] = cancelled = session.submit(SMALL_MATRIX)
+            cancelled.add_progress_callback(cancel_at_first_cell)
+            backend.gate.set()
+            with pytest.raises(JobCancelled):
+                cancelled.result(timeout=300)
+            assert cancelled.status() is JobStatus.CANCELLED
+
+            again = session.run(SMALL_MATRIX)
+    finally:
+        backend.close()
+    assert [event.kind for event in events] == ["cell"] * 6
+    assert [event.completed for event in events] == [1, 2, 3, 4, 5, 6]
+    assert {event.total for event in events} == {6}
+    assert sorted(event.label for event in events) == sorted(
+        child.scenario for child in envelope.children
+    )
+    assert [event.completed for event in cancelled_events] == [1]
+    assert envelope.result_digest == again.result_digest == reference
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,10 @@ sabotaging its result blob — and every campaign digest must still match
 serial execution bit-for-bit, while the envelope's remote report proves the
 fault actually bit (requeues, evictions, disconnects, transport faults).
 
+A second sweep arms the same faults against one scenario matrix whose
+batches span two cells each, so a requeue must route every shard back to
+its own cell's merge.
+
 Test ids carry the fault name and a ``workersN`` tag so the CI chaos-matrix
 job can select one cell with ``-k "kill and workers2"``.  Set
 ``CHAOS_STORE_DIR`` to checkpoint each campaign into a durable store for
@@ -18,13 +22,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Session
-from repro.core.runner import ShardOutcome
+from repro.api import MatrixRequest, Session
+from repro.core.prober import TestName
+from repro.core.runner import EXECUTOR_SERIAL, ShardOutcome
 from repro.core.transport import decode_outcomes, encode_outcomes
 from repro.distributed.chaos import ChaosEngine, ChaosSpec
 from repro.net.errors import TransportError
-from repro.scenarios import scenario_names
+from repro.scenarios import MIXED_OS, scenario_names
 from _remote_helpers import chaos_store, make_backend, request, serial_digest
+from test_golden_signatures import GOLDEN_CONFIG, GOLDEN_HOSTS, GOLDEN_SEED
 
 SHARDS = 4
 SCENARIOS = sorted(scenario_names())
@@ -94,6 +100,66 @@ def test_every_scenario_digest_survives_the_fault(fault, workers):
     if fault in REQUEUE_EXPECTED:
         assert totals["requeues"] >= 1, (
             f"the {spec.kind} fault never exercised a requeue: {totals}"
+        )
+
+
+#: Four scenarios x two OS columns, four one-host shards per cell.  Two
+#: techniques at four samples cost 8 samples a shard, so default batch
+#: sizing ships 8-shard batches that each span two cells.  The second OS
+#: column makes four such batches, so the opening dispatch hands one to
+#: every worker of a 2- or 4-worker fleet, the armed worker included.
+MATRIX = MatrixRequest(
+    scenarios=tuple(SCENARIOS[:4]),
+    os_names=(MIXED_OS, "freebsd-4.4"),
+    config=GOLDEN_CONFIG,
+    hosts=GOLDEN_HOSTS,
+    seed=GOLDEN_SEED,
+    shards=SHARDS,
+    tests=(TestName.SINGLE_CONNECTION, TestName.SYN),
+)
+
+_SERIAL_MATRIX = []
+
+
+def _cell_digests(envelope) -> dict:
+    return {child.scenario: child.result_digest for child in envelope.children}
+
+
+def _serial_matrix():
+    if not _SERIAL_MATRIX:
+        with Session(backend=EXECUTOR_SERIAL) as session:
+            _SERIAL_MATRIX.append(session.run(MATRIX))
+    return _SERIAL_MATRIX[0]
+
+
+@pytest.mark.parametrize("workers", (2, 4), ids=("workers2", "workers4"))
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_matrix_batches_spanning_cells_survive_the_fault(fault, workers):
+    spec = FAULTS[fault]
+    backend = make_backend(spawn_workers=workers, chaos=spec)
+    try:
+        with Session(backend=backend) as session:
+            envelope = session.run(MATRIX)
+        # Matrix envelopes carry no remote report; the sweep ran as one job.
+        report = backend.pop_job_report()
+    finally:
+        backend.close()
+    reference = _serial_matrix()
+    assert envelope.result_digest == reference.result_digest, (
+        f"the matrix measured differently under the {spec.kind} fault on a "
+        f"{workers}-worker fleet"
+    )
+    assert _cell_digests(envelope) == _cell_digests(reference)
+    assert not report.get("quarantined"), (
+        f"a transient {spec.kind} fault must requeue, not quarantine"
+    )
+    for counter in EVIDENCE[fault]:
+        assert report.get(counter, 0) >= 1, (
+            f"the {spec.kind} fault left no {counter} trace: {report}"
+        )
+    if fault in REQUEUE_EXPECTED:
+        assert report.get("requeues", 0) >= 1, (
+            f"the {spec.kind} fault never exercised a requeue: {report}"
         )
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import JobCancelled, JobStatus, Session, create_backend
+from repro.api import JobCancelled, JobStatus, MatrixRequest, Session, create_backend
 from repro.api.backends import backend_names
 from repro.distributed.backend import RemoteBackend
 from repro.distributed.chaos import CHAOS_ENV, ChaosSpec
@@ -36,7 +36,7 @@ from repro.distributed.protocol import (
 )
 from repro.net.errors import MeasurementError, ProtocolError
 from repro.scenarios import scenario_names
-from test_golden_signatures import GOLDEN_DIGESTS
+from test_golden_signatures import GOLDEN_CONFIG, GOLDEN_DIGESTS, GOLDEN_HOSTS, GOLDEN_SEED
 from _remote_helpers import make_backend, request, serial_digest
 
 # Time-varying layouts measure differently per shard count (documented in
@@ -269,6 +269,31 @@ def test_poison_shard_is_quarantined_and_reported():
     assert any("quarantined" in w for w in envelope.meta["warnings"])
     # The merge simply lacks the quarantined shard's records.
     assert envelope.result_digest != serial_digest("imc2002-survey", shards=4)
+
+
+def test_matrix_cell_with_a_quarantined_shard_still_reports_done():
+    chaos = ChaosSpec(kind="poison-shard", workers=(0, 1), poison_shards=(1,))
+    backend = make_backend(chaos=chaos, max_attempts=2, batch_size=1)
+    matrix = MatrixRequest(
+        scenarios=("imc2002-survey", "bursty-loss"),
+        config=GOLDEN_CONFIG,
+        hosts=GOLDEN_HOSTS,
+        seed=GOLDEN_SEED,
+        shards=2,
+    )
+    try:
+        with Session(backend=backend) as session:
+            job = session.submit(matrix)
+            job.result(timeout=300)
+        report = backend.pop_job_report()
+    finally:
+        backend.close()
+    # Shard 1 belongs to the first cell; it never lands, yet the sweep
+    # still reports every cell finished once the stream ends.
+    (entry,) = report["quarantined"]
+    assert entry["shard"] == 1
+    final = job.progress()
+    assert (final.kind, final.completed, final.total) == ("cell", 2, 2)
 
 
 def test_externally_launched_cli_workers_serve_a_campaign():

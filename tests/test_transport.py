@@ -330,8 +330,8 @@ class _FlakyThreadBackend(ThreadBackend):
         super().__init__(max_workers=2)
         self.breaks = breaks
 
-    def _shard_submitter(self, tasks):
-        real = super()._shard_submitter(tasks)
+    def _shard_submitter(self):
+        real = super()._shard_submitter()
 
         def submit(batch):
             if self.breaks > 0:
