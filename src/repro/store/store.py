@@ -5,7 +5,8 @@ durable, shard by shard:
 
 * ``manifest.json`` — the campaign *plan* (everything needed to re-execute
   or verify the run: config, tests, seed, shard count, host addresses, a
-  digest of the host specs) plus an index of committed segments.
+  digest of the host specs).  It is written once, atomically, when the store
+  is created, and never rewritten.
 * ``shard-00000.jsonl`` … — one JSONL *segment* per completed shard.  The
   first line is a header (``{"shard": i, "host_addresses": [...],
   "records": n}``); each following line is one encoded
@@ -13,13 +14,17 @@ durable, shard by shard:
 
 Commit protocol
 ---------------
-Segments are written to a temporary file, flushed, fsynced, and renamed into
-place — the rename is the commit point, so a segment either exists complete
-or not at all.  The manifest index is then rewritten the same way.  A crash
-between the two renames leaves an *orphan* segment (durable but unindexed);
-:meth:`CampaignStore.open` validates and re-adopts orphans, so the commit
-point for shard durability is the segment rename alone.  Nothing is ever
-modified in place; a resumed run only adds new segments.
+A segment is written to a temporary file, flushed, fsynced, renamed into
+place, and the directory is fsynced.  The rename is the commit point, so a
+segment either exists complete or not at all, and the directory is the
+index: the ``shard-NNNNN.jsonl`` names in it are the durable shards.  There
+is no state in which a segment is durable but unrecorded, and a crash's
+``*.tmp`` leftovers never count.  Nothing is ever modified in place; a
+resumed run only adds new segments.  A store is created only in a directory
+that holds no segments, so every durable segment belongs to its campaign.
+Manifests written by older builds also carry a ``segments`` index; it is
+ignored.  Every read validates a whole segment (JSON, the header's shard
+claim, the record count) before any of its records is used.
 
 Determinism
 -----------
@@ -163,12 +168,12 @@ class CampaignPlan:
 
 
 class CampaignStore:
-    """One campaign's durable segments plus its manifest."""
+    """One campaign's manifest plus its directory of durable segments."""
 
     def __init__(self, root: os.PathLike | str) -> None:
         self.root = Path(root)
         self._plan: Optional[CampaignPlan] = None
-        self._segments: dict[int, str] = {}
+        self._segments: set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -178,12 +183,6 @@ class CampaignStore:
     def manifest_path(self) -> Path:
         return self.root / MANIFEST_NAME
 
-    def _ensure_root(self) -> None:
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise StoreError(f"cannot create store directory {self.root}: {exc}") from exc
-
     @classmethod
     def create(cls, root: os.PathLike | str, plan: CampaignPlan) -> "CampaignStore":
         """Initialise a fresh store directory for ``plan``."""
@@ -192,22 +191,18 @@ class CampaignStore:
             not store.manifest_path.exists(),
             f"store already exists at {store.root}; open() or resume it instead",
         )
-        store._ensure_root()
-        store._plan = plan
-        store._segments = {}
-        store._write_manifest()
+        store._initialise(plan)
         return store
 
     @classmethod
     def open(cls, root: os.PathLike | str) -> "CampaignStore":
-        """Open an existing store, validating and adopting orphan segments."""
+        """Open an existing store: read its plan and list its durable segments."""
         store = cls(root)
         require(
             store.manifest_path.exists(),
             f"no campaign store at {store.root} (missing {MANIFEST_NAME})",
         )
-        store._load_manifest()
-        store._recover_orphans()
+        store._load()
         return store
 
     def begin(self, plan: CampaignPlan, *, resume: bool = False) -> frozenset[int]:
@@ -220,13 +215,9 @@ class CampaignStore:
         indices that are already durable and need not be re-executed.
         """
         if not self.manifest_path.exists():
-            self._ensure_root()
-            self._plan = plan
-            self._segments = {}
-            self._write_manifest()
+            self._initialise(plan)
             return frozenset()
-        self._load_manifest()
-        self._recover_orphans()
+        self._load()
         stored = self.plan()
         mismatched = stored.differences(plan)
         require(
@@ -248,14 +239,13 @@ class CampaignStore:
 
     def plan(self) -> CampaignPlan:
         if self._plan is None:
-            self._load_manifest()
-            self._recover_orphans()
+            self._load()
         assert self._plan is not None
         return self._plan
 
     def completed_shards(self) -> frozenset[int]:
         """Indices of shards whose segments are durable."""
-        self.plan()  # ensure the manifest is loaded
+        self.plan()  # ensure the store is loaded
         return frozenset(self._segments)
 
     def is_complete(self) -> bool:
@@ -266,35 +256,34 @@ class CampaignStore:
         """Load one shard's outcome back from its segment."""
         from repro.core.runner import ShardOutcome
 
-        name = self._segments.get(index)
-        require(name is not None, f"shard {index} is not durable in {self.root}")
-        header, records = self._read_segment(self.root / name)
         require(
-            header.get("shard") == index,
-            f"segment {name} claims shard {header.get('shard')!r}, expected {index}",
+            index in self.completed_shards(),
+            f"shard {index} is not durable in {self.root}",
         )
+        header, payloads = self._read_segment(index)
         addresses = header.get("host_addresses")
         require(
             isinstance(addresses, list),
-            f"segment {name} has a malformed host_addresses header",
+            f"segment {_segment_name(index)} has a malformed host_addresses header",
         )
         return ShardOutcome(
             index=index,
             host_addresses=tuple(addresses),
-            records=records,
+            records=[self._decode_record(payload, index) for payload in payloads],
         )
 
     def iter_records(self) -> Iterator[HostRoundResult]:
         """Stream every durable record, one at a time, in shard-index order.
 
-        This is the streaming-aggregation entry point: only one decoded
-        record is alive at a time, so survey-scale stores can be analysed
-        without materializing every sample in memory.
+        This is the streaming-aggregation entry point: only one segment's
+        parsed lines and one decoded record are alive at a time, so
+        survey-scale stores can be analysed without materializing every
+        sample in memory.
         """
         for index in sorted(self.completed_shards()):
-            path = self.root / self._segments[index]
-            for record in self._iter_segment_records(path):
-                yield record
+            _, payloads = self._read_segment(index)
+            for payload in payloads:
+                yield self._decode_record(payload, index)
 
     def load_result(self) -> CampaignResult:
         """Materialize the full merged dataset in canonical order.
@@ -337,7 +326,6 @@ class CampaignStore:
             outcome.index not in self._segments,
             f"shard {outcome.index} is already durable in {self.root}",
         )
-        name = _segment_name(outcome.index)
         header = {
             "shard": outcome.index,
             "host_addresses": list(outcome.host_addresses),
@@ -345,24 +333,32 @@ class CampaignStore:
         }
         lines = [_dumps(header)]
         lines.extend(_dumps(encode_record(record)) for record in outcome.records)
-        _atomic_write_text(self.root / name, "\n".join(lines) + "\n")
-        self._segments[outcome.index] = name
-        self._write_manifest()
+        _atomic_write_text(self.root / _segment_name(outcome.index), "\n".join(lines) + "\n")
+        self._segments.add(outcome.index)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _write_manifest(self) -> None:
-        assert self._plan is not None
-        manifest = {
-            "format": FORMAT_VERSION,
-            "plan": self._plan.to_mapping(),
-            "segments": {str(index): name for index, name in sorted(self._segments.items())},
-        }
+    def _initialise(self, plan: CampaignPlan) -> None:
+        """Write a fresh store's manifest, refusing a directory with segments."""
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StoreError(f"cannot create store directory {self.root}: {exc}") from exc
+        stray = self._list_segments()
+        require(
+            not stray,
+            f"{self.root} already holds {len(stray)} segment(s) but no manifest; "
+            "a new store needs a directory without shard-*.jsonl files",
+        )
+        manifest = {"format": FORMAT_VERSION, "plan": plan.to_mapping()}
         _atomic_write_text(self.manifest_path, _dumps(manifest) + "\n")
+        self._plan = plan
+        self._segments = set()
 
-    def _load_manifest(self) -> None:
+    def _load(self) -> None:
+        """Read the plan from the manifest and the durable shards from the directory."""
         try:
             manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
@@ -374,112 +370,35 @@ class CampaignStore:
         )
         require("plan" in manifest, f"manifest at {self.manifest_path} has no plan")
         self._plan = CampaignPlan.from_mapping(manifest["plan"])
-        segments: dict[int, str] = {}
-        for key, name in manifest.get("segments", {}).items():
-            try:
-                segments[int(key)] = name
-            except (TypeError, ValueError) as exc:
-                raise StoreError(
-                    f"malformed segment index {key!r} in {self.manifest_path}"
-                ) from exc
-        self._segments = segments
+        self._segments = self._list_segments()
 
-    def _recover_orphans(self) -> None:
-        """Adopt segments committed just before a crash killed the indexer.
+    def _list_segments(self) -> set[int]:
+        """Shard indices of the committed segments in the directory."""
+        try:
+            names = os.listdir(self.root)
+        except OSError as exc:
+            raise StoreError(f"cannot list store directory {self.root}: {exc}") from exc
+        return {int(match.group(1)) for match in map(_SEGMENT_RE.match, names) if match}
 
-        The segment rename is the durability commit point; the manifest index
-        trails it.  Any well-formed ``shard-*.jsonl`` on disk that the index
-        does not know about is therefore a completed shard and is re-indexed.
-        """
-        indexed = set(self._segments.values())
-        adopted = False
-        for path in sorted(self.root.iterdir()):
-            match = _SEGMENT_RE.match(path.name)
-            if not match or path.name in indexed:
-                continue
-            index = int(match.group(1))
-            header = self._validate_segment(path)
-            require(
-                header.get("shard") == index,
-                f"segment {path.name} claims shard {header.get('shard')!r}",
-            )
-            require(
-                index not in self._segments,
-                f"two segments claim shard {index}: "
-                f"{self._segments.get(index)} and {path.name}",
-            )
-            self._segments[index] = path.name
-            adopted = True
-        if adopted:
-            self._write_manifest()
-
-    def _validate_segment(self, path: Path) -> dict:
-        """Check a segment's well-formedness cheaply and return its header.
-
-        Verifies JSON line structure and the header's record count without
-        decoding records into dataclasses — enough to decide durability
-        (the rename commit already guarantees the file is complete).
-        """
-        header: Optional[dict] = None
-        count = 0
-        for line in self._iter_segment_lines(path):
-            if header is None:
-                header = line
-            else:
-                count += 1
-        require(header is not None, f"segment {path.name} is empty")
-        assert header is not None
-        require(
-            header.get("records") == count,
-            f"segment {path.name} is truncated: header promises "
-            f"{header.get('records')} record(s), found {count}",
-        )
-        return header
-
-    def _decode_record(self, payload: dict, path: Path) -> HostRoundResult:
+    def _decode_record(self, payload: dict, index: int) -> HostRoundResult:
         try:
             return decode_record(payload)
         except (KeyError, ValueError, TypeError) as exc:
-            raise StoreError(f"malformed record in segment {path.name}: {exc}") from exc
+            raise StoreError(
+                f"malformed record in segment {_segment_name(index)}: {exc}"
+            ) from exc
 
-    def _read_segment(self, path: Path) -> tuple[dict, list[HostRoundResult]]:
-        header: Optional[dict] = None
-        records: list[HostRoundResult] = []
-        for record in self._iter_segment_lines(path):
-            if header is None:
-                header = record
-            else:
-                records.append(self._decode_record(record, path))
-        require(header is not None, f"segment {path.name} is empty")
-        assert header is not None
-        require(
-            header.get("records") == len(records),
-            f"segment {path.name} is truncated: header promises "
-            f"{header.get('records')} record(s), found {len(records)}",
-        )
-        return header, records
+    def _read_segment(self, index: int) -> tuple[dict, list[dict]]:
+        """Read shard ``index``'s segment, validated before any record is used.
 
-    def _iter_segment_records(self, path: Path) -> Iterator[HostRoundResult]:
-        """Decode a segment's records lazily, verifying the header count."""
-        count = 0
-        header: Optional[dict] = None
-        for line in self._iter_segment_lines(path):
-            if header is None:
-                header = line
-                continue
-            count += 1
-            yield self._decode_record(line, path)
-        require(header is not None, f"segment {path.name} is empty")
-        assert header is not None
-        require(
-            header.get("records") == count,
-            f"segment {path.name} is truncated: header promises "
-            f"{header.get('records')} record(s), found {count}",
-        )
-
-    def _iter_segment_lines(self, path: Path) -> Iterator[dict]:
+        Every line must be a JSON object, the header must claim shard
+        ``index``, and it must promise exactly the records that follow it.
+        Returns the header and the undecoded record payloads.
+        """
+        name = _segment_name(index)
+        lines: list[dict] = []
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(self.root / name, "r", encoding="utf-8") as handle:
                 for number, line in enumerate(handle, start=1):
                     line = line.strip()
                     if not line:
@@ -488,15 +407,27 @@ class CampaignStore:
                         payload = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise StoreError(
-                            f"corrupt JSON at {path.name}:{number}: {exc}"
+                            f"corrupt JSON at {name}:{number}: {exc}"
                         ) from exc
                     require(
                         isinstance(payload, dict),
-                        f"non-object line at {path.name}:{number}",
+                        f"non-object line at {name}:{number}",
                     )
-                    yield payload
+                    lines.append(payload)
         except OSError as exc:
-            raise StoreError(f"cannot read segment {path}: {exc}") from exc
+            raise StoreError(f"cannot read segment {self.root / name}: {exc}") from exc
+        require(bool(lines), f"segment {name} is empty")
+        header, payloads = lines[0], lines[1:]
+        require(
+            header.get("shard") == index,
+            f"segment {name} claims shard {header.get('shard')!r}, expected {index}",
+        )
+        require(
+            header.get("records") == len(payloads),
+            f"segment {name} is truncated: header promises "
+            f"{header.get('records')} record(s), found {len(payloads)}",
+        )
+        return header, payloads
 
 
 __all__ = [

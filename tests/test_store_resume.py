@@ -4,8 +4,8 @@ The acceptance bar: a campaign interrupted after *any* shard boundary must
 resume to a merged result whose ``result_signature`` is bit-identical to an
 uninterrupted run — for every registry scenario, at more than one shard
 count.  The matrix test kills the runner (via a checkpoint-hook exception)
-after k of n shards and resumes through :func:`repro.scenarios.matrix.
-resume_scenario`, which rebuilds the population from the manifest alone.
+after k of n shards and resumes through a :class:`repro.api.ResumeRequest`,
+which rebuilds the population from the manifest alone.
 A subprocess test does the same with a real ``SIGKILL`` through the CLI, so
 no Python-level unwinding can be doing the saving.
 
@@ -25,9 +25,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.runner import EXECUTOR_SERIAL, result_digest
+from repro.api import CampaignRequest, ResumeRequest, Session
+from repro.core.campaign import CampaignConfig
+from repro.core.runner import EXECUTOR_SERIAL
 from repro.net.errors import StoreError
-from repro.scenarios import resume_scenario, run_scenario, scenario_names
+from repro.scenarios import scenario_names
 from repro.store import CampaignStore
 from test_golden_signatures import (
     GOLDEN_CONFIG,
@@ -53,16 +55,20 @@ def _crash_after(n: int):
     return hook
 
 
+def _request(name: str, shards: int, **fields) -> CampaignRequest:
+    fields.setdefault("config", GOLDEN_CONFIG)
+    fields.setdefault("hosts", GOLDEN_HOSTS)
+    fields.setdefault("seed", GOLDEN_SEED)
+    return CampaignRequest(scenario=name, shards=shards, **fields)
+
+
+def _run(request, backend: str = EXECUTOR_SERIAL):
+    with Session(backend=backend) as session:
+        return session.run(request)
+
+
 def _uninterrupted_digest(name: str, shards: int) -> str:
-    run = run_scenario(
-        name,
-        GOLDEN_CONFIG,
-        hosts=GOLDEN_HOSTS,
-        seed=GOLDEN_SEED,
-        shards=shards,
-        executor=EXECUTOR_SERIAL,
-    )
-    return result_digest(run.result)
+    return _run(_request(name, shards)).result_digest
 
 
 @pytest.mark.parametrize("shards", [2, 3])
@@ -70,25 +76,16 @@ def _uninterrupted_digest(name: str, shards: int) -> str:
 def test_crash_after_first_shard_resumes_bit_identically(tmp_path, name, shards):
     store_dir = tmp_path / f"{name}-{shards}"
     with pytest.raises(SimulatedCrash):
-        run_scenario(
-            name,
-            GOLDEN_CONFIG,
-            hosts=GOLDEN_HOSTS,
-            seed=GOLDEN_SEED,
-            shards=shards,
-            executor=EXECUTOR_SERIAL,
-            store=store_dir,
-            on_checkpoint=_crash_after(1),
-        )
+        _run(_request(name, shards, store=store_dir, on_checkpoint=_crash_after(1)))
     store = CampaignStore.open(store_dir)
     durable = store.completed_shards()
     assert durable and len(durable) < shards, "crash must land mid-campaign"
 
-    resumed = resume_scenario(store_dir, executor=EXECUTOR_SERIAL)
-    assert result_digest(resumed.result) == _uninterrupted_digest(name, shards)
+    resumed = _run(ResumeRequest(store=store_dir))
+    assert resumed.result_digest == _uninterrupted_digest(name, shards)
     assert CampaignStore.open(store_dir).is_complete()
     if name in SHARD_INVARIANT:
-        assert result_digest(resumed.result) == GOLDEN_DIGESTS[name]
+        assert resumed.result_digest == GOLDEN_DIGESTS[name]
 
 
 def test_crash_at_every_shard_boundary(tmp_path):
@@ -98,65 +95,46 @@ def test_crash_at_every_shard_boundary(tmp_path):
     for crash_after in (1, 2):
         store_dir = tmp_path / f"boundary-{crash_after}"
         with pytest.raises(SimulatedCrash):
-            run_scenario(
-                "imc2002-survey",
-                GOLDEN_CONFIG,
-                hosts=GOLDEN_HOSTS,
-                seed=GOLDEN_SEED,
-                shards=shards,
-                executor=EXECUTOR_SERIAL,
-                store=store_dir,
-                on_checkpoint=_crash_after(crash_after),
+            _run(
+                _request(
+                    "imc2002-survey",
+                    shards,
+                    store=store_dir,
+                    on_checkpoint=_crash_after(crash_after),
+                )
             )
         assert len(CampaignStore.open(store_dir).completed_shards()) == crash_after
-        resumed = resume_scenario(store_dir, executor=EXECUTOR_SERIAL)
-        assert result_digest(resumed.result) == reference
+        resumed = _run(ResumeRequest(store=store_dir))
+        assert resumed.result_digest == reference
 
 
 def test_resume_of_a_complete_store_reruns_nothing(tmp_path):
     store_dir = tmp_path / "complete"
-    run = run_scenario(
-        "imc2002-survey",
-        GOLDEN_CONFIG,
-        hosts=GOLDEN_HOSTS,
-        seed=GOLDEN_SEED,
-        shards=2,
-        executor=EXECUTOR_SERIAL,
-        store=store_dir,
-    )
+    run = _run(_request("imc2002-survey", 2, store=store_dir))
     checkpoints = []
-    resumed = resume_scenario(
-        store_dir,
-        executor=EXECUTOR_SERIAL,
-        on_checkpoint=lambda outcome, completed, total: checkpoints.append(outcome.index),
+    resumed = _run(
+        ResumeRequest(
+            store=store_dir,
+            on_checkpoint=lambda outcome, completed, total: checkpoints.append(outcome.index),
+        )
     )
     assert checkpoints == [], "a complete store has no shards left to execute"
-    assert result_digest(resumed.result) == result_digest(run.result)
+    assert resumed.result_digest == run.result_digest
 
 
 def test_resume_refuses_a_different_campaign(tmp_path):
     store_dir = tmp_path / "mismatch"
     with pytest.raises(SimulatedCrash):
-        run_scenario(
-            "imc2002-survey",
-            GOLDEN_CONFIG,
-            hosts=GOLDEN_HOSTS,
-            seed=GOLDEN_SEED,
-            shards=2,
-            executor=EXECUTOR_SERIAL,
-            store=store_dir,
-            on_checkpoint=_crash_after(1),
-        )
+        _run(_request("imc2002-survey", 2, store=store_dir, on_checkpoint=_crash_after(1)))
     with pytest.raises(StoreError, match="differs on"):
-        run_scenario(
-            "imc2002-survey",
-            GOLDEN_CONFIG,
-            hosts=GOLDEN_HOSTS,
-            seed=GOLDEN_SEED + 1,  # a different campaign entirely
-            shards=2,
-            executor=EXECUTOR_SERIAL,
-            store=store_dir,
-            resume=True,
+        _run(
+            _request(
+                "imc2002-survey",
+                2,
+                seed=GOLDEN_SEED + 1,  # a different campaign entirely
+                store=store_dir,
+                resume=True,
+            )
         )
 
 
@@ -187,22 +165,16 @@ def test_sigkill_mid_run_resumes_via_cli(tmp_path):
     assert digest_lines, resumed.stdout
     # The CLI's config for these flags matches nothing golden, so compare
     # against an in-process uninterrupted run with the same parameters.
-    from repro.core.campaign import CampaignConfig
-
-    reference = run_scenario(
-        "imc2002-survey",
-        CampaignConfig(rounds=1, samples_per_measurement=4),
-        hosts=4,
-        seed=GOLDEN_SEED,
-        shards=2,
-        executor=EXECUTOR_SERIAL,
+    reference = _run(
+        _request(
+            "imc2002-survey", 2, config=CampaignConfig(rounds=1, samples_per_measurement=4), hosts=4
+        )
     )
-    assert digest_lines[0] == f"result-digest={result_digest(reference.result)}"
+    assert digest_lines[0] == f"result-digest={reference.result_digest}"
 
 
 def test_checkpoint_failures_are_not_swallowed_by_the_pool_fallback(tmp_path):
     """A store-write OSError must propagate, not trigger serial re-execution."""
-    from repro.core.campaign import CampaignConfig
 
     class ExplodingStore(CampaignStore):
         def write_shard(self, outcome):
@@ -212,14 +184,6 @@ def test_checkpoint_failures_are_not_swallowed_by_the_pool_fallback(tmp_path):
 
     store = ExplodingStore(tmp_path / "s")
     with pytest.raises(OSError, match="disk full"):
-        run_scenario(
-            "imc2002-survey",
-            GOLDEN_CONFIG,
-            hosts=GOLDEN_HOSTS,
-            seed=GOLDEN_SEED,
-            shards=2,
-            executor="thread",
-            store=store,
-        )
+        _run(_request("imc2002-survey", 2, store=store), backend="thread")
     # Only shard 0 can be durable; shard 1's write failed and was not retried.
     assert CampaignStore.open(tmp_path / "s").completed_shards() <= {0}

@@ -5,22 +5,29 @@ produce must come back from JSON equal to the original.  Hypothesis drives
 that over the full result-type tree (samples, measurements, reports, records,
 whole shard outcomes); the integrity tests pin the store's corruption and
 misuse behaviour (truncated segments, mismatched plans, double commits,
-orphan-segment recovery).
+stray segments) and its commit protocol (one durable rename per shard, a
+manifest written once, crash leftovers ignored).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import stat
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.streaming import survey_from_store
+from repro.api import CampaignRequest, ResumeRequest, Session
 from repro.core.campaign import CampaignConfig, HostRoundResult
 from repro.core.prober import ProbeReport, TestName
-from repro.core.runner import ShardOutcome
+from repro.core.runner import EXECUTOR_SERIAL, ShardOutcome
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.net.errors import StoreError
 from repro.store import (
@@ -174,7 +181,7 @@ def test_store_detects_truncated_segment(tmp_path):
     with pytest.raises(StoreError, match="truncated"):
         reopened.read_shard(0)
     with pytest.raises(StoreError, match="truncated"):
-        list(reopened.iter_records())
+        next(reopened.iter_records())  # validated before the first record
 
 
 def test_store_detects_corrupt_json(tmp_path):
@@ -187,11 +194,14 @@ def test_store_detects_corrupt_json(tmp_path):
 
 
 def test_store_adopts_orphan_segment(tmp_path):
-    """A crash between segment rename and manifest rewrite must lose nothing."""
+    """A durable segment that a manifest's ``segments`` map omits still counts.
+
+    Older builds kept that map and could crash before updating it.  The
+    directory is now the only index, so no such window exists, and a store
+    left in that state opens with every durable segment.
+    """
     store = CampaignStore.create(tmp_path / "c", _plan(shards=2))
     store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record()]))
-    # Simulate the crash window: roll the manifest back to its pre-commit
-    # state (no segment index) while the durable segment stays on disk.
     manifest_path = tmp_path / "c" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["segments"] = {}
@@ -225,19 +235,10 @@ def test_load_result_requires_a_complete_store(tmp_path):
 
 
 def test_store_wraps_malformed_data_in_store_errors(tmp_path):
-    """Corrupt manifests/headers/records surface as StoreError, never raw
+    """Corrupt headers/records surface as StoreError, never raw
     KeyError/ValueError, so the CLI's handled error path stays reachable."""
     store = CampaignStore.create(tmp_path / "c", _plan(shards=2))
     store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record()]))
-
-    manifest_path = tmp_path / "c" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["segments"] = {"zero": "shard-00000.jsonl"}
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(StoreError, match="malformed segment index"):
-        CampaignStore.open(tmp_path / "c")
-    manifest["segments"] = {"0": "shard-00000.jsonl"}
-    manifest_path.write_text(json.dumps(manifest))
 
     segment = tmp_path / "c" / "shard-00000.jsonl"
     lines = segment.read_text().splitlines()
@@ -252,3 +253,130 @@ def test_store_wraps_malformed_data_in_store_errors(tmp_path):
     segment.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
     with pytest.raises(StoreError, match="malformed record"):
         CampaignStore.open(tmp_path / "c").read_shard(0)
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [{"0": "shard-00000.jsonl", "1": "shard-00001.jsonl"}, {"zero": "shard-00000.jsonl"}],
+    ids=["stale", "malformed"],
+)
+def test_store_ignores_a_manifest_segment_index(tmp_path, segments):
+    """Manifests written by older builds carry a ``segments`` map; the
+    directory decides which shards are durable, whatever the map says."""
+    records = [_record(0), _record(1)]
+    store = CampaignStore.create(tmp_path / "c", _plan(shards=2))
+    store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=records))
+    manifest_path = tmp_path / "c" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["segments"] = segments
+    manifest_path.write_text(json.dumps(manifest))
+
+    reopened = CampaignStore.open(tmp_path / "c")
+    assert reopened.completed_shards() == frozenset({0})
+    assert reopened.read_shard(0).records == records
+    assert list(reopened.iter_records()) == records
+
+
+def test_one_checkpoint_is_one_file_fsync_and_one_directory_fsync(tmp_path, monkeypatch):
+    """The segment rename is the whole commit: opening, resuming and
+    committing never touch the manifest written at creation."""
+    plan = _plan(shards=2)
+    CampaignStore.create(tmp_path / "c", plan)
+    manifest_path = tmp_path / "c" / "manifest.json"
+    manifest_bytes, manifest_inode = manifest_path.read_bytes(), manifest_path.stat().st_ino
+
+    synced: list[str] = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    store = CampaignStore.open(tmp_path / "c")
+    assert store.begin(plan, resume=True) == frozenset()
+    assert synced == []
+    store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record()]))
+    assert sorted(synced) == ["dir", "file"]
+    assert manifest_path.read_bytes() == manifest_bytes
+    assert manifest_path.stat().st_ino == manifest_inode
+    assert sorted(path.name for path in (tmp_path / "c").iterdir()) == [
+        "manifest.json",
+        "shard-00000.jsonl",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fresh",
+    [CampaignStore.create, lambda root, plan: CampaignStore(root).begin(plan)],
+    ids=["create", "begin"],
+)
+def test_new_store_refuses_a_directory_holding_segments(tmp_path, fresh):
+    """A stray segment would otherwise count as durable for the new campaign."""
+    other = CampaignStore.create(tmp_path / "other", _plan(shards=2))
+    other.write_shard(ShardOutcome(index=1, host_addresses=(2,), records=[_record()]))
+    root = tmp_path / "c"
+    root.mkdir()
+    shutil.copy(tmp_path / "other" / "shard-00001.jsonl", root)
+    with pytest.raises(StoreError, match="no manifest"):
+        fresh(root, _plan(shards=2))
+    assert not (root / "manifest.json").exists()
+
+
+def test_every_read_path_checks_the_header_shard_claim(tmp_path):
+    root = tmp_path / "c"
+    store = CampaignStore.create(root, _plan(shards=2))
+    store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record(0)]))
+    store.write_shard(ShardOutcome(index=1, host_addresses=(2,), records=[_record(1)]))
+    # A well-formed segment filed under the wrong shard's name.
+    shutil.copy(root / "shard-00000.jsonl", root / "shard-00001.jsonl")
+    reopened = CampaignStore.open(root)
+    with pytest.raises(StoreError, match="claims shard 0, expected 1"):
+        reopened.read_shard(1)
+    with pytest.raises(StoreError, match="claims shard 0, expected 1"):
+        list(reopened.iter_records())
+    with pytest.raises(StoreError, match="claims shard 0, expected 1"):
+        reopened.load_result()
+    with pytest.raises(StoreError, match="claims shard 0, expected 1"):
+        survey_from_store(reopened)
+
+
+class _Interrupt(BaseException):
+    """Raised from the checkpoint hook; BaseException so no handler eats it."""
+
+
+def test_crash_leftovers_are_ignored_and_the_shard_reruns(tmp_path):
+    """``*.tmp`` files a crash leaves behind never count as durable."""
+    request = CampaignRequest(
+        scenario="imc2002-survey",
+        config=CampaignConfig(rounds=1, samples_per_measurement=4),
+        hosts=4,
+        seed=11,
+        shards=2,
+    )
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        reference = session.run(request).result_digest
+
+    root = tmp_path / "c"
+
+    def crash(outcome, completed, total):
+        raise _Interrupt()
+
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        with pytest.raises(_Interrupt):
+            session.run(replace(request, store=root, on_checkpoint=crash))
+    assert CampaignStore.open(root).completed_shards() == frozenset({0})
+    (root / "shard-00001.jsonl.tmp").write_text('{"shard": 1, "host_addr')
+    (root / "manifest.json.tmp").write_text('{"format": 1, "pl')
+
+    rerun: list[int] = []
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        envelope = session.run(
+            ResumeRequest(
+                store=root,
+                on_checkpoint=lambda outcome, completed, total: rerun.append(outcome.index),
+            )
+        )
+    assert rerun == [1]
+    assert envelope.result_digest == reference
+    assert not (root / "shard-00001.jsonl.tmp").exists()
