@@ -20,6 +20,11 @@ from repro.net.seqnum import seq_add
 
 DEFAULT_HANDSHAKE_TIMEOUT = 3.0
 
+# Flag combinations built once: ``TcpFlags.X | TcpFlags.Y`` at runtime walks
+# the IntFlag machinery to construct a member on every probe sent.
+_FLAGS_RST_ACK = TcpFlags.RST | TcpFlags.ACK
+_FLAGS_ACK_PSH = TcpFlags.ACK | TcpFlags.PSH
+
 
 def _is_syn_ack(packet: Packet) -> bool:
     tcp = packet.tcp
@@ -86,23 +91,13 @@ class ProbeConnection:
     # ------------------------------------------------------------------ #
 
     def _header(self, flags: TcpFlags, seq: int, ack: int = 0, options: tuple[TcpOption, ...] = ()) -> TcpHeader:
+        state = self.state
         return TcpHeader(
-            src_port=self.state.local_port,
-            dst_port=self.state.remote_port,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            window=self.advertised_window,
-            options=options,
+            state.local_port, state.remote_port, seq, ack, flags, self.advertised_window, 0, options
         )
 
     def _send(self, header: TcpHeader, payload: bytes = b"") -> Packet:
-        packet = Packet.tcp_packet(
-            src=self._probe.address,
-            dst=self.state.remote_addr,
-            tcp=header,
-            payload=payload,
-        )
+        packet = Packet.tcp_packet(self._probe.address, self.state.remote_addr, header, payload)
         self._probe.send(packet)
         return packet
 
@@ -161,7 +156,7 @@ class ProbeConnection:
     def send_reset(self) -> Packet:
         """Send a RST to tear down the connection at the remote host."""
         self.state.established = False
-        return self._send(self._header(TcpFlags.RST | TcpFlags.ACK, seq=self.state.snd_nxt, ack=self.state.rcv_nxt))
+        return self._send(self._header(_FLAGS_RST_ACK, seq=self.state.snd_nxt, ack=self.state.rcv_nxt))
 
     # ------------------------------------------------------------------ #
     # Measurement probes
@@ -176,7 +171,7 @@ class ProbeConnection:
         """
         seq = seq_add(self.state.remote_expected_seq, offset)
         header = self._header(
-            TcpFlags.ACK | TcpFlags.PSH,
+            _FLAGS_ACK_PSH,
             seq=seq,
             ack=ack if ack is not None else self.state.rcv_nxt,
         )
@@ -190,7 +185,7 @@ class ProbeConnection:
             request = request + b" " * (length - len(request))
         seq = self.state.remote_expected_seq
         header = self._header(
-            TcpFlags.ACK | TcpFlags.PSH,
+            _FLAGS_ACK_PSH,
             seq=seq,
             ack=self.state.rcv_nxt,
         )

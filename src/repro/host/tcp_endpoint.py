@@ -367,21 +367,12 @@ class TcpEndpoint:
         options: tuple[TcpOption, ...] = (),
     ) -> None:
         transmit = self._require_transmit()
+        key = connection.key
         header = TcpHeader(
-            src_port=connection.key.dst_port,
-            dst_port=connection.key.src_port,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            window=connection.advertised_window,
-            options=options,
+            key.dst_port, key.src_port, seq, ack, flags, connection.advertised_window, 0, options
         )
         packet = Packet.tcp_packet(
-            src=self.address,
-            dst=connection.key.src_addr,
-            tcp=header,
-            payload=payload,
-            ident=self._stack.next_ipid(connection.key.src_addr),
+            self.address, key.src_addr, header, payload, self._stack.next_ipid(key.src_addr)
         )
         self.packets_sent += 1
         if int.__and__(flags, _ACK):

@@ -1,6 +1,6 @@
 """In-memory packet models: IPv4, TCP, and ICMP.
 
-These dataclasses are the currency of the whole library: the probe host
+These models are the currency of the whole library: the probe host
 crafts them, the simulator carries and reorders them, endpoints interpret
 them, and the trace capture records them.  They mirror the real header
 layouts closely enough that :mod:`repro.net.wire` can serialize them to valid
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Any, Iterable, NamedTuple, Optional, Union
 
 from repro.net.flow import FourTuple, format_address
 from repro.net.icmp import IcmpError
@@ -33,6 +33,8 @@ ICMP_ECHO_REQUEST = 8
 IPV4_HEADER_LEN = 20
 TCP_HEADER_LEN = 20
 ICMP_HEADER_LEN = 8
+MAX_TCP_OPTION_BYTES = 40
+"""A 4-bit data offset counts at most 15 words: 20 header bytes plus 40."""
 
 DEFAULT_TTL = 64
 
@@ -89,15 +91,35 @@ class TcpOption:
         return 2 + len(self.data)
 
 
-@dataclass(frozen=True, slots=True)
-class IPv4Header:
-    """The IPv4 fields the library cares about.
+def _option_bytes(options: tuple[TcpOption, ...]) -> int:
+    """Return the encoded length of ``options`` in bytes, before padding."""
+    return sum(option.encoded_length() for option in options)
 
-    ``ident`` is the IP identification field (IPID) at the heart of the dual
-    connection test; everything else exists so that serialized packets are
-    well-formed and so path elements can reason about sizes and TTLs.
-    """
 
+# Headers are tuples validated once in ``__new__``: every simulated packet
+# builds two, and a tuple is one allocation where a frozen dataclass pays an
+# ``object.__setattr__`` per field.  The NamedTuple bases supply the field
+# descriptors, defaults and ``repr``; each header class overrides ``__new__``.
+_tuple_new = tuple.__new__
+
+
+class _Revalidated:
+    """Routes every other way of building a header through its ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Any:
+        """Build a header from its fields (``_replace`` and ``copy.replace`` call this)."""
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        # Pickles and copies rebuild by calling the class.  Without this,
+        # pickle protocols 0 and 1 rebuild the bare tuple past ``__new__``.
+        return type(self), tuple(self)  # type: ignore[call-overload]
+
+
+class _IPv4Fields(NamedTuple):
     src: int
     dst: int
     protocol: int
@@ -106,23 +128,48 @@ class IPv4Header:
     dont_fragment: bool = True
     tos: int = 0
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.ident <= 0xFFFF:
-            raise ValueError(f"IPID out of range: {self.ident}")
-        if not 0 <= self.ttl <= 255:
-            raise ValueError(f"TTL out of range: {self.ttl}")
-        if not 0 <= self.protocol <= 255:
-            raise ValueError(f"protocol out of range: {self.protocol}")
+
+class IPv4Header(_Revalidated, _IPv4Fields):
+    """The IPv4 fields the library cares about.
+
+    ``ident`` is the IP identification field (IPID) at the heart of the dual
+    connection test; everything else exists so that serialized packets are
+    well-formed and so path elements can reason about sizes and TTLs.
+    Immutable: every field the wire codec packs is range-checked here.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        src: int,
+        dst: int,
+        protocol: int,
+        ident: int = 0,
+        ttl: int = DEFAULT_TTL,
+        dont_fragment: bool = True,
+        tos: int = 0,
+    ) -> "IPv4Header":
+        if not 0 <= ident <= 0xFFFF:
+            raise ValueError(f"IPID out of range: {ident}")
+        if not 0 <= ttl <= 255:
+            raise ValueError(f"TTL out of range: {ttl}")
+        if not 0 <= protocol <= 255:
+            raise ValueError(f"protocol out of range: {protocol}")
+        if not 0 <= src <= 0xFFFFFFFF:
+            raise ValueError(f"src address out of range: {src}")
+        if not 0 <= dst <= 0xFFFFFFFF:
+            raise ValueError(f"dst address out of range: {dst}")
+        if not 0 <= tos <= 255:
+            raise ValueError(f"TOS out of range: {tos}")
+        return _tuple_new(cls, (src, dst, protocol, ident, ttl, dont_fragment, tos))
 
     def header_length(self) -> int:
         """Return the header length in bytes (no options are modelled)."""
         return IPV4_HEADER_LEN
 
 
-@dataclass(frozen=True, slots=True)
-class TcpHeader:
-    """TCP header fields used by the measurement techniques."""
-
+class _TcpFields(NamedTuple):
     src_port: int
     dst_port: int
     seq: int = 0
@@ -132,25 +179,53 @@ class TcpHeader:
     urgent: int = 0
     options: tuple[TcpOption, ...] = ()
 
-    def __post_init__(self) -> None:
-        # Unrolled (no getattr loop): TCP headers are built once per simulated
-        # packet, so construction cost is part of the campaign hot path.
-        if not 0 <= self.src_port <= 0xFFFF:
-            raise ValueError(f"src_port out of range: {self.src_port}")
-        if not 0 <= self.dst_port <= 0xFFFF:
-            raise ValueError(f"dst_port out of range: {self.dst_port}")
-        if not 0 <= self.seq <= 0xFFFFFFFF:
-            raise ValueError(f"seq out of range: {self.seq}")
-        if not 0 <= self.ack <= 0xFFFFFFFF:
-            raise ValueError(f"ack out of range: {self.ack}")
-        if not 0 <= self.window <= 0xFFFF:
-            raise ValueError(f"window out of range: {self.window}")
+
+class TcpHeader(_Revalidated, _TcpFields):
+    """TCP header fields used by the measurement techniques.
+
+    Immutable: every field the wire codec packs is range-checked here, and
+    the options must fit the 40 bytes a data offset can describe.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        src_port: int,
+        dst_port: int,
+        seq: int = 0,
+        ack: int = 0,
+        flags: TcpFlags = TcpFlags.NONE,
+        window: int = 65535,
+        urgent: int = 0,
+        options: tuple[TcpOption, ...] = (),
+    ) -> "TcpHeader":
+        if not 0 <= src_port <= 0xFFFF:
+            raise ValueError(f"src_port out of range: {src_port}")
+        if not 0 <= dst_port <= 0xFFFF:
+            raise ValueError(f"dst_port out of range: {dst_port}")
+        if not 0 <= seq <= 0xFFFFFFFF:
+            raise ValueError(f"seq out of range: {seq}")
+        if not 0 <= ack <= 0xFFFFFFFF:
+            raise ValueError(f"ack out of range: {ack}")
+        if not 0 <= window <= 0xFFFF:
+            raise ValueError(f"window out of range: {window}")
+        if not 0 <= flags <= 0xFF:
+            raise ValueError(f"flags out of range: {flags}")
+        if not 0 <= urgent <= 0xFFFF:
+            raise ValueError(f"urgent out of range: {urgent}")
+        if options:
+            option_bytes = _option_bytes(options)
+            if option_bytes > MAX_TCP_OPTION_BYTES:
+                raise ValueError(f"options too long: {option_bytes} bytes (max {MAX_TCP_OPTION_BYTES})")
+        return _tuple_new(cls, (src_port, dst_port, seq, ack, flags, window, urgent, options))
 
     def header_length(self) -> int:
         """Return the TCP header length in bytes, options padded to 32 bits."""
-        option_bytes = sum(opt.encoded_length() for opt in self.options)
-        padded = (option_bytes + 3) // 4 * 4
-        return TCP_HEADER_LEN + padded
+        options = self.options
+        if not options:
+            return TCP_HEADER_LEN
+        return TCP_HEADER_LEN + (_option_bytes(options) + 3) // 4 * 4
 
     def has(self, flag: TcpFlags) -> bool:
         """Return True when ``flag`` is set on this segment.
@@ -249,8 +324,7 @@ class Packet:
         ttl: int = DEFAULT_TTL,
     ) -> "Packet":
         """Convenience constructor for a TCP/IPv4 packet."""
-        ip = IPv4Header(src=src, dst=dst, protocol=PROTO_TCP, ident=ident, ttl=ttl)
-        return cls(ip=ip, tcp=tcp, payload=payload)
+        return cls(IPv4Header(src, dst, PROTO_TCP, ident, ttl), tcp, None, payload)
 
     @classmethod
     def icmp_packet(
@@ -303,7 +377,7 @@ class Packet:
     def total_length(self) -> int:
         """Return the packet's total length in bytes as it would appear on the wire.
 
-        The length is computed once and cached: headers are frozen and the
+        The length is computed once and cached: headers are immutable and the
         library treats packets as immutable after construction (middleboxes
         rewrite via :meth:`with_ip`, which builds a new instance), so every
         link and queue along a multi-hop path can reuse the same value.
@@ -327,13 +401,7 @@ class Packet:
         The copy keeps the original ``uid`` so that ground-truth tracking
         survives header rewriting by middleboxes (e.g. TTL decrement).
         """
-        copy = Packet(
-            ip=replace(self.ip, **changes),  # type: ignore[arg-type]
-            tcp=self.tcp,
-            icmp=self.icmp,
-            payload=self.payload,
-            uid=self.uid,
-        )
+        copy = Packet(self.ip._replace(**changes), self.tcp, self.icmp, self.payload, self.uid)
         # IP header rewrites never change the packet's length (no IP options
         # are modelled), so the cached length survives; cached wire bytes do
         # not, because the rewritten fields are serialized.
@@ -350,13 +418,7 @@ class Packet:
         """
         if self.tcp is None:
             raise ValueError("with_tcp() requires a TCP packet")
-        copy = Packet(
-            ip=self.ip,
-            tcp=replace(self.tcp, **changes),  # type: ignore[arg-type]
-            icmp=None,
-            payload=self.payload,
-            uid=self.uid,
-        )
+        copy = Packet(self.ip, self.tcp._replace(**changes), None, self.payload, self.uid)
         if "options" not in changes:
             copy._total_length = self._total_length
         return copy

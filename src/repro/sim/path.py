@@ -23,18 +23,25 @@ class PathElement(ABC):
     """Base class for all unidirectional path elements.
 
     Subclasses implement :meth:`handle_packet` and use :meth:`_emit` /
-    :meth:`_emit_after` to pass packets downstream.  An element must be
-    attached (to a simulator and a downstream sink) before it sees traffic.
+    :meth:`_emit_after` / :meth:`_emit_at` to pass packets downstream.  An
+    element must be attached (to a simulator and a downstream sink) before
+    it sees traffic; one that never was raises :class:`SimulationError` on
+    its first packet.
     """
 
     def __init__(self) -> None:
         self._sim: Optional[Simulator] = None
-        self._downstream: Optional[PacketSink] = None
 
     def attach(self, sim: Simulator, downstream: PacketSink) -> None:
-        """Bind this element to a simulator and its downstream sink."""
+        """Bind this element to a simulator and its downstream sink.
+
+        The sink becomes this element's ``_emit``, so forwarding a packet is
+        one call with nothing to look up or check.  This is the only way to
+        wire an element: calling it again rebinds the element, and the next
+        packet goes to the new sink.
+        """
         self._sim = sim
-        self._downstream = downstream
+        self._emit = downstream  # type: ignore[method-assign]
         self._on_attached()
 
     def _on_attached(self) -> None:
@@ -52,30 +59,27 @@ class PathElement(ABC):
         """Process one packet travelling through this element."""
 
     def _emit(self, packet: Packet) -> None:
-        """Deliver ``packet`` to the downstream sink immediately."""
-        downstream = self._downstream
-        if downstream is None:
-            raise SimulationError(f"{type(self).__name__} has no downstream sink")
-        downstream(packet)
+        """Deliver ``packet`` to the downstream sink immediately.
+
+        :meth:`attach` shadows this method with the sink itself, so this body
+        only runs on an element that was never attached.
+        """
+        raise SimulationError(f"{type(self).__name__} has no downstream sink")
 
     def _emit_after(self, delay: float, packet: Packet) -> None:
         """Deliver ``packet`` downstream after ``delay`` seconds."""
-        downstream = self._downstream
-        if downstream is None:
-            raise SimulationError(f"{type(self).__name__} has no downstream sink")
+        downstream = self._emit
         if delay <= 0.0:
             downstream(packet)
             return
-        # The downstream callable is bound into the closure now, so the
-        # deferred delivery skips the attach check when it fires.
         self.sim.schedule(delay, lambda: downstream(packet))
 
     def _emit_at(self, when: float, packet: Packet) -> None:
         """Deliver ``packet`` downstream at absolute simulated time ``when``."""
-        downstream = self._downstream
         sim = self._sim
-        if downstream is None or sim is None:
+        if sim is None:
             raise SimulationError(f"{type(self).__name__} used before attach()")
+        downstream = self._emit
         if when <= sim.now:
             downstream(packet)
             return
@@ -104,18 +108,21 @@ class Pipeline:
             raise SimulationError("cannot modify a pipeline after attach()")
         self._elements.append(element)
 
-    def attach(self, sim: Simulator, sink: PacketSink) -> None:
-        """Wire up all elements so traffic flows element-to-element into ``sink``."""
+    def attach(self, sim: Simulator, sink: PacketSink) -> PacketSink:
+        """Wire up all elements so traffic flows element-to-element into ``sink``.
+
+        Returns the pipeline's entry: the upstream-most element's
+        ``handle_packet``, or ``sink`` itself for an empty pipeline.  Callers
+        that inject packets on a hot path call it directly.
+        """
         self._sim = sim
         self._sink = sink
         downstream: PacketSink = sink
         for element in reversed(self._elements):
             element.attach(sim, downstream)
             downstream = element.handle_packet
-        # After the loop ``downstream`` is the upstream-most handler (or the
-        # bare sink for an empty pipeline); bind it once so per-packet
-        # injection is a single call.
         self._entry = downstream
+        return downstream
 
     def handle_packet(self, packet: Packet) -> None:
         """Inject a packet at the upstream end of the pipeline."""
@@ -141,7 +148,11 @@ class DuplexPath:
         """Build a duplex path from two independent element lists."""
         return cls(Pipeline(forward_elements), Pipeline(reverse_elements))
 
-    def attach(self, sim: Simulator, forward_sink: PacketSink, reverse_sink: PacketSink) -> None:
-        """Attach both pipelines: forward traffic into the server, reverse into the probe."""
-        self.forward.attach(sim, forward_sink)
-        self.reverse.attach(sim, reverse_sink)
+    def attach(
+        self, sim: Simulator, forward_sink: PacketSink, reverse_sink: PacketSink
+    ) -> tuple[PacketSink, PacketSink]:
+        """Attach both pipelines: forward traffic into the server, reverse into the probe.
+
+        Returns the ``(forward, reverse)`` entries (see :meth:`Pipeline.attach`).
+        """
+        return self.forward.attach(sim, forward_sink), self.reverse.attach(sim, reverse_sink)

@@ -73,6 +73,11 @@ class Simulator:
         loops are the only writers."""
         self._events = EventQueue()
         self._processed = 0
+        self.schedule_at_unchecked: Callable[[float, Callable[[], None]], Event] = self._events.push
+        """:meth:`schedule_at` without the not-in-the-past validation: the event
+        queue's own ``push``, bound once so a per-packet link departure is one
+        call.  For hot-path callers that have already established
+        ``when > now``; the queue's non-negative-time check still applies."""
 
     @property
     def pending_events(self) -> int:
@@ -94,15 +99,6 @@ class Simulator:
         """Schedule ``callback`` to fire at absolute simulated time ``when``."""
         if when < self.now:
             raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
-        return self._events.push(when, callback)
-
-    def schedule_at_unchecked(self, when: float, callback: Callable[[], None]) -> Event:
-        """:meth:`schedule_at` without the not-in-the-past validation.
-
-        For hot-path callers (per-packet link departures) that have already
-        established ``when > now`` on their own branch; the event queue's
-        non-negative-time check still applies.
-        """
         return self._events.push(when, callback)
 
     def cancel(self, event: Event) -> None:

@@ -16,7 +16,7 @@ from repro.net.errors import TopologyError
 from repro.net.flow import format_address
 from repro.net.packet import Packet
 from repro.sim.middlebox import Site
-from repro.sim.path import DuplexPath
+from repro.sim.path import DuplexPath, PacketSink
 from repro.sim.simulator import Simulator
 
 
@@ -33,6 +33,10 @@ class ProbeInterface(Protocol):
 class _Destination:
     site: Site
     path: DuplexPath
+    forward: PacketSink
+    """The forward pipeline's entry, bound when the path was attached."""
+    reverse: PacketSink
+    """The reverse pipeline's entry, bound when the path was attached."""
 
 
 class Topology:
@@ -64,8 +68,10 @@ class Topology:
             raise TopologyError("attach_probe() must be called before add_site()")
         if address in self._destinations:
             raise TopologyError(f"duplicate site address: {format_address(address)}")
-        path.attach(self._sim, forward_sink=site.deliver, reverse_sink=self._probe.deliver)
-        self._destinations[address] = _Destination(site=site, path=path)
+        forward, reverse = path.attach(
+            self._sim, forward_sink=site.deliver, reverse_sink=self._probe.deliver
+        )
+        self._destinations[address] = _Destination(site, path, forward, reverse)
 
     def addresses(self) -> tuple[int, ...]:
         """Return all registered remote addresses."""
@@ -92,16 +98,17 @@ class Topology:
             self.packets_unroutable += 1
             return
         self.packets_routed += 1
-        destination.path.forward.handle_packet(packet)
+        destination.forward(packet)
 
     def transmit_for_site(self, address: int):
         """Return the transmit callable a site at ``address`` should use for replies."""
         destination = self._destinations.get(address)
         if destination is None:
             raise TopologyError(f"no site at {format_address(address)}")
+        reverse = destination.reverse
 
         def _transmit(packet: Packet) -> None:
             self.packets_routed += 1
-            destination.path.reverse.handle_packet(packet)
+            reverse(packet)
 
         return _transmit

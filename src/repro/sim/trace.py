@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from repro.net.errors import SimulationError
 from repro.net.packet import Packet
 from repro.sim.path import PathElement
 
@@ -47,7 +48,10 @@ class TraceCapture(PathElement):
         self._append = self._entries.append
 
     def handle_packet(self, packet: Packet) -> None:
-        self._append((self.sim.now, packet))
+        sim = self._sim
+        if sim is None:
+            raise SimulationError("TraceCapture used before attach()")
+        self._append((sim.now, packet))
         self._emit(packet)
 
     @property

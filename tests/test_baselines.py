@@ -88,8 +88,7 @@ def test_bennett_rate_limited_host_loses_samples():
     path = testbed.topology.path_for(address)
     limiter = IcmpRateLimiter(rate_per_second=2.0, burst=2)
     limiter.attach(testbed.sim, testbed.site("target").primary_host.deliver)
-    path.forward._sink = limiter.handle_packet  # noqa: SLF001 - test-only rewiring
-    path.forward._elements[-1]._downstream = limiter.handle_packet  # noqa: SLF001
+    path.forward.elements[-1].attach(testbed.sim, limiter.handle_packet)
     probe = BennettProbe(testbed.probe, burst_size=5, reply_timeout=0.5)
     summary = probe.run(address, bursts=4, inter_burst_gap=0.05)
     assert summary.loss_fraction() > 0.3

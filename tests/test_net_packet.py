@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.net.flow import parse_address
@@ -57,6 +60,16 @@ def test_tcp_header_validation():
         _tcp_header(src_port=-1)
     with pytest.raises(ValueError):
         _tcp_header(window=1 << 17)
+    # Every field the wire codec packs into a fixed-width slot is checked at
+    # construction, so serialize_packet never meets a value it cannot encode.
+    with pytest.raises(ValueError, match="urgent"):
+        _tcp_header(urgent=70000)
+    with pytest.raises(ValueError, match="flags"):
+        _tcp_header(flags=0x1FF)
+    with pytest.raises(ValueError, match="options"):
+        _tcp_header(options=(TcpOption(TcpOption.KIND_SACK, b"\x00" * 40),))
+    limit = (TcpOption(TcpOption.KIND_SACK, b"\x00" * 38),)
+    assert _tcp_header(options=limit).header_length() == 60
 
 
 def test_ip_header_validation():
@@ -64,6 +77,14 @@ def test_ip_header_validation():
         IPv4Header(src=SRC, dst=DST, protocol=PROTO_TCP, ident=1 << 16)
     with pytest.raises(ValueError):
         IPv4Header(src=SRC, dst=DST, protocol=PROTO_TCP, ttl=300)
+    with pytest.raises(ValueError, match="src"):
+        IPv4Header(src=2**32, dst=DST, protocol=PROTO_TCP)
+    with pytest.raises(ValueError, match="src"):
+        IPv4Header(src=-1, dst=DST, protocol=PROTO_TCP)
+    with pytest.raises(ValueError, match="dst"):
+        IPv4Header(src=SRC, dst=2**32, protocol=PROTO_TCP)
+    with pytest.raises(ValueError, match="TOS"):
+        IPv4Header(src=SRC, dst=DST, protocol=PROTO_TCP, tos=300)
 
 
 def test_packet_uid_unique_and_preserved_by_with_ip():
@@ -104,3 +125,68 @@ def test_describe_mentions_key_fields():
     packet = Packet.tcp_packet(SRC, DST, _tcp_header(flags=TcpFlags.SYN), ident=42)
     text = packet.describe()
     assert "SYN" in text and "ipid=42" in text and "10.0.0.2" in text
+
+
+def test_headers_reject_field_assignment():
+    headers = (IPv4Header(SRC, DST, PROTO_TCP), _tcp_header())
+    for header in headers:
+        for name in type(header)._fields:
+            with pytest.raises(AttributeError):
+                setattr(header, name, getattr(header, name))
+        with pytest.raises(AttributeError):
+            header.extra = 1
+
+
+def test_packet_rewrites_validate_the_new_header():
+    packet = Packet.tcp_packet(SRC, DST, _tcp_header())
+    with pytest.raises(ValueError, match="TTL"):
+        packet.with_ip(ttl=300)
+    with pytest.raises(ValueError, match="seq"):
+        packet.with_tcp(seq=-1)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_headers_survive_a_pickle_round_trip(protocol):
+    options = (TcpOption.mss(1460),)
+    for header in (IPv4Header(SRC, DST, PROTO_TCP, ident=7, tos=3), _tcp_header(options=options)):
+        restored = pickle.loads(pickle.dumps(header, protocol))
+        assert restored == header
+        assert type(restored) is type(header)
+        assert repr(restored) == repr(header)
+
+
+# Every way the header types offer to build a copy with changed fields.
+_COPY_HELPERS = {
+    "_replace": lambda header, **changes: header._replace(**changes),
+    "_make": lambda header, **changes: type(header)._make(
+        changes.get(name, value) for name, value in zip(type(header)._fields, header)
+    ),
+}
+if hasattr(copy, "replace"):  # Python 3.13+
+    _COPY_HELPERS["copy.replace"] = lambda header, **changes: copy.replace(header, **changes)
+
+
+@pytest.mark.parametrize("name", sorted(_COPY_HELPERS))
+def test_every_copy_helper_validates(name):
+    helper = _COPY_HELPERS[name]
+    ip = IPv4Header(SRC, DST, PROTO_TCP)
+    tcp = _tcp_header()
+    assert helper(ip, ttl=1) == IPv4Header(SRC, DST, PROTO_TCP, ttl=1)
+    assert helper(tcp, window=5) == _tcp_header(window=5)
+    with pytest.raises(ValueError, match="TTL"):
+        helper(ip, ttl=300)
+    with pytest.raises(ValueError, match="window"):
+        helper(tcp, window=1 << 17)
+
+
+def test_reconstruction_revalidates_a_forged_header():
+    # A tuple forged past the constructor cannot survive a copy or a pickle
+    # round trip under any protocol: each rebuilds it through __new__.
+    forged = tuple.__new__(IPv4Header, (SRC, DST, PROTO_TCP, 0, 300, True, 0))
+    rebuilds = [copy.copy, copy.deepcopy] + [
+        lambda header, protocol=protocol: pickle.loads(pickle.dumps(header, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for rebuild in rebuilds:
+        with pytest.raises(ValueError, match="TTL"):
+            rebuild(forged)

@@ -97,6 +97,26 @@ def test_pipeline_use_before_attach_rejected():
         pipeline.handle_packet(_packet())
 
 
+def test_reattaching_an_element_reroutes_its_next_packet():
+    sim = Simulator()
+    first, second = [], []
+    element = PassthroughElement()
+    pipeline = Pipeline([element])
+    pipeline.attach(sim, first.append)
+    pipeline.handle_packet(_packet())
+    element.attach(sim, second.append)
+    rerouted = _packet()
+    pipeline.handle_packet(rerouted)
+    assert len(first) == 1
+    assert second == [rerouted]
+
+
+def test_element_never_attached_rejects_its_first_packet():
+    for element in (PassthroughElement(), TraceCapture()):
+        with pytest.raises(SimulationError):
+            element.handle_packet(_packet())
+
+
 class _Probe:
     def __init__(self, address: int) -> None:
         self.address = address
