@@ -1,11 +1,12 @@
-"""E9 — Campaign throughput: serial engine vs. sharded runner.
+"""E9 — Campaign throughput: serial engine vs. sharded campaign.
 
 The paper's survey (§IV-B) is embarrassingly parallel across hosts: every
 probe-to-host path is independent, so the only thing serialising the campaign
 is the single event loop.  This benchmark runs the same campaign twice — once
-on the single-simulator :class:`Campaign`, once through the sharded
-:class:`CampaignRunner` — records the throughput of each in measurements per
-second, and verifies the two datasets are identical modulo ordering.
+on the single-simulator :class:`Campaign`, once as a sharded
+:class:`~repro.api.CampaignRequest` through a :class:`~repro.api.Session` on
+a warm backend — records the throughput of each in measurements per second,
+and verifies the two datasets are identical modulo ordering.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import time
 
 from bench_helpers import record_bench, run_once
 
-from repro.api.backends import create_backend
+from repro.api import CampaignRequest, Session, create_backend
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.prober import TestName
-from repro.core.runner import EXECUTOR_PROCESS, CampaignRunner, result_signature
+from repro.core.runner import EXECUTOR_PROCESS, result_signature
 from repro.distributed import RemoteBackend
 from repro.workloads.population import PopulationSpec, generate_population
 from repro.workloads.testbed import build_testbed
@@ -30,9 +31,9 @@ REMOTE_WORKERS = 2
 TIMING_REPEATS = 5
 """Both engines are timed best-of-N: the simulation is deterministic, so
 repeats only reject scheduler noise, and the recorded rates feed the CI
-regression gate, which wants a stable statistic.  Timing the sharded runner
+regression gate, which wants a stable statistic.  Timing the sharded campaign
 once while the serial engine got best-of-five (the pre-PR 7 shape) skewed
-the speedup ratio against the runner; now the comparison is symmetric, and
+the speedup ratio against it; now the comparison is symmetric, and
 warm-pool repeats are also the realistic shape — a session reuses one pool
 across campaigns."""
 
@@ -68,17 +69,15 @@ def _run():
 
     sharded = None
     sharded_elapsed = float("inf")
-    with create_backend(EXECUTOR_PROCESS) as backend:
-        # One warm pool across the repeats, exactly as a session would share
-        # it across campaigns; best-of-N therefore measures steady-state
+    request = CampaignRequest(specs=tuple(specs), config=CONFIG, seed=SEED, shards=SHARDS)
+    with create_backend(EXECUTOR_PROCESS) as backend, Session(backend=backend) as session:
+        # One warm pool across the repeats, exactly as a session shares it
+        # across campaigns; best-of-N therefore measures steady-state
         # dispatch + transport, with pool spin-up amortised away like any
         # other first-iteration cache effect.
         for _ in range(TIMING_REPEATS):
             start = time.perf_counter()
-            runner = CampaignRunner(
-                specs, CONFIG, seed=SEED, shards=SHARDS, backend=backend
-            )
-            result = runner.execute()
+            result = session.run(request).result
             elapsed = time.perf_counter() - start
             if elapsed < sharded_elapsed:
                 sharded, sharded_elapsed = result, elapsed
@@ -135,23 +134,23 @@ def _run_remote():
 
     remote = None
     remote_elapsed = float("inf")
-    with RemoteBackend(spawn_workers=REMOTE_WORKERS) as backend:
+    reports = []
+    request = CampaignRequest(specs=tuple(specs), config=CONFIG, seed=SEED, shards=SHARDS)
+    with RemoteBackend(spawn_workers=REMOTE_WORKERS) as backend, Session(backend=backend) as session:
         # One warm fleet across the repeats: the first iteration pays worker
         # spin-up + TCP connect, later ones measure steady-state lease /
         # dispatch / result-stream cost, which is what a long-lived session
         # actually sees.
         for _ in range(TIMING_REPEATS):
             start = time.perf_counter()
-            runner = CampaignRunner(
-                specs, CONFIG, seed=SEED, shards=SHARDS, backend=backend
-            )
-            result = runner.execute()
+            envelope = session.run(request)
             elapsed = time.perf_counter() - start
+            # The session pops each campaign's job report into its envelope.
+            reports.append(envelope.meta.get("remote", {}))
             if elapsed < remote_elapsed:
-                remote, remote_elapsed = result, elapsed
-        report = backend.pop_job_report() or {}
+                remote, remote_elapsed = envelope.result, elapsed
 
-    return serial, serial_elapsed, remote, remote_elapsed, report
+    return serial, serial_elapsed, remote, remote_elapsed, reports
 
 
 def test_bench_campaign_remote(benchmark):
@@ -162,7 +161,7 @@ def test_bench_campaign_remote(benchmark):
     costs when nothing fails — the chaos suite covers what it buys when
     something does.
     """
-    serial, serial_elapsed, remote, remote_elapsed, report = run_once(
+    serial, serial_elapsed, remote, remote_elapsed, reports = run_once(
         benchmark, _run_remote
     )
 
@@ -191,5 +190,7 @@ def test_bench_campaign_remote(benchmark):
     # campaign must actually have been served by the remote fleet.
     assert len(remote.records) == measurements
     assert result_signature(remote) == result_signature(serial)
-    assert not report.get("degraded"), "bench fleet must serve, not degrade"
-    assert not report.get("quarantined")
+    assert not any(report.get("degraded") for report in reports), (
+        "bench fleet must serve, not degrade"
+    )
+    assert not any(report.get("quarantined") for report in reports)

@@ -10,17 +10,18 @@ predicate polling, and packet length recomputation rather than concentrated
 in one function, which is why that PR touched every layer.
 
 ``--backend serial`` (the default) keeps every simulated event inside the
-profiled process; ``--backend process`` or ``--backend thread`` profiles the
-*dispatch* side instead — batch submission, result decoding, pool
-bookkeeping — which is the view PR 7's batched transport was tuned against.
-The cells run on the main thread (not via a :class:`repro.api.Session`,
-whose job-worker thread would hide the work from the profiler), sharing one
-warm backend exactly as a session would.
+profiled process; ``--backend process`` profiles the *dispatch* side instead
+— batch submission, result decoding, pool bookkeeping — which is the view
+the batched transport was tuned against.  The sweep runs as the same
+single shard stream a :class:`repro.api.Session` dispatches for a
+:class:`~repro.api.MatrixRequest` (every cell's shard tasks, numbered on
+across cells, through ``backend.iter_shards``), but on the main thread: a
+session's job-worker thread would hide the work from the profiler.
 
 Usage::
 
     PYTHONPATH=src python examples/profile_campaign.py \
-        [--hosts N] [--top K] [--backend serial|thread|process] [--out FILE]
+        [--hosts N] [--top K] [--backend serial|process] [--out FILE]
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def main() -> None:
         default="serial",
         choices=backend_names(),
         help="execution backend to profile (serial = simulation hot path, "
-        "thread/process = batched dispatch and transport overhead)",
+        "process = batched dispatch and transport overhead)",
     )
     parser.add_argument(
         "--sort",
@@ -83,18 +84,25 @@ def main() -> None:
     profiler = cProfile.Profile()
     with create_backend(args.backend) as backend:
         profiler.enable()
-        for cell in cells:
-            specs = build_scenario_hosts(cell.scenario, seed=cell.seed)
+        runners, tasks, cell_of = [], [], {}
+        for position, cell in enumerate(cells):
             runner = CampaignRunner(
-                specs,
+                build_scenario_hosts(cell.scenario, seed=cell.seed),
                 cell.config,
                 seed=cell.seed,
                 remote_port=cell.remote_port,
                 shards=cell.shards,
                 scenario=cell.label,
-                backend=backend,
             )
-            result = runner.execute(cell.tests)
+            cell_tasks = runner.shard_tasks(cell.tests, first_index=len(tasks))
+            cell_of.update((task.index, position) for task in cell_tasks)
+            tasks.extend(cell_tasks)
+            runners.append(runner)
+        outcomes = [[] for _ in cells]
+        for outcome in backend.iter_shards(tasks):
+            outcomes[cell_of[outcome.index]].append(outcome)
+        for cell, runner, cell_outcomes in zip(cells, runners, outcomes):
+            result = runner.merge(cell_outcomes, cell.tests)
             total_measurements += sum(
                 1 for record in result.records if record.report.result is not None
             )

@@ -1,20 +1,27 @@
 #!/usr/bin/env python3
-"""The paper's Internet survey (§IV-B), scaled out with the sharded runner.
+"""The paper's Internet survey (§IV-B), scaled out across shards.
 
-Generates a synthetic host population, partitions it into shards, runs every
-shard's round-robin campaign on its own simulator — in parallel worker
-processes when the platform allows — and shows that the merged dataset is
-identical to a serial run of the same campaign, before printing the survey
-eligibility table.
+Generates a synthetic host population and runs the same campaign twice
+through a :class:`repro.api.Session`: once as a single shard on the serial
+backend, once as four shards on the process backend, where every shard's
+round-robin campaign runs on its own simulator in a worker process (inline
+when the platform has no process pool).  The two result digests match, so
+the merged datasets are identical; the survey eligibility table follows.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro import CampaignConfig, CampaignRunner, PopulationSpec, TestName, generate_population
+from repro import (
+    CampaignConfig,
+    CampaignRequest,
+    PopulationSpec,
+    Session,
+    TestName,
+    generate_population,
+)
 from repro.analysis.survey import summarize_eligibility
-from repro.core.runner import EXECUTOR_PROCESS, EXECUTOR_SERIAL, result_signature
 
 NUM_HOSTS = 16
 SHARDS = 4
@@ -37,22 +44,23 @@ def main() -> None:
         inter_round_gap=5.0,
     )
 
-    runs = {}
-    for label, shards, executor in (
-        ("serial (1 shard)", 1, EXECUTOR_SERIAL),
-        (f"sharded ({SHARDS} shards)", SHARDS, EXECUTOR_PROCESS),
+    envelopes = []
+    for label, shards, backend in (
+        ("serial (1 shard)", 1, "serial"),
+        (f"sharded ({SHARDS} shards)", SHARDS, "process"),
     ):
-        runner = CampaignRunner(specs, config, seed=SEED, shards=shards, executor=executor)
+        request = CampaignRequest(specs=tuple(specs), config=config, seed=SEED, shards=shards)
         start = time.perf_counter()
-        result = runner.execute()
+        with Session(backend=backend) as session:
+            envelope = session.run(request)
         elapsed = time.perf_counter() - start
-        rate = len(result.records) / elapsed
-        print(f"{label:20s} {len(result.records)} measurements in {elapsed:6.2f} s "
-              f"({rate:7.1f} measurements/s)")
-        runs[label] = result
+        records = len(envelope.result.records)
+        print(f"{label:20s} {records} measurements in {elapsed:6.2f} s "
+              f"({records / elapsed:7.1f} measurements/s)")
+        envelopes.append(envelope)
 
-    serial, sharded = runs.values()
-    same = result_signature(serial) == result_signature(sharded)
+    serial, sharded = envelopes
+    same = serial.result_digest == sharded.result_digest
     print(f"\nsharded dataset identical to serial dataset (modulo ordering): {same}")
 
     print()

@@ -21,8 +21,13 @@ submit it to a :class:`~repro.api.session.Session`, read the result envelope.
 >>> 0.0 <= report.result.reordering_rate(Direction.FORWARD) <= 1.0
 True
 
-The lower layers (``quick_testbed`` + per-technique test classes,
-``CampaignRunner``) remain available for direct use.
+Campaigns, resumes, and scenario sweeps run the same way, as
+:class:`~repro.api.requests.CampaignRequest`,
+:class:`~repro.api.requests.ResumeRequest`, and
+:class:`~repro.api.requests.MatrixRequest`; the session is the only place
+their shards execute.  Below it, ``quick_testbed`` and the
+per-technique test classes remain available for single measurements, and
+:class:`~repro.core.runner.CampaignRunner` is a campaign's shard plan.
 """
 
 from repro.api import (
@@ -64,8 +69,6 @@ from repro.scenarios import (
     get_scenario,
     list_scenarios,
     register_scenario,
-    run_matrix,
-    run_scenario,
     scenario_names,
 )
 from repro.sim import Simulator
@@ -132,8 +135,6 @@ __all__ = [
     "profile_by_name",
     "quick_testbed",
     "register_scenario",
-    "run_matrix",
-    "run_scenario",
     "scenario_names",
     "validate_host_ipid",
     "__version__",

@@ -20,8 +20,8 @@ completed shard durably, so a crashed or killed run continues with
 ``result-digest`` is bit-identical to an uninterrupted run's.  ``report``
 streams an existing store's records through
 :class:`~repro.analysis.streaming.StreamingSurvey` without re-running (or
-fully materializing) anything.  The legacy flag-style invocation
-(``python -m repro --scenario ...``) still works, means ``run``, and warns.
+fully materializing) anything.  An invocation that does not start with a
+subcommand prints a one-line usage message and exits with status 2.
 
 Output is deterministic for a fixed ``(--scenario, --hosts, --seed,
 --shards)``.
@@ -33,7 +33,6 @@ import argparse
 import os
 import signal
 import sys
-import warnings
 from typing import Optional, Sequence
 
 from repro.analysis.middlebox import classify_middleboxes
@@ -54,9 +53,9 @@ from repro.store.store import CampaignStore
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``run`` parser (also the legacy top-level flag interface)."""
+    """The ``run`` subcommand's parser."""
     parser = argparse.ArgumentParser(
-        prog="python -m repro",
+        prog="python -m repro run",
         description="Run a named network-scenario survey and print its summary.",
     )
     parser.add_argument(
@@ -355,16 +354,10 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in _COMMANDS:
-        return _COMMANDS[argv[0]](argv[1:])
-    # Legacy spelling: bare flags mean `run`.
-    warnings.warn(
-        "bare-flag invocation is a legacy entry point; use "
-        "`python -m repro run ...` instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return cmd_run(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        print(f"usage: python -m repro {{{','.join(_COMMANDS)}}} ...", file=sys.stderr)
+        return 2
+    return _COMMANDS[argv[0]](argv[1:])
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -26,8 +26,6 @@ from repro.analysis.scenarios import (
 from repro.analysis.streaming import StreamingSurvey, stream_survey, survey_from_store
 from repro.analysis.survey import (
     EligibilitySummary,
-    SurveyRun,
-    run_sharded_survey,
     summarize_eligibility,
 )
 from repro.analysis.validation import validation_table
@@ -41,7 +39,6 @@ __all__ = [
     "ScenarioComparison",
     "ScenarioSliceSummary",
     "StreamingSurvey",
-    "SurveyRun",
     "agreement_by_scenario",
     "build_fig5_cdf",
     "classify_middleboxes",
@@ -51,7 +48,6 @@ __all__ = [
     "compute_agreement",
     "fig5_by_scenario",
     "format_table",
-    "run_sharded_survey",
     "slice_by_scenario",
     "stream_survey",
     "summarize_eligibility",

@@ -1,18 +1,14 @@
-"""Pluggable execution backends: the pool code behind every front door.
+"""Pluggable execution backends: where a :class:`repro.api.Session` runs shards.
 
-Before the :mod:`repro.api` layer existed, :class:`~repro.core.runner.
-CampaignRunner` owned its :mod:`concurrent.futures` plumbing outright, and
-every other surface (the scenario matrix, the CLI) rebuilt glue around it.
-This module extracts that plumbing behind one small interface so that a
-single backend — and, for the thread/process backends, a single warm pool —
+One small interface puts every way of running shard tasks behind a name, so
+that a single backend — and, for the process backend, a single warm pool —
 can be shared across campaigns, matrix cells, and resumed runs alike.
 
-Three backends ship built in, matching the runner's historical executor
-names: ``serial`` (inline execution), ``thread``
-(:class:`~concurrent.futures.ThreadPoolExecutor`), and ``process``
-(:class:`~concurrent.futures.ProcessPoolExecutor`).  Additional backends can
-be registered with :func:`register_backend` and selected by name anywhere an
-executor name is accepted.
+Three backends are registered: ``serial`` (inline execution), ``process``
+(:class:`~concurrent.futures.ProcessPoolExecutor`), and ``remote`` (TCP
+workers, :mod:`repro.distributed`).  Additional backends can be registered
+with :func:`register_backend` and selected by name anywhere an executor name
+is accepted.
 
 Two execution shapes cover every caller:
 
@@ -30,9 +26,9 @@ Two execution shapes cover every caller:
 
 Failure discipline: backends raise the pool-infrastructure exceptions in
 :data:`POOL_FAILURES` (no semaphores in a sandbox, fork restrictions, broken
-workers) and nothing else of their own; the campaign runner catches exactly
-those and re-executes the remaining shards inline, because shard tasks are
-pure functions.  Exceptions raised *by the work itself* propagate unwrapped.
+workers) and nothing else of their own; the session catches exactly those
+and re-executes the remaining shards inline, because shard tasks are pure
+functions.  Exceptions raised *by the work itself* propagate unwrapped.
 """
 
 from __future__ import annotations
@@ -49,19 +45,17 @@ from concurrent.futures import (
     Executor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from pickle import PicklingError
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
-from repro.core.runner import ShardOutcome, ShardTask, _run_task_batch, run_shard
+from repro.core.runner import ShardOutcome, ShardTask, run_shard
 from repro.core.transport import (
-    MODE_PICKLE,
     batch_size_override,
     decode_outcomes,
+    encode_outcomes,
     next_batch_size,
-    transport_mode,
 )
 from repro.net.errors import MeasurementError
 
@@ -99,27 +93,21 @@ def _shard_cost(task: ShardTask) -> int:
     )
 
 
-def _materialize(
-    result: object, batch: Sequence[ShardTask] = ()
-) -> list[ShardOutcome]:
-    """A batch future's payload as live outcomes, whatever transport it rode.
+def _run_task_batch(tasks: tuple[ShardTask, ...]) -> bytes:
+    """Pool entry point: run a batch of shard tasks, return one encoded blob.
 
-    ``batch`` (the tasks that were in flight) gives a decode fault its
-    :class:`~repro.net.errors.TransportError` shard context.
+    Tasks ship whole, so one batch may mix the shards of several campaigns
+    (a matrix sweep's cells); see :mod:`repro.core.transport` for the blob.
     """
-    if isinstance(result, (bytes, bytearray, memoryview)):
-        return decode_outcomes(
-            result, shard_indexes=tuple(task.index for task in batch)
-        )
-    return result  # type: ignore[return-value]
+    return encode_outcomes([run_shard(task) for task in tasks])
 
 
 class ExecutionBackend(ABC):
     """Where work runs: an execution strategy with an optionally warm pool.
 
     A backend may be handed to any number of campaigns and matrix sweeps
-    before being closed; the thread and process backends create their pool
-    lazily on first use and keep it warm across calls, which is what lets a
+    before being closed; the process backend creates its pool lazily on
+    first use and keeps it warm across calls, which is what lets a
     matrix sweep amortise worker spin-up over all of its cells.  Backends are
     context managers; :meth:`close` is idempotent.
 
@@ -128,7 +116,7 @@ class ExecutionBackend(ABC):
     concurrently they run.
     """
 
-    #: Registry name; also what :attr:`CampaignRunner.executor` reports.
+    #: Registry name; also what a session's envelopes report as ``backend``.
     name: str = "abstract"
 
     @abstractmethod
@@ -182,7 +170,7 @@ class SerialBackend(ExecutionBackend):
 
 
 class _PoolBackend(ExecutionBackend):
-    """Shared machinery for the thread and process backends.
+    """The pool machinery behind :class:`ProcessBackend`.
 
     Pool lifecycle (creation, broken-pool reset, close) is serialized by a
     reentrant lock because a :class:`repro.api.Session` runs each submitted
@@ -228,14 +216,10 @@ class _PoolBackend(ExecutionBackend):
                 self._pool = None
 
     def _shard_submitter(self) -> Callable[[tuple[ShardTask, ...]], "Future"]:
-        """A callable submitting one shard batch, bound to the warm pool.
-
-        The base (thread) flavour gets live objects back — same address
-        space, nothing to encode.  The process backend overrides this with
-        the binary transport.
-        """
+        """A callable submitting one shard batch to the warm pool; each
+        batch's outcomes return as one struct-packed blob."""
         pool = self._ensure_pool()
-        return lambda batch: pool.submit(_run_task_batch, (MODE_PICKLE, batch))
+        return lambda batch: pool.submit(_run_task_batch, batch)
 
     def _batch_dispatch(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
         """Yield shard outcomes in completion order, fault-tolerant once.
@@ -310,7 +294,9 @@ class _PoolBackend(ExecutionBackend):
                 finished = [(future, inflight.pop(future)) for future in done]
                 refill()
                 for future, batch in finished:
-                    yield from _materialize(future.result(), batch)
+                    yield from decode_outcomes(
+                        future.result(), shard_indexes=tuple(task.index for task in batch)
+                    )
         finally:
             # Reached on success, pool failure, and early close (the consumer
             # raised): drop batches that have not started.  The pool itself
@@ -350,21 +336,6 @@ class _PoolBackend(ExecutionBackend):
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-class ThreadBackend(_PoolBackend):
-    """A lazily created, reusable :class:`ThreadPoolExecutor`.
-
-    Threads share the parent's address space, so batches always travel as
-    live objects (the binary codec would be pure overhead here); batching
-    still amortises the per-future bookkeeping and keeps the dispatch shape
-    identical across backends for the digest-invariance tests.
-    """
-
-    name = "thread"
-
-    def _create_pool(self) -> Executor:
-        return ThreadPoolExecutor(max_workers=self._workers)
-
-
 class ProcessBackend(_PoolBackend):
     """A lazily created, reusable :class:`ProcessPoolExecutor`.
 
@@ -377,16 +348,6 @@ class ProcessBackend(_PoolBackend):
 
     def _create_pool(self) -> Executor:
         return ProcessPoolExecutor(max_workers=self._workers)
-
-    def _shard_submitter(self) -> Callable[[tuple[ShardTask, ...]], "Future"]:
-        """Submit batches whose results return as one struct-packed blob.
-
-        See :mod:`repro.core.transport`; the ``REPRO_TRANSPORT=pickle``
-        oracle returns live pickled objects instead.
-        """
-        pool = self._ensure_pool()
-        mode = transport_mode()
-        return lambda batch: pool.submit(_run_task_batch, (mode, batch))
 
 
 # --------------------------------------------------------------------- #
@@ -403,8 +364,8 @@ def register_backend(
 ) -> None:
     """Register an execution backend under ``name``.
 
-    ``factory`` is called as ``factory(max_workers)`` whenever a session,
-    runner, or CLI invocation selects the backend by name.
+    ``factory`` is called as ``factory(max_workers)`` whenever a session or
+    CLI invocation selects the backend by name.
     """
     if name in _BACKENDS and not replace:
         raise MeasurementError(f"execution backend already registered: {name!r}")
@@ -444,7 +405,6 @@ def _remote_factory(max_workers: Optional[int]) -> ExecutionBackend:
 
 
 register_backend(SerialBackend.name, SerialBackend)
-register_backend(ThreadBackend.name, ThreadBackend)
 register_backend(ProcessBackend.name, ProcessBackend)
 register_backend("remote", _remote_factory)
 
@@ -454,7 +414,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "backend_names",
     "create_backend",
     "register_backend",

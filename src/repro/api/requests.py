@@ -215,7 +215,7 @@ class CampaignRequest:
 
 @dataclass(frozen=True)
 class MatrixRequest:
-    """A scenario × host-OS sweep through the campaign runner.
+    """A scenario × host-OS sweep, each cell a sharded campaign.
 
     Accepts either a prebuilt :class:`~repro.scenarios.matrix.ScenarioMatrix`
     or ``scenarios`` + ``os_names`` to build one.  Every cell's seed derives

@@ -3,11 +3,11 @@
 A session owns an execution backend (and hence at most one warm worker
 pool), accepts the typed requests from :mod:`repro.api.requests`, and
 returns :class:`~repro.api.jobs.JobHandle` s whose results are versioned
-:class:`~repro.api.envelope.ResultEnvelope` s.  Every surface in the repo —
-library callers, the legacy ``run_scenario`` / ``run_matrix`` /
-``CampaignRunner.run`` shims, and the ``python -m repro`` CLI — routes
-through here, so argument conventions for seeds, shards, stores, OS mixes,
-and checkpoints are normalized exactly once.
+:class:`~repro.api.envelope.ResultEnvelope` s.  It is the only place shards
+execute: library callers and the ``python -m repro`` CLI both route through
+here, so argument conventions for seeds, shards, stores, OS mixes, and
+checkpoints are normalized exactly once, and one checkpointed shard stream
+(:func:`_iter_completed`) serves campaigns, resumes, and matrix sweeps.
 
 Determinism contract: a request's measurement content is a pure function of
 the request (see :mod:`repro.core.runner`); the session's backend choice and
@@ -30,9 +30,14 @@ from __future__ import annotations
 import hashlib
 import threading
 from contextlib import closing
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Sequence, Union
 
-from repro.api.backends import ExecutionBackend, backend_names, create_backend
+from repro.api.backends import (
+    POOL_FAILURES,
+    ExecutionBackend,
+    backend_names,
+    create_backend,
+)
 from repro.api.envelope import (
     KIND_CAMPAIGN,
     KIND_MATRIX,
@@ -53,11 +58,12 @@ from repro.api.requests import (
 from repro.core.campaign import CampaignResult
 from repro.core.prober import ProbeReport, Prober
 from repro.core.runner import (
+    EXECUTOR_SERIAL,
     CampaignRunner,
     ShardOutcome,
     ShardTask,
-    _iter_completed,
     result_digest,
+    run_shard,
 )
 from repro.net.errors import MeasurementError
 from repro.scenarios.matrix import MatrixResult, ScenarioRun
@@ -76,6 +82,40 @@ def _probe_signature(report: ProbeReport) -> tuple:
     return (report.test.value, report.error or "", report.ineligible, samples)
 
 
+def _iter_completed(
+    tasks: Sequence[ShardTask], backend: ExecutionBackend
+) -> Iterator[ShardOutcome]:
+    """Yield shard outcomes as they complete on ``backend``.
+
+    ``tasks`` may hold the shards of several campaigns (a matrix sweep
+    dispatches every cell's shards as one stream), so their indexes must be
+    unique within the list.  A one-shard list and the serial backend run
+    inline, so neither ever spins up a pool.  A generator so that only
+    *pool* failures trigger the inline fallback: exceptions raised by the
+    consumer (store writes, checkpoint hooks, a cancelled job) propagate out
+    of the ``yield`` and are never mistaken for pool infrastructure problems
+    — and closing the generator cancels the queued shards rather than
+    running the rest of the work first.  On pool failure, shards already
+    yielded are not re-run; the rest execute inline (shards are pure
+    functions, so the retry yields identical records).
+    """
+    if backend.name != EXECUTOR_SERIAL and len(tasks) > 1:
+        done: set[int] = set()
+        # Closing the backend's iterator drops shards that have not started;
+        # the pool itself stays warm for its owner.
+        with closing(backend.iter_shards(tasks)) as stream:
+            try:
+                for outcome in stream:
+                    done.add(outcome.index)
+                    yield outcome
+                return
+            except POOL_FAILURES:
+                pass
+        tasks = [task for task in tasks if task.index not in done]
+    for task in tasks:
+        yield run_shard(task)
+
+
 class Session:
     """A configured entry point that turns requests into jobs.
 
@@ -83,7 +123,7 @@ class Session:
     ----------
     backend:
         A backend name from the :mod:`repro.api.backends` registry
-        (``"serial"``, ``"thread"``, ``"process"``, or anything registered)
+        (``"serial"``, ``"process"``, ``"remote"``, or anything registered)
         or an :class:`ExecutionBackend` instance to share.  Named backends
         are created lazily and owned (closed) by the session; instances are
         borrowed and left open.
@@ -92,8 +132,8 @@ class Session:
 
     Sessions are context managers.  :meth:`submit` returns immediately with
     a :class:`JobHandle`; :meth:`run` is the blocking convenience.  One
-    session may run many jobs, and thread/process sessions reuse a single
-    warm pool across all of them — including across every cell of a matrix
+    session may run many jobs, and a process session reuses a single warm
+    pool across all of them — including across every cell of a matrix
     sweep.
     """
 
@@ -186,6 +226,9 @@ class Session:
             if self._backend is None:
                 self._backend = create_backend(self._backend_spec, self.max_workers)
             job = JobHandle(request, lambda handle: self._execute(request, handle))
+            # Finished jobs are dropped here, so a long-lived session holds
+            # only the handles (and envelopes) of jobs still running.
+            self._jobs = [other for other in self._jobs if not other.done()]
             self._jobs.append(job)
             # Started under the lock so close() can never observe a job
             # without a thread to join.
@@ -244,43 +287,51 @@ class Session:
         )
 
     def _run_campaign(self, norm: NormalizedCampaign, job: JobHandle) -> ResultEnvelope:
+        """One campaign's shards as a completion-order stream on the backend.
+
+        With a store, shards it already holds are read back instead of
+        re-executed, and each fresh shard is durable before its checkpoint
+        hook and progress event fire — so a crash or a cancel at any shard
+        boundary leaves a store that resumes to the same digest.
+        """
         runner = CampaignRunner(
             norm.specs,
             norm.config,
             seed=norm.seed,
             remote_port=norm.remote_port,
             shards=norm.shards,
-            max_workers=self.max_workers,
             scenario=norm.label,
-            backend=self.backend,
         )
-        total = len(runner.shard_plan())
-        user_hook = norm.on_checkpoint
-
-        # The per-shard hook is what makes every session job observable and
-        # cancellable at shard boundaries.  It routes the runner down the
-        # completion-iteration path instead of the chunked pool.map fast
-        # path — a deliberate control-over-throughput trade; callers that
-        # want the chunked path (e.g. the E9 benchmark) use
-        # CampaignRunner.execute() directly.
-        def hook(outcome, completed, _total):
-            if user_hook is not None:
-                user_hook(outcome, completed, total)
-            job._report(ProgressEvent("shard", completed, total, label=norm.label))
-
-        result = runner.execute(
-            norm.tests,
-            store=norm.store,
-            resume=norm.resume,
-            origin=norm.origin,
-            on_checkpoint=hook,
-        )
-        return self._campaign_envelope(runner, norm, result)
+        tasks = runner.shard_tasks(norm.tests)
+        total = len(tasks)
+        plan = runner.plan(norm.tests, origin=norm.origin)
+        store = norm.store
+        durable: frozenset[int] = frozenset()
+        if store is not None:
+            durable = store.begin(plan, resume=norm.resume)
+            tasks = [task for task in tasks if task.index not in durable]
+        fresh: list[ShardOutcome] = []
+        with closing(_iter_completed(tasks, self.backend)) as stream:
+            for outcome in stream:
+                if store is not None:
+                    store.write_shard(outcome)
+                fresh.append(outcome)
+                # With a store, progress counts every durable shard, so a
+                # resumed run picks up where the interrupted one stopped.
+                completed = len(fresh) if store is None else len(store.completed_shards())
+                if norm.on_checkpoint is not None:
+                    norm.on_checkpoint(outcome, completed, total)
+                job._report(ProgressEvent("shard", completed, total, label=norm.label))
+        # Shards executed this run merge from memory; only previously durable
+        # shards are read back (the codec is lossless, so both sources yield
+        # signature-identical records).
+        outcomes = [store.read_shard(index) for index in sorted(durable)] + fresh
+        result = runner.merge(outcomes, norm.tests)
+        return self._campaign_envelope(plan, norm, result)
 
     def _campaign_envelope(
-        self, runner: CampaignRunner, norm: NormalizedCampaign, result: CampaignResult
+        self, plan: Any, norm: NormalizedCampaign, result: CampaignResult
     ) -> ResultEnvelope:
-        plan = runner.plan(norm.tests, origin=norm.origin)
         meta = {
             "seed": norm.seed,
             "shards": plan.shards,

@@ -7,12 +7,13 @@ per-host time series, the eligibility table, and the pairwise-agreement
 statistics.
 
 :class:`Campaign` here is the single-simulator engine: one event loop, one
-probe host, hosts visited strictly in sequence.  For survey-scale runs use
-:class:`repro.core.runner.CampaignRunner`, which partitions the host list
-into shards, runs each shard's ``Campaign`` on its own simulator (optionally
-in parallel worker processes), and merges the shard records back into one
-:class:`CampaignResult`.  The layering and the determinism guarantees are
-documented in ``docs/architecture.md``.
+probe host, hosts visited strictly in sequence.  Survey-scale runs go
+through :class:`repro.core.runner.CampaignRunner`, which partitions the host
+list into shards whose ``Campaign`` s each run on their own simulator
+(optionally in parallel worker processes, via a :class:`repro.api.Session`)
+and merges the shard records back into one :class:`CampaignResult`.  The
+layering and the determinism guarantees are documented in
+``docs/architecture.md``.
 """
 
 from __future__ import annotations

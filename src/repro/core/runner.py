@@ -1,4 +1,4 @@
-"""Sharded campaign execution: the survey at scale.
+"""Sharded campaigns: the survey at scale.
 
 The paper's 20-day survey (§IV-B) cycled four measurement techniques over
 dozens of hosts from a single vantage point.  :class:`repro.core.campaign.Campaign`
@@ -6,13 +6,16 @@ reproduces that faithfully — one simulator, one probe host, hosts visited in
 sequence — which also makes it the scaling bottleneck: a single event loop on
 a single core bounds how large a survey can get.
 
-:class:`CampaignRunner` removes that bound.  It partitions the host spec list
-into independent shards, builds each shard its own simulated world (its own
-:class:`~repro.sim.simulator.Simulator`, :class:`~repro.host.raw_socket.ProbeHost`,
-and :class:`~repro.core.prober.Prober`), runs the shards concurrently via
-:mod:`concurrent.futures` (with a serial in-process fallback), and merges the
-per-shard records into one :class:`~repro.core.campaign.CampaignResult` in
-canonical round-robin order.
+:class:`CampaignRunner` removes that bound.  It is a campaign's *shard plan*:
+it partitions the host spec list into independent shards, turns each into a
+self-contained :class:`ShardTask` (run by :func:`run_shard`, which builds the
+shard its own :class:`~repro.sim.simulator.Simulator`,
+:class:`~repro.host.raw_socket.ProbeHost`, and
+:class:`~repro.core.prober.Prober`), describes the campaign to a durable store,
+and merges the per-shard records into one
+:class:`~repro.core.campaign.CampaignResult` in canonical round-robin order.
+Executing the tasks is the :class:`repro.api.Session`'s job: it streams them
+through its execution backend and checkpoints each one as it completes.
 
 Determinism
 -----------
@@ -23,7 +26,7 @@ follow:
 
 * **Fixed layout is fully reproducible.**  For a given
   ``(specs, config, seed, tests, shards)`` the merged dataset is identical
-  across runs, executors (process / thread / serial), and worker counts.
+  across runs, backends (serial / process / remote), and worker counts.
 * **Shard count doesn't change measurements** for sites whose behaviour
   depends only on their own path and stack — i.e. every site *not* behind a
   port-hashing middlebox and *not* on a time-varying path.  The merged
@@ -45,9 +48,8 @@ follow:
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.core.campaign import Campaign, CampaignConfig, CampaignResult, HostRoundResult
 from repro.core.prober import TestName
@@ -55,17 +57,14 @@ from repro.net.errors import MeasurementError
 from repro.workloads.population import partition_specs
 from repro.workloads.testbed import HostSpec, build_testbed
 
-if TYPE_CHECKING:  # pragma: no cover - type-only imports (these sit above core)
-    from repro.api.backends import ExecutionBackend
-    from repro.store.store import CampaignPlan, CampaignStore
+if TYPE_CHECKING:  # pragma: no cover - type-only import (the store sits above core)
+    from repro.store.store import CampaignPlan
 
 CheckpointHook = Callable[["ShardOutcome", int, int], None]
 """Called after each shard becomes durable: ``(outcome, completed, total)``."""
 
 EXECUTOR_PROCESS = "process"
-EXECUTOR_THREAD = "thread"
 EXECUTOR_SERIAL = "serial"
-_EXECUTORS = (EXECUTOR_PROCESS, EXECUTOR_THREAD, EXECUTOR_SERIAL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,31 +94,6 @@ class ShardOutcome:
     index: int
     host_addresses: tuple[int, ...]
     records: list[HostRoundResult]
-
-
-def _encode_batch(outcomes: list[ShardOutcome], mode: str) -> "bytes | list[ShardOutcome]":
-    """One batch's return value: a compact blob, or live objects (oracle mode).
-
-    Imported lazily so :mod:`repro.core.transport` (which imports this
-    module for :class:`ShardOutcome`) never forms an import cycle.
-    """
-    if mode == "binary":
-        from repro.core.transport import encode_outcomes
-
-        return encode_outcomes(outcomes)
-    return outcomes
-
-
-def _run_task_batch(
-    payload: tuple[str, tuple[ShardTask, ...]],
-) -> "bytes | list[ShardOutcome]":
-    """Worker entry point: run a batch of self-contained shard tasks.
-
-    Tasks ship whole, so one batch may mix the shards of several campaigns
-    (a matrix sweep's cells); results come back as one blob per batch.
-    """
-    mode, tasks = payload
-    return _encode_batch([run_shard(task) for task in tasks], mode)
 
 
 def record_signature(record: HostRoundResult) -> tuple:
@@ -219,56 +193,13 @@ def run_shard(task: ShardTask) -> ShardOutcome:
     )
 
 
-def _iter_completed(
-    tasks: Sequence[ShardTask], backend: "ExecutionBackend"
-) -> Iterator[ShardOutcome]:
-    """Yield shard outcomes as they complete on ``backend``.
-
-    ``tasks`` may hold the shards of several campaigns (a matrix sweep
-    dispatches every cell's shards as one stream), so their indexes must be
-    unique within the list.  A generator so that only *pool* failures
-    trigger the serial fallback: exceptions raised by the consumer (store
-    writes, checkpoint hooks, a cancelled job) propagate out of the
-    ``yield`` and are never mistaken for pool infrastructure problems — and
-    closing the generator cancels the queued shards rather than running the
-    rest of the work first.  On pool failure, shards already yielded are not
-    re-run; the rest execute inline (shards are pure functions, so the retry
-    yields identical records).
-    """
-    if not tasks:
-        return
-    done: set[int] = set()
-    if backend.name != EXECUTOR_SERIAL and len(tasks) > 1:
-        from repro.api.backends import POOL_FAILURES
-
-        iterator = None
-        try:
-            iterator = backend.iter_shards(tasks)
-        except POOL_FAILURES:
-            iterator = None
-        pool_failed = False
-        if iterator is not None:
-            try:
-                for outcome in iterator:
-                    done.add(outcome.index)
-                    yield outcome
-            except POOL_FAILURES:
-                pool_failed = True
-            finally:
-                # Reached on success, pool failure, *and* generator close
-                # (consumer raised): the backend's iterator drops shards
-                # that have not started; the pool itself stays warm for
-                # its owner.
-                iterator.close()
-            if not pool_failed:
-                return
-            tasks = [task for task in tasks if task.index not in done]
-    for task in tasks:
-        yield run_shard(task)
-
-
 class CampaignRunner:
-    """Runs a measurement campaign over a host population in parallel shards.
+    """A campaign's shard plan: partition, work orders, store plan, and merge.
+
+    The runner executes nothing itself.  A :class:`repro.api.Session` runs a
+    campaign by taking :meth:`shard_tasks` through its execution backend,
+    checkpointing each outcome against :meth:`plan` when a store is given,
+    and folding the outcomes back together with :meth:`merge`.
 
     Parameters
     ----------
@@ -280,25 +211,14 @@ class CampaignRunner:
     seed:
         Base seed for every shard testbed.  Combined with stable per-site
         seeding, this makes the merged result a pure function of
-        ``(specs, config, seed, tests, shards)``; executor choice and worker
-        count change wall-clock time, never records.  Shard *count* is also
-        irrelevant to the records except for sites behind port-hashing load
-        balancers (see the module docstring's determinism notes).
+        ``(specs, config, seed, tests, shards)``; the backend that runs the
+        shards and its worker count change wall-clock time, never records.
+        Shard *count* is also irrelevant to the records except for sites
+        behind port-hashing load balancers (see the module docstring's
+        determinism notes).
     shards:
         Number of partitions.  Shards beyond ``len(specs)`` are dropped
         rather than left empty.
-    executor:
-        A backend name from the :mod:`repro.api.backends` registry:
-        ``"process"`` (default) for true multi-core execution, ``"thread"``
-        for a thread pool, ``"serial"`` to run shards inline.  If a pool
-        cannot be created or breaks (sandboxes without semaphores,
-        unpicklable platform quirks), the runner falls back to serial
-        execution of the same shard tasks.
-    backend:
-        An :class:`~repro.api.backends.ExecutionBackend` *instance* to run
-        on, overriding ``executor``.  The runner borrows it (never closes
-        it), which is how a :class:`repro.api.Session` shares one warm pool
-        across many campaigns and matrix cells.
     scenario:
         Optional scenario name stamped on every record and on the merged
         result, so sweep datasets remain self-describing (the scenario layer
@@ -313,32 +233,18 @@ class CampaignRunner:
         seed: int = 1,
         remote_port: int = 80,
         shards: int = 1,
-        executor: str = EXECUTOR_PROCESS,
-        max_workers: Optional[int] = None,
         scenario: Optional[str] = None,
-        backend: Optional["ExecutionBackend"] = None,
     ) -> None:
         if not specs:
             raise MeasurementError("campaign runner requires at least one host spec")
         if shards < 1:
             raise MeasurementError(f"campaign runner needs at least one shard: {shards}")
-        if backend is None and executor not in _EXECUTORS:
-            from repro.api.backends import backend_names
-
-            if executor not in backend_names():
-                raise MeasurementError(
-                    f"unknown executor {executor!r}; expected one of "
-                    f"{backend_names() or _EXECUTORS}"
-                )
         self.specs = tuple(specs)
         self.config = config or CampaignConfig()
         self.seed = seed
         self.remote_port = remote_port
         self.shards = shards
-        self.executor = backend.name if backend is not None else executor
-        self.max_workers = max_workers
         self.scenario = scenario
-        self._backend = backend
 
     @property
     def host_addresses(self) -> tuple[int, ...]:
@@ -412,135 +318,5 @@ class CampaignRunner:
             scenario=self.scenario,
         )
 
-    def run(
-        self,
-        tests: Optional[Iterable[TestName]] = None,
-        *,
-        store: Optional["CampaignStore"] = None,
-        resume: bool = False,
-        origin: Optional[dict] = None,
-        on_checkpoint: Optional[CheckpointHook] = None,
-    ) -> CampaignResult:
-        """Legacy entry point: identical to :meth:`execute`, with a pointer.
-
-        New code should submit a :class:`repro.api.CampaignRequest` to a
-        :class:`repro.api.Session` (which adds job handles, result
-        envelopes, and backend sharing) or call :meth:`execute` directly.
-        """
-        warnings.warn(
-            "CampaignRunner.run() is a legacy entry point; submit a "
-            "repro.api.CampaignRequest to a repro.api.Session (or call "
-            "CampaignRunner.execute()) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(
-            tests, store=store, resume=resume, origin=origin, on_checkpoint=on_checkpoint
-        )
-
-    def execute(
-        self,
-        tests: Optional[Iterable[TestName]] = None,
-        *,
-        store: Optional["CampaignStore"] = None,
-        resume: bool = False,
-        origin: Optional[dict] = None,
-        on_checkpoint: Optional[CheckpointHook] = None,
-    ) -> CampaignResult:
-        """Execute every shard and merge the records into one result.
-
-        With a ``store``, the runner checkpoints each shard's records as the
-        shard completes (durable before the next checkpoint fires), so an
-        interrupted run can be continued with ``resume=True``: shards the
-        store already holds are loaded back instead of re-executed, and the
-        merged result is bit-identical — same
-        :func:`result_signature` — to an uninterrupted run.  The runner must
-        be constructed with the same specs, config, seed, and shard count as
-        the original run; the store verifies this against its manifest and
-        raises :class:`~repro.net.errors.StoreError` on any mismatch.
-
-        ``on_checkpoint`` fires after every completed shard even without a
-        store (progress observation); with a store it fires only after the
-        shard is durable.
-        """
-        active_tests = self._active_tests(tests)
-        tasks = self.shard_tasks(active_tests)
-        backend, owned = self._resolve_backend()
-        try:
-            if store is None:
-                if on_checkpoint is None:
-                    return self.merge(self._execute(tasks, backend), active_tests)
-                outcomes: list[ShardOutcome] = []
-                for outcome in _iter_completed(tasks, backend):
-                    outcomes.append(outcome)
-                    on_checkpoint(outcome, len(outcomes), len(tasks))
-                return self.merge(outcomes, active_tests)
-            completed = store.begin(self.plan(active_tests, origin=origin), resume=resume)
-            pending = [task for task in tasks if task.index not in completed]
-            fresh = self._execute_checkpointed(
-                pending, store, on_checkpoint, total=len(tasks), backend=backend
-            )
-            # Shards executed this run merge from memory; only previously
-            # durable shards are read back (the codec is lossless, so both
-            # sources yield signature-identical records).
-            outcomes = [store.read_shard(index) for index in sorted(completed)] + fresh
-            return self.merge(outcomes, active_tests)
-        finally:
-            if owned:
-                backend.close()
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
     def _active_tests(self, tests: Optional[Iterable[TestName]]) -> tuple[TestName, ...]:
         return tuple(tests) if tests is not None else self.config.tests
-
-    def _resolve_backend(self) -> tuple["ExecutionBackend", bool]:
-        """The backend to run on, plus whether this runner owns (closes) it."""
-        if self._backend is not None:
-            return self._backend, False
-        from repro.api.backends import create_backend
-
-        return create_backend(self.executor, self.max_workers), True
-
-    def _execute(
-        self, tasks: list[ShardTask], backend: "ExecutionBackend"
-    ) -> list[ShardOutcome]:
-        if backend.name == EXECUTOR_SERIAL or len(tasks) == 1:
-            # A one-shard campaign never pays pool spin-up, whatever the
-            # backend — shard tasks are pure functions, so where they run
-            # cannot change what they measure.
-            return [run_shard(task) for task in tasks]
-        from repro.api.backends import POOL_FAILURES
-
-        try:
-            return backend.map_shards(tasks)
-        except POOL_FAILURES:
-            # Pool infrastructure failure (no semaphores / fork restrictions /
-            # broken workers) — rerunning inline yields the identical result.
-            return [run_shard(task) for task in tasks]
-
-    def _execute_checkpointed(
-        self,
-        tasks: list[ShardTask],
-        store: "CampaignStore",
-        on_checkpoint: Optional[CheckpointHook],
-        *,
-        total: int,
-        backend: "ExecutionBackend",
-    ) -> list[ShardOutcome]:
-        """Run shards, committing each to the store as it completes.
-
-        Checkpoints land in completion order (the store is indexed by shard,
-        so order is irrelevant to the merge); each shard is durable before
-        its ``on_checkpoint`` hook fires.  Returns the outcomes in completion
-        order so the caller can merge them without reading them back.
-        """
-        outcomes: list[ShardOutcome] = []
-        for outcome in _iter_completed(tasks, backend):
-            store.write_shard(outcome)
-            outcomes.append(outcome)
-            if on_checkpoint is not None:
-                on_checkpoint(outcome, len(store.completed_shards()), total)
-        return outcomes

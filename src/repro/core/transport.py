@@ -28,14 +28,11 @@ is a *transport*, not a storage format: encoder and decoder always run the
 same code revision (two ends of one pool or socket), so the version byte is
 a corruption guard rather than a compatibility promise.
 
-Oracle
-------
-``REPRO_TRANSPORT=pickle`` keeps the original pickled-object path available
-end to end: workers return live objects and the pool's pickler moves them,
-which is the reference the equivalence tests (and any future debugging of a
-suspected codec bug) compare the binary path against.  ``REPRO_BATCH_SIZE=n``
-pins the adaptive batch size to ``n`` shards per IPC round-trip (the
-digest-invariance property tests sweep it).
+Batch size
+----------
+``REPRO_BATCH_SIZE=n`` pins the adaptive batch size to ``n`` shards per IPC
+round-trip (the digest-invariance tests sweep it).  The codec's exactness is
+pinned against a pickle round-trip of the same objects in the tests.
 """
 
 from __future__ import annotations
@@ -51,14 +48,8 @@ from repro.core.runner import ShardOutcome
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.net.errors import MeasurementError, TransportError
 
-TRANSPORT_ENV = "REPRO_TRANSPORT"
-"""Set to ``pickle`` to ship worker results as pickled objects (the oracle)."""
-
 BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
 """Set to a positive integer to pin the shards-per-batch instead of adapting."""
-
-MODE_BINARY = "binary"
-MODE_PICKLE = "pickle"
 
 TRANSPORT_MAGIC = b"RB"
 TRANSPORT_VERSION = 1
@@ -85,17 +76,6 @@ _REPORT_HAS_ERROR = 0x02
 _REPORT_INELIGIBLE = 0x04
 # Record flag bits.
 _RECORD_HAS_SCENARIO = 0x01
-
-
-def transport_mode() -> str:
-    """The active worker->parent transport: ``binary`` unless the oracle is on."""
-    mode = os.environ.get(TRANSPORT_ENV, MODE_BINARY).strip().lower() or MODE_BINARY
-    if mode not in (MODE_BINARY, MODE_PICKLE):
-        raise MeasurementError(
-            f"unknown {TRANSPORT_ENV} mode {mode!r}; expected "
-            f"{MODE_BINARY!r} or {MODE_PICKLE!r}"
-        )
-    return mode
 
 
 def batch_size_override() -> Optional[int]:
@@ -442,14 +422,10 @@ def decode_outcomes(
 __all__ = [
     "BATCH_SIZE_ENV",
     "MIN_BATCH_SAMPLES",
-    "MODE_BINARY",
-    "MODE_PICKLE",
-    "TRANSPORT_ENV",
     "TRANSPORT_VERSION",
     "TransportError",
     "batch_size_override",
     "decode_outcomes",
     "encode_outcomes",
     "next_batch_size",
-    "transport_mode",
 ]

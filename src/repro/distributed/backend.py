@@ -2,7 +2,7 @@
 
 Registered as ``remote`` in the :mod:`repro.api.backends` registry, so every
 front door that accepts an executor name (``Session(backend="remote")``,
-``python -m repro run --executor remote``, ``CampaignRunner``) can use it.
+``python -m repro run --executor remote``) can use it.
 
 On first use the backend starts a :class:`~repro.distributed.coordinator.
 Coordinator` on ``host:port`` (loopback, ephemeral port by default) and —
@@ -40,7 +40,7 @@ from queue import Empty
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import repro
-from repro.api.backends import ExecutionBackend, _shard_cost, create_backend
+from repro.api.backends import ExecutionBackend, ProcessBackend, _shard_cost
 from repro.core.runner import ShardOutcome, ShardTask
 from repro.core.transport import batch_size_override
 from repro.distributed.chaos import CHAOS_ENV, ChaosSpec
@@ -108,7 +108,6 @@ class RemoteBackend(ExecutionBackend):
         backoff_cap: float = DEFAULT_BACKOFF_CAP,
         chaos: Optional[ChaosSpec] = None,
         batch_size: Optional[int] = None,
-        fallback: str = "process",
     ) -> None:
         self.max_workers = max_workers
         self.host = host
@@ -135,7 +134,6 @@ class RemoteBackend(ExecutionBackend):
         self.backoff_cap = backoff_cap
         self.chaos = chaos
         self.batch_size = batch_size
-        self.fallback = fallback
         if spawn_workers is not None:
             self._spawn_count = spawn_workers
         else:
@@ -145,7 +143,7 @@ class RemoteBackend(ExecutionBackend):
         self._procs: "list[subprocess.Popen]" = []
         self._spawned = False
         self._fleet_assembled = False
-        self._fallback_backend: Optional[ExecutionBackend] = None
+        self._fallback_backend: Optional[ProcessBackend] = None
         self._report: dict = {}
         self._closed = False
 
@@ -203,10 +201,10 @@ class RemoteBackend(ExecutionBackend):
                     subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
                 )
 
-    def _local(self) -> ExecutionBackend:
+    def _local(self) -> ProcessBackend:
         with self._lock:
             if self._fallback_backend is None:
-                self._fallback_backend = create_backend(self.fallback, self.max_workers)
+                self._fallback_backend = ProcessBackend(self.max_workers)
             return self._fallback_backend
 
     # ------------------------------------------------------------------ #
@@ -262,7 +260,7 @@ class RemoteBackend(ExecutionBackend):
         if connected == 0:
             self._warn(
                 f"no remote workers connected within {self.wait_timeout:.1f}s; "
-                f"degraded to local {self.fallback!r} execution"
+                "degraded to local process execution"
             )
             self._note(degraded=True)
             yield from self._local().iter_shards(tasks)
@@ -297,7 +295,7 @@ class RemoteBackend(ExecutionBackend):
                         self._warn(
                             f"remote workers lost mid-campaign; running "
                             f"{len(leftover)} shard(s) on the local "
-                            f"{self.fallback!r} backend"
+                            "process backend"
                         )
                         yield from self._local().iter_shards(leftover)
                     continue

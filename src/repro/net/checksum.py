@@ -24,8 +24,8 @@ def internet_checksum(data: Buffer, initial: int = 0) -> int:
     The sum is taken a 16-bit word at a time with one ``struct.unpack``
     call (format strings are cached by the struct module) and a C-level
     ``sum`` over the resulting tuple, rather than indexing bytes one at a
-    time in Python.  :func:`reference_checksum` preserves the original
-    byte-at-a-time loop as the correctness oracle for tests.
+    time in Python.  The tests keep the original byte-at-a-time loop as the
+    correctness oracle this is checked against.
 
     Parameters
     ----------
@@ -51,27 +51,6 @@ def internet_checksum(data: Buffer, initial: int = 0) -> int:
     if odd:
         total += data[-1] << 8
     # Fold carries back into the low 16 bits.
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
-
-
-def reference_checksum(data: Buffer, initial: int = 0) -> int:
-    """The original byte-at-a-time RFC 1071 loop, kept as a test oracle.
-
-    Deliberately naive: sums big-endian 16-bit words with Python-level byte
-    indexing.  Tests assert :func:`internet_checksum` matches this on
-    arbitrary buffers, so the fast path can never silently diverge from the
-    specification.
-    """
-    if initial < 0 or initial > 0xFFFF:
-        raise ValueError(f"initial partial sum out of range: {initial}")
-    total = initial
-    length = len(data)
-    for i in range(0, length - 1, 2):
-        total += (data[i] << 8) | data[i + 1]
-    if length % 2:
-        total += data[-1] << 8
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF

@@ -7,12 +7,12 @@ catalogue (the paper's ``imc2002-survey`` population, six pathology
 scenarios — bursty loss, route flaps, diurnal congestion, asymmetric paths,
 ICMP-hostile, load-balanced-heavy — and the five hostile-internet middlebox
 scenarios: nat-timeout, syn-filtered, pmtud-blackhole, icmp-policed,
-ecn-bleached), and :class:`ScenarioMatrix` /
-:func:`run_matrix` sweep campaigns across scenario × host-OS grids through
-the sharded campaign runner.
+ecn-bleached), and :class:`ScenarioMatrix` describes a scenario × host-OS
+sweep grid, which a :class:`repro.api.MatrixRequest` runs through a
+:class:`repro.api.Session`.
 
 Everything is a pure function of ``(scenario, seed)``: same spec, same seed,
-same packets — across runs, executors, and shard counts.
+same packets — across runs, backends, and shard counts.
 """
 
 from repro.scenarios.matrix import (
@@ -23,9 +23,6 @@ from repro.scenarios.matrix import (
     ScenarioRun,
     derive_cell_seed,
     resolve_scenario,
-    resume_scenario,
-    run_matrix,
-    run_scenario,
 )
 from repro.scenarios.population import DEFAULT_OS_MIX, build_scenario_hosts
 from repro.scenarios.registry import (
@@ -76,8 +73,5 @@ __all__ = [
     "list_scenarios",
     "register_scenario",
     "resolve_scenario",
-    "resume_scenario",
-    "run_matrix",
-    "run_scenario",
     "scenario_names",
 ]

@@ -1,8 +1,8 @@
 """The named-scenario registry.
 
 Scenarios are registered under their ``name`` and looked up by it from the
-CLI (``python -m repro --scenario <name>``), the sweep matrix, tests, and
-benchmarks.  The built-in catalogue covers the paper's survey population
+CLI (``python -m repro run --scenario <name>``), the sweep matrix, tests,
+and benchmarks.  The built-in catalogue covers the paper's survey population
 (``imc2002-survey`` — the legacy ``generate_population`` conditions, bit for
 bit) plus the path pathologies the survey's methodology is meant to be
 robust against.  User code can register additional scenarios at import time

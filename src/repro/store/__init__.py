@@ -4,10 +4,9 @@ The multi-day survey the paper describes (§IV-B) — and the ROADMAP's
 million-path scale — cannot afford to lose a campaign to a crash, a
 preemption, or a Ctrl-C.  :class:`CampaignStore` persists a campaign shard
 by shard as JSONL segments beside a write-once manifest;
-:class:`~repro.core.runner.CampaignRunner` checkpoints into it as each
-shard completes and resumes from the last durable shard, reproducing the
-uninterrupted run's merged :func:`~repro.core.runner.result_signature`
-bit for bit.  ``docs/architecture.md`` ("Durability & resume") documents
+a :class:`repro.api.Session` checkpoints into it as each shard completes
+and resumes from the last durable shard, reproducing the uninterrupted
+run's merged :func:`~repro.core.runner.result_signature` bit for bit.  ``docs/architecture.md`` ("Durability & resume") documents
 the on-disk format and the commit protocol.
 """
 

@@ -13,10 +13,11 @@ import pytest
 from repro.analysis.figures import build_fig5_cdf
 from repro.analysis.streaming import StreamingSurvey, stream_survey, survey_from_store
 from repro.analysis.survey import summarize_eligibility
+from repro.api import CampaignRequest, Session
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
+from repro.core.runner import EXECUTOR_SERIAL
 from repro.core.sample import Direction
-from repro.scenarios import run_scenario
 from repro.store import CampaignStore
 
 CONFIG = CampaignConfig(
@@ -27,19 +28,25 @@ CONFIG = CampaignConfig(
 )
 
 
+def _run(request: CampaignRequest):
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        return session.run(request)
+
+
 @pytest.fixture(scope="module")
 def stored_run(tmp_path_factory):
     store_dir = tmp_path_factory.mktemp("stream") / "campaign"
-    run = run_scenario(
-        "bursty-loss",
-        CONFIG,
-        hosts=5,
-        seed=20020101,
-        shards=2,
-        executor="serial",
-        store=store_dir,
+    envelope = _run(
+        CampaignRequest(
+            scenario="bursty-loss",
+            config=CONFIG,
+            hosts=5,
+            seed=20020101,
+            shards=2,
+            store=store_dir,
+        )
     )
-    return run.result, CampaignStore.open(store_dir)
+    return envelope.result, CampaignStore.open(store_dir)
 
 
 def test_streaming_eligibility_equals_batch(stored_run):
@@ -104,8 +111,6 @@ def test_survey_merge_equals_single_pass(stored_run):
 
 
 def test_partial_store_streams_only_durable_shards(tmp_path):
-    from repro.core.runner import EXECUTOR_SERIAL
-
     class Stop(BaseException):
         pass
 
@@ -115,15 +120,16 @@ def test_partial_store_streams_only_durable_shards(tmp_path):
 
     store_dir = tmp_path / "partial"
     with pytest.raises(Stop):
-        run_scenario(
-            "imc2002-survey",
-            CONFIG,
-            hosts=4,
-            seed=7,
-            shards=2,
-            executor=EXECUTOR_SERIAL,
-            store=store_dir,
-            on_checkpoint=crash,
+        _run(
+            CampaignRequest(
+                scenario="imc2002-survey",
+                config=CONFIG,
+                hosts=4,
+                seed=7,
+                shards=2,
+                store=store_dir,
+                on_checkpoint=crash,
+            )
         )
     store = CampaignStore.open(store_dir)
     assert not store.is_complete()

@@ -9,6 +9,7 @@ bit-identical to an uninterrupted run — including the harshest path, a real
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -192,13 +193,13 @@ def test_sigkill_via_cli_resumes_through_the_api(tmp_path):
     assert envelope.result_digest == reference.result_digest
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", (EXECUTOR_SERIAL, "process"))
 def test_cancel_mid_campaign_then_resume_matches_uninterrupted(tmp_path, backend):
     """``JobHandle.cancel()`` at a progress boundary leaves a resumable store.
 
-    The checkpoint hook parks the runner at its first progress boundary;
+    The checkpoint hook parks the session at its first progress boundary;
     cancelling there guarantees the campaign stops with exactly one durable
-    shard, whatever the pool raced ahead to compute.
+    shard, whether the shards run inline or the pool raced ahead.
     """
     name = "imc2002-survey"
     store_dir = tmp_path / f"cancelled-{backend}"
@@ -228,3 +229,60 @@ def test_cancel_mid_campaign_then_resume_matches_uninterrupted(tmp_path, backend
     assert CampaignStore.open(store_dir).is_complete()
     if name in SHARD_INVARIANT:
         assert envelope.result_digest == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("backend", (EXECUTOR_SERIAL, "process"))
+def test_checkpoint_hook_and_progress_count_durable_shards(tmp_path, backend):
+    """The ``(completed, total)`` a checkpoint hook sees, before and after an
+    interruption, and the progress event each finished job ends on.
+
+    With a store, ``completed`` counts every durable shard, so a resumed run
+    continues the count where the interrupted one stopped.  Which shard
+    lands first is up to the pool, so the process backend compares shard
+    indexes as sets.
+    """
+    store_dir = tmp_path / "contract"
+
+    def run(request):
+        with Session(backend=backend, max_workers=2) as session:
+            job = session.submit(request)
+            try:
+                job.result(timeout=300)
+            finally:
+                last = job.progress()
+        return (last.kind, last.completed, last.total)
+
+    def checkpoints(seen):
+        return lambda outcome, completed, total: seen.append(
+            (outcome.index, completed, total)
+        )
+
+    fresh: list = []
+    request = dataclasses.replace(
+        _request("imc2002-survey"), shards=3, on_checkpoint=checkpoints(fresh)
+    )
+    assert run(request) == ("shard", 3, 3)
+    assert [(completed, total) for _, completed, total in fresh] == [(1, 3), (2, 3), (3, 3)]
+
+    interrupted: list = []
+
+    def crash_at_first(outcome, completed, total):
+        interrupted.append((outcome.index, completed, total))
+        _crash_after(1)(outcome, completed, total)
+
+    with pytest.raises(SimulatedCrash):
+        run(dataclasses.replace(request, store=store_dir, on_checkpoint=crash_at_first))
+    assert [(completed, total) for _, completed, total in interrupted] == [(1, 3)]
+    ((first_index, _, _),) = interrupted
+    assert CampaignStore.open(store_dir).completed_shards() == {first_index}
+
+    resumed: list = []
+    last = run(ResumeRequest(store=store_dir, on_checkpoint=checkpoints(resumed)))
+    assert last == ("shard", 3, 3)
+    assert [(completed, total) for _, completed, total in resumed] == [(2, 3), (3, 3)]
+    missing = [index for index in range(3) if index != first_index]
+    resumed_indexes = [index for index, _, _ in resumed]
+    if backend == EXECUTOR_SERIAL:
+        assert resumed_indexes == missing
+    else:
+        assert set(resumed_indexes) == set(missing)

@@ -1,18 +1,21 @@
 """Session-layer acceptance: the API front door changes nothing measured.
 
 The hard bar from the redesign: for **every** registry scenario, a campaign
-submitted through :class:`repro.api.Session` on the serial, thread, and
-process backends must produce a ``result_digest`` bit-identical to the
+submitted through :class:`repro.api.Session` on the serial and process
+backends must produce a ``result_digest`` bit-identical to the
 pre-redesign golden digests — and the envelope, job-handle, and backend
 surfaces must behave as documented.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
+import repro.api.session as session_module
 from repro.api import (
     CampaignRequest,
     JobCancelled,
@@ -22,15 +25,15 @@ from repro.api import (
     ProcessBackend,
     SerialBackend,
     Session,
-    ThreadBackend,
     create_backend,
     unwrap_result,
 )
 from repro.analysis.streaming import survey_from_envelope
 from repro.analysis.survey import summarize_eligibility
+from repro.api.backends import POOL_FAILURES
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
-from repro.core.runner import EXECUTOR_SERIAL, result_digest
+from repro.core.runner import EXECUTOR_SERIAL, CampaignRunner, result_digest, run_shard
 from repro.net.errors import MeasurementError
 from repro.scenarios import scenario_names
 from repro.scenarios.matrix import MIXED_OS, derive_cell_seed
@@ -42,7 +45,7 @@ from test_golden_signatures import (
     GOLDEN_SEED,
 )
 
-BACKENDS = (EXECUTOR_SERIAL, "thread", "process")
+BACKENDS = (EXECUTOR_SERIAL, "process")
 
 # Time-varying layouts measure differently per shard count (documented in
 # repro.core.runner), so only the other scenarios pin the shards=1 golden
@@ -185,8 +188,8 @@ SMALL_MATRIX = _matrix_request(
 )
 
 
-class _LoggingBackend(ThreadBackend):
-    """A thread backend that records every shard dispatch it is asked for."""
+class _LoggingBackend(ProcessBackend):
+    """A process backend that records every shard dispatch it is asked for."""
 
     def __init__(self) -> None:
         super().__init__(max_workers=2)
@@ -379,6 +382,20 @@ def test_cancel_mid_campaign_stops_at_a_shard_boundary():
         assert job.status() is JobStatus.CANCELLED
 
 
+def test_session_releases_finished_jobs():
+    """A long-lived session must not keep every finished handle (and its
+    request and envelope) alive until close()."""
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        first = session.submit(ProbeRequest(samples=5, seed=2))
+        first.result(timeout=60)
+        released = weakref.ref(first)
+        del first
+        for seed in (3, 4, 5):
+            session.run(ProbeRequest(samples=5, seed=seed))
+        gc.collect()
+        assert released() is None, "the session still holds a finished job"
+
+
 def test_cancel_after_completion_returns_false():
     with Session(backend=EXECUTOR_SERIAL) as session:
         job = session.submit(ProbeRequest(samples=5, seed=2))
@@ -401,7 +418,7 @@ def test_session_rejects_unknown_backend_and_closed_submit():
 
 
 def test_borrowed_backend_is_not_closed_by_the_session():
-    backend = ThreadBackend(max_workers=2)
+    backend = ProcessBackend(max_workers=2)
     try:
         with Session(backend=backend) as session:
             digest = session.run(_request("imc2002-survey")).result_digest
@@ -415,7 +432,7 @@ def test_borrowed_backend_is_not_closed_by_the_session():
 
 def test_concurrent_jobs_share_one_backend_safely():
     """Two jobs submitted back-to-back race on the shared warm pool."""
-    with Session(backend="thread", max_workers=2) as session:
+    with Session(backend="process", max_workers=2) as session:
         jobs = [
             session.submit(_request(name))
             for name in ("imc2002-survey", "bursty-loss")
@@ -423,6 +440,80 @@ def test_concurrent_jobs_share_one_backend_safely():
         digests = [job.result(timeout=300).result_digest for job in jobs]
     assert digests[0] == _reference_digest("imc2002-survey")
     assert digests[1] == _reference_digest("bursty-loss")
+
+
+# --------------------------------------------------------------------- #
+# The shard stream: inline paths and the pool-failure fallback
+# --------------------------------------------------------------------- #
+
+
+def test_one_shard_campaign_never_spins_up_a_pool():
+    backend = ProcessBackend(max_workers=2)
+    try:
+        with Session(backend=backend) as session:
+            envelope = session.run(_request("imc2002-survey", shards=1))
+        assert backend._pool is None, "a one-shard campaign must run inline"
+        assert envelope.result_digest == GOLDEN_DIGESTS["imc2002-survey"]
+    finally:
+        backend.close()
+
+
+class _StreamFailsAfterOneShard(SerialBackend):
+    """Yields the first shard's outcome, then fails the way a pool can.
+
+    Its non-``serial`` name sends a session's shards through the pool path.
+    """
+
+    name = "fails-after-one-shard"
+
+    def __init__(self, failure: BaseException) -> None:
+        super().__init__()
+        self.failure = failure
+
+    def iter_shards(self, tasks):
+        yield run_shard(tasks[0])
+        raise self.failure
+
+
+@pytest.fixture(scope="module")
+def three_shard_digest():
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        return session.run(_request("imc2002-survey", shards=3)).result_digest
+
+
+def _count_inline_shards(monkeypatch) -> list[int]:
+    """Record the index of every shard the session runs inline."""
+    inline: list[int] = []
+
+    def counting(task):
+        inline.append(task.index)
+        return run_shard(task)
+
+    monkeypatch.setattr(session_module, "run_shard", counting)
+    return inline
+
+
+@pytest.mark.parametrize("failure", POOL_FAILURES, ids=lambda cls: cls.__name__)
+def test_pool_failure_runs_only_the_unyielded_shards_inline(
+    monkeypatch, three_shard_digest, failure
+):
+    """A pool failure mid-stream reruns nothing already yielded; the rest
+    run inline, through the session module's ``run_shard``, in task order."""
+    inline = _count_inline_shards(monkeypatch)
+    backend = _StreamFailsAfterOneShard(failure("injected pool failure"))
+    with Session(backend=backend) as session:
+        envelope = session.run(_request("imc2002-survey", shards=3))
+    assert inline == [1, 2]
+    assert envelope.result_digest == three_shard_digest
+
+
+def test_a_failure_that_is_not_a_pool_failure_propagates(monkeypatch):
+    inline = _count_inline_shards(monkeypatch)
+    backend = _StreamFailsAfterOneShard(ValueError("not a pool failure"))
+    with Session(backend=backend) as session:
+        with pytest.raises(ValueError, match="not a pool failure"):
+            session.run(_request("imc2002-survey", shards=3))
+    assert inline == [], "only pool failures may fall back to inline execution"
 
 
 def test_create_backend_resolves_names_and_instances():
@@ -443,14 +534,17 @@ def test_campaign_request_validates_population_source():
 
 
 def test_explicit_spec_campaign_matches_runner_output():
-    from repro.core.runner import CampaignRunner
+    """An explicit-spec request measures exactly the runner's shard plan:
+    its shard tasks run by hand and merged give the session's digest."""
     from repro.workloads.population import PopulationSpec, generate_population
 
     specs = tuple(generate_population(PopulationSpec(num_hosts=3), seed=5))
     config = CampaignConfig(rounds=1, samples_per_measurement=3)
-    with Session(backend=EXECUTOR_SERIAL) as session:
-        envelope = session.run(
-            CampaignRequest(specs=specs, config=config, seed=5, shards=2)
-        )
-    runner = CampaignRunner(specs, config, seed=5, shards=2, executor=EXECUTOR_SERIAL)
-    assert envelope.result_digest == result_digest(runner.execute())
+    runner = CampaignRunner(specs, config, seed=5, shards=2)
+    by_hand = runner.merge(run_shard(task) for task in runner.shard_tasks())
+    for backend in BACKENDS:
+        with Session(backend=backend) as session:
+            envelope = session.run(
+                CampaignRequest(specs=specs, config=config, seed=5, shards=2)
+            )
+        assert envelope.result_digest == result_digest(by_hand), backend

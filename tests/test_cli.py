@@ -9,20 +9,21 @@ from repro.scenarios import scenario_names
 
 
 def test_list_scenarios_prints_catalogue(capsys):
-    assert main(["--list-scenarios"]) == 0
+    assert main(["run", "--list-scenarios"]) == 0
     out = capsys.readouterr().out
     for name in scenario_names():
         assert name in out
 
 
 def test_unknown_scenario_is_a_usage_error(capsys):
-    assert main(["--scenario", "definitely-not-registered"]) == 2
+    assert main(["run", "--scenario", "definitely-not-registered"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
 
 
 def test_survey_run_prints_summary_tables(capsys):
     code = main(
         [
+            "run",
             "--scenario", "bursty-loss",
             "--hosts", "4",
             "--shards", "2",
@@ -41,6 +42,7 @@ def test_survey_run_prints_summary_tables(capsys):
 
 def test_survey_output_is_deterministic(capsys):
     argv = [
+        "run",
         "--scenario", "route-flap",
         "--hosts", "4",
         "--seed", "9",
@@ -61,20 +63,12 @@ def test_parser_defaults_match_documented_surface():
     assert args.seed == 7
 
 
-def test_run_subcommand_equals_legacy_flags(capsys):
-    argv = [
-        "--scenario", "bursty-loss",
-        "--hosts", "4",
-        "--seed", "3",
-        "--rounds", "1",
-        "--samples", "4",
-        "--executor", "serial",
-    ]
-    assert main(["run", *argv]) == 0
-    with_subcommand = capsys.readouterr().out
-    assert main(argv) == 0
-    assert capsys.readouterr().out == with_subcommand
-    assert "result-digest=" in with_subcommand
+@pytest.mark.parametrize("argv", ([], ["--scenario", "bursty-loss"], ["survey"]))
+def test_missing_subcommand_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage: python -m repro {run,resume,report,workers,lint} ...\n"
 
 
 def test_run_with_store_then_report_and_resume(tmp_path, capsys):

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import CampaignRequest, Session
 from repro.core.campaign import Campaign, CampaignConfig, CampaignResult, HostRoundResult
 from repro.core.prober import ProbeReport, TestName
 from repro.core.runner import (
     EXECUTOR_PROCESS,
     EXECUTOR_SERIAL,
-    EXECUTOR_THREAD,
     CampaignRunner,
     record_signature,
     result_signature,
@@ -33,6 +33,13 @@ CONFIG = CampaignConfig(
     inter_round_gap=1.0,
 )
 SEED = 20260730
+
+
+def _run(specs, shards: int, config=CONFIG, backend: str = EXECUTOR_SERIAL) -> CampaignResult:
+    """One explicit-spec campaign through a session, as its merged dataset."""
+    request = CampaignRequest(specs=tuple(specs), config=config, seed=SEED, shards=shards)
+    with Session(backend=backend, max_workers=2) as session:
+        return session.run(request).result
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +100,7 @@ def test_runner_shard_plan_covers_population(specs):
 
 def test_single_shard_matches_serial_campaign_exactly(specs, serial_reference):
     """One shard is literally the serial campaign: same records, same times."""
-    result = CampaignRunner(specs, CONFIG, seed=SEED, shards=1, executor=EXECUTOR_SERIAL).run()
+    result = _run(specs, shards=1)
     assert [record.time for record in result.records] == [
         record.time for record in serial_reference.records
     ]
@@ -103,27 +110,21 @@ def test_single_shard_matches_serial_campaign_exactly(specs, serial_reference):
 def test_sharded_matches_serial_campaign_modulo_ordering(specs, serial_reference):
     """shards=N reproduces the serial records (content, modulo ordering)."""
     for shards in (2, 3, 6):
-        result = CampaignRunner(
-            specs, CONFIG, seed=SEED, shards=shards, executor=EXECUTOR_SERIAL
-        ).run()
+        result = _run(specs, shards=shards)
         assert len(result.records) == len(serial_reference.records)
         assert result_signature(result) == result_signature(serial_reference)
 
 
 def test_parallel_executors_match_serial_fallback(specs):
-    """Thread and process pools return the same dataset as inline execution."""
-    serial = CampaignRunner(specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).run()
-    threaded = CampaignRunner(specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_THREAD).run()
-    assert result_signature(threaded) == result_signature(serial)
-    processed = CampaignRunner(
-        specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_PROCESS, max_workers=2
-    ).run()
+    """A process pool returns the same dataset as inline execution."""
+    serial = _run(specs, shards=3)
+    processed = _run(specs, shards=3, backend=EXECUTOR_PROCESS)
     assert result_signature(processed) == result_signature(serial)
 
 
 def test_merged_record_order_is_canonical(specs):
     """Merged records follow (round, host-in-spec-order, test-in-cycle-order)."""
-    result = CampaignRunner(specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).run()
+    result = _run(specs, shards=3)
     host_order = {spec.address: index for index, spec in enumerate(specs)}
     test_order = {test: index for index, test in enumerate(CONFIG.tests)}
     keys = [
@@ -134,7 +135,7 @@ def test_merged_record_order_is_canonical(specs):
 
 
 def test_sharded_analysis_views_match_serial(specs, serial_reference):
-    result = CampaignRunner(specs, CONFIG, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).run()
+    result = _run(specs, shards=3)
     for test in CONFIG.tests:
         assert result.ineligible_hosts(test) == serial_reference.ineligible_hosts(test)
         for direction in Direction:
@@ -157,11 +158,11 @@ def test_fixed_shard_layout_reproducible_with_load_balancers():
     config = CampaignConfig(
         rounds=1, samples_per_measurement=4, tests=(TestName.DUAL_CONNECTION,)
     )
-    first = CampaignRunner(lb_specs, config, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).run()
-    again = CampaignRunner(lb_specs, config, seed=SEED, shards=3, executor=EXECUTOR_SERIAL).run()
+    first = _run(lb_specs, shards=3, config=config)
+    again = _run(lb_specs, shards=3, config=config)
     assert result_signature(first) == result_signature(again)
-    threaded = CampaignRunner(lb_specs, config, seed=SEED, shards=3, executor=EXECUTOR_THREAD).run()
-    assert result_signature(threaded) == result_signature(first)
+    processed = _run(lb_specs, shards=3, config=config, backend=EXECUTOR_PROCESS)
+    assert result_signature(processed) == result_signature(first)
 
 
 def test_runner_validation(specs):
@@ -169,8 +170,6 @@ def test_runner_validation(specs):
         CampaignRunner([], CONFIG)
     with pytest.raises(MeasurementError):
         CampaignRunner(specs, CONFIG, shards=0)
-    with pytest.raises(MeasurementError):
-        CampaignRunner(specs, CONFIG, executor="gpu")
 
 
 # --------------------------------------------------------------------- #

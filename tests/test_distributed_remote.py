@@ -175,7 +175,7 @@ def test_iter_shards_with_no_tasks_yields_nothing():
 
 
 def test_map_items_runs_on_the_local_fallback():
-    backend = make_backend(spawn_workers=0, fallback="thread")
+    backend = make_backend(spawn_workers=0)
     try:
         assert backend.map_items(len, ["ab", "c", ""]) == [2, 1, 0]
     finally:

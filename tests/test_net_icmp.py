@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.checksum import reference_checksum, verify_checksum
+from repro.net.checksum import verify_checksum
 from repro.net.errors import ParseError
 from repro.net.icmp import (
     CODE_FRAG_NEEDED,
@@ -36,6 +36,7 @@ from repro.net.packet import (
     TcpHeader,
 )
 from repro.net.wire import parse_packet, serialize_packet
+from test_net_checksum import reference_checksum
 
 addresses = st.integers(min_value=1, max_value=0xFFFFFFFE)
 ports = st.integers(min_value=1, max_value=0xFFFF)

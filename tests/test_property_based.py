@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.core.campaign import CampaignConfig
 from repro.core.metrics import count_exchanges, n_reordering, reordering_extent, sequence_reordering_probability
 from repro.core.prober import TestName
-from repro.core.runner import EXECUTOR_SERIAL, CampaignRunner, result_signature
+from repro.api import CampaignRequest, Session
+from repro.core.runner import EXECUTOR_SERIAL, result_signature
 from repro.core.single_connection import SingleConnectionTest
 from repro.scenarios import build_scenario_hosts, get_scenario, scenario_names
 from repro.workloads.testbed import build_testbed
@@ -217,14 +218,14 @@ def test_scenario_campaign_records_identical_across_shard_counts(name, seed, sha
     hosts = build_scenario_hosts(scenario, seed=seed)
 
     def signature(shard_count: int):
-        runner = CampaignRunner(
-            hosts,
-            _TINY_CONFIG,
+        request = CampaignRequest(
+            specs=tuple(hosts),
+            config=_TINY_CONFIG,
             seed=seed,
             shards=shard_count,
-            executor=EXECUTOR_SERIAL,
-            scenario=name,
+            scenario_label=name,
         )
-        return result_signature(runner.run())
+        with Session(backend=EXECUTOR_SERIAL) as session:
+            return result_signature(session.run(request).result)
 
     assert signature(shards) == signature(1)

@@ -6,9 +6,17 @@ these tests fails, a PR changed the public surface — either restore the name
 commit (deliberate, versioned change).  Every exported name must also
 resolve to a real attribute, so ``__all__`` can never advertise something
 imports would fail on.
+
+Two internal surfaces are pinned as well: the hook points the
+``perfbench`` tracer patches by class body or by identity, and the entry
+points deleted when :class:`repro.api.Session` became the only place shards
+execute, none of which may come back as an alias or a warning shim.
 """
 
 from __future__ import annotations
+
+import concurrent.futures
+import importlib
 
 import pytest
 
@@ -64,8 +72,6 @@ REPRO_ALL = [
     "profile_by_name",
     "quick_testbed",
     "register_scenario",
-    "run_matrix",
-    "run_scenario",
     "scenario_names",
     "validate_host_ipid",
     "__version__",
@@ -89,7 +95,6 @@ REPRO_API_ALL = [
     "ResumeRequest",
     "SerialBackend",
     "Session",
-    "ThreadBackend",
     "backend_names",
     "create_backend",
     "plan_digest",
@@ -97,7 +102,7 @@ REPRO_API_ALL = [
     "unwrap_result",
 ]
 
-BUILTIN_BACKENDS = ("serial", "thread", "process")
+BUILTIN_BACKENDS = ("serial", "process", "remote")
 
 
 def test_repro_all_is_pinned():
@@ -138,3 +143,108 @@ def test_builtin_backends_are_registered():
 def test_envelope_version_is_pinned():
     # Bumping the envelope version is a compatibility event; do it knowingly.
     assert repro.api.ENVELOPE_VERSION == 1
+
+
+# --------------------------------------------------------------------- #
+# Instrumentation surface: what the perfbench tracer patches or calls
+# --------------------------------------------------------------------- #
+
+#: Methods the tracer replaces through ``cls.__dict__[name]``: each must be
+#: defined in that class's own body, or installing the tracer fails.
+TRACED_METHODS = [
+    ("repro.api.session", "Session", "run"),
+    ("repro.api.backends", "SerialBackend", "map_shards"),
+    ("repro.api.backends", "SerialBackend", "iter_shards"),
+    ("repro.api.backends", "_PoolBackend", "map_shards"),
+    ("repro.api.backends", "_PoolBackend", "iter_shards"),
+    ("repro.api.backends", "_PoolBackend", "_reset_broken_pool"),
+    ("repro.distributed.backend", "RemoteBackend", "map_shards"),
+    ("repro.distributed.backend", "RemoteBackend", "iter_shards"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, owner, name",
+    TRACED_METHODS,
+    ids=[f"{owner}.{name}" for _, owner, name in TRACED_METHODS],
+)
+def test_traced_method_is_defined_in_its_own_class_body(module, owner, name):
+    cls = getattr(importlib.import_module(module), owner)
+    assert name in vars(cls), f"{owner}.{name} must stay in {owner}'s class body"
+
+
+def test_traced_functions_are_bound_where_the_tracer_finds_them():
+    """Functions are patched by identity in every ``repro`` module that binds
+    them, so the session's inline path and the pool's task must call the
+    runner's and the transport's own functions through module globals."""
+    import repro.api.backends as backends
+    import repro.api.session as session
+    import repro.core.runner as runner
+    import repro.core.transport as transport
+    from repro.distributed.backend import RemoteBackend
+
+    assert session.run_shard is runner.run_shard
+    assert backends.run_shard is runner.run_shard
+    assert session.result_digest is runner.result_digest
+    assert backends.encode_outcomes is transport.encode_outcomes
+    assert backends.decode_outcomes is transport.decode_outcomes
+    assert backends.wait is concurrent.futures.wait
+    assert backends._run_task_batch.__name__ == "_run_task_batch"
+    assert callable(RemoteBackend.pop_job_report)
+    assert callable(repro.api.ProcessBackend.map_items)
+
+
+# --------------------------------------------------------------------- #
+# Deleted entry points stay deleted
+# --------------------------------------------------------------------- #
+
+#: A Session is the only way to run a campaign; these were the others.
+DELETED_NAMES = [
+    "repro.scenarios.matrix.run_scenario",
+    "repro.scenarios.matrix.resume_scenario",
+    "repro.scenarios.matrix.run_matrix",
+    "repro.analysis.survey.run_sharded_survey",
+    "repro.analysis.survey.SurveyRun",
+    "repro.api.backends.ThreadBackend",
+    "repro.core.runner.EXECUTOR_THREAD",
+    "repro.core.transport.TRANSPORT_ENV",
+    "repro.core.transport.MODE_BINARY",
+    "repro.core.transport.MODE_PICKLE",
+    "repro.core.transport.transport_mode",
+]
+
+
+@pytest.mark.parametrize("path", DELETED_NAMES)
+def test_deleted_entry_point_stays_deleted(path):
+    module, _, name = path.rpartition(".")
+    assert not hasattr(importlib.import_module(module), name), f"{path} is back"
+
+
+def test_no_package_reexports_a_deleted_entry_point():
+    packages = [
+        importlib.import_module(name)
+        for name in ("repro", "repro.api", "repro.analysis", "repro.core", "repro.scenarios")
+    ]
+    for path in DELETED_NAMES:
+        name = path.rpartition(".")[2]
+        for package in packages:
+            assert not hasattr(package, name), f"{package.__name__}.{name} is back"
+
+
+def test_deleted_execution_switches_are_rejected():
+    """No backend name, constructor argument or fallback choice survives
+    for a deleted execution path."""
+    from repro.core.runner import CampaignRunner
+    from repro.distributed.backend import RemoteBackend
+    from repro.net.errors import MeasurementError
+    from repro.workloads.population import PopulationSpec, generate_population
+
+    assert "thread" not in repro.api.backend_names()
+    with pytest.raises(MeasurementError, match="unknown execution backend 'thread'"):
+        repro.api.Session(backend="thread")
+    specs = generate_population(PopulationSpec(num_hosts=2), seed=1)
+    for argument in ("executor", "max_workers", "backend"):
+        with pytest.raises(TypeError, match=argument):
+            CampaignRunner(specs, **{argument: None})
+    with pytest.raises(TypeError, match="fallback"):
+        RemoteBackend(fallback="serial")

@@ -13,9 +13,10 @@ from repro.analysis import (
     fig5_by_scenario,
     slice_by_scenario,
 )
+from repro.api import CampaignRequest, MatrixRequest, Session
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
-from repro.core.runner import EXECUTOR_SERIAL, CampaignRunner, result_signature
+from repro.core.runner import EXECUTOR_SERIAL, result_signature
 from repro.net.errors import AnalysisError, SimulationError
 from repro.scenarios import (
     LEGACY_SCENARIO,
@@ -26,12 +27,11 @@ from repro.scenarios import (
     PopulationSpec,
     RouteFlapCondition,
     ScenarioMatrix,
+    ScenarioRun,
     build_scenario_hosts,
     derive_cell_seed,
     get_scenario,
     register_scenario,
-    run_matrix,
-    run_scenario,
     scenario_names,
 )
 from repro.sim.build import DiurnalJitterSpec, GilbertLossSpec, RouteFlapSpec
@@ -47,6 +47,20 @@ SMALL_CONFIG = CampaignConfig(
     inter_measurement_gap=0.2,
     inter_round_gap=1.0,
 )
+
+
+def _run(request):
+    """Run one request on a serial session and return its envelope."""
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        return session.run(request)
+
+
+def _scenario_result(scenario, config=SMALL_CONFIG, *, hosts, shards):
+    """One scenario campaign at the module seed, as its merged dataset."""
+    return _run(
+        CampaignRequest(scenario=scenario, config=config, hosts=hosts, seed=SEED, shards=shards)
+    ).result
+
 
 REQUIRED_SCENARIOS = (
     LEGACY_SCENARIO,
@@ -192,20 +206,13 @@ def test_legacy_population_matches_golden_snapshot():
 def test_legacy_scenario_campaign_matches_generate_population_campaign():
     population = PopulationSpec(num_hosts=5, load_balanced_fraction=0.0)
     scenario = dataclasses.replace(get_scenario(LEGACY_SCENARIO), population=population)
-    legacy = CampaignRunner(
-        generate_population(population, seed=SEED),
-        SMALL_CONFIG,
-        seed=SEED,
-        shards=2,
-        executor=EXECUTOR_SERIAL,
-    ).run()
-    via_scenario = CampaignRunner(
-        build_scenario_hosts(scenario, seed=SEED),
-        SMALL_CONFIG,
-        seed=SEED,
-        shards=2,
-        executor=EXECUTOR_SERIAL,
-    ).run()
+
+    def campaign(specs):
+        request = CampaignRequest(specs=tuple(specs), config=SMALL_CONFIG, seed=SEED, shards=2)
+        return _run(request).result
+
+    legacy = campaign(generate_population(population, seed=SEED))
+    via_scenario = campaign(build_scenario_hosts(scenario, seed=SEED))
     assert result_signature(via_scenario) == result_signature(legacy)
 
 
@@ -287,8 +294,7 @@ def test_scenario_hosts_build_into_working_testbeds():
 
 @pytest.mark.parametrize("name", REQUIRED_SCENARIOS)
 def test_every_named_scenario_runs_end_to_end(name):
-    run = run_scenario(name, SMALL_CONFIG, hosts=4, seed=SEED, shards=2, executor="serial")
-    result = run.result
+    result = _scenario_result(name, hosts=4, shards=2)
     assert result.scenario == name
     assert len(result.records) == 4 * len(SMALL_CONFIG.tests)
     assert all(record.scenario == name for record in result.records)
@@ -296,15 +302,12 @@ def test_every_named_scenario_runs_end_to_end(name):
     assert name in comparison.to_table()
 
 
-def test_run_scenario_is_deterministic_across_shard_counts():
+def test_scenario_campaign_is_deterministic_across_shard_counts():
     scenario = get_scenario("asymmetric-paths").with_population(load_balanced_fraction=0.0)
-    runs = [
-        run_scenario(
-            scenario, SMALL_CONFIG, hosts=6, seed=SEED, shards=shards, executor="serial"
-        )
+    signatures = {
+        result_signature(_scenario_result(scenario, hosts=6, shards=shards))
         for shards in (1, 2, 5)
-    ]
-    signatures = {result_signature(run.result) for run in runs}
+    }
     assert len(signatures) == 1
 
 
@@ -313,11 +316,9 @@ def test_middlebox_scenarios_are_shard_invariant(name):
     """The stateful middleboxes (NAT tables, token buckets) keep their timing
     relative to per-host packet arrivals, so regrouping hosts into shards must
     not change a single measurement."""
-    runs = [
-        run_scenario(name, SMALL_CONFIG, hosts=4, seed=SEED, shards=shards, executor="serial")
-        for shards in (1, 2, 3)
-    ]
-    signatures = {result_signature(run.result) for run in runs}
+    signatures = {
+        result_signature(_scenario_result(name, hosts=4, shards=shards)) for shards in (1, 2, 3)
+    }
     assert len(signatures) == 1
 
 
@@ -341,10 +342,15 @@ def test_cell_seed_depends_only_on_cell_key():
     assert derive_cell_seed(7, "a", "x") != derive_cell_seed(8, "a", "x")
 
 
-def test_run_matrix_is_reproducible_and_stamped():
-    matrix = ScenarioMatrix.of(["bursty-loss", "icmp-hostile"], [MIXED_OS])
-    first = run_matrix(matrix, SMALL_CONFIG, hosts=3, seed=SEED, shards=2, executor="serial")
-    second = run_matrix(matrix, SMALL_CONFIG, hosts=3, seed=SEED, shards=2, executor="serial")
+def test_matrix_request_is_reproducible_and_stamped():
+    request = MatrixRequest(
+        matrix=ScenarioMatrix.of(["bursty-loss", "icmp-hostile"], [MIXED_OS]),
+        config=SMALL_CONFIG,
+        hosts=3,
+        seed=SEED,
+        shards=2,
+    )
+    first, second = _run(request).payload, _run(request).payload
     assert set(first.runs) == {"bursty-loss/mixed", "icmp-hostile/mixed"}
     for label, run in first.runs.items():
         assert run.result.scenario == label
@@ -367,7 +373,11 @@ def sweep_results():
         inter_round_gap=1.0,
     )
     runs = [
-        run_scenario(name, config, hosts=4, seed=SEED, shards=2, executor="serial")
+        ScenarioRun(
+            scenario=get_scenario(name),
+            seed=SEED,
+            result=_scenario_result(name, config, hosts=4, shards=2),
+        )
         for name in (LEGACY_SCENARIO, "diurnal-congestion")
     ]
     return slice_by_scenario(runs)

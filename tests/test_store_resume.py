@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import CampaignRequest, ResumeRequest, Session
+from repro.api import CampaignRequest, ResumeRequest, SerialBackend, Session
 from repro.core.campaign import CampaignConfig
 from repro.core.runner import EXECUTOR_SERIAL
 from repro.net.errors import StoreError
@@ -62,7 +62,7 @@ def _request(name: str, shards: int, **fields) -> CampaignRequest:
     return CampaignRequest(scenario=name, shards=shards, **fields)
 
 
-def _run(request, backend: str = EXECUTOR_SERIAL):
+def _run(request, backend=EXECUTOR_SERIAL):
     with Session(backend=backend) as session:
         return session.run(request)
 
@@ -173,6 +173,17 @@ def test_sigkill_mid_run_resumes_via_cli(tmp_path):
     assert digest_lines[0] == f"result-digest={reference.result_digest}"
 
 
+class _InlinePoolBackend(SerialBackend):
+    """Runs shards inline under a pool backend's name.
+
+    The session then streams shards through its pool path, inline fallback
+    included, without forking: a fork from a session's job thread warns on
+    Python 3.12+, and CI runs this file with ``-W error::DeprecationWarning``.
+    """
+
+    name = "inline-pool"
+
+
 def test_checkpoint_failures_are_not_swallowed_by_the_pool_fallback(tmp_path):
     """A store-write OSError must propagate, not trigger serial re-execution."""
 
@@ -184,6 +195,6 @@ def test_checkpoint_failures_are_not_swallowed_by_the_pool_fallback(tmp_path):
 
     store = ExplodingStore(tmp_path / "s")
     with pytest.raises(OSError, match="disk full"):
-        _run(_request("imc2002-survey", 2, store=store), backend="thread")
+        _run(_request("imc2002-survey", 2, store=store), backend=_InlinePoolBackend())
     # Only shard 0 can be durable; shard 1's write failed and was not retried.
     assert CampaignStore.open(tmp_path / "s").completed_shards() <= {0}

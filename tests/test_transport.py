@@ -5,9 +5,9 @@ Two guarantees are pinned here.  First, the struct-packed transport codec in
 the full result-type tree and compares against the pickle oracle (the
 original transport), so the binary path can never silently diverge from what
 pickled objects would have carried.  Second, execution shape is invisible in
-the data: a campaign's ``result_digest`` is identical across every backend ×
-batch-size × transport-mode combination, which is the conformance gate the
-batched dispatcher must pass.
+the data: a campaign's ``result_digest`` is identical on the serial,
+process and remote backends at every batch size, which is the conformance
+gate the batched dispatchers must pass.
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.backends import ThreadBackend, create_backend
+from repro.api import CampaignRequest, ProcessBackend, Session, create_backend
+from repro.api.backends import _run_task_batch
 from repro.core.campaign import CampaignConfig, HostRoundResult
 from repro.core.prober import ProbeReport, TestName
-from repro.core.runner import CampaignRunner, ShardOutcome, ShardTask, result_digest
+from repro.core.runner import ShardOutcome, ShardTask, record_signature, run_shard
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.core.transport import (
     BATCH_SIZE_ENV,
     MIN_BATCH_SAMPLES,
-    TRANSPORT_ENV,
     decode_outcomes,
     encode_outcomes,
     next_batch_size,
@@ -39,6 +39,7 @@ from repro.workloads.population import (
     generate_population,
     partition_specs,
 )
+from _remote_helpers import make_backend
 
 # ------------------------------------------------------------------ #
 # Strategies: the same result-type tree the store round-trip tests use,
@@ -201,7 +202,7 @@ def test_next_batch_size_override_pins():
 
 
 # ------------------------------------------------------------------ #
-# Digest invariance: backend × batch size × transport mode
+# Digest invariance: backend × batch size
 # ------------------------------------------------------------------ #
 
 _POPULATION = PopulationSpec(
@@ -216,10 +217,15 @@ _SEED = 20260807
 _SHARDS = 5
 
 
-def _digest(executor: str) -> str:
-    specs = generate_population(_POPULATION, seed=_SEED)
-    runner = CampaignRunner(specs, _CONFIG, seed=_SEED, shards=_SHARDS, executor=executor)
-    return result_digest(runner.execute())
+def _envelope(backend):
+    specs = tuple(generate_population(_POPULATION, seed=_SEED))
+    request = CampaignRequest(specs=specs, config=_CONFIG, seed=_SEED, shards=_SHARDS)
+    with Session(backend=backend) as session:
+        return session.run(request)
+
+
+def _digest(backend) -> str:
+    return _envelope(backend).result_digest
 
 
 @pytest.fixture(scope="module")
@@ -227,19 +233,45 @@ def serial_digest():
     return _digest("serial")
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.fixture(scope="module")
+def remote_fleet():
+    backend = make_backend(spawn_workers=2)
+    yield backend
+    backend.close()
+
+
+@pytest.mark.parametrize("backend", ["process", "remote"])
 @pytest.mark.parametrize("batch_size", ["1", "2", "7", str(_SHARDS)])
 def test_digest_invariant_across_batch_sizes(
-    monkeypatch, serial_digest, executor, batch_size
+    request, monkeypatch, serial_digest, backend, batch_size
 ):
     monkeypatch.setenv(BATCH_SIZE_ENV, batch_size)
-    assert _digest(executor) == serial_digest
+    if backend == "remote":
+        # One warm fleet serves every batch size; the override is read per
+        # dispatch, so each campaign leases batches of the size under test.
+        envelope = _envelope(request.getfixturevalue("remote_fleet"))
+        assert envelope.meta["remote"]["workers"], "the fleet must serve the shards"
+        assert not envelope.meta["remote"].get("degraded")
+    else:
+        envelope = _envelope(backend)
+    assert envelope.result_digest == serial_digest
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_digest_invariant_under_pickle_oracle(monkeypatch, serial_digest, executor):
-    monkeypatch.setenv(TRANSPORT_ENV, "pickle")
-    assert _digest(executor) == serial_digest
+def test_pool_task_returns_one_encoded_blob():
+    """A pool worker ships a batch back as one binary blob, never as live
+    objects, and the blob decodes to exactly what running the batch inline
+    returns."""
+    tasks = tuple(_shard_tasks()[:2])
+    blob = _run_task_batch(tasks)
+    assert isinstance(blob, bytes)
+    decoded = decode_outcomes(blob, shard_indexes=tuple(task.index for task in tasks))
+    inline = [run_shard(task) for task in tasks]
+    assert [outcome.index for outcome in decoded] == [task.index for task in tasks]
+    for got, want in zip(decoded, inline):
+        assert got.host_addresses == want.host_addresses
+        assert [record_signature(r) for r in got.records] == [
+            record_signature(r) for r in want.records
+        ]
 
 
 def test_map_shards_returns_outcomes_in_task_order(monkeypatch):
@@ -323,7 +355,7 @@ def test_transport_error_without_batch_context_defaults_empty():
 # ------------------------------------------------------------------ #
 
 
-class _FlakyThreadBackend(ThreadBackend):
+class _FlakyProcessBackend(ProcessBackend):
     """The first ``breaks`` batch submissions come back as broken futures."""
 
     def __init__(self, breaks: int) -> None:
@@ -367,13 +399,9 @@ def test_broken_pool_retries_in_flight_shards_once(monkeypatch, serial_digest):
     process yields equal measurements under different uids.
     """
     monkeypatch.setenv(BATCH_SIZE_ENV, "1")
-    specs = generate_population(_POPULATION, seed=_SEED)
-    with _FlakyThreadBackend(breaks=1) as backend:
-        runner = CampaignRunner(
-            specs, _CONFIG, seed=_SEED, shards=_SHARDS, backend=backend
-        )
+    with _FlakyProcessBackend(breaks=1) as backend:
         with pytest.warns(RuntimeWarning, match="retrying .* in-flight shard"):
-            digest = result_digest(runner.execute())
+            digest = _digest(backend)
     assert backend.breaks == 0, "the injected break must actually have fired"
     assert digest == serial_digest
 
@@ -381,7 +409,7 @@ def test_broken_pool_retries_in_flight_shards_once(monkeypatch, serial_digest):
 def test_persistently_broken_pool_propagates_after_one_retry(monkeypatch):
     monkeypatch.setenv(BATCH_SIZE_ENV, "1")
     tasks = _shard_tasks()
-    with _FlakyThreadBackend(breaks=1_000) as backend:
+    with _FlakyProcessBackend(breaks=1_000) as backend:
         with pytest.warns(RuntimeWarning, match="retrying"):
             with pytest.raises(BrokenExecutor):
                 backend.map_shards(tasks)
