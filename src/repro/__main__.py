@@ -6,6 +6,7 @@ Subcommands::
     python -m repro run --scenario route-flap --store runs/flap --shards 4
     python -m repro resume --store runs/flap
     python -m repro report --store runs/flap
+    python -m repro migrate --store runs/old-store
     python -m repro run --list-scenarios
     python -m repro workers --connect HOST:PORT --workers 4
     python -m repro lint --format json
@@ -20,7 +21,9 @@ completed shard durably, so a crashed or killed run continues with
 ``result-digest`` is bit-identical to an uninterrupted run's.  ``report``
 streams an existing store's records through
 :class:`~repro.analysis.streaming.StreamingSurvey` without re-running (or
-fully materializing) anything.  An invocation that does not start with a
+fully materializing) anything.  ``migrate`` converts a store written in
+format 1 (one file per shard) to the current shard log in place; on a
+current store it does nothing.  An invocation that does not start with a
 subcommand prints a one-line usage message and exits with status 2.
 
 Output is deterministic for a fixed ``(--scenario, --hosts, --seed,
@@ -49,7 +52,8 @@ from repro.distributed.chaos import ChaosSpec
 from repro.distributed.worker import DEFAULT_HEARTBEAT_INTERVAL, run_worker
 from repro.net.errors import StoreError
 from repro.scenarios.registry import LEGACY_SCENARIO, list_scenarios, scenario_names
-from repro.store.store import CampaignStore
+from repro.store.codec import FORMAT_VERSION
+from repro.store.store import CampaignStore, migrate_store
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,6 +261,24 @@ def cmd_report(argv: Sequence[str]) -> int:
     return 0
 
 
+def cmd_migrate(argv: Sequence[str]) -> int:
+    parser = _build_store_parser(
+        "python -m repro migrate",
+        f"Convert a format-1 store to format {FORMAT_VERSION} in place (one-shot).",
+    )
+    args = parser.parse_args(argv)
+    try:
+        migrated = migrate_store(args.store)
+    except StoreError as error:
+        print(f"store error: {error}", file=sys.stderr)
+        return 1
+    if migrated:
+        print(f"migrated {args.store} to format {FORMAT_VERSION}")
+    else:
+        print(f"{args.store} is already format {FORMAT_VERSION}; nothing to migrate")
+    return 0
+
+
 def cmd_workers(argv: Sequence[str]) -> int:
     """Join a remote coordinator as one or more worker processes.
 
@@ -347,6 +369,7 @@ _COMMANDS = {
     "run": cmd_run,
     "resume": cmd_resume,
     "report": cmd_report,
+    "migrate": cmd_migrate,
     "workers": cmd_workers,
     "lint": cmd_lint,
 }

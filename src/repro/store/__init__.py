@@ -3,11 +3,14 @@
 The multi-day survey the paper describes (§IV-B) — and the ROADMAP's
 million-path scale — cannot afford to lose a campaign to a crash, a
 preemption, or a Ctrl-C.  :class:`CampaignStore` persists a campaign shard
-by shard as JSONL segments beside a write-once manifest;
-a :class:`repro.api.Session` checkpoints into it as each shard completes
-and resumes from the last durable shard, reproducing the uninterrupted
-run's merged :func:`~repro.core.runner.result_signature` bit for bit.  ``docs/architecture.md`` ("Durability & resume") documents
-the on-disk format and the commit protocol.
+by shard as CRC-framed JSONL payloads appended to one log (one fsync per
+checkpoint) beside a write-once manifest; a :class:`repro.api.Session`
+checkpoints into it as each shard completes and resumes from the last
+durable shard, reproducing the uninterrupted run's merged
+:func:`~repro.core.runner.result_signature` bit for bit.
+:func:`migrate_store` converts a format-1 store (one file per shard) in
+place.  ``docs/architecture.md`` ("Durability & resume") documents the
+on-disk format and the commit protocol.
 """
 
 from repro.store.codec import (
@@ -21,12 +24,20 @@ from repro.store.codec import (
     encode_report,
     encode_sample,
 )
-from repro.store.store import MANIFEST_NAME, CampaignPlan, CampaignStore, specs_digest
+from repro.store.store import (
+    LOG_NAME,
+    MANIFEST_NAME,
+    CampaignPlan,
+    CampaignStore,
+    migrate_store,
+    specs_digest,
+)
 
 __all__ = [
     "CampaignPlan",
     "CampaignStore",
     "FORMAT_VERSION",
+    "LOG_NAME",
     "MANIFEST_NAME",
     "decode_measurement",
     "decode_record",
@@ -36,5 +47,6 @@ __all__ = [
     "encode_record",
     "encode_report",
     "encode_sample",
+    "migrate_store",
     "specs_digest",
 ]

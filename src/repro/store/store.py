@@ -5,26 +5,41 @@ durable, shard by shard:
 
 * ``manifest.json`` — the campaign *plan* (everything needed to re-execute
   or verify the run: config, tests, seed, shard count, host addresses, a
-  digest of the host specs).  It is written once, atomically, when the store
-  is created, and never rewritten.
-* ``shard-00000.jsonl`` … — one JSONL *segment* per completed shard.  The
-  first line is a header (``{"shard": i, "host_addresses": [...],
-  "records": n}``); each following line is one encoded
-  :class:`~repro.core.campaign.HostRoundResult`.
+  digest of the host specs) under ``{"format": 2, "plan": ...}``.  It is
+  written once, atomically, when the store is created, and never rewritten.
+* ``shards.log`` — an append-only log holding one *frame* per completed
+  shard, in commit order.  A frame is a 12-byte header (magic, payload
+  length, payload CRC-32; see :mod:`repro.store.codec`) and a JSONL
+  payload: a header line (``{"shard": i, "host_addresses": [...],
+  "records": n}``), then one encoded
+  :class:`~repro.core.campaign.HostRoundResult` per line.
 
 Commit protocol
 ---------------
-A segment is written to a temporary file, flushed, fsynced, renamed into
-place, and the directory is fsynced.  The rename is the commit point, so a
-segment either exists complete or not at all, and the directory is the
-index: the ``shard-NNNNN.jsonl`` names in it are the durable shards.  There
-is no state in which a segment is durable but unrecorded, and a crash's
-``*.tmp`` leftovers never count.  Nothing is ever modified in place; a
-resumed run only adds new segments.  A store is created only in a directory
-that holds no segments, so every durable segment belongs to its campaign.
-Manifests written by older builds also carry a ``segments`` index; it is
-ignored.  Every read validates a whole segment (JSON, the header's shard
-claim, the record count) before any of its records is used.
+A fresh store creates the empty log first and then writes the manifest
+(temp file, fsync, rename, directory fsync), so the manifest's rename is
+the store's commit point and makes both names durable.  A checkpoint then
+opens the log, writes one frame at the end of the durable prefix, truncates
+anything after it, and fsyncs the log once: no temp file, no rename and no
+directory fsync.  The fsync is the commit point, so a shard is durable
+before its checkpoint hook fires.  A resumed run only appends.  A new store
+refuses a directory whose log already holds frames.
+
+Recovery
+--------
+Opening a store scans the log one frame at a time into a shard → offset
+index.  Only the last append can be torn, so a frame that is the last bytes
+of the log and is incomplete or fails its magic or CRC check is a *torn
+tail*: it does not count, and the next append overwrites it.  Any other bad
+frame, and any valid frame claiming a shard outside the plan or a shard
+already claimed, raises :class:`~repro.net.errors.StoreError`.  Every read
+re-checks its frame's CRC and validates the whole payload (JSON lines, the
+header's shard claim and host list, the record count) and then every
+record against its header and the plan before any record is used.
+
+Stores written in format 1 (one ``shard-NNNNN.jsonl`` file per shard) are
+refused with a pointer to :func:`migrate_store` (``python -m repro
+migrate``), which converts them in place.
 
 Determinism
 -----------
@@ -44,19 +59,38 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, BinaryIO, Iterator, Optional, Sequence
 
 from repro.core.campaign import CampaignConfig, CampaignResult, HostRoundResult
 from repro.core.prober import TestName
-from repro.net.errors import StoreError
-from repro.store.codec import FORMAT_VERSION, decode_record, encode_record, require
+from repro.net.errors import MeasurementError, StoreError
+from repro.store.codec import (
+    FORMAT_VERSION,
+    FRAME_HEADER_SIZE,
+    check_types,
+    decode_record,
+    encode_frame,
+    encode_record,
+    int_tuple,
+    read_frame,
+    require,
+)
 
 MANIFEST_NAME = "manifest.json"
-_SEGMENT_RE = re.compile(r"^shard-(\d{5})\.jsonl$")
-
-
-def _segment_name(index: int) -> str:
-    return f"shard-{index:05d}.jsonl"
+LOG_NAME = "shards.log"
+_FORMAT_1 = 1
+_PLAN_TYPES = {
+    "seed": (int,),
+    "shards": (int,),
+    "remote_port": (int,),
+    "scenario": (str, type(None)),
+    "tests": (list,),
+    "config": (dict,),
+    "specs_digest": (str,),
+    "host_addresses": (list,),
+    "origin": (dict, type(None)),
+}
+_CONFIG_TYPES = {"rounds": (int,), "samples_per_measurement": (int,)}
 
 
 def _dumps(obj: Any) -> str:
@@ -147,6 +181,8 @@ class CampaignPlan:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "CampaignPlan":
         try:
+            check_types(mapping, _PLAN_TYPES)
+            check_types(mapping["config"], _CONFIG_TYPES)
             return cls(
                 seed=mapping["seed"],
                 shards=mapping["shards"],
@@ -155,10 +191,10 @@ class CampaignPlan:
                 tests=tuple(TestName(value) for value in mapping["tests"]),
                 config=CampaignConfig.from_mapping(mapping["config"]),
                 specs_digest=mapping["specs_digest"],
-                host_addresses=tuple(mapping["host_addresses"]),
+                host_addresses=int_tuple(mapping["host_addresses"]),
                 origin=mapping["origin"],
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, MeasurementError) as exc:
             raise StoreError(f"malformed campaign plan in manifest: {exc}") from exc
 
     def differences(self, other: "CampaignPlan") -> list[str]:
@@ -168,12 +204,14 @@ class CampaignPlan:
 
 
 class CampaignStore:
-    """One campaign's manifest plus its directory of durable segments."""
+    """One campaign's manifest plus its append-only log of durable shards."""
 
     def __init__(self, root: os.PathLike | str) -> None:
         self.root = Path(root)
         self._plan: Optional[CampaignPlan] = None
-        self._segments: set[int] = set()
+        self._plan_hosts: frozenset[int] = frozenset()
+        self._frames: dict[int, int] = {}  # durable shard -> its frame's offset
+        self._end = 0  # end of the log's durable prefix: where the next frame goes
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -182,6 +220,10 @@ class CampaignStore:
     @property
     def manifest_path(self) -> Path:
         return self.root / MANIFEST_NAME
+
+    @property
+    def log_path(self) -> Path:
+        return self.root / LOG_NAME
 
     @classmethod
     def create(cls, root: os.PathLike | str, plan: CampaignPlan) -> "CampaignStore":
@@ -196,7 +238,7 @@ class CampaignStore:
 
     @classmethod
     def open(cls, root: os.PathLike | str) -> "CampaignStore":
-        """Open an existing store: read its plan and list its durable segments."""
+        """Open an existing store: read its plan and index its durable shards."""
         store = cls(root)
         require(
             store.manifest_path.exists(),
@@ -244,46 +286,45 @@ class CampaignStore:
         return self._plan
 
     def completed_shards(self) -> frozenset[int]:
-        """Indices of shards whose segments are durable."""
+        """Indices of shards whose frames are durable."""
         self.plan()  # ensure the store is loaded
-        return frozenset(self._segments)
+        return frozenset(self._frames)
 
     def is_complete(self) -> bool:
-        """True when every shard of the plan has a durable segment."""
+        """True when every shard of the plan has a durable frame."""
         return len(self.completed_shards()) == self.plan().shards
 
     def read_shard(self, index: int) -> "ShardOutcome":
-        """Load one shard's outcome back from its segment."""
+        """Load one shard's outcome back from its frame."""
         from repro.core.runner import ShardOutcome
 
         require(
             index in self.completed_shards(),
             f"shard {index} is not durable in {self.root}",
         )
-        header, payloads = self._read_segment(index)
-        addresses = header.get("host_addresses")
-        require(
-            isinstance(addresses, list),
-            f"segment {_segment_name(index)} has a malformed host_addresses header",
-        )
+        with self._open_log() as handle:
+            hosts, payloads = self._read_payload(handle, index)
+        allowed = frozenset(hosts)
         return ShardOutcome(
             index=index,
-            host_addresses=tuple(addresses),
-            records=[self._decode_record(payload, index) for payload in payloads],
+            host_addresses=hosts,
+            records=[self._decode_record(payload, index, allowed) for payload in payloads],
         )
 
     def iter_records(self) -> Iterator[HostRoundResult]:
         """Stream every durable record, one at a time, in shard-index order.
 
-        This is the streaming-aggregation entry point: only one segment's
+        This is the streaming-aggregation entry point: only one frame's
         parsed lines and one decoded record are alive at a time, so
         survey-scale stores can be analysed without materializing every
         sample in memory.
         """
-        for index in sorted(self.completed_shards()):
-            _, payloads = self._read_segment(index)
-            for payload in payloads:
-                yield self._decode_record(payload, index)
+        with self._open_log() as handle:
+            for index in sorted(self.completed_shards()):
+                hosts, payloads = self._read_payload(handle, index)
+                allowed = frozenset(hosts)
+                for payload in payloads:
+                    yield self._decode_record(payload, index, allowed)
 
     def load_result(self) -> CampaignResult:
         """Materialize the full merged dataset in canonical order.
@@ -312,10 +353,10 @@ class CampaignStore:
     # ------------------------------------------------------------------ #
 
     def write_shard(self, outcome: "ShardOutcome") -> None:
-        """Commit one shard's records as a durable segment.
+        """Commit one shard's records as one durable frame of the log.
 
-        Re-committing an already durable shard is rejected: segments are
-        append-only and immutable once renamed into place.
+        Re-committing an already durable shard is rejected: frames are
+        append-only and immutable once fsynced.
         """
         plan = self.plan()
         require(
@@ -323,7 +364,7 @@ class CampaignStore:
             f"shard index {outcome.index} outside plan of {plan.shards} shard(s)",
         )
         require(
-            outcome.index not in self._segments,
+            outcome.index not in self._frames,
             f"shard {outcome.index} is already durable in {self.root}",
         )
         header = {
@@ -333,106 +374,285 @@ class CampaignStore:
         }
         lines = [_dumps(header)]
         lines.extend(_dumps(encode_record(record)) for record in outcome.records)
-        _atomic_write_text(self.root / _segment_name(outcome.index), "\n".join(lines) + "\n")
-        self._segments.add(outcome.index)
+        frame = encode_frame(("\n".join(lines) + "\n").encode("utf-8"))
+        try:
+            with open(self.log_path, "r+b") as handle:
+                handle.seek(self._end)
+                handle.write(frame)
+                handle.flush()
+                handle.truncate()  # drop a torn tail longer than this frame
+                os.fsync(handle.fileno())
+        except OSError as exc:
+            raise StoreError(f"cannot append shard {outcome.index} to {self.log_path}: {exc}") from exc
+        self._frames[outcome.index] = self._end
+        self._end += len(frame)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
+    def _bind(self, plan: CampaignPlan) -> None:
+        self._plan = plan
+        self._plan_hosts = frozenset(plan.host_addresses)
+
     def _initialise(self, plan: CampaignPlan) -> None:
-        """Write a fresh store's manifest, refusing a directory with segments."""
+        """Create the empty log, then commit the manifest that names it."""
         try:
             self.root.mkdir(parents=True, exist_ok=True)
+            with open(self.log_path, "ab") as handle:
+                require(
+                    os.fstat(handle.fileno()).st_size == 0,
+                    f"{self.root} already holds a non-empty {LOG_NAME} but no "
+                    f"manifest; a new store needs a directory without one",
+                )
         except OSError as exc:
-            raise StoreError(f"cannot create store directory {self.root}: {exc}") from exc
-        stray = self._list_segments()
-        require(
-            not stray,
-            f"{self.root} already holds {len(stray)} segment(s) but no manifest; "
-            "a new store needs a directory without shard-*.jsonl files",
-        )
+            raise StoreError(f"cannot create store at {self.root}: {exc}") from exc
         manifest = {"format": FORMAT_VERSION, "plan": plan.to_mapping()}
         _atomic_write_text(self.manifest_path, _dumps(manifest) + "\n")
-        self._plan = plan
-        self._segments = set()
+        self._bind(plan)
+        self._frames, self._end = {}, 0
 
-    def _load(self) -> None:
-        """Read the plan from the manifest and the durable shards from the directory."""
+    def _read_manifest(self) -> dict:
         try:
             manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise StoreError(f"cannot read manifest at {self.manifest_path}: {exc}") from exc
         require(
-            manifest.get("format") == FORMAT_VERSION,
-            f"unsupported store format {manifest.get('format')!r} "
-            f"(this build reads format {FORMAT_VERSION})",
+            isinstance(manifest, dict),
+            f"manifest at {self.manifest_path} is not a JSON object",
         )
         require("plan" in manifest, f"manifest at {self.manifest_path} has no plan")
-        self._plan = CampaignPlan.from_mapping(manifest["plan"])
-        self._segments = self._list_segments()
+        return manifest
 
-    def _list_segments(self) -> set[int]:
-        """Shard indices of the committed segments in the directory."""
+    def _load(self) -> None:
+        """Read the plan from the manifest and index the log's durable frames."""
+        manifest = self._read_manifest()
+        version = manifest.get("format")
+        require(
+            version != _FORMAT_1,
+            f"store at {self.root} is in format 1; convert it with "
+            f"`python -m repro migrate --store {self.root}`",
+        )
+        require(
+            version == FORMAT_VERSION,
+            f"unsupported store format {version!r} "
+            f"(this build reads format {FORMAT_VERSION})",
+        )
+        self._bind(CampaignPlan.from_mapping(manifest["plan"]))
+        self._scan()
+
+    def _scan(self) -> None:
+        """Index the log's frames by shard, one frame in memory at a time."""
+        shards = self.plan().shards
+        frames: dict[int, int] = {}
+        offset = 0
+        with self._open_log() as handle:
+            try:
+                size = os.fstat(handle.fileno()).st_size
+                while offset < size:
+                    payload = read_frame(handle, offset, size)
+                    if payload is None:
+                        break  # a torn tail: not durable; the next append overwrites it
+                    index = _claimed_shard(payload, offset)
+                    if not 0 <= index < shards:
+                        raise StoreError(
+                            f"frame at byte {offset} claims shard {index}, "
+                            f"outside the plan of {shards} shard(s)"
+                        )
+                    if index in frames:
+                        raise StoreError(
+                            f"frame at byte {offset} claims shard {index}, "
+                            f"already committed at byte {frames[index]}"
+                        )
+                    frames[index] = offset
+                    offset += FRAME_HEADER_SIZE + len(payload)
+            except OSError as exc:
+                raise StoreError(f"cannot read {self.log_path}: {exc}") from exc
+        self._frames, self._end = frames, offset
+
+    def _open_log(self) -> BinaryIO:
         try:
-            names = os.listdir(self.root)
+            return open(self.log_path, "rb")
         except OSError as exc:
-            raise StoreError(f"cannot list store directory {self.root}: {exc}") from exc
-        return {int(match.group(1)) for match in map(_SEGMENT_RE.match, names) if match}
+            raise StoreError(f"cannot read {self.log_path}: {exc}") from exc
 
-    def _decode_record(self, payload: dict, index: int) -> HostRoundResult:
+    def _read_payload(self, handle: BinaryIO, index: int) -> tuple[tuple[int, ...], list[dict]]:
+        """Re-check shard ``index``'s frame and validate its payload.
+
+        The frame lay whole inside the durable prefix when the log was
+        indexed, so one that no longer checks out there raises.
+        """
+        offset = self._frames[index]
         try:
-            return decode_record(payload)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise StoreError(
-                f"malformed record in segment {_segment_name(index)}: {exc}"
-            ) from exc
+            payload = read_frame(handle, offset, self._end)
+        except OSError as exc:
+            raise StoreError(f"cannot read {self.log_path}: {exc}") from exc
+        require(
+            payload is not None,
+            f"shard {index}'s frame at byte {offset} of {self.log_path} is no longer intact",
+        )
+        return self._parse_payload(payload, index)
 
-    def _read_segment(self, index: int) -> tuple[dict, list[dict]]:
-        """Read shard ``index``'s segment, validated before any record is used.
+    def _parse_payload(self, payload: bytes, index: int) -> tuple[tuple[int, ...], list[dict]]:
+        """Validate shard ``index``'s payload before any of its records is used.
 
         Every line must be a JSON object, the header must claim shard
-        ``index``, and it must promise exactly the records that follow it.
-        Returns the header and the undecoded record payloads.
+        ``index``, list only plan hosts, and promise exactly the records that
+        follow it.  Returns the header's hosts and the undecoded records.
         """
-        name = _segment_name(index)
-        lines: list[dict] = []
         try:
-            with open(self.root / name, "r", encoding="utf-8") as handle:
-                for number, line in enumerate(handle, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        payload = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise StoreError(
-                            f"corrupt JSON at {name}:{number}: {exc}"
-                        ) from exc
-                    require(
-                        isinstance(payload, dict),
-                        f"non-object line at {name}:{number}",
-                    )
-                    lines.append(payload)
-        except OSError as exc:
-            raise StoreError(f"cannot read segment {self.root / name}: {exc}") from exc
-        require(bool(lines), f"segment {name} is empty")
-        header, payloads = lines[0], lines[1:]
+            text = payload.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"shard {index}'s payload is not UTF-8: {exc}") from exc
+        lines: list[dict] = []
+        for number, line in enumerate(text.split("\n"), start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise StoreError(f"corrupt JSON at shard {index} line {number}: {exc}") from exc
+            if not isinstance(value, dict):
+                raise StoreError(f"non-object line at shard {index} line {number}")
+            lines.append(value)
+        require(bool(lines), f"shard {index}'s payload is empty")
+        header, records = lines[0], lines[1:]
+        claim = header.get("shard")
         require(
-            header.get("shard") == index,
-            f"segment {name} claims shard {header.get('shard')!r}, expected {index}",
+            type(claim) is int and claim == index,
+            f"shard {index}'s payload claims shard {claim!r}, expected {index}",
         )
+        promised = header.get("records")
         require(
-            header.get("records") == len(payloads),
-            f"segment {name} is truncated: header promises "
-            f"{header.get('records')} record(s), found {len(payloads)}",
+            type(promised) is int and promised == len(records),
+            f"shard {index}'s payload is truncated: header promises "
+            f"{promised!r} record(s), found {len(records)}",
         )
-        return header, payloads
+        try:
+            hosts = int_tuple(header["host_addresses"])
+        except (KeyError, TypeError) as exc:
+            raise StoreError(
+                f"shard {index}'s payload has a malformed host_addresses header: {exc}"
+            ) from exc
+        require(
+            self._plan_hosts.issuperset(hosts),
+            f"shard {index}'s header lists hosts outside the plan",
+        )
+        return hosts, records
+
+    def _decode_record(
+        self, payload: dict, index: int, hosts: frozenset[int]
+    ) -> HostRoundResult:
+        """Decode one record and check it against its header and the plan."""
+        try:
+            record = decode_record(payload)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise StoreError(f"malformed record in shard {index}: {exc}") from exc
+        plan = self.plan()
+        if record.host_address not in hosts:
+            raise StoreError(
+                f"record in shard {index} is for host {record.host_address}, "
+                "which the shard's header does not list"
+            )
+        if record.test not in plan.tests:
+            raise StoreError(
+                f"record in shard {index} is for test {record.test.value!r}, outside the plan"
+            )
+        if not 0 <= record.round_index < plan.config.rounds:
+            raise StoreError(
+                f"record in shard {index} is for round {record.round_index}, "
+                f"outside the plan's {plan.config.rounds} round(s)"
+            )
+        return record
+
+
+def _claimed_shard(payload: bytes, offset: int) -> int:
+    """The shard index a frame's header line claims (the rest is read later)."""
+    line = payload.lstrip().partition(b"\n")[0]
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise StoreError(f"frame at byte {offset} has a corrupt header line: {exc}") from exc
+    claim = header.get("shard") if isinstance(header, dict) else None
+    require(type(claim) is int, f"frame at byte {offset} claims no shard index")
+    return claim
+
+
+def migrate_store(root: os.PathLike | str) -> bool:
+    """Convert a format-1 store (one JSONL file per shard) to the shard log.
+
+    Every format-1 segment is validated like a read, then the segments are
+    written as frames, in shard order, to a temp log that is fsynced and
+    renamed to ``shards.log``.  Rewriting the manifest as format 2 is the
+    commit point; only then are the old segments and ``*.tmp`` leftovers
+    deleted.  A crash at any step leaves a store that reruns to the same
+    result.  Returns ``False``, after removing any such leftovers, when the
+    store is already in the current format.
+    """
+    store = CampaignStore(root)
+    require(
+        store.manifest_path.exists(),
+        f"no campaign store at {store.root} (missing {MANIFEST_NAME})",
+    )
+    manifest = store._read_manifest()
+    version = manifest.get("format")
+    if version == FORMAT_VERSION:
+        store._load()
+        _remove_format_1_leftovers(store)
+        return False
+    require(
+        version == _FORMAT_1,
+        f"cannot migrate store format {version!r} (this build migrates format {_FORMAT_1})",
+    )
+    plan = CampaignPlan.from_mapping(manifest["plan"])
+    store._bind(plan)
+    tmp = store.log_path.with_name(LOG_NAME + ".tmp")
+    try:
+        with open(tmp, "wb") as log:
+            for index in range(plan.shards):
+                segment = _format_1_segment(store, index)
+                if not segment.exists():
+                    continue
+                payload = segment.read_bytes()
+                hosts, records = store._parse_payload(payload, index)
+                allowed = frozenset(hosts)
+                for record in records:
+                    store._decode_record(record, index, allowed)
+                log.write(encode_frame(payload))
+            log.flush()
+            os.fsync(log.fileno())
+        os.replace(tmp, store.log_path)
+    except OSError as exc:
+        raise StoreError(f"cannot migrate {store.root}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+    _fsync_directory(store.root)
+    manifest = {"format": FORMAT_VERSION, "plan": plan.to_mapping()}
+    _atomic_write_text(store.manifest_path, _dumps(manifest) + "\n")
+    _remove_format_1_leftovers(store)
+    return True
+
+
+def _format_1_segment(store: CampaignStore, index: int) -> Path:
+    return store.root / f"shard-{index:05d}.jsonl"
+
+
+def _remove_format_1_leftovers(store: CampaignStore) -> None:
+    """Delete format-1 segments and crash leftovers from a format-2 store."""
+    leftovers = [_format_1_segment(store, index) for index in range(store.plan().shards)]
+    leftovers.extend(store.root.glob("*.tmp"))
+    try:
+        for path in leftovers:
+            path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise StoreError(f"cannot remove leftovers from {store.root}: {exc}") from exc
 
 
 __all__ = [
     "CampaignPlan",
     "CampaignStore",
+    "LOG_NAME",
     "MANIFEST_NAME",
+    "migrate_store",
     "specs_digest",
 ]

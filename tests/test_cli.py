@@ -68,7 +68,7 @@ def test_missing_subcommand_is_a_usage_error(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "usage: python -m repro {run,resume,report,workers,lint} ...\n"
+    assert captured.err == "usage: python -m repro {run,resume,report,migrate,workers,lint} ...\n"
 
 
 def test_run_with_store_then_report_and_resume(tmp_path, capsys):

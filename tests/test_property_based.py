@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.campaign import CampaignConfig
@@ -175,12 +175,15 @@ def test_scenario_population_is_pure_function_of_spec_and_seed(name, seed):
 
 
 @given(scenario_name_strategy, seed_strategy)
+@example(name="imc2002-survey", seed=17578)  # the only SYN is lost: an empty trace
 @settings(max_examples=5, deadline=None)
 def test_scenario_packet_traces_are_identical_across_rebuilds(name, seed):
     """Two testbeds from the same (spec, seed) carry identical packets.
 
     Packet uids are a process-wide counter, so traces are compared on their
     measurement content: arrival time, addressing, IPID, and TCP sequencing.
+    A lossy path may drop every probe (then the forward trace is empty), so
+    the probe's own send count is compared too.
     """
 
     def trace_content():
@@ -190,7 +193,7 @@ def test_scenario_packet_traces_are_identical_across_rebuilds(name, seed):
         target = hosts[0]
         SingleConnectionTest(testbed.probe, target.address).run(num_samples=4)
         trace = testbed.site(target.name).forward_trace
-        return [
+        return testbed.probe.packets_sent, [
             (
                 record.time,
                 record.packet.ip.src,
@@ -203,7 +206,8 @@ def test_scenario_packet_traces_are_identical_across_rebuilds(name, seed):
         ]
 
     first = trace_content()
-    assert first  # the measurement must actually have produced traffic
+    sent, _ = first
+    assert sent > 0  # the measurement must actually have sent probes
     assert trace_content() == first
 
 

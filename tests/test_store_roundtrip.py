@@ -4,9 +4,10 @@ The resume guarantee rests on the codec being *exact*: any record a shard can
 produce must come back from JSON equal to the original.  Hypothesis drives
 that over the full result-type tree (samples, measurements, reports, records,
 whole shard outcomes); the integrity tests pin the store's corruption and
-misuse behaviour (truncated segments, mismatched plans, double commits,
-stray segments) and its commit protocol (one durable rename per shard, a
-manifest written once, crash leftovers ignored).
+misuse behaviour (truncated or corrupt payloads, torn and corrupt log
+frames, bad shard claims, malformed manifests and records, mismatched
+plans, double commits, a stray log) and its commit protocol (one log fsync
+per shard, a manifest written once, crash leftovers ignored).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.core.runner import EXECUTOR_SERIAL, ShardOutcome
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.net.errors import StoreError
 from repro.store import (
+    FORMAT_VERSION,
     CampaignPlan,
     CampaignStore,
     decode_measurement,
@@ -42,6 +44,7 @@ from repro.store import (
     encode_report,
     encode_sample,
 )
+from _store_helpers import FRAME, frame, frame_payloads
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 short_text = st.text(max_size=24)
@@ -116,14 +119,18 @@ def test_record_roundtrip_is_lossless(record):
     assert decode_record(_through_json(encode_record(record))) == record
 
 
-def _plan(shards: int = 1, host_addresses: tuple[int, ...] = (1, 2)) -> CampaignPlan:
+def _plan(
+    shards: int = 1,
+    host_addresses: tuple[int, ...] = (1, 2),
+    tests: tuple[TestName, ...] = TestName.all(),
+) -> CampaignPlan:
     config = CampaignConfig(rounds=1, samples_per_measurement=2)
     return CampaignPlan(
         seed=7,
         shards=shards,
         remote_port=80,
         scenario="test",
-        tests=TestName.all(),
+        tests=tests,
         config=config,
         specs_digest="d" * 64,
         host_addresses=host_addresses,
@@ -131,8 +138,20 @@ def _plan(shards: int = 1, host_addresses: tuple[int, ...] = (1, 2)) -> Campaign
     )
 
 
+# Records a one-round plan over hosts (1, 2) accepts on read-back.
+plan_records = st.builds(
+    HostRoundResult,
+    round_index=st.just(0),
+    host_address=st.sampled_from((1, 2)),
+    test=st.sampled_from(TestName),
+    time=finite_floats,
+    report=reports,
+    scenario=st.none() | short_text,
+)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(records, max_size=8))
+@given(st.lists(plan_records, max_size=8))
 def test_shard_outcome_survives_the_store(record_list):
     """write_shard → read_shard reconstructs the outcome field for field."""
     outcome = ShardOutcome(index=0, host_addresses=(1, 2), records=record_list)
@@ -145,15 +164,29 @@ def test_shard_outcome_survives_the_store(record_list):
     assert loaded.records == outcome.records
 
 
-def _record(round_index: int = 0) -> HostRoundResult:
+def _record(round_index: int = 0, host: int = 1) -> HostRoundResult:
     return HostRoundResult(
         round_index=round_index,
-        host_address=1,
+        host_address=host,
         test=TestName.SYN,
         time=0.5,
-        report=ProbeReport(test=TestName.SYN, host_address=1, result=None, error="x"),
+        report=ProbeReport(test=TestName.SYN, host_address=host, result=None, error="x"),
         scenario="test",
     )
+
+
+def _frames(root: Path) -> list[bytes]:
+    """The payloads of a store's log frames, in log order."""
+    return frame_payloads((root / "shards.log").read_bytes())
+
+
+def _rewrite_payload(root: Path, position: int, edit) -> None:
+    """Replace one frame's payload with ``edit(lines)``, re-framed with a valid
+    CRC so the damage reaches the payload validators, not the frame check."""
+    payloads = _frames(root)
+    lines = payloads[position].decode().splitlines()
+    payloads[position] = ("\n".join(edit(lines)) + "\n").encode()
+    (root / "shards.log").write_bytes(b"".join(frame(payload) for payload in payloads))
 
 
 def test_store_rejects_double_commit(tmp_path):
@@ -172,11 +205,9 @@ def test_store_rejects_out_of_plan_shard(tmp_path):
 def test_store_detects_truncated_segment(tmp_path):
     store = CampaignStore.create(tmp_path / "c", _plan())
     store.write_shard(
-        ShardOutcome(index=0, host_addresses=(1,), records=[_record(0), _record(1)])
+        ShardOutcome(index=0, host_addresses=(1, 2), records=[_record(0, 1), _record(0, 2)])
     )
-    segment = tmp_path / "c" / "shard-00000.jsonl"
-    lines = segment.read_text().splitlines()
-    segment.write_text("\n".join(lines[:-1]) + "\n")  # drop the last record
+    _rewrite_payload(tmp_path / "c", 0, lambda lines: lines[:-1])  # drop the last record
     reopened = CampaignStore.open(tmp_path / "c")
     with pytest.raises(StoreError, match="truncated"):
         reopened.read_shard(0)
@@ -187,28 +218,9 @@ def test_store_detects_truncated_segment(tmp_path):
 def test_store_detects_corrupt_json(tmp_path):
     store = CampaignStore.create(tmp_path / "c", _plan())
     store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record()]))
-    segment = tmp_path / "c" / "shard-00000.jsonl"
-    segment.write_text(segment.read_text()[:-10] + "not json}\n")
+    _rewrite_payload(tmp_path / "c", 0, lambda lines: [lines[0], lines[1][:-10] + "not json}"])
     with pytest.raises(StoreError, match="corrupt JSON"):
         CampaignStore.open(tmp_path / "c").read_shard(0)
-
-
-def test_store_adopts_orphan_segment(tmp_path):
-    """A durable segment that a manifest's ``segments`` map omits still counts.
-
-    Older builds kept that map and could crash before updating it.  The
-    directory is now the only index, so no such window exists, and a store
-    left in that state opens with every durable segment.
-    """
-    store = CampaignStore.create(tmp_path / "c", _plan(shards=2))
-    store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record()]))
-    manifest_path = tmp_path / "c" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["segments"] = {}
-    manifest_path.write_text(json.dumps(manifest))
-    reopened = CampaignStore.open(tmp_path / "c")
-    assert reopened.completed_shards() == frozenset({0})
-    assert len(reopened.read_shard(0).records) == 1
 
 
 def test_begin_rejects_mismatched_plan(tmp_path):
@@ -237,72 +249,138 @@ def test_load_result_requires_a_complete_store(tmp_path):
 def test_store_wraps_malformed_data_in_store_errors(tmp_path):
     """Corrupt headers/records surface as StoreError, never raw
     KeyError/ValueError, so the CLI's handled error path stays reachable."""
-    store = CampaignStore.create(tmp_path / "c", _plan(shards=2))
+    root = tmp_path / "c"
+    store = CampaignStore.create(root, _plan(shards=2))
     store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record()]))
+    original = (root / "shards.log").read_bytes()
 
-    segment = tmp_path / "c" / "shard-00000.jsonl"
-    lines = segment.read_text().splitlines()
-    header = json.loads(lines[0])
-    del header["shard"]
-    segment.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    with pytest.raises(StoreError, match="claims shard"):
-        CampaignStore.open(tmp_path / "c").read_shard(0)
+    def drop(key: str, position: int):
+        def edit(lines):
+            value = json.loads(lines[position])
+            del value[key]
+            lines[position] = json.dumps(value)
+            return lines
 
-    record = json.loads(lines[1])
-    del record["report"]
-    segment.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+        return edit
+
+    _rewrite_payload(root, 0, drop("shard", 0))
+    with pytest.raises(StoreError, match="claims no shard"):
+        CampaignStore.open(root)
+
+    (root / "shards.log").write_bytes(original)
+    _rewrite_payload(root, 0, drop("report", 1))
     with pytest.raises(StoreError, match="malformed record"):
-        CampaignStore.open(tmp_path / "c").read_shard(0)
+        CampaignStore.open(root).read_shard(0)
+
+
+def _campaign_store(root: Path) -> None:
+    """A complete two-shard, one-round store over hosts (1, 2) and SYN only."""
+    store = CampaignStore.create(root, _plan(shards=2, tests=(TestName.SYN,)))
+    store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record(0, 1)]))
+    store.write_shard(ShardOutcome(index=1, host_addresses=(2,), records=[_record(0, 2)]))
+
+
+def _edit_manifest(edit):
+    def apply(root: Path) -> None:
+        path = root / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+    return apply
+
+
+def _edit_plan(key, value):
+    def edit(manifest):
+        manifest["plan"][key] = value
+        return manifest
+
+    return _edit_manifest(edit)
+
+
+def _edit_record(key, value):
+    def edit(lines):
+        record = json.loads(lines[1])
+        record[key] = value
+        return [lines[0], json.dumps(record)]
+
+    return lambda root: _rewrite_payload(root, 0, edit)
 
 
 @pytest.mark.parametrize(
-    "segments",
-    [{"0": "shard-00000.jsonl", "1": "shard-00001.jsonl"}, {"zero": "shard-00000.jsonl"}],
-    ids=["stale", "malformed"],
+    "damage",
+    [
+        _edit_manifest(lambda manifest: []),
+        _edit_plan("shards", "2"),
+        _edit_plan("seed", True),
+        _edit_record("test", TestName.DATA_TRANSFER.value),
+        _edit_record("host_address", None),
+        _edit_record("host_address", 7),
+        _edit_record("host_address", "x"),
+        _edit_record("host_address", [1]),
+        _edit_record("round_index", "0"),
+        _edit_record("round_index", 7),
+        _edit_record("time", []),
+        _edit_record("scenario", 7),
+        _edit_record("host_address", 2),  # shard 1's host, filed in shard 0
+    ],
+    ids=[
+        "manifest-not-an-object",
+        "plan-shards-str",
+        "plan-seed-bool",
+        "test-outside-plan",
+        "host-none",
+        "host-not-in-plan",
+        "host-str",
+        "host-list",
+        "round-str",
+        "round-outside-plan",
+        "time-list",
+        "scenario-int",
+        "host-of-another-shard",
+    ],
 )
-def test_store_ignores_a_manifest_segment_index(tmp_path, segments):
-    """Manifests written by older builds carry a ``segments`` map; the
-    directory decides which shards are durable, whatever the map says."""
-    records = [_record(0), _record(1)]
-    store = CampaignStore.create(tmp_path / "c", _plan(shards=2))
-    store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=records))
-    manifest_path = tmp_path / "c" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["segments"] = segments
-    manifest_path.write_text(json.dumps(manifest))
-
-    reopened = CampaignStore.open(tmp_path / "c")
-    assert reopened.completed_shards() == frozenset({0})
-    assert reopened.read_shard(0).records == records
-    assert list(reopened.iter_records()) == records
+def test_malformed_store_input_raises_store_error(tmp_path, damage):
+    """Each damage once escaped as a raw exception or was merged silently."""
+    root = tmp_path / "c"
+    _campaign_store(root)
+    assert len(CampaignStore.open(root).load_result().records) == 2
+    damage(root)
+    with pytest.raises(StoreError):
+        CampaignStore.open(root).load_result()
 
 
-def test_one_checkpoint_is_one_file_fsync_and_one_directory_fsync(tmp_path, monkeypatch):
-    """The segment rename is the whole commit: opening, resuming and
-    committing never touch the manifest written at creation."""
+def test_one_checkpoint_is_one_file_fsync_and_no_rename(tmp_path, monkeypatch):
+    """One log fsync is the whole commit: no temp file, no rename, no
+    directory fsync, and the manifest written at creation is never touched."""
     plan = _plan(shards=2)
     CampaignStore.create(tmp_path / "c", plan)
     manifest_path = tmp_path / "c" / "manifest.json"
     manifest_bytes, manifest_inode = manifest_path.read_bytes(), manifest_path.stat().st_ino
 
     synced: list[str] = []
-    real_fsync = os.fsync
+    replaced: list[tuple] = []
+    real_fsync, real_replace = os.fsync, os.replace
 
     def counting_fsync(fd):
         synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
         real_fsync(fd)
 
+    def counting_replace(*args, **kwargs):
+        replaced.append(args)
+        real_replace(*args, **kwargs)
+
     monkeypatch.setattr(os, "fsync", counting_fsync)
+    monkeypatch.setattr(os, "replace", counting_replace)
     store = CampaignStore.open(tmp_path / "c")
     assert store.begin(plan, resume=True) == frozenset()
     assert synced == []
     store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record()]))
-    assert sorted(synced) == ["dir", "file"]
+    assert synced == ["file"]
+    assert replaced == []
     assert manifest_path.read_bytes() == manifest_bytes
     assert manifest_path.stat().st_ino == manifest_inode
     assert sorted(path.name for path in (tmp_path / "c").iterdir()) == [
         "manifest.json",
-        "shard-00000.jsonl",
+        "shards.log",
     ]
 
 
@@ -311,26 +389,38 @@ def test_one_checkpoint_is_one_file_fsync_and_one_directory_fsync(tmp_path, monk
     [CampaignStore.create, lambda root, plan: CampaignStore(root).begin(plan)],
     ids=["create", "begin"],
 )
-def test_new_store_refuses_a_directory_holding_segments(tmp_path, fresh):
-    """A stray segment would otherwise count as durable for the new campaign."""
+def test_new_store_refuses_a_directory_holding_a_log(tmp_path, fresh):
+    """A stray log's frames would otherwise count as durable for the new campaign."""
     other = CampaignStore.create(tmp_path / "other", _plan(shards=2))
-    other.write_shard(ShardOutcome(index=1, host_addresses=(2,), records=[_record()]))
+    other.write_shard(ShardOutcome(index=1, host_addresses=(2,), records=[_record(0, 2)]))
     root = tmp_path / "c"
     root.mkdir()
-    shutil.copy(tmp_path / "other" / "shard-00001.jsonl", root)
+    shutil.copy(tmp_path / "other" / "shards.log", root)
     with pytest.raises(StoreError, match="no manifest"):
         fresh(root, _plan(shards=2))
     assert not (root / "manifest.json").exists()
 
 
+def test_a_new_store_adopts_an_empty_log(tmp_path):
+    """A crash between creating the log and writing the manifest leaves an
+    empty log; the next create() commits the manifest beside it."""
+    root = tmp_path / "c"
+    root.mkdir()
+    (root / "shards.log").write_bytes(b"")
+    store = CampaignStore.create(root, _plan(shards=2))
+    store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record()]))
+    assert CampaignStore.open(root).read_shard(0).records == [_record()]
+
+
 def test_every_read_path_checks_the_header_shard_claim(tmp_path):
     root = tmp_path / "c"
-    store = CampaignStore.create(root, _plan(shards=2))
-    store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record(0)]))
-    store.write_shard(ShardOutcome(index=1, host_addresses=(2,), records=[_record(1)]))
-    # A well-formed segment filed under the wrong shard's name.
-    shutil.copy(root / "shard-00000.jsonl", root / "shard-00001.jsonl")
+    _campaign_store(root)
     reopened = CampaignStore.open(root)
+    # After the index is built, a well-formed frame claiming shard 0 lands
+    # where shard 1's frame was (the two frames have the same length).
+    log = (root / "shards.log").read_bytes()
+    assert len(log) % 2 == 0
+    (root / "shards.log").write_bytes(log[: len(log) // 2] * 2)
     with pytest.raises(StoreError, match="claims shard 0, expected 1"):
         reopened.read_shard(1)
     with pytest.raises(StoreError, match="claims shard 0, expected 1"):
@@ -339,36 +429,105 @@ def test_every_read_path_checks_the_header_shard_claim(tmp_path):
         reopened.load_result()
     with pytest.raises(StoreError, match="claims shard 0, expected 1"):
         survey_from_store(reopened)
+    with pytest.raises(StoreError, match="claims shard 0, already committed"):
+        CampaignStore.open(root)
+
+
+def _two_frame_store(root: Path) -> CampaignStore:
+    store = CampaignStore.create(root, _plan(shards=3))
+    store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record(0, 1)]))
+    store.write_shard(ShardOutcome(index=1, host_addresses=(2,), records=[_record(0, 2)]))
+    return store
+
+
+def test_a_torn_final_frame_is_not_durable_at_any_offset(tmp_path):
+    """Cut the log anywhere inside its final frame: that shard is not durable,
+    the earlier one reads back intact, and the next append overwrites the
+    torn bytes."""
+    root = tmp_path / "c"
+    _two_frame_store(root)
+    log = (root / "shards.log").read_bytes()
+    first_end = FRAME.size + len(_frames(root)[0])
+    for cut in range(first_end, len(log)):
+        (root / "shards.log").write_bytes(log[:cut])
+        reopened = CampaignStore.open(root)
+        assert reopened.completed_shards() == frozenset({0}), cut
+        assert reopened.read_shard(0).records == [_record(0, 1)]
+    reopened.write_shard(ShardOutcome(index=2, host_addresses=(2,), records=[_record(0, 2)]))
+    assert CampaignStore.open(root).completed_shards() == frozenset({0, 2})
+    assert (root / "shards.log").stat().st_size == len(log)
+
+
+def test_a_corrupt_final_frame_is_a_torn_tail(tmp_path):
+    """A complete final frame that fails its CRC is the one state a crash
+    mid-append can leave, so it is dropped rather than refused."""
+    root = tmp_path / "c"
+    _two_frame_store(root)
+    log = bytearray((root / "shards.log").read_bytes())
+    log[-3] ^= 0xFF
+    (root / "shards.log").write_bytes(bytes(log))
+    assert CampaignStore.open(root).completed_shards() == frozenset({0})
+
+
+@pytest.mark.parametrize(
+    "offset, flip",
+    [(0, 0x01), (7, 0x01), (9, 0x80), (FRAME.size + 4, 0x20)],
+    ids=["magic", "length", "crc", "payload"],
+)
+def test_a_corrupt_non_final_frame_raises(tmp_path, offset, flip):
+    """Only the last append can be torn: damage before it is corruption."""
+    root = tmp_path / "c"
+    _two_frame_store(root)
+    log = bytearray((root / "shards.log").read_bytes())
+    log[offset] ^= flip
+    (root / "shards.log").write_bytes(bytes(log))
+    with pytest.raises(StoreError, match="corrupt frame"):
+        CampaignStore.open(root)
+
+
+@pytest.mark.parametrize(
+    "claim, message",
+    [(0, "claims shard 0, already committed"), (5, "claims shard 5, outside the plan")],
+    ids=["duplicate", "out-of-plan"],
+)
+def test_a_valid_frame_with_a_bad_claim_raises(tmp_path, claim, message):
+    root = tmp_path / "c"
+    _two_frame_store(root)
+
+    def reclaim(lines):
+        header = json.loads(lines[0])
+        header["shard"] = claim
+        return [json.dumps(header), *lines[1:]]
+
+    _rewrite_payload(root, 1, reclaim)
+    with pytest.raises(StoreError, match=message):
+        CampaignStore.open(root)
 
 
 class _Interrupt(BaseException):
     """Raised from the checkpoint hook; BaseException so no handler eats it."""
 
 
-def test_crash_leftovers_are_ignored_and_the_shard_reruns(tmp_path):
-    """``*.tmp`` files a crash leaves behind never count as durable."""
-    request = CampaignRequest(
-        scenario="imc2002-survey",
-        config=CampaignConfig(rounds=1, samples_per_measurement=4),
-        hosts=4,
-        seed=11,
-        shards=2,
-    )
-    with Session(backend=EXECUTOR_SERIAL) as session:
-        reference = session.run(request).result_digest
+_RESUME_REQUEST = CampaignRequest(
+    scenario="imc2002-survey",
+    config=CampaignConfig(rounds=1, samples_per_measurement=4),
+    hosts=4,
+    seed=11,
+    shards=2,
+)
 
-    root = tmp_path / "c"
 
+def _interrupted_store(root: Path, after: int) -> None:
     def crash(outcome, completed, total):
-        raise _Interrupt()
+        if completed >= after:
+            raise _Interrupt()
 
     with Session(backend=EXECUTOR_SERIAL) as session:
         with pytest.raises(_Interrupt):
-            session.run(replace(request, store=root, on_checkpoint=crash))
-    assert CampaignStore.open(root).completed_shards() == frozenset({0})
-    (root / "shard-00001.jsonl.tmp").write_text('{"shard": 1, "host_addr')
-    (root / "manifest.json.tmp").write_text('{"format": 1, "pl')
+            session.run(replace(_RESUME_REQUEST, store=root, on_checkpoint=crash))
 
+
+def _resume(root: Path) -> tuple[list[int], str]:
     rerun: list[int] = []
     with Session(backend=EXECUTOR_SERIAL) as session:
         envelope = session.run(
@@ -377,6 +536,44 @@ def test_crash_leftovers_are_ignored_and_the_shard_reruns(tmp_path):
                 on_checkpoint=lambda outcome, completed, total: rerun.append(outcome.index),
             )
         )
+    return rerun, envelope.result_digest
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_digest() -> str:
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        return session.run(_RESUME_REQUEST).result_digest
+
+
+def test_crash_leftovers_are_ignored_and_the_shard_reruns(tmp_path, uninterrupted_digest):
+    """A ``manifest.json.tmp`` a crash leaves behind never counts."""
+    root = tmp_path / "c"
+    _interrupted_store(root, after=1)
+    assert CampaignStore.open(root).completed_shards() == frozenset({0})
+    (root / "manifest.json.tmp").write_text(f'{{"format": {FORMAT_VERSION}, "pl')
+    manifest = (root / "manifest.json").read_bytes()
+
+    rerun, digest = _resume(root)
     assert rerun == [1]
-    assert envelope.result_digest == reference
-    assert not (root / "shard-00001.jsonl.tmp").exists()
+    assert digest == uninterrupted_digest
+    assert (root / "manifest.json").read_bytes() == manifest
+
+
+@pytest.mark.parametrize(
+    "keep", [1, FRAME.size - 1, FRAME.size, FRAME.size + 1, -1],
+    ids=["magic-only", "header-short", "header-only", "one-payload-byte", "one-byte-short"],
+)
+def test_resume_after_a_torn_final_frame_matches_uninterrupted(
+    tmp_path, uninterrupted_digest, keep
+):
+    root = tmp_path / "c"
+    _interrupted_store(root, after=2)
+    log = (root / "shards.log").read_bytes()
+    final = FRAME.size + len(_frames(root)[0])
+    (root / "shards.log").write_bytes(log[: final + keep] if keep > 0 else log[:keep])
+    assert CampaignStore.open(root).completed_shards() == frozenset({0})
+
+    rerun, digest = _resume(root)
+    assert rerun == [1]
+    assert digest == uninterrupted_digest
+    assert (root / "shards.log").stat().st_size == len(log)
