@@ -122,6 +122,12 @@ class ProbeRequest:
     remote_port: int = 80
     host: Optional[HostSpec] = None
 
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise MeasurementError(
+                f"probe request needs at least one sample per measurement: {self.samples}"
+            )
+
     def host_spec(self) -> HostSpec:
         """The host to visit: the explicit spec, or the quick-testbed target."""
         if self.host is not None:

@@ -264,13 +264,16 @@ class Session:
             samples_per_measurement=request.samples,
         )
         reports: dict = {}
-        for index, test in enumerate(request.tests):
-            reports[test] = prober.run(
-                test, spec.address, num_samples=request.samples, spacing=request.spacing
-            )
-            job._report(
-                ProgressEvent("probe", index + 1, len(request.tests), label=test.value)
-            )
+        try:
+            for index, test in enumerate(request.tests):
+                reports[test] = prober.run(
+                    test, spec.address, num_samples=request.samples, spacing=request.spacing
+                )
+                job._report(
+                    ProgressEvent("probe", index + 1, len(request.tests), label=test.value)
+                )
+        finally:
+            testbed.close()
         signature = tuple(_probe_signature(report) for report in reports.values())
         return ResultEnvelope(
             kind=KIND_PROBE,

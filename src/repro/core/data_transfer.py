@@ -19,18 +19,20 @@ from dataclasses import dataclass
 from repro.core.probe_connection import ProbeConnection
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.host.raw_socket import ProbeHost
-from repro.net.errors import SampleTimeoutError
+from repro.net.errors import MeasurementError, SampleTimeoutError
 from repro.net.packet import Packet, TcpFlags
 from repro.net.seqnum import seq_add, seq_diff, seq_gt
 
 TEST_NAME = "data-transfer"
+
+_SYN_OR_RST = int(TcpFlags.SYN | TcpFlags.RST)
 
 
 def _carries_data(packet: Packet) -> bool:
     """True for a response segment carrying object data (not a SYN or RST)."""
     tcp = packet.tcp
     assert tcp is not None
-    return bool(packet.payload) and not tcp.has(TcpFlags.SYN) and not tcp.has(TcpFlags.RST)
+    return bool(packet.payload) and not int.__and__(tcp.flags, _SYN_OR_RST)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,11 +80,20 @@ class DataTransferTest:
         """Fetch the remote object once and classify segment pairs.
 
         ``num_samples`` caps the number of samples reported (0 means "as many
-        as the transfer yields"); ``spacing`` is accepted for interface
-        compatibility but ignored — the server, not the prober, controls
-        segment spacing, which is precisely this test's limitation.
+        as the transfer yields"); only the reported pairs are built, but the
+        transfer always runs to completion, so the cap never changes what the
+        simulation does.  ``spacing`` is accepted for interface compatibility
+        but ignored — the server, not the prober, controls segment spacing,
+        which is precisely this test's limitation.
+
+        Raises
+        ------
+        MeasurementError
+            If ``num_samples`` is negative.
         """
         del spacing
+        if num_samples < 0:
+            raise MeasurementError(f"sample cap cannot be negative: {num_samples}")
         result = MeasurementResult(
             test_name=self.name,
             host_address=self.remote_addr,
@@ -109,10 +120,7 @@ class DataTransferTest:
         segments = self._receive_transfer(connection, cursor)
         connection.send_reset()
 
-        samples = self._classify_segments(segments)
-        if num_samples > 0:
-            samples = samples[:num_samples]
-        for sample in samples:
+        for sample in self._classify_segments(segments, num_samples):
             result.add(sample)
         if len(segments) < 2:
             result.notes = "object too small to measure (single segment or redirect)"
@@ -126,37 +134,46 @@ class DataTransferTest:
     def _receive_transfer(self, connection: ProbeConnection, cursor: int) -> list[ReceivedSegment]:
         """Drive the transfer, acknowledging the largest sequence number seen.
 
-        A round waits for a data segment captured after the round began, then
-        folds every data segment captured since the previous fold, including
-        any captured while that fold's ACK was sent (a zero-delay path
-        delivers the server's reply within the send).
+        A round waits for a data segment captured after the round began.  The
+        wait's scan reaches the end of the capture buffer before it returns,
+        so its matches are exactly the data segments captured since the round
+        began, and the round folds them without a second scan.  Segments
+        captured before the round began but after the previous fold (a
+        zero-delay path delivers the server's reply within the probe's own
+        send) are folded first; on a path with any delay there are none.
         """
-        probe, port = self.probe, connection.local_port
+        probe, port, remote = self.probe, connection.local_port, self.remote_addr
         segments: list[ReceivedSegment] = []
         highest_ack = connection.state.rcv_nxt
         deadline = probe.sim.now + self.transfer_timeout
 
         while probe.sim.now < deadline and len(segments) < self.max_segments:
             round_start = probe.capture_cursor()
-            if not probe.wait_for_packets(
-                round_start, 1, self.quiet_period, port, self.remote_addr, match=_carries_data
-            ):
+            fresh = probe.wait_for_packets(
+                round_start, 1, self.quiet_period, port, remote, match=_carries_data
+            )
+            if not fresh:
                 break
-            fresh = probe.tcp_packets_since(cursor, local_port=port, remote_addr=self.remote_addr)
+            if cursor < round_start:
+                early = probe.tcp_packets_since(cursor, local_port=port, remote_addr=remote)
+                fresh = tuple(
+                    captured
+                    for captured in early
+                    if captured.serial < round_start and _carries_data(captured.packet)
+                ) + fresh
             cursor = probe.capture_cursor()
             for captured in fresh:
-                if not _carries_data(captured.packet):
-                    continue
-                tcp = captured.packet.tcp
+                packet = captured.packet
+                tcp = packet.tcp
                 assert tcp is not None
-                length = len(captured.packet.payload)
+                length = len(packet.payload)
                 segments.append(
                     ReceivedSegment(
                         seq=tcp.seq,
                         length=length,
                         time=captured.time,
                         serial=captured.serial,
-                        uid=captured.packet.uid,
+                        uid=packet.uid,
                     )
                 )
                 segment_end = seq_add(tcp.seq, length)
@@ -172,8 +189,11 @@ class DataTransferTest:
     # Classification
     # ------------------------------------------------------------------ #
 
-    def _classify_segments(self, segments: list[ReceivedSegment]) -> list[ReorderSample]:
-        """Build one sample per adjacent pair of distinct segments in send order."""
+    def _classify_segments(self, segments: list[ReceivedSegment], limit: int) -> list[ReorderSample]:
+        """Build one sample per adjacent pair of distinct segments in send order.
+
+        Stops after ``limit`` pairs; 0 means every pair.
+        """
         if len(segments) < 2:
             return []
         # Deduplicate retransmissions: keep the first arrival of each sequence number.
@@ -183,8 +203,11 @@ class DataTransferTest:
                 first_arrival[segment.seq] = segment
         ordered = sorted(first_arrival.values(), key=lambda s: seq_diff(s.seq, segments[0].seq))
 
+        pairs = len(ordered) - 1
+        if limit > 0:
+            pairs = min(pairs, limit)
         samples: list[ReorderSample] = []
-        for index in range(len(ordered) - 1):
+        for index in range(pairs):
             earlier = ordered[index]
             later = ordered[index + 1]
             reordered = later.serial < earlier.serial

@@ -33,6 +33,9 @@ from repro.net.seqnum import ipid_diff
 
 TEST_NAME = "dual-connection"
 
+_ACK = int(TcpFlags.ACK)
+_ACK_SYN_RST = int(TcpFlags.ACK | TcpFlags.SYN | TcpFlags.RST)
+
 
 class DualConnectionTest:
     """Runs dual-connection reordering samples against one remote host."""
@@ -121,22 +124,41 @@ class DualConnectionTest:
         index: int,
         spacing: float,
     ) -> ReorderSample:
-        cursor = self.probe.capture_cursor()
-        sample_time = self.probe.sim.now
+        probe, remote = self.probe, self.remote_addr
+        cursor = probe.capture_cursor()
+        sample_time = probe.sim.now
         first = connection_a.send_data_at_offset(1, length=1)
         if spacing > 0.0:
-            self.probe.sim.run_for(spacing)
+            probe.sim.run_for(spacing)
         second = connection_b.send_data_at_offset(1, length=1)
 
-        def _both_acked() -> bool:
-            return (
-                self._ack_for(cursor, connection_a) is not None
-                and self._ack_for(cursor, connection_b) is not None
-            )
+        # Each capture is folded once, on the wake that captured it; the first
+        # pure ACK per connection is kept.
+        slot_of = {connection_a.local_port: 0, connection_b.local_port: 1}
+        acks: list[Optional[CapturedPacket]] = [None, None]
+        scan = cursor
 
-        self.probe.wait_for_predicate(_both_acked, timeout=self.sample_timeout)
-        ack_a = self._ack_for(cursor, connection_a)
-        ack_b = self._ack_for(cursor, connection_b)
+        def _both_acked() -> bool:
+            nonlocal scan
+            fresh = probe.captured_since(scan)
+            scan += len(fresh)
+            for captured in fresh:
+                packet = captured.packet
+                tcp = packet.tcp
+                if tcp is None or packet.ip.src != remote:
+                    continue
+                slot = slot_of.get(tcp.dst_port)
+                if (
+                    slot is not None
+                    and acks[slot] is None
+                    and int.__and__(tcp.flags, _ACK_SYN_RST) == _ACK
+                ):
+                    acks[slot] = captured
+            return acks[0] is not None and acks[1] is not None
+
+        # The wait's last act is a predicate check, so ``acks`` is current.
+        probe.wait_for_predicate(_both_acked, timeout=self.sample_timeout)
+        ack_a, ack_b = acks
 
         forward, reverse, detail = self._classify(ack_a, ack_b)
         responses = [captured for captured in (ack_a, ack_b) if captured is not None]
@@ -151,17 +173,6 @@ class DualConnectionTest:
             probe_uids=(first.uid, second.uid),
             response_uids=tuple(captured.packet.uid for captured in responses),
         )
-
-    def _ack_for(self, cursor: int, connection: ProbeConnection) -> Optional[CapturedPacket]:
-        replies = self.probe.tcp_packets_since(
-            cursor, local_port=connection.local_port, remote_addr=self.remote_addr
-        )
-        for captured in replies:
-            tcp = captured.packet.tcp
-            assert tcp is not None
-            if tcp.has(TcpFlags.ACK) and not tcp.has(TcpFlags.SYN) and not tcp.has(TcpFlags.RST):
-                return captured
-        return None
 
     @staticmethod
     def _classify(

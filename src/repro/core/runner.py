@@ -175,17 +175,22 @@ def run_shard(task: ShardTask) -> ShardOutcome:
     """Build one shard's testbed and run its campaign to completion.
 
     Module-level (rather than a method) so :class:`ShardTask` instances can be
-    shipped to :class:`~concurrent.futures.ProcessPoolExecutor` workers.
+    shipped to :class:`~concurrent.futures.ProcessPoolExecutor` workers.  The
+    records carry packet uids, never packets, so the testbed is closed as
+    soon as the campaign returns and the shard's packets are freed here.
     """
     testbed = build_testbed(list(task.specs), seed=task.seed, stable_site_seeds=True)
-    campaign = Campaign(
-        testbed.probe,
-        testbed.addresses(),
-        task.config,
-        remote_port=task.remote_port,
-        scenario=task.scenario,
-    )
-    result = campaign.run(task.tests)
+    try:
+        campaign = Campaign(
+            testbed.probe,
+            testbed.addresses(),
+            task.config,
+            remote_port=task.remote_port,
+            scenario=task.scenario,
+        )
+        result = campaign.run(task.tests)
+    finally:
+        testbed.close()
     return ShardOutcome(
         index=task.index,
         host_addresses=result.host_addresses,

@@ -133,6 +133,14 @@ class ProbeHost:
         """Return a cursor marking the current end of the capture buffer."""
         return len(self._received)
 
+    def clear_captures(self) -> None:
+        """Discard every captured packet and restart the capture serials at 0.
+
+        Cursors taken before the call no longer mean anything.  The owner of
+        a finished measurement calls this so the packets are freed at once.
+        """
+        self._received.clear()
+
     def captured_since(self, cursor: int) -> tuple[CapturedPacket, ...]:
         """Return packets captured after the given cursor position."""
         return tuple(self._received[cursor:])

@@ -152,6 +152,23 @@ class Testbed:
         """Return the addresses of every deployed site, in insertion order."""
         return [handle.spec.address for handle in self.sites.values()]
 
+    def close(self) -> None:
+        """Free the packets the testbed recorded, once its measurements end.
+
+        The probe's capture buffer and each site's two traces keep every
+        packet they saw.  The testbed's wiring is a reference cycle (the
+        probe transmits into the topology, whose pipelines deliver back to
+        the probe), so without this call those packets live until the
+        cyclic collector next runs; with it, reference counting frees them
+        here.  Packets still in flight stay with their pending events.  Only
+        the testbed's owner calls it: the traces are the ground truth a
+        validation run reads afterwards.
+        """
+        self.probe.clear_captures()
+        for handle in self.sites.values():
+            handle.forward_trace.clear()
+            handle.reverse_trace.clear()
+
     def add_site(self, spec: HostSpec) -> SiteHandle:
         """Deploy a site from its spec: build hosts, middleboxes, and the path."""
         if spec.name in self.sites:

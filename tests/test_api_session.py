@@ -35,8 +35,10 @@ from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
 from repro.core.runner import EXECUTOR_SERIAL, CampaignRunner, result_digest, run_shard
 from repro.net.errors import MeasurementError
+from repro.net.packet import Packet, TcpFlags, TcpHeader
 from repro.scenarios import scenario_names
 from repro.scenarios.matrix import MIXED_OS, derive_cell_seed
+from repro.workloads.testbed import PROBE_ADDRESS
 from _remote_helpers import make_backend
 from test_golden_signatures import (
     GOLDEN_CONFIG,
@@ -140,6 +142,37 @@ def test_probe_request_runs_requested_techniques():
     assert all(report.succeeded for report in first.payload.values())
     # Determinism: the digest is a pure function of the request.
     assert first.result_digest == second.result_digest
+
+
+@pytest.mark.parametrize("samples", (0, -3))
+def test_probe_request_rejects_fewer_than_one_sample(samples):
+    """Rejected up front, as ``CampaignConfig`` rejects it, not per technique."""
+    with pytest.raises(MeasurementError, match="at least one sample"):
+        with Session(backend=EXECUTOR_SERIAL) as session:
+            session.run(
+                ProbeRequest(
+                    tests=(TestName.SINGLE_CONNECTION, TestName.DATA_TRANSFER), samples=samples
+                )
+            )
+
+
+def test_probe_request_frees_its_captured_and_traced_packets():
+    """The probe testbed is a reference cycle; the packets its capture buffer
+    and traces hold must not wait for the cyclic collector.  Only the last
+    technique's closing resets, still in flight in a pending event, may."""
+    request = ProbeRequest(tests=TestName.all(), samples=5, seed=3)
+    base = Packet.tcp_packet(0, 0, TcpHeader(src_port=1, dst_port=1)).uid
+    gc.collect()
+    gc.disable()
+    try:
+        with Session(backend=EXECUTOR_SERIAL) as session:
+            envelope = session.run(request)
+        left = [obj for obj in gc.get_objects() if isinstance(obj, Packet) and obj.uid > base]
+    finally:
+        gc.enable()
+    assert all(report.succeeded for report in envelope.payload.values())
+    assert len(left) <= 2
+    assert all(packet.ip.src == PROBE_ADDRESS and packet.tcp.has(TcpFlags.RST) for packet in left)
 
 
 def test_matrix_request_measures_identically_on_serial_and_process():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
+import repro.core.data_transfer as data_transfer
 from repro.core.data_transfer import DataTransferTest
 from repro.core.sample import Direction, SampleOutcome
 from repro.host.raw_socket import ProbeHost
+from repro.net.errors import MeasurementError
 from repro.net.flow import parse_address
 from repro.workloads.testbed import HostSpec, PathSpec, Testbed
 
@@ -68,6 +72,14 @@ def test_num_samples_caps_reported_pairs():
     assert result.sample_count() == 5
 
 
+def test_negative_sample_cap_is_rejected():
+    testbed, address = _testbed(object_size=8 * 1024)
+    with pytest.raises(MeasurementError, match="cannot be negative"):
+        DataTransferTest(testbed.probe, address).run(num_samples=-3)
+    # Rejected before the handshake: the simulation never started.
+    assert testbed.sim.processed_events == 0
+
+
 def test_unreachable_host_reports_handshake_failure():
     testbed, _address = _testbed()
     result = DataTransferTest(testbed.probe, parse_address("203.0.113.80")).run()
@@ -93,6 +105,23 @@ def test_long_transfer_scans_each_captured_packet_a_bounded_number_of_times(monk
     # 64 KiB at 256-byte segments is 256 segments -> 255 adjacent pairs.
     assert result.sample_count() == 255
     assert scanned <= 4 * testbed.probe.received_count()
+
+
+def test_long_transfer_classifies_each_captured_packet_at_most_once(monkeypatch):
+    """A round folds its own wait's matches instead of filtering them again."""
+    calls = 0
+    original = data_transfer._carries_data
+
+    def counting(packet):
+        nonlocal calls
+        calls += 1
+        return original(packet)
+
+    monkeypatch.setattr(data_transfer, "_carries_data", counting)
+    testbed, address = _testbed(object_size=64 * 1024)
+    result = DataTransferTest(testbed.probe, address, mss=256, advertised_window=1024).run()
+    assert result.sample_count() == 255
+    assert 0 < calls <= testbed.probe.received_count()
 
 
 def test_mss_and_window_are_honoured_by_the_server():

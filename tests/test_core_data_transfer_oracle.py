@@ -3,9 +3,12 @@
 ``RescanningDataTransferTest`` keeps the original receive loop verbatim: every
 ACK round re-filters every packet captured since the transfer began (before
 the wait, on each capture wake, and after it), so a transfer costs time
-quadratic in its length.  The library's loop waits and folds incrementally.
+quadratic in its length.  The library's loop folds each round's wait matches.
 Both must see the same segments, stop the simulator on the same event and run
-the same number of events, on every path the grid below builds.
+the same number of events, on every path the grid below builds and on the
+striped, swapping, lossy paths of the ``imc2002-survey`` population.  A capped
+measurement must report the oracle's full sample list cut to the cap, after
+the same simulation.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.core.probe_connection import ProbeConnection
 from repro.net.flow import parse_address
 from repro.net.packet import Packet, TcpFlags, TcpHeader
 from repro.net.seqnum import seq_add, seq_gt
+from repro.scenarios import LEGACY_SCENARIO, build_scenario_hosts, get_scenario
 from repro.workloads.testbed import HostSpec, PathSpec, Testbed
 
 ADDRESS = parse_address("10.5.0.2")
@@ -93,24 +97,46 @@ def _case_id(case: tuple) -> str:
     return "rev{}-loss{}-mss{}-win{}-delay{}".format(*case)
 
 
-def _observe(test_class: type[DataTransferTest], case: tuple):
+def _grid_case(case: tuple) -> tuple[PathSpec, int, int]:
     reverse, loss, mss, window, delay = case
-    seed = 1000 + GRID.index(case)
-    testbed = Testbed(seed=seed)
-    testbed.add_site(
-        HostSpec(
-            name="target",
-            address=ADDRESS,
-            path=PathSpec(
-                reverse_swap_probability=reverse,
-                forward_loss=loss,
-                reverse_loss=loss,
-                propagation_delay=delay,
-                access_bandwidth_bps=None if delay == 0.0 else 100e6,
-            ),
-            web_object_size=12 * 1024,
-        )
+    path = PathSpec(
+        reverse_swap_probability=reverse,
+        forward_loss=loss,
+        reverse_loss=loss,
+        propagation_delay=delay,
+        access_bandwidth_bps=None if delay == 0.0 else 100e6,
     )
+    return path, mss, window
+
+
+def _survey_paths() -> list[PathSpec]:
+    """Paths of the survey population as ``path_element_specs`` builds them.
+
+    Two heavy-reordering paths (forward striping plus swap both ways) and two
+    swap-only paths, all with the scenario's loss on both directions.
+    """
+    scenario = get_scenario(LEGACY_SCENARIO).with_population(num_hosts=48)
+    paths = [spec.path for spec in build_scenario_hosts(scenario, seed=2002)]
+    striped = [path for path in paths if path.forward_striping is not None]
+    swapped = [
+        path for path in paths if path.forward_striping is None and path.forward_swap_probability > 0.0
+    ]
+    return striped[:2] + swapped[:2]
+
+
+SURVEY_PATHS = _survey_paths()
+
+# id -> (path, mss, advertised window); the survey paths use the prober's
+# data-transfer settings.
+CASES = {_case_id(case): _grid_case(case) for case in GRID}
+CASES.update({f"survey{index}": (path, 256, 1024) for index, path in enumerate(SURVEY_PATHS)})
+
+
+def _observe(test_class: type[DataTransferTest], case_id: str, num_samples: int = 0):
+    path, mss, window = CASES[case_id]
+    seed = 1000 + list(CASES).index(case_id)
+    testbed = Testbed(seed=seed)
+    testbed.add_site(HostSpec(name="target", address=ADDRESS, path=path, web_object_size=12 * 1024))
     test = test_class(testbed.probe, ADDRESS, mss=mss, advertised_window=window)
     transfers = []
     receive = test._receive_transfer
@@ -123,28 +149,77 @@ def _observe(test_class: type[DataTransferTest], case: tuple):
     # Packet uids are process-wide; count them from a marker packet so the
     # two runs' segments compare equal when the same packets arrive.
     base = Packet.tcp_packet(0, 0, TcpHeader(src_port=1, dst_port=1)).uid
-    result = test.run()
+    result = test.run(num_samples)
     segments = [dataclasses.replace(segment, uid=segment.uid - base) for transfer in transfers for segment in transfer]
-    outcomes = [(sample.reverse, sample.time, sample.detail) for sample in result.samples]
+    outcomes = [
+        (
+            sample.index,
+            sample.reverse,
+            sample.time,
+            sample.detail,
+            tuple(uid - base for uid in sample.probe_uids),
+            tuple(uid - base for uid in sample.response_uids),
+        )
+        for sample in result.samples
+    ]
     return segments, outcomes, testbed.sim.now, testbed.sim.processed_events
 
 
-@pytest.mark.parametrize("case", GRID, ids=_case_id)
-def test_incremental_loop_matches_rescanning_oracle(case):
-    segments, outcomes, now, events = _observe(DataTransferTest, case)
-    expected_segments, expected_outcomes, expected_now, expected_events = _observe(RescanningDataTransferTest, case)
+@pytest.mark.parametrize("case_id", list(CASES))
+def test_incremental_loop_matches_rescanning_oracle(case_id):
+    segments, outcomes, now, events = _observe(DataTransferTest, case_id)
+    expected_segments, expected_outcomes, expected_now, expected_events = _observe(
+        RescanningDataTransferTest, case_id
+    )
     assert segments == expected_segments
     assert outcomes == expected_outcomes
     assert now == expected_now
     assert events == expected_events
 
 
+# A lossy zero-delay grid path (segments captured between rounds), a lossy
+# delayed one, and every survey path.
+CAPPED_CASES = [
+    "rev0.5-loss0.2-mss128-win512-delay0.0",
+    "rev0.2-loss0.05-mss536-win512-delay0.002",
+    *(f"survey{index}" for index in range(len(SURVEY_PATHS))),
+]
+
+
+# 10_000 is more pairs than any transfer yields (``max_segments`` is 400).
+@pytest.mark.parametrize("cap", (1, 10, 10_000))
+@pytest.mark.parametrize("case_id", CAPPED_CASES)
+def test_capped_measurement_is_the_oracle_list_cut_to_the_cap(case_id, cap):
+    """The cap shortens the report, never the transfer."""
+    segments, outcomes, now, events = _observe(DataTransferTest, case_id, num_samples=cap)
+    expected_segments, expected_outcomes, expected_now, expected_events = _observe(
+        RescanningDataTransferTest, case_id
+    )
+    assert len(expected_outcomes) > 10
+    assert segments == expected_segments
+    assert outcomes == expected_outcomes[:cap]
+    assert now == expected_now
+    assert events == expected_events
+
+
+def _reordered(segments) -> bool:
+    return any(seq_gt(earlier.seq, later.seq) for earlier, later in zip(segments, segments[1:]))
+
+
 def test_grid_paths_reorder_and_retransmit():
     """The oracle check is only as strong as the paths the grid builds."""
     reordered = retransmitted = 0
     for case in GRID:
-        segments = _observe(DataTransferTest, case)[0]
-        reordered += any(seq_gt(earlier.seq, later.seq) for earlier, later in zip(segments, segments[1:]))
+        segments = _observe(DataTransferTest, _case_id(case))[0]
+        reordered += _reordered(segments)
         retransmitted += len({segment.seq for segment in segments}) < len(segments)
     assert reordered >= len(GRID) // 4
     assert retransmitted >= len(GRID) // 4
+
+
+def test_survey_paths_stripe_swap_and_lose():
+    """The survey cases cover forward striping, swaps and loss, and reorder."""
+    assert [path.forward_striping is not None for path in SURVEY_PATHS] == [True, True, False, False]
+    assert all(path.forward_swap_probability > 0.0 < path.reverse_swap_probability for path in SURVEY_PATHS)
+    assert all(path.forward_loss > 0.0 < path.reverse_loss for path in SURVEY_PATHS)
+    assert any(_reordered(_observe(DataTransferTest, f"survey{index}")[0]) for index in range(len(SURVEY_PATHS)))

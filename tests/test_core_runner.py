@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.api import CampaignRequest, Session
@@ -11,11 +13,15 @@ from repro.core.runner import (
     EXECUTOR_PROCESS,
     EXECUTOR_SERIAL,
     CampaignRunner,
+    ShardTask,
     record_signature,
     result_signature,
+    run_shard,
 )
 from repro.core.sample import Direction
 from repro.net.errors import MeasurementError
+from repro.net.packet import Packet, TcpHeader
+from repro.scenarios import LEGACY_SCENARIO, build_scenario_hosts, get_scenario
 from repro.workloads.population import (
     PopulationSpec,
     generate_population,
@@ -163,6 +169,31 @@ def test_fixed_shard_layout_reproducible_with_load_balancers():
     assert result_signature(first) == result_signature(again)
     processed = _run(lb_specs, shards=3, config=config, backend=EXECUTOR_PROCESS)
     assert result_signature(processed) == result_signature(first)
+
+
+def test_run_shard_frees_every_packet_it_simulated():
+    """A shard's testbed is a reference cycle, so its packets would otherwise
+    wait for the cyclic collector; with the collector off, none may remain."""
+    scenario = get_scenario(LEGACY_SCENARIO).with_population(num_hosts=2)
+    task = ShardTask(
+        index=0,
+        specs=tuple(build_scenario_hosts(scenario, seed=SEED)),
+        config=CampaignConfig(rounds=1, samples_per_measurement=5),
+        tests=TestName.all(),
+        seed=SEED,
+        remote_port=80,
+    )
+    base = Packet.tcp_packet(0, 0, TcpHeader(src_port=1, dst_port=1)).uid
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = run_shard(task)
+        left = sum(1 for obj in gc.get_objects() if isinstance(obj, Packet) and obj.uid > base)
+    finally:
+        gc.enable()
+    assert len(outcome.records) == 2 * len(TestName.all())
+    assert any(record.report.succeeded for record in outcome.records)
+    assert left == 0
 
 
 def test_runner_validation(specs):
