@@ -21,7 +21,7 @@ import time
 
 from bench_helpers import record_bench, run_once
 
-from repro.analysis.scenarios import compare_scenarios
+from repro.analysis.streaming import stream_survey
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
 from repro.core.runner import EXECUTOR_PROCESS, EXECUTOR_SERIAL, result_signature
@@ -134,7 +134,8 @@ def test_bench_scenario_sweep(benchmark):
         f"speedup x{serial_elapsed / remote_elapsed:.2f})"
     )
     print()
-    print(compare_scenarios(serial.results()).to_table())
+    records = (record for run in serial.runs.values() for record in run.result.records)
+    print(stream_survey(records).comparison().to_table())
     # Tiny (CI smoke) runs are recorded under their own section so the
     # regression gate always compares like-for-like configurations.
     out = record_bench(

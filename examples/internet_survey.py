@@ -11,9 +11,7 @@ host eligibility per technique, and the cross-test agreement matrix.
 from __future__ import annotations
 
 from repro import Campaign, CampaignConfig, Direction, TestName, build_testbed, generate_population
-from repro.analysis.agreement import compute_agreement
-from repro.analysis.figures import build_fig5_cdf
-from repro.analysis.survey import summarize_eligibility
+from repro.analysis.streaming import stream_survey
 from repro.workloads.population import PopulationSpec
 
 
@@ -31,18 +29,18 @@ def main() -> None:
     )
     campaign = Campaign(testbed.probe, testbed.addresses(), config).run()
 
-    fig5 = build_fig5_cdf(campaign, TestName.SINGLE_CONNECTION, Direction.FORWARD)
+    survey = stream_survey(campaign.records, campaign.host_addresses)
+    fig5 = survey.fig5(TestName.SINGLE_CONNECTION, Direction.FORWARD)
     print("CDF of per-path forward reordering rates (single connection test):")
     for rate, fraction in fig5.rows():
         print(f"  rate <= {rate:.4f}: {fraction:.0%} of paths")
     print(f"paths with any forward reordering: {fig5.fraction_with_reordering:.0%}")
     print()
 
-    print(summarize_eligibility(campaign).to_table())
+    print(survey.eligibility().to_table())
     print()
 
-    matrix = compute_agreement(
-        campaign,
+    matrix = survey.agreement(
         pairs=[(TestName.SINGLE_CONNECTION, TestName.SYN)],
         confidence=0.999,
         min_pairs=3,

@@ -17,7 +17,7 @@ from repro import (
     Session,
     TestName,
 )
-from repro.analysis import compare_scenarios, slice_by_scenario
+from repro.analysis import stream_survey, survey_from_envelope
 from repro.scenarios import MIXED_OS, get_scenario, scenario_names
 
 SEED = 11
@@ -39,7 +39,8 @@ def main() -> None:
                                         hosts=8, seed=SEED, shards=2))
             for name in scenario_names()
         ]
-    print(compare_scenarios(slice_by_scenario(runs)).to_table())
+    records = (record for envelope in runs for record in envelope.result.records)
+    print(stream_survey(records).comparison().to_table())
 
     print()
     print("== scenario x OS sweep matrix ==")
@@ -50,7 +51,7 @@ def main() -> None:
         sweep = session.run(
             MatrixRequest(matrix=matrix, config=CONFIG, hosts=6, seed=SEED, shards=2)
         )
-    print(compare_scenarios(sweep.payload.results()).to_table())
+    print(survey_from_envelope(sweep).comparison().to_table())
 
     print()
     print("== composition and reproducibility ==")

@@ -19,12 +19,15 @@ envelope's ``result-digest`` line.  With ``--store`` a run checkpoints every
 completed shard durably, so a crashed or killed run continues with
 ``resume`` from the last durable shard — the resumed result's printed
 ``result-digest`` is bit-identical to an uninterrupted run's.  ``report``
-streams an existing store's records through
-:class:`~repro.analysis.streaming.StreamingSurvey` without re-running (or
-fully materializing) anything.  ``migrate`` converts a store written in
-format 1 (one file per shard) to the current shard log in place; on a
-current store it does nothing.  An invocation that does not start with a
-subcommand prints a one-line usage message and exits with status 2.
+streams an existing store's records without re-running (or fully
+materializing) anything.  All three print the same tables — eligibility,
+the scenario comparison, Figure 5 per scenario, pairwise agreement and the
+middlebox taxonomy — from one
+:class:`~repro.analysis.streaming.StreamingSurvey` fold.  ``migrate``
+converts a store written in format 1 (one file per shard) to the current
+shard log in place; on a current store it does nothing.  An invocation
+that does not start with a subcommand prints a one-line usage message and
+exits with status 2.
 
 Output is deterministic for a fixed ``(--scenario, --hosts, --seed,
 --shards)``.
@@ -38,10 +41,7 @@ import signal
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.middlebox import classify_middleboxes
-from repro.analysis.scenarios import compare_scenarios
-from repro.analysis.streaming import survey_from_store
-from repro.analysis.survey import summarize_eligibility
+from repro.analysis.streaming import StreamingSurvey, survey_from_envelope, survey_from_store
 from repro.api.backends import backend_names
 from repro.api.envelope import ResultEnvelope
 from repro.api.requests import CampaignRequest, ResumeRequest
@@ -99,11 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list registered scenarios and exit",
     )
-    parser.add_argument(
-        "--middlebox-report",
-        action="store_true",
-        help="append the middlebox taxonomy (per-host failure causes) to the summary",
-    )
     return parser
 
 
@@ -122,25 +117,36 @@ def _list_scenarios() -> None:
         print(f"  {scenario.description}")
 
 
-def _print_envelope(
-    scenario_name: str,
-    seed: int,
-    shards: int,
-    envelope: ResultEnvelope,
-    middlebox_report: bool = False,
-) -> None:
+def _print_survey(survey: StreamingSurvey) -> None:
+    """The summary tables every subcommand prints, all from one fold."""
+    print()
+    print(survey.eligibility().to_table())
+    print()
+    print(survey.comparison().to_table())
+    for name, slice_ in sorted(survey.scenario_slices().items()):
+        fig5 = slice_.fig5()
+        if fig5.cdf is None:
+            continue
+        print()
+        print(
+            f"[{name}] fig5: paths={len(fig5.per_path_rates)} "
+            f"reordering={fig5.fraction_with_reordering:.1%} "
+            f"median-rate={fig5.cdf.quantile(0.5):.4f} "
+            f"p90-rate={fig5.cdf.quantile(0.9):.4f}"
+        )
+    print()
+    print(survey.agreement().to_table())
+    print()
+    print(survey.taxonomy().to_table())
+
+
+def _print_envelope(scenario_name: str, seed: int, shards: int, envelope: ResultEnvelope) -> None:
     result = envelope.result
     print(
         f"scenario={scenario_name} hosts={len(result.host_addresses)} "
         f"seed={seed} shards={shards} records={len(result.records)}"
     )
-    print()
-    print(summarize_eligibility(result).to_table())
-    print()
-    print(compare_scenarios({result.scenario or scenario_name: result}).to_table())
-    if middlebox_report:
-        print()
-        print(classify_middleboxes(result).to_table())
+    _print_survey(survey_from_envelope(envelope))
     print()
     print(f"result-digest={envelope.result_digest}")
 
@@ -189,10 +195,7 @@ def cmd_run(argv: Sequence[str]) -> int:
     except StoreError as error:
         print(f"store error: {error}", file=sys.stderr)
         return 1
-    _print_envelope(
-        args.scenario, args.seed, args.shards, envelope,
-        middlebox_report=args.middlebox_report,
-    )
+    _print_envelope(args.scenario, args.seed, args.shards, envelope)
     return 0
 
 
@@ -242,19 +245,7 @@ def cmd_report(argv: Sequence[str]) -> int:
         f"store={args.store} scenario={plan.scenario} seed={plan.seed} "
         f"shards={durable}/{plan.shards} ({status}) records={survey.records_observed}"
     )
-    print()
-    print(survey.eligibility().to_table())
-    for name, slice_ in sorted(survey.scenario_slices().items()):
-        fig5 = slice_.fig5()
-        if fig5.cdf is None:
-            continue
-        print()
-        print(
-            f"[{name}] fig5: paths={len(fig5.per_path_rates)} "
-            f"reordering={fig5.fraction_with_reordering:.1%} "
-            f"median-rate={fig5.cdf.quantile(0.5):.4f} "
-            f"p90-rate={fig5.cdf.quantile(0.9):.4f}"
-        )
+    _print_survey(survey)
     if store.is_complete():
         print()
         print(f"result-digest={result_digest(store.load_result())}")

@@ -6,19 +6,18 @@ of per-measurement reordering rates produced by two tests are paired by
 campaign round, and the null hypothesis (the techniques agree) is supported
 when the confidence interval of the mean difference contains zero.  The paper
 reports, for each pair of tests, the fraction of hosts supporting the null.
+:meth:`repro.analysis.streaming.StreamingSurvey.agreement` computes the
+matrix; this module holds its table classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.analysis.report import format_table
-from repro.core.campaign import CampaignResult
 from repro.core.prober import TestName
 from repro.core.sample import Direction
-from repro.net.errors import AnalysisError
-from repro.stats.pair_difference import paired_difference_test
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +62,8 @@ class AgreementMatrix:
         return None
 
     def to_table(self) -> str:
-        """Render the whole matrix as a text table."""
+        """Render the whole matrix as a text table; a cell that compared no
+        host shows ``-`` rather than 0 % agreement."""
         rows = [
             [
                 cell.test_a.value,
@@ -71,7 +71,7 @@ class AgreementMatrix:
                 cell.direction.value,
                 cell.hosts_compared,
                 cell.hosts_supporting_null,
-                f"{cell.support_fraction:.0%}",
+                f"{cell.support_fraction:.0%}" if cell.hosts_compared else "-",
             ]
             for cell in self.cells
         ]
@@ -80,67 +80,3 @@ class AgreementMatrix:
             rows=rows,
             title=f"Pairwise agreement at {self.confidence:.1%} confidence",
         )
-
-
-def _paired_rates(
-    campaign: CampaignResult,
-    host: int,
-    test_a: TestName,
-    test_b: TestName,
-    direction: Direction,
-) -> tuple[list[float], list[float]]:
-    """Pair the two tests' per-round rates for one host by campaign round."""
-    by_round_a: dict[int, float] = {}
-    by_round_b: dict[int, float] = {}
-    for record in campaign.records_for(host, test_a):
-        rate = record.report.rate(direction)
-        if rate is not None:
-            by_round_a[record.round_index] = rate
-    for record in campaign.records_for(host, test_b):
-        rate = record.report.rate(direction)
-        if rate is not None:
-            by_round_b[record.round_index] = rate
-    common = sorted(set(by_round_a) & set(by_round_b))
-    return [by_round_a[r] for r in common], [by_round_b[r] for r in common]
-
-
-def compute_agreement(
-    campaign: CampaignResult,
-    pairs: Optional[Sequence[tuple[TestName, TestName]]] = None,
-    directions: Sequence[Direction] = (Direction.FORWARD, Direction.REVERSE),
-    confidence: float = 0.999,
-    min_pairs: int = 3,
-) -> AgreementMatrix:
-    """Compute the pairwise agreement matrix over a campaign's hosts."""
-    if pairs is None:
-        tests = [t for t in TestName.all()]
-        pairs = [(tests[i], tests[j]) for i in range(len(tests)) for j in range(i + 1, len(tests))]
-    matrix = AgreementMatrix(confidence=confidence)
-    for test_a, test_b in pairs:
-        for direction in directions:
-            if direction is Direction.FORWARD and TestName.DATA_TRANSFER in (test_a, test_b):
-                # The data-transfer test cannot measure the forward path.
-                continue
-            compared = 0
-            supporting = 0
-            for host in campaign.host_addresses:
-                series_a, series_b = _paired_rates(campaign, host, test_a, test_b, direction)
-                if len(series_a) < min_pairs:
-                    continue
-                try:
-                    result = paired_difference_test(series_a, series_b, confidence=confidence)
-                except AnalysisError:
-                    continue
-                compared += 1
-                if result.supports_null:
-                    supporting += 1
-            matrix.cells.append(
-                AgreementCell(
-                    test_a=test_a,
-                    test_b=test_b,
-                    direction=direction,
-                    hosts_compared=compared,
-                    hosts_supporting_null=supporting,
-                )
-            )
-    return matrix

@@ -3,7 +3,8 @@
 Each builder returns the data series behind a figure of the paper — not a
 rendered plot, but the (x, y) rows a plotting tool or the benchmark output
 prints — together with the headline statistics the paper quotes about that
-figure.
+figure.  Figure 5 aggregates the whole survey, so
+:meth:`repro.analysis.streaming.StreamingSurvey.fig5` builds its data.
 """
 
 from __future__ import annotations
@@ -42,17 +43,6 @@ class Fig5Data:
         return self.cdf.points()
 
 
-def build_fig5_cdf(
-    campaign: CampaignResult,
-    test: TestName = TestName.SINGLE_CONNECTION,
-    direction: Direction = Direction.FORWARD,
-) -> Fig5Data:
-    """Build the Figure 5 CDF from a campaign's per-path mean rates."""
-    rates = campaign.path_rates(test, direction)
-    cdf = EmpiricalCdf(rates.values()) if rates else None
-    return Fig5Data(direction=direction, test=test, per_path_rates=rates, cdf=cdf)
-
-
 @dataclass(slots=True)
 class Fig6Data:
     """Figure 6: per-measurement forward reordering rate for one host, two tests."""
@@ -83,10 +73,16 @@ def build_fig6_series(
     tests: Sequence[TestName] = (TestName.SINGLE_CONNECTION, TestName.SYN),
     direction: Direction = Direction.FORWARD,
 ) -> Fig6Data:
-    """Build the Figure 6 comparison series for one (load-balanced) host."""
+    """Build the Figure 6 comparison series for one (load-balanced) host:
+    each test's (time, rate) points, skipping measurements without a rate."""
     data = Fig6Data(host_address=host_address)
     for test in tests:
-        data.series[test] = campaign.rates_for(host_address, test, direction)
+        points = data.series[test] = []
+        for record in campaign.records:
+            if record.host_address == host_address and record.test is test:
+                rate = record.report.rate(direction)
+                if rate is not None:
+                    points.append((record.time, rate))
     return data
 
 

@@ -31,6 +31,7 @@ cause                     symptom across techniques
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from repro.analysis.report import format_table
 from repro.core.prober import TestName
@@ -101,20 +102,15 @@ class MiddleboxTaxonomy:
         )
 
 
-def _diagnose(reports_by_test: dict[TestName, list]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Map one host's per-test reports to ``(causes, distinct errors)``."""
+def diagnose(host_address: int, errors_by_test: Mapping[TestName, Sequence[str]]) -> HostDiagnosis:
+    """Diagnose one host from its failed attempts' error strings per test."""
 
     def errors_for(*tests: TestName) -> list[str]:
-        collected = []
-        for test in tests:
-            for report in reports_by_test.get(test, []):
-                if report.error:
-                    collected.append(report.error)
-        return collected
+        return [error for test in tests for error in errors_by_test.get(test, ())]
 
     all_errors: list[str] = errors_for(*TestName.all())
     if not all_errors:
-        return (CAUSE_CLEAN,), ()
+        return HostDiagnosis(host_address=host_address, causes=(CAUSE_CLEAN,))
 
     causes: list[str] = []
     explained: set[str] = set()
@@ -153,29 +149,8 @@ def _diagnose(reports_by_test: dict[TestName, list]) -> tuple[tuple[str, ...], t
     if any(error not in explained for error in all_errors):
         causes.append(CAUSE_OTHER)
 
-    distinct = tuple(dict.fromkeys(all_errors))
-    return tuple(causes), distinct
-
-
-def classify_middleboxes(campaign) -> MiddleboxTaxonomy:
-    """Classify every host's failures in a campaign by middlebox cause.
-
-    Accepts a :class:`~repro.core.campaign.CampaignResult` or a campaign
-    :class:`~repro.api.envelope.ResultEnvelope` straight from a session.
-    """
-    from repro.api.envelope import unwrap_result
-
-    campaign = unwrap_result(campaign)
-    by_host: dict[int, dict[TestName, list]] = {}
-    for record in campaign.records:
-        by_host.setdefault(record.host_address, {}).setdefault(
-            record.report.test, []
-        ).append(record.report)
-
-    taxonomy = MiddleboxTaxonomy(total_hosts=len(by_host))
-    for address in sorted(by_host):
-        causes, errors = _diagnose(by_host[address])
-        taxonomy.diagnoses.append(
-            HostDiagnosis(host_address=address, causes=causes, errors=errors)
-        )
-    return taxonomy
+    return HostDiagnosis(
+        host_address=host_address,
+        causes=tuple(causes),
+        errors=tuple(dict.fromkeys(all_errors)),
+    )

@@ -1,58 +1,24 @@
-"""Per-scenario analysis slicing.
+"""The cross-scenario comparison table.
 
-A scenario sweep produces one scenario-stamped
-:class:`~repro.core.campaign.CampaignResult` per cell; the helpers here slice
-and compare them: Figure-5-style per-path rate CDFs per scenario
-(:func:`fig5_by_scenario`), pairwise-agreement matrices per scenario
-(:func:`agreement_by_scenario`), and a cross-scenario comparison table
-(:func:`compare_scenarios`) that lines up eligibility, reordering prevalence,
-and per-path rate headline numbers side by side — the "is the methodology
-robust across pathologies" view the paper argues for in §IV-B.
+Every record carries the scenario stamp of the campaign or matrix cell that
+measured it, so :class:`~repro.analysis.streaming.StreamingSurvey` keeps one
+sub-survey per stamp (:meth:`~repro.analysis.streaming.StreamingSurvey.scenario_slices`).
+:meth:`~repro.analysis.streaming.StreamingSurvey.comparison` lines the
+slices up side by side — eligibility, reordering prevalence and per-path rate
+headline numbers — the "is the methodology robust across pathologies" view
+the paper argues for in §IV-B.  This module holds the table classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Protocol, Sequence, Union
+from typing import Optional
 
-from repro.analysis.agreement import AgreementMatrix, compute_agreement
-from repro.analysis.figures import Fig5Data, build_fig5_cdf
+from repro.analysis.figures import Fig5Data
 from repro.analysis.report import format_table
-from repro.analysis.survey import EligibilitySummary, summarize_eligibility
-from repro.core.campaign import CampaignResult
+from repro.analysis.survey import EligibilitySummary
 from repro.core.prober import TestName
 from repro.core.sample import Direction
-from repro.net.errors import AnalysisError
-
-class HasCampaignResult(Protocol):
-    """Anything carrying a campaign dataset under ``.result`` (e.g.
-    :class:`~repro.scenarios.matrix.ScenarioRun`)."""
-
-    result: CampaignResult
-
-
-SliceSource = Union[CampaignResult, HasCampaignResult]
-
-
-def slice_by_scenario(items: Iterable[SliceSource]) -> dict[str, CampaignResult]:
-    """Key campaign datasets by their scenario identity.
-
-    Accepts raw :class:`CampaignResult` objects (stamped by the runner) or
-    anything carrying one under a ``result`` attribute (e.g.
-    :class:`~repro.scenarios.matrix.ScenarioRun`), so both a hand-rolled dict
-    of results and a :class:`~repro.scenarios.matrix.MatrixResult`'s runs can
-    feed the comparison helpers.
-    """
-    out: dict[str, CampaignResult] = {}
-    for item in items:
-        result = getattr(item, "result", item)
-        if not isinstance(result, CampaignResult):
-            raise AnalysisError(f"not a campaign result: {result!r}")
-        name = result.scenario or "unnamed"
-        if name in out:
-            raise AnalysisError(f"duplicate scenario slice: {name!r}")
-        out[name] = result
-    return out
 
 
 @dataclass(slots=True)
@@ -62,10 +28,6 @@ class ScenarioSliceSummary:
     scenario: str
     eligibility: EligibilitySummary
     fig5: Fig5Data
-    dual_connection_measured: bool = True
-    """False when the campaign never ran the dual-connection test, so the
-    comparison table can show "not measured" instead of claiming every host
-    eligible for a test that produced no records."""
 
     @property
     def hosts(self) -> int:
@@ -81,14 +43,12 @@ class ScenarioSliceSummary:
     @property
     def dual_connection_eligible(self) -> Optional[int]:
         """Hosts usable by the dual-connection test, or None if it never ran."""
-        if not self.dual_connection_measured:
-            return None
         return self.eligibility.eligible_hosts(TestName.DUAL_CONNECTION)
 
 
 @dataclass(slots=True)
 class ScenarioComparison:
-    """Side-by-side scenario summaries, in input order."""
+    """Side-by-side scenario summaries, in observation order."""
 
     test: TestName
     direction: Direction
@@ -124,58 +84,3 @@ class ScenarioComparison:
             rows=rows,
             title=f"Scenario comparison ({self.test.value}, {self.direction.value})",
         )
-
-
-def summarize_scenario_slice(
-    name: str,
-    result: CampaignResult,
-    test: TestName = TestName.SINGLE_CONNECTION,
-    direction: Direction = Direction.FORWARD,
-) -> ScenarioSliceSummary:
-    """Summarise one scenario's dataset (eligibility + Figure-5 view)."""
-    return ScenarioSliceSummary(
-        scenario=name,
-        eligibility=summarize_eligibility(result),
-        fig5=build_fig5_cdf(result, test=test, direction=direction),
-        dual_connection_measured=bool(result.records_for(test=TestName.DUAL_CONNECTION)),
-    )
-
-
-def compare_scenarios(
-    results: Union[Mapping[str, CampaignResult], Iterable[SliceSource]],
-    test: TestName = TestName.SINGLE_CONNECTION,
-    direction: Direction = Direction.FORWARD,
-) -> ScenarioComparison:
-    """Build the cross-scenario comparison over a sweep's datasets."""
-    if not isinstance(results, Mapping):
-        results = slice_by_scenario(results)
-    slices = [
-        summarize_scenario_slice(name, result, test=test, direction=direction)
-        for name, result in results.items()
-    ]
-    return ScenarioComparison(test=test, direction=direction, slices=slices)
-
-
-def fig5_by_scenario(
-    results: Mapping[str, CampaignResult],
-    test: TestName = TestName.SINGLE_CONNECTION,
-    direction: Direction = Direction.FORWARD,
-) -> dict[str, Fig5Data]:
-    """One Figure-5 per-path rate CDF per scenario."""
-    return {
-        name: build_fig5_cdf(result, test=test, direction=direction)
-        for name, result in results.items()
-    }
-
-
-def agreement_by_scenario(
-    results: Mapping[str, CampaignResult],
-    pairs: Optional[Sequence[tuple[TestName, TestName]]] = None,
-    directions: Sequence[Direction] = (Direction.FORWARD, Direction.REVERSE),
-    min_pairs: int = 3,
-) -> dict[str, AgreementMatrix]:
-    """One pairwise-agreement matrix per scenario."""
-    return {
-        name: compute_agreement(result, pairs=pairs, directions=directions, min_pairs=min_pairs)
-        for name, result in results.items()
-    }

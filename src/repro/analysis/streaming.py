@@ -1,18 +1,17 @@
-"""Streaming survey aggregation: analysis straight off a campaign store.
+"""Survey analysis as one fold over campaign records.
 
-The batch helpers (:func:`~repro.analysis.survey.summarize_eligibility`,
-:func:`~repro.analysis.figures.build_fig5_cdf`) take a fully materialized
-:class:`~repro.core.campaign.CampaignResult`.  At the ROADMAP's scale a
-store's dataset may not fit in memory, so :class:`StreamingSurvey` consumes
-records one at a time — e.g. from
-:meth:`repro.store.store.CampaignStore.iter_records` — keeping only online
-per-path aggregates (counts, flags, rate sums, and
-:class:`~repro.stats.streaming.ReorderCounter` tallies).
+Every §IV table is a view of one :class:`StreamingSurvey`: host eligibility
+(E6), the Figure 5 CDF of per-path rates (E2), pairwise agreement (E5), the
+middlebox taxonomy and the cross-scenario comparison.  The survey consumes
+records one at a time — from a result's ``records``, a session envelope, or
+:meth:`repro.store.store.CampaignStore.iter_records` — and keeps only
+per-(host, test) aggregates: flags, rate sums, each round's rate per
+direction, and the error strings of failed attempts.  No sample outlives the
+record that carried it, so a store too large for memory still folds.
 
-Exactness, not approximation: for any complete store, the streaming
-eligibility summary and Figure 5 CDF equal the batch ones computed from
-``store.load_result()`` — per-host record order is preserved within a shard,
-so even the floating-point rate sums accumulate in the batch order.
+Feeding a complete store gives the same tables as feeding
+``store.load_result().records``: per-host record order is preserved within a
+shard, so even the floating-point rate sums accumulate in the same order.
 Per-scenario slices fall out of the same pass, keyed by the scenario stamp
 each record carries.
 """
@@ -22,13 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from repro.analysis.agreement import AgreementCell, AgreementMatrix
 from repro.analysis.figures import Fig5Data
+from repro.analysis.middlebox import MiddleboxTaxonomy, diagnose
+from repro.analysis.scenarios import ScenarioComparison, ScenarioSliceSummary
 from repro.analysis.survey import EligibilitySummary
 from repro.core.campaign import HostRoundResult
 from repro.core.prober import TestName
-from repro.core.sample import Direction, SampleOutcome
+from repro.core.sample import Direction
+from repro.net.errors import AnalysisError
 from repro.stats.cdf import EmpiricalCdf
-from repro.stats.streaming import QuantileAccumulator, ReorderCounter
+from repro.stats.pair_difference import paired_difference_test
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.store.store import CampaignStore
@@ -38,22 +41,15 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 class _PathState:
     """Online per-(host, test) aggregates."""
 
-    attempts: int = 0
     ineligible: bool = False
     succeeded: bool = False
     forward_rate_sum: float = 0.0
     forward_rate_count: int = 0
     reverse_rate_sum: float = 0.0
     reverse_rate_count: int = 0
-
-    def merge(self, other: "_PathState") -> None:
-        self.attempts += other.attempts
-        self.ineligible = self.ineligible or other.ineligible
-        self.succeeded = self.succeeded or other.succeeded
-        self.forward_rate_sum += other.forward_rate_sum
-        self.forward_rate_count += other.forward_rate_count
-        self.reverse_rate_sum += other.reverse_rate_sum
-        self.reverse_rate_count += other.reverse_rate_count
+    forward_by_round: dict[int, float] = field(default_factory=dict)
+    reverse_by_round: dict[int, float] = field(default_factory=dict)
+    errors: list[str] = field(default_factory=list)
 
     def mean_rate(self, direction: Direction) -> Optional[float]:
         if direction is Direction.FORWARD:
@@ -64,6 +60,11 @@ class _PathState:
             return None
         return total / count
 
+    def by_round(self, direction: Direction) -> dict[int, float]:
+        if direction is Direction.FORWARD:
+            return self.forward_by_round
+        return self.reverse_by_round
+
 
 @dataclass(slots=True)
 class StreamingSurvey:
@@ -71,15 +72,12 @@ class StreamingSurvey:
 
     ``host_addresses`` fixes the population (and hence ``total_hosts``) when
     known up front — e.g. from a store's plan; hosts are otherwise discovered
-    in observation order.  Surveys built over disjoint record sets can be
-    :meth:`merge`-d, which is how checkpoint-time aggregation folds a new
-    shard into a running summary.
+    in observation order.
     """
 
     host_addresses: tuple[int, ...] = ()
     _discover_hosts: bool = field(init=False, default=False)
     _paths: dict = field(init=False, default_factory=dict)
-    _sample_counters: dict = field(init=False, default_factory=dict)
     _hosts_seen: dict = field(init=False, default_factory=dict)
     _scenarios: dict = field(init=False, default_factory=dict)
     measurements_total: int = field(init=False, default=0)
@@ -101,7 +99,9 @@ class StreamingSurvey:
         self._observe_here(record)
         slice_ = self._scenarios.get(record.scenario or "unnamed")
         if slice_ is None:
-            slice_ = StreamingSurvey()
+            # A fixed population fixes each slice's too, so a partial store's
+            # comparison counts the same hosts as its eligibility table.
+            slice_ = StreamingSurvey(host_addresses=self.host_addresses)
             self._scenarios[record.scenario or "unnamed"] = slice_
         slice_._observe_here(record)
 
@@ -120,61 +120,27 @@ class StreamingSurvey:
         state = self._paths.get(key)
         if state is None:
             state = self._paths[key] = _PathState()
-        state.attempts += 1
         state.ineligible = state.ineligible or report.ineligible
+        if report.error:
+            state.errors.append(report.error)
         if report.succeeded:
             state.succeeded = True
             self.measurements_total += 1
         result = report.result
         if result is None:
             return
-        counter = self._sample_counters.get(record.test)
-        if counter is None:
-            counter = self._sample_counters[record.test] = ReorderCounter()
-        reordering = False
-        for sample in result.samples:
-            counter.observe(sample)
-            reordering = reordering or (
-                sample.forward is SampleOutcome.REORDERED
-                or sample.reverse is SampleOutcome.REORDERED
-            )
-        if reordering:
+        if result.has_reordering():
             self.measurements_with_reordering += 1
         forward = result.reordering_rate(Direction.FORWARD)
         if forward is not None:
             state.forward_rate_sum += forward
             state.forward_rate_count += 1
+            state.forward_by_round[record.round_index] = forward
         reverse = result.reordering_rate(Direction.REVERSE)
         if reverse is not None:
             state.reverse_rate_sum += reverse
             state.reverse_rate_count += 1
-
-    def merge(self, other: "StreamingSurvey") -> None:
-        """Fold another survey (over a disjoint record set) into this one."""
-        self._merge_here(other)
-        for name, their_slice in other._scenarios.items():
-            mine = self._scenarios.get(name)
-            if mine is None:
-                mine = self._scenarios[name] = StreamingSurvey()
-            mine._merge_here(their_slice)
-
-    def _merge_here(self, other: "StreamingSurvey") -> None:
-        for address in other._hosts_seen:
-            if self._discover_hosts and address not in self._hosts_seen:
-                self._hosts_seen[address] = None
-        for key, theirs in other._paths.items():
-            mine = self._paths.get(key)
-            if mine is None:
-                mine = self._paths[key] = _PathState()
-            mine.merge(theirs)
-        for test, theirs in other._sample_counters.items():
-            mine = self._sample_counters.get(test)
-            if mine is None:
-                mine = self._sample_counters[test] = ReorderCounter()
-            mine.merge(theirs)
-        self.measurements_total += other.measurements_total
-        self.measurements_with_reordering += other.measurements_with_reordering
-        self.records_observed += other.records_observed
+            state.reverse_by_round[record.round_index] = reverse
 
     # ------------------------------------------------------------------ #
     # Views
@@ -185,12 +151,11 @@ class StreamingSurvey:
         """The population: fixed up front, or discovered from the stream."""
         return tuple(self._hosts_seen)
 
-    def sample_counter(self, test: TestName) -> ReorderCounter:
-        """Online per-direction sample tallies for one technique."""
-        return self._sample_counters.get(test, ReorderCounter())
-
     def ineligible_hosts(self, test: TestName) -> set[int]:
-        """Hosts ruled out for ``test`` (same rule as the batch campaign view)."""
+        """Hosts ruled out for ``test``: any attempt failed an explicit
+        eligibility check (the paper ruled the dual-connection test out for a
+        host as soon as IPID validation failed), or no attempt produced
+        samples."""
         failed = set()
         for address in self.hosts:
             state = self._paths.get((address, test))
@@ -201,16 +166,19 @@ class StreamingSurvey:
         return failed
 
     def eligibility(self) -> EligibilitySummary:
-        """The eligibility table, equal to the batch ``summarize_eligibility``."""
+        """The eligibility table (E6); only techniques that produced a record
+        get an ``ineligible`` entry."""
         summary = EligibilitySummary(total_hosts=len(self.hosts))
+        measured = {test for _address, test in self._paths}
         for test in TestName.all():
-            summary.ineligible[test] = len(self.ineligible_hosts(test))
+            if test in measured:
+                summary.ineligible[test] = len(self.ineligible_hosts(test))
         summary.measurements_total = self.measurements_total
         summary.measurements_with_reordering = self.measurements_with_reordering
         return summary
 
     def path_rates(self, test: TestName, direction: Direction) -> dict[int, float]:
-        """Per-host mean reordering rate, equal to the batch ``path_rates``."""
+        """Per-host mean reordering rate for one technique and direction."""
         rates: dict[int, float] = {}
         for address in self.hosts:
             state = self._paths.get((address, test))
@@ -221,16 +189,12 @@ class StreamingSurvey:
                 rates[address] = rate
         return rates
 
-    def rate_accumulator(self, test: TestName, direction: Direction) -> QuantileAccumulator:
-        """Mergeable quantile accumulator over the per-path mean rates."""
-        return QuantileAccumulator(self.path_rates(test, direction).values())
-
     def fig5(
         self,
         test: TestName = TestName.SINGLE_CONNECTION,
         direction: Direction = Direction.FORWARD,
     ) -> Fig5Data:
-        """The Figure 5 CDF, equal to the batch ``build_fig5_cdf``."""
+        """The Figure 5 CDF of per-path mean rates (E2)."""
         rates = self.path_rates(test, direction)
         return Fig5Data(
             direction=direction,
@@ -239,9 +203,95 @@ class StreamingSurvey:
             cdf=EmpiricalCdf(rates.values()) if rates else None,
         )
 
+    def agreement(
+        self,
+        pairs: Optional[Sequence[tuple[TestName, TestName]]] = None,
+        directions: Sequence[Direction] = (Direction.FORWARD, Direction.REVERSE),
+        confidence: float = 0.999,
+        min_pairs: int = 3,
+    ) -> AgreementMatrix:
+        """Pairwise agreement between techniques (E5).
+
+        For each host, two tests' per-round rates are paired by campaign
+        round; the host supports agreement when the pair-difference
+        interval at ``confidence`` contains zero.  Hosts with fewer than
+        ``min_pairs`` paired rounds are not compared.  ``pairs`` defaults to
+        every pair of techniques.
+        """
+        if pairs is None:
+            tests = TestName.all()
+            pairs = [(a, b) for i, a in enumerate(tests) for b in tests[i + 1:]]
+        matrix = AgreementMatrix(confidence=confidence)
+        for test_a, test_b in pairs:
+            for direction in directions:
+                if direction is Direction.FORWARD and TestName.DATA_TRANSFER in (test_a, test_b):
+                    # The data-transfer test cannot measure the forward path.
+                    continue
+                compared = supporting = 0
+                for address in self.hosts:
+                    rounds_a = self._rounds(address, test_a, direction)
+                    rounds_b = self._rounds(address, test_b, direction)
+                    common = sorted(rounds_a.keys() & rounds_b.keys())
+                    if len(common) < min_pairs:
+                        continue
+                    try:
+                        result = paired_difference_test(
+                            [rounds_a[r] for r in common],
+                            [rounds_b[r] for r in common],
+                            confidence=confidence,
+                        )
+                    except AnalysisError:
+                        continue
+                    compared += 1
+                    if result.supports_null:
+                        supporting += 1
+                matrix.cells.append(
+                    AgreementCell(
+                        test_a=test_a,
+                        test_b=test_b,
+                        direction=direction,
+                        hosts_compared=compared,
+                        hosts_supporting_null=supporting,
+                    )
+                )
+        return matrix
+
+    def _rounds(self, address: int, test: TestName, direction: Direction) -> dict[int, float]:
+        state = self._paths.get((address, test))
+        return {} if state is None else state.by_round(direction)
+
+    def taxonomy(self) -> MiddleboxTaxonomy:
+        """Every measured host's failures, classified by middlebox cause."""
+        errors: dict[int, dict[TestName, list[str]]] = {}
+        for (address, test), state in self._paths.items():
+            errors.setdefault(address, {})[test] = state.errors
+        return MiddleboxTaxonomy(
+            total_hosts=len(errors),
+            diagnoses=[diagnose(address, errors[address]) for address in sorted(errors)],
+        )
+
     def scenario_slices(self) -> dict[str, "StreamingSurvey"]:
         """Per-scenario sub-surveys, keyed by the records' scenario stamps."""
         return dict(self._scenarios)
+
+    def comparison(
+        self,
+        test: TestName = TestName.SINGLE_CONNECTION,
+        direction: Direction = Direction.FORWARD,
+    ) -> ScenarioComparison:
+        """The cross-scenario comparison, one row per scenario slice."""
+        return ScenarioComparison(
+            test=test,
+            direction=direction,
+            slices=[
+                ScenarioSliceSummary(
+                    scenario=name,
+                    eligibility=slice_.eligibility(),
+                    fig5=slice_.fig5(test, direction),
+                )
+                for name, slice_ in self._scenarios.items()
+            ],
+        )
 
 
 def stream_survey(
@@ -269,7 +319,8 @@ def survey_from_envelope(envelope) -> StreamingSurvey:
     the shape :meth:`repro.api.session.Session.run` hands back.
 
     For matrix envelopes, read per-cell numbers from
-    :meth:`StreamingSurvey.scenario_slices`: matrix cells rebuild their
+    :meth:`StreamingSurvey.scenario_slices` or
+    :meth:`StreamingSurvey.comparison`: matrix cells rebuild their
     populations at the same host addresses, so the *top-level* per-path
     aggregates (eligibility flags, mean rates) merge same-addressed hosts
     from different cells — an all-cells roll-up, not a per-cell view.

@@ -9,6 +9,7 @@ contained at least one reordered sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.analysis.report import format_table
 from repro.core.prober import TestName
@@ -16,7 +17,12 @@ from repro.core.prober import TestName
 
 @dataclass(slots=True)
 class EligibilitySummary:
-    """Host eligibility and measurement-level reordering prevalence."""
+    """Host eligibility and measurement-level reordering prevalence.
+
+    ``ineligible`` has an entry for each technique that produced at least
+    one record.  A technique that never ran has none: its row prints ``-``
+    rather than claiming every host eligible for it.
+    """
 
     total_hosts: int
     ineligible: dict[TestName, int] = field(default_factory=dict)
@@ -30,14 +36,18 @@ class EligibilitySummary:
             return 0.0
         return self.measurements_with_reordering / self.measurements_total
 
-    def eligible_hosts(self, test: TestName) -> int:
-        """Number of hosts usable by ``test``."""
-        return self.total_hosts - self.ineligible.get(test, 0)
+    def eligible_hosts(self, test: TestName) -> Optional[int]:
+        """Number of hosts usable by ``test``, or None if it never ran."""
+        if test not in self.ineligible:
+            return None
+        return self.total_hosts - self.ineligible[test]
 
     def to_table(self) -> str:
         """Render the eligibility table."""
         rows = [
-            [test.value, self.total_hosts, self.ineligible.get(test, 0), self.eligible_hosts(test)]
+            [test.value, self.total_hosts, self.ineligible[test], self.eligible_hosts(test)]
+            if test in self.ineligible
+            else [test.value, self.total_hosts, "-", "-"]
             for test in TestName.all()
         ]
         table = format_table(
@@ -57,14 +67,12 @@ def summarize_eligibility(campaign) -> EligibilitySummary:
     """Summarise host eligibility and measurement-level reordering prevalence.
 
     Accepts a :class:`~repro.core.campaign.CampaignResult` or a campaign
-    :class:`~repro.api.envelope.ResultEnvelope` straight from a session.
+    :class:`~repro.api.envelope.ResultEnvelope` straight from a session; the
+    table is :meth:`~repro.analysis.streaming.StreamingSurvey.eligibility`
+    of one pass over its records.
     """
+    from repro.analysis.streaming import stream_survey
     from repro.api.envelope import unwrap_result
 
-    campaign = unwrap_result(campaign)
-    summary = EligibilitySummary(total_hosts=len(campaign.host_addresses))
-    for test in TestName.all():
-        summary.ineligible[test] = len(campaign.ineligible_hosts(test))
-    summary.measurements_total = campaign.total_measurements()
-    summary.measurements_with_reordering = campaign.measurements_with_reordering()
-    return summary
+    result = unwrap_result(campaign)
+    return stream_survey(result.records, result.host_addresses).eligibility()

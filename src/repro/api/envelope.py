@@ -11,10 +11,10 @@ of backend, shard count, worker count, or whether either run was resumed
 from a store.
 
 The analysis layer accepts envelopes directly:
-:func:`repro.analysis.streaming.survey_from_envelope` streams one, the
-``.result`` property satisfies the ``HasCampaignResult`` protocol that
-:func:`repro.analysis.scenarios.slice_by_scenario` consumes, and
-:func:`unwrap_result` lets batch helpers take either shape.
+:func:`repro.analysis.streaming.survey_from_envelope` streams one into the
+survey fold, and :func:`unwrap_result` lets a helper such as
+:func:`repro.analysis.survey.summarize_eligibility` take either a result or
+an envelope.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class ResultEnvelope:
 
     @property
     def result(self) -> "CampaignResult":
-        """The campaign dataset (``HasCampaignResult``-compatible accessor)."""
+        """The campaign dataset of a ``campaign`` envelope."""
         if self.kind != KIND_CAMPAIGN:
             raise MeasurementError(
                 f"envelope of kind {self.kind!r} has no single campaign result"

@@ -34,7 +34,7 @@ from repro.scenarios.matrix import (
     resolve_scenario,
 )
 from repro.scenarios.population import build_scenario_hosts
-from repro.scenarios.registry import get_scenario
+from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.spec import NetworkScenario
 from repro.store.store import CampaignStore
 from repro.workloads.testbed import HostSpec, PathSpec
@@ -297,6 +297,13 @@ class ResumeRequest:
                 "store was not created from a scenario campaign (no scenario "
                 "origin in its manifest); resume it by submitting the original "
                 "CampaignRequest with resume=True instead"
+            )
+        if origin["scenario"] not in scenario_names():
+            raise StoreError(
+                f"store was created from scenario {origin['scenario']!r}, which "
+                "is not registered, so its population cannot be rebuilt from the "
+                "manifest; resume it by submitting the original CampaignRequest "
+                "with resume=True instead"
             )
         spec = get_scenario(origin["scenario"])
         if origin.get("hosts") is not None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.core.prober import ProbeReport, Prober, TestName
-from repro.core.sample import Direction
 from repro.host.raw_socket import ProbeHost
 from repro.net.errors import MeasurementError
 
@@ -87,14 +86,9 @@ class HostRoundResult:
 
 @dataclass(slots=True)
 class CampaignResult:
-    """Everything a campaign measured.
-
-    Records are stored both as a flat, insertion-ordered list (``records``,
-    the authoritative dataset) and in per-``(host, test)`` buckets so the
-    per-path accessors (``records_for``, ``rates_for``, ``mean_rate``,
-    ``path_rates``, ``ineligible_hosts``) are bucket lookups instead of
-    full-dataset scans.  ``path_rates`` over H hosts used to be O(H·N) in the
-    total record count N; it is now linear in the records actually selected.
+    """Everything a campaign measured: the merged, insertion-ordered record
+    list.  The survey tables are views of one
+    :class:`~repro.analysis.streaming.StreamingSurvey` pass over ``records``.
     """
 
     config: CampaignConfig
@@ -103,105 +97,13 @@ class CampaignResult:
     scenario: Optional[str] = None
     """Scenario identity of the whole dataset (None for ad-hoc campaigns)."""
 
-    _buckets: dict[tuple[int, TestName], list[HostRoundResult]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        for record in self.records:
-            self._bucket(record.host_address, record.test).append(record)
-
-    def _bucket(self, host_address: int, test: TestName) -> list[HostRoundResult]:
-        return self._buckets.setdefault((host_address, test), [])
-
     def add(self, record: HostRoundResult) -> None:
         """Append one measurement record."""
         self.records.append(record)
-        self._bucket(record.host_address, record.test).append(record)
 
     def extend(self, records: Iterable[HostRoundResult]) -> None:
         """Append many measurement records (e.g. one shard's output)."""
-        for record in records:
-            self.add(record)
-
-    def records_for(
-        self,
-        host_address: Optional[int] = None,
-        test: Optional[TestName] = None,
-    ) -> list[HostRoundResult]:
-        """Filter records by host and/or test."""
-        if host_address is not None and test is not None:
-            return list(self._buckets.get((host_address, test), ()))
-        if host_address is None and test is None:
-            return list(self.records)
-        selected = []
-        for record in self.records:
-            if host_address is not None and record.host_address != host_address:
-                continue
-            if test is not None and record.test != test:
-                continue
-            selected.append(record)
-        return selected
-
-    def rates_for(
-        self,
-        host_address: int,
-        test: TestName,
-        direction: Direction,
-    ) -> list[tuple[float, float]]:
-        """Return (time, rate) points for one host/test/direction, skipping failures."""
-        points = []
-        for record in self.records_for(host_address, test):
-            rate = record.report.rate(direction)
-            if rate is not None:
-                points.append((record.time, rate))
-        return points
-
-    def mean_rate(self, host_address: int, test: TestName, direction: Direction) -> Optional[float]:
-        """Mean of the per-measurement rates for one host/test/direction."""
-        rates = [rate for _time, rate in self.rates_for(host_address, test, direction)]
-        if not rates:
-            return None
-        return sum(rates) / len(rates)
-
-    def path_rates(self, test: TestName, direction: Direction) -> dict[int, float]:
-        """Per-host mean reordering rate for one technique and direction."""
-        rates: dict[int, float] = {}
-        for address in self.host_addresses:
-            rate = self.mean_rate(address, test, direction)
-            if rate is not None:
-                rates[address] = rate
-        return rates
-
-    def measurements_with_reordering(self) -> int:
-        """Number of measurements containing at least one reordered sample."""
-        return sum(
-            1
-            for record in self.records
-            if record.report.result is not None and record.report.result.has_reordering()
-        )
-
-    def total_measurements(self) -> int:
-        """Number of measurements that produced samples."""
-        return sum(1 for record in self.records if record.report.succeeded)
-
-    def ineligible_hosts(self, test: TestName) -> set[int]:
-        """Hosts ruled out for ``test``.
-
-        A host is ruled out when any attempt failed an explicit eligibility
-        check (the paper ruled the dual-connection test out for a host as soon
-        as IPID validation failed) or when no attempt ever produced samples.
-        """
-        failed: set[int] = set()
-        for address in self.host_addresses:
-            records = self.records_for(address, test)
-            if not records:
-                continue
-            if any(record.report.ineligible for record in records):
-                failed.add(address)
-            elif all(not record.report.succeeded for record in records):
-                failed.add(address)
-        return failed
+        self.records.extend(records)
 
 
 class Campaign:

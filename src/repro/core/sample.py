@@ -10,11 +10,9 @@ ambiguity, unsupported stack behaviour).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro.net.errors import AnalysisError
 from repro.stats.intervals import BinomialEstimate, binomial_estimate
 
 
@@ -146,47 +144,3 @@ class MeasurementResult:
             f"{self.test_name}: {self.sample_count()} samples, "
             f"forward rate {forward_text}, reverse rate {reverse_text}"
         )
-
-
-def merge_results(results: Iterable[MeasurementResult]) -> Optional[MeasurementResult]:
-    """Merge several measurements of the same (test, host) into one pooled result.
-
-    Mixing different paths or techniques would corrupt pooled estimates, so
-    mismatched ``(test_name, host_address)`` pairs raise
-    :class:`~repro.net.errors.AnalysisError` instead of silently adopting the
-    first result's identity.  Mixed spacings are recorded explicitly: the
-    merged ``spacing`` is kept only when every input agrees; otherwise it is
-    NaN ("no single spacing") and the distinct values are listed in ``notes``.
-    """
-    results = list(results)
-    if not results:
-        return None
-    first = results[0]
-    identities = {(r.test_name, r.host_address) for r in results}
-    if len(identities) > 1:
-        raise AnalysisError(
-            "cannot merge measurements of different (test, host) pairs: "
-            f"{sorted(identities)}"
-        )
-    # NaN marks an already-mixed merged result; set-dedup alone would treat
-    # every NaN as distinct and re-merges of merged results would always
-    # report "mixed" even when nothing else differs.
-    any_mixed = any(math.isnan(r.spacing) for r in results)
-    distinct = sorted({r.spacing for r in results if not math.isnan(r.spacing)})
-    if not any_mixed and len(distinct) == 1:
-        spacing, notes = first.spacing, "merged"
-    else:
-        spacing = math.nan
-        labels = [f"{s:g}" for s in distinct] + (["mixed"] if any_mixed else [])
-        notes = "merged (mixed spacings: " + ", ".join(labels) + ")"
-    merged = MeasurementResult(
-        test_name=first.test_name,
-        host_address=first.host_address,
-        start_time=min(r.start_time for r in results),
-        end_time=max(r.end_time for r in results),
-        spacing=spacing,
-        notes=notes,
-    )
-    for result in results:
-        merged.samples.extend(result.samples)
-    return merged

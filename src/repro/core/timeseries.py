@@ -81,19 +81,6 @@ class SpacingSweepResult:
         return [f"{point.spacing * 1e6:.1f}\t{point.rate:.5f}" for point in self.points]
 
 
-def paper_spacing_grid(fine_step: float = 1e-6, coarse_step: float = 20e-6, boundary: float = 200e-6, maximum: float = 400e-6) -> list[float]:
-    """The spacing grid used for Figure 7: 1 us steps below 200 us, 20 us after."""
-    grid: list[float] = []
-    value = 0.0
-    while value < boundary:
-        grid.append(round(value, 9))
-        value += fine_step
-    while value <= maximum:
-        grid.append(round(value, 9))
-        value += coarse_step
-    return grid
-
-
 def coarse_spacing_grid(maximum: float = 300e-6, step: float = 25e-6) -> list[float]:
     """A coarser grid suitable for quick experiments and CI-sized benchmarks."""
     grid: list[float] = []

@@ -109,9 +109,5 @@ class MatrixResult:
 
     runs: dict[str, ScenarioRun]
 
-    def results(self) -> dict[str, CampaignResult]:
-        """The per-cell campaign datasets (the shape analysis slicing takes)."""
-        return {label: run.result for label, run in self.runs.items()}
-
     def total_measurements(self) -> int:
         return sum(len(run.result.records) for run in self.runs.values())

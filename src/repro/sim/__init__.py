@@ -30,7 +30,6 @@ from repro.sim.build import (
     build_elements,
     build_pipeline,
 )
-from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventQueue
 from repro.sim.link import Link
 from repro.sim.middlebox import (
@@ -101,7 +100,6 @@ __all__ = [
     "RouteFlapReorderer",
     "RouteFlapSpec",
     "SeededRandom",
-    "SimClock",
     "Simulator",
     "StripeSpec",
     "StripedPathModel",

@@ -131,26 +131,3 @@ class DelayJitterReorderer(PathElement):
         self.packets_seen += 1
         jitter = self._rng.exponential(self.jitter_mean) if self.jitter_mean > 0.0 else 0.0
         self._emit_after(self.base_delay + jitter, packet)
-
-
-class DuplicationElement(PathElement):
-    """Duplicates each packet independently with a fixed probability.
-
-    Duplication is not studied by the paper but is a realistic path pathology
-    the measurement techniques must not misclassify, so the test suite uses
-    this element for failure injection.
-    """
-
-    def __init__(self, duplication_probability: float, rng: SeededRandom) -> None:
-        super().__init__()
-        if not 0.0 <= duplication_probability <= 1.0:
-            raise ValueError(f"duplication probability out of range: {duplication_probability}")
-        self.duplication_probability = duplication_probability
-        self._rng = rng
-        self.packets_duplicated = 0
-
-    def handle_packet(self, packet: Packet) -> None:
-        self._emit(packet)
-        if self._rng.bernoulli(self.duplication_probability):
-            self.packets_duplicated += 1
-            self._emit(packet)

@@ -19,16 +19,12 @@ from repro.stats.intervals import (
     wilson_interval,
 )
 from repro.stats.pair_difference import PairDifferenceResult, paired_difference_test
-from repro.stats.streaming import DirectionCounter, QuantileAccumulator, ReorderCounter
 from repro.stats.student_t import t_quantile
 
 __all__ = [
     "BinomialEstimate",
-    "DirectionCounter",
     "EmpiricalCdf",
     "PairDifferenceResult",
-    "QuantileAccumulator",
-    "ReorderCounter",
     "binomial_estimate",
     "mean",
     "median",

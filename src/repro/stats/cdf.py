@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.net.errors import AnalysisError
 
@@ -66,13 +66,3 @@ class EmpiricalCdf:
     def to_rows(self, precision: int = 6) -> list[str]:
         """Render the CDF points as tab-separated text rows."""
         return [f"{value:.{precision}f}\t{fraction:.4f}" for value, fraction in self.points()]
-
-
-def merge_cdfs(cdfs: Sequence[EmpiricalCdf]) -> EmpiricalCdf:
-    """Pool several empirical CDFs into one over the combined sample."""
-    if not cdfs:
-        raise AnalysisError("cannot merge an empty list of CDFs")
-    pooled: list[float] = []
-    for cdf in cdfs:
-        pooled.extend(cdf.values)
-    return EmpiricalCdf(pooled)

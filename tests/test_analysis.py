@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.agreement import compute_agreement
-from repro.analysis.figures import build_fig5_cdf, build_fig6_series, build_fig7_series
+from repro.analysis.figures import build_fig6_series, build_fig7_series
 from repro.analysis.report import format_table
+from repro.analysis.streaming import stream_survey
 from repro.analysis.survey import summarize_eligibility
 from repro.analysis.validation import validation_table
 from repro.core.campaign import Campaign, CampaignConfig
@@ -18,6 +18,7 @@ from repro.host.os_profiles import LINUX_24
 from repro.net.flow import parse_address
 from repro.workloads.testbed import HostSpec, PathSpec, StripingSpec, Testbed
 from repro.workloads.validation import ValidationCell, ValidationSummary, run_validation_cell
+from _analysis_oracle import rates_for
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,12 @@ def survey_campaign():
     return testbed, campaign.run()
 
 
+@pytest.fixture(scope="module")
+def survey(survey_campaign):
+    _testbed, campaign = survey_campaign
+    return stream_survey(campaign.records, campaign.host_addresses)
+
+
 def test_format_table_alignment():
     text = format_table(["a", "long header"], [["x", 1], ["yy", 22]], title="T")
     lines = text.splitlines()
@@ -68,9 +75,9 @@ def test_format_table_alignment():
     assert len(lines) == 6
 
 
-def test_fig5_cdf(survey_campaign):
-    testbed, campaign = survey_campaign
-    fig5 = build_fig5_cdf(campaign, TestName.SINGLE_CONNECTION, Direction.FORWARD)
+def test_fig5_cdf(survey_campaign, survey):
+    testbed, _campaign = survey_campaign
+    fig5 = survey.fig5(TestName.SINGLE_CONNECTION, Direction.FORWARD)
     assert set(fig5.per_path_rates) == set(testbed.addresses())
     assert fig5.cdf is not None
     assert 0.0 < fig5.fraction_with_reordering <= 1.0
@@ -92,6 +99,8 @@ def test_fig6_series(survey_campaign):
     assert mean_single is not None and mean_syn is not None
     assert abs(mean_single - mean_syn) < 0.25
     assert len(fig6.rows()) == 8
+    for test in fig6.series:
+        assert fig6.series[test] == rates_for(campaign, address, test, Direction.FORWARD)
 
 
 def test_fig7_series():
@@ -120,10 +129,8 @@ def test_fig7_series():
     assert fig7.rows()[0][0] == 0.0
 
 
-def test_agreement_matrix(survey_campaign):
-    _testbed, campaign = survey_campaign
-    matrix = compute_agreement(
-        campaign,
+def test_agreement_matrix(survey):
+    matrix = survey.agreement(
         pairs=[(TestName.SINGLE_CONNECTION, TestName.SYN)],
         directions=(Direction.FORWARD, Direction.REVERSE),
         min_pairs=3,
@@ -137,9 +144,16 @@ def test_agreement_matrix(survey_campaign):
     assert "Pairwise agreement" in matrix.to_table()
 
 
-def test_agreement_skips_data_transfer_forward(survey_campaign):
-    _testbed, campaign = survey_campaign
-    matrix = compute_agreement(campaign, pairs=[(TestName.SINGLE_CONNECTION, TestName.DATA_TRANSFER)])
+def test_agreement_table_shows_no_fraction_for_a_cell_that_compared_no_host(survey):
+    # Four rounds are fewer than min_pairs=5, so no host can be compared.
+    matrix = survey.agreement(pairs=[(TestName.SINGLE_CONNECTION, TestName.SYN)], min_pairs=5)
+    assert [cell.hosts_compared for cell in matrix.cells] == [0, 0]
+    rows = matrix.to_table().splitlines()[4:]
+    assert [row.split()[-3:] for row in rows] == [["0", "0", "-"], ["0", "0", "-"]]
+
+
+def test_agreement_skips_data_transfer_forward(survey):
+    matrix = survey.agreement(pairs=[(TestName.SINGLE_CONNECTION, TestName.DATA_TRANSFER)])
     directions = {cell.direction for cell in matrix.cells}
     assert Direction.FORWARD not in directions
 
@@ -153,6 +167,18 @@ def test_survey_eligibility(survey_campaign):
     assert summary.measurements_total > 0
     assert 0.0 < summary.fraction_measurements_with_reordering <= 1.0
     assert "eligibility" in summary.to_table().lower()
+
+
+def test_eligibility_leaves_a_technique_that_never_ran_unclaimed(survey_campaign):
+    # The campaign runs single-connection, dual-connection and SYN only, so
+    # no host was ever shown eligible for the data-transfer test.
+    _testbed, campaign = survey_campaign
+    summary = summarize_eligibility(campaign)
+    assert TestName.DATA_TRANSFER not in summary.ineligible
+    assert summary.eligible_hosts(TestName.DATA_TRANSFER) is None
+    rows = {line.split()[0]: line.split()[1:] for line in summary.to_table().splitlines()[4:8]}
+    assert rows["data-transfer"] == ["3", "-", "-"]
+    assert rows["single-connection"] == ["3", "0", "3"]
 
 
 def test_validation_table_rendering():

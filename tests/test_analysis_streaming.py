@@ -1,24 +1,27 @@
-"""Streaming survey analysis: exact agreement with the batch pipeline.
+"""The survey fold against the batch oracle.
 
-A complete store streamed through :class:`StreamingSurvey` must reproduce the
-batch eligibility summary and Figure 5 CDF of the fully materialized
-``CampaignResult`` — including the floating-point per-path means, since
-per-host record order is preserved within a shard.
+:class:`StreamingSurvey` is the only implementation of the §IV tables.  These
+tests pin it to the batch code it replaced (``tests/_analysis_oracle.py``):
+for every registry scenario, each table the fold gives — eligibility, Figure 5
+for every (test, direction), pairwise agreement, the middlebox taxonomy and
+the scenario comparison — must equal the oracle's exactly, including the
+floating-point per-path means.  A complete store streamed through the fold
+must give the same tables as its materialized records.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.figures import build_fig5_cdf
-from repro.analysis.streaming import StreamingSurvey, stream_survey, survey_from_store
-from repro.analysis.survey import summarize_eligibility
-from repro.api import CampaignRequest, Session
+from repro.analysis.streaming import stream_survey, survey_from_envelope, survey_from_store
+from repro.api import CampaignRequest, MatrixRequest, Session
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
 from repro.core.runner import EXECUTOR_SERIAL
 from repro.core.sample import Direction
+from repro.scenarios import MIXED_OS, scenario_names
 from repro.store import CampaignStore
+import _analysis_oracle as oracle
 
 CONFIG = CampaignConfig(
     rounds=2,
@@ -27,10 +30,95 @@ CONFIG = CampaignConfig(
     inter_round_gap=1.0,
 )
 
+# Three rounds, so that agreement has min_pairs=3 paired rounds to compare.
+ORACLE_CONFIG = CampaignConfig(
+    rounds=3,
+    samples_per_measurement=4,
+    inter_measurement_gap=0.2,
+    inter_round_gap=1.0,
+)
 
-def _run(request: CampaignRequest):
+FIG5_VIEWS = [(test, direction) for test in TestName.all() for direction in Direction]
+
+
+def _run(request):
     with Session(backend=EXECUTOR_SERIAL) as session:
         return session.run(request)
+
+
+def assert_same_fig5(fold, batch):
+    assert (fold.test, fold.direction) == (batch.test, batch.direction)
+    assert list(fold.per_path_rates.items()) == list(batch.per_path_rates.items())
+    if batch.cdf is None:
+        assert fold.cdf is None
+    else:
+        assert fold.cdf is not None
+        assert fold.cdf.values == batch.cdf.values
+    assert fold.fraction_with_reordering == batch.fraction_with_reordering
+
+
+def assert_same_comparison(fold, batch):
+    assert [item.scenario for item in fold.slices] == [item.scenario for item in batch.slices]
+    for mine, theirs in zip(fold.slices, batch.slices):
+        assert mine.eligibility == theirs.eligibility
+        assert_same_fig5(mine.fig5, theirs.fig5)
+        assert mine.mean_path_rate == theirs.mean_path_rate
+    assert fold.to_table() == batch.to_table()
+
+
+def assert_fold_equals_oracle(survey, result):
+    """Every table of ``survey`` equals the oracle's over ``result``; returns
+    the fold's agreement matrix."""
+    assert survey.eligibility() == oracle.summarize_eligibility(result)
+    assert survey.eligibility().to_table() == oracle.summarize_eligibility(result).to_table()
+    for test, direction in FIG5_VIEWS:
+        assert_same_fig5(survey.fig5(test, direction), oracle.build_fig5_cdf(result, test, direction))
+    agreement = survey.agreement()
+    assert agreement == oracle.compute_agreement(result)
+    assert agreement.to_table() == oracle.compute_agreement(result).to_table()
+    assert survey.taxonomy() == oracle.classify_middleboxes(result)
+    assert survey.taxonomy().to_table() == oracle.classify_middleboxes(result).to_table()
+    assert_same_comparison(
+        survey.comparison(), oracle.compare_scenarios({result.scenario: result})
+    )
+    return agreement
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_fold_equals_the_oracle_on_every_table(name):
+    result = _run(
+        CampaignRequest(scenario=name, config=ORACLE_CONFIG, hosts=4, seed=11, shards=2)
+    ).result
+    agreement = assert_fold_equals_oracle(
+        stream_survey(result.records, result.host_addresses), result
+    )
+    # Three rounds of every technique: agreement really compares hosts.
+    assert sum(cell.hosts_compared for cell in agreement.cells) > 0
+
+
+def test_matrix_comparison_equals_the_oracle_cell_by_cell():
+    envelope = _run(
+        MatrixRequest(
+            scenarios=("imc2002-survey", "syn-filtered"),
+            os_names=(MIXED_OS, "linux-2.4"),
+            config=ORACLE_CONFIG,
+            hosts=4,
+            seed=11,
+            shards=2,
+        )
+    )
+    cells = {label: run.result for label, run in envelope.payload.runs.items()}
+    survey = survey_from_envelope(envelope)
+    assert list(survey.scenario_slices()) == list(cells)
+    assert_same_comparison(survey.comparison(), oracle.compare_scenarios(cells))
+    for direction in Direction:
+        assert_same_comparison(
+            survey.comparison(TestName.SYN, direction),
+            oracle.compare_scenarios(cells, TestName.SYN, direction),
+        )
+    for label, slice_ in survey.scenario_slices().items():
+        assert slice_.agreement(min_pairs=2) == oracle.compute_agreement(cells[label], min_pairs=2)
+        assert slice_.taxonomy() == oracle.classify_middleboxes(cells[label])
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +140,7 @@ def stored_run(tmp_path_factory):
 def test_streaming_eligibility_equals_batch(stored_run):
     result, store = stored_run
     streamed = survey_from_store(store).eligibility()
-    batch = summarize_eligibility(result)
+    batch = oracle.summarize_eligibility(result)
     assert streamed.total_hosts == batch.total_hosts
     assert streamed.ineligible == batch.ineligible
     assert streamed.measurements_total == batch.measurements_total
@@ -65,27 +153,24 @@ def test_streaming_eligibility_equals_batch(stored_run):
 def test_streaming_fig5_equals_batch(stored_run, test, direction):
     result, store = stored_run
     survey = survey_from_store(store)
-    batch = build_fig5_cdf(result, test=test, direction=direction)
-    streamed = survey.fig5(test=test, direction=direction)
-    assert streamed.per_path_rates == batch.per_path_rates
-    if batch.cdf is None:
-        assert streamed.cdf is None
-    else:
-        assert streamed.cdf is not None
-        assert streamed.cdf.values == batch.cdf.values
-        assert streamed.fraction_with_reordering == batch.fraction_with_reordering
+    assert_same_fig5(
+        survey.fig5(test=test, direction=direction),
+        oracle.build_fig5_cdf(result, test=test, direction=direction),
+    )
 
 
-def test_streaming_sample_counters_tally_every_sample(stored_run):
-    result, store = stored_run
-    survey = survey_from_store(store)
-    for test in TestName.all():
-        expected = sum(
-            record.report.result.sample_count()
-            for record in result.records_for(test=test)
-            if record.report.result is not None
-        )
-        assert survey.sample_counter(test).samples == expected
+def test_store_fold_equals_the_fold_over_its_loaded_records(stored_run):
+    _result, store = stored_run
+    streamed = survey_from_store(store)
+    loaded = store.load_result()
+    in_memory = stream_survey(loaded.records, loaded.host_addresses)
+    assert streamed.records_observed == in_memory.records_observed == len(loaded.records)
+    assert streamed.eligibility() == in_memory.eligibility()
+    for test, direction in FIG5_VIEWS:
+        assert_same_fig5(streamed.fig5(test, direction), in_memory.fig5(test, direction))
+    assert streamed.agreement(min_pairs=2) == in_memory.agreement(min_pairs=2)
+    assert streamed.taxonomy() == in_memory.taxonomy()
+    assert_same_comparison(streamed.comparison(), in_memory.comparison())
 
 
 def test_scenario_slices_key_by_stamp(stored_run):
@@ -94,20 +179,6 @@ def test_scenario_slices_key_by_stamp(stored_run):
     slices = survey.scenario_slices()
     assert set(slices) == {"bursty-loss"}
     assert slices["bursty-loss"].measurements_total == survey.measurements_total
-
-
-def test_survey_merge_equals_single_pass(stored_run):
-    result, _store = stored_run
-    whole = stream_survey(result.records, host_addresses=result.host_addresses)
-    cut = len(result.records) // 2
-    left = stream_survey(result.records[:cut], host_addresses=result.host_addresses)
-    right = stream_survey(result.records[cut:])
-    left.merge(right)
-    assert left.eligibility().to_table() == whole.eligibility().to_table()
-    assert left.path_rates(TestName.SYN, Direction.FORWARD) == whole.path_rates(
-        TestName.SYN, Direction.FORWARD
-    )
-    assert left.records_observed == whole.records_observed
 
 
 def test_partial_store_streams_only_durable_shards(tmp_path):
@@ -137,3 +208,6 @@ def test_partial_store_streams_only_durable_shards(tmp_path):
     # The plan still fixes the population; only the durable records stream.
     assert survey.eligibility().total_hosts == 4
     assert 0 < survey.records_observed < 4 * CONFIG.rounds * len(TestName.all())
+    # The scenario slice shares that population, so the comparison and the
+    # eligibility table count the same hosts.
+    assert [item.hosts for item in survey.comparison().slices] == [4]

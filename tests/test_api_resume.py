@@ -22,7 +22,7 @@ import pytest
 from repro.api import CampaignRequest, JobCancelled, JobStatus, ResumeRequest, Session
 from repro.core.runner import EXECUTOR_SERIAL
 from repro.net.errors import StoreError
-from repro.scenarios import scenario_names
+from repro.scenarios import get_scenario, scenario_names
 from repro.store import CampaignStore
 from test_golden_signatures import (
     GOLDEN_CONFIG,
@@ -152,6 +152,24 @@ def test_resume_request_rejects_a_store_without_scenario_origin(tmp_path):
     with Session(backend=EXECUTOR_SERIAL) as session:
         with pytest.raises(StoreError, match="no scenario origin"):
             session.run(ResumeRequest(store=tmp_path / "raw"))
+
+
+def test_resume_request_rejects_an_unregistered_scenario_with_a_store_error(tmp_path):
+    scenario = dataclasses.replace(get_scenario("imc2002-survey"), name="my-custom")
+    request = CampaignRequest(
+        scenario=scenario, config=GOLDEN_CONFIG, hosts=2, seed=GOLDEN_SEED, shards=2,
+        store=tmp_path / "custom",
+    )
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        with pytest.raises(SimulatedCrash):
+            session.run(dataclasses.replace(request, on_checkpoint=_crash_after(1)))
+        with pytest.raises(StoreError, match="'my-custom'.*resume=True"):
+            session.run(ResumeRequest(store=tmp_path / "custom"))
+        # The error's advice works: the original request resumes the store.
+        resumed = session.run(dataclasses.replace(request, resume=True))
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        uninterrupted = session.run(dataclasses.replace(request, store=tmp_path / "whole"))
+    assert resumed.result_digest == uninterrupted.result_digest
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGKILL semantics")

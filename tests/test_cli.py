@@ -20,6 +20,14 @@ def test_unknown_scenario_is_a_usage_error(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+def _tables(out: str) -> list[str]:
+    """The summary tables: every line between the header and the digest."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(("scenario=", "store=")))
+    end = next(i for i, line in enumerate(lines) if line.startswith("result-digest="))
+    return lines[start + 1:end]
+
+
 def test_survey_run_prints_summary_tables(capsys):
     code = main(
         [
@@ -35,9 +43,18 @@ def test_survey_run_prints_summary_tables(capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "Host eligibility by technique" in out
-    assert "Scenario comparison" in out
+    for title in (
+        "Host eligibility by technique",
+        "Scenario comparison",
+        "[bursty-loss] fig5:",
+        "Pairwise agreement",
+        "Middlebox taxonomy over 4 hosts",
+    ):
+        assert title in out
     assert "scenario=bursty-loss hosts=4" in out
+    # One round pairs no host, so no agreement row claims a fraction.
+    agreement = out.split("Pairwise agreement")[1].split("\n\n")[0].splitlines()[4:]
+    assert agreement and all(row.split()[-3:] == ["0", "0", "-"] for row in agreement)
 
 
 def test_survey_output_is_deterministic(capsys):
@@ -61,6 +78,13 @@ def test_parser_defaults_match_documented_surface():
     assert args.scenario == "imc2002-survey"
     assert args.shards == 1
     assert args.seed == 7
+
+
+def test_middlebox_report_flag_is_gone(capsys):
+    # Every summary prints the taxonomy, so the opt-in flag was deleted.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--middlebox-report"])
+    assert "unrecognized arguments: --middlebox-report" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", ([], ["--scenario", "bursty-loss"], ["survey"]))
@@ -99,6 +123,10 @@ def test_run_with_store_then_report_and_resume(tmp_path, capsys):
     resume_out = capsys.readouterr().out
     assert "2/2 shard(s) already durable" in resume_out
     assert digest in resume_out
+
+    # One fold feeds all three commands, so they print the same tables.
+    assert _tables(run_out) == _tables(report_out) == _tables(resume_out)
+    assert "Middlebox taxonomy over 4 hosts" in _tables(report_out)
 
 
 def test_resume_without_store_is_an_error(tmp_path, capsys):

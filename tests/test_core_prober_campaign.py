@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.figures import build_fig6_series
+from repro.analysis.streaming import stream_survey
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.prober import Prober, TestName
 from repro.core.sample import Direction
-from repro.core.timeseries import SpacingSweep, coarse_spacing_grid, paper_spacing_grid
+from repro.core.timeseries import SpacingSweep, coarse_spacing_grid
 from repro.core.dual_connection import DualConnectionTest
 from repro.host.os_profiles import LINUX_24
 from repro.net.errors import MeasurementError
@@ -75,15 +77,16 @@ def test_campaign_round_robin_structure():
     campaign = Campaign(testbed.probe, testbed.addresses(), config)
     result = campaign.run()
     assert len(result.records) == 2 * 2 * 2  # rounds x hosts x tests
-    assert result.total_measurements() == 8
-    assert result.measurements_with_reordering() >= 1
+    survey = stream_survey(result.records, result.host_addresses)
+    assert survey.measurements_total == 8
+    assert survey.measurements_with_reordering >= 1
 
-    rates = result.path_rates(TestName.SINGLE_CONNECTION, Direction.FORWARD)
+    rates = survey.path_rates(TestName.SINGLE_CONNECTION, Direction.FORWARD)
     assert set(rates) == set(testbed.addresses())
     reordering_addr = testbed.address_of("reordering")
     assert rates[reordering_addr] >= rates[testbed.address_of("clean-linux24")]
 
-    points = result.rates_for(reordering_addr, TestName.SYN, Direction.FORWARD)
+    points = build_fig6_series(result, reordering_addr, tests=(TestName.SYN,)).series[TestName.SYN]
     assert len(points) == 2
     times = [t for t, _r in points]
     assert times == sorted(times)
@@ -93,8 +96,9 @@ def test_campaign_ineligible_host_tracking():
     testbed = _small_world()
     config = CampaignConfig(rounds=1, samples_per_measurement=3, tests=(TestName.DUAL_CONNECTION,))
     result = Campaign(testbed.probe, testbed.addresses(), config).run()
-    assert testbed.address_of("clean-linux24") in result.ineligible_hosts(TestName.DUAL_CONNECTION)
-    assert testbed.address_of("reordering") not in result.ineligible_hosts(TestName.DUAL_CONNECTION)
+    ineligible = stream_survey(result.records).ineligible_hosts(TestName.DUAL_CONNECTION)
+    assert testbed.address_of("clean-linux24") in ineligible
+    assert testbed.address_of("reordering") not in ineligible
 
 
 def test_campaign_config_validation():
@@ -107,11 +111,6 @@ def test_campaign_config_validation():
 
 
 def test_spacing_grids():
-    grid = paper_spacing_grid()
-    assert grid[0] == 0.0
-    assert grid[1] == pytest.approx(1e-6)
-    assert any(abs(v - 200e-6) < 1e-12 for v in grid)
-    assert grid[-1] <= 400e-6 + 1e-12
     coarse = coarse_spacing_grid(maximum=100e-6, step=50e-6)
     assert coarse == [0.0, 50e-6, 100e-6]
 

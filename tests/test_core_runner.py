@@ -6,6 +6,7 @@ import gc
 
 import pytest
 
+from repro.analysis.streaming import stream_survey
 from repro.api import CampaignRequest, Session
 from repro.core.campaign import Campaign, CampaignConfig, CampaignResult, HostRoundResult
 from repro.core.prober import ProbeReport, TestName
@@ -29,6 +30,7 @@ from repro.workloads.population import (
     partition_specs,
 )
 from repro.workloads.testbed import build_testbed
+import _analysis_oracle as oracle
 
 POPULATION = PopulationSpec(num_hosts=6, load_balanced_fraction=0.0, reordering_path_fraction=0.5)
 CONFIG = CampaignConfig(
@@ -142,16 +144,16 @@ def test_merged_record_order_is_canonical(specs):
 
 def test_sharded_analysis_views_match_serial(specs, serial_reference):
     result = _run(specs, shards=3)
+    survey = stream_survey(result.records, result.host_addresses)
     for test in CONFIG.tests:
-        assert result.ineligible_hosts(test) == serial_reference.ineligible_hosts(test)
+        assert survey.ineligible_hosts(test) == oracle.ineligible_hosts(serial_reference, test)
         for direction in Direction:
-            assert result.path_rates(test, direction) == pytest.approx(
-                serial_reference.path_rates(test, direction)
+            assert survey.path_rates(test, direction) == pytest.approx(
+                oracle.path_rates(serial_reference, test, direction)
             )
-    assert result.total_measurements() == serial_reference.total_measurements()
-    assert (
-        result.measurements_with_reordering()
-        == serial_reference.measurements_with_reordering()
+    assert survey.measurements_total == oracle.total_measurements(serial_reference)
+    assert survey.measurements_with_reordering == oracle.measurements_with_reordering(
+        serial_reference
     )
 
 
@@ -215,28 +217,15 @@ def _record(round_index: int, host: int, test: TestName, time: float) -> HostRou
     )
 
 
-def test_campaign_result_extend_merges_and_indexes():
+def test_campaign_result_add_and_extend_append_in_order():
     config = CampaignConfig(rounds=1, samples_per_measurement=1)
-    result = CampaignResult(config=config, host_addresses=(1, 2))
+    first = _record(0, 2, TestName.SYN, 0.0)
+    result = CampaignResult(config=config, host_addresses=(1, 2), records=[first])
     shard_a = [_record(0, 1, TestName.SYN, 0.0), _record(1, 1, TestName.SYN, 5.0)]
-    shard_b = [_record(0, 2, TestName.SINGLE_CONNECTION, 0.0)]
+    shard_b = _record(0, 2, TestName.SINGLE_CONNECTION, 0.0)
     result.extend(shard_a)
-    result.extend(shard_b)
-    assert len(result.records) == 3
-    assert result.records_for(1, TestName.SYN) == shard_a
-    assert result.records_for(2, TestName.SINGLE_CONNECTION) == shard_b
-    assert result.records_for(1, TestName.SINGLE_CONNECTION) == []
-    assert result.records_for(host_address=1) == shard_a
-    assert result.records_for(test=TestName.SYN) == shard_a
-    assert result.records_for() == shard_a + shard_b
-
-
-def test_campaign_result_constructor_indexes_existing_records():
-    config = CampaignConfig(rounds=1, samples_per_measurement=1)
-    records = [_record(0, 7, TestName.SYN, 0.0), _record(0, 8, TestName.SYN, 1.0)]
-    result = CampaignResult(config=config, host_addresses=(7, 8), records=list(records))
-    assert result.records_for(7, TestName.SYN) == [records[0]]
-    assert result.records_for(8, TestName.SYN) == [records[1]]
+    result.add(shard_b)
+    assert result.records == [first, *shard_a, shard_b]
 
 
 def test_record_signature_ignores_bookkeeping_but_not_content():

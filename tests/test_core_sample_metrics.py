@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core.metrics import (
@@ -15,7 +13,7 @@ from repro.core.metrics import (
     reordering_rate,
     sequence_reordering_probability,
 )
-from repro.core.sample import Direction, MeasurementResult, ReorderSample, SampleOutcome, merge_results
+from repro.core.sample import Direction, MeasurementResult, ReorderSample, SampleOutcome
 from repro.net.errors import AnalysisError
 
 
@@ -63,15 +61,6 @@ def test_measurement_result_no_valid_samples():
     assert result.reordering_rate(Direction.FORWARD) is None
     assert result.estimate(Direction.FORWARD) is None
     assert not result.has_reordering()
-
-
-def test_merge_results_pools_samples():
-    a = _result([(SampleOutcome.IN_ORDER, SampleOutcome.IN_ORDER)])
-    b = _result([(SampleOutcome.REORDERED, SampleOutcome.IN_ORDER)])
-    merged = merge_results([a, b])
-    assert merged is not None
-    assert merged.sample_count() == 2
-    assert merge_results([]) is None
 
 
 def test_count_exchanges_matches_inversions():
@@ -125,42 +114,3 @@ def test_rfc4737_style_metrics():
         reordered_packet_ratio(expected, [])
     with pytest.raises(AnalysisError):
         reordered_packet_ratio(expected, [99])
-
-
-def test_merge_results_rejects_mismatched_identity():
-    a = _result([(SampleOutcome.IN_ORDER, SampleOutcome.IN_ORDER)])
-    b = _result([(SampleOutcome.IN_ORDER, SampleOutcome.IN_ORDER)])
-    b.host_address += 1
-    with pytest.raises(AnalysisError, match="different \\(test, host\\)"):
-        merge_results([a, b])
-    c = _result([(SampleOutcome.IN_ORDER, SampleOutcome.IN_ORDER)])
-    c.test_name = "other-test"
-    with pytest.raises(AnalysisError, match="different \\(test, host\\)"):
-        merge_results([a, c])
-
-
-def test_merge_results_records_mixed_spacings_explicitly():
-    a = _result([(SampleOutcome.IN_ORDER, SampleOutcome.IN_ORDER)])
-    b = _result([(SampleOutcome.REORDERED, SampleOutcome.IN_ORDER)])
-    a.spacing, b.spacing = 0.0, 0.001
-    merged = merge_results([a, b])
-    assert merged is not None
-    assert math.isnan(merged.spacing)
-    assert "mixed spacings" in merged.notes
-    assert "0.001" in merged.notes
-    # Uniform spacings still merge silently.
-    b.spacing = 0.0
-    uniform = merge_results([a, b])
-    assert uniform is not None and uniform.spacing == 0.0 and uniform.notes == "merged"
-
-
-def test_merge_results_of_merged_results_stays_stable():
-    a = _result([(SampleOutcome.IN_ORDER, SampleOutcome.IN_ORDER)])
-    b = _result([(SampleOutcome.REORDERED, SampleOutcome.IN_ORDER)])
-    a.spacing, b.spacing = 0.0, 0.001
-    once = merge_results([a, b])
-    twice = merge_results([once, once])
-    assert twice is not None
-    assert math.isnan(twice.spacing)
-    assert twice.notes == "merged (mixed spacings: mixed)"
-    assert twice.sample_count() == 4

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import textwrap
+import tomllib
 from pathlib import Path
-
-import pytest
 
 from repro.lint import ALL_RULES, families_for, format_json, format_text, lint_source
 from repro.lint import engine
@@ -55,7 +54,6 @@ def test_families_for_scoping_table():
 
 
 def test_pyproject_reprolint_table_matches_engine_constants():
-    tomllib = pytest.importorskip("tomllib")
     data = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     table = data["tool"]["reprolint"]
     assert tuple(table["determinism_dirs"]) == engine.DETERMINISM_DIRS

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import importlib
+import importlib.util
 
 import pytest
 
@@ -160,6 +161,9 @@ TRACED_METHODS = [
     ("repro.api.backends", "_PoolBackend", "_reset_broken_pool"),
     ("repro.distributed.backend", "RemoteBackend", "map_shards"),
     ("repro.distributed.backend", "RemoteBackend", "iter_shards"),
+    ("repro.analysis.streaming", "StreamingSurvey", "observe"),
+    ("repro.analysis.streaming", "StreamingSurvey", "eligibility"),
+    ("repro.analysis.streaming", "StreamingSurvey", "fig5"),
 ]
 
 
@@ -192,6 +196,18 @@ def test_traced_functions_are_bound_where_the_tracer_finds_them():
     assert backends._run_task_batch.__name__ == "_run_task_batch"
     assert callable(RemoteBackend.pop_job_report)
     assert callable(repro.api.ProcessBackend.map_items)
+
+
+def test_store_resume_analysis_entry_points_import():
+    """The store-resume workload compares ``survey_from_store(store)`` with
+    ``summarize_eligibility(result)``; both keep their import paths."""
+    import inspect
+
+    from repro.analysis.streaming import survey_from_store
+    from repro.analysis.survey import summarize_eligibility
+
+    assert list(inspect.signature(survey_from_store).parameters) == ["store"]
+    assert list(inspect.signature(summarize_eligibility).parameters) == ["campaign"]
 
 
 # --------------------------------------------------------------------- #
@@ -229,6 +245,69 @@ def test_no_package_reexports_a_deleted_entry_point():
         name = path.rpartition(".")[2]
         for package in packages:
             assert not hasattr(package, name), f"{package.__name__}.{name} is back"
+
+
+#: The survey fold is the only implementation of a §IV table; these were the
+#: batch helpers, the per-path accessors and the fold's unread state.  The
+#: last group had no caller at all.
+DELETED_ANALYSIS_NAMES = [
+    "repro.analysis.agreement.compute_agreement",
+    "repro.analysis.figures.build_fig5_cdf",
+    "repro.analysis.middlebox.classify_middleboxes",
+    "repro.analysis.scenarios.slice_by_scenario",
+    "repro.analysis.scenarios.HasCampaignResult",
+    "repro.analysis.scenarios.SliceSource",
+    "repro.analysis.scenarios.summarize_scenario_slice",
+    "repro.analysis.scenarios.compare_scenarios",
+    "repro.analysis.scenarios.fig5_by_scenario",
+    "repro.analysis.scenarios.agreement_by_scenario",
+    "repro.analysis.streaming.StreamingSurvey.merge",
+    "repro.analysis.streaming.StreamingSurvey.sample_counter",
+    "repro.analysis.streaming.StreamingSurvey.rate_accumulator",
+    "repro.core.campaign.CampaignResult.records_for",
+    "repro.core.campaign.CampaignResult.rates_for",
+    "repro.core.campaign.CampaignResult.mean_rate",
+    "repro.core.campaign.CampaignResult.path_rates",
+    "repro.core.campaign.CampaignResult.ineligible_hosts",
+    "repro.core.campaign.CampaignResult.total_measurements",
+    "repro.core.campaign.CampaignResult.measurements_with_reordering",
+    "repro.scenarios.matrix.MatrixResult.results",
+    "repro.stats.ReorderCounter",
+    "repro.stats.DirectionCounter",
+    "repro.stats.QuantileAccumulator",
+    "repro.core.sample.merge_results",
+    "repro.core.timeseries.paper_spacing_grid",
+    "repro.sim.reorder.DuplicationElement",
+    "repro.stats.cdf.merge_cdfs",
+]
+
+DELETED_MODULES = ["repro.stats.streaming", "repro.sim.clock"]
+
+
+@pytest.mark.parametrize("path", DELETED_ANALYSIS_NAMES)
+def test_deleted_analysis_name_stays_deleted(path):
+    parts = path.split(".")
+    for cut in range(len(parts) - 1, 0, -1):  # the longest importable prefix
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        break
+    for attr in parts[cut:-1]:
+        owner = getattr(owner, attr)
+    assert not hasattr(owner, parts[-1]), f"{path} is back"
+
+
+def test_no_package_reexports_a_deleted_analysis_name():
+    names = {path.rpartition(".")[2] for path in DELETED_ANALYSIS_NAMES}
+    for package in ("repro", "repro.analysis", "repro.core", "repro.sim", "repro.stats"):
+        back = names & set(vars(importlib.import_module(package)))
+        assert not back, f"{package} re-exports {sorted(back)}"
+
+
+@pytest.mark.parametrize("name", DELETED_MODULES)
+def test_deleted_module_stays_deleted(name):
+    assert importlib.util.find_spec(name) is None, f"{name} is back"
 
 
 def test_deleted_execution_switches_are_rejected():

@@ -7,17 +7,12 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import (
-    agreement_by_scenario,
-    compare_scenarios,
-    fig5_by_scenario,
-    slice_by_scenario,
-)
+from repro.analysis import stream_survey
 from repro.api import CampaignRequest, MatrixRequest, Session
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
 from repro.core.runner import EXECUTOR_SERIAL, result_signature
-from repro.net.errors import AnalysisError, SimulationError
+from repro.net.errors import SimulationError
 from repro.scenarios import (
     LEGACY_SCENARIO,
     MIXED_OS,
@@ -27,7 +22,6 @@ from repro.scenarios import (
     PopulationSpec,
     RouteFlapCondition,
     ScenarioMatrix,
-    ScenarioRun,
     build_scenario_hosts,
     derive_cell_seed,
     get_scenario,
@@ -37,6 +31,7 @@ from repro.scenarios import (
 from repro.sim.build import DiurnalJitterSpec, GilbertLossSpec, RouteFlapSpec
 from repro.workloads.population import generate_population
 from repro.workloads.testbed import build_testbed
+import _analysis_oracle as oracle
 
 SEED = 20260730
 
@@ -298,7 +293,8 @@ def test_every_named_scenario_runs_end_to_end(name):
     assert result.scenario == name
     assert len(result.records) == 4 * len(SMALL_CONFIG.tests)
     assert all(record.scenario == name for record in result.records)
-    comparison = compare_scenarios({name: result})
+    comparison = stream_survey(result.records, result.host_addresses).comparison()
+    assert [item.scenario for item in comparison.slices] == [name]
     assert name in comparison.to_table()
 
 
@@ -372,36 +368,43 @@ def sweep_results():
         inter_measurement_gap=0.2,
         inter_round_gap=1.0,
     )
-    runs = [
-        ScenarioRun(
-            scenario=get_scenario(name),
-            seed=SEED,
-            result=_scenario_result(name, config, hosts=4, shards=2),
-        )
+    return {
+        name: _scenario_result(name, config, hosts=4, shards=2)
         for name in (LEGACY_SCENARIO, "diurnal-congestion")
-    ]
-    return slice_by_scenario(runs)
+    }
 
 
-def test_slice_by_scenario_accepts_runs_and_results(sweep_results):
-    assert set(sweep_results) == {LEGACY_SCENARIO, "diurnal-congestion"}
-    # Raw CampaignResult objects slice identically.
-    again = slice_by_scenario(sweep_results.values())
-    assert set(again) == set(sweep_results)
-    with pytest.raises(AnalysisError):
-        slice_by_scenario(list(sweep_results.values()) * 2)
+@pytest.fixture(scope="module")
+def sweep_survey(sweep_results):
+    return stream_survey(
+        record for result in sweep_results.values() for record in result.records
+    )
 
 
-def test_compare_scenarios_table_lists_each_slice(sweep_results):
-    table = compare_scenarios(sweep_results).to_table()
+def test_scenario_slices_key_each_dataset_by_its_stamp(sweep_results, sweep_survey):
+    slices = sweep_survey.scenario_slices()
+    assert list(slices) == list(sweep_results)
+    for name, slice_ in slices.items():
+        assert slice_.records_observed == len(sweep_results[name].records)
+        assert slice_.hosts == sweep_results[name].host_addresses
+
+
+def test_compare_scenarios_table_lists_each_slice(sweep_results, sweep_survey):
+    comparison = sweep_survey.comparison()
+    table = comparison.to_table()
     for name in sweep_results:
         assert name in table
+    assert table == oracle.compare_scenarios(sweep_results).to_table()
+    # Neither campaign ran the dual-connection test, so no slice claims
+    # any host eligible for it.
+    assert [item.dual_connection_eligible for item in comparison.slices] == [None, None]
 
 
-def test_fig5_and_agreement_slicing(sweep_results):
-    fig5 = fig5_by_scenario(sweep_results)
-    assert set(fig5) == set(sweep_results)
-    for data in fig5.values():
-        assert 0.0 <= data.fraction_with_reordering <= 1.0
-    agreement = agreement_by_scenario(sweep_results, min_pairs=2)
-    assert set(agreement) == set(sweep_results)
+def test_fig5_and_agreement_slicing(sweep_results, sweep_survey):
+    for name, slice_ in sweep_survey.scenario_slices().items():
+        fig5 = slice_.fig5()
+        assert 0.0 <= fig5.fraction_with_reordering <= 1.0
+        assert fig5.per_path_rates == oracle.build_fig5_cdf(sweep_results[name]).per_path_rates
+        assert slice_.agreement(min_pairs=2) == oracle.compute_agreement(
+            sweep_results[name], min_pairs=2
+        )

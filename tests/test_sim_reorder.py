@@ -10,7 +10,6 @@ from repro.sim.random import SeededRandom
 from repro.sim.reorder import (
     AdjacentSwapReorderer,
     DelayJitterReorderer,
-    DuplicationElement,
     LossElement,
     PassthroughElement,
 )
@@ -142,13 +141,3 @@ def test_jitter_zero_mean_preserves_order():
         element.handle_packet(packet)
     sim.run_until_idle()
     assert out == [p.uid for p in packets]
-
-
-def test_duplication_element():
-    sim = Simulator()
-    out = []
-    element = DuplicationElement(1.0, SeededRandom(10))
-    element.attach(sim, out.append)
-    element.handle_packet(_packet())
-    assert len(out) == 2
-    assert out[0].uid == out[1].uid

@@ -5,22 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.net.errors import ClockError, SimulationError
-from repro.sim.clock import SimClock
 from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator, Waiter
 
 
-def test_clock_moves_forward_only():
-    clock = SimClock()
-    clock.advance_to(5.0)
-    assert clock.now == 5.0
-    with pytest.raises(ClockError):
-        clock.advance_to(4.0)
-
-
 def test_clock_rejects_negative_start():
     with pytest.raises(ClockError):
-        SimClock(start=-1.0)
+        Simulator(start_time=-1.0)
+    assert Simulator(start_time=2.5).now == 2.5
 
 
 def test_event_queue_orders_by_time_then_insertion():

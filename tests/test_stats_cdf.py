@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.errors import AnalysisError
-from repro.stats.cdf import EmpiricalCdf, merge_cdfs
+from repro.stats.cdf import EmpiricalCdf
 
 
 def test_cdf_evaluate_basic():
@@ -55,19 +55,6 @@ def test_cdf_to_rows_formatting():
     rows = cdf.to_rows(precision=2)
     assert rows[0].startswith("0.25\t")
     assert rows[1].endswith("1.0000")
-
-
-def test_merge_cdfs_pools_samples():
-    a = EmpiricalCdf([1.0, 2.0])
-    b = EmpiricalCdf([3.0])
-    merged = merge_cdfs([a, b])
-    assert len(merged) == 3
-    assert merged.evaluate(2.5) == pytest.approx(2.0 / 3.0)
-
-
-def test_merge_cdfs_empty_list_rejected():
-    with pytest.raises(AnalysisError):
-        merge_cdfs([])
 
 
 def test_cdf_quantile_exact_multiples_do_not_overshoot():
