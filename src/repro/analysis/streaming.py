@@ -167,12 +167,16 @@ class StreamingSurvey:
 
     def eligibility(self) -> EligibilitySummary:
         """The eligibility table (E6); only techniques that produced a record
-        get an ``ineligible`` entry."""
+        get an entry, and only hosts with a record for a technique count as
+        eligible for it."""
         summary = EligibilitySummary(total_hosts=len(self.hosts))
         measured = {test for _address, test in self._paths}
         for test in TestName.all():
             if test in measured:
-                summary.ineligible[test] = len(self.ineligible_hosts(test))
+                probed = sum((address, test) in self._paths for address in self.hosts)
+                ineligible = len(self.ineligible_hosts(test))
+                summary.ineligible[test] = ineligible
+                summary.eligible[test] = probed - ineligible
         summary.measurements_total = self.measurements_total
         summary.measurements_with_reordering = self.measurements_with_reordering
         return summary

@@ -19,13 +19,16 @@ from repro.core.prober import TestName
 class EligibilitySummary:
     """Host eligibility and measurement-level reordering prevalence.
 
-    ``ineligible`` has an entry for each technique that produced at least
-    one record.  A technique that never ran has none: its row prints ``-``
-    rather than claiming every host eligible for it.
+    ``ineligible`` and ``eligible`` have an entry for each technique that
+    produced at least one record.  A technique that never ran has none: its
+    row prints ``-`` rather than claiming every host eligible for it.  A host
+    counts as eligible for a technique only once it has a record for it, so
+    a partial store does not claim the hosts of its unrun shards.
     """
 
     total_hosts: int
     ineligible: dict[TestName, int] = field(default_factory=dict)
+    eligible: dict[TestName, int] = field(default_factory=dict)
     measurements_total: int = 0
     measurements_with_reordering: int = 0
 
@@ -38,9 +41,7 @@ class EligibilitySummary:
 
     def eligible_hosts(self, test: TestName) -> Optional[int]:
         """Number of hosts usable by ``test``, or None if it never ran."""
-        if test not in self.ineligible:
-            return None
-        return self.total_hosts - self.ineligible[test]
+        return self.eligible.get(test)
 
     def to_table(self) -> str:
         """Render the eligibility table."""

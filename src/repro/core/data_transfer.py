@@ -14,7 +14,7 @@ property that motivated the paper's fixed packet-pair tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.probe_connection import ProbeConnection
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
@@ -35,9 +35,13 @@ def _carries_data(packet: Packet) -> bool:
     return bool(packet.payload) and not int.__and__(tcp.flags, _SYN_OR_RST)
 
 
-@dataclass(frozen=True, slots=True)
-class ReceivedSegment:
-    """One data segment observed during the transfer."""
+class ReceivedSegment(NamedTuple):
+    """One data segment observed during the transfer.
+
+    A NamedTuple, built positionally: one is made per segment received, and
+    a tuple is one allocation where a frozen dataclass pays an
+    ``object.__setattr__`` per field.
+    """
 
     seq: int
     length: int
@@ -167,15 +171,7 @@ class DataTransferTest:
                 tcp = packet.tcp
                 assert tcp is not None
                 length = len(packet.payload)
-                segments.append(
-                    ReceivedSegment(
-                        seq=tcp.seq,
-                        length=length,
-                        time=captured.time,
-                        serial=captured.serial,
-                        uid=packet.uid,
-                    )
-                )
+                segments.append(ReceivedSegment(tcp.seq, length, captured.time, captured.serial, packet.uid))
                 segment_end = seq_add(tcp.seq, length)
                 if seq_gt(segment_end, highest_ack):
                     highest_ack = segment_end

@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.host.raw_socket import ProbeHost
 from repro.net.errors import SampleTimeoutError
-from repro.net.packet import Packet, TcpFlags, TcpHeader, TcpOption
+from repro.net.packet import DEFAULT_TTL, PROTO_TCP, IPv4Header, Packet, TcpFlags, TcpHeader, TcpOption
 from repro.net.seqnum import seq_add
 
 DEFAULT_HANDSHAKE_TIMEOUT = 3.0
@@ -70,6 +70,9 @@ class ProbeConnection:
             iss=iss,
             snd_nxt=seq_add(iss, 1),
         )
+        # Every packet of this connection carries the same IP header, so it
+        # is built, and range-checked, once: headers are immutable tuples.
+        self._ip = IPv4Header(probe.address, remote_addr, PROTO_TCP, 0, DEFAULT_TTL)
 
     @property
     def local_port(self) -> int:
@@ -97,7 +100,7 @@ class ProbeConnection:
         )
 
     def _send(self, header: TcpHeader, payload: bytes = b"") -> Packet:
-        packet = Packet.tcp_packet(self._probe.address, self.state.remote_addr, header, payload)
+        packet = Packet(self._ip, header, None, payload)
         self._probe.send(packet)
         return packet
 

@@ -115,9 +115,8 @@ class ProbeHost:
         """Record a packet arriving from the network (called by the topology)."""
         if packet.ip.dst != self.address:
             return
-        self._received.append(
-            CapturedPacket(time=self._sim.now, packet=packet, serial=len(self._received))
-        )
+        received = self._received
+        received.append(CapturedPacket(self._sim.now, packet, len(received)))
         self._waiter.wake()
 
     @property

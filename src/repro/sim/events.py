@@ -1,32 +1,45 @@
 """The event queue underlying the simulator.
 
-Events are ordered by (time, insertion sequence) so that simultaneous events
-fire in the order they were scheduled, which keeps runs fully deterministic
-for a given seed.
+Entries are ordered by (time, insertion sequence) so that simultaneous
+entries fire in the order they were scheduled, which keeps runs fully
+deterministic for a given seed.
 
-The heap itself stores plain ``(time, sequence, event)`` tuples rather than
-rich comparable objects: tuple comparison is implemented in C and never calls
-back into Python, which makes push/pop substantially cheaper than ordering
-dataclass instances.  The :class:`Event` returned to callers is a slotted
-cancellation handle riding along in the tuple's third slot (never compared,
-because ``sequence`` is unique).
+The heap stores plain ``(time, sequence, fn, arg)`` tuples, and firing an
+entry is the one call ``fn(arg)``.  Tuple comparison is implemented in C and
+never calls back into Python (``sequence`` is unique, so ``fn`` and ``arg``
+are never compared).  Two kinds of entry share the heap and one sequence
+counter:
+
+* a *hop* (:meth:`EventQueue.push_hop`) is ``(time, sequence, downstream,
+  packet)``: a packet reaching the next path element.  Nothing ever cancels
+  or reads a hop, so it carries no handle and no closure.
+* a *timer* (:meth:`EventQueue.push`) is ``(time, sequence, fire_timer,
+  event)``: the :class:`Event` it carries is the cancellation handle ``push``
+  returns, and ``fire_timer(event)`` runs the event's callback.
+
+Cancellation is lazy: a cancelled timer stays in the heap and is dropped when
+it reaches the top, without moving the clock or counting as processed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import functools
+import itertools
+from typing import Any, Callable, Optional
 
 from heapq import heappop as _heappop, heappush as _heappush
 
 from repro.net.errors import SimulationError
 
 EventCallback = Callable[[], None]
+Entry = tuple[float, int, Callable[[Any], None], Any]
 
-# Event lifecycle states.  An event is counted by ``EventQueue.__len__`` only
-# while PENDING; the transitions PENDING->FIRED (on pop) and
-# PENDING->CANCELLED (on cancel) each decrement the live count exactly once,
-# which is what makes ``cancel`` idempotent and safe to call on an event that
-# already fired.
+# Event lifecycle states.  A timer leaves PENDING exactly once: to FIRED when
+# it reaches the top of the heap, or to CANCELLED by ``cancel`` (counted in
+# ``EventQueue._cancelled`` until the heap drops it).  That single transition
+# is what makes ``cancel`` idempotent and safe to call on a timer that
+# already fired.  PENDING is 0, so a timer in the heap is cancelled exactly
+# when its state is truthy.
 _PENDING = 0
 _FIRED = 1
 _CANCELLED = 2
@@ -64,81 +77,91 @@ class Event:
         if self._state == _PENDING:
             self._state = _CANCELLED
             if self._queue is not None:
-                self._queue._live -= 1
+                self._queue._cancelled += 1
 
     def __repr__(self) -> str:
         state = {_PENDING: "pending", _FIRED: "fired", _CANCELLED: "cancelled"}[self._state]
         return f"Event(time={self.time!r}, sequence={self.sequence}, {state})"
 
 
+def fire_timer(event: Event) -> None:
+    """Fire a timer entry: the ``fn`` of every entry that ``push`` makes.
+
+    The run loop has already checked that ``event`` is still pending.
+    """
+    event._state = _FIRED
+    event.callback()
+
+
 class EventQueue:
-    """A deterministic min-heap of ``(time, sequence, Event)`` tuples."""
+    """A deterministic min-heap of ``(time, sequence, fn, arg)`` entries.
+
+    The live count is the heap's length minus the cancelled timers still in
+    it, so pushing and firing a hop touch no counter at all.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        self._sequence = 0
-        self._live = 0
+        self._heap: list[Entry] = []
+        self._next_sequence = itertools.count().__next__
+        self._cancelled = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._cancelled
 
     def is_empty(self) -> bool:
-        """Return True when no live (non-cancelled) events remain."""
-        return self._live == 0
+        """Return True when no live (non-cancelled) entries remain."""
+        return len(self._heap) == self._cancelled
 
     def push(self, time: float, callback: EventCallback) -> Event:
-        """Schedule ``callback`` at absolute simulated ``time`` and return the event."""
+        """Schedule ``callback`` at absolute simulated ``time`` and return its handle."""
         if time < 0.0:
             raise SimulationError(f"cannot schedule an event before time zero: {time}")
-        sequence = self._sequence
-        self._sequence = sequence + 1
+        sequence = self._next_sequence()
         event = Event(time, sequence, callback, self)
-        _heappush(self._heap, (time, sequence, event))
-        self._live += 1
+        _heappush(self._heap, (time, sequence, fire_timer, event))
         return event
+
+    def push_hop(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Schedule the call ``fn(arg)`` at absolute simulated ``time``.
+
+        The entry gets no handle, so it cannot be cancelled: this is the
+        packet-hop path, one heap push per delayed packet.
+        """
+        if time < 0.0:
+            raise SimulationError(f"cannot schedule an event before time zero: {time}")
+        _heappush(self._heap, (time, self._next_sequence(), fn, arg))
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously pushed event (idempotent, safe after it fired)."""
         event.cancel()
 
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the next live event, or None when empty."""
+    def _drop_cancelled_head(self) -> None:
         heap = self._heap
-        while heap and heap[0][2]._state == _CANCELLED:
+        while heap and heap[0][2] is fire_timer and heap[0][3]._state:
             _heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]
+            self._cancelled -= 1
+
+    def peek_time(self) -> Optional[float]:
+        """Return the firing time of the next live entry, or None when empty."""
+        self._drop_cancelled_head()
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or None when empty."""
-        heap = self._heap
-        while heap:
-            event = _heappop(heap)[2]
-            if event._state == _PENDING:
-                event._state = _FIRED
-                self._live -= 1
-                return event
-        return None
+        """Remove the next live entry and return it as a fired :class:`Event`.
 
-    def pop_due(self, deadline: float) -> Optional[Event]:
-        """Pop the next live event firing at or before ``deadline``, else None.
-
-        A single-pass alternative to ``peek_time()`` followed by ``pop()``:
-        the run loops call this once per event instead of walking the heap
-        head twice.
+        A timer comes back as the handle ``push`` returned; a hop comes back
+        as a new handle whose callback makes the hop's call.  The simulator's
+        run loop reads the heap itself and never builds these.
         """
+        self._drop_cancelled_head()
         heap = self._heap
-        while heap:
-            head = heap[0]
-            event = head[2]
-            if event._state == _CANCELLED:
-                _heappop(heap)
-                continue
-            if head[0] > deadline:
-                return None
-            _heappop(heap)
-            event._state = _FIRED
-            self._live -= 1
-            return event
-        return None
+        if not heap:
+            return None
+        time, sequence, fn, arg = _heappop(heap)
+        if fn is fire_timer:
+            event: Event = arg
+        else:
+            event = Event(time, sequence, functools.partial(fn, arg))
+        event._state = _FIRED
+        return event

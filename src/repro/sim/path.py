@@ -68,24 +68,23 @@ class PathElement(ABC):
 
     def _emit_after(self, delay: float, packet: Packet) -> None:
         """Deliver ``packet`` downstream after ``delay`` seconds."""
-        downstream = self._emit
         if delay <= 0.0:
-            downstream(packet)
+            self._emit(packet)
             return
-        self.sim.schedule(delay, lambda: downstream(packet))
+        sim = self.sim
+        sim.schedule_hop_at(sim.now + delay, self._emit, packet)
 
     def _emit_at(self, when: float, packet: Packet) -> None:
         """Deliver ``packet`` downstream at absolute simulated time ``when``."""
         sim = self._sim
         if sim is None:
             raise SimulationError(f"{type(self).__name__} used before attach()")
-        downstream = self._emit
         if when <= sim.now:
-            downstream(packet)
+            self._emit(packet)
             return
-        # ``when > now`` already holds on this branch, so skip schedule_at's
-        # validation — this runs once per delayed packet-hop.
-        sim.schedule_at_unchecked(when, lambda: downstream(packet))
+        # ``when > now`` holds on this branch, so the hop skips schedule_at's
+        # validation: it is one heap entry, with no handle to cancel it.
+        sim.schedule_hop_at(when, self._emit, packet)
 
 
 class Pipeline:

@@ -44,16 +44,16 @@ class DropTailQueue(PathElement):
         if self._occupancy >= self.capacity_packets:
             self.packets_dropped += 1
             return
-        now = self.sim.now
-        start = max(now, self._busy_until)
+        sim = self.sim
+        start = max(sim.now, self._busy_until)
         service_time = packet.total_length() * BITS_PER_BYTE / self.service_rate_bps
         departure = start + service_time
         self._busy_until = departure
         self._occupancy += 1
         self.packets_forwarded += 1
+        # ``departure >= now``: the departure is one heap entry, no handle.
+        sim.schedule_hop_at(departure, self._depart, packet)
 
-        def _depart() -> None:
-            self._occupancy -= 1
-            self._emit(packet)
-
-        self.sim.schedule_at(departure, _depart)
+    def _depart(self, packet: Packet) -> None:
+        self._occupancy -= 1
+        self._emit(packet)

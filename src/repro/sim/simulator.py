@@ -21,10 +21,13 @@ number of predicate evaluations differs.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from heapq import heappop as _heappop
+from typing import Any, Callable, Optional
 
 from repro.net.errors import ClockError, SimulationError
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event, EventQueue, fire_timer
+
+_FOREVER = float("inf")
 
 
 class Waiter:
@@ -70,14 +73,17 @@ class Simulator:
         """Current simulated time in seconds.  A plain attribute rather than a
         property: it is read on every packet hop and every event, and the
         descriptor dispatch was measurable.  Treat it as read-only — the run
-        loops are the only writers."""
+        methods are the only writers."""
         self._events = EventQueue()
         self._processed = 0
-        self.schedule_at_unchecked: Callable[[float, Callable[[], None]], Event] = self._events.push
-        """:meth:`schedule_at` without the not-in-the-past validation: the event
-        queue's own ``push``, bound once so a per-packet link departure is one
-        call.  For hot-path callers that have already established
-        ``when > now``; the queue's non-negative-time check still applies."""
+        self.schedule_hop_at: Callable[[float, Callable[[Any], None], Any], None] = (
+            self._events.push_hop
+        )
+        """Schedule the call ``fn(arg)`` at absolute time ``when``, with no
+        handle and no not-in-the-past validation: the event queue's own
+        ``push_hop``, bound once so a delayed packet hop is one call and one
+        heap entry.  For path elements that have already established
+        ``when >= now``; the queue's non-negative-time check still applies."""
 
     @property
     def pending_events(self) -> int:
@@ -105,16 +111,6 @@ class Simulator:
         """Cancel a previously scheduled event (idempotent, safe after it fired)."""
         event.cancel()
 
-    def step(self) -> bool:
-        """Execute the next event.  Return False when the queue is empty."""
-        event = self._events.pop()
-        if event is None:
-            return False
-        self.now = event.time
-        self._processed += 1
-        event.callback()
-        return True
-
     def run_until_idle(self, max_time: Optional[float] = None) -> None:
         """Run until no events remain, or until simulated time would pass ``max_time``.
 
@@ -124,25 +120,13 @@ class Simulator:
         earlier — so a bounded idle run leaves time in a deterministic place.
         Without ``max_time`` the clock stops at the last event executed.
         """
-        events = self._events
         if max_time is None:
-            while True:
-                event = events.pop()
-                if event is None:
-                    return
-                self.now = event.time
-                self._processed += 1
-                event.callback()
+            self._advance(_FOREVER)
+            return
         if max_time < self.now:
             raise SimulationError(f"max_time is in the past: {max_time} < {self.now}")
-        while True:
-            event = events.pop_due(max_time)
-            if event is None:
-                self.now = max_time
-                return
-            self.now = event.time
-            self._processed += 1
-            event.callback()
+        self._advance(max_time)
+        self.now = max_time
 
     def run_for(self, duration: float) -> None:
         """Run for ``duration`` seconds of simulated time."""
@@ -154,21 +138,13 @@ class Simulator:
         """Run all events up to and including ``deadline``, then set the clock there."""
         if deadline < self.now:
             raise SimulationError(f"deadline is in the past: {deadline} < {self.now}")
-        events = self._events
-        while True:
-            event = events.pop_due(deadline)
-            if event is None:
-                self.now = deadline
-                return
-            self.now = event.time
-            self._processed += 1
-            event.callback()
+        self._advance(deadline)
+        self.now = deadline
 
     def run_until(
         self,
         predicate: Callable[[], bool],
         timeout: float,
-        check_interval: Optional[float] = None,
         waiter: Optional[Waiter] = None,
     ) -> bool:
         """Run until ``predicate()`` becomes true or ``timeout`` seconds elapse.
@@ -183,44 +159,63 @@ class Simulator:
         waiter is woken (the probe host's capture waiter satisfies this for
         any predicate over captured packets).  Both disciplines stop the
         clock on exactly the same event.
-
-        ``check_interval`` is accepted for API symmetry with wall-clock
-        pollers but is unused: in a discrete-event world state only changes
-        when events fire.
         """
-        del check_interval
         if timeout < 0.0:
             raise SimulationError(f"timeout cannot be negative: {timeout}")
         deadline = self.now + timeout
         if predicate():
             return True
+        if waiter is not None:
+            waiter._signaled = False  # The entry check above observed current state.
+        if self._advance(deadline, predicate, waiter):
+            return True
+        self.now = deadline
+        return predicate()
+
+    def _advance(
+        self,
+        deadline: float,
+        predicate: Optional[Callable[[], bool]] = None,
+        waiter: Optional[Waiter] = None,
+    ) -> bool:
+        """Fire every live entry due by ``deadline``, in (time, sequence) order.
+
+        The one run loop behind every public run method.  It reads the
+        queue's heap directly: each entry is ``(time, sequence, fn, arg)``
+        and firing it is ``fn(arg)``, so a packet hop costs one pop and one
+        call.  A timer whose ``fn`` is :func:`fire_timer` and whose handle
+        was cancelled is dropped before the clock moves.
+
+        Returns True as soon as ``predicate`` holds after an event —
+        re-checked after every event, or with a ``waiter`` only after events
+        that woke it — and False once no live entry is due.  The clock is
+        left at the last event fired; bounded runs then park it at their
+        deadline.
+        """
         events = self._events
-        if waiter is None:
-            while True:
-                event = events.pop_due(deadline)
-                if event is None:
-                    self.now = deadline
-                    return predicate()
-                self.now = event.time
-                self._processed += 1
-                event.callback()
-                if predicate():
-                    return True
-        # The wake flag is read inline (same module) — one attribute test per
-        # event instead of a method call.
-        waiter._signaled = False  # Entry check above already observed current state.
-        while True:
-            event = events.pop_due(deadline)
-            if event is None:
-                self.now = deadline
-                return predicate()
-            self.now = event.time
+        heap = events._heap
+        while heap:
+            when, _sequence, fn, arg = heap[0]
+            if when > deadline:
+                return False
+            _heappop(heap)
+            if fn is fire_timer and arg._state:
+                events._cancelled -= 1
+                continue
+            self.now = when
             self._processed += 1
-            event.callback()
-            if waiter._signaled:
-                waiter._signaled = False
-                if predicate():
-                    return True
+            fn(arg)
+            if predicate is not None:
+                # The wake flag is read inline (same module) — one attribute
+                # test per event instead of a method call.
+                if waiter is None:
+                    if predicate():
+                        return True
+                elif waiter._signaled:
+                    waiter._signaled = False
+                    if predicate():
+                        return True
+        return False
 
     def __repr__(self) -> str:
         return (

@@ -121,7 +121,9 @@ def summarize_eligibility(result: CampaignResult) -> EligibilitySummary:
     summary = EligibilitySummary(total_hosts=len(result.host_addresses))
     for test in TestName.all():
         if records_for(result, test=test):
+            probed = [address for address in result.host_addresses if records_for(result, address, test)]
             summary.ineligible[test] = len(ineligible_hosts(result, test))
+            summary.eligible[test] = len(probed) - summary.ineligible[test]
     summary.measurements_total = total_measurements(result)
     summary.measurements_with_reordering = measurements_with_reordering(result)
     return summary

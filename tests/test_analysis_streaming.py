@@ -211,3 +211,37 @@ def test_partial_store_streams_only_durable_shards(tmp_path):
     # The scenario slice shares that population, so the comparison and the
     # eligibility table count the same hosts.
     assert [item.hosts for item in survey.comparison().slices] == [4]
+
+
+def test_partial_store_counts_only_probed_hosts_as_eligible(tmp_path):
+    """A host whose shard never ran has no record: the eligibility table
+    counts it in the population, but neither as eligible nor as ineligible."""
+
+    class Stop(BaseException):
+        pass
+
+    def crash(outcome, completed, total):
+        raise Stop
+
+    store_dir = tmp_path / "partial"
+    with pytest.raises(Stop):
+        _run(
+            CampaignRequest(
+                scenario="imc2002-survey",
+                config=CONFIG,
+                hosts=8,
+                seed=7,
+                shards=3,
+                store=store_dir,
+                on_checkpoint=crash,
+            )
+        )
+    store = CampaignStore.open(store_dir)
+    records = list(store.iter_records())
+    summary = survey_from_store(store).eligibility()
+    assert summary.total_hosts == 8
+    assert set(summary.ineligible) == set(TestName.all())
+    for test in TestName.all():
+        probed = {record.host_address for record in records if record.test is test}
+        assert 0 < len(probed) < 8
+        assert summary.eligible_hosts(test) + summary.ineligible[test] == len(probed)

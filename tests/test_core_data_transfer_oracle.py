@@ -13,7 +13,6 @@ the same simulation.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
@@ -150,7 +149,7 @@ def _observe(test_class: type[DataTransferTest], case_id: str, num_samples: int 
     # two runs' segments compare equal when the same packets arrive.
     base = Packet.tcp_packet(0, 0, TcpHeader(src_port=1, dst_port=1)).uid
     result = test.run(num_samples)
-    segments = [dataclasses.replace(segment, uid=segment.uid - base) for transfer in transfers for segment in transfer]
+    segments = [segment._replace(uid=segment.uid - base) for transfer in transfers for segment in transfer]
     outcomes = [
         (
             sample.index,

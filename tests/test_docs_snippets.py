@@ -47,10 +47,15 @@ def test_docs_exist():
     assert _python_blocks(), "expected at least one python snippet in the docs"
 
 
+BLOCKS = _python_blocks()
+
+
+# Ids name each block by its document and position (``README.md-block3``),
+# not by its source, so editing a block does not rename its test.
 @pytest.mark.parametrize(
     "doc,index,source",
-    _python_blocks(),
-    ids=lambda value: value if isinstance(value, str) and value.endswith(".md") else None,
+    BLOCKS,
+    ids=[f"{doc}-block{index}" for doc, index, _source in BLOCKS],
 )
 def test_doc_snippet_executes(doc, index, source):
     """Each fenced python block must run unmodified against the library."""

@@ -164,6 +164,19 @@ TRACED_METHODS = [
     ("repro.analysis.streaming", "StreamingSurvey", "observe"),
     ("repro.analysis.streaming", "StreamingSurvey", "eligibility"),
     ("repro.analysis.streaming", "StreamingSurvey", "fig5"),
+    ("repro.sim.simulator", "Simulator", "run_until"),
+    ("repro.sim.simulator", "Simulator", "run_for"),
+    ("repro.sim.simulator", "Simulator", "run_until_time"),
+    ("repro.sim.simulator", "Simulator", "run_until_idle"),
+    ("repro.core.campaign", "Campaign", "run"),
+    ("repro.host.tcp_endpoint", "TcpEndpoint", "deliver"),
+    ("repro.host.raw_socket", "ProbeHost", "captured_since"),
+    ("repro.host.raw_socket", "ProbeHost", "tcp_packets_since"),
+    ("repro.host.raw_socket", "ProbeHost", "icmp_packets_since"),
+    ("repro.store.store", "CampaignStore", "begin"),
+    ("repro.store.store", "CampaignStore", "write_shard"),
+    ("repro.store.store", "CampaignStore", "read_shard"),
+    ("repro.store.store", "CampaignStore", "iter_records"),
 ]
 
 
