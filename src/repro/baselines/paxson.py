@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.data_transfer import DataTransferTest
-from repro.core.metrics import reordered_packet_ratio
 from repro.core.sample import Direction, SampleOutcome
 from repro.host.raw_socket import ProbeHost
 from repro.net.errors import MeasurementError
@@ -119,8 +118,3 @@ class PaxsonStudy:
             for address in host_addresses:
                 summary.add(self.measure_session(address))
         return summary
-
-
-def analyze_arrival_sequence(expected_order: Sequence[int], arrival_order: Sequence[int]) -> float:
-    """Paxson's packet-level metric on an explicit sequence (exposed for reuse)."""
-    return reordered_packet_ratio(expected_order, arrival_order)

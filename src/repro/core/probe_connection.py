@@ -200,7 +200,3 @@ class ProbeConnection:
     def note_remote_progress(self, new_expected: int) -> None:
         """Record that the remote host now expects ``new_expected`` (learned from its ACKs)."""
         self.state.remote_expected_seq = new_expected
-
-    def advance_expected(self, delta: int) -> None:
-        """Advance the remote host's expected sequence number by ``delta`` bytes."""
-        self.state.remote_expected_seq = seq_add(self.state.remote_expected_seq, delta)

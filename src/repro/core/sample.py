@@ -126,14 +126,6 @@ class MeasurementResult:
             for s in self.samples
         )
 
-    def sample_uid_pairs(self) -> list[tuple[int, int]]:
-        """Return (first_uid, second_uid) pairs for samples that recorded both uids."""
-        pairs = []
-        for sample in self.samples:
-            if len(sample.probe_uids) == 2:
-                pairs.append((sample.probe_uids[0], sample.probe_uids[1]))
-        return pairs
-
     def describe(self) -> str:
         """Render a one-line summary of this measurement."""
         forward = self.reordering_rate(Direction.FORWARD)

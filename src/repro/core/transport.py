@@ -11,17 +11,13 @@ lookups, and a wire image a later remote (socket) backend can speak verbatim.
 
 Layout
 ------
-The field set is exactly the lossless layout of :mod:`repro.store.codec`
-(every field the JSON store persists travels here too), but packed binary:
-
-* integers are fixed-width big-endian (``Q`` for values, ``I`` for counts),
-* floats are IEEE-754 doubles (``d``), which round-trip exactly — including
-  the NaN spacing a merged measurement can carry,
-* enums travel as indexes into their definition-order member tuples,
-* strings are UTF-8 with a ``u32`` length prefix,
-* per-measurement sample fields are packed **columnar** (all indexes, then
-  all times, then all spacings, ...) so a measurement costs a handful of
-  ``struct`` calls instead of fifteen per sample.
+A blob is the header ``!2sBxI`` (magic ``b"RB"``, version, pad, outcome
+count), then each :class:`~repro.core.runner.ShardOutcome` in the binary
+layout of its field table (:mod:`repro.core.schema`).  The JSON store
+(:mod:`repro.store.codec`) walks the same tables, so both codecs derive from
+one table per record type.  Floats travel as IEEE-754 doubles, so they
+round-trip exactly, including the NaN spacing a merged measurement can
+carry, and a measurement's samples travel column by column.
 
 The codec is versioned by :data:`TRANSPORT_VERSION` in the blob header.  It
 is a *transport*, not a storage format: encoder and decoder always run the
@@ -40,42 +36,19 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import Any, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from repro.core.campaign import HostRoundResult
-from repro.core.prober import ProbeReport, TestName
 from repro.core.runner import ShardOutcome
-from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
+from repro.core.schema import Buffer, read, write
 from repro.net.errors import MeasurementError, TransportError
 
 BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
 """Set to a positive integer to pin the shards-per-batch instead of adapting."""
 
 TRANSPORT_MAGIC = b"RB"
-TRANSPORT_VERSION = 1
-
-Buffer = Union[bytes, bytearray, memoryview]
-
-# Definition-order member tables: a member's position is its wire id.
-_TESTS: tuple[TestName, ...] = tuple(TestName)
-_TEST_INDEX = {test: index for index, test in enumerate(_TESTS)}
-_OUTCOMES: tuple[SampleOutcome, ...] = tuple(SampleOutcome)
-_OUTCOME_INDEX = {outcome: index for index, outcome in enumerate(_OUTCOMES)}
+TRANSPORT_VERSION = 2
 
 _HEADER = struct.Struct("!2sBxI")  # magic, version, pad, outcome count
-_U8 = struct.Struct("!B")
-_U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
-_OUTCOME_FIXED = struct.Struct("!QII")  # shard index, n addresses, n records
-_RECORD_FIXED = struct.Struct("!QQdBB")  # round, host, time, test id, flags
-_MEASUREMENT_FIXED = struct.Struct("!QdddI")  # host, start, end, spacing, n samples
-
-# Report flag bits.
-_REPORT_HAS_RESULT = 0x01
-_REPORT_HAS_ERROR = 0x02
-_REPORT_INELIGIBLE = 0x04
-# Record flag bits.
-_RECORD_HAS_SCENARIO = 0x01
 
 
 def batch_size_override() -> Optional[int]:
@@ -139,220 +112,24 @@ def next_batch_size(
 
 
 # --------------------------------------------------------------------- #
-# Encoding
+# Blobs
 # --------------------------------------------------------------------- #
-
-
-def _put_str(parts: list[bytes], text: str) -> None:
-    raw = text.encode("utf-8")
-    parts.append(_U32.pack(len(raw)))
-    parts.append(raw)
-
-
-def _encode_measurement(parts: list[bytes], result: MeasurementResult) -> None:
-    samples = result.samples
-    count = len(samples)
-    parts.append(
-        _MEASUREMENT_FIXED.pack(
-            result.host_address,
-            result.start_time,
-            result.end_time,
-            result.spacing,
-            count,
-        )
-    )
-    _put_str(parts, result.test_name)
-    _put_str(parts, result.notes)
-    if not count:
-        return
-    # Columnar sample block: one struct call per field column instead of a
-    # dozen per sample.  Order: indexes, times, spacings, forward ids,
-    # reverse ids, then the two ragged uid columns and the detail strings.
-    outcome_index = _OUTCOME_INDEX
-    parts.append(struct.pack(f"!{count}I", *(s.index for s in samples)))
-    parts.append(struct.pack(f"!{count}d", *(s.time for s in samples)))
-    parts.append(struct.pack(f"!{count}d", *(s.spacing for s in samples)))
-    parts.append(struct.pack(f"!{count}B", *(outcome_index[s.forward] for s in samples)))
-    parts.append(struct.pack(f"!{count}B", *(outcome_index[s.reverse] for s in samples)))
-    for attribute in ("probe_uids", "response_uids"):
-        columns = [getattr(s, attribute) for s in samples]
-        flat = [uid for uids in columns for uid in uids]
-        parts.append(struct.pack(f"!{count}B", *(len(uids) for uids in columns)))
-        parts.append(struct.pack(f"!{len(flat)}Q", *flat))
-    details = [s.detail.encode("utf-8") for s in samples]
-    parts.append(struct.pack(f"!{count}I", *(len(d) for d in details)))
-    parts.extend(details)
-
-
-def _encode_report(parts: list[bytes], report: ProbeReport) -> None:
-    flags = 0
-    if report.result is not None:
-        flags |= _REPORT_HAS_RESULT
-    if report.error is not None:
-        flags |= _REPORT_HAS_ERROR
-    if report.ineligible:
-        flags |= _REPORT_INELIGIBLE
-    parts.append(_U8.pack(flags))
-    parts.append(_U8.pack(_TEST_INDEX[report.test]))
-    parts.append(_U64.pack(report.host_address))
-    if report.error is not None:
-        _put_str(parts, report.error)
-    if report.result is not None:
-        _encode_measurement(parts, report.result)
-
-
-def _encode_record(parts: list[bytes], record: HostRoundResult) -> None:
-    flags = _RECORD_HAS_SCENARIO if record.scenario is not None else 0
-    parts.append(
-        _RECORD_FIXED.pack(
-            record.round_index,
-            record.host_address,
-            record.time,
-            _TEST_INDEX[record.test],
-            flags,
-        )
-    )
-    if record.scenario is not None:
-        _put_str(parts, record.scenario)
-    _encode_report(parts, record.report)
 
 
 def encode_outcomes(outcomes: Sequence[ShardOutcome]) -> bytes:
     """Encode a batch of shard outcomes into one self-contained blob.
 
     Raises :class:`~repro.net.errors.MeasurementError` when a field is
-    outside its wire range (negative integers, a uid list longer than 255 —
+    outside its wire range (a negative integer or one of 65 bits or more,
     nothing a real campaign produces).
     """
     parts: list[bytes] = [_HEADER.pack(TRANSPORT_MAGIC, TRANSPORT_VERSION, len(outcomes))]
     try:
         for outcome in outcomes:
-            addresses = outcome.host_addresses
-            parts.append(
-                _OUTCOME_FIXED.pack(outcome.index, len(addresses), len(outcome.records))
-            )
-            parts.append(struct.pack(f"!{len(addresses)}Q", *addresses))
-            for record in outcome.records:
-                _encode_record(parts, record)
+            write(outcome, parts)
     except struct.error as exc:
         raise MeasurementError(f"value outside transport field range: {exc}") from exc
     return b"".join(parts)
-
-
-# --------------------------------------------------------------------- #
-# Decoding
-# --------------------------------------------------------------------- #
-
-
-class _Reader:
-    """A cursor over one blob: every read is ``unpack_from`` on a memoryview."""
-
-    __slots__ = ("view", "offset")
-
-    def __init__(self, view: memoryview) -> None:
-        self.view = view
-        self.offset = 0
-
-    def fixed(self, fmt: struct.Struct) -> "tuple[Any, ...]":
-        values = fmt.unpack_from(self.view, self.offset)
-        self.offset += fmt.size
-        return values
-
-    def column(self, count: int, code: str) -> "tuple[Any, ...]":
-        fmt = f"!{count}{code}"
-        values = struct.unpack_from(fmt, self.view, self.offset)
-        self.offset += struct.calcsize(fmt)
-        return values
-
-    def text(self) -> str:
-        (length,) = _U32.unpack_from(self.view, self.offset)
-        start = self.offset + 4
-        end = start + length
-        if end > len(self.view):
-            raise MeasurementError("truncated transport blob: string overruns buffer")
-        self.offset = end
-        return str(self.view[start:end], "utf-8")
-
-
-def _decode_measurement(reader: _Reader) -> MeasurementResult:
-    host, start_time, end_time, spacing, count = reader.fixed(_MEASUREMENT_FIXED)
-    test_name = reader.text()
-    notes = reader.text()
-    result = MeasurementResult(
-        test_name=test_name,
-        host_address=host,
-        start_time=start_time,
-        end_time=end_time,
-        spacing=spacing,
-        notes=notes,
-    )
-    if not count:
-        return result
-    indexes = reader.column(count, "I")
-    times = reader.column(count, "d")
-    spacings = reader.column(count, "d")
-    forwards = reader.column(count, "B")
-    reverses = reader.column(count, "B")
-    uid_columns = []
-    for _ in range(2):
-        lengths = reader.column(count, "B")
-        flat = reader.column(sum(lengths), "Q")
-        uids, cursor = [], 0
-        for length in lengths:
-            uids.append(flat[cursor : cursor + length])
-            cursor += length
-        uid_columns.append(uids)
-    detail_lengths = reader.column(count, "I")
-    view, offset = reader.view, reader.offset
-    details = []
-    for length in detail_lengths:
-        details.append(str(view[offset : offset + length], "utf-8"))
-        offset += length
-    reader.offset = offset
-    outcomes = _OUTCOMES
-    result.samples = [
-        ReorderSample(
-            index=indexes[i],
-            time=times[i],
-            spacing=spacings[i],
-            forward=outcomes[forwards[i]],
-            reverse=outcomes[reverses[i]],
-            detail=details[i],
-            probe_uids=uid_columns[0][i],
-            response_uids=uid_columns[1][i],
-        )
-        for i in range(count)
-    ]
-    return result
-
-
-def _decode_report(reader: _Reader) -> ProbeReport:
-    (flags,) = reader.fixed(_U8)
-    (test_id,) = reader.fixed(_U8)
-    (host,) = reader.fixed(_U64)
-    error = reader.text() if flags & _REPORT_HAS_ERROR else None
-    result = _decode_measurement(reader) if flags & _REPORT_HAS_RESULT else None
-    return ProbeReport(
-        test=_TESTS[test_id],
-        host_address=host,
-        result=result,
-        error=error,
-        ineligible=bool(flags & _REPORT_INELIGIBLE),
-    )
-
-
-def _decode_record(reader: _Reader) -> HostRoundResult:
-    round_index, host, time, test_id, flags = reader.fixed(_RECORD_FIXED)
-    scenario = reader.text() if flags & _RECORD_HAS_SCENARIO else None
-    report = _decode_report(reader)
-    return HostRoundResult(
-        round_index=round_index,
-        host_address=host,
-        test=_TESTS[test_id],
-        time=time,
-        report=report,
-        scenario=scenario,
-    )
 
 
 def decode_outcomes(
@@ -362,10 +139,10 @@ def decode_outcomes(
 
     Any truncation or corruption raises a typed
     :class:`~repro.net.errors.TransportError` carrying the byte ``offset``
-    where decoding stopped, the ``shard_indexes`` the caller had in flight
-    (when it passed them), and the ``decoded_indexes`` recovered before the
-    fault — so a dispatcher can requeue exactly the shards that were lost
-    instead of failing the whole campaign.
+    of the outcome that failed to decode, the ``shard_indexes`` the caller
+    had in flight (when it passed them), and the ``decoded_indexes``
+    recovered before the fault — so a dispatcher can requeue exactly the
+    shards that were lost instead of failing the whole campaign.
     """
     expected = tuple(shard_indexes) if shard_indexes is not None else ()
     view = memoryview(blob)
@@ -389,32 +166,17 @@ def decode_outcomes(
             0,
             (),
         )
-    reader = _Reader(view)
-    reader.offset = _HEADER.size
+    offset = _HEADER.size
     outcomes: list[ShardOutcome] = []
     try:
         for _ in range(count):
-            index, n_addresses, n_records = reader.fixed(_OUTCOME_FIXED)
-            addresses = reader.column(n_addresses, "Q")
-            records = [_decode_record(reader) for _ in range(n_records)]
-            outcomes.append(
-                ShardOutcome(index=index, host_addresses=addresses, records=records)
-            )
-    except TransportError:
-        raise
-    except MeasurementError as exc:
-        # _Reader.text raises on a string overrunning the buffer; re-wrap it
-        # with the batch context the bare message lacks.
-        raise fault(str(exc), reader.offset, outcomes) from exc
+            outcome, offset = read(ShardOutcome, view, offset)
+            outcomes.append(outcome)
     except (struct.error, IndexError, ValueError, UnicodeDecodeError) as exc:
+        raise fault(f"corrupt transport blob: {exc}", offset, outcomes) from exc
+    if offset != len(view):
         raise fault(
-            f"corrupt transport blob: {exc}", reader.offset, outcomes
-        ) from exc
-    if reader.offset != len(view):
-        raise fault(
-            f"transport blob has {len(view) - reader.offset} trailing bytes",
-            reader.offset,
-            outcomes,
+            f"transport blob has {len(view) - offset} trailing bytes", offset, outcomes
         )
     return outcomes
 

@@ -197,10 +197,6 @@ class Coordinator:
                 self._workers_changed.wait(remaining)
             return len(self._workers)
 
-    def worker_count(self) -> int:
-        with self._lock:
-            return len(self._workers)
-
     def submit_job(
         self,
         tasks: Sequence[ShardTask],

@@ -16,7 +16,9 @@ The message set is deliberately small:
 ========================  =======================================================
 :data:`MSG_HELLO`         worker -> coordinator: pickled ``{"index", "pid"}``
 :data:`MSG_BATCH`         coordinator -> worker: ``u32 batch_id`` + pickled tasks
-:data:`MSG_SHARD_ERROR`   worker -> coordinator: shards that *failed* in a batch
+:data:`MSG_SHARD_ERROR`   worker -> coordinator: shards that *failed* in a batch,
+                          a :class:`ShardErrors` record in the binary layout
+                          of :mod:`repro.core.schema`
 :data:`MSG_RESULT`        worker -> coordinator: ``u32 batch_id`` + result blob
                           (closes the batch's lease; always sent, possibly empty)
 :data:`MSG_HEARTBEAT`     worker -> coordinator: liveness, empty payload
@@ -40,12 +42,14 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
+from repro.core.schema import pack, unpack
 from repro.net.errors import ProtocolError
 
 PROTOCOL_MAGIC = b"RW"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 MSG_HELLO = 1
 MSG_BATCH = 2
@@ -60,8 +64,6 @@ _KNOWN_MESSAGES = frozenset(
 )
 
 _FRAME_HEADER = struct.Struct("!2sBBI")  # magic, version, message type, payload len
-_U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
 
 #: Sanity cap on one frame's payload: far above any real batch (a full
 #: campaign's blob is a few MB), low enough that a corrupt length field
@@ -122,34 +124,33 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
     return msg_type, payload
 
 
+class ShardError(NamedTuple):
+    """One shard a worker failed to run."""
+
+    index: int
+    message: str
+
+
+@dataclass(slots=True)
+class ShardErrors:
+    """A :data:`MSG_SHARD_ERROR` payload: the failed shards of one batch."""
+
+    batch_id: int
+    failures: list[ShardError]
+
+
 def pack_shard_errors(batch_id: int, failures: "list[tuple[int, str]]") -> bytes:
     """Encode a batch's failed shards: ``(shard index, error message)`` pairs."""
-    parts = [_U32.pack(batch_id), _U32.pack(len(failures))]
-    for index, message in failures:
-        raw = message.encode("utf-8")
-        parts.append(_U64.pack(index))
-        parts.append(_U32.pack(len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
+    return pack(ShardErrors(batch_id, [ShardError(*failure) for failure in failures]))
 
 
-def unpack_shard_errors(payload: bytes) -> "tuple[int, list[tuple[int, str]]]":
+def unpack_shard_errors(payload: bytes) -> "tuple[int, list[ShardError]]":
     """Decode a :data:`MSG_SHARD_ERROR` payload back into its failures."""
     try:
-        (batch_id,) = _U32.unpack_from(payload, 0)
-        (count,) = _U32.unpack_from(payload, 4)
-        offset = 8
-        failures: "list[tuple[int, str]]" = []
-        for _ in range(count):
-            (index,) = _U64.unpack_from(payload, offset)
-            (length,) = _U32.unpack_from(payload, offset + 8)
-            start = offset + 12
-            message = payload[start : start + length].decode("utf-8")
-            offset = start + length
-            failures.append((index, message))
-    except (struct.error, UnicodeDecodeError) as exc:
+        errors: ShardErrors = unpack(ShardErrors, payload)
+    except (struct.error, IndexError, ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"malformed shard-error payload: {exc}") from exc
-    return batch_id, failures
+    return errors.batch_id, errors.failures
 
 
 __all__ = [
@@ -162,6 +163,8 @@ __all__ = [
     "MSG_SHARD_ERROR",
     "PROTOCOL_MAGIC",
     "PROTOCOL_VERSION",
+    "ShardError",
+    "ShardErrors",
     "pack_shard_errors",
     "recv_frame",
     "send_frame",

@@ -106,11 +106,6 @@ class ProbeHost:
         self.packets_sent += 1
         self._transmit(packet)
 
-    @property
-    def capture_waiter(self) -> Waiter:
-        """The waiter woken on every capture (for predicates over captures)."""
-        return self._waiter
-
     def deliver(self, packet: Packet) -> None:
         """Record a packet arriving from the network (called by the topology)."""
         if packet.ip.dst != self.address:

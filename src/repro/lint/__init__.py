@@ -1,16 +1,13 @@
 """``reprolint``: the repo's own AST-based static analyzer.
 
-Three rule families protect the invariants the golden-digest tests can only
+Two rule families protect the invariants the golden-digest tests can only
 check dynamically:
 
 * **determinism** (``DET00x``) — no wall clocks, no ambient entropy, no
   unordered collections feeding digests inside the deterministic layers;
 * **lock discipline** (``LOCK00x``) — shared attributes accessed under
   their guard, predicate loops around ``Condition.wait()``, no
-  thread-start/attribute-assignment races in the threaded layers;
-* **codec consistency** (``CODEC00x``) — struct format strings, magic
-  widths, and definition-order enum wire tables cross-checked against
-  their call sites in the hand-rolled binary codecs.
+  thread-start/attribute-assignment races in the threaded layers.
 
 Suppression is explicit: ``# reprolint: allow(RULE-ID): reason``.  See
 :mod:`repro.lint.engine` for scoping and :mod:`repro.lint.cli` for the

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Optional
 
 
 def collect_imports(tree: ast.Module) -> dict[str, str]:
@@ -56,22 +56,6 @@ def resolve_call(node: ast.Call, imports: dict[str, str]) -> Optional[str]:
     if target is None:
         return name
     return f"{target}.{rest}" if rest else target
-
-
-def parent_map(tree: ast.AST) -> dict[ast.AST, ast.AST]:
-    """Child -> parent links for the whole tree (ast has no uplinks)."""
-    parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-def ancestors(node: ast.AST, parents: dict[ast.AST, ast.AST]) -> Iterator[ast.AST]:
-    current = parents.get(node)
-    while current is not None:
-        yield current
-        current = parents.get(current)
 
 
 def is_self_attr(node: ast.AST, self_name: str = "self") -> Optional[str]:

@@ -21,18 +21,12 @@ def default_src_root() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
-def default_tests_root(src_root: Path) -> Optional[Path]:
-    """``tests/`` next to the checkout's ``src/``, when present."""
-    candidate = src_root.parent.parent / "tests"
-    return candidate if candidate.is_dir() else None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",
         description=(
-            "AST-based determinism / lock-discipline / codec-consistency "
-            "analyzer for the repro tree."
+            "AST-based determinism and lock-discipline analyzer for the "
+            "repro tree."
         ),
     )
     parser.add_argument(
@@ -46,12 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="source root to lint (default: the installed repro package)",
-    )
-    parser.add_argument(
-        "--tests",
-        default=None,
-        metavar="DIR",
-        help="tests directory for pinning-test checks (default: auto-detect)",
     )
     parser.add_argument(
         "--output",
@@ -77,14 +65,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not src_root.is_dir():
         print(f"lint: source root is not a directory: {src_root}", file=sys.stderr)
         return 2
-    if args.tests is not None:
-        tests_root: Optional[Path] = Path(args.tests)
-        if not tests_root.is_dir():
-            print(f"lint: tests root is not a directory: {tests_root}", file=sys.stderr)
-            return 2
-    else:
-        tests_root = default_tests_root(src_root)
-    findings = run_lint(src_root, tests_root=tests_root)
+    findings = run_lint(src_root)
     report = format_json(findings) if args.format == "json" else format_text(findings)
     print(report)
     if args.output is not None:

@@ -7,9 +7,7 @@ Each rule family applies to the layer whose invariants it protects:
   ``sim/random.py`` (the one sanctioned wrapper around :mod:`random`)
   exempt;
 * lock-discipline rules run over the threaded layers — ``distributed/``
-  and ``api/backends.py``;
-* codec-consistency rules run over the hand-rolled binary codecs —
-  ``core/transport.py``, ``distributed/protocol.py``, ``store/codec.py``.
+  and ``api/backends.py``.
 
 :func:`run_lint` walks a source root (normally ``src/repro``), applies the
 applicable families per file, honors ``# reprolint: allow`` comments, and
@@ -25,7 +23,6 @@ import json
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.lint import codec as codec_rules
 from repro.lint import determinism as det_rules
 from repro.lint import locks as lock_rules
 from repro.lint.findings import META_RULES, Finding, apply_allows, collect_allows
@@ -36,7 +33,6 @@ RULE_PARSE_ERROR = "LINT004"
 ALL_RULES: dict[str, str] = {
     **det_rules.RULES,
     **lock_rules.RULES,
-    **codec_rules.RULES,
     **META_RULES,
     RULE_PARSE_ERROR: "file does not parse",
 }
@@ -52,9 +48,6 @@ DETERMINISM_DIRS: tuple[str, ...] = (
 DETERMINISM_EXEMPT: frozenset[str] = frozenset({"sim/random.py"})
 LOCK_SCOPE_DIRS: tuple[str, ...] = ("distributed",)
 LOCK_SCOPE_FILES: frozenset[str] = frozenset({"api/backends.py"})
-CODEC_SCOPE_FILES: frozenset[str] = frozenset(
-    {"core/transport.py", "distributed/protocol.py", "store/codec.py"}
-)
 
 Checker = Callable[[str, ast.Module], "list[Finding]"]
 
@@ -67,8 +60,6 @@ def families_for(relpath: str) -> tuple[str, ...]:
         families.append("determinism")
     if top in LOCK_SCOPE_DIRS or relpath in LOCK_SCOPE_FILES:
         families.append("locks")
-    if relpath in CODEC_SCOPE_FILES:
-        families.append("codec")
     return tuple(families)
 
 
@@ -77,7 +68,6 @@ def lint_source(
     relpath: str,
     *,
     display_path: Optional[str] = None,
-    tests_root: Optional[Path] = None,
 ) -> list[Finding]:
     """Lint one file's source text under its source-root-relative path."""
     path = display_path or relpath
@@ -95,8 +85,6 @@ def lint_source(
         findings.extend(det_rules.check_determinism(path, tree))
     if "locks" in families:
         findings.extend(lock_rules.check_locks(path, tree))
-    if "codec" in families:
-        findings.extend(codec_rules.check_codec(path, tree, tests_root))
     allows = collect_allows(source)
     return sorted(apply_allows(path, findings, allows, frozenset(ALL_RULES)))
 
@@ -104,7 +92,6 @@ def lint_source(
 def run_lint(
     src_root: Path,
     *,
-    tests_root: Optional[Path] = None,
     display_base: Optional[Path] = None,
 ) -> list[Finding]:
     """Lint every scoped file under ``src_root`` (normally ``src/repro``).
@@ -128,11 +115,7 @@ def run_lint(
         except OSError as exc:
             findings.append(Finding(display, 1, RULE_PARSE_ERROR, f"unreadable: {exc}"))
             continue
-        findings.extend(
-            lint_source(
-                source, relpath, display_path=display, tests_root=tests_root
-            )
-        )
+        findings.extend(lint_source(source, relpath, display_path=display))
     return sorted(findings)
 
 

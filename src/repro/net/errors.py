@@ -72,7 +72,8 @@ class TransportError(MeasurementError):
 
     Carries enough context for a dispatcher to requeue the work that was in
     flight when the blob went bad: ``offset`` is the byte offset into the
-    blob where decoding stopped, ``shard_indexes`` the shard indexes the
+    blob of the outcome (or header, or trailing bytes) that failed to
+    decode, ``shard_indexes`` the shard indexes the
     sender claimed the batch carried (when the receiver knows them), and
     ``decoded_indexes`` the shards that decoded cleanly before the fault —
     everything in ``shard_indexes`` but not ``decoded_indexes`` is lost and

@@ -39,12 +39,6 @@ class Link(PathElement):
         self.packets_carried = 0
         self.bytes_carried = 0
 
-    def transmission_time(self, packet: Packet) -> float:
-        """Return the serialization delay for ``packet`` on this link."""
-        if self.bandwidth_bps is None:
-            return 0.0
-        return packet.total_length() * BITS_PER_BYTE / self.bandwidth_bps
-
     def handle_packet(self, packet: Packet) -> None:
         sim = self._sim
         if sim is None:

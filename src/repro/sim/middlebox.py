@@ -31,7 +31,6 @@ from repro.net.flow import FlowKey
 from repro.net.icmp import IcmpError
 from repro.net.packet import PROTO_ICMP, Packet, TcpFlags
 from repro.sim.path import PathElement
-from repro.sim.simulator import Simulator
 
 
 class Site(Protocol):
@@ -428,8 +427,3 @@ class EcnBleacher(PathElement):
             packet = packet.with_ip(tos=packet.ip.tos & ~ECN_MASK)
             self.bleached += 1
         self._emit(packet)
-
-
-def attach_site(sim: Simulator, site: Site) -> None:
-    """No-op hook kept for API symmetry; sites are passive receivers."""
-    del sim, site

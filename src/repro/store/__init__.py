@@ -13,17 +13,7 @@ place.  ``docs/architecture.md`` ("Durability & resume") documents the
 on-disk format and the commit protocol.
 """
 
-from repro.store.codec import (
-    FORMAT_VERSION,
-    decode_measurement,
-    decode_record,
-    decode_report,
-    decode_sample,
-    encode_measurement,
-    encode_record,
-    encode_report,
-    encode_sample,
-)
+from repro.store.codec import FORMAT_VERSION, decode_record, encode_record
 from repro.store.store import (
     LOG_NAME,
     MANIFEST_NAME,
@@ -39,14 +29,8 @@ __all__ = [
     "FORMAT_VERSION",
     "LOG_NAME",
     "MANIFEST_NAME",
-    "decode_measurement",
     "decode_record",
-    "decode_report",
-    "decode_sample",
-    "encode_measurement",
     "encode_record",
-    "encode_report",
-    "encode_sample",
     "migrate_store",
     "specs_digest",
 ]

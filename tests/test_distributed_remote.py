@@ -29,6 +29,7 @@ from repro.distributed.coordinator import JOB_DONE, Coordinator
 from repro.distributed.protocol import (
     MSG_BATCH,
     MSG_HEARTBEAT,
+    PROTOCOL_VERSION,
     pack_shard_errors,
     recv_frame,
     send_frame,
@@ -75,7 +76,7 @@ def test_frame_rejects_bad_magic():
 def test_frame_rejects_version_mismatch_and_unknown_type():
     for header, pattern in (
         (b"RW\xff\x01\x00\x00\x00\x00", "version mismatch"),
-        (b"RW\x01\xee\x00\x00\x00\x00", "unknown message type"),
+        (b"RW" + bytes([PROTOCOL_VERSION]) + b"\xee\x00\x00\x00\x00", "unknown message type"),
     ):
         left, right = socket.socketpair()
         try:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import textwrap
-import tomllib
 from pathlib import Path
 
 from repro.lint import ALL_RULES, families_for, format_json, format_text, lint_source
@@ -19,7 +18,6 @@ from repro.lint.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
-TESTS_ROOT = REPO_ROOT / "tests"
 
 
 # --------------------------------------------------------------------- #
@@ -28,7 +26,7 @@ TESTS_ROOT = REPO_ROOT / "tests"
 
 
 def test_real_tree_is_clean():
-    findings = engine.run_lint(SRC_ROOT, tests_root=TESTS_ROOT)
+    findings = engine.run_lint(SRC_ROOT)
     rendered = "\n".join(finding.render() for finding in findings)
     assert findings == [], f"reprolint found problems in the tree:\n{rendered}"
 
@@ -45,22 +43,12 @@ def test_cli_exits_zero_and_prints_clean_on_the_real_tree(capsys):
 
 def test_families_for_scoping_table():
     assert families_for("sim/events.py") == ("determinism",)
-    assert families_for("core/transport.py") == ("determinism", "codec")
+    assert families_for("core/transport.py") == ("determinism",)
     assert families_for("distributed/coordinator.py") == ("locks",)
-    assert families_for("distributed/protocol.py") == ("locks", "codec")
+    assert families_for("distributed/protocol.py") == ("locks",)
     assert families_for("api/backends.py") == ("locks",)
     assert families_for("sim/random.py") == ()  # the sanctioned entropy wrapper
     assert families_for("analysis/survey.py") == ()
-
-
-def test_pyproject_reprolint_table_matches_engine_constants():
-    data = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
-    table = data["tool"]["reprolint"]
-    assert tuple(table["determinism_dirs"]) == engine.DETERMINISM_DIRS
-    assert frozenset(table["determinism_exempt"]) == engine.DETERMINISM_EXEMPT
-    assert tuple(table["lock_scope_dirs"]) == engine.LOCK_SCOPE_DIRS
-    assert frozenset(table["lock_scope_files"]) == engine.LOCK_SCOPE_FILES
-    assert frozenset(table["codec_scope_files"]) == engine.CODEC_SCOPE_FILES
 
 
 # --------------------------------------------------------------------- #
@@ -182,7 +170,7 @@ def test_cli_rejects_missing_src_dir(tmp_path, capsys):
 def test_cli_list_rules_covers_every_family(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("DET001", "LOCK001", "CODEC001", "LINT001"):
+    for rule in ("DET001", "LOCK001", "LINT001"):
         assert rule in out
     # Every advertised rule is listed.
     for rule in ALL_RULES:

@@ -193,11 +193,14 @@ def test_traced_method_is_defined_in_its_own_class_body(module, owner, name):
 def test_traced_functions_are_bound_where_the_tracer_finds_them():
     """Functions are patched by identity in every ``repro`` module that binds
     them, so the session's inline path and the pool's task must call the
-    runner's and the transport's own functions through module globals."""
+    runner's, the transport's and the store codec's own functions through
+    module globals."""
     import repro.api.backends as backends
     import repro.api.session as session
     import repro.core.runner as runner
     import repro.core.transport as transport
+    import repro.store.codec as codec
+    import repro.store.store as store
     from repro.distributed.backend import RemoteBackend
 
     assert session.run_shard is runner.run_shard
@@ -205,6 +208,8 @@ def test_traced_functions_are_bound_where_the_tracer_finds_them():
     assert session.result_digest is runner.result_digest
     assert backends.encode_outcomes is transport.encode_outcomes
     assert backends.decode_outcomes is transport.decode_outcomes
+    assert store.encode_record is codec.encode_record
+    assert store.decode_record is codec.decode_record
     assert backends.wait is concurrent.futures.wait
     assert backends._run_task_batch.__name__ == "_run_task_batch"
     assert callable(RemoteBackend.pop_job_report)
@@ -294,7 +299,22 @@ DELETED_ANALYSIS_NAMES = [
     "repro.stats.cdf.merge_cdfs",
 ]
 
-DELETED_MODULES = ["repro.stats.streaming", "repro.sim.clock"]
+DELETED_MODULES = ["repro.stats.streaming", "repro.sim.clock", "repro.lint.codec"]
+
+#: Both record codecs walk one field table per record type
+#: (``repro.core.schema``); these were the store's per-level JSON helpers.
+DELETED_CODEC_NAMES = [
+    f"repro.store.codec.{verb}_{level}"
+    for verb in ("encode", "decode")
+    for level in ("sample", "measurement", "report")
+]
+
+
+@pytest.mark.parametrize("path", DELETED_CODEC_NAMES)
+def test_deleted_codec_helper_stays_deleted(path):
+    module, _, name = path.rpartition(".")
+    for owner in (importlib.import_module(module), importlib.import_module("repro.store")):
+        assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
 
 
 @pytest.mark.parametrize("path", DELETED_ANALYSIS_NAMES)

@@ -30,19 +30,14 @@ from repro.core.campaign import CampaignConfig, HostRoundResult
 from repro.core.prober import ProbeReport, TestName
 from repro.core.runner import EXECUTOR_SERIAL, ShardOutcome
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
+from repro.core.schema import from_json, to_json
 from repro.net.errors import StoreError
 from repro.store import (
     FORMAT_VERSION,
     CampaignPlan,
     CampaignStore,
-    decode_measurement,
     decode_record,
-    decode_report,
-    decode_sample,
-    encode_measurement,
     encode_record,
-    encode_report,
-    encode_sample,
 )
 from _store_helpers import FRAME, frame, frame_payloads
 
@@ -101,17 +96,17 @@ def _through_json(payload):
 
 @given(samples)
 def test_sample_roundtrip_is_lossless(sample):
-    assert decode_sample(_through_json(encode_sample(sample))) == sample
+    assert from_json(ReorderSample, _through_json(to_json(sample))) == sample
 
 
 @given(measurements)
 def test_measurement_roundtrip_is_lossless(measurement):
-    assert decode_measurement(_through_json(encode_measurement(measurement))) == measurement
+    assert from_json(MeasurementResult, _through_json(to_json(measurement))) == measurement
 
 
 @given(reports)
 def test_report_roundtrip_is_lossless(report):
-    assert decode_report(_through_json(encode_report(report))) == report
+    assert from_json(ProbeReport, _through_json(to_json(report))) == report
 
 
 @given(records)

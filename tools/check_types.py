@@ -2,8 +2,8 @@
 """Run mypy --strict over the typed islands, honouring the allowlist.
 
 The strict surface is configured in ``pyproject.toml`` (``[tool.mypy]``):
-the ``repro.lint`` analyzer itself plus the two hand-rolled binary codecs it
-guards (``distributed/protocol.py``, ``core/transport.py``).
+the ``repro.lint`` analyzer itself plus the two binary wire modules
+(``distributed/protocol.py``, ``core/transport.py``).
 
 ``tools/mypy_allowlist.txt`` lists error lines that are known, reviewed, and
 tracked: one ``path:line: error: ...`` prefix per line, ``#`` comments
