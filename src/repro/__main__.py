@@ -24,8 +24,9 @@ materializing) anything.  All three print the same tables — eligibility,
 the scenario comparison, Figure 5 per scenario, pairwise agreement and the
 middlebox taxonomy — from one
 :class:`~repro.analysis.streaming.StreamingSurvey` fold.  ``migrate``
-converts a store written in format 1 (one file per shard) to the current
-shard log in place; on a current store it does nothing.  An invocation
+converts a store written in format 1 (one file per shard) or format 2 (a
+manifest without host specs) to the current format in place; on a current
+store it does nothing.  An invocation
 that does not start with a subcommand prints a one-line usage message and
 exits with status 2.
 
@@ -255,7 +256,7 @@ def cmd_report(argv: Sequence[str]) -> int:
 def cmd_migrate(argv: Sequence[str]) -> int:
     parser = _build_store_parser(
         "python -m repro migrate",
-        f"Convert a format-1 store to format {FORMAT_VERSION} in place (one-shot).",
+        f"Convert a format-1 or format-2 store to format {FORMAT_VERSION} in place (one-shot).",
     )
     args = parser.parse_args(argv)
     try:

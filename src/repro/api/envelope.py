@@ -20,10 +20,11 @@ an envelope.
 from __future__ import annotations
 
 import hashlib
-import json
+import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional
 
+from repro.core.schema import pack
 from repro.net.errors import MeasurementError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -39,14 +40,16 @@ KIND_MATRIX = "matrix"
 
 
 def plan_digest(plan: "CampaignPlan") -> str:
-    """sha256 of a campaign plan's canonical JSON form.
+    """sha256 of a campaign plan's binary encoding (:func:`repro.core.schema.pack`).
 
-    Two campaigns with equal plan digests were *configured* identically
-    (specs, config, seed, shards, tests, port, scenario); equal
-    ``result_digest`` then follows from the runner's determinism.
+    Plans with equal digests were *configured* identically (specs, config,
+    seed, shards, tests, port, scenario), so equal ``result_digest`` follows;
+    a value outside its field's range raises ``MeasurementError``.
     """
-    canonical = json.dumps(plan.to_mapping(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    try:
+        return hashlib.sha256(pack(plan)).hexdigest()
+    except struct.error as exc:
+        raise MeasurementError(f"campaign plan value outside its field range: {exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,8 +67,8 @@ class ResultEnvelope:
     ========== =====================================================
 
     ``meta`` carries request-shaped context (seed, shards, backend name,
-    store path, resolved scenario spec...) so a result can be traced back to
-    what produced it without keeping the request object alive.
+    store path...) so a result can be traced back to what produced it
+    without keeping the request object alive.
     """
 
     kind: str

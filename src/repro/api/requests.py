@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
 from repro.core.runner import CheckpointHook
-from repro.net.errors import MeasurementError, StoreError
+from repro.net.errors import MeasurementError
 from repro.scenarios.matrix import (
     MIXED_OS,
     ScenarioLike,
@@ -34,7 +34,6 @@ from repro.scenarios.matrix import (
     resolve_scenario,
 )
 from repro.scenarios.population import build_scenario_hosts
-from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.spec import NetworkScenario
 from repro.store.store import CampaignStore
 from repro.workloads.testbed import HostSpec, PathSpec
@@ -67,10 +66,8 @@ class NormalizedCampaign:
     remote_port: int
     tests: Optional[tuple[TestName, ...]]
     label: Optional[str]
-    scenario_spec: Optional[NetworkScenario]
     store: Optional[CampaignStore]
     resume: bool
-    origin: Optional[dict]
     on_checkpoint: Optional[CheckpointHook]
 
 
@@ -149,10 +146,10 @@ class CampaignRequest:
     """A sharded survey over a scenario population or explicit host specs.
 
     Exactly one of ``scenario`` / ``specs`` selects the population.  With a
-    ``store`` the run checkpoints every completed shard durably (and records
-    a scenario ``origin`` in the manifest so :class:`ResumeRequest` can
-    rebuild the population later); ``resume=True`` continues an interrupted
-    run in place.
+    ``store`` the run checkpoints every completed shard durably (its
+    manifest holds the host specs, so :class:`ResumeRequest` can continue it
+    from the store alone); ``resume=True`` continues an interrupted run in
+    place.
     """
 
     scenario: Optional[ScenarioLike] = None
@@ -175,26 +172,15 @@ class CampaignRequest:
                 "CampaignRequest needs exactly one population source: "
                 "a scenario (name or spec) or explicit host specs"
             )
-        scenario_spec: Optional[NetworkScenario] = None
-        origin: Optional[dict] = None
         label = self.scenario_label
         if self.scenario is not None:
-            scenario_spec = resolve_scenario(self.scenario)
+            scenario = resolve_scenario(self.scenario)
             if self.hosts is not None:
-                scenario_spec = scenario_spec.with_population(num_hosts=self.hosts)
+                scenario = scenario.with_population(num_hosts=self.hosts)
             if self.os_name is not None and self.os_name != MIXED_OS:
-                scenario_spec = scenario_spec.with_os(self.os_name)
-            specs = tuple(build_scenario_hosts(scenario_spec, seed=self.seed))
-            label = label or scenario_spec.name
-            if self.store is not None:
-                origin = {
-                    "kind": "scenario",
-                    "scenario": resolve_scenario(self.scenario).name,
-                    "hosts": self.hosts,
-                    "os_name": self.os_name,
-                    "seed": self.seed,
-                    "scenario_label": label,
-                }
+                scenario = scenario.with_os(self.os_name)
+            specs = tuple(build_scenario_hosts(scenario, seed=self.seed))
+            label = label or scenario.name
         else:
             if self.hosts is not None or self.os_name is not None:
                 raise MeasurementError(
@@ -211,10 +197,8 @@ class CampaignRequest:
             remote_port=self.remote_port,
             tests=tuple(self.tests) if self.tests is not None else None,
             label=label,
-            scenario_spec=scenario_spec,
             store=store,
             resume=self.resume,
-            origin=origin,
             on_checkpoint=self.on_checkpoint,
         )
 
@@ -278,11 +262,11 @@ class MatrixRequest:
 class ResumeRequest:
     """Continue an interrupted campaign from its durable store alone.
 
-    The store's manifest records the plan and a scenario ``origin``; the
-    population is rebuilt from those (a pure function, so the specs are
-    identical), already-durable shards load back, and only the missing
-    shards execute.  The merged result is bit-identical — same
-    :func:`~repro.core.runner.result_digest` — to an uninterrupted run.
+    The store's manifest holds the plan and the host specs themselves, so
+    any store resumes, whatever built its population: already-durable
+    shards load back and only the missing shards execute.  The merged
+    result is bit-identical — same :func:`~repro.core.runner.result_digest`
+    — to an uninterrupted run.
     """
 
     store: StoreLike
@@ -291,40 +275,9 @@ class ResumeRequest:
     def normalized(self) -> NormalizedCampaign:
         store = as_store(self.store, create=False)
         plan = store.plan()
-        origin = plan.origin or {}
-        if origin.get("kind") != "scenario":
-            raise StoreError(
-                "store was not created from a scenario campaign (no scenario "
-                "origin in its manifest); resume it by submitting the original "
-                "CampaignRequest with resume=True instead"
-            )
-        if origin["scenario"] not in scenario_names():
-            raise StoreError(
-                f"store was created from scenario {origin['scenario']!r}, which "
-                "is not registered, so its population cannot be rebuilt from the "
-                "manifest; resume it by submitting the original CampaignRequest "
-                "with resume=True instead"
-            )
-        spec = get_scenario(origin["scenario"])
-        if origin.get("hosts") is not None:
-            spec = spec.with_population(num_hosts=origin["hosts"])
-        os_name = origin.get("os_name")
-        if os_name is not None and os_name != MIXED_OS:
-            spec = spec.with_os(os_name)
-        specs = tuple(build_scenario_hosts(spec, seed=origin["seed"]))
         return NormalizedCampaign(
-            specs=specs,
-            config=plan.config,
-            seed=plan.seed,
-            shards=plan.shards,
-            remote_port=plan.remote_port,
-            tests=plan.tests,
-            label=plan.scenario,
-            scenario_spec=spec,
-            store=store,
-            resume=True,
-            origin=plan.origin,
-            on_checkpoint=self.on_checkpoint,
+            plan.specs, plan.config, plan.seed, plan.shards, plan.remote_port, plan.tests,
+            label=plan.scenario, store=store, resume=True, on_checkpoint=self.on_checkpoint,
         )
 
 

@@ -307,7 +307,8 @@ class Session:
         )
         tasks = runner.shard_tasks(norm.tests)
         total = len(tasks)
-        plan = runner.plan(norm.tests, origin=norm.origin)
+        plan = runner.plan(norm.tests)
+        digest = plan_digest(plan)  # first, so a value no codec carries fails before any shard
         store = norm.store
         durable: frozenset[int] = frozenset()
         if store is not None:
@@ -330,17 +331,16 @@ class Session:
         # signature-identical records).
         outcomes = [store.read_shard(index) for index in sorted(durable)] + fresh
         result = runner.merge(outcomes, norm.tests)
-        return self._campaign_envelope(plan, norm, result)
+        return self._campaign_envelope(plan, digest, norm, result)
 
     def _campaign_envelope(
-        self, plan: Any, norm: NormalizedCampaign, result: CampaignResult
+        self, plan: Any, digest: str, norm: NormalizedCampaign, result: CampaignResult
     ) -> ResultEnvelope:
         meta = {
             "seed": norm.seed,
             "shards": plan.shards,
             "hosts": len(norm.specs),
             "resumed": norm.resume,
-            "scenario_spec": norm.scenario_spec,
             "store": str(norm.store.root) if norm.store is not None else None,
             "backend": self._backend_name,
         }
@@ -360,7 +360,7 @@ class Session:
             kind=KIND_CAMPAIGN,
             payload=result,
             scenario=result.scenario or norm.label,
-            plan_digest=plan_digest(plan),
+            plan_digest=digest,
             result_digest=result_digest(result),
             meta=meta,
         )

@@ -45,29 +45,6 @@ class CampaignConfig:
                 f"campaign needs at least one sample per measurement: {self.samples_per_measurement}"
             )
 
-    def to_mapping(self) -> dict:
-        """JSON-serializable form, for the durable campaign store's manifest."""
-        return {
-            "rounds": self.rounds,
-            "samples_per_measurement": self.samples_per_measurement,
-            "tests": [test.value for test in self.tests],
-            "inter_measurement_gap": self.inter_measurement_gap,
-            "inter_round_gap": self.inter_round_gap,
-            "spacing": self.spacing,
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "CampaignConfig":
-        """Rebuild a config from :meth:`to_mapping` output (exact round-trip)."""
-        return cls(
-            rounds=mapping["rounds"],
-            samples_per_measurement=mapping["samples_per_measurement"],
-            tests=tuple(TestName(value) for value in mapping["tests"]),
-            inter_measurement_gap=mapping["inter_measurement_gap"],
-            inter_round_gap=mapping["inter_round_gap"],
-            spacing=mapping["spacing"],
-        )
-
 
 @dataclass(slots=True)
 class HostRoundResult:

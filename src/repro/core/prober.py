@@ -30,6 +30,8 @@ from repro.net.errors import HostNotEligibleError, MeasurementError
 class TestName(enum.Enum):
     """The four measurement techniques."""
 
+    __test__ = False  # a dunder, so not a member: tells pytest this is no test class
+
     SINGLE_CONNECTION = "single-connection"
     DUAL_CONNECTION = "dual-connection"
     SYN = "syn"

@@ -72,7 +72,8 @@ class ShardTask:
     """One shard's complete, self-contained work order.
 
     Everything a worker needs to rebuild its slice of the world travels in
-    this object, so a shard can run in another process as easily as inline.
+    this plain-data object (sent by its :mod:`repro.core.schema` table over
+    a socket), so a shard can run in another process as easily as inline.
     """
 
     index: int
@@ -220,7 +221,7 @@ class CampaignRunner:
         shards and its worker count change wall-clock time, never records.
         Shard *count* is also irrelevant to the records except for sites
         behind port-hashing load balancers (see the module docstring's
-        determinism notes).
+        determinism notes).  It must fit the u64 every codec sends it as.
     shards:
         Number of partitions.  Shards beyond ``len(specs)`` are dropped
         rather than left empty.
@@ -244,6 +245,8 @@ class CampaignRunner:
             raise MeasurementError("campaign runner requires at least one host spec")
         if shards < 1:
             raise MeasurementError(f"campaign runner needs at least one shard: {shards}")
+        if not 0 <= seed < 2**64:
+            raise MeasurementError(f"campaign seed must be in [0, 2**64): {seed}")
         self.specs = tuple(specs)
         self.config = config or CampaignConfig()
         self.seed = seed
@@ -260,19 +263,10 @@ class CampaignRunner:
         """The partitions the runner will execute, in order."""
         return partition_specs(self.specs, self.shards)
 
-    def plan(
-        self,
-        tests: Optional[Iterable[TestName]] = None,
-        *,
-        origin: Optional[dict] = None,
-    ) -> "CampaignPlan":
-        """The durable-store plan describing exactly this runner's campaign.
-
-        ``origin`` optionally records how the host specs were built (e.g. the
-        registry scenario and population size) so a resume can rebuild them
-        from the manifest alone; it travels in the store verbatim.
-        """
-        from repro.store.store import CampaignPlan, specs_digest
+    def plan(self, tests: Optional[Iterable[TestName]] = None) -> "CampaignPlan":
+        """The durable-store plan describing exactly this runner's campaign,
+        host specs included, so a resume needs nothing but the store."""
+        from repro.store.store import CampaignPlan
 
         return CampaignPlan(
             seed=self.seed,
@@ -281,9 +275,7 @@ class CampaignRunner:
             scenario=self.scenario,
             tests=self._active_tests(tests),
             config=self.config,
-            specs_digest=specs_digest(self.specs),
-            host_addresses=self.host_addresses,
-            origin=origin,
+            specs=self.specs,
         )
 
     def shard_tasks(

@@ -2,8 +2,8 @@
 
 A record type is a dataclass or ``NamedTuple`` whose fields all have one of
 the kinds below.  :func:`table_for` builds its :class:`Table` once from its
-fields and resolved type hints.  The shard transport, the remote protocol's
-shard errors and the campaign store all walk these tables, so a record's
+fields and resolved type hints.  The shard transport, the remote protocol,
+the host specs and the campaign store all walk these tables, so a record's
 fields are named only in its class body.
 
 =====================  ================================  ===================
@@ -15,10 +15,19 @@ Type hint              Binary (big-endian)               JSON
 ``str``                u32 byte length, then UTF-8       str
 an ``Enum``            u8 definition-order index         the member's value
 ``tuple[int, ...]``    u32 count, then u64s              list of ints
+``tuple[Enum, ...]``   u32 count, then u8 indexes        list of values
 ``Optional[X]``        u8 presence (0 or 1), then X      null or X
 a record type          its fields, inline                object
-``list[record]``       u32 count, then the items         list of objects
+an abstract base       u8 length, ASCII class name, and  object, plus the
+                       then that class's fields          name under "type"
+``list[R]``            u32 count, then the items         list of objects
+``tuple[R, ...]``      as a list, of records or a base   as a list
 =====================  ================================  ===================
+
+An abstract base (an abstract dataclass, ``ElementSpec``) decodes only to
+its concrete subclasses, found through ``__subclasses__()``, so no name is
+ever imported.  Only such a subclass may have no fields (its tag is all it
+encodes): a list of zero-byte records would let four bytes ask for 2**32.
 
 In binary, consecutive fixed-width fields share one precompiled
 :class:`struct.Struct`.  A list whose item type has only fixed-width,
@@ -27,15 +36,17 @@ fixed-width columns in one ``struct`` call, each ``str`` or uid column as
 its lengths, then its bytes or u64s); other lists travel item by item.
 
 Decoding builds every record positionally and is strict.  A JSON value of
-the wrong type raises ``TypeError``, an unknown enum value ``ValueError`` and
-a missing key ``KeyError``; a short or damaged binary buffer raises
-``struct.error``, ``IndexError``, ``ValueError`` or ``UnicodeDecodeError``.
+the wrong type raises ``TypeError``, an unknown enum value or type tag
+``ValueError`` and a missing key ``KeyError``; a short or damaged binary
+buffer raises ``struct.error``, ``IndexError``, ``ValueError`` or
+``UnicodeDecodeError``.  A record's own constructor may raise too.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import inspect
 import struct
 import types
 import typing
@@ -45,8 +56,8 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 Buffer = Union[bytes, bytearray, memoryview]
 
-_INT, _FLOAT, _BOOL, _STR, _ENUM, _UIDS, _RECORD, _LIST = (
-    "int", "float", "bool", "str", "enum", "uids", "record", "list"
+_INT, _FLOAT, _BOOL, _STR, _ENUM, _UIDS, _RECORD = (
+    "int", "float", "bool", "str", "enum", "uids", "record"
 )
 _CODES = {_INT: "Q", _FLOAT: "d", _BOOL: "?", _ENUM: "B"}  # the fixed-width kinds
 _JSON_TYPES = {_INT: (int,), _FLOAT: (float, int), _BOOL: (bool,), _STR: (str,)}
@@ -58,11 +69,14 @@ _ABSENT, _PRESENT = _U8.pack(0), _U8.pack(1)
 
 
 class Field:
-    """One field of a record type: its name, its kind, and what the kind needs."""
+    """One field of a record type: its name, its kind, and what the kind needs.
+
+    ``many`` is ``list`` or ``tuple`` for a sequence of enums or records, and
+    a record is plain (``table``) or any subclass of a base (``tagged``)."""
 
     __slots__ = (
-        "name", "position", "kind", "optional", "members", "index", "table", "struct",
-        "json_types", "to_json", "from_json",
+        "name", "position", "kind", "optional", "many", "members", "index", "table",
+        "tagged", "write_item", "read_item", "struct", "json_types", "to_json", "from_json",
     )
 
     def __init__(
@@ -71,27 +85,37 @@ class Field:
         position: int,
         kind: str,
         optional: bool,
-        enum_type: Optional[type[enum.Enum]],
-        table: Optional[Table],
+        *,
+        many: Optional[type] = None,
+        enum_type: Optional[type[enum.Enum]] = None,
+        table: Optional[Table] = None,
+        tagged: Optional[Tagged] = None,
     ) -> None:
         self.name, self.position, self.kind, self.optional = name, position, kind, optional
+        self.many, self.table, self.tagged = many, table, tagged
         self.members: tuple[Any, ...] = tuple(enum_type) if enum_type is not None else ()
         self.index = {member: i for i, member in enumerate(self.members)}
-        self.table = table
         self.struct = struct.Struct("!" + _CODES[kind]) if kind in _CODES else None
         self.json_types = _JSON_TYPES.get(kind)
         # JSON converters, for the kinds whose JSON form is not the value itself.
-        self.to_json: Optional[Callable[[Any], Any]] = None
-        self.from_json: Optional[Callable[[Any], Any]] = None
+        to_json: Optional[Callable[[Any], Any]] = None
+        from_json: Optional[Callable[[Any], Any]] = None
         if kind == _ENUM:
-            self.to_json = attrgetter("_value_")  # the value, without the property
-            self.from_json = partial(_enum_from_json, self, {m.value: m for m in self.members})
+            to_json = attrgetter("_value_")  # the value, without the property
+            from_json = partial(_enum_from_json, self, {m.value: m for m in self.members})
         elif kind == _UIDS:
-            self.to_json = list
-            self.from_json = partial(_uids_from_json, self)
+            to_json = list
+            from_json = partial(_uids_from_json, self)
         elif table is not None:
-            self.to_json = partial(_to_json if kind == _RECORD else _list_to_json, table)
-            self.from_json = partial(_from_json if kind == _RECORD else _list_from_json, table)
+            self.write_item, self.read_item = partial(_write, table), partial(_read, table)
+            to_json, from_json = partial(_to_json, table), partial(_from_json, table)
+        elif tagged is not None:
+            self.write_item, self.read_item = tagged.write, tagged.read
+            to_json, from_json = tagged.to_json, tagged.from_json
+        if many is not None:
+            to_json = partial(_many_to_json, to_json)
+            from_json = partial(_many_from_json, self, from_json)
+        self.to_json, self.from_json = to_json, from_json
 
 
 class _Run:
@@ -116,12 +140,13 @@ class Table:
         self.fields = fields
         self.names = tuple(field.name for field in fields)
         self.get = _getter(self.names)
-        self.columnar = all(f.kind in _COLUMN_KINDS and not f.optional for f in fields)
+        plain = [not f.optional and f.many is None for f in fields]
+        self.columnar = all(p and f.kind in _COLUMN_KINDS for f, p in zip(fields, plain))
         self.converted = tuple((f.name, f.to_json) for f in fields if f.to_json is not None)
         steps: list[Union[_Run, Field]] = []
         run: list[Field] = []
-        for field in fields:
-            if field.kind in _CODES and not field.optional:
+        for field, is_plain in zip(fields, plain):
+            if is_plain and field.kind in _CODES:
                 run.append(field)
                 continue
             if run:
@@ -133,20 +158,92 @@ class Table:
         self.steps = tuple(steps)
 
 
+class Tagged:
+    """The concrete subclasses of an abstract record base, tagged by class name."""
+
+    def __init__(self, base: type) -> None:
+        self.base = base
+        self.by_name: dict[str, Table] = {}
+        for subtype in _subtypes(base):
+            name, table = subtype.__name__, _build(subtype)
+            if "type" in table.names:
+                raise TypeError(f"{name} has a field named 'type', the JSON tag of {base.__name__}")
+            if name in self.by_name:
+                raise TypeError(f"two subclasses of {base.__name__} are named {name!r}")
+            self.by_name[name] = table
+        self.by_type = {
+            table.type: (_U8.pack(len(name)) + name.encode("ascii"), table)
+            for name, table in self.by_name.items()
+        }
+
+    def _entry(self, record: Any) -> tuple[bytes, Table]:
+        try:
+            return self.by_type[type(record)]
+        except KeyError:
+            name = type(record).__name__
+            raise TypeError(f"{name} is not a concrete {self.base.__name__}") from None
+
+    def write(self, record: Any, out: list[bytes]) -> None:
+        tag, table = self._entry(record)
+        out.append(tag)
+        _write(table, record, out)
+
+    def read(self, view: memoryview, offset: int) -> tuple[Any, int]:
+        (length,) = _U8.unpack_from(view, offset)
+        end = offset + 1 + length
+        table = self.by_name.get(str(view[offset + 1 : end], "ascii"))
+        if table is None or end > len(view):
+            raise ValueError(f"unknown {self.base.__name__} type tag at byte {offset}")
+        return _read(table, view, end)
+
+    def to_json(self, record: Any) -> dict[str, Any]:
+        return {"type": type(record).__name__, **_to_json(self._entry(record)[1], record)}
+
+    def from_json(self, data: Any) -> Any:
+        if type(data) is not dict:
+            raise TypeError(f"a {self.base.__name__} is {type(data).__name__}, expected dict")
+        table = self.by_name.get(data["type"])
+        if table is None:
+            raise ValueError(f"unknown {self.base.__name__} type {data['type']!r}")
+        return _from_json(table, data)
+
+
+def _subtypes(base: type) -> list[type]:
+    """The concrete subclasses of ``base``, at any depth, newest per name (a
+    ``slots=True`` dataclass leaves the class it replaced a subclass too)."""
+    found: dict[str, type] = {}
+    pending = [base]
+    while pending:
+        for subtype in pending.pop().__subclasses__():
+            pending.append(subtype)
+            if not inspect.isabstract(subtype):
+                found[f"{subtype.__module__}.{subtype.__qualname__}"] = subtype
+    return list(found.values())
+
+
 def _getter(names: Sequence[str]) -> Callable[[Any], tuple[Any, ...]]:
     """A function from a record to its ``names`` values, as a tuple even for one name."""
     if len(names) == 1:
         get_one = attrgetter(names[0])
         return lambda record: (get_one(record),)
-    return attrgetter(*names)
+    return attrgetter(*names) if names else lambda record: ()
 
 
 @cache
 def table_for(record_type: type) -> Table:
     """The field table of a dataclass or ``NamedTuple``, built once per type.
 
-    Raises ``TypeError`` for a field whose type hint is not a supported kind.
+    Raises ``TypeError`` for a type without fields or with a field whose
+    type hint is not a supported kind.
     """
+    table = _build(record_type)  # which a tagged subclass may use field-less
+    if not table.fields:
+        raise TypeError(f"{record_type.__name__} has no fields")
+    return table
+
+
+@cache
+def _build(record_type: type) -> Table:
     if dataclasses.is_dataclass(record_type):
         if not all(field.init for field in dataclasses.fields(record_type)):
             raise TypeError(f"{record_type.__name__} has a field outside __init__")
@@ -155,31 +252,39 @@ def table_for(record_type: type) -> Table:
         names = list(record_type._fields)
     else:
         raise TypeError(f"{record_type!r} is not a dataclass or NamedTuple")
-    if not names:
-        raise TypeError(f"{record_type.__name__} has no fields")
     hints = typing.get_type_hints(record_type)
     fields = (_field(record_type, name, i, hints[name]) for i, name in enumerate(names))
     return Table(record_type, tuple(fields))
 
 
 def _field(owner: type, name: str, position: int, hint: Any) -> Field:
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    optional = origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args
+    generic, args = typing.get_origin(hint), typing.get_args(hint)
+    optional = generic in (Union, types.UnionType) and len(args) == 2 and type(None) in args
     if optional:
         hint = args[0] if args[1] is type(None) else args[1]
-        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        generic, args = typing.get_origin(hint), typing.get_args(hint)
     for kind, simple in ((_BOOL, bool), (_INT, int), (_FLOAT, float), (_STR, str)):
         if hint is simple:
-            return Field(name, position, kind, optional, None, None)
-    if isinstance(hint, type) and issubclass(hint, enum.Enum) and len(hint) <= 256:
-        return Field(name, position, _ENUM, optional, hint, None)
-    if origin is tuple and args == (int, ...):
-        return Field(name, position, _UIDS, optional, None, None)
-    if origin is list and len(args) == 1 and _is_record(args[0]):
-        return Field(name, position, _LIST, optional, None, table_for(args[0]))
-    if _is_record(hint):
-        return Field(name, position, _RECORD, optional, None, table_for(hint))
+            return Field(name, position, kind, optional)
+    many: Optional[type] = None
+    if generic is tuple and len(args) == 2 and args[1] is Ellipsis:
+        if args[0] is int:
+            return Field(name, position, _UIDS, optional)
+        many, hint = tuple, args[0]
+    elif generic is list and len(args) == 1:
+        many, hint = list, args[0]
+    is_type = isinstance(hint, type)
+    if is_type and issubclass(hint, enum.Enum) and len(hint) <= 256 and many is not list:
+        return Field(name, position, _ENUM, optional, many=many, enum_type=hint)
+    if is_type and dataclasses.is_dataclass(hint) and inspect.isabstract(hint):
+        if many is not list:  # an abstract base, alone or in a tuple
+            return Field(name, position, _RECORD, optional, many=many, tagged=_tagged(hint))
+    elif _is_record(hint):
+        return Field(name, position, _RECORD, optional, many=many, table=table_for(hint))
     raise TypeError(f"{owner.__name__}.{name}: unsupported field type {hint!r}")
+
+
+_tagged = cache(Tagged)
 
 
 def _is_record(hint: Any) -> bool:
@@ -236,23 +341,29 @@ def _write(table: Table, record: Any, out: list[bytes]) -> None:
                 continue
             out.append(_PRESENT)
         kind = step.kind
-        if kind == _STR:
+        if step.many is not None:
+            _write_many(step, value, out)
+        elif kind == _STR:
             raw = value.encode("utf-8")
             out.append(_U32.pack(len(raw)))
             out.append(raw)
         elif kind == _UIDS:
             out.append(struct.pack(f"!I{len(value)}Q", len(value), *value))
         elif kind == _RECORD:
-            _write(step.table, value, out)
-        elif kind == _LIST:
-            out.append(_U32.pack(len(value)))
-            if step.table.columnar:
-                _write_columns(step.table, value, out)
-            else:
-                for item in value:
-                    _write(step.table, item, out)
+            step.write_item(value, out)
         else:  # an optional fixed-width field
             out.append(step.struct.pack(step.index[value] if kind == _ENUM else value))
+
+
+def _write_many(field: Field, items: Sequence[Any], out: list[bytes]) -> None:
+    out.append(_U32.pack(len(items)))
+    if field.kind == _ENUM:
+        out.append(bytes(map(field.index.__getitem__, items)))
+    elif field.table is not None and field.table.columnar:
+        _write_columns(field.table, items, out)
+    else:
+        for item in items:
+            field.write_item(item, out)
 
 
 def _write_columns(table: Table, items: list[Any], out: list[bytes]) -> None:
@@ -298,7 +409,9 @@ def _read(table: Table, view: memoryview, offset: int) -> tuple[Any, int]:
                 values.append(None)
                 continue
         kind = step.kind
-        if kind == _STR:
+        if step.many is not None:
+            value, offset = _read_many(step, view, offset)
+        elif kind == _STR:
             (length,) = _U32.unpack_from(view, offset)
             value = _text(view, offset + 4, offset + 4 + length)
             offset += 4 + length
@@ -307,17 +420,7 @@ def _read(table: Table, view: memoryview, offset: int) -> tuple[Any, int]:
             value = struct.unpack_from(f"!{count}Q", view, offset + 4)
             offset += 4 + 8 * count
         elif kind == _RECORD:
-            value, offset = _read(step.table, view, offset)
-        elif kind == _LIST:
-            (count,) = _U32.unpack_from(view, offset)
-            offset += 4
-            if step.table.columnar:
-                value, offset = _read_columns(step.table, view, offset, count)
-            else:
-                value = []
-                for _ in range(count):
-                    item, offset = _read(step.table, view, offset)
-                    value.append(item)
+            value, offset = step.read_item(view, offset)
         else:  # an optional fixed-width field
             (value,) = step.struct.unpack_from(view, offset)
             offset += step.struct.size
@@ -325,6 +428,23 @@ def _read(table: Table, view: memoryview, offset: int) -> tuple[Any, int]:
                 value = step.members[value]
         values.append(value)
     return table.type(*values), offset
+
+
+def _read_many(field: Field, view: memoryview, offset: int) -> tuple[Any, int]:
+    (count,) = _U32.unpack_from(view, offset)
+    offset += 4
+    items: list[Any]
+    if field.kind == _ENUM:
+        items = [field.members[i] for i in struct.unpack_from(f"!{count}B", view, offset)]
+        offset += count
+    elif field.table is not None and field.table.columnar:
+        items, offset = _read_columns(field.table, view, offset, count)
+    else:
+        items = []
+        for _ in range(count):
+            item, offset = field.read_item(view, offset)
+            items.append(item)
+    return (items if field.many is list else tuple(items)), offset
 
 
 def _text(view: memoryview, start: int, end: int) -> str:
@@ -391,8 +511,8 @@ def _to_json(table: Table, record: Any) -> dict[str, Any]:
     return data
 
 
-def _list_to_json(table: Table, items: list[Any]) -> list[dict[str, Any]]:
-    return [_to_json(table, item) for item in items]
+def _many_to_json(convert: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
+    return [convert(item) for item in items]
 
 
 def _from_json(table: Table, data: Any) -> Any:
@@ -411,10 +531,10 @@ def _from_json(table: Table, data: Any) -> Any:
     return table.type(*values)
 
 
-def _list_from_json(table: Table, items: Any) -> list[Any]:
+def _many_from_json(field: Field, convert: Callable[[Any], Any], items: Any) -> Any:
     if type(items) is not list:
-        raise TypeError(f"a list of {table.type.__name__} is {type(items).__name__}")
-    return [_from_json(table, item) for item in items]
+        raise TypeError(f"{field.name!r} is {type(items).__name__}, expected a list")
+    return field.many(map(convert, items))
 
 
 def _enum_from_json(field: Field, members: dict[Any, Any], value: Any) -> Any:
@@ -433,6 +553,7 @@ def _uids_from_json(field: Field, value: Any) -> tuple[int, ...]:
 __all__ = [
     "Field",
     "Table",
+    "Tagged",
     "from_json",
     "pack",
     "read",

@@ -9,9 +9,10 @@ which workers it strikes, and on which batch; a worker-side
 :class:`ChaosEngine` counts batches and fires exactly when told to.  The
 same spec always produces the same fault at the same point.
 
-Specs travel to worker processes as JSON through the :data:`CHAOS_ENV`
-environment variable, so an externally launched ``python -m repro workers``
-can be chaos-wrapped exactly like the backend's self-spawned ones.
+Specs travel to worker processes as JSON (every field, in the layout of the
+spec's field table) through the :data:`CHAOS_ENV` environment variable, so
+an externally launched ``python -m repro workers`` can be chaos-wrapped
+exactly like the backend's self-spawned ones.
 
 Fault kinds
 -----------
@@ -39,6 +40,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core import schema
 from repro.net.errors import MeasurementError
 
 CHAOS_ENV = "REPRO_CHAOS"
@@ -96,33 +98,15 @@ class ChaosSpec:
         object.__setattr__(self, "poison_shards", tuple(self.poison_shards))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "workers": list(self.workers),
-                "after_batches": self.after_batches,
-                "times": self.times,
-                "seed": self.seed,
-                "delay": self.delay,
-                "poison_shards": list(self.poison_shards),
-            }
-        )
+        return json.dumps(schema.to_json(self))
 
     @classmethod
     def from_json(cls, raw: str) -> "ChaosSpec":
         try:
-            data = json.loads(raw)
-            return cls(
-                kind=data["kind"],
-                workers=tuple(data.get("workers", (0,))),
-                after_batches=int(data.get("after_batches", 1)),
-                times=int(data.get("times", 1)),
-                seed=int(data.get("seed", 0)),
-                delay=float(data.get("delay", 0.25)),
-                poison_shards=tuple(data.get("poison_shards", ())),
-            )
+            spec: ChaosSpec = schema.from_json(cls, json.loads(raw))
         except (KeyError, TypeError, ValueError) as exc:
             raise MeasurementError(f"malformed chaos spec {raw!r}: {exc}") from exc
+        return spec
 
     @classmethod
     def from_env(cls) -> Optional["ChaosSpec"]:

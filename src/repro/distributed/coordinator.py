@@ -34,9 +34,7 @@ outlive jobs — a matrix sweep reuses the same warm fleet for every cell.
 
 from __future__ import annotations
 
-import pickle
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,6 +42,7 @@ from queue import Queue
 from typing import Optional, Sequence
 
 from repro.core.runner import ShardOutcome, ShardTask
+from repro.core.schema import pack
 from repro.core.transport import decode_outcomes, next_batch_size
 from repro.distributed.protocol import (
     MSG_BATCH,
@@ -52,13 +51,15 @@ from repro.distributed.protocol import (
     MSG_HELLO,
     MSG_RESULT,
     MSG_SHARD_ERROR,
+    Batch,
+    Hello,
+    ShardErrors,
+    decode_payload,
     recv_frame,
     send_frame,
-    unpack_shard_errors,
+    unpack_result,
 )
 from repro.net.errors import MeasurementError, ProtocolError, TransportError
-
-_U32 = struct.Struct("!I")
 
 
 def _shutdown(sock: socket.socket) -> None:
@@ -318,15 +319,12 @@ class Coordinator:
             msg_type, payload = recv_frame(sock)
             if msg_type != MSG_HELLO:
                 raise ProtocolError(f"expected HELLO, got message type {msg_type}")
-            hello = pickle.loads(payload)
+            hello = decode_payload(Hello, payload)
             sock.settimeout(None)
-        except (ProtocolError, OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            try:
-                sock.close()
-            except OSError:
-                pass
+        except (ProtocolError, OSError):
+            _shutdown(sock)
             return
-        name = f"worker-{hello.get('index', '?')}@pid{hello.get('pid', '?')}"
+        name = f"worker-{hello.index}@pid{hello.pid}"
         with self._workers_changed:
             if self._closed:
                 sock.close()
@@ -365,7 +363,7 @@ class Coordinator:
 
     def _maybe_dispatch(self) -> None:
         """Grant a lease to every idle worker that has ready work."""
-        grants: "list[tuple[_Worker, int, tuple[ShardTask, ...]]]" = []
+        grants: "list[tuple[_Worker, Batch]]" = []
         with self._lock:
             job = self._job
             if job is None or job.cancelled or self._closed:
@@ -396,17 +394,15 @@ class Coordinator:
                 worker.lease = _Lease(batch_id, {state.task.index for state in batch})
                 worker.last_beat = now
                 job.stats["workers"].add(worker.name)
-                grants.append((worker, batch_id, tuple(state.task for state in batch)))
-        for worker, batch_id, tasks in grants:
-            payload = _U32.pack(batch_id) + pickle.dumps(tasks)
+                grants.append((worker, Batch(batch_id, [state.task for state in batch])))
+        for worker, grant in grants:
             try:
-                send_frame(worker.sock, MSG_BATCH, payload, lock=worker.send_lock)
+                send_frame(worker.sock, MSG_BATCH, pack(grant), lock=worker.send_lock)
             except OSError:
                 self._drop_worker(worker)
 
     def _on_result(self, worker: _Worker, payload: bytes) -> None:
-        (batch_id,) = _U32.unpack_from(payload, 0)
-        blob = payload[4:]
+        batch_id, blob = unpack_result(payload)
         with self._lock:
             job = self._job
             lease = worker.lease
@@ -438,15 +434,15 @@ class Coordinator:
         self._maybe_dispatch()
 
     def _on_shard_errors(self, worker: _Worker, payload: bytes) -> None:
-        batch_id, failures = unpack_shard_errors(payload)
+        errors = decode_payload(ShardErrors, payload)
         with self._lock:
             job = self._job
             lease = worker.lease
             if job is None:
                 return
-            job.stats["shard_errors"] += len(failures)
-            for index, message in failures:
-                if lease is not None and lease.batch_id == batch_id:
+            job.stats["shard_errors"] += len(errors.failures)
+            for index, message in errors.failures:
+                if lease is not None and lease.batch_id == errors.batch_id:
                     lease.indexes.discard(index)
                 self._requeue_locked(job, index, message)
         self._maybe_dispatch()

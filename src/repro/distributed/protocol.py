@@ -5,20 +5,19 @@ Every message is one length-prefixed frame::
     !2s B B I   magic b"RW", protocol version, message type, payload length
     payload     `length` bytes, message-type specific
 
-Payloads reuse the codecs the rest of the library already trusts: shard
-*results* travel as the struct-packed blobs of :mod:`repro.core.transport`
-(the same bytes the process backend moves over pipes), and shard *tasks*
-travel pickled — exactly what :class:`~concurrent.futures.
-ProcessPoolExecutor` would do, over a socket instead of a pipe.
+Nothing that arrives over a socket is unpickled: HELLO, BATCH (host specs
+and all) and SHARD_ERROR are records in the binary layout of their field
+tables (:mod:`repro.core.schema`), and shard *results* are the blobs of
+:mod:`repro.core.transport` (the bytes the process backend moves over
+pipes).  A peer can send a malformed payload, never code.
 
 The message set is deliberately small:
 
 ========================  =======================================================
-:data:`MSG_HELLO`         worker -> coordinator: pickled ``{"index", "pid"}``
-:data:`MSG_BATCH`         coordinator -> worker: ``u32 batch_id`` + pickled tasks
+:data:`MSG_HELLO`         worker -> coordinator: a :class:`Hello` record
+:data:`MSG_BATCH`         coordinator -> worker: a :class:`Batch` record
 :data:`MSG_SHARD_ERROR`   worker -> coordinator: shards that *failed* in a batch,
-                          a :class:`ShardErrors` record in the binary layout
-                          of :mod:`repro.core.schema`
+                          a :class:`ShardErrors` record
 :data:`MSG_RESULT`        worker -> coordinator: ``u32 batch_id`` + result blob
                           (closes the batch's lease; always sent, possibly empty)
 :data:`MSG_HEARTBEAT`     worker -> coordinator: liveness, empty payload
@@ -32,7 +31,7 @@ still open; the RESULT frame is what closes a lease, and any leased shard
 neither errored nor present in the decoded blob is treated as lost in
 transport and requeued.
 
-Truncated or malformed frames raise
+Truncated or malformed frames, and payloads that do not decode, raise
 :class:`~repro.net.errors.ProtocolError`; a clean EOF between frames raises
 it too (the caller decides whether that is a worker death or a shutdown).
 """
@@ -43,13 +42,14 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, TypeVar
 
-from repro.core.schema import pack, unpack
-from repro.net.errors import ProtocolError
+from repro.core.runner import ShardTask
+from repro.core.schema import unpack
+from repro.net.errors import MeasurementError, ProtocolError
 
 PROTOCOL_MAGIC = b"RW"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 MSG_HELLO = 1
 MSG_BATCH = 2
@@ -64,6 +64,9 @@ _KNOWN_MESSAGES = frozenset(
 )
 
 _FRAME_HEADER = struct.Struct("!2sBBI")  # magic, version, message type, payload len
+_BATCH_ID = struct.Struct("!I")  # a RESULT payload's prefix
+_DECODE_ERRORS = (struct.error, IndexError, ValueError, UnicodeDecodeError, MeasurementError)
+_Record = TypeVar("_Record")
 
 #: Sanity cap on one frame's payload: far above any real batch (a full
 #: campaign's blob is a few MB), low enough that a corrupt length field
@@ -124,6 +127,22 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
     return msg_type, payload
 
 
+@dataclass(frozen=True, slots=True)
+class Hello:
+    """A :data:`MSG_HELLO` payload: who a newly connected worker is."""
+
+    index: int
+    pid: int
+
+
+@dataclass(slots=True)
+class Batch:
+    """A :data:`MSG_BATCH` payload: the shard tasks of one lease."""
+
+    batch_id: int
+    tasks: list[ShardTask]
+
+
 class ShardError(NamedTuple):
     """One shard a worker failed to run."""
 
@@ -139,21 +158,33 @@ class ShardErrors:
     failures: list[ShardError]
 
 
-def pack_shard_errors(batch_id: int, failures: "list[tuple[int, str]]") -> bytes:
-    """Encode a batch's failed shards: ``(shard index, error message)`` pairs."""
-    return pack(ShardErrors(batch_id, [ShardError(*failure) for failure in failures]))
-
-
-def unpack_shard_errors(payload: bytes) -> "tuple[int, list[ShardError]]":
-    """Decode a :data:`MSG_SHARD_ERROR` payload back into its failures."""
+def decode_payload(record_type: type[_Record], payload: bytes) -> _Record:
+    """Decode a :class:`Hello`, :class:`Batch` or :class:`ShardErrors` payload
+    (each encoded by :func:`repro.core.schema.pack`)."""
     try:
-        errors: ShardErrors = unpack(ShardErrors, payload)
-    except (struct.error, IndexError, ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"malformed shard-error payload: {exc}") from exc
-    return errors.batch_id, errors.failures
+        record: _Record = unpack(record_type, payload)
+    except _DECODE_ERRORS as exc:
+        raise ProtocolError(f"malformed {record_type.__name__} payload: {exc}") from exc
+    return record
+
+
+def pack_result(batch_id: int, blob: bytes) -> bytes:
+    """A :data:`MSG_RESULT` payload: the batch id, then the transport blob."""
+    return _BATCH_ID.pack(batch_id) + blob
+
+
+def unpack_result(payload: bytes) -> "tuple[int, bytes]":
+    """Split a :data:`MSG_RESULT` payload into its batch id and its blob."""
+    try:
+        (batch_id,) = _BATCH_ID.unpack_from(payload, 0)
+    except struct.error as exc:
+        raise ProtocolError(f"malformed result payload: {exc}") from exc
+    return batch_id, payload[_BATCH_ID.size :]
 
 
 __all__ = [
+    "Batch",
+    "Hello",
     "MSG_BATCH",
     "MSG_BYE",
     "MSG_DRAIN",
@@ -165,8 +196,9 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ShardError",
     "ShardErrors",
-    "pack_shard_errors",
+    "decode_payload",
+    "pack_result",
     "recv_frame",
     "send_frame",
-    "unpack_shard_errors",
+    "unpack_result",
 ]

@@ -19,14 +19,13 @@ spawns the same entry point for its local worker fleet.
 from __future__ import annotations
 
 import os
-import pickle
 import socket
-import struct
 import threading
 import time
 from typing import Optional
 
 from repro.core.runner import run_shard
+from repro.core.schema import pack
 from repro.core.transport import encode_outcomes
 from repro.distributed.chaos import (
     KIND_DROP_CONNECTION,
@@ -43,13 +42,16 @@ from repro.distributed.protocol import (
     MSG_HELLO,
     MSG_RESULT,
     MSG_SHARD_ERROR,
-    pack_shard_errors,
+    Batch,
+    Hello,
+    ShardError,
+    ShardErrors,
+    decode_payload,
+    pack_result,
     recv_frame,
     send_frame,
 )
 from repro.net.errors import ProtocolError
-
-_U32 = struct.Struct("!I")
 
 DEFAULT_HEARTBEAT_INTERVAL = 0.5
 
@@ -86,7 +88,7 @@ def run_worker(
     lock = threading.Lock()
     stop_beats = threading.Event()
     try:
-        send_frame(sock, MSG_HELLO, pickle.dumps({"index": index, "pid": os.getpid()}), lock=lock)
+        send_frame(sock, MSG_HELLO, pack(Hello(index, os.getpid())), lock=lock)
         threading.Thread(
             target=_heartbeat_loop,
             args=(sock, lock, heartbeat_interval, stop_beats),
@@ -102,8 +104,10 @@ def run_worker(
                 return 0
             if msg_type != MSG_BATCH:
                 continue
-            (batch_id,) = _U32.unpack_from(payload, 0)
-            tasks = pickle.loads(payload[4:])
+            try:
+                batch = decode_payload(Batch, payload)
+            except ProtocolError:
+                return 1  # a garbled lease: hang up, so the coordinator requeues it
             action = engine.on_batch_start() if engine is not None else None
             if action == KIND_DROP_CONNECTION:
                 sock.close()
@@ -113,30 +117,31 @@ def run_worker(
                 # eviction (the coordinator closing our socket) unparks us.
                 stop_beats.set()
                 continue
-            kill_after = max(1, len(tasks) // 2) if action == KIND_KILL else None
+            kill_after = max(1, len(batch.tasks) // 2) if action == KIND_KILL else None
             outcomes = []
-            failures: "list[tuple[int, str]]" = []
-            for position, task in enumerate(tasks):
+            failures: "list[ShardError]" = []
+            for position, task in enumerate(batch.tasks):
                 if kill_after is not None and position >= kill_after:
                     os._exit(1)
                 if engine is not None and engine.should_poison(task.index):
-                    failures.append((task.index, f"chaos: poisoned shard {task.index}"))
+                    failures.append(ShardError(task.index, f"chaos: poisoned shard {task.index}"))
                     continue
                 try:
                     outcomes.append(run_shard(task))
                 except Exception as exc:  # report, never crash the worker
-                    failures.append((task.index, f"{type(exc).__name__}: {exc}"))
+                    failures.append(ShardError(task.index, f"{type(exc).__name__}: {exc}"))
             if kill_after is not None:
                 os._exit(1)  # mid-batch death: the results above are lost
             if failures:
-                send_frame(sock, MSG_SHARD_ERROR, pack_shard_errors(batch_id, failures), lock=lock)
+                errors = pack(ShardErrors(batch.batch_id, failures))
+                send_frame(sock, MSG_SHARD_ERROR, errors, lock=lock)
             blob = encode_outcomes(outcomes)
             delay = 0.0
             if engine is not None:
                 blob, delay = engine.mangle_result(blob)
             if delay:
                 time.sleep(delay)
-            send_frame(sock, MSG_RESULT, _U32.pack(batch_id) + blob, lock=lock)
+            send_frame(sock, MSG_RESULT, pack_result(batch.batch_id, blob), lock=lock)
     except OSError:
         return 1
     finally:

@@ -22,6 +22,7 @@ from repro.host.ipid import (
 from repro.host.machine import RemoteHost
 from repro.host.os_profiles import (
     OS_PROFILES,
+    IpidScheme,
     SecondSynResponse,
     OsProfile,
     profile_by_name,
@@ -37,6 +38,7 @@ __all__ = [
     "IcmpResponder",
     "IpStack",
     "IpidPolicy",
+    "IpidScheme",
     "OS_PROFILES",
     "OsProfile",
     "PerDestinationIpid",

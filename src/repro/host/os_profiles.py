@@ -42,6 +42,16 @@ class SecondSynResponse(enum.Enum):
     """A deviant stack that only ever responds to the first SYN."""
 
 
+class IpidScheme(enum.Enum):
+    """How a stack numbers the IPID field; each names one policy factory."""
+
+    GLOBAL_COUNTER = "global-counter"  # one counter for every packet (BSD, Windows)
+    PER_DESTINATION = "per-destination"  # one counter per destination (Solaris)
+    RANDOM = "random"  # a pseudo-random IPID per packet (OpenBSD)
+    RANDOM_INCREMENT = "random-increment"  # small random steps (hardened BSDs)
+    ZERO = "zero"  # always zero (Linux 2.4 with path-MTU discovery on)
+
+
 @dataclass(frozen=True)
 class OsProfile:
     """The stack behaviours a simulated host exhibits.
@@ -50,9 +60,9 @@ class OsProfile:
     ----------
     name:
         Human-readable label used in survey output.
-    ipid_policy_factory:
-        Builds the host's IPID policy from a seeded RNG (random policies need
-        their own stream).
+    ipid:
+        The host's IPID scheme; :meth:`build_ipid_policy` builds its policy
+        from a seeded RNG (random policies need their own stream).
     delayed_ack:
         Whether in-order data is acknowledged lazily.
     delayed_ack_timeout:
@@ -73,7 +83,7 @@ class OsProfile:
     """
 
     name: str
-    ipid_policy_factory: Callable[[SeededRandom], IpidPolicy]
+    ipid: IpidScheme
     delayed_ack: bool = True
     delayed_ack_timeout: float = 0.2
     delayed_ack_threshold: int = 2
@@ -84,82 +94,60 @@ class OsProfile:
 
     def build_ipid_policy(self, rng: SeededRandom) -> IpidPolicy:
         """Instantiate this profile's IPID policy."""
-        return self.ipid_policy_factory(rng)
+        return _IPID_FACTORIES[self.ipid](rng)
 
 
-def _global_counter(rng: SeededRandom) -> IpidPolicy:
-    return GlobalCounterIpid(start=rng.randint(1, 60000))
+_IPID_FACTORIES: dict[IpidScheme, Callable[[SeededRandom], IpidPolicy]] = {
+    IpidScheme.GLOBAL_COUNTER: lambda rng: GlobalCounterIpid(start=rng.randint(1, 60000)),
+    IpidScheme.PER_DESTINATION: lambda rng: PerDestinationIpid(start=rng.randint(1, 60000)),
+    IpidScheme.RANDOM: lambda rng: RandomIpid(rng.fork("ipid")),
+    IpidScheme.RANDOM_INCREMENT: lambda rng: RandomIncrementIpid(
+        rng.fork("ipid"), max_increment=8, start=rng.randint(1, 60000)
+    ),
+    IpidScheme.ZERO: lambda rng: ConstantZeroIpid(),
+}
 
 
-def _per_destination(rng: SeededRandom) -> IpidPolicy:
-    return PerDestinationIpid(start=rng.randint(1, 60000))
-
-
-def _random_ipid(rng: SeededRandom) -> IpidPolicy:
-    return RandomIpid(rng.fork("ipid"))
-
-
-def _random_increment(rng: SeededRandom) -> IpidPolicy:
-    return RandomIncrementIpid(rng.fork("ipid"), max_increment=8, start=rng.randint(1, 60000))
-
-
-def _zero_ipid(rng: SeededRandom) -> IpidPolicy:
-    del rng
-    return ConstantZeroIpid()
-
-
-FREEBSD_44 = OsProfile(name="freebsd-4.4", ipid_policy_factory=_global_counter)
+FREEBSD_44 = OsProfile(name="freebsd-4.4", ipid=IpidScheme.GLOBAL_COUNTER)
 
 WINDOWS_2000 = OsProfile(
     name="windows-2000",
-    ipid_policy_factory=_global_counter,
+    ipid=IpidScheme.GLOBAL_COUNTER,
     delayed_ack_timeout=0.2,
 )
 
-LINUX_22 = OsProfile(name="linux-2.2", ipid_policy_factory=_global_counter)
+LINUX_22 = OsProfile(name="linux-2.2", ipid=IpidScheme.GLOBAL_COUNTER)
 
-LINUX_24 = OsProfile(
-    name="linux-2.4",
-    ipid_policy_factory=_zero_ipid,
-)
+LINUX_24 = OsProfile(name="linux-2.4", ipid=IpidScheme.ZERO)
 
-OPENBSD_30 = OsProfile(
-    name="openbsd-3.0",
-    ipid_policy_factory=_random_ipid,
-)
+OPENBSD_30 = OsProfile(name="openbsd-3.0", ipid=IpidScheme.RANDOM)
 
-SOLARIS_8 = OsProfile(
-    name="solaris-8",
-    ipid_policy_factory=_per_destination,
-)
+SOLARIS_8 = OsProfile(name="solaris-8", ipid=IpidScheme.PER_DESTINATION)
 
-HARDENED_FREEBSD = OsProfile(
-    name="freebsd-random-increment",
-    ipid_policy_factory=_random_increment,
-)
+HARDENED_FREEBSD = OsProfile(name="freebsd-random-increment", ipid=IpidScheme.RANDOM_INCREMENT)
 
 SPEC_STRICT = OsProfile(
     name="spec-strict",
-    ipid_policy_factory=_global_counter,
+    ipid=IpidScheme.GLOBAL_COUNTER,
     second_syn_response=SecondSynResponse.SPEC_COMPLIANT,
 )
 
 LEGACY_DELAYED_ACK = OsProfile(
     name="legacy-delayed-ack",
-    ipid_policy_factory=_global_counter,
+    ipid=IpidScheme.GLOBAL_COUNTER,
     ack_on_hole_fill=False,
     delayed_ack_timeout=0.5,
 )
 
 ODDBALL_DUAL_RST = OsProfile(
     name="oddball-dual-rst",
-    ipid_policy_factory=_global_counter,
+    ipid=IpidScheme.GLOBAL_COUNTER,
     second_syn_response=SecondSynResponse.DUAL_RST,
 )
 
 ODDBALL_SILENT_SYN = OsProfile(
     name="oddball-silent-syn",
-    ipid_policy_factory=_global_counter,
+    ipid=IpidScheme.GLOBAL_COUNTER,
     second_syn_response=SecondSynResponse.IGNORE,
 )
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -132,7 +133,7 @@ def format_json(findings: list[Finding]) -> str:
         {
             "version": 1,
             "count": len(findings),
-            "findings": [finding.to_mapping() for finding in findings],
+            "findings": [asdict(finding) for finding in findings],
         },
         indent=2,
         sort_keys=True,

@@ -47,14 +47,6 @@ class Finding:
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
 
-    def to_mapping(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "rule": self.rule,
-            "message": self.message,
-        }
-
 
 @dataclass
 class Allow:

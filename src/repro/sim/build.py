@@ -6,13 +6,14 @@ This module inverts the dependency: a path is *described* as an ordered list
 of small, frozen :class:`ElementSpec` dataclasses, and :func:`build_pipeline`
 turns any such description into a wired :class:`~repro.sim.path.Pipeline`.
 
-Specs are plain data — hashable, picklable, comparable — so scenario
-definitions can carry them across process boundaries (the sharded campaign
-runner ships host specs to worker processes) and tests can assert on them
-directly.  Each stochastic spec names the ``label`` under which its element's
-random stream is forked from the path's :class:`~repro.sim.random.SeededRandom`;
-deterministic specs (links, trace capture) consume no randomness at all, so
-adding or removing them never perturbs neighbouring streams.
+Specs are plain data — hashable, comparable, and encoded by their field
+tables (:mod:`repro.core.schema`) — so host specs cross process and socket
+boundaries and live in campaign stores, and tests can assert on them
+directly.  Each stochastic spec's ``stream`` field names the label under
+which its element's random stream is forked from the path's
+:class:`~repro.sim.random.SeededRandom`; deterministic specs (links, trace
+capture) have no such field and consume no randomness at all, so adding or
+removing them never perturbs neighbouring streams.
 """
 
 from __future__ import annotations
@@ -48,13 +49,14 @@ from repro.sim.trace import TraceCapture
 class ElementSpec(ABC):
     """A declarative description of one path element.
 
-    ``label`` names the random stream the element forks from the path rng;
-    ``None`` declares the element deterministic (no stream is consumed).
+    ``label`` names the random stream the element forks from the path rng:
+    the spec's ``stream`` field, or ``None`` for a deterministic element (no
+    stream is consumed).
     """
 
     @property
     def label(self) -> Optional[str]:
-        return None
+        return getattr(self, "stream", None)
 
     @abstractmethod
     def build(self, rng: Optional[SeededRandom]) -> PathElement:
@@ -89,10 +91,6 @@ class LossSpec(ElementSpec):
     probability: float = 0.0
     stream: str = "loss"
 
-    @property
-    def label(self) -> Optional[str]:
-        return self.stream
-
     def build(self, rng: Optional[SeededRandom]) -> PathElement:
         assert rng is not None
         return LossElement(self.probability, rng)
@@ -106,10 +104,6 @@ class SwapSpec(ElementSpec):
     stream: str = "swap"
     max_hold_time: float = 0.03
 
-    @property
-    def label(self) -> Optional[str]:
-        return self.stream
-
     def build(self, rng: Optional[SeededRandom]) -> PathElement:
         assert rng is not None
         return AdjacentSwapReorderer(self.probability, rng, max_hold_time=self.max_hold_time)
@@ -122,10 +116,6 @@ class JitterSpec(ElementSpec):
     jitter_mean: float = 0.0
     base_delay: float = 0.0
     stream: str = "jitter"
-
-    @property
-    def label(self) -> Optional[str]:
-        return self.stream
 
     def build(self, rng: Optional[SeededRandom]) -> PathElement:
         assert rng is not None
@@ -142,10 +132,6 @@ class StripeSpec(ElementSpec):
     switch_probability: float = 0.5
     imbalance_probability: float = 0.6
     stream: str = "stripe"
-
-    @property
-    def label(self) -> Optional[str]:
-        return self.stream
 
     def build(self, rng: Optional[SeededRandom]) -> PathElement:
         assert rng is not None
@@ -169,10 +155,6 @@ class GilbertLossSpec(ElementSpec):
     p_bad_to_good: float = 0.2
     stream: str = "gilbert-loss"
 
-    @property
-    def label(self) -> Optional[str]:
-        return self.stream
-
     def build(self, rng: Optional[SeededRandom]) -> PathElement:
         assert rng is not None
         return GilbertElliottLossElement(
@@ -195,10 +177,6 @@ class RouteFlapSpec(ElementSpec):
     max_hold_time: float = 0.03
     stream: str = "route-flap"
 
-    @property
-    def label(self) -> Optional[str]:
-        return self.stream
-
     def build(self, rng: Optional[SeededRandom]) -> PathElement:
         assert rng is not None
         return RouteFlapReorderer(
@@ -220,10 +198,6 @@ class DiurnalJitterSpec(ElementSpec):
     phase: float = 0.0
     base_delay: float = 0.0
     stream: str = "diurnal"
-
-    @property
-    def label(self) -> Optional[str]:
-        return self.stream
 
     def build(self, rng: Optional[SeededRandom]) -> PathElement:
         assert rng is not None
@@ -326,12 +300,7 @@ def build_duplex_pairs(
     specs: Sequence[DuplexSpec], rng: SeededRandom
 ) -> list[tuple[PathElement, PathElement]]:
     """Instantiate duplex middlebox specs in order, forking streams as labelled."""
-    pairs: list[tuple[PathElement, PathElement]] = []
-    for spec in specs:
-        label = spec.label
-        child = rng.fork(label) if label is not None else None
-        pairs.append(spec.build_pair(child))
-    return pairs
+    return [spec.build_pair(_stream(spec, rng)) for spec in specs]
 
 
 def build_elements(
@@ -344,12 +313,11 @@ def build_elements(
     *stochastic* specs before it — deterministic specs are free to come and
     go without re-seeding anything.
     """
-    elements: list[PathElement] = []
-    for spec in specs:
-        label = spec.label
-        child = rng.fork(label) if label is not None else None
-        elements.append(spec.build(child))
-    return elements
+    return [spec.build(_stream(spec, rng)) for spec in specs]
+
+
+def _stream(spec: ElementSpec | DuplexSpec, rng: SeededRandom) -> Optional[SeededRandom]:
+    return rng.fork(spec.label) if spec.label is not None else None
 
 
 def build_pipeline(specs: Sequence[ElementSpec], rng: SeededRandom) -> Pipeline:

@@ -8,9 +8,9 @@ checkpoint) beside a write-once manifest; a :class:`repro.api.Session`
 checkpoints into it as each shard completes and resumes from the last
 durable shard, reproducing the uninterrupted run's merged
 :func:`~repro.core.runner.result_signature` bit for bit.
-:func:`migrate_store` converts a format-1 store (one file per shard) in
-place.  ``docs/architecture.md`` ("Durability & resume") documents the
-on-disk format and the commit protocol.
+:func:`migrate_store` converts an older store (one file per shard, or a
+manifest without host specs) in place.  ``docs/architecture.md``
+("Durability & resume") documents the on-disk format and commit protocol.
 """
 
 from repro.store.codec import FORMAT_VERSION, decode_record, encode_record
@@ -20,7 +20,6 @@ from repro.store.store import (
     CampaignPlan,
     CampaignStore,
     migrate_store,
-    specs_digest,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "decode_record",
     "encode_record",
     "migrate_store",
-    "specs_digest",
 ]

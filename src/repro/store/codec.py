@@ -1,21 +1,15 @@
 """JSON codec for campaign records, and the frames of the store's log.
 
 The durable campaign store persists :class:`~repro.core.campaign.HostRoundResult`
-records as JSON objects (one per JSONL line), keyed by field name in the
-layout of the record's field table (:mod:`repro.core.schema`, which the
-binary shard transport walks too).  The encoding is *lossless*:
-``decode_record(json.loads(json.dumps(encode_record(r))))`` reconstructs a
-record equal to the original, field for field.  Floats survive because
-:mod:`json` serializes them with ``repr`` (the shortest round-tripping form)
-and parses them back with ``float``; enums travel as their ``value`` strings;
-tuples of packet uids are restored as tuples.
-
-That exactness is what makes resume *bit-identical*: a campaign merged from
-stored shards plus freshly executed shards has the same
+records as JSON objects (one per JSONL line) in the layout of the record's
+field table (:mod:`repro.core.schema`).  The encoding is *lossless* —
+``decode_record(json.loads(json.dumps(encode_record(r))))`` equals ``r``
+field for field, floats included, since :mod:`json` writes their shortest
+round-tripping ``repr`` — which is what makes resume *bit-identical*: a
+campaign merged from stored shards plus fresh ones has the same
 :func:`~repro.core.runner.result_signature` as an uninterrupted run.
-Decoding is also strict: every field must hold the JSON type its encoder
-writes (``bool`` is not an ``int``), so a damaged record raises instead of
-decoding into a value no run could have produced.
+Decoding is strict (``bool`` is not an ``int``), so a damaged record raises
+instead of decoding into a value no run could have produced.
 
 The store's log frames live here too: each shard's JSONL payload is
 committed as one ``magic | payload length | payload CRC-32 | payload`` frame
@@ -32,30 +26,12 @@ from repro.core.campaign import HostRoundResult
 from repro.core.schema import from_json, to_json
 from repro.net.errors import StoreError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 """On-disk format version stamped into every manifest."""
 
 _FRAME_MAGIC = b"RSEG"
 _FRAME_HEADER = struct.Struct("!4sII")  # magic, payload length, payload CRC-32
 FRAME_HEADER_SIZE = _FRAME_HEADER.size
-
-_INT = frozenset({int})
-
-
-def check_types(data: Mapping[str, Any], types: Mapping[str, tuple[type, ...]]) -> None:
-    """Raise ``TypeError`` unless each ``data[key]``'s exact type is in ``types[key]``."""
-    for key, kinds in types.items():
-        if type(data[key]) not in kinds:
-            expected = " or ".join(kind.__name__ for kind in kinds)
-            raise TypeError(f"{key!r} is {type(data[key]).__name__}, expected {expected}")
-
-
-def int_tuple(values: list) -> tuple[int, ...]:
-    """``values`` as a tuple, which must hold only ints."""
-    if not _INT.issuperset(map(type, values)):
-        raise TypeError(f"expected a list of ints, got {values!r}")
-    return tuple(values)
-
 
 def encode_record(record: HostRoundResult) -> dict:
     """Encode one (round, host, test) campaign record."""

@@ -4,9 +4,10 @@ A store is a directory holding one campaign's measurements as they become
 durable, shard by shard:
 
 * ``manifest.json`` — the campaign *plan* (everything needed to re-execute
-  or verify the run: config, tests, seed, shard count, host addresses, a
-  digest of the host specs) under ``{"format": 2, "plan": ...}``.  It is
-  written once, atomically, when the store is created, and never rewritten.
+  or verify the run: config, tests, seed, shard count and the host specs
+  themselves) under ``{"format": 3, "plan": ...}``, in the JSON layout of
+  the plan's field table (:mod:`repro.core.schema`).  It is written once,
+  atomically, when the store is created, and never rewritten.
 * ``shards.log`` — an append-only log holding one *frame* per completed
   shard, in commit order.  A frame is a 12-byte header (magic, payload
   length, payload CRC-32; see :mod:`repro.store.codec`) and a JSONL
@@ -37,9 +38,9 @@ re-checks its frame's CRC and validates the whole payload (JSON lines, the
 header's shard claim and host list, the record count) and then every
 record against its header and the plan before any record is used.
 
-Stores written in format 1 (one ``shard-NNNNN.jsonl`` file per shard) are
-refused with a pointer to :func:`migrate_store` (``python -m repro
-migrate``), which converts them in place.
+Stores in format 1 (one ``shard-NNNNN.jsonl`` file per shard) or format 2
+(a plan without host specs) are refused with a pointer to
+:func:`migrate_store` (``python -m repro migrate``), which converts them.
 
 Determinism
 -----------
@@ -53,44 +54,30 @@ to an uninterrupted run's.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator, Optional, Sequence
+from typing import Any, BinaryIO, Iterator, NamedTuple, Optional
 
 from repro.core.campaign import CampaignConfig, CampaignResult, HostRoundResult
 from repro.core.prober import TestName
-from repro.net.errors import MeasurementError, StoreError
+from repro.core.schema import from_json, to_json
+from repro.net.errors import MeasurementError, ReproError, StoreError
 from repro.store.codec import (
     FORMAT_VERSION,
     FRAME_HEADER_SIZE,
-    check_types,
     decode_record,
     encode_frame,
     encode_record,
-    int_tuple,
     read_frame,
     require,
 )
+from repro.workloads.testbed import HostSpec
 
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "shards.log"
-_FORMAT_1 = 1
-_PLAN_TYPES = {
-    "seed": (int,),
-    "shards": (int,),
-    "remote_port": (int,),
-    "scenario": (str, type(None)),
-    "tests": (list,),
-    "config": (dict,),
-    "specs_digest": (str,),
-    "host_addresses": (list,),
-    "origin": (dict, type(None)),
-}
-_CONFIG_TYPES = {"rounds": (int,), "samples_per_measurement": (int,)}
+_FORMAT_1, _FORMAT_2 = 1, 2
 
 
 def _dumps(obj: Any) -> str:
@@ -125,34 +112,13 @@ def _atomic_write_text(path: Path, text: str) -> None:
     _fsync_directory(path.parent)
 
 
-_MEMORY_ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]+")
-
-
-def specs_digest(specs: Sequence[Any]) -> str:
-    """Stable digest of a host-spec list, used to guard mismatched resumes.
-
-    ``HostSpec`` trees are dataclasses of primitives plus the occasional
-    callable (e.g. ``OsProfile.ipid_policy_factory``), whose default ``repr``
-    embeds a process-local memory address.  Addresses are normalized away so
-    the digest is a pure function of the spec *values* (field values and
-    callable qualnames) across processes and Python invocations — which is
-    what lets a resumed run verify it rebuilt the same population.
-    """
-    canonical = _MEMORY_ADDRESS_RE.sub("0x0", repr(tuple(specs)))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 @dataclass(frozen=True, slots=True)
 class CampaignPlan:
-    """Everything that fixes a campaign's merged dataset, in storable form.
+    """Everything that fixes a campaign's merged dataset, host specs included.
 
-    Two runs with equal plans (and the same host specs, witnessed by
-    ``specs_digest``) produce bit-identical merged signatures, which is why
-    resume refuses to proceed when the plan on disk differs from the one the
-    resuming runner derived.  ``origin`` is a free-form description of how
-    the host specs were built (e.g. a registry scenario name and population
-    size) so ``python -m repro resume`` can rebuild them from the manifest
-    alone.
+    Two runs with equal plans produce bit-identical merged signatures, which
+    is why resume refuses to proceed when the plan on disk differs from the
+    one the resuming runner derived, and why a resume needs only the store.
     """
 
     seed: int
@@ -161,46 +127,35 @@ class CampaignPlan:
     scenario: Optional[str]
     tests: tuple[TestName, ...]
     config: CampaignConfig
-    specs_digest: str
-    host_addresses: tuple[int, ...]
-    origin: Optional[dict] = None
+    specs: tuple[HostSpec, ...]
 
-    def to_mapping(self) -> dict:
-        return {
-            "seed": self.seed,
-            "shards": self.shards,
-            "remote_port": self.remote_port,
-            "scenario": self.scenario,
-            "tests": [test.value for test in self.tests],
-            "config": self.config.to_mapping(),
-            "specs_digest": self.specs_digest,
-            "host_addresses": list(self.host_addresses),
-            "origin": self.origin,
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "CampaignPlan":
-        try:
-            check_types(mapping, _PLAN_TYPES)
-            check_types(mapping["config"], _CONFIG_TYPES)
-            return cls(
-                seed=mapping["seed"],
-                shards=mapping["shards"],
-                remote_port=mapping["remote_port"],
-                scenario=mapping["scenario"],
-                tests=tuple(TestName(value) for value in mapping["tests"]),
-                config=CampaignConfig.from_mapping(mapping["config"]),
-                specs_digest=mapping["specs_digest"],
-                host_addresses=int_tuple(mapping["host_addresses"]),
-                origin=mapping["origin"],
-            )
-        except (KeyError, ValueError, TypeError, MeasurementError) as exc:
-            raise StoreError(f"malformed campaign plan in manifest: {exc}") from exc
+    @property
+    def host_addresses(self) -> tuple[int, ...]:
+        """Addresses of the whole population, in spec order."""
+        return tuple(spec.address for spec in self.specs)
 
     def differences(self, other: "CampaignPlan") -> list[str]:
         """Names of fields on which two plans disagree (empty == compatible)."""
-        ours, theirs = self.to_mapping(), other.to_mapping()
-        return sorted(key for key in ours if ours[key] != theirs[key])
+        return [f.name for f in fields(self) if getattr(self, f.name) != getattr(other, f.name)]
+
+
+class _ShardHeader(NamedTuple):
+    """The first line of a shard's payload."""
+
+    shard: int
+    host_addresses: tuple[int, ...]
+    records: int
+
+
+def _decode_plan(plan_type: type, data: Any) -> Any:
+    try:
+        return from_json(plan_type, data)
+    except (KeyError, ValueError, TypeError, MeasurementError) as exc:
+        raise StoreError(f"malformed campaign plan in manifest: {exc}") from exc
+
+
+def _manifest_text(plan: CampaignPlan) -> str:
+    return _dumps({"format": FORMAT_VERSION, "plan": to_json(plan)}) + "\n"
 
 
 class CampaignStore:
@@ -259,7 +214,10 @@ class CampaignStore:
         if not self.manifest_path.exists():
             self._initialise(plan)
             return frozenset()
-        self._load()
+        if self._plan is None:
+            self._load()
+        else:  # the manifest is write-once: only the log can have grown
+            self._scan()
         stored = self.plan()
         mismatched = stored.differences(plan)
         require(
@@ -367,12 +325,8 @@ class CampaignStore:
             outcome.index not in self._frames,
             f"shard {outcome.index} is already durable in {self.root}",
         )
-        header = {
-            "shard": outcome.index,
-            "host_addresses": list(outcome.host_addresses),
-            "records": len(outcome.records),
-        }
-        lines = [_dumps(header)]
+        header = _ShardHeader(outcome.index, outcome.host_addresses, len(outcome.records))
+        lines = [_dumps(to_json(header))]
         lines.extend(_dumps(encode_record(record)) for record in outcome.records)
         frame = encode_frame(("\n".join(lines) + "\n").encode("utf-8"))
         try:
@@ -407,8 +361,7 @@ class CampaignStore:
                 )
         except OSError as exc:
             raise StoreError(f"cannot create store at {self.root}: {exc}") from exc
-        manifest = {"format": FORMAT_VERSION, "plan": plan.to_mapping()}
-        _atomic_write_text(self.manifest_path, _dumps(manifest) + "\n")
+        _atomic_write_text(self.manifest_path, _manifest_text(plan))
         self._bind(plan)
         self._frames, self._end = {}, 0
 
@@ -429,8 +382,8 @@ class CampaignStore:
         manifest = self._read_manifest()
         version = manifest.get("format")
         require(
-            version != _FORMAT_1,
-            f"store at {self.root} is in format 1; convert it with "
+            version not in (_FORMAT_1, _FORMAT_2),
+            f"store at {self.root} is in format {version}; convert it with "
             f"`python -m repro migrate --store {self.root}`",
         )
         require(
@@ -438,7 +391,7 @@ class CampaignStore:
             f"unsupported store format {version!r} "
             f"(this build reads format {FORMAT_VERSION})",
         )
-        self._bind(CampaignPlan.from_mapping(manifest["plan"]))
+        self._bind(_decode_plan(CampaignPlan, manifest["plan"]))
         self._scan()
 
     def _scan(self) -> None:
@@ -516,29 +469,25 @@ class CampaignStore:
                 raise StoreError(f"non-object line at shard {index} line {number}")
             lines.append(value)
         require(bool(lines), f"shard {index}'s payload is empty")
-        header, records = lines[0], lines[1:]
-        claim = header.get("shard")
-        require(
-            type(claim) is int and claim == index,
-            f"shard {index}'s payload claims shard {claim!r}, expected {index}",
-        )
-        promised = header.get("records")
-        require(
-            type(promised) is int and promised == len(records),
-            f"shard {index}'s payload is truncated: header promises "
-            f"{promised!r} record(s), found {len(records)}",
-        )
+        records = lines[1:]
         try:
-            hosts = int_tuple(header["host_addresses"])
+            header: _ShardHeader = from_json(_ShardHeader, lines[0])
         except (KeyError, TypeError) as exc:
-            raise StoreError(
-                f"shard {index}'s payload has a malformed host_addresses header: {exc}"
-            ) from exc
+            raise StoreError(f"shard {index}'s payload has a malformed header: {exc}") from exc
         require(
-            self._plan_hosts.issuperset(hosts),
+            header.shard == index,
+            f"shard {index}'s payload claims shard {header.shard!r}, expected {index}",
+        )
+        require(
+            header.records == len(records),
+            f"shard {index}'s payload is truncated: header promises "
+            f"{header.records!r} record(s), found {len(records)}",
+        )
+        require(
+            self._plan_hosts.issuperset(header.host_addresses),
             f"shard {index}'s header lists hosts outside the plan",
         )
-        return hosts, records
+        return header.host_addresses, records
 
     def _decode_record(
         self, payload: dict, index: int, hosts: frozenset[int]
@@ -578,16 +527,71 @@ def _claimed_shard(payload: bytes, offset: int) -> int:
     return claim
 
 
-def migrate_store(root: os.PathLike | str) -> bool:
-    """Convert a format-1 store (one JSONL file per shard) to the shard log.
+@dataclass(frozen=True, slots=True)
+class _Origin:
+    """The registry scenario a format-1 or format-2 store's hosts came from."""
 
-    Every format-1 segment is validated like a read, then the segments are
-    written as frames, in shard order, to a temp log that is fsynced and
-    renamed to ``shards.log``.  Rewriting the manifest as format 2 is the
-    commit point; only then are the old segments and ``*.tmp`` leftovers
-    deleted.  A crash at any step leaves a store that reruns to the same
-    result.  Returns ``False``, after removing any such leftovers, when the
-    store is already in the current format.
+    scenario: str
+    hosts: Optional[int]
+    os_name: Optional[str]
+    seed: int
+
+
+@dataclass(frozen=True, slots=True)
+class _LegacyPlan:
+    """A format-1 or format-2 plan: :class:`CampaignPlan` with hosts by origin."""
+
+    seed: int
+    shards: int
+    remote_port: int
+    scenario: Optional[str]
+    tests: tuple[TestName, ...]
+    config: CampaignConfig
+    host_addresses: tuple[int, ...]
+    origin: Optional[_Origin]
+
+
+def _rebuilt_plan(data: Any) -> CampaignPlan:
+    """A format-1 or format-2 plan, its host specs rebuilt as those formats
+    resumed: the origin's registry scenario at its population size and OS,
+    built at its seed.  Their specs digest hashed ``repr()`` text that has
+    since changed, so the rebuilt hosts are checked by address only."""
+    # Imported here: the scenario layer sits above the store.
+    from repro.scenarios.matrix import MIXED_OS
+    from repro.scenarios.population import build_scenario_hosts
+    from repro.scenarios.registry import get_scenario
+
+    legacy: _LegacyPlan = _decode_plan(_LegacyPlan, data)
+    origin = legacy.origin
+    require(origin is not None, "the manifest names no scenario origin to rebuild hosts from")
+    try:
+        scenario = get_scenario(origin.scenario)
+        if origin.hosts is not None:
+            scenario = scenario.with_population(num_hosts=origin.hosts)
+        if origin.os_name is not None and origin.os_name != MIXED_OS:
+            scenario = scenario.with_os(origin.os_name)
+        specs = tuple(build_scenario_hosts(scenario, seed=origin.seed))
+    except (KeyError, ValueError, ReproError) as exc:
+        raise StoreError(f"cannot rebuild the store's hosts from its origin: {exc}") from exc
+    require(
+        tuple(spec.address for spec in specs) == legacy.host_addresses,
+        "the hosts rebuilt from the store's origin differ from its host addresses",
+    )
+    shared = [getattr(legacy, f.name) for f in fields(CampaignPlan) if f.name != "specs"]
+    return CampaignPlan(*shared, specs=specs)
+
+
+def migrate_store(root: os.PathLike | str) -> bool:
+    """Convert a format-1 or format-2 store to format 3 in place.
+
+    The host specs are rebuilt from the old plan's scenario origin (a store
+    without one is refused unchanged).  Format-1 segments are validated like
+    a read and written as frames, in shard order, to a temp log that is
+    fsynced and renamed to ``shards.log``; a format-2 log is only indexed.
+    Rewriting the manifest is the commit point; only then are old segments
+    and ``*.tmp`` leftovers deleted, so a crash at any step leaves a store
+    that reruns to the same result.  Returns ``False``, after removing such
+    leftovers, when the store is already in the current format.
     """
     store = CampaignStore(root)
     require(
@@ -600,16 +604,23 @@ def migrate_store(root: os.PathLike | str) -> bool:
         store._load()
         _remove_format_1_leftovers(store)
         return False
-    require(
-        version == _FORMAT_1,
-        f"cannot migrate store format {version!r} (this build migrates format {_FORMAT_1})",
-    )
-    plan = CampaignPlan.from_mapping(manifest["plan"])
+    require(version in (_FORMAT_1, _FORMAT_2), f"cannot migrate store format {version!r}")
+    plan = _rebuilt_plan(manifest["plan"])
     store._bind(plan)
+    if version == _FORMAT_1:
+        _write_format_1_log(store)
+    else:
+        store._scan()
+    _atomic_write_text(store.manifest_path, _manifest_text(plan))
+    _remove_format_1_leftovers(store)
+    return True
+
+
+def _write_format_1_log(store: CampaignStore) -> None:
     tmp = store.log_path.with_name(LOG_NAME + ".tmp")
     try:
         with open(tmp, "wb") as log:
-            for index in range(plan.shards):
+            for index in range(store.plan().shards):
                 segment = _format_1_segment(store, index)
                 if not segment.exists():
                     continue
@@ -627,10 +638,6 @@ def migrate_store(root: os.PathLike | str) -> bool:
     finally:
         tmp.unlink(missing_ok=True)
     _fsync_directory(store.root)
-    manifest = {"format": FORMAT_VERSION, "plan": plan.to_mapping()}
-    _atomic_write_text(store.manifest_path, _dumps(manifest) + "\n")
-    _remove_format_1_leftovers(store)
-    return True
 
 
 def _format_1_segment(store: CampaignStore, index: int) -> Path:
@@ -638,7 +645,7 @@ def _format_1_segment(store: CampaignStore, index: int) -> Path:
 
 
 def _remove_format_1_leftovers(store: CampaignStore) -> None:
-    """Delete format-1 segments and crash leftovers from a format-2 store."""
+    """Delete format-1 segments and crash leftovers from a migrated store."""
     leftovers = [_format_1_segment(store, index) for index in range(store.plan().shards)]
     leftovers.extend(store.root.glob("*.tmp"))
     try:
@@ -654,5 +661,4 @@ __all__ = [
     "LOG_NAME",
     "MANIFEST_NAME",
     "migrate_store",
-    "specs_digest",
 ]

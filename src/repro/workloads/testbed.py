@@ -122,6 +122,8 @@ class SiteHandle:
 class Testbed:
     """A fully wired simulation environment ready for measurements."""
 
+    __test__ = False  # tells pytest this is no test class
+
     def __init__(self, seed: int = 1, stable_site_seeds: bool = False) -> None:
         self.sim = Simulator()
         self.rng = SeededRandom(seed)

@@ -21,7 +21,6 @@ import pytest
 
 from repro.api import CampaignRequest, JobCancelled, JobStatus, ResumeRequest, Session
 from repro.core.runner import EXECUTOR_SERIAL
-from repro.net.errors import StoreError
 from repro.scenarios import get_scenario, scenario_names
 from repro.store import CampaignStore
 from test_golden_signatures import (
@@ -110,7 +109,8 @@ def test_resume_request_on_a_complete_store_reruns_nothing(tmp_path):
 
 
 def test_resume_request_reapplies_an_os_name_override(tmp_path):
-    """The origin must record os_name, or the rebuilt population mismatches."""
+    """The stored specs carry the OS override, so the resume measures the
+    population the interrupted run measured."""
     store_dir = tmp_path / "os-override"
     request = CampaignRequest(
         scenario="imc2002-survey",
@@ -138,38 +138,44 @@ def test_resume_request_reapplies_an_os_name_override(tmp_path):
     assert resumed.result_digest == uninterrupted.result_digest
 
 
-def test_resume_request_rejects_a_store_without_scenario_origin(tmp_path):
-    from repro.workloads.population import PopulationSpec, generate_population
-
-    specs = tuple(generate_population(PopulationSpec(num_hosts=2), seed=3))
-    with Session(backend=EXECUTOR_SERIAL) as session:
-        session.run(
-            CampaignRequest(
-                specs=specs, config=GOLDEN_CONFIG, seed=3, shards=1,
-                store=tmp_path / "raw",
-            )
-        )
-    with Session(backend=EXECUTOR_SERIAL) as session:
-        with pytest.raises(StoreError, match="no scenario origin"):
-            session.run(ResumeRequest(store=tmp_path / "raw"))
-
-
-def test_resume_request_rejects_an_unregistered_scenario_with_a_store_error(tmp_path):
-    scenario = dataclasses.replace(get_scenario("imc2002-survey"), name="my-custom")
-    request = CampaignRequest(
-        scenario=scenario, config=GOLDEN_CONFIG, hosts=2, seed=GOLDEN_SEED, shards=2,
-        store=tmp_path / "custom",
-    )
+def _crash_then_resume(request: CampaignRequest) -> tuple[str, str]:
+    """Crash ``request`` after its first durable shard, resume the store with
+    a ResumeRequest, and return the resumed and the uninterrupted digests."""
     with Session(backend=EXECUTOR_SERIAL) as session:
         with pytest.raises(SimulatedCrash):
             session.run(dataclasses.replace(request, on_checkpoint=_crash_after(1)))
-        with pytest.raises(StoreError, match="'my-custom'.*resume=True"):
-            session.run(ResumeRequest(store=tmp_path / "custom"))
-        # The error's advice works: the original request resumes the store.
-        resumed = session.run(dataclasses.replace(request, resume=True))
-    with Session(backend=EXECUTOR_SERIAL) as session:
-        uninterrupted = session.run(dataclasses.replace(request, store=tmp_path / "whole"))
-    assert resumed.result_digest == uninterrupted.result_digest
+        assert not CampaignStore.open(request.store).is_complete()
+        resumed = session.run(ResumeRequest(store=request.store))
+        uninterrupted = session.run(dataclasses.replace(request, store=None))
+    assert CampaignStore.open(request.store).is_complete()
+    return resumed.result_digest, uninterrupted.result_digest
+
+
+def test_resume_request_resumes_an_explicit_spec_store(tmp_path):
+    """The manifest holds the specs, so a store no scenario built resumes."""
+    from repro.workloads.population import PopulationSpec, generate_population
+
+    specs = tuple(generate_population(PopulationSpec(num_hosts=3), seed=3))
+    resumed, uninterrupted = _crash_then_resume(
+        CampaignRequest(
+            specs=specs, config=GOLDEN_CONFIG, seed=3, shards=3, store=tmp_path / "raw",
+        )
+    )
+    assert resumed == uninterrupted
+
+
+def test_resume_request_resumes_an_unregistered_scenario_store(tmp_path):
+    scenario = dataclasses.replace(
+        get_scenario("nat-timeout"), name="my-custom", description="not in the registry"
+    )
+    assert "my-custom" not in scenario_names()
+    resumed, uninterrupted = _crash_then_resume(
+        CampaignRequest(
+            scenario=scenario, config=GOLDEN_CONFIG, hosts=3, seed=GOLDEN_SEED, shards=2,
+            store=tmp_path / "custom",
+        )
+    )
+    assert resumed == uninterrupted
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGKILL semantics")

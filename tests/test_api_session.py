@@ -566,6 +566,30 @@ def test_campaign_request_validates_population_source():
         CampaignRequest(scenario="imc2002-survey", specs=()).normalized()
 
 
+@pytest.mark.parametrize("backend", (EXECUTOR_SERIAL, "process", "remote"))
+def test_a_spec_value_no_codec_carries_fails_before_any_shard_runs(tmp_path, backend):
+    """The plan digest packs the host specs first, so a value outside its
+    field's range (here a negative count) runs nothing and writes no store."""
+    from dataclasses import replace
+
+    from repro.workloads.population import PopulationSpec, generate_population
+
+    first, *rest = generate_population(PopulationSpec(num_hosts=2), seed=5)
+    checkpoints: list = []
+    request = CampaignRequest(
+        specs=(replace(first, load_balancer_backends=-1), *rest),
+        config=CampaignConfig(rounds=1, samples_per_measurement=2),
+        shards=2,
+        store=tmp_path / "store",
+        on_checkpoint=lambda *args: checkpoints.append(args),
+    )
+    with Session(backend=backend) as session:
+        with pytest.raises(MeasurementError, match="outside its field range"):
+            session.run(request)
+    assert checkpoints == []
+    assert not (tmp_path / "store").exists()
+
+
 def test_explicit_spec_campaign_matches_runner_output():
     """An explicit-spec request measures exactly the runner's shard plan:
     its shard tasks run by hand and merged give the session's digest."""

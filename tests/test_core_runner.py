@@ -205,6 +205,14 @@ def test_runner_validation(specs):
         CampaignRunner(specs, CONFIG, shards=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_runner_refuses_a_seed_no_codec_can_send(specs, seed):
+    """Every backend refuses it alike, not only the one whose wire is a u64."""
+    with pytest.raises(MeasurementError, match="seed"):
+        CampaignRunner(specs, CONFIG, seed=seed)
+    CampaignRunner(specs, CONFIG, seed=2**64 - 1)
+
+
 # --------------------------------------------------------------------- #
 # CampaignResult merge and indexing
 # --------------------------------------------------------------------- #

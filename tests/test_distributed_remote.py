@@ -12,31 +12,44 @@ lives in ``test_distributed_chaos``.
 
 from __future__ import annotations
 
+import ast
 import os
 import socket
 import subprocess
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.api import JobCancelled, JobStatus, MatrixRequest, Session, create_backend
 from repro.api.backends import backend_names
 from repro.distributed.backend import RemoteBackend
 from repro.distributed.chaos import CHAOS_ENV, ChaosSpec
 from repro.distributed.coordinator import JOB_DONE, Coordinator
+from repro.core.runner import CampaignRunner
+from repro.core.schema import pack
 from repro.distributed.protocol import (
     MSG_BATCH,
     MSG_HEARTBEAT,
+    MSG_HELLO,
+    MSG_RESULT,
     PROTOCOL_VERSION,
-    pack_shard_errors,
+    Batch,
+    Hello,
+    ShardError,
+    ShardErrors,
+    decode_payload,
+    pack_result,
     recv_frame,
     send_frame,
-    unpack_shard_errors,
+    unpack_result,
 )
 from repro.net.errors import MeasurementError, ProtocolError
-from repro.scenarios import scenario_names
+from repro.scenarios import build_scenario_hosts, get_scenario, scenario_names
 from test_golden_signatures import GOLDEN_CONFIG, GOLDEN_DIGESTS, GOLDEN_HOSTS, GOLDEN_SEED
 from _remote_helpers import make_backend, request, serial_digest
 
@@ -100,13 +113,74 @@ def test_frame_eof_mid_header_raises_protocol_error():
 
 
 def test_shard_error_codec_roundtrip():
-    failures = [(0, "boom"), (7, "unicode ✗ failure"), (2**40, "")]
-    batch_id, decoded = unpack_shard_errors(pack_shard_errors(9, failures))
-    assert batch_id == 9
-    assert decoded == failures
-    assert unpack_shard_errors(pack_shard_errors(0, [])) == (0, [])
-    with pytest.raises(ProtocolError, match="malformed shard-error"):
-        unpack_shard_errors(b"\x00\x00")
+    failures = [ShardError(0, "boom"), ShardError(7, "unicode ✗ failure"), ShardError(2**40, "")]
+    decoded = decode_payload(ShardErrors, pack(ShardErrors(9, failures)))
+    assert (decoded.batch_id, decoded.failures) == (9, failures)
+    assert decode_payload(ShardErrors, pack(ShardErrors(0, []))) == ShardErrors(0, [])
+    with pytest.raises(ProtocolError, match="malformed ShardErrors payload"):
+        decode_payload(ShardErrors, b"\x00\x00")
+
+
+def test_hello_batch_and_result_payloads_roundtrip():
+    scenario = get_scenario("nat-timeout").with_population(num_hosts=3)
+    runner = CampaignRunner(build_scenario_hosts(scenario, seed=5), GOLDEN_CONFIG, shards=2)
+    batch = Batch(2**40, runner.shard_tasks())
+    assert decode_payload(Batch, pack(batch)) == batch
+    assert decode_payload(Hello, pack(Hello(3, 4242))) == Hello(3, 4242)
+    assert unpack_result(pack_result(9, b"blob")) == (9, b"blob")
+
+
+@pytest.mark.parametrize(
+    "decode",
+    [partial(decode_payload, Hello), partial(decode_payload, Batch), unpack_result,
+     partial(decode_payload, ShardErrors)],
+    ids=["hello", "batch", "result", "shard-errors"],
+)
+def test_every_payload_decoder_raises_protocol_error_on_garbage(decode):
+    garbage = [b"", b"\x00\x01\x02"]  # too short for any payload
+    if decode is not unpack_result:  # a result's blob is checked by the transport
+        garbage.append(b"\xff" * 40)
+    for payload in garbage:
+        with pytest.raises(ProtocolError, match="malformed"):
+            decode(payload)
+
+
+def test_no_module_that_reads_a_socket_or_a_store_imports_pickle():
+    """Nothing that arrives over a socket or sits in a store is unpickled."""
+    root = Path(repro.__file__).resolve().parent
+    offenders = []
+    for path in sorted([*root.glob("distributed/*.py"), *root.glob("store/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.partition(".")[0] == "pickle" for module in modules):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert not offenders, f"pickle imported at {offenders}"
+
+
+def test_a_short_result_frame_drops_the_worker_without_a_thread_exception(monkeypatch):
+    """A RESULT payload too short for its batch id is a protocol error: the
+    coordinator hangs up on the peer, and no reader thread dies raising."""
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    with Coordinator(lease_timeout=5.0) as coordinator:
+        before = set(threading.enumerate())
+        peer = socket.create_connection(coordinator.address, timeout=5.0)
+        try:
+            send_frame(peer, MSG_HELLO, pack(Hello(0, os.getpid())))
+            assert coordinator.wait_for_workers(1, timeout=5.0) == 1
+            send_frame(peer, MSG_RESULT, b"\x00\x01")
+            assert peer.recv(1) == b"", "the coordinator must hang up"
+        finally:
+            peer.close()
+        for thread in set(threading.enumerate()) - before:
+            thread.join(5.0)
+        assert coordinator.wait_for_workers(1, timeout=0.0) == 0
+    assert uncaught == []
 
 
 # --------------------------------------------------------------------- #

@@ -310,15 +310,8 @@ DELETED_CODEC_NAMES = [
 ]
 
 
-@pytest.mark.parametrize("path", DELETED_CODEC_NAMES)
-def test_deleted_codec_helper_stays_deleted(path):
-    module, _, name = path.rpartition(".")
-    for owner in (importlib.import_module(module), importlib.import_module("repro.store")):
-        assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
-
-
-@pytest.mark.parametrize("path", DELETED_ANALYSIS_NAMES)
-def test_deleted_analysis_name_stays_deleted(path):
+def _owner(path: str) -> tuple[object, str]:
+    """What would hold ``path``'s last name, and that name."""
     parts = path.split(".")
     for cut in range(len(parts) - 1, 0, -1):  # the longest importable prefix
         try:
@@ -328,7 +321,42 @@ def test_deleted_analysis_name_stays_deleted(path):
         break
     for attr in parts[cut:-1]:
         owner = getattr(owner, attr)
-    assert not hasattr(owner, parts[-1]), f"{path} is back"
+    return owner, parts[-1]
+
+
+#: The plan, its config and the host specs have one encoding each, derived
+#: from their field tables; these were the plan's hand-written JSON codec,
+#: its strict-type helpers and the ``repr()`` digest of the specs.
+DELETED_PLAN_CODEC_NAMES = [
+    "repro.store.store.specs_digest",
+    "repro.store.codec.check_types",
+    "repro.store.codec.int_tuple",
+    "repro.store.store.CampaignPlan.to_mapping",
+    "repro.store.store.CampaignPlan.from_mapping",
+    "repro.core.campaign.CampaignConfig.to_mapping",
+    "repro.core.campaign.CampaignConfig.from_mapping",
+    "repro.host.os_profiles.OsProfile.ipid_policy_factory",
+]
+
+
+@pytest.mark.parametrize("path", DELETED_PLAN_CODEC_NAMES)
+def test_deleted_plan_codec_name_stays_deleted(path):
+    owner, name = _owner(path)
+    assert not hasattr(owner, name), f"{path} is back"
+    assert not hasattr(importlib.import_module("repro.store"), name)
+
+
+@pytest.mark.parametrize("path", DELETED_CODEC_NAMES)
+def test_deleted_codec_helper_stays_deleted(path):
+    module, _, name = path.rpartition(".")
+    for owner in (importlib.import_module(module), importlib.import_module("repro.store")):
+        assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
+
+
+@pytest.mark.parametrize("path", DELETED_ANALYSIS_NAMES)
+def test_deleted_analysis_name_stays_deleted(path):
+    owner, name = _owner(path)
+    assert not hasattr(owner, name), f"{path} is back"
 
 
 def test_no_package_reexports_a_deleted_analysis_name():

@@ -7,6 +7,9 @@ Pinned here:
 * a throwaway record type using every supported kind round-trips exactly
   through both codecs, both as a record and as the items of a list that
   travels column by column and of one that travels item by item;
+* a field typed by an abstract base holds any concrete subclass, tagged by
+  its class name, and an unknown tag never decodes;
+* every registry scenario's host specs round-trip through both codecs;
 * an unsupported type hint raises when its table is built;
 * JSON decoding is as strict as the hand-written store decoders were;
 * a truncated binary record never decodes;
@@ -17,11 +20,13 @@ Pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import inspect
 import json
 import math
 import struct
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -33,7 +38,11 @@ import test_transport
 from repro.core.campaign import HostRoundResult
 from repro.core.runner import ShardOutcome
 from repro.core.schema import from_json, pack, table_for, to_json, unpack
-from repro.distributed.protocol import ShardErrors
+from repro.distributed.protocol import Batch, Hello, ShardErrors
+from repro.host.os_profiles import OS_PROFILES
+from repro.scenarios import build_scenario_hosts, get_scenario, scenario_names
+from repro.store import CampaignPlan
+from repro.workloads.testbed import HostSpec
 
 
 class Colour(enum.Enum):
@@ -67,6 +76,38 @@ class Nested:
     note: Optional[str] = None
 
 
+@dataclass(frozen=True)
+class Shape(ABC):
+    """An abstract base: a field of this type holds any concrete subclass."""
+
+    @abstractmethod
+    def corners(self) -> int:
+        """Makes the class abstract."""
+
+
+@dataclass(frozen=True)
+class Square(Shape):
+    side: float
+
+    def corners(self) -> int:
+        return 4
+
+
+@dataclass(frozen=True)
+class Tile(Square):
+    """A subclass of a subclass is found too."""
+
+    colour: Colour = Colour.RED
+
+
+@dataclass(frozen=True, slots=True)
+class Dot(Shape):
+    """Field-less and slotted: its tag is its whole encoding."""
+
+    def corners(self) -> int:
+        return 0
+
+
 @dataclass
 class Everything:
     number: int
@@ -86,6 +127,13 @@ class Everything:
     columns: list[Flat]
     rows: list[Nested]
     pairs: list[Pair]
+    colours: tuple[Colour, ...]
+    flat_tuple: tuple[Flat, ...]
+    nested_tuple: tuple[Nested, ...]
+    shape: Shape
+    shapes: tuple[Shape, ...]
+    maybe_shape: Optional[Shape]
+    maybe_colours: Optional[tuple[Colour, ...]]
     maybe_rows: Optional[list[Nested]] = None
     tail: int = 0
 
@@ -100,6 +148,12 @@ flats = st.builds(
     label=text, uids=uid_tuples,
 )
 nesteds = st.builds(Nested, flat=flats, note=st.none() | text)
+colour_tuples = st.lists(st.sampled_from(Colour), max_size=4).map(tuple)
+shapes = st.one_of(
+    st.builds(Square, side=floats),
+    st.builds(Tile, side=floats, colour=st.sampled_from(Colour)),
+    st.just(Dot()),
+)
 everythings = st.builds(
     Everything,
     number=u64,
@@ -119,6 +173,13 @@ everythings = st.builds(
     columns=st.lists(flats, max_size=4),
     rows=st.lists(nesteds, max_size=3),
     pairs=st.lists(st.builds(Pair, index=u64, text=text), max_size=3),
+    colours=colour_tuples,
+    flat_tuple=st.lists(flats, max_size=3).map(tuple),
+    nested_tuple=st.lists(nesteds, max_size=2).map(tuple),
+    shape=shapes,
+    shapes=st.lists(shapes, max_size=4).map(tuple),
+    maybe_shape=st.none() | shapes,
+    maybe_colours=st.none() | colour_tuples,
     maybe_rows=st.none() | st.lists(nesteds, max_size=2),
     tail=u64,
 )
@@ -166,6 +227,137 @@ def test_tables_follow_the_declared_field_order():
     assert table_for(Flat).columnar
     assert not table_for(Nested).columnar
     assert table_for(Pair).columnar
+
+
+# --------------------------------------------------------------------- #
+# Abstract bases: tagged by the concrete class's name
+# --------------------------------------------------------------------- #
+
+
+@dataclass
+class Drawing:
+    shapes: tuple[Shape, ...]
+
+
+def test_a_tagged_record_carries_its_class_name():
+    drawing = Drawing((Tile(2.0, Colour.BLUE), Dot(), Square(0.5)))
+    assert to_json(drawing) == {
+        "shapes": [
+            {"type": "Tile", "side": 2.0, "colour": "blue"},
+            {"type": "Dot"},
+            {"type": "Square", "side": 0.5},
+        ]
+    }
+    blob = pack(drawing)
+    assert blob[4:9] == b"\x04Tile"
+    assert b"\x03Dot\x06Square" in blob  # the field-less Dot is its tag alone
+    assert unpack(Drawing, blob) == drawing
+    assert type(unpack(Drawing, blob).shapes[0]) is Tile
+
+
+def test_an_unknown_tag_never_decodes():
+    blob = pack(Drawing((Square(1.0),)))
+    with pytest.raises(ValueError, match="unknown Shape type tag"):
+        unpack(Drawing, blob.replace(b"Square", b"Sqvare"))
+    with pytest.raises(ValueError, match="unknown Shape type tag"):
+        unpack(Drawing, blob[:8])  # the tag's name overruns the buffer
+    with pytest.raises(ValueError, match="unknown Shape type 'Circle'"):
+        from_json(Drawing, {"shapes": [{"type": "Circle", "side": 1.0}]})
+    with pytest.raises(ValueError, match="unknown Shape type 'Shape'"):
+        from_json(Drawing, {"shapes": [{"type": "Shape"}]})  # abstract, so no tag
+    with pytest.raises(KeyError):
+        from_json(Drawing, {"shapes": [{"side": 1.0}]})
+    with pytest.raises(TypeError):
+        from_json(Drawing, {"shapes": [["Square", 1.0]]})
+
+
+def test_encoding_a_class_outside_the_base_raises():
+    @dataclass(frozen=True)
+    class Stray:
+        side: float
+
+    with pytest.raises(TypeError, match="not a concrete Shape"):
+        pack(Drawing((Stray(1.0),)))
+
+
+def _abstract_base():
+    @dataclass(frozen=True)
+    class Base(ABC):
+        @abstractmethod
+        def f(self) -> None:
+            """Makes the class abstract."""
+
+    return Base
+
+
+def test_two_subclasses_with_one_name_raise_when_the_table_is_built():
+    base = _abstract_base()
+
+    @dataclass(frozen=True)
+    class Twin(base):
+        number: int
+
+        def f(self) -> None:
+            pass
+
+    class Holder:
+        @dataclass(frozen=True)
+        class Twin(base):
+            text: str
+
+            def f(self) -> None:
+                pass
+
+    with pytest.raises(TypeError, match="two subclasses of Base are named 'Twin'"):
+        table_for(dataclasses.make_dataclass("Uses", [("item", base)]))
+
+
+def test_a_subclass_with_a_type_field_raises_when_the_table_is_built():
+    base = _abstract_base()
+
+    @dataclass(frozen=True)
+    class Typed(base):
+        type: str
+
+        def f(self) -> None:
+            pass
+
+    with pytest.raises(TypeError, match="field named 'type'"):
+        table_for(dataclasses.make_dataclass("Uses", [("items", tuple[base, ...])]))
+
+
+def test_an_abstract_base_in_a_list_raises_when_the_table_is_built():
+    with pytest.raises(TypeError):
+        table_for(dataclasses.make_dataclass("Uses", [("items", list[Shape])]))
+
+
+def test_a_field_less_record_encodes_only_as_a_tagged_subclass():
+    assert unpack(Drawing, pack(Drawing((Dot(),)))) == Drawing((Dot(),))
+    with pytest.raises(TypeError, match="no fields"):
+        table_for(Dot)
+
+
+# --------------------------------------------------------------------- #
+# Host specs
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("name", sorted(scenario_names()))
+def test_every_scenario_population_round_trips_through_both_codecs(name):
+    specs = tuple(
+        build_scenario_hosts(get_scenario(name).with_population(num_hosts=24), seed=7)
+    )
+    assert unpack(CampaignPlan, pack(_plan(specs))).specs == specs
+    assert from_json(CampaignPlan, _through_json(_plan(specs))).specs == specs
+    for spec in specs:
+        assert unpack(HostSpec, pack(spec)).profile == OS_PROFILES[spec.profile.name]
+
+
+def _plan(specs) -> CampaignPlan:
+    from repro.core.campaign import CampaignConfig
+
+    config = CampaignConfig(rounds=1)
+    return CampaignPlan(1, 2, 80, None, config.tests, config, specs)
 
 
 # --------------------------------------------------------------------- #
@@ -245,6 +437,13 @@ _GOOD = _through_json(
         columns=[Flat(2, 1.5, False, Colour.GREEN, "b", ())],
         rows=[Nested(Flat(3, 2.5, True, Colour.BLUE, "c", (4, 5)), note="n")],
         pairs=[Pair(9, "p")],
+        colours=(Colour.GREEN, Colour.RED),
+        flat_tuple=(Flat(4, 3.5, True, Colour.RED, "d", (6,)),),
+        nested_tuple=(Nested(Flat(5, 4.5, False, Colour.GREEN, "e", ())),),
+        shape=Tile(1.5, Colour.GREEN),
+        shapes=(Square(2.5), Dot()),
+        maybe_shape=None,
+        maybe_colours=None,
     )
 )
 
@@ -289,6 +488,17 @@ def test_the_undamaged_payload_decodes():
         (("rows", 0, "note"), 5, TypeError),
         (("rows", 0, "flat", "label"), None, TypeError),
         (("pairs", 0, "text"), None, TypeError),
+        (("colours",), "green", TypeError),
+        (("colours", 0), "mauve", ValueError),
+        (("flat_tuple",), {}, TypeError),
+        (("flat_tuple", 0, "ratio"), None, TypeError),
+        (("shape",), [], TypeError),
+        (("shape", "type"), "Circle", ValueError),
+        (("shape", "type"), ["Tile"], TypeError),
+        (("shape", "colour"), "mauve", ValueError),
+        (("shapes", 0, "side"), "2.5", TypeError),
+        (("shapes", 1, "type"), KeyError, KeyError),
+        (("maybe_colours",), 1, TypeError),
         (("number",), KeyError, KeyError),
         (("columns", 0, "label"), KeyError, KeyError),
         (("rows", 0, "note"), KeyError, KeyError),
@@ -325,23 +535,31 @@ def test_no_strict_prefix_of_a_binary_record_decodes():
 # --------------------------------------------------------------------- #
 
 
-def _enums(table, seen):
+def _enums(table, seen, walked):
+    walked.add(table.type)
     for table_field in table.fields:
         if table_field.members:
             seen.add(type(table_field.members[0]))
         if table_field.table is not None:
-            _enums(table_field.table, seen)
+            _enums(table_field.table, seen, walked)
+        if table_field.tagged is not None:  # every concrete subclass of the base
+            for subtable in table_field.tagged.by_name.values():
+                _enums(subtable, seen, walked)
     return seen
 
 
 def test_every_enum_a_codec_sends_by_index_has_its_order_pinned():
     """An enum travels as its definition-order index, so reordering its
     members changes the wire.  Every enum reachable from the transport's,
-    the protocol's and the store's record types must be pinned."""
+    the protocol's and the store's record types (the host specs inside
+    shard tasks and plans included) must be pinned."""
     sent: set = set()
-    for record_type in (ShardOutcome, HostRoundResult, ShardErrors):
-        _enums(table_for(record_type), sent)
+    walked: set = set()
+    for record_type in (ShardOutcome, HostRoundResult, ShardErrors, Batch, Hello, CampaignPlan):
+        _enums(table_for(record_type), sent, walked)
     assert sent, "the record types carry enums"
+    walked_names = {record_type.__name__ for record_type in walked}
+    assert {"HostSpec", "OsProfile", "NatSpec", "EcnBleachSpec", "SwapSpec"} <= walked_names
     pinning = inspect.getsource(test_transport.test_enum_wire_tables_pin_definition_order)
     unpinned = sorted(e.__name__ for e in sent if f"list({e.__name__}) ==" not in pinning)
     assert not unpinned, f"enum order not pinned: {unpinned}"

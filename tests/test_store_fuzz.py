@@ -8,13 +8,17 @@ hang.  Three kinds of damage:
 * byte flips, truncations and extensions of a real ``shards.log``;
 * JSON-level mutations of a record or header, re-framed with a valid CRC so
   they get past the frame check and reach the payload validators;
-* byte mutations of ``manifest.json``.
+* byte mutations of ``manifest.json``, whose plan holds the host specs:
+  the pristine store's hosts carry a tagged path condition, a NAT, a
+  striping stage and a field-less element, so every shape of the spec
+  codec is in reach.
 
 A shrunk crasher, once found, stays pinned as an explicit ``@example``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +32,10 @@ from repro.core import prober
 from repro.core.campaign import CampaignConfig
 from repro.core.runner import EXECUTOR_SERIAL
 from repro.net.errors import StoreError
+from repro.scenarios import build_scenario_hosts, get_scenario
+from repro.sim.build import EcnBleachSpec, GilbertLossSpec, NatSpec
 from repro.store import CampaignStore
+from repro.workloads.testbed import StripingSpec
 from _store_helpers import FRAME, frame, frame_payloads
 
 _FUZZ = settings(
@@ -47,17 +54,30 @@ class Pristine:
     records: dict  # shard index -> records committed
 
 
+def _specs() -> tuple:
+    """Three survey hosts, the first behind every spec shape the plan encodes."""
+    scenario = get_scenario("imc2002-survey").with_population(num_hosts=3)
+    first, *rest = build_scenario_hosts(scenario, seed=5)
+    path = dataclasses.replace(
+        first.path,
+        forward_conditions=(GilbertLossSpec(bad_loss=0.1),),
+        reverse_conditions=(EcnBleachSpec(),),
+        middleboxes=(NatSpec(),),
+        forward_striping=StripingSpec(),
+    )
+    return (dataclasses.replace(first, path=path), *rest)
+
+
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory) -> Pristine:
     root = tmp_path_factory.mktemp("fuzz") / "store"
     request = CampaignRequest(
-        scenario="imc2002-survey",
+        specs=_specs(),
         config=CampaignConfig(
             rounds=1,
             samples_per_measurement=2,
             tests=(prober.TestName.SINGLE_CONNECTION, prober.TestName.SYN),
         ),
-        hosts=3,
         seed=5,
         shards=3,
         store=root,
@@ -189,3 +209,6 @@ def test_the_pristine_store_opens_whole(pristine, tmp_path):
     """The fuzz baseline: undamaged bytes open with every shard durable."""
     assert _check(tmp_path / "store", pristine, manifest=pristine.manifest, log=pristine.log)
     assert pristine.commit_order == (0, 1, 2)
+    assert CampaignStore.open(tmp_path / "store").plan().specs == _specs()
+    for tag in (b'"GilbertLossSpec"', b'"EcnBleachSpec"', b'"NatSpec"', b'"forward_striping":{'):
+        assert tag in pristine.manifest

@@ -3,10 +3,12 @@
 ``tests/fixtures/store-format-1`` is a store written by the last format-1
 build: a two-shard ``imc2002-survey`` campaign (4 hosts, seed 7, one round,
 4 samples) interrupted after shard 0, so it holds ``manifest.json`` and
-``shard-00000.jsonl``.  Migrating it and resuming must reproduce the
+``shard-00000.jsonl``.  Migrating it (to format 3, which rebuilds its host
+specs from the manifest's scenario origin) and resuming must reproduce the
 uninterrupted campaign's digest, and a migration that fails before its
 commit point (the manifest rewrite) must leave a format-1 store that a rerun
-migrates.
+migrates.  The format-2 fixture's migration is pinned in
+``test_store_format_2``.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def test_a_rerun_after_the_commit_point_removes_the_leftovers(format_1_store):
     assert (format_1_store / "shards.log").read_bytes() == log
 
 
-def test_migrate_on_a_format_2_store_does_nothing(tmp_path, capsys):
+def test_migrate_on_a_format_3_store_does_nothing(tmp_path, capsys):
     root = tmp_path / "store"
     with Session(backend=EXECUTOR_SERIAL) as session:
         session.run(CampaignRequest(

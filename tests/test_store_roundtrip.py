@@ -32,6 +32,7 @@ from repro.core.runner import EXECUTOR_SERIAL, ShardOutcome
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.core.schema import from_json, to_json
 from repro.net.errors import StoreError
+from repro.workloads.testbed import HostSpec
 from repro.store import (
     FORMAT_VERSION,
     CampaignPlan,
@@ -127,9 +128,7 @@ def _plan(
         scenario="test",
         tests=tests,
         config=config,
-        specs_digest="d" * 64,
-        host_addresses=host_addresses,
-        origin=None,
+        specs=tuple(HostSpec(name=f"h{address}", address=address) for address in host_addresses),
     )
 
 

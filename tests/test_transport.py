@@ -33,6 +33,7 @@ from repro.core.transport import (
     encode_outcomes,
     next_batch_size,
 )
+from repro.host.os_profiles import IpidScheme, SecondSynResponse
 from repro.net.errors import MeasurementError, TransportError
 from repro.workloads.population import (
     PopulationSpec,
@@ -418,10 +419,12 @@ def test_persistently_broken_pool_propagates_after_one_retry(monkeypatch):
 def test_enum_wire_tables_pin_definition_order():
     """Definition order IS the wire protocol for enum fields.
 
-    The transport ships ``TestName`` and ``SampleOutcome`` members as their
-    index in the definition-order tuple, so reordering, inserting, or
-    removing a member silently changes every id on the wire.  Pinning the
-    member order here turns that into a loud failure instead.
+    The transport ships ``TestName`` and ``SampleOutcome`` members, and the
+    remote protocol and the plan digest the host specs' ``SecondSynResponse``
+    and ``IpidScheme``, as their index in the definition-order tuple, so
+    reordering, inserting, or removing a member silently changes every id on
+    the wire.  Pinning the member order here turns that into a loud failure
+    instead.
     """
     assert list(TestName) == [
         TestName.SINGLE_CONNECTION,
@@ -434,4 +437,17 @@ def test_enum_wire_tables_pin_definition_order():
         SampleOutcome.REORDERED,
         SampleOutcome.AMBIGUOUS,
         SampleOutcome.LOST,
+    ]
+    assert list(SecondSynResponse) == [
+        SecondSynResponse.ALWAYS_RST,
+        SecondSynResponse.SPEC_COMPLIANT,
+        SecondSynResponse.DUAL_RST,
+        SecondSynResponse.IGNORE,
+    ]
+    assert list(IpidScheme) == [
+        IpidScheme.GLOBAL_COUNTER,
+        IpidScheme.PER_DESTINATION,
+        IpidScheme.RANDOM,
+        IpidScheme.RANDOM_INCREMENT,
+        IpidScheme.ZERO,
     ]
