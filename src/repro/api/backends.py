@@ -127,8 +127,9 @@ class ExecutionBackend(ABC):
     def iter_shards(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
         """Yield shard outcomes in completion order.
 
-        Closing the iterator early cancels work that has not started;
-        already-running work is allowed to finish in the background.
+        Closing the iterator early cancels work that has not started; work
+        already running, or already handed to a worker's queue, finishes in
+        the background.
         """
 
     @abstractmethod
@@ -264,13 +265,13 @@ class _PoolBackend(ExecutionBackend):
     ) -> Iterator[ShardOutcome]:
         """Yield shard outcomes in completion order, batched per round-trip.
 
-        Guided, work-stealing-style scheduling: each submission takes
-        :func:`~repro.core.transport.next_batch_size` shards off the shared
-        queue, so early batches are large and the tail shrinks toward single
-        shards — a straggling worker near the end holds at most one small
-        batch while the others drain the rest.  At most one in-flight batch
-        per worker; the queue is refilled *before* decoding finished results
-        so workers never idle behind the parent's decode.
+        Guided scheduling: the tasks are cut into batches of
+        :func:`~repro.core.transport.next_batch_size` shards, so early
+        batches are large and the tail shrinks toward single shards — a
+        straggling worker near the end holds at most one small batch.  Every
+        batch is submitted up front, so the executor's call queue hands each
+        worker its next batch without a round trip through this thread, and
+        the batches of concurrent jobs on one pool run first in, first out.
         """
         pending = deque(tasks)
         with self._pool_lock:
@@ -278,29 +279,26 @@ class _PoolBackend(ExecutionBackend):
         override = batch_size_override()
         cost = _shard_cost(tasks[0])
         inflight: "dict[Future, tuple[ShardTask, ...]]" = {}
-
-        def refill() -> None:
-            while pending and len(inflight) < workers:
+        try:
+            while pending:
                 size = next_batch_size(
                     len(pending), workers, shard_cost=cost, override=override
                 )
                 batch = tuple(pending.popleft() for _ in range(size))
                 inflight[submit(batch)] = batch
-
-        try:
-            refill()
             while inflight:
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                finished = [(future, inflight.pop(future)) for future in done]
-                refill()
-                for future, batch in finished:
+                for future in done:
+                    batch = inflight.pop(future)
                     yield from decode_outcomes(
                         future.result(), shard_indexes=tuple(task.index for task in batch)
                     )
         finally:
             # Reached on success, pool failure, and early close (the consumer
-            # raised): drop batches that have not started.  The pool itself
-            # stays warm — it may be shared with other work.
+            # raised): cancel the batches that have not started.  Those the
+            # executor already moved into its call queue (at most workers + 1)
+            # cannot be cancelled and finish in the background.  The pool
+            # itself stays warm — it may be shared with other work.
             for future in inflight:
                 future.cancel()
 

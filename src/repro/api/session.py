@@ -370,10 +370,11 @@ class Session:
 
         Each cell keeps its own runner, shard layout, and merge; only the
         shard indexes run on across cells, so one dispatch carries them all
-        and no worker idles at a cell boundary.  A cell's progress event
-        fires when its last shard lands, so cells finish in completion
-        order, and cancelling at that boundary closes the stream, which
-        drops the batches that have not started.
+        and no worker idles at a cell boundary.  A cell is merged, digested
+        and reported as soon as its last shard lands, so that work overlaps
+        the shards still running and cells finish in completion order;
+        cancelling at that boundary closes the stream, which drops the
+        batches that have not started.
         """
         cells = request.normalized().cells
         runners: list[CampaignRunner] = []
@@ -395,15 +396,14 @@ class Session:
             tasks.extend(cell_tasks)
             runners.append(runner)
         outcomes: list[list[ShardOutcome]] = [[] for _ in cells]
+        children: dict[int, ResultEnvelope] = {}  # cell position -> its envelope
 
         def finish(position: int) -> None:
             del unfinished[position]
-            job._report(
-                ProgressEvent(
-                    "cell", len(cells) - len(unfinished), len(cells),
-                    label=cells[position].label,
-                )
-            )
+            cell, runner = cells[position], runners[position]
+            result = runner.merge(outcomes[position], cell.tests)
+            children[position] = self._cell_envelope(cell, runner.plan(cell.tests), result)
+            job._report(ProgressEvent("cell", len(children), len(cells), label=cell.label))
 
         with closing(_iter_completed(tasks, self.backend)) as stream:
             for outcome in stream:
@@ -416,16 +416,13 @@ class Session:
         # as complete as it will get once the stream ends.
         for position in sorted(unfinished):
             finish(position)
-        children = []
-        runs: dict[str, ScenarioRun] = {}
-        for cell, runner, cell_outcomes in zip(cells, runners, outcomes):
-            result = runner.merge(cell_outcomes, cell.tests)
-            runs[cell.label] = ScenarioRun(
-                scenario=cell.scenario, seed=cell.seed, result=result
-            )
-            children.append(self._cell_envelope(cell, runner.plan(cell.tests), result))
+        envelopes = tuple(children[position] for position in range(len(cells)))
+        runs = {
+            cell.label: ScenarioRun(scenario=cell.scenario, seed=cell.seed, result=child.payload)
+            for cell, child in zip(cells, envelopes)
+        }
         cell_digests = tuple(
-            sorted((child.scenario or "", child.result_digest or "") for child in children)
+            sorted((child.scenario or "", child.result_digest or "") for child in envelopes)
         )
         return ResultEnvelope(
             kind=KIND_MATRIX,
@@ -438,7 +435,7 @@ class Session:
                 "cells": len(cells),
                 "backend": self._backend_name,
             },
-            children=tuple(children),
+            children=envelopes,
         )
 
     def _cell_envelope(

@@ -345,6 +345,43 @@ def test_matrix_progress_is_per_cell_and_cancel_closes_the_stream():
     assert envelope.result_digest == again.result_digest == reference
 
 
+class _CountingStreamBackend(SerialBackend):
+    """Runs shards inline but streams them as a pool backend does, noting
+    before each shard how many cell digests the session has computed."""
+
+    name = "counting-stream"
+
+    def __init__(self, digests: list) -> None:
+        super().__init__()
+        self.digests = digests
+        self.digested_before: list[int] = []
+
+    def iter_shards(self, tasks):
+        for task in tasks:
+            self.digested_before.append(len(self.digests))
+            yield run_shard(task)
+
+
+def test_matrix_folds_each_cell_as_its_last_shard_lands(monkeypatch):
+    """A cell is merged and digested before the stream's next outcome, so
+    that work overlaps the shards still running instead of trailing them."""
+    digests: list[str] = []
+
+    def counted_digest(result):
+        digests.append(result_digest(result))
+        return digests[-1]
+
+    monkeypatch.setattr(session_module, "result_digest", counted_digest)
+    backend = _CountingStreamBackend(digests)
+    with Session(backend=backend) as session:
+        envelope = session.run(SMALL_MATRIX)
+    # Six cells of two shards each, streamed cell by cell.
+    assert backend.digested_before == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+    assert digests == [child.result_digest for child in envelope.children]
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        assert envelope.result_digest == session.run(SMALL_MATRIX).result_digest
+
+
 # --------------------------------------------------------------------- #
 # Jobs
 # --------------------------------------------------------------------- #

@@ -15,13 +15,15 @@ from __future__ import annotations
 import math
 import pickle
 from concurrent.futures import BrokenExecutor, Future
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.api.backends as backends
 from repro.api import CampaignRequest, ProcessBackend, Session, create_backend
-from repro.api.backends import _run_task_batch
+from repro.api.backends import _run_task_batch, _shard_cost
 from repro.core.campaign import CampaignConfig, HostRoundResult
 from repro.core.prober import ProbeReport, TestName
 from repro.core.runner import ShardOutcome, ShardTask, record_signature, run_shard
@@ -349,6 +351,90 @@ def test_transport_error_without_batch_context_defaults_empty():
     error = excinfo.value
     assert error.shard_indexes == ()
     assert error.lost_indexes == ()
+
+
+# ------------------------------------------------------------------ #
+# Dispatch: every batch is queued before the first result is decoded
+# ------------------------------------------------------------------ #
+
+
+class _QueueingProcessBackend(ProcessBackend):
+    """Records the size of every batch it submits.  The first ``real``
+    batches go to the pool; later ones get a future that never starts."""
+
+    def __init__(self, real: int) -> None:
+        super().__init__(max_workers=2)
+        self.real = real
+        self.sizes: list[int] = []
+        self.placeholders: list[Future] = []
+
+    def _shard_submitter(self):
+        submit = super()._shard_submitter()
+
+        def record(batch):
+            self.sizes.append(len(batch))
+            if len(self.sizes) <= self.real:
+                return submit(batch)
+            self.placeholders.append(Future())
+            return self.placeholders[-1]
+
+        return record
+
+
+def _one_host_shard_tasks() -> list[ShardTask]:
+    """Twelve one-host shards of 64 samples each, so the guided schedule
+    cuts them into seven batches of shrinking size."""
+    config = CampaignConfig(
+        rounds=1,
+        samples_per_measurement=32,
+        tests=(TestName.SINGLE_CONNECTION, TestName.SYN),
+    )
+    specs = generate_population(replace(_POPULATION, num_hosts=12), seed=_SEED)
+    return [
+        ShardTask(index, (spec,), config, config.tests, _SEED, remote_port=80)
+        for index, spec in enumerate(specs)
+    ]
+
+
+def _guided_sizes(tasks: list[ShardTask], workers: int) -> list[int]:
+    sizes: list[int] = []
+    while sum(sizes) < len(tasks):
+        remaining = len(tasks) - sum(sizes)
+        sizes.append(next_batch_size(remaining, workers, shard_cost=_shard_cost(tasks[0])))
+    return sizes
+
+
+def test_every_batch_is_submitted_before_the_first_result_is_decoded(monkeypatch):
+    """The executor's call queue, not a refill after each result, hands a
+    worker its next batch, so the whole guided schedule is submitted up
+    front."""
+    monkeypatch.delenv(BATCH_SIZE_ENV, raising=False)
+    tasks = _one_host_shard_tasks()
+    backend = _QueueingProcessBackend(real=len(tasks))
+    submitted_at_decode: list[int] = []
+
+    def decode(blob, **kwargs):
+        submitted_at_decode.append(len(backend.sizes))
+        return decode_outcomes(blob, **kwargs)
+
+    monkeypatch.setattr(backends, "decode_outcomes", decode)
+    with backend:
+        indexes = sorted(outcome.index for outcome in backend.iter_shards(tasks))
+    assert indexes == [task.index for task in tasks]
+    assert backend.sizes == _guided_sizes(tasks, workers=2) == [3, 3, 2, 1, 1, 1, 1]
+    assert submitted_at_decode[0] == len(backend.sizes)
+
+
+def test_closing_the_stream_cancels_every_batch_that_has_not_started(monkeypatch):
+    monkeypatch.delenv(BATCH_SIZE_ENV, raising=False)
+    tasks = _one_host_shard_tasks()
+    with _QueueingProcessBackend(real=1) as backend:
+        stream = backend.iter_shards(tasks)
+        first = next(stream)
+        stream.close()
+    assert first.index in {task.index for task in tasks[: backend.sizes[0]]}
+    assert len(backend.placeholders) == len(_guided_sizes(tasks, workers=2)) - 1
+    assert all(future.cancelled() for future in backend.placeholders)
 
 
 # ------------------------------------------------------------------ #
