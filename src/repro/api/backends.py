@@ -18,9 +18,9 @@ Two execution shapes cover every caller:
   shards, or every cell's shards of a matrix sweep; indexes are unique
   within it.  Shards are dispatched in adaptive *batches* (one pool future
   — for the process backend, one IPC round-trip — per batch; sizing in
-  :func:`repro.core.transport.next_batch_size`).  Tasks ship whole, so a
-  batch may span cells, and batch results come back as one struct-packed
-  blob per batch.
+  :func:`repro.core.transport.next_batch_size`).  Tasks ship whole, packed
+  as one :class:`~repro.core.transport.Batch` record, so a batch may span
+  cells, and its results come back as one struct-packed blob.
 * :meth:`ExecutionBackend.map_items` runs arbitrary picklable work items,
   preserving their order.
 
@@ -51,7 +51,9 @@ from pickle import PicklingError
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from repro.core.runner import ShardOutcome, ShardTask, run_shard
+from repro.core.schema import pack, unpack
 from repro.core.transport import (
+    Batch,
     batch_size_override,
     decode_outcomes,
     encode_outcomes,
@@ -93,13 +95,14 @@ def _shard_cost(task: ShardTask) -> int:
     )
 
 
-def _run_task_batch(tasks: tuple[ShardTask, ...]) -> bytes:
-    """Pool entry point: run a batch of shard tasks, return one encoded blob.
+def _run_task_batch(payload: bytes) -> bytes:
+    """Pool entry point: run a packed :class:`~repro.core.transport.Batch`,
+    return one encoded blob, so the pool's pipes carry bytes both ways.
 
     Tasks ship whole, so one batch may mix the shards of several campaigns
     (a matrix sweep's cells); see :mod:`repro.core.transport` for the blob.
     """
-    return encode_outcomes([run_shard(task) for task in tasks])
+    return encode_outcomes([run_shard(task) for task in unpack(Batch, payload).tasks])
 
 
 class ExecutionBackend(ABC):
@@ -217,10 +220,11 @@ class _PoolBackend(ExecutionBackend):
                 self._pool = None
 
     def _shard_submitter(self) -> Callable[[tuple[ShardTask, ...]], "Future"]:
-        """A callable submitting one shard batch to the warm pool; each
-        batch's outcomes return as one struct-packed blob."""
+        """A callable submitting one shard batch to the warm pool, packed as
+        a :class:`~repro.core.transport.Batch` (its future identifies it, so
+        its id is 0); its outcomes return as one struct-packed blob."""
         pool = self._ensure_pool()
-        return lambda batch: pool.submit(_run_task_batch, batch)
+        return lambda batch: pool.submit(_run_task_batch, pack(Batch(0, list(batch))))
 
     def _batch_dispatch(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
         """Yield shard outcomes in completion order, fault-tolerant once.
@@ -337,7 +341,7 @@ class _PoolBackend(ExecutionBackend):
 class ProcessBackend(_PoolBackend):
     """A lazily created, reusable :class:`ProcessPoolExecutor`.
 
-    Batches ship whole :class:`ShardTask` objects, so one warm pool serves
+    Batches ship whole :class:`ShardTask` records, so one warm pool serves
     any mix of campaigns — a matrix sweep's batches span its cells — with
     zero worker spin-up after the first.
     """

@@ -36,9 +36,10 @@ from __future__ import annotations
 import math
 import os
 import struct
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.runner import ShardOutcome
+from repro.core.runner import ShardOutcome, ShardTask
 from repro.core.schema import Buffer, read, write
 from repro.net.errors import MeasurementError, TransportError
 
@@ -112,8 +113,21 @@ def next_batch_size(
 
 
 # --------------------------------------------------------------------- #
-# Blobs
+# Batches and blobs
 # --------------------------------------------------------------------- #
+
+
+@dataclass(slots=True)
+class Batch:
+    """The shard tasks of one dispatch: a process-pool call or a remote lease.
+
+    Both backends send it as ``pack(Batch(...))`` (:mod:`repro.core.schema`),
+    so no backend pickles a task.
+    """
+
+    batch_id: int
+    tasks: list[ShardTask]
+
 
 
 def encode_outcomes(outcomes: Sequence[ShardOutcome]) -> bytes:
@@ -183,6 +197,7 @@ def decode_outcomes(
 
 __all__ = [
     "BATCH_SIZE_ENV",
+    "Batch",
     "MIN_BATCH_SAMPLES",
     "TRANSPORT_VERSION",
     "TransportError",

@@ -44,8 +44,8 @@ import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, TypeVar
 
-from repro.core.runner import ShardTask
 from repro.core.schema import unpack
+from repro.core.transport import Batch
 from repro.net.errors import MeasurementError, ProtocolError
 
 PROTOCOL_MAGIC = b"RW"
@@ -133,14 +133,6 @@ class Hello:
 
     index: int
     pid: int
-
-
-@dataclass(slots=True)
-class Batch:
-    """A :data:`MSG_BATCH` payload: the shard tasks of one lease."""
-
-    batch_id: int
-    tasks: list[ShardTask]
 
 
 class ShardError(NamedTuple):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import pickle
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -28,9 +28,11 @@ from repro.core.campaign import CampaignConfig, HostRoundResult
 from repro.core.prober import ProbeReport, TestName
 from repro.core.runner import ShardOutcome, ShardTask, record_signature, run_shard
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
+from repro.core.schema import pack
 from repro.core.transport import (
     BATCH_SIZE_ENV,
     MIN_BATCH_SAMPLES,
+    Batch,
     decode_outcomes,
     encode_outcomes,
     next_batch_size,
@@ -265,7 +267,7 @@ def test_pool_task_returns_one_encoded_blob():
     objects, and the blob decodes to exactly what running the batch inline
     returns."""
     tasks = tuple(_shard_tasks()[:2])
-    blob = _run_task_batch(tasks)
+    blob = _run_task_batch(pack(Batch(0, list(tasks))))
     assert isinstance(blob, bytes)
     decoded = decode_outcomes(blob, shard_indexes=tuple(task.index for task in tasks))
     inline = [run_shard(task) for task in tasks]
@@ -275,6 +277,25 @@ def test_pool_task_returns_one_encoded_blob():
         assert [record_signature(r) for r in got.records] == [
             record_signature(r) for r in want.records
         ]
+
+
+def test_the_pool_only_ever_receives_bytes(monkeypatch, serial_digest):
+    """Shard tasks cross the pool's pipes as a packed ``Batch``, never as a
+    pickled object."""
+    calls = []
+    real_submit = ProcessPoolExecutor.submit
+
+    def submit(self, fn, /, *args, **kwargs):
+        calls.append((fn, args, kwargs))
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    monkeypatch.setenv(BATCH_SIZE_ENV, "2")
+    assert _digest("process") == serial_digest
+    assert len(calls) == math.ceil(_SHARDS / 2)
+    for fn, args, kwargs in calls:
+        assert fn is _run_task_batch
+        assert [type(arg) for arg in args] == [bytes] and not kwargs
 
 
 def test_map_shards_returns_outcomes_in_task_order(monkeypatch):
