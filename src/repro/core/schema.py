@@ -36,10 +36,11 @@ fixed-width columns in one ``struct`` call, each ``str`` or uid column as
 its lengths, then its bytes or u64s); other lists travel item by item.
 
 Decoding builds every record positionally and is strict.  A JSON value of
-the wrong type raises ``TypeError``, an unknown enum value or type tag
-``ValueError`` and a missing key ``KeyError``; a short or damaged binary
-buffer raises ``struct.error``, ``IndexError``, ``ValueError`` or
-``UnicodeDecodeError``.  A record's own constructor may raise too.
+the wrong type raises ``TypeError``; an int outside [0, 2**64), the range
+``pack`` carries, or an unknown enum value or type tag raises ``ValueError``;
+a missing key raises ``KeyError``.  A short or damaged binary buffer raises
+``struct.error``, ``IndexError``, ``ValueError`` or ``UnicodeDecodeError``.
+A record's own constructor may raise too.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ _CODES = {_INT: "Q", _FLOAT: "d", _BOOL: "?", _ENUM: "B"}  # the fixed-width kin
 _JSON_TYPES = {_INT: (int,), _FLOAT: (float, int), _BOOL: (bool,), _STR: (str,)}
 _COLUMN_KINDS = frozenset({_INT, _FLOAT, _BOOL, _ENUM, _STR, _UIDS})
 _INTS = frozenset({int})
+_U64_END = 2**64  # an int field carries [0, 2**64), in binary and JSON alike
 _U8 = struct.Struct("!B")
 _U32 = struct.Struct("!I")
 _ABSENT, _PRESENT = _U8.pack(0), _U8.pack(1)
@@ -528,6 +530,8 @@ def _from_json(table: Table, data: Any) -> Any:
         elif type(value) not in field.json_types:
             expected = " or ".join(kind.__name__ for kind in field.json_types)
             raise TypeError(f"{field.name!r} is {type(value).__name__}, expected {expected}")
+        elif field.kind is _INT and not 0 <= value < _U64_END:
+            raise ValueError(f"{field.name!r} is {value}, outside [0, 2**64)")
     return table.type(*values)
 
 
@@ -547,6 +551,8 @@ def _enum_from_json(field: Field, members: dict[Any, Any], value: Any) -> Any:
 def _uids_from_json(field: Field, value: Any) -> tuple[int, ...]:
     if type(value) is not list or not _INTS.issuperset(map(type, value)):
         raise TypeError(f"{field.name!r} is {value!r}, expected a list of ints")
+    if value and not (0 <= min(value) and max(value) < _U64_END):
+        raise ValueError(f"{field.name!r} holds an int outside [0, 2**64)")
     return tuple(value)
 
 

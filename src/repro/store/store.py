@@ -472,7 +472,7 @@ class CampaignStore:
         records = lines[1:]
         try:
             header: _ShardHeader = from_json(_ShardHeader, lines[0])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise StoreError(f"shard {index}'s payload has a malformed header: {exc}") from exc
         require(
             header.shard == index,

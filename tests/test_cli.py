@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.api import CampaignRequest, Session
+from repro.core.campaign import CampaignConfig
 from repro.scenarios import scenario_names
 
 
@@ -137,3 +141,39 @@ def test_resume_without_store_is_an_error(tmp_path, capsys):
 def test_crash_flag_requires_store(capsys):
     assert main(["run", "--crash-after-shards", "1"]) == 2
     assert "--crash-after-shards requires --store" in capsys.readouterr().err
+
+
+class _Stop(Exception):
+    """Ends a campaign at its first durable shard."""
+
+
+def _stop(outcome, completed, total):
+    raise _Stop
+
+
+def test_a_manifest_int_no_codec_carries_is_a_store_error(tmp_path, capsys):
+    """An int outside [0, 2**64) in a stored spec fails the manifest's
+    decode, so ``report`` and ``resume`` both refuse the store cleanly
+    (``resume`` used to die in the plan digest)."""
+    store = tmp_path / "campaign"
+    request = CampaignRequest(
+        scenario="imc2002-survey",
+        config=CampaignConfig(rounds=1, samples_per_measurement=2),
+        hosts=2,
+        seed=11,
+        shards=2,
+        store=store,
+        on_checkpoint=_stop,
+    )
+    with Session(backend="serial") as session, pytest.raises(_Stop):
+        session.run(request)
+    manifest = store / "manifest.json"
+    data = json.loads(manifest.read_text())
+    for spec in data["plan"]["specs"]:
+        spec["profile"]["delayed_ack_threshold"] = 2**64
+    manifest.write_text(json.dumps(data))
+    for argv in (["report"], ["resume", "--executor", "serial"]):
+        assert main([*argv, "--store", str(store)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("store error: malformed campaign plan in manifest:"), err
+        assert "delayed_ack_threshold" in err

@@ -502,12 +502,26 @@ def test_the_undamaged_payload_decodes():
         (("number",), KeyError, KeyError),
         (("columns", 0, "label"), KeyError, KeyError),
         (("rows", 0, "note"), KeyError, KeyError),
+        (("number",), 2**64, ValueError),  # outside what pack carries
+        (("number",), -1, ValueError),
+        (("maybe_number",), 2**64, ValueError),
+        (("uids",), [1, 2**64], ValueError),
+        (("uids",), [-1, 2], ValueError),
+        (("columns", 0, "number"), -1, ValueError),
+        (("columns", 0, "uids"), [2**64], ValueError),
     ],
     ids=lambda part: ".".join(map(str, part)) if isinstance(part, tuple) else None,
 )
 def test_json_decoding_refuses_a_damaged_field(path, value, error):
     with pytest.raises(error):
         from_json(Everything, _damaged(path, value))
+
+
+def test_json_int_fields_take_the_whole_u64_range():
+    data = _damaged(("number",), 2**64 - 1)
+    data["uids"] = [0, 2**64 - 1]
+    record = from_json(Everything, data)
+    assert (record.number, record.uids) == (2**64 - 1, (0, 2**64 - 1))
 
 
 def test_json_float_fields_take_ints_as_written():

@@ -266,6 +266,16 @@ def test_store_wraps_malformed_data_in_store_errors(tmp_path):
     with pytest.raises(StoreError, match="malformed record"):
         CampaignStore.open(root).read_shard(0)
 
+    def negative_count(lines):
+        header = json.loads(lines[0])
+        header["records"] = -1
+        return [json.dumps(header), *lines[1:]]
+
+    (root / "shards.log").write_bytes(original)
+    _rewrite_payload(root, 0, negative_count)
+    with pytest.raises(StoreError, match="malformed header"):
+        CampaignStore.open(root).read_shard(0)
+
 
 def _campaign_store(root: Path) -> None:
     """A complete two-shard, one-round store over hosts (1, 2) and SYN only."""
