@@ -1,19 +1,24 @@
-"""Byte-mutation fuzzing of the decoders that read bytes from another process.
+"""Byte-mutation fuzzing of the decoders that read bytes from outside.
 
 ``decode_outcomes`` reads the result blobs pool and socket workers send;
 ``decode_payload`` (of a ``Hello``, a ``Batch`` or a ``ShardErrors``) and
 ``unpack_result`` read the remote protocol's payloads, from either end of
-the socket.  Each must hold one contract on arbitrary input: decode,
+the socket; ``parse_packet`` and ``parse_icmp_error`` read wire packets and
+ICMP error bodies.  Each must hold one contract on arbitrary input: decode,
 or raise the module's typed error
 (:class:`~repro.net.errors.TransportError`,
-:class:`~repro.net.errors.ProtocolError`).  Any other exception, or an input
-that makes a decoder spin past the Hypothesis deadline, fails the test.
+:class:`~repro.net.errors.ProtocolError`,
+:class:`~repro.net.errors.ParseError`).  Any other exception, or an input
+that makes a decoder spin past the Hypothesis deadline, fails the test.  An
+ICMP error that decodes must also describe itself and recover its quoted
+flow without raising.
 
 The seeds are real encodings: the result blobs of golden-config shards of
 three scenarios, a batch holding a shard task of every registry scenario
-(so every spec type and tagged path element), and hello, result and
-shard-error payloads.  Each example applies a few flips, insertions,
-deletions and truncations to one seed.
+(so every spec type and tagged path element), hello, result and
+shard-error payloads, and a SYN with an MSS option, a data segment, an echo
+request and a TTL-exceeded error quoting a TCP segment.  Each example
+applies a few flips, insertions, deletions and truncations to one seed.
 """
 
 from __future__ import annotations
@@ -35,7 +40,10 @@ from repro.distributed.protocol import (
     pack_result,
     unpack_result,
 )
-from repro.net.errors import ProtocolError, TransportError
+from repro.net.errors import ParseError, ProtocolError, TransportError
+from repro.net.icmp import IcmpError, parse_icmp_error
+from repro.net.packet import ICMP_ECHO_REQUEST, IcmpEcho, Packet, TcpFlags, TcpHeader, TcpOption
+from repro.net.wire import parse_packet, serialize_packet
 from repro.scenarios import build_scenario_hosts, get_scenario, scenario_names
 from test_golden_signatures import GOLDEN_CONFIG, GOLDEN_HOSTS, GOLDEN_SEED
 
@@ -170,3 +178,84 @@ def test_mutated_result_payloads_split_or_raise_protocol_error(payload):
         assert len(payload) < 4
         return
     assert payload == batch_id.to_bytes(4, "big") + blob
+
+
+# --------------------------------------------------------------------- #
+# Packets and ICMP error bodies
+# --------------------------------------------------------------------- #
+
+_PROBE, _HOST, _ROUTER = 0x0A000001, 0x0A000002, 0x0A0000FE
+
+
+@cache
+def _packet_seeds() -> tuple[bytes, ...]:
+    """A SYN with an MSS option, a data segment, an echo request, and a
+    TTL-exceeded error quoting the data segment."""
+    syn = TcpHeader(33001, 80, seq=1000, flags=TcpFlags.SYN, options=(TcpOption.mss(1460),))
+    data = Packet.tcp_packet(
+        _PROBE, _HOST,
+        TcpHeader(33001, 80, seq=1001, ack=5001, flags=TcpFlags.ACK | TcpFlags.PSH),
+        payload=b"GET / HTTP/1.0\r\n\r\n", ident=8,
+    )
+    packets = (
+        Packet.tcp_packet(_PROBE, _HOST, syn, ident=7),
+        data,
+        Packet.icmp_packet(_PROBE, _HOST, IcmpEcho(ICMP_ECHO_REQUEST, 7, 9, b"ping"), ident=9),
+        Packet.icmp_error_packet(_ROUTER, _PROBE, IcmpError.ttl_exceeded(data), ident=10),
+    )
+    return tuple(serialize_packet(packet) for packet in packets)
+
+
+@cache
+def _icmp_error_bodies() -> tuple[bytes, ...]:
+    """The TTL-exceeded seed's ICMP body, and a frag-needed one quoting a SYN."""
+    syn = parse_packet(_packet_seeds()[0])
+    frag = Packet.icmp_error_packet(_ROUTER, _PROBE, IcmpError.frag_needed(syn, 576))
+    return _packet_seeds()[3][20:], serialize_packet(frag)[20:]
+
+
+def _exercise(error: IcmpError) -> None:
+    error.quoted_flow()
+    error.describe()
+
+
+def test_packet_seeds_decode():
+    packets = [parse_packet(data) for data in _packet_seeds()]
+    assert packets[0].tcp.mss() == 1460
+    assert packets[1].payload.startswith(b"GET")
+    assert packets[2].icmp.sequence == 9
+    assert packets[3].icmp.quoted_flow().four_tuple() == packets[1].four_tuple()
+    assert [parse_icmp_error(body).describe() for body in _icmp_error_bodies()] == [
+        f"ttl-exceeded quoting {_PROBE}:33001>{_HOST}:80",
+        f"frag-needed mtu=576 quoting {_PROBE}:33001>{_HOST}:80",
+    ]
+
+
+@FUZZ
+@given(_mutated(_packet_seeds))
+def test_mutated_packets_decode_or_raise_parse_error(data):
+    try:
+        packet = parse_packet(data)
+    except ParseError:
+        return
+    if isinstance(packet.icmp, IcmpError):
+        _exercise(packet.icmp)
+
+
+@FUZZ
+@given(_mutated(_icmp_error_bodies))
+def test_mutated_icmp_error_bodies_decode_or_raise_parse_error(body):
+    try:
+        error = parse_icmp_error(body)
+    except ParseError:
+        return
+    _exercise(error)
+
+
+@FUZZ
+@given(st.sampled_from((0, 1)), st.binary(max_size=64))
+def test_an_icmp_error_with_any_quote_decodes(seed, quote):
+    """A valid error header decodes whatever it quotes."""
+    error = parse_icmp_error(_icmp_error_bodies()[seed][:8] + quote)
+    assert error.quoted == quote
+    _exercise(error)
