@@ -551,8 +551,9 @@ def _enum_from_json(field: Field, members: dict[Any, Any], value: Any) -> Any:
 def _uids_from_json(field: Field, value: Any) -> tuple[int, ...]:
     if type(value) is not list or not _INTS.issuperset(map(type, value)):
         raise TypeError(f"{field.name!r} is {value!r}, expected a list of ints")
-    if value and not (0 <= min(value) and max(value) < _U64_END):
-        raise ValueError(f"{field.name!r} holds an int outside [0, 2**64)")
+    for item in value:  # a loop beats min() and max() on these short lists
+        if not 0 <= item < _U64_END:
+            raise ValueError(f"{field.name!r} holds {item}, outside [0, 2**64)")
     return tuple(value)
 
 
