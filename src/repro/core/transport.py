@@ -129,7 +129,6 @@ class Batch:
     tasks: list[ShardTask]
 
 
-
 def encode_outcomes(outcomes: Sequence[ShardOutcome]) -> bytes:
     """Encode a batch of shard outcomes into one self-contained blob.
 
