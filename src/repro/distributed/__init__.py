@@ -5,10 +5,10 @@ style": a :class:`~repro.distributed.coordinator.Coordinator` serves
 :class:`~repro.core.runner.ShardTask` batches to worker processes that
 connect over a socket, heartbeat on an interval, and stream results back as
 the struct-packed blobs of :mod:`repro.core.transport`.  The robustness
-layer around the wire format — lease timeouts, missed-heartbeat eviction,
-capped-exponential-backoff requeue, poison-shard quarantine, degradation to
-local execution — lives in the coordinator; deterministic fault injection
-for proving all of it lives in :mod:`repro.distributed.chaos`.
+layer around the wire format — per-job leases, missed-heartbeat eviction,
+capped-exponential-backoff requeue, poison-shard quarantine — lives in the
+lease book (:mod:`repro.distributed.leases`), which the coordinator feeds;
+deterministic fault injection lives in :mod:`repro.distributed.chaos`.
 
 Select the backend anywhere an executor name is accepted::
 

@@ -9,7 +9,7 @@ Coordinator` on ``host:port`` (loopback, ephemeral port by default) and —
 unless told otherwise — spawns ``spawn_workers`` local worker processes via
 ``python -m repro workers``, the same entry point an operator uses to join
 workers from other machines.  Shard batches then flow over TCP with the
-full fault-tolerance discipline documented on the coordinator.
+full fault-tolerance discipline of :mod:`repro.distributed.leases`.
 
 Two degradation paths keep a campaign alive without remote workers:
 
@@ -45,8 +45,6 @@ from repro.core.runner import ShardOutcome, ShardTask
 from repro.core.transport import batch_size_override
 from repro.distributed.chaos import CHAOS_ENV, ChaosSpec
 from repro.distributed.coordinator import (
-    DEFAULT_BACKOFF_BASE,
-    DEFAULT_BACKOFF_CAP,
     DEFAULT_MAX_ATTEMPTS,
     JOB_DONE,
     JOB_STRANDED,
@@ -104,8 +102,6 @@ class RemoteBackend(ExecutionBackend):
         lease_timeout: Optional[float] = None,
         wait_timeout: Optional[float] = None,
         max_attempts: Optional[int] = None,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
         chaos: Optional[ChaosSpec] = None,
         batch_size: Optional[int] = None,
     ) -> None:
@@ -130,8 +126,6 @@ class RemoteBackend(ExecutionBackend):
             if max_attempts is not None
             else _env_int(MAX_ATTEMPTS_ENV, DEFAULT_MAX_ATTEMPTS)
         )
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.chaos = chaos
         self.batch_size = batch_size
         if spawn_workers is not None:
@@ -161,8 +155,6 @@ class RemoteBackend(ExecutionBackend):
                     self.port,
                     lease_timeout=self.lease_timeout,
                     max_attempts=self.max_attempts,
-                    backoff_base=self.backoff_base,
-                    backoff_cap=self.backoff_cap,
                 )
             return self._coordinator
 
@@ -207,26 +199,8 @@ class RemoteBackend(ExecutionBackend):
                 self._fallback_backend = ProcessBackend(self.max_workers)
             return self._fallback_backend
 
-    # ------------------------------------------------------------------ #
-    # Job reporting
-    # ------------------------------------------------------------------ #
-
-    def _note(self, **updates: object) -> None:
-        with self._lock:
-            report = self._report
-            for key, value in updates.items():
-                if isinstance(value, list):
-                    report.setdefault(key, []).extend(value)
-                elif isinstance(value, int) and not isinstance(value, bool):
-                    report[key] = report.get(key, 0) + value
-                else:
-                    report[key] = value
-
-    def _warn(self, message: str) -> None:
-        self._note(warnings=[message])
-
     def pop_job_report(self) -> dict:
-        """The accumulated fault/degradation report since the last pop.
+        """The last finished job's fault and degradation report, once.
 
         The :class:`~repro.api.Session` calls this after each campaign and
         folds a non-empty report into the envelope's ``meta["remote"]``.
@@ -258,11 +232,12 @@ class RemoteBackend(ExecutionBackend):
             with self._lock:
                 self._fleet_assembled = True
         if connected == 0:
-            self._warn(
+            warning = (
                 f"no remote workers connected within {self.wait_timeout:.1f}s; "
                 "degraded to local process execution"
             )
-            self._note(degraded=True)
+            with self._lock:
+                self._report = {"degraded": True, "warnings": [warning]}
             yield from self._local().iter_shards(tasks)
             return
         job = coordinator.submit_job(
@@ -276,23 +251,25 @@ class RemoteBackend(ExecutionBackend):
         # silent queue eventually strands the job onto local execution
         # instead of hanging the campaign forever.
         stall_timeout = max(30.0, 20 * self.lease_timeout)
+        degraded = False
+        warnings: "list[str]" = []
         try:
             while True:
                 try:
                     item = job.results.get(timeout=stall_timeout)
                 except Empty:
                     item = JOB_STRANDED
-                    self._warn(
+                    warnings.append(
                         f"no progress from remote workers for {stall_timeout:.0f}s; "
                         "taking remaining shards over locally"
                     )
                 if item is JOB_DONE:
                     break
                 if item is JOB_STRANDED:
-                    leftover = coordinator.takeover_remaining(job)
+                    leftover = coordinator.takeover_remaining()
                     if leftover:
-                        self._note(degraded=True)
-                        self._warn(
+                        degraded = True
+                        warnings.append(
                             f"remote workers lost mid-campaign; running "
                             f"{len(leftover)} shard(s) on the local "
                             "process backend"
@@ -301,18 +278,21 @@ class RemoteBackend(ExecutionBackend):
                     continue
                 yield item
         finally:
-            coordinator.cancel_job(job)
-            stats = coordinator.finish_job(job)
-            quarantined = stats.pop("quarantined", [])
-            workers = stats.pop("workers", [])
-            self._note(backend=self.name, workers=list(workers), **stats)
+            report = {"backend": self.name, **coordinator.finish_job(job)}
+            quarantined = report.pop("quarantined")
             if quarantined:
-                self._note(quarantined=list(quarantined))
-                self._warn(
+                report["quarantined"] = quarantined
+                warnings.append(
                     f"{len(quarantined)} shard(s) quarantined after "
                     f"{self.max_attempts} failed attempts: "
                     f"{sorted(entry['shard'] for entry in quarantined)}"
                 )
+            if degraded:
+                report["degraded"] = True
+            if warnings:
+                report["warnings"] = warnings
+            with self._lock:
+                self._report = report
 
     def map_shards(self, tasks: Sequence[ShardTask]) -> list[ShardOutcome]:
         by_index: "dict[int, ShardOutcome]" = {}

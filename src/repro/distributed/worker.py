@@ -2,7 +2,7 @@
 
 A worker is deliberately dumb: it owns no campaign state, just a socket and
 :func:`repro.core.runner.run_shard`.  All fault-tolerance policy (leases,
-requeue, quarantine) lives in the coordinator; the worker's only contract is
+requeue, quarantine) lives in the lease book; the worker's only contract is
 that it either returns a batch's results or disappears, and the heartbeat
 thread keeps the coordinator able to tell "slow" from "gone".
 

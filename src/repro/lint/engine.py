@@ -3,7 +3,8 @@
 Each rule family applies to the layer whose invariants it protects:
 
 * determinism rules run over the deterministic layers — ``sim/``, ``core/``,
-  ``scenarios/``, ``stats/``, ``store/``, ``workloads/`` — with
+  ``scenarios/``, ``stats/``, ``store/``, ``workloads/``, and the remote
+  coordinator's lease book ``distributed/leases.py`` — with
   ``sim/random.py`` (the one sanctioned wrapper around :mod:`random`)
   exempt;
 * lock-discipline rules run over the threaded layers — ``distributed/``
@@ -46,6 +47,7 @@ DETERMINISM_DIRS: tuple[str, ...] = (
     "store",
     "workloads",
 )
+DETERMINISM_FILES: frozenset[str] = frozenset({"distributed/leases.py"})
 DETERMINISM_EXEMPT: frozenset[str] = frozenset({"sim/random.py"})
 LOCK_SCOPE_DIRS: tuple[str, ...] = ("distributed",)
 LOCK_SCOPE_FILES: frozenset[str] = frozenset({"api/backends.py"})
@@ -57,7 +59,8 @@ def families_for(relpath: str) -> tuple[str, ...]:
     """The rule families that apply to a source-root-relative posix path."""
     families: list[str] = []
     top = relpath.split("/", 1)[0]
-    if top in DETERMINISM_DIRS and relpath not in DETERMINISM_EXEMPT:
+    deterministic = top in DETERMINISM_DIRS or relpath in DETERMINISM_FILES
+    if deterministic and relpath not in DETERMINISM_EXEMPT:
         families.append("determinism")
     if top in LOCK_SCOPE_DIRS or relpath in LOCK_SCOPE_FILES:
         families.append("locks")

@@ -55,7 +55,6 @@ class LoadBalancer:
             raise ValueError("load balancer requires at least one backend")
         self._backends = list(backends)
         self._hash_salt = hash_salt
-        self.flows_assigned: dict[FlowKey, int] = {}
         self.packets_forwarded = 0
         self.non_tcp_packets = 0
         self.icmp_errors_routed = 0
@@ -67,8 +66,14 @@ class LoadBalancer:
 
     def backend_for_flow(self, key: FlowKey) -> int:
         """Return the index of the backend serving the given flow."""
-        material = (key.addr_a, key.port_a, key.addr_b, key.port_b, self._hash_salt)
-        return hash(material) % len(self._backends)
+        return self._backend_for(key.addr_a, key.port_a, key.addr_b, key.port_b)
+
+    def _backend_for(self, src_addr: int, src_port: int, dst_addr: int, dst_port: int) -> int:
+        """Hash a flow's endpoints in :class:`FlowKey` order (both directions alike)."""
+        if (src_addr, src_port) > (dst_addr, dst_port):
+            src_addr, src_port, dst_addr, dst_port = dst_addr, dst_port, src_addr, src_port
+        salted = (src_addr, src_port, dst_addr, dst_port, self._hash_salt)
+        return hash(salted) % len(self._backends)
 
     def deliver(self, packet: Packet) -> None:
         """Forward a packet to the backend owning its flow.
@@ -82,10 +87,9 @@ class LoadBalancer:
         backend serving the original connection.
         """
         self.packets_forwarded += 1
-        if packet.is_tcp():
-            key = packet.four_tuple().flow_key()
-            index = self.backend_for_flow(key)
-            self.flows_assigned[key] = index
+        tcp = packet.tcp
+        if tcp is not None:
+            index = self._backend_for(packet.ip.src, tcp.src_port, packet.ip.dst, tcp.dst_port)
         else:
             quoted_index = self._backend_for_icmp_error(packet)
             if quoted_index is not None:
@@ -104,12 +108,9 @@ class LoadBalancer:
         if not isinstance(icmp, IcmpError):
             return None
         flow = icmp.quoted_flow()
-        if flow is None:
+        if flow is None or flow.src_port is None or flow.dst_port is None:
             return None
-        four = flow.four_tuple()
-        if four is None:
-            return None
-        return self.backend_for_flow(four.flow_key())
+        return self._backend_for(flow.src, flow.src_port, flow.dst, flow.dst_port)
 
 
 class IcmpRateLimiter(PathElement):

@@ -4,8 +4,9 @@ Both ``test_distributed_remote`` and ``test_distributed_chaos`` need the
 same three things: golden-parameter campaign requests, a process-wide cache
 of serial reference digests (the conformance bar every remote run must hit
 bit-for-bit), and a :class:`~repro.distributed.backend.RemoteBackend`
-factory tuned for test speed — fast heartbeats, short leases, tight
-backoff — without changing anything that is measured.
+factory tuned for test speed — fast heartbeats and short leases (requeue
+backoff is a constant of the lease book) — without changing anything that
+is measured.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ def make_backend(**overrides) -> RemoteBackend:
         heartbeat_interval=0.15,
         lease_timeout=1.0,
         wait_timeout=30.0,
-        backoff_base=0.02,
-        backoff_cap=0.2,
     )
     kwargs.update(overrides)
     return RemoteBackend(**kwargs)

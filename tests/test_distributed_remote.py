@@ -18,6 +18,7 @@ import socket
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -30,8 +31,9 @@ from repro.api.backends import backend_names
 from repro.distributed.backend import RemoteBackend
 from repro.distributed.chaos import CHAOS_ENV, ChaosSpec
 from repro.distributed.coordinator import JOB_DONE, Coordinator
-from repro.core.runner import CampaignRunner
+from repro.core.runner import CampaignRunner, ShardOutcome
 from repro.core.schema import pack
+from repro.core.transport import encode_outcomes
 from repro.distributed.protocol import (
     MSG_BATCH,
     MSG_HEARTBEAT,
@@ -181,6 +183,40 @@ def test_a_short_result_frame_drops_the_worker_without_a_thread_exception(monkey
             thread.join(5.0)
         assert coordinator.wait_for_workers(1, timeout=0.0) == 0
     assert uncaught == []
+
+
+def test_a_finished_jobs_result_settles_no_shard_of_the_next_job():
+    """A lease belongs to the job that granted it.  A RESULT for a batch of
+    a finished job frees its worker and settles nothing, so the next job's
+    shard 0 is leased afresh and the stale outcome never reaches its queue.
+    Reading that fresh BATCH orders the check after the stale RESULT."""
+    scenario = get_scenario("nat-timeout").with_population(num_hosts=1)
+    runner = CampaignRunner(build_scenario_hosts(scenario, seed=5), GOLDEN_CONFIG, shards=1)
+    (task,) = runner.shard_tasks()
+    with Coordinator(lease_timeout=5.0) as coordinator:
+        peer = socket.create_connection(coordinator.address, timeout=5.0)
+        try:
+            send_frame(peer, MSG_HELLO, pack(Hello(0, os.getpid())))
+            assert coordinator.wait_for_workers(1, timeout=5.0) == 1
+            first = coordinator.submit_job([replace(task, seed=111)])
+            msg_type, payload = recv_frame(peer)
+            assert msg_type == MSG_BATCH
+            stale = decode_payload(Batch, payload)
+            coordinator.finish_job(first)
+            second = coordinator.submit_job([replace(task, seed=222)])
+            outcome = ShardOutcome(index=0, host_addresses=(111,), records=[])
+            send_frame(peer, MSG_RESULT, pack_result(stale.batch_id, encode_outcomes([outcome])))
+            try:
+                msg_type, payload = recv_frame(peer)
+            except OSError:  # timed out: the worker was never leased again
+                msg_type = None
+            assert second.results.empty(), f"the next job took {second.results.get_nowait()}"
+            assert msg_type == MSG_BATCH, "the stale RESULT must free the worker"
+            fresh = decode_payload(Batch, payload)
+            assert [(shard.index, shard.seed) for shard in fresh.tasks] == [(0, 222)]
+            coordinator.finish_job(second)
+        finally:
+            peer.close()
 
 
 # --------------------------------------------------------------------- #

@@ -46,6 +46,7 @@ def test_families_for_scoping_table():
     assert families_for("core/transport.py") == ("determinism",)
     assert families_for("distributed/coordinator.py") == ("locks",)
     assert families_for("distributed/protocol.py") == ("locks",)
+    assert families_for("distributed/leases.py") == ("determinism", "locks")
     assert families_for("api/backends.py") == ("locks",)
     assert families_for("sim/random.py") == ()  # the sanctioned entropy wrapper
     assert families_for("analysis/survey.py") == ()

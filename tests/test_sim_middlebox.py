@@ -63,7 +63,6 @@ def test_distinct_connections_spread_across_backends():
         balancer.deliver(_tcp(src_port=port))
     used = sum(1 for backend in backends if backend.packets)
     assert used >= 2
-    assert len(balancer.flows_assigned) == 80
 
 
 def test_non_tcp_traffic_goes_to_first_backend():
