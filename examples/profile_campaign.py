@@ -18,6 +18,11 @@ single shard stream a :class:`repro.api.Session` dispatches for a
 across cells, through ``backend.iter_shards``), but on the main thread: a
 session's job-worker thread would hide the work from the profiler.
 
+Next to the hotspots it prints the Python calls per packet built in the
+profiled process (the serial backend builds them all): the frames the
+simulated packet path pays, which ``tests/test_packet_path_budget.py``
+holds to a budget.
+
 Usage::
 
     PYTHONPATH=src python examples/profile_campaign.py \
@@ -36,10 +41,16 @@ from repro.api.backends import backend_names, create_backend
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
 from repro.core.runner import CampaignRunner
+from repro.net.packet import Packet, TcpHeader
 from repro.scenarios import MIXED_OS, ScenarioMatrix, scenario_names
 from repro.scenarios.population import build_scenario_hosts
 
 SEED = 1302
+
+
+def marker_uid() -> int:
+    """Build a throwaway packet and return its uid: where the packet counter stands."""
+    return Packet.tcp_packet(0, 0, TcpHeader(src_port=1, dst_port=1)).uid
 
 
 def main() -> None:
@@ -83,6 +94,7 @@ def main() -> None:
     total_measurements = 0
     profiler = cProfile.Profile()
     with create_backend(args.backend) as backend:
+        first_uid = marker_uid()
         profiler.enable()
         runners, tasks, cell_of = [], [], {}
         for position, cell in enumerate(cells):
@@ -107,9 +119,12 @@ def main() -> None:
                 1 for record in result.records if record.report.result is not None
             )
         profiler.disable()
+        packets = marker_uid() - first_uid - 1  # the packets built between the markers
 
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
+    # Builtins are profiled under the file name "~"; the rest are Python frames.
+    python_calls = sum(entry[1] for (filename, _, _), entry in stats.stats.items() if filename != "~")
     stats.sort_stats(args.sort).print_stats(args.top)
     if args.out:
         stats.dump_stats(args.out)
@@ -117,6 +132,11 @@ def main() -> None:
         f"profiled sweep: {len(cells)} cells on backend {args.backend!r}, "
         f"{total_measurements} measurements"
     )
+    if packets:
+        print(
+            f"{python_calls / packets:.2f} Python calls per packet built "
+            f"({python_calls} calls, {packets} packets)"
+        )
     print(f"top {args.top} functions by {args.sort} time:")
     print(stream.getvalue())
     if args.out:

@@ -82,6 +82,11 @@ def _probe_signature(report: ProbeReport) -> tuple:
     return (report.test.value, report.error or "", report.ineligible, samples)
 
 
+def _dispatches(tasks: Sequence[ShardTask], backend: ExecutionBackend) -> bool:
+    """True when :func:`_iter_completed` hands ``tasks`` to ``backend``."""
+    return backend.name != EXECUTOR_SERIAL and len(tasks) > 1
+
+
 def _iter_completed(
     tasks: Sequence[ShardTask], backend: ExecutionBackend
 ) -> Iterator[ShardOutcome]:
@@ -99,7 +104,7 @@ def _iter_completed(
     yielded are not re-run; the rest execute inline (shards are pure
     functions, so the retry yields identical records).
     """
-    if backend.name != EXECUTOR_SERIAL and len(tasks) > 1:
+    if _dispatches(tasks, backend):
         done: set[int] = set()
         # Closing the backend's iterator drops shards that have not started;
         # the pool itself stays warm for its owner.
@@ -331,10 +336,11 @@ class Session:
         # signature-identical records).
         outcomes = [store.read_shard(index) for index in sorted(durable)] + fresh
         result = runner.merge(outcomes, norm.tests)
-        return self._campaign_envelope(plan, digest, norm, result)
+        return self._campaign_envelope(plan, digest, norm, result, _dispatches(tasks, self.backend))
 
     def _campaign_envelope(
-        self, plan: Any, digest: str, norm: NormalizedCampaign, result: CampaignResult
+        self, plan: Any, digest: str, norm: NormalizedCampaign, result: CampaignResult,
+        dispatched: bool,
     ) -> ResultEnvelope:
         meta = {
             "seed": norm.seed,
@@ -348,9 +354,11 @@ class Session:
         # report — requeues, evictions, quarantined shards, degradation
         # warnings — which surfaces here rather than in logs: callers read
         # envelope.meta["remote"] (and meta["warnings"]) to learn what the
-        # campaign survived.
+        # campaign survived.  A campaign whose shards ran inline (one shard,
+        # or a resume with every shard durable) gave the backend no job, so
+        # the report there belongs to someone else.
         reporter = getattr(self.backend, "pop_job_report", None)
-        if callable(reporter):
+        if dispatched and callable(reporter):
             report = reporter()
             if report:
                 meta["remote"] = report

@@ -21,11 +21,12 @@ from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.host.raw_socket import ProbeHost
 from repro.net.errors import MeasurementError, SampleTimeoutError
 from repro.net.packet import Packet, TcpFlags
-from repro.net.seqnum import seq_add, seq_diff, seq_gt
+from repro.net.seqnum import SEQ_HALF, SEQ_MODULO, seq_diff
 
 TEST_NAME = "data-transfer"
 
 _SYN_OR_RST = int(TcpFlags.SYN | TcpFlags.RST)
+_tuple_new = tuple.__new__
 
 
 def _carries_data(packet: Packet) -> bool:
@@ -38,8 +39,8 @@ def _carries_data(packet: Packet) -> bool:
 class ReceivedSegment(NamedTuple):
     """One data segment observed during the transfer.
 
-    A NamedTuple, built positionally: one is made per segment received, and
-    a tuple is one allocation where a frozen dataclass pays an
+    A NamedTuple, built with ``tuple.__new__``: one is made per segment
+    received, and a tuple is one allocation where a frozen dataclass pays an
     ``object.__setattr__`` per field.
     """
 
@@ -147,11 +148,12 @@ class DataTransferTest:
         send) are folded first; on a path with any delay there are none.
         """
         probe, port, remote = self.probe, connection.local_port, self.remote_addr
+        sim = probe.sim
         segments: list[ReceivedSegment] = []
         highest_ack = connection.state.rcv_nxt
-        deadline = probe.sim.now + self.transfer_timeout
+        deadline = sim.now + self.transfer_timeout
 
-        while probe.sim.now < deadline and len(segments) < self.max_segments:
+        while sim.now < deadline and len(segments) < self.max_segments:
             round_start = probe.capture_cursor()
             fresh = probe.wait_for_packets(
                 round_start, 1, self.quiet_period, port, remote, match=_carries_data
@@ -170,10 +172,14 @@ class DataTransferTest:
                 packet = captured.packet
                 tcp = packet.tcp
                 assert tcp is not None
+                seq = tcp.seq
                 length = len(packet.payload)
-                segments.append(ReceivedSegment(tcp.seq, length, captured.time, captured.serial, packet.uid))
-                segment_end = seq_add(tcp.seq, length)
-                if seq_gt(segment_end, highest_ack):
+                segments.append(
+                    _tuple_new(ReceivedSegment, (seq, length, captured.time, captured.serial, packet.uid))
+                )
+                # seq_add and seq_gt spelled out: this runs once per segment.
+                segment_end = (seq + length) % SEQ_MODULO
+                if 0 < (segment_end - highest_ack) % SEQ_MODULO <= SEQ_HALF:
                     highest_ack = segment_end
             # Acknowledge the largest sequence number received so far so the
             # server keeps sending even if intermediate data was lost.

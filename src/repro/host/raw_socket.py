@@ -10,7 +10,7 @@ is the only interface the measurement techniques in :mod:`repro.core` use.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.net.errors import SimulationError
 from repro.net.packet import Packet
@@ -18,6 +18,8 @@ from repro.sim.simulator import Simulator, Waiter
 
 TransmitFn = Callable[[Packet], None]
 PacketFilter = Callable[[Packet], bool]
+
+_tuple_new = tuple.__new__
 
 
 def _tcp_filter(local_port: Optional[int], remote_addr: Optional[int], match: Optional[PacketFilter] = None) -> PacketFilter:
@@ -50,7 +52,8 @@ class CapturedPacket(NamedTuple):
 
     A NamedTuple rather than a dataclass: one is constructed per captured
     packet, and tuple construction is markedly cheaper than a frozen
-    dataclass's per-field ``object.__setattr__`` init.
+    dataclass's per-field ``object.__setattr__`` init.  The capture path
+    builds it with ``tuple.__new__``, skipping the generated ``__new__``.
     """
 
     time: float
@@ -75,6 +78,10 @@ class ProbeHost:
         self._transmit: Optional[TransmitFn] = None
         self._received: list[CapturedPacket] = []
         self._waiter = Waiter()
+        # The active flow wait's filter, count and matches (see _wait_for_matches).
+        self._wait_filter: Optional[PacketFilter] = None
+        self._wait_count = 0
+        self._wait_matches: list[CapturedPacket] = []
         self._next_port = first_port
         self.packets_sent = 0
 
@@ -107,12 +114,24 @@ class ProbeHost:
         self._transmit(packet)
 
     def deliver(self, packet: Packet) -> None:
-        """Record a packet arriving from the network (called by the topology)."""
+        """Record a packet arriving from the network (called by the topology).
+
+        During a flow wait the packet is matched here, and the waiter wakes
+        only once the wait has its count; otherwise every capture wakes it.
+        """
         if packet.ip.dst != self.address:
             return
         received = self._received
-        received.append(CapturedPacket(self._sim.now, packet, len(received)))
-        self._waiter.wake()
+        captured = _tuple_new(CapturedPacket, (self._sim.now, packet, len(received)))
+        received.append(captured)
+        wait_filter = self._wait_filter
+        if wait_filter is None:
+            self._waiter.wake()
+        elif wait_filter(packet):
+            matches = self._wait_matches
+            matches.append(captured)
+            if len(matches) >= self._wait_count:
+                self._waiter.wake()
 
     @property
     def received(self) -> tuple[CapturedPacket, ...]:
@@ -199,35 +218,30 @@ class ProbeHost:
         return self._wait_for_matches(cursor, count, timeout, _icmp_filter(remote_addr))
 
     def _wait_for_matches(self, cursor: int, count: int, timeout: float, match: PacketFilter) -> tuple[CapturedPacket, ...]:
-        """The scan loop behind every capture wait.
+        """The flow wait behind every capture wait.
 
-        The predicate is re-evaluated only when a packet is captured, and each
-        check scans only the packets captured since the previous check, so a
-        wait costs time linear in its window.  The run loop checks once more
-        at the deadline, so on return the scan has reached the end of the
-        buffer and the collected matches are exactly those after ``cursor``.
+        Packets captured since ``cursor`` are scanned once; from then on
+        :meth:`deliver` matches each packet as it is captured and wakes the
+        waiter only when the count is reached, so the run loop re-checks the
+        count after exactly the events that can satisfy it.  On return the
+        matches are every matching packet after ``cursor``, including any
+        captured in the same event as the one that satisfied the wait, or up
+        to the deadline on timeout.  The wait then drops its match list, so
+        the probe holds no packet for a finished wait.
         """
-        received = self._received
         matches: list[CapturedPacket] = []
-        scan = cursor
-
-        def _enough() -> bool:
-            nonlocal scan
-            end = len(received)
-            for captured in received[scan:end]:
-                if match(captured.packet):
-                    matches.append(captured)
-            scan = end
-            return len(matches) >= count
-
-        self._sim.run_until(_enough, timeout=timeout, waiter=self._waiter)
+        for captured in self._received[cursor:]:
+            if match(captured.packet):
+                matches.append(captured)
+        self._wait_matches = matches
+        self._wait_count = count
+        self._wait_filter = match
+        try:
+            self._sim.run_until(self._wait_satisfied, timeout=timeout, waiter=self._waiter)
+        finally:
+            self._wait_filter = None
+            self._wait_matches = []
         return tuple(matches)
 
-    @staticmethod
-    def acks_of(captured: Iterable[CapturedPacket]) -> list[int]:
-        """Extract the acknowledgment numbers of captured TCP packets, in arrival order."""
-        values = []
-        for item in captured:
-            if item.packet.tcp is not None:
-                values.append(item.packet.tcp.ack)
-        return values
+    def _wait_satisfied(self) -> bool:
+        return len(self._wait_matches) >= self._wait_count

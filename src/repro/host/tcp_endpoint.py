@@ -33,8 +33,8 @@ from repro.host.ipid import IpStack
 from repro.host.os_profiles import OsProfile, SecondSynResponse
 from repro.net.errors import TcpStateError
 from repro.net.flow import FourTuple
-from repro.net.packet import Packet, TcpFlags, TcpHeader, TcpOption
-from repro.net.seqnum import seq_add, seq_diff, seq_ge, seq_gt, seq_le
+from repro.net.packet import PROTO_TCP, IPv4Header, Packet, TcpFlags, TcpHeader, TcpOption
+from repro.net.seqnum import SEQ_HALF, SEQ_MODULO, seq_add, seq_diff, seq_ge, seq_gt, seq_le
 from repro.sim.events import Event
 from repro.sim.random import SeededRandom
 from repro.sim.simulator import Simulator
@@ -127,6 +127,8 @@ class TcpEndpoint:
     ) -> None:
         self._sim = sim
         self._stack = stack
+        self.address = stack.address
+        """The host address this endpoint answers for."""
         self._profile = profile
         self._rng = rng
         self._listen_ports = set(listen_ports)
@@ -141,11 +143,6 @@ class TcpEndpoint:
         self.packets_sent = 0
         self.resets_sent = 0
         self.connections_accepted = 0
-
-    @property
-    def address(self) -> int:
-        """The host address this endpoint answers for."""
-        return self._stack.address
 
     @property
     def profile(self) -> OsProfile:
@@ -171,11 +168,8 @@ class TcpEndpoint:
 
     def deliver(self, packet: Packet) -> None:
         """Accept a packet arriving from the network."""
-        if not packet.is_tcp():
-            return
         tcp = packet.tcp
-        assert tcp is not None
-        if packet.ip.dst != self.address:
+        if tcp is None or packet.ip.dst != self.address:
             return
         self.packets_received += 1
         connection = self._connections.get((packet.ip.src, tcp.src_port, tcp.dst_port))
@@ -270,12 +264,15 @@ class TcpEndpoint:
         raise TcpStateError(f"unhandled second-SYN response: {response}")
 
     def _handle_ack(self, connection: TcpConnection, tcp: TcpHeader) -> None:
-        if connection.state == TcpState.SYN_RECEIVED and seq_ge(tcp.ack, connection.snd_una):
+        # seq_ge/seq_gt(ack, snd_una) and seq_le(ack, snd_nxt), spelled out.
+        ack = tcp.ack
+        advance = (ack - connection.snd_una) % SEQ_MODULO
+        if connection.state == TcpState.SYN_RECEIVED and advance <= SEQ_HALF:
             connection.state = TcpState.ESTABLISHED
         connection.peer_window = tcp.window
-        if seq_gt(tcp.ack, connection.snd_una) and seq_le(tcp.ack, connection.snd_nxt):
-            connection.snd_una = tcp.ack
-            if connection.snd_una == connection.snd_nxt:
+        if 0 < advance <= SEQ_HALF and not 0 < (ack - connection.snd_nxt) % SEQ_MODULO <= SEQ_HALF:
+            connection.snd_una = ack
+            if ack == connection.snd_nxt and connection.retransmit_event is not None:
                 self._cancel_retransmit(connection)
             self._try_send_app_data(connection)
 
@@ -366,13 +363,16 @@ class TcpEndpoint:
         payload: bytes = b"",
         options: tuple[TcpOption, ...] = (),
     ) -> None:
-        transmit = self._require_transmit()
+        transmit = self._transmit
+        if transmit is None:
+            transmit = self._require_transmit()
         key = connection.key
         header = TcpHeader(
             key.dst_port, key.src_port, seq, ack, flags, connection.advertised_window, 0, options
         )
-        packet = Packet.tcp_packet(
-            self.address, key.src_addr, header, payload, self._stack.next_ipid(key.src_addr)
+        dst = key.src_addr
+        packet = Packet(
+            IPv4Header(self.address, dst, PROTO_TCP, self._stack.next_ipid(dst)), header, None, payload
         )
         self.packets_sent += 1
         if int.__and__(flags, _ACK):
@@ -380,7 +380,9 @@ class TcpEndpoint:
         transmit(packet)
 
     def _send_reset(self, key: FourTuple, seq: int, ack: int) -> None:
-        transmit = self._require_transmit()
+        transmit = self._transmit
+        if transmit is None:
+            transmit = self._require_transmit()
         header = TcpHeader(
             src_port=key.dst_port,
             dst_port=key.src_port,
@@ -448,7 +450,11 @@ class TcpEndpoint:
             return
         sent_any = False
         while connection.app_bytes_queued > 0:
-            window_remaining = connection.peer_window - connection.bytes_in_flight()
+            # bytes_in_flight() spelled out: the signed distance snd_una -> snd_nxt.
+            in_flight = (connection.snd_nxt - connection.snd_una) % SEQ_MODULO
+            if in_flight > SEQ_HALF:
+                in_flight -= SEQ_MODULO
+            window_remaining = connection.peer_window - in_flight
             if window_remaining <= 0:
                 break
             segment_size = min(connection.peer_mss, connection.app_bytes_queued, window_remaining)
@@ -466,7 +472,9 @@ class TcpEndpoint:
             connection.app_bytes_queued -= segment_size
             connection.app_bytes_sent += segment_size
             sent_any = True
-        if sent_any or connection.bytes_in_flight() > 0:
+        if connection.retransmit_event is None and (
+            sent_any or 0 < (connection.snd_nxt - connection.snd_una) % SEQ_MODULO <= SEQ_HALF
+        ):
             self._schedule_retransmit(connection)
 
     def _schedule_retransmit(self, connection: TcpConnection) -> None:

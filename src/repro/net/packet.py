@@ -100,7 +100,19 @@ def _option_bytes(options: tuple[TcpOption, ...]) -> int:
 # builds two, and a tuple is one allocation where a frozen dataclass pays an
 # ``object.__setattr__`` per field.  The NamedTuple bases supply the field
 # descriptors, defaults and ``repr``; each header class overrides ``__new__``.
+#
+# ``__new__`` decides with one range test over OR-ed fields: an int shifted
+# right by its slot width is 0 exactly when it fits.  Any other value (out of
+# range, negative, a float, ``None``) goes to the per-field checks, which
+# raise the first bad field's error; an in-range float or bool passes them.
 _tuple_new = tuple.__new__
+
+
+def _reject_out_of_range(*checks: tuple[str, Any, int]) -> None:
+    """Raise for the first ``(label, value, limit)`` whose value is not in ``[0, limit]``."""
+    for label, value, limit in checks:
+        if not 0 <= value <= limit:
+            raise ValueError(f"{label} out of range: {value}")
 
 
 class _Revalidated:
@@ -150,18 +162,15 @@ class IPv4Header(_Revalidated, _IPv4Fields):
         dont_fragment: bool = True,
         tos: int = 0,
     ) -> "IPv4Header":
-        if not 0 <= ident <= 0xFFFF:
-            raise ValueError(f"IPID out of range: {ident}")
-        if not 0 <= ttl <= 255:
-            raise ValueError(f"TTL out of range: {ttl}")
-        if not 0 <= protocol <= 255:
-            raise ValueError(f"protocol out of range: {protocol}")
-        if not 0 <= src <= 0xFFFFFFFF:
-            raise ValueError(f"src address out of range: {src}")
-        if not 0 <= dst <= 0xFFFFFFFF:
-            raise ValueError(f"dst address out of range: {dst}")
-        if not 0 <= tos <= 255:
-            raise ValueError(f"TOS out of range: {tos}")
+        try:
+            valid = not ((src | dst) >> 32 or ident >> 16 or (ttl | protocol | tos) >> 8)
+        except TypeError:
+            valid = False
+        if not valid:
+            _reject_out_of_range(
+                ("IPID", ident, 0xFFFF), ("TTL", ttl, 0xFF), ("protocol", protocol, 0xFF),
+                ("src address", src, 0xFFFFFFFF), ("dst address", dst, 0xFFFFFFFF), ("TOS", tos, 0xFF),
+            )
         return _tuple_new(cls, (src, dst, protocol, ident, ttl, dont_fragment, tos))
 
     def header_length(self) -> int:
@@ -200,20 +209,17 @@ class TcpHeader(_Revalidated, _TcpFields):
         urgent: int = 0,
         options: tuple[TcpOption, ...] = (),
     ) -> "TcpHeader":
-        if not 0 <= src_port <= 0xFFFF:
-            raise ValueError(f"src_port out of range: {src_port}")
-        if not 0 <= dst_port <= 0xFFFF:
-            raise ValueError(f"dst_port out of range: {dst_port}")
-        if not 0 <= seq <= 0xFFFFFFFF:
-            raise ValueError(f"seq out of range: {seq}")
-        if not 0 <= ack <= 0xFFFFFFFF:
-            raise ValueError(f"ack out of range: {ack}")
-        if not 0 <= window <= 0xFFFF:
-            raise ValueError(f"window out of range: {window}")
-        if not 0 <= flags <= 0xFF:
-            raise ValueError(f"flags out of range: {flags}")
-        if not 0 <= urgent <= 0xFFFF:
-            raise ValueError(f"urgent out of range: {urgent}")
+        # ``flags`` is shifted on its own: OR-ing an IntFlag builds a member.
+        try:
+            valid = not ((src_port | dst_port | window | urgent) >> 16 or (seq | ack) >> 32 or flags >> 8)
+        except TypeError:
+            valid = False
+        if not valid:
+            _reject_out_of_range(
+                ("src_port", src_port, 0xFFFF), ("dst_port", dst_port, 0xFFFF),
+                ("seq", seq, 0xFFFFFFFF), ("ack", ack, 0xFFFFFFFF), ("window", window, 0xFFFF),
+                ("flags", flags, 0xFF), ("urgent", urgent, 0xFFFF),
+            )
         if options:
             option_bytes = _option_bytes(options)
             if option_bytes > MAX_TCP_OPTION_BYTES:
@@ -275,43 +281,64 @@ class IcmpEcho:
         return ICMP_HEADER_LEN
 
 
-_PACKET_COUNTER = itertools.count(1)
+_next_uid = itertools.count(1).__next__
+"""Packet uids: :func:`itertools.count`'s ``__next__`` is atomic under CPython,
+so uids stay unique even when shard campaigns run on concurrent threads."""
 
 
-def _next_packet_uid() -> int:
-    """Return a process-wide unique identifier for ground-truth tracking.
-
-    Uses :func:`itertools.count`, whose ``__next__`` is atomic under CPython,
-    so uids stay unique even when shard campaigns run on concurrent threads.
-    """
-    return next(_PACKET_COUNTER)
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Packet:
     """A complete packet: IP header plus one transport header plus payload.
 
-    ``uid`` is *not* an on-the-wire field: it is a monotonically increasing
-    identifier assigned at construction time that lets the trace capture and
-    the validation harness establish ground truth about send order without
-    consulting any header the network could legitimately rewrite.
+    ``uid`` is *not* an on-the-wire field: it is a process-wide unique,
+    monotonically increasing identifier assigned at construction time that
+    lets the trace capture and the validation harness establish ground truth
+    about send order without consulting any header the network could
+    legitimately rewrite.  ``wire_length`` is the packet's total length on the
+    wire, computed once here: headers are immutable and the library treats
+    packets as immutable after construction (every rewrite builds a new
+    instance), and every link and queue along a path reads it.
     """
 
     ip: IPv4Header
-    tcp: Optional[TcpHeader] = None
-    icmp: Optional[Union[IcmpEcho, IcmpError]] = None
-    payload: bytes = b""
-    uid: int = field(default_factory=_next_packet_uid)
-    _total_length: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-    _wire: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    tcp: Optional[TcpHeader]
+    icmp: Optional[Union[IcmpEcho, IcmpError]]
+    payload: bytes
+    uid: int
+    wire_length: int = field(init=False, repr=False, compare=False)
+    _wire: Optional[bytes] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.tcp is not None and self.icmp is not None:
-            raise ValueError("packet cannot carry both TCP and ICMP")
-        if self.tcp is not None and self.ip.protocol != PROTO_TCP:
-            raise ValueError("TCP payload requires protocol 6")
-        if self.icmp is not None and self.ip.protocol != PROTO_ICMP:
-            raise ValueError("ICMP payload requires protocol 1")
+    def __init__(
+        self,
+        ip: IPv4Header,
+        tcp: Optional[TcpHeader] = None,
+        icmp: Optional[Union[IcmpEcho, IcmpError]] = None,
+        payload: bytes = b"",
+        uid: Optional[int] = None,
+    ) -> None:
+        """Build a packet; ``uid=None`` draws a fresh uid (a forward passes the original's)."""
+        if tcp is not None:
+            if icmp is not None:
+                raise ValueError("packet cannot carry both TCP and ICMP")
+            if ip.protocol != PROTO_TCP:
+                raise ValueError("TCP payload requires protocol 6")
+            if tcp.options:
+                length = IPV4_HEADER_LEN + tcp.header_length() + len(payload)
+            else:
+                length = IPV4_HEADER_LEN + TCP_HEADER_LEN + len(payload)
+        elif icmp is not None:
+            if ip.protocol != PROTO_ICMP:
+                raise ValueError("ICMP payload requires protocol 1")
+            length = IPV4_HEADER_LEN + icmp.header_length() + len(icmp.payload)
+        else:
+            length = IPV4_HEADER_LEN + len(payload)
+        self.ip = ip
+        self.tcp = tcp
+        self.icmp = icmp
+        self.payload = payload
+        self.uid = _next_uid() if uid is None else uid
+        self.wire_length = length
+        self._wire = None
 
     @classmethod
     def tcp_packet(
@@ -356,17 +383,9 @@ class Packet:
         ip = IPv4Header(src=src, dst=dst, protocol=PROTO_ICMP, ident=ident, ttl=ttl)
         return cls(ip=ip, icmp=error, payload=error.payload)
 
-    def is_tcp(self) -> bool:
-        """Return True when the packet carries a TCP segment."""
-        return self.tcp is not None
-
     def is_icmp(self) -> bool:
         """Return True when the packet carries an ICMP message."""
         return self.icmp is not None
-
-    def is_icmp_error(self) -> bool:
-        """Return True when the packet carries an ICMP error (not an echo)."""
-        return isinstance(self.icmp, IcmpError)
 
     def four_tuple(self) -> FourTuple:
         """Return the directed transport four-tuple (TCP packets only)."""
@@ -375,25 +394,8 @@ class Packet:
         return FourTuple(self.ip.src, self.tcp.src_port, self.ip.dst, self.tcp.dst_port)
 
     def total_length(self) -> int:
-        """Return the packet's total length in bytes as it would appear on the wire.
-
-        The length is computed once and cached: headers are immutable and the
-        library treats packets as immutable after construction (middleboxes
-        rewrite via :meth:`with_ip`, which builds a new instance), so every
-        link and queue along a multi-hop path can reuse the same value.
-        """
-        length = self._total_length
-        if length is not None:
-            return length
-        length = self.ip.header_length()
-        if self.tcp is not None:
-            length += self.tcp.header_length() + len(self.payload)
-        elif self.icmp is not None:
-            length += self.icmp.header_length() + len(self.icmp.payload)
-        else:
-            length += len(self.payload)
-        self._total_length = length
-        return length
+        """Return the packet's total length in bytes as it would appear on the wire."""
+        return self.wire_length
 
     def with_ip(self, **changes: object) -> "Packet":
         """Return a copy of this packet with selected IP header fields replaced.
@@ -401,27 +403,18 @@ class Packet:
         The copy keeps the original ``uid`` so that ground-truth tracking
         survives header rewriting by middleboxes (e.g. TTL decrement).
         """
-        copy = Packet(self.ip._replace(**changes), self.tcp, self.icmp, self.payload, self.uid)
-        # IP header rewrites never change the packet's length (no IP options
-        # are modelled), so the cached length survives; cached wire bytes do
-        # not, because the rewritten fields are serialized.
-        copy._total_length = self._total_length
-        return copy
+        return Packet(self.ip._replace(**changes), self.tcp, self.icmp, self.payload, self.uid)
 
     def with_tcp(self, **changes: object) -> "Packet":
         """Return a copy of this packet with selected TCP header fields replaced.
 
         Like :meth:`with_ip` the copy keeps the original ``uid``: a NAT
         rewriting ports forwards the *same* packet, it does not originate a
-        new one.  The cached length survives only when the options tuple is
-        untouched (port/seq/flag rewrites never change the wire length).
+        new one.
         """
         if self.tcp is None:
             raise ValueError("with_tcp() requires a TCP packet")
-        copy = Packet(self.ip, self.tcp._replace(**changes), None, self.payload, self.uid)
-        if "options" not in changes:
-            copy._total_length = self._total_length
-        return copy
+        return Packet(self.ip, self.tcp._replace(**changes), None, self.payload, self.uid)
 
     def clone(self) -> "Packet":
         """Return a copy of this packet with a fresh ``uid`` (a re-send, not a forward)."""

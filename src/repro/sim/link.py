@@ -47,7 +47,7 @@ class Link(PathElement):
         start = self._busy_until
         if now > start:
             start = now
-        length = packet.total_length()
+        length = packet.wire_length
         if self.bandwidth_bps is None:
             departure = start
         else:
@@ -55,4 +55,8 @@ class Link(PathElement):
         self._busy_until = departure
         self.packets_carried += 1
         self.bytes_carried += length
-        self._emit_at(departure + self.propagation_delay, packet)
+        when = departure + self.propagation_delay
+        if when <= now:
+            self._emit(packet)
+        else:
+            sim.schedule_hop_at(when, self._emit, packet)

@@ -23,10 +23,13 @@ class PathElement(ABC):
     """Base class for all unidirectional path elements.
 
     Subclasses implement :meth:`handle_packet` and use :meth:`_emit` /
-    :meth:`_emit_after` / :meth:`_emit_at` to pass packets downstream.  An
-    element must be attached (to a simulator and a downstream sink) before
-    it sees traffic; one that never was raises :class:`SimulationError` on
-    its first packet.
+    :meth:`_emit_after` to pass packets downstream.  An element that holds a
+    packet until an absolute time (a link's departure) pushes the hop itself
+    with ``self._sim.schedule_hop_at(when, self._emit, packet)`` once
+    ``when > now``: one heap entry, with no handle to cancel it.  An element
+    must be attached (to a simulator and a downstream sink) before it sees
+    traffic; one that never was raises :class:`SimulationError` on its first
+    packet.
     """
 
     def __init__(self) -> None:
@@ -73,18 +76,6 @@ class PathElement(ABC):
             return
         sim = self.sim
         sim.schedule_hop_at(sim.now + delay, self._emit, packet)
-
-    def _emit_at(self, when: float, packet: Packet) -> None:
-        """Deliver ``packet`` downstream at absolute simulated time ``when``."""
-        sim = self._sim
-        if sim is None:
-            raise SimulationError(f"{type(self).__name__} used before attach()")
-        if when <= sim.now:
-            self._emit(packet)
-            return
-        # ``when > now`` holds on this branch, so the hop skips schedule_at's
-        # validation: it is one heap entry, with no handle to cancel it.
-        sim.schedule_hop_at(when, self._emit, packet)
 
 
 class Pipeline:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -27,6 +27,9 @@ class SeededRandom:
         self._seed = int(seed)
         self._rng = random.Random(self._seed)
         self._fork_counter = 0
+        self.random: Callable[[], float] = self._rng.random
+        """Return a float uniformly distributed in ``[0, 1)``: the generator's
+        own bound method, so a per-packet draw is one call into C."""
 
     @property
     def seed(self) -> int:
@@ -71,10 +74,6 @@ class SeededRandom:
     def uniform(self, low: float, high: float) -> float:
         """Return a float uniformly distributed in ``[low, high]``."""
         return self._rng.uniform(low, high)
-
-    def random(self) -> float:
-        """Return a float uniformly distributed in ``[0, 1)``."""
-        return self._rng.random()
 
     def bernoulli(self, probability: float) -> bool:
         """Return True with the given probability."""

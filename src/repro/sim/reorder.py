@@ -31,19 +31,24 @@ class PassthroughElement(PathElement):
 
 
 class LossElement(PathElement):
-    """Drops each packet independently with a fixed probability."""
+    """Drops each packet independently with a fixed probability.
+
+    The draw is :meth:`SeededRandom.bernoulli`'s rule spelled out on the
+    stream's own ``random``: no draw at probability 0 or 1, one otherwise.
+    """
 
     def __init__(self, loss_probability: float, rng: SeededRandom) -> None:
         super().__init__()
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError(f"loss probability out of range: {loss_probability}")
         self.loss_probability = loss_probability
-        self._rng = rng
+        self._random = rng.random
         self.packets_dropped = 0
         self.packets_forwarded = 0
 
     def handle_packet(self, packet: Packet) -> None:
-        if self._rng.bernoulli(self.loss_probability):
+        p = self.loss_probability
+        if p > 0.0 and (p >= 1.0 or self._random() < p):
             self.packets_dropped += 1
             return
         self.packets_forwarded += 1
@@ -57,7 +62,7 @@ class AdjacentSwapReorderer(PathElement):
     is released immediately *after* the next packet passes, producing exactly
     one adjacent exchange.  If no follow-up packet arrives within
     ``max_hold_time`` the held packet is flushed so isolated packets are not
-    delayed indefinitely.
+    delayed indefinitely.  The hold draw follows :class:`LossElement`'s rule.
     """
 
     def __init__(
@@ -74,6 +79,7 @@ class AdjacentSwapReorderer(PathElement):
         self.swap_probability = swap_probability
         self.max_hold_time = max_hold_time
         self._rng = rng
+        self._random = rng.random
         self._held: Optional[Packet] = None
         self._flush_event: Optional[Event] = None
         self.swaps_performed = 0
@@ -86,13 +92,14 @@ class AdjacentSwapReorderer(PathElement):
             held = self._held
             self._held = None
             if self._flush_event is not None:
-                self.sim.cancel(self._flush_event)
+                self._flush_event.cancel()
                 self._flush_event = None
             self.swaps_performed += 1
             self._emit(packet)
             self._emit(held)
             return
-        if self._rng.bernoulli(self.swap_probability):
+        p = self.swap_probability
+        if p > 0.0 and (p >= 1.0 or self._random() < p):
             self._held = packet
             self._flush_event = self.sim.schedule(self.max_hold_time, self._flush_held)
             return

@@ -12,7 +12,7 @@ the predicate after *every* event, which is always correct but wastes work
 when most events (link departures, timer pops on other connections) cannot
 possibly change the predicate's value.  The event-driven discipline takes a
 :class:`Waiter`: endpoints call :meth:`Waiter.wake` when they mutate the
-state the predicate reads (e.g. the probe host wakes its waiter on every
+state the predicate reads (e.g. the probe host wakes its waiter on a
 capture), and the loop re-evaluates the predicate only after a wake.  Both
 disciplines stop on exactly the same event, so simulated clocks — and
 therefore every recorded measurement — are bit-for-bit identical; only the
@@ -157,7 +157,7 @@ class Simulator:
         re-evaluated only after events that called :meth:`Waiter.wake` —
         callers must guarantee the predicate's value can only change when the
         waiter is woken (the probe host's capture waiter satisfies this for
-        any predicate over captured packets).  Both disciplines stop the
+        its flow waits and for any predicate over captured packets).  Both disciplines stop the
         clock on exactly the same event.
         """
         if timeout < 0.0:

@@ -11,6 +11,7 @@ against.
 
 from __future__ import annotations
 
+from repro.net.errors import SimulationError
 from repro.net.packet import Packet
 from repro.sim.link import BITS_PER_BYTE
 from repro.sim.path import PathElement
@@ -63,29 +64,37 @@ class StripedPathModel(PathElement):
         self.switch_probability = switch_probability
         self.imbalance_probability = imbalance_probability
         self._rng = rng
+        self._random = rng.random
         self._busy_until = [0.0] * num_links
         self._current_link = 0
         self.packets_seen = 0
         self.link_assignments = [0] * num_links
 
-    def _choose_link(self) -> int:
-        if self._rng.bernoulli(self.switch_probability):
+    def handle_packet(self, packet: Packet) -> None:
+        # Both draws follow :meth:`SeededRandom.bernoulli`'s rule on the
+        # stream's own ``random``: no draw at probability 0 or 1.
+        sim = self._sim
+        if sim is None:
+            raise SimulationError("StripedPathModel used before attach()")
+        now = sim.now
+        p = self.switch_probability
+        if p > 0.0 and (p >= 1.0 or self._random() < p):
             offset = self._rng.randint(1, self.num_links - 1)
             self._current_link = (self._current_link + offset) % self.num_links
-        return self._current_link
-
-    def handle_packet(self, packet: Packet) -> None:
-        now = self.sim.now
-        link = self._choose_link()
+        link = self._current_link
         self.packets_seen += 1
         self.link_assignments[link] += 1
 
-        if self._rng.bernoulli(self.imbalance_probability):
+        p = self.imbalance_probability
+        if p > 0.0 and (p >= 1.0 or self._random() < p):
             cross_backlog = self._rng.exponential(self.queue_imbalance_scale)
         else:
             cross_backlog = 0.0
         start = max(now + cross_backlog, self._busy_until[link])
-        transmission = packet.total_length() * BITS_PER_BYTE / self.link_rate_bps
-        departure = start + transmission
+        departure = start + packet.wire_length * BITS_PER_BYTE / self.link_rate_bps
         self._busy_until[link] = departure
-        self._emit_at(departure + self.base_delay, packet)
+        when = departure + self.base_delay
+        if when <= now:
+            self._emit(packet)
+        else:
+            sim.schedule_hop_at(when, self._emit, packet)

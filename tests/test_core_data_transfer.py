@@ -133,7 +133,7 @@ def test_mss_and_window_are_honoured_by_the_server():
     data_segments = [
         record.packet
         for record in handle.reverse_trace.records
-        if record.packet.is_tcp() and record.packet.payload
+        if record.packet.tcp is not None and record.packet.payload
     ]
     assert data_segments
     assert all(len(packet.payload) <= 200 for packet in data_segments)

@@ -463,3 +463,31 @@ def test_cancel_mid_campaign_leaves_the_backend_reusable():
     finally:
         backend.close()
     assert envelope.result_digest == serial_digest("imc2002-survey", shards=4)
+
+
+def test_an_inline_campaign_carries_no_other_jobs_report():
+    """Only a campaign whose shards ran on the backend pops its job report."""
+    backend = make_backend(spawn_workers=2)
+    sweep = MatrixRequest(
+        scenarios=("imc2002-survey", "bursty-loss"),
+        config=GOLDEN_CONFIG,
+        hosts=GOLDEN_HOSTS,
+        seed=GOLDEN_SEED,
+        shards=2,
+    )
+    try:
+        with Session(backend=backend) as session:
+            session.run(sweep)  # leaves the sweep's report on the backend
+            inline = session.run(request("imc2002-survey", shards=1))
+            dispatched = session.run(request("imc2002-survey", shards=2))
+    finally:
+        backend.close()
+    # One shard runs inline: no worker served it, so it has no report.
+    assert "remote" not in inline.meta
+    assert inline.result_digest == serial_digest("imc2002-survey", shards=1)
+    # The two-shard campaign's report is its own job's: at most one entry
+    # per shard, each a distinct worker.
+    workers = dispatched.meta["remote"]["workers"]
+    assert 1 <= len(workers) <= 2
+    assert len(set(workers)) == len(workers)
+    assert dispatched.result_digest == serial_digest("imc2002-survey", shards=2)

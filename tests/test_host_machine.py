@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.host.icmp_responder import IcmpResponder
@@ -12,7 +14,16 @@ from repro.host.raw_socket import ProbeHost
 from repro.host.server import RedirectingServer, WebServer, build_server
 from repro.net.errors import SimulationError
 from repro.net.flow import parse_address
-from repro.net.packet import ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST, IcmpEcho, Packet, TcpFlags, TcpHeader
+from repro.net.packet import (
+    ICMP_ECHO_REPLY,
+    ICMP_ECHO_REQUEST,
+    PROTO_TCP,
+    IcmpEcho,
+    IPv4Header,
+    Packet,
+    TcpFlags,
+    TcpHeader,
+)
 from repro.sim.random import SeededRandom
 from repro.sim.simulator import Simulator
 
@@ -101,7 +112,7 @@ def test_remote_host_dispatches_by_protocol():
     echo = IcmpEcho(ICMP_ECHO_REQUEST, identifier=2, sequence=1)
     host.deliver(Packet.icmp_packet(CLIENT, SERVER, echo))
     assert len(sent) == 2
-    assert sent[0].is_tcp() and sent[1].is_icmp()
+    assert sent[0].tcp is not None and sent[1].is_icmp()
     assert sent[1].ip.ident > sent[0].ip.ident
     assert host.packets_delivered == 2
 
@@ -125,7 +136,7 @@ def test_probe_host_capture_filtering_and_ports():
 
     all_for_a = probe.tcp_packets_since(cursor, local_port=port_a)
     assert len(all_for_a) == 1
-    assert ProbeHost.acks_of(all_for_a) == [5]
+    assert [captured.packet.tcp.ack for captured in all_for_a] == [5]
     assert len(probe.captured_since(cursor)) == 2  # packet to another address ignored
     serials = [c.serial for c in probe.captured_since(cursor)]
     assert serials == sorted(serials)
@@ -215,6 +226,82 @@ def test_wait_for_packets_match_stops_at_the_first_matching_packet():
     # Without a match the same wait counts every packet of the flow.
     assert len(probe.wait_for_packets(cursor, count=2, timeout=1.0, local_port=port)) == 4
     assert sim.now == 0.4
+
+
+def _data_segment(port, seq, payload=b"x"):
+    header = TcpHeader(src_port=80, dst_port=port, seq=seq, ack=1, flags=TcpFlags.ACK)
+    return Packet.tcp_packet(SERVER, CLIENT, header, payload=payload)
+
+
+def test_a_flow_wait_returns_every_match_of_its_satisfying_event():
+    sim = Simulator()
+    probe = ProbeHost(sim, CLIENT)
+    port = probe.allocate_port()
+    cursor = probe.capture_cursor()
+    # One event captures two matching segments and one for another port.
+    _deliver_at(sim, probe, 0.1, _data_segment(port, 1), _data_segment(port + 1, 2), _data_segment(port, 3))
+    _deliver_at(sim, probe, 0.2, _data_segment(port, 4))
+    replies = probe.wait_for_packets(cursor, count=1, timeout=1.0, local_port=port)
+    assert sim.now == 0.1
+    assert [captured.packet.tcp.seq for captured in replies] == [1, 3]
+
+
+def test_a_flow_wait_that_times_out_returns_every_match_up_to_the_deadline():
+    sim = Simulator()
+    probe = ProbeHost(sim, CLIENT)
+    port = probe.allocate_port()
+    probe.deliver(_data_segment(port, 0))  # before the wait began, after its cursor
+    cursor = probe.capture_cursor() - 1
+    _deliver_at(sim, probe, 0.3, _data_segment(port, 1))
+    _deliver_at(sim, probe, 0.5, _data_segment(port, 2))  # exactly at the deadline
+    _deliver_at(sim, probe, 0.6, _data_segment(port, 3))
+    replies = probe.wait_for_packets(cursor, count=5, timeout=0.5, local_port=port)
+    assert sim.now == 0.5
+    assert [captured.packet.tcp.seq for captured in replies] == [0, 1, 2]
+
+
+class _TrackedPacket(Packet):
+    """A packet a weak reference can follow (Packet itself has slots only)."""
+
+
+def test_a_finished_wait_holds_no_packet():
+    sim = Simulator()
+    probe = ProbeHost(sim, CLIENT)
+    port = probe.allocate_port()
+    header = TcpHeader(src_port=80, dst_port=port, seq=1, ack=1, flags=TcpFlags.ACK)
+    packets = [_TrackedPacket(IPv4Header(SERVER, CLIENT, PROTO_TCP), header, None, b"x") for _ in range(3)]
+    refs = [weakref.ref(packet) for packet in packets]
+    _deliver_at(sim, probe, 0.1, packets[0])
+    _deliver_at(sim, probe, 0.2, packets[1])
+
+    def fail():
+        raise RuntimeError("element fault")
+
+    sim.schedule_at(0.3, fail)
+    assert len(probe.wait_for_packets(0, count=1, timeout=1.0, local_port=port)) == 1
+    assert len(probe.wait_for_packets(0, count=5, timeout=0.15, local_port=port)) == 2
+    probe.deliver(packets[2])
+    with pytest.raises(RuntimeError, match="element fault"):
+        probe.wait_for_packets(0, count=5, timeout=1.0, local_port=port)
+    del packets
+    probe.clear_captures()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_a_predicate_wait_is_woken_by_every_capture():
+    sim = Simulator()
+    probe = ProbeHost(sim, CLIENT)
+    port = probe.allocate_port()
+    for index, when in enumerate((0.1, 0.2, 0.3)):
+        _deliver_at(sim, probe, when, _data_segment(port + index, index))
+    checks = []
+
+    def three_captured():
+        checks.append(sim.now)
+        return probe.received_count() >= 3
+
+    assert probe.wait_for_predicate(three_captured, timeout=1.0)
+    assert checks == [0.0, 0.1, 0.2, 0.3]
 
 
 def test_probe_host_port_allocation_wraps():

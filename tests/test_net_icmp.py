@@ -84,7 +84,7 @@ echo_messages = st.builds(
 def test_every_error_type_round_trips_through_the_wire(src, dst, ident, error):
     packet = Packet.icmp_error_packet(src, dst, error, ident=ident)
     parsed = parse_packet(serialize_packet(packet))
-    assert parsed.is_icmp_error()
+    assert isinstance(parsed.icmp, IcmpError)
     assert parsed.icmp == error
     assert parsed.ip.src == src
     assert parsed.ip.dst == dst
@@ -97,7 +97,7 @@ def test_every_error_type_round_trips_through_the_wire(src, dst, ident, error):
 def test_echo_request_and_reply_round_trip(src, dst, ident, echo):
     packet = Packet.icmp_packet(src, dst, echo, ident=ident)
     parsed = parse_packet(serialize_packet(packet))
-    assert not parsed.is_icmp_error()
+    assert not isinstance(parsed.icmp, IcmpError)
     assert parsed.icmp == echo
 
 

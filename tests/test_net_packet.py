@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 
 import pytest
 
 from repro.net.flow import parse_address
+from repro.net.icmp import IcmpError
 from repro.net.packet import (
     ICMP_ECHO_REQUEST,
     PROTO_TCP,
+    PROTO_UDP,
     IcmpEcho,
     IPv4Header,
     Packet,
@@ -111,7 +114,7 @@ def test_four_tuple_requires_tcp():
     packet = Packet.icmp_packet(SRC, DST, echo)
     with pytest.raises(ValueError):
         packet.four_tuple()
-    assert packet.is_icmp() and not packet.is_tcp()
+    assert packet.is_icmp() and packet.tcp is None
 
 
 def test_packet_cannot_mix_transports():
@@ -190,3 +193,136 @@ def test_reconstruction_revalidates_a_forged_header():
     for rebuild in rebuilds:
         with pytest.raises(ValueError, match="TTL"):
             rebuild(forged)
+
+
+# --------------------------------------------------------------------- #
+# The combined range test rejects what the per-field checks rejected
+# --------------------------------------------------------------------- #
+
+
+def _ip_field_checks(src, dst, protocol, ident=0, ttl=64, dont_fragment=True, tos=0):
+    """IPv4Header's per-field checks before the combined range test (oracle)."""
+    if not 0 <= ident <= 0xFFFF:
+        raise ValueError(f"IPID out of range: {ident}")
+    if not 0 <= ttl <= 255:
+        raise ValueError(f"TTL out of range: {ttl}")
+    if not 0 <= protocol <= 255:
+        raise ValueError(f"protocol out of range: {protocol}")
+    if not 0 <= src <= 0xFFFFFFFF:
+        raise ValueError(f"src address out of range: {src}")
+    if not 0 <= dst <= 0xFFFFFFFF:
+        raise ValueError(f"dst address out of range: {dst}")
+    if not 0 <= tos <= 255:
+        raise ValueError(f"TOS out of range: {tos}")
+    return (src, dst, protocol, ident, ttl, dont_fragment, tos)
+
+
+def _tcp_field_checks(src_port, dst_port, seq=0, ack=0, flags=TcpFlags.NONE, window=65535, urgent=0, options=()):
+    """TcpHeader's per-field checks before the combined range test (oracle)."""
+    if not 0 <= src_port <= 0xFFFF:
+        raise ValueError(f"src_port out of range: {src_port}")
+    if not 0 <= dst_port <= 0xFFFF:
+        raise ValueError(f"dst_port out of range: {dst_port}")
+    if not 0 <= seq <= 0xFFFFFFFF:
+        raise ValueError(f"seq out of range: {seq}")
+    if not 0 <= ack <= 0xFFFFFFFF:
+        raise ValueError(f"ack out of range: {ack}")
+    if not 0 <= window <= 0xFFFF:
+        raise ValueError(f"window out of range: {window}")
+    if not 0 <= flags <= 0xFF:
+        raise ValueError(f"flags out of range: {flags}")
+    if not 0 <= urgent <= 0xFFFF:
+        raise ValueError(f"urgent out of range: {urgent}")
+    option_bytes = sum(option.encoded_length() for option in options)
+    if option_bytes > 40:
+        raise ValueError(f"options too long: {option_bytes} bytes (max 40)")
+    return (src_port, dst_port, seq, ack, flags, window, urgent, options)
+
+
+_IP_LIMITS = {"src": 0xFFFFFFFF, "dst": 0xFFFFFFFF, "protocol": 0xFF, "ident": 0xFFFF, "ttl": 0xFF, "tos": 0xFF}
+_TCP_LIMITS = {
+    "src_port": 0xFFFF, "dst_port": 0xFFFF, "seq": 0xFFFFFFFF, "ack": 0xFFFFFFFF,
+    "flags": 0xFF, "window": 0xFFFF, "urgent": 0xFFFF,
+}
+_HEADERS = {
+    "ip": (IPv4Header, _ip_field_checks, _IP_LIMITS, dict(src=SRC, dst=DST, protocol=PROTO_TCP)),
+    "tcp": (TcpHeader, _tcp_field_checks, _TCP_LIMITS, dict(src_port=1234, dst_port=80, flags=TcpFlags.ACK)),
+}
+
+
+def _outcome(build, fields):
+    try:
+        return "built", tuple(build(**fields))
+    except Exception as error:  # noqa: BLE001 - the type and message are the result
+        return type(error), str(error)
+
+
+def _probe_values(limit):
+    """Out of range, negative, huge, floats in and out of range, None, bools, the edges."""
+    return (limit + 1, -1, 2**64, -(2**64), limit + 0.5, -0.5, 1.5, float(limit), None, True, False, 0, limit)
+
+
+@pytest.mark.parametrize("kind", sorted(_HEADERS))
+def test_each_field_is_accepted_or_rejected_as_the_per_field_checks_did(kind):
+    build, oracle, limits, base = _HEADERS[kind]
+    for name, limit in limits.items():
+        for value in _probe_values(limit):
+            fields = dict(base, **{name: value})
+            assert _outcome(build, fields) == _outcome(oracle, fields), (name, value)
+
+
+@pytest.mark.parametrize("kind", sorted(_HEADERS))
+def test_two_bad_fields_raise_the_first_checks_error(kind):
+    build, oracle, limits, base = _HEADERS[kind]
+    for first, second in itertools.combinations(limits, 2):
+        for bad in ((limits[first] + 1, -1), (None, limits[second] + 1), (-1, 0.5 - limits[second])):
+            fields = dict(base, **{first: bad[0], second: bad[1]})
+            assert _outcome(build, fields) == _outcome(oracle, fields), (first, second, bad)
+
+
+def test_tcp_options_are_checked_after_the_fields():
+    too_long = (TcpOption(TcpOption.KIND_SACK, b"\x00" * 40),)
+    limit = (TcpOption(TcpOption.KIND_SACK, b"\x00" * 38),)
+    base = dict(src_port=1234, dst_port=80)
+    for fields in (dict(base, options=too_long), dict(base, options=limit),
+                   dict(base, options=too_long, seq=-1), dict(base, options=limit, window=1.5)):
+        assert _outcome(TcpHeader, fields) == _outcome(_tcp_field_checks, fields)
+
+
+# --------------------------------------------------------------------- #
+# The stored length is the length first use used to compute
+# --------------------------------------------------------------------- #
+
+
+def _computed_length(packet: Packet) -> int:
+    """``total_length()`` as it was computed on first use (oracle)."""
+    length = packet.ip.header_length()
+    if packet.tcp is not None:
+        length += packet.tcp.header_length() + len(packet.payload)
+    elif packet.icmp is not None:
+        length += packet.icmp.header_length() + len(packet.icmp.payload)
+    else:
+        length += len(packet.payload)
+    return length
+
+
+def test_stored_length_matches_the_computed_length_for_every_shape():
+    plain = Packet.tcp_packet(SRC, DST, _tcp_header(), payload=b"x" * 100)
+    mss = Packet.tcp_packet(SRC, DST, _tcp_header(options=(TcpOption.mss(1460),)), payload=b"abc")
+    padded = Packet.tcp_packet(SRC, DST, _tcp_header(options=(TcpOption(TcpOption.KIND_SACK, b"\x00" * 5),)))
+    echo = Packet.icmp_packet(SRC, DST, IcmpEcho(ICMP_ECHO_REQUEST, identifier=1, sequence=2, payload=b"ping"))
+    error = Packet.icmp_error_packet(DST, SRC, IcmpError.ttl_exceeded(plain))
+    bare = Packet(IPv4Header(SRC, DST, PROTO_UDP), payload=b"datagram")
+    packets = [plain, mss, padded, echo, error, bare]
+    assert [packet.total_length() for packet in packets] == [140, 47, 48, 32, 56, 28]
+    rewritten = [
+        plain.with_ip(ttl=3),
+        mss.with_tcp(seq=5),
+        plain.with_tcp(options=(TcpOption.mss(536),)),
+        mss.with_tcp(options=()),
+        echo.with_ip(ident=9),
+        error.with_ip(tos=4),
+    ]
+    for packet in packets + rewritten:
+        assert packet.total_length() == _computed_length(packet), packet.describe()
+    assert [packet.total_length() for packet in rewritten] == [140, 47, 144, 43, 32, 56]

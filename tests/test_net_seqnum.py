@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.net.seqnum import (
     IPID_MODULO,
     SEQ_MODULO,
     ipid_diff,
-    ipid_lt,
     seq_add,
     seq_between,
     seq_diff,
@@ -71,6 +74,28 @@ def test_ipid_diff_uses_16_bit_space():
     assert ipid_diff(IPID_MODULO - 1, 1) == -2
 
 
-def test_ipid_lt_wraparound():
-    assert ipid_lt(IPID_MODULO - 3, 2)
-    assert not ipid_lt(2, IPID_MODULO - 3)
+def test_ipid_diff_orders_across_the_wrap():
+    assert ipid_diff(IPID_MODULO - 3, 2) < 0
+    assert ipid_diff(2, IPID_MODULO - 3) > 0
+
+
+# The comparisons compute ``(a - b) % modulo`` themselves; pin them to the
+# sign of seq_diff, the definition they replaced, on both spaces and across
+# the wrap (values near 0, near the top, and half a space apart).
+def _space_values(modulo: int):
+    half = modulo // 2
+    edges = st.sampled_from([0, 1, half - 1, half, half + 1, modulo - 2, modulo - 1])
+    return st.one_of(edges, st.integers(min_value=0, max_value=modulo - 1))
+
+
+@pytest.mark.parametrize("modulo", (SEQ_MODULO, IPID_MODULO), ids=("seq", "ipid"))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_comparisons_agree_with_the_sign_of_seq_diff(modulo, data):
+    a = data.draw(_space_values(modulo), label="a")
+    b = data.draw(st.one_of(_space_values(modulo), st.just(a)), label="b")
+    diff = seq_diff(a, b, modulo)
+    assert seq_lt(a, b, modulo) is (diff < 0)
+    assert seq_le(a, b, modulo) is (diff <= 0)
+    assert seq_gt(a, b, modulo) is (diff > 0)
+    assert seq_ge(a, b, modulo) is (diff >= 0)

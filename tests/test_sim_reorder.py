@@ -141,3 +141,43 @@ def test_jitter_zero_mean_preserves_order():
         element.handle_packet(packet)
     sim.run_until_idle()
     assert out == [p.uid for p in packets]
+
+
+# The loss and swap elements spell SeededRandom.bernoulli's rule out on the
+# stream's own ``random``.  Pin each to bernoulli itself: the same decisions
+# from the same draws, and the stream left in the same place after N packets.
+DRAW_PROBABILITIES = (0.0, 1.0, 0.3, 0.97)
+N_PACKETS = 200
+
+
+@pytest.mark.parametrize("probability", DRAW_PROBABILITIES)
+def test_loss_draws_match_bernoulli(probability):
+    rng, reference = SeededRandom(17), SeededRandom(17)
+    element = LossElement(probability, rng)
+    out: list[Packet] = []
+    element.attach(Simulator(), out.append)
+    expected_kept = 0
+    for _ in range(N_PACKETS):
+        element.handle_packet(_packet())
+        expected_kept += not reference.bernoulli(probability)
+    assert len(out) == element.packets_forwarded == expected_kept
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("probability", DRAW_PROBABILITIES)
+def test_swap_draws_match_bernoulli(probability):
+    rng, reference = SeededRandom(17), SeededRandom(17)
+    element = AdjacentSwapReorderer(probability, rng)
+    element.attach(Simulator(), lambda packet: None)
+    holding = False
+    expected_swaps = 0
+    for _ in range(N_PACKETS):
+        element.handle_packet(_packet())
+        # A packet that releases a held one is never itself drawn for a hold.
+        if holding:
+            holding = False
+            expected_swaps += 1
+        else:
+            holding = reference.bernoulli(probability)
+    assert element.swaps_performed == expected_swaps
+    assert rng.random() == reference.random()

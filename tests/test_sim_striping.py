@@ -119,3 +119,22 @@ def test_zero_switch_probability_never_reorders():
         model.handle_packet(packet)
     sim.run_until_idle()
     assert out == [p.uid for p in packets]
+
+
+@pytest.mark.parametrize("switch, imbalance", [(0.0, 1.0), (1.0, 0.0), (0.5, 0.6), (0.2, 0.9)])
+def test_draws_match_seeded_random_bernoulli(switch, imbalance):
+    """The switch and imbalance draws spell bernoulli's rule out on ``random``."""
+    rng, reference = SeededRandom(5), SeededRandom(5)
+    model = StripedPathModel(rng=rng, num_links=3, switch_probability=switch, imbalance_probability=imbalance)
+    model.attach(Simulator(), lambda packet: None)
+    current = 0
+    expected = [0, 0, 0]
+    for _ in range(200):
+        model.handle_packet(_packet())
+        if reference.bernoulli(switch):
+            current = (current + reference.randint(1, 2)) % 3
+        expected[current] += 1
+        if reference.bernoulli(imbalance):
+            reference.exponential(model.queue_imbalance_scale)
+    assert model.link_assignments == expected
+    assert rng.random() == reference.random()
