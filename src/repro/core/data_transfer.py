@@ -21,7 +21,7 @@ from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.host.raw_socket import ProbeHost
 from repro.net.errors import MeasurementError, SampleTimeoutError
 from repro.net.packet import Packet, TcpFlags
-from repro.net.seqnum import SEQ_HALF, SEQ_MODULO, seq_diff
+from repro.net.seqnum import SEQ_HALF, SEQ_MODULO
 
 TEST_NAME = "data-transfer"
 
@@ -145,7 +145,9 @@ class DataTransferTest:
         began, and the round folds them without a second scan.  Segments
         captured before the round began but after the previous fold (a
         zero-delay path delivers the server's reply within the probe's own
-        send) are folded first; on a path with any delay there are none.
+        send) are folded first; on a path with any delay there are none.  The
+        next early fold starts past this wait's last match: whatever the wait
+        scanned beyond it failed the same test.
         """
         probe, port, remote = self.probe, connection.local_port, self.remote_addr
         sim = probe.sim
@@ -167,7 +169,7 @@ class DataTransferTest:
                     for captured in early
                     if captured.serial < round_start and _carries_data(captured.packet)
                 ) + fresh
-            cursor = probe.capture_cursor()
+            cursor = fresh[-1].serial + 1
             for captured in fresh:
                 packet = captured.packet
                 tcp = packet.tcp
@@ -198,12 +200,17 @@ class DataTransferTest:
         """
         if len(segments) < 2:
             return []
-        # Deduplicate retransmissions: keep the first arrival of each sequence number.
+        # Deduplicate retransmissions: keep the first arrival of each sequence
+        # number, keyed by its offset from the first (seq_diff spelled out).
+        base = segments[0].seq
         first_arrival: dict[int, ReceivedSegment] = {}
         for segment in segments:
-            if segment.seq not in first_arrival:
-                first_arrival[segment.seq] = segment
-        ordered = sorted(first_arrival.values(), key=lambda s: seq_diff(s.seq, segments[0].seq))
+            offset = (segment.seq - base) % SEQ_MODULO
+            if offset > SEQ_HALF:
+                offset -= SEQ_MODULO
+            if offset not in first_arrival:
+                first_arrival[offset] = segment
+        ordered = [first_arrival[offset] for offset in sorted(first_arrival)]
 
         pairs = len(ordered) - 1
         if limit > 0:

@@ -16,7 +16,7 @@ from typing import Optional
 from repro.host.raw_socket import ProbeHost
 from repro.net.errors import SampleTimeoutError
 from repro.net.packet import DEFAULT_TTL, PROTO_TCP, IPv4Header, Packet, TcpFlags, TcpHeader, TcpOption
-from repro.net.seqnum import seq_add
+from repro.net.seqnum import SEQ_MODULO
 
 DEFAULT_HANDSHAKE_TIMEOUT = 3.0
 
@@ -24,12 +24,11 @@ DEFAULT_HANDSHAKE_TIMEOUT = 3.0
 # the IntFlag machinery to construct a member on every probe sent.
 _FLAGS_RST_ACK = TcpFlags.RST | TcpFlags.ACK
 _FLAGS_ACK_PSH = TcpFlags.ACK | TcpFlags.PSH
+_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
 
 def _is_syn_ack(packet: Packet) -> bool:
-    tcp = packet.tcp
-    assert tcp is not None
-    return tcp.has(TcpFlags.SYN) and tcp.has(TcpFlags.ACK)
+    return int.__and__(packet.tcp.flags, _SYN_ACK) == _SYN_ACK
 
 
 @dataclass(slots=True)
@@ -63,21 +62,18 @@ class ProbeConnection:
         self.advertised_window = advertised_window
         self.mss = mss
         iss = initial_seq if initial_seq is not None else 1_000 + probe.allocate_port() * 7
+        self.local_port = probe.allocate_port()
+        """The probe-side source port of this connection."""
         self.state = ConnectionState(
-            local_port=probe.allocate_port(),
+            local_port=self.local_port,
             remote_addr=remote_addr,
             remote_port=remote_port,
             iss=iss,
-            snd_nxt=seq_add(iss, 1),
+            snd_nxt=(iss + 1) % SEQ_MODULO,
         )
         # Every packet of this connection carries the same IP header, so it
         # is built, and range-checked, once: headers are immutable tuples.
         self._ip = IPv4Header(probe.address, remote_addr, PROTO_TCP, 0, DEFAULT_TTL)
-
-    @property
-    def local_port(self) -> int:
-        """The probe-side source port of this connection."""
-        return self.state.local_port
 
     @property
     def remote_addr(self) -> int:
@@ -93,13 +89,13 @@ class ProbeConnection:
     # Packet construction
     # ------------------------------------------------------------------ #
 
-    def _header(self, flags: TcpFlags, seq: int, ack: int = 0, options: tuple[TcpOption, ...] = ()) -> TcpHeader:
-        state = self.state
-        return TcpHeader(
-            state.local_port, state.remote_port, seq, ack, flags, self.advertised_window, 0, options
+    def _send(
+        self, flags: TcpFlags, seq: int, ack: int, payload: bytes = b"", options: tuple[TcpOption, ...] = ()
+    ) -> Packet:
+        """Build one segment of this connection, send it, and return it."""
+        header = TcpHeader(
+            self.local_port, self.state.remote_port, seq, ack, flags, self.advertised_window, 0, options
         )
-
-    def _send(self, header: TcpHeader, payload: bytes = b"") -> Packet:
         packet = Packet(self._ip, header, None, payload)
         self._probe.send(packet)
         return packet
@@ -113,7 +109,7 @@ class ProbeConnection:
         options: tuple[TcpOption, ...] = ()
         if self.mss is not None:
             options = (TcpOption.mss(self.mss),)
-        return self._send(self._header(TcpFlags.SYN, seq if seq is not None else self.state.iss, options=options))
+        return self._send(TcpFlags.SYN, seq if seq is not None else self.state.iss, 0, options=options)
 
     def establish(self, timeout: float = DEFAULT_HANDSHAKE_TIMEOUT) -> None:
         """Perform the full three-way handshake.
@@ -129,7 +125,7 @@ class ProbeConnection:
             cursor,
             count=1,
             timeout=timeout,
-            local_port=self.state.local_port,
+            local_port=self.local_port,
             remote_addr=self.state.remote_addr,
             match=_is_syn_ack,
         )
@@ -139,27 +135,23 @@ class ProbeConnection:
                 f"within {timeout} s"
             )
         syn_ack = replies[0].packet.tcp
-        assert syn_ack is not None
-        self.state.irs = syn_ack.seq
-        self.state.rcv_nxt = seq_add(syn_ack.seq, 1)
-        self.state.remote_expected_seq = seq_add(self.state.iss, 1)
-        self.state.established = True
+        state = self.state
+        state.irs = syn_ack.seq
+        state.rcv_nxt = (syn_ack.seq + 1) % SEQ_MODULO
+        state.remote_expected_seq = (state.iss + 1) % SEQ_MODULO
+        state.established = True
         self.send_ack()
 
     def send_ack(self, ack: Optional[int] = None) -> Packet:
         """Send a bare ACK (defaults to acknowledging everything received)."""
-        return self._send(
-            self._header(
-                TcpFlags.ACK,
-                seq=self.state.snd_nxt,
-                ack=ack if ack is not None else self.state.rcv_nxt,
-            )
-        )
+        state = self.state
+        return self._send(TcpFlags.ACK, state.snd_nxt, ack if ack is not None else state.rcv_nxt)
 
     def send_reset(self) -> Packet:
         """Send a RST to tear down the connection at the remote host."""
-        self.state.established = False
-        return self._send(self._header(_FLAGS_RST_ACK, seq=self.state.snd_nxt, ack=self.state.rcv_nxt))
+        state = self.state
+        state.established = False
+        return self._send(_FLAGS_RST_ACK, state.snd_nxt, state.rcv_nxt)
 
     # ------------------------------------------------------------------ #
     # Measurement probes
@@ -172,13 +164,13 @@ class ProbeConnection:
         ``offset=0`` is in-order data, ``offset=1`` creates / targets the
         sequence hole used by the single- and dual-connection tests.
         """
-        seq = seq_add(self.state.remote_expected_seq, offset)
-        header = self._header(
+        state = self.state
+        return self._send(
             _FLAGS_ACK_PSH,
-            seq=seq,
-            ack=ack if ack is not None else self.state.rcv_nxt,
+            (state.remote_expected_seq + offset) % SEQ_MODULO,
+            ack if ack is not None else state.rcv_nxt,
+            b"\x00" * length,
         )
-        return self._send(header, payload=b"\x00" * length)
 
     def send_request(self, length: int = 64) -> Packet:
         """Send an HTTP-style GET request (the data-transfer test's trigger) and
@@ -186,15 +178,10 @@ class ProbeConnection:
         request = b"GET / HTTP/1.0\r\n\r\n"
         if length > len(request):
             request = request + b" " * (length - len(request))
-        seq = self.state.remote_expected_seq
-        header = self._header(
-            _FLAGS_ACK_PSH,
-            seq=seq,
-            ack=self.state.rcv_nxt,
-        )
-        packet = self._send(header, payload=request)
-        self.state.remote_expected_seq = seq_add(self.state.remote_expected_seq, len(request))
-        self.state.snd_nxt = seq_add(self.state.snd_nxt, len(request))
+        state = self.state
+        packet = self._send(_FLAGS_ACK_PSH, state.remote_expected_seq, state.rcv_nxt, request)
+        state.remote_expected_seq = (state.remote_expected_seq + len(request)) % SEQ_MODULO
+        state.snd_nxt = (state.snd_nxt + len(request)) % SEQ_MODULO
         return packet
 
     def note_remote_progress(self, new_expected: int) -> None:

@@ -111,14 +111,15 @@ def record_signature(record: HostRoundResult) -> tuple:
     report = record.report
     samples: tuple = ()
     if report.result is not None:
-        samples = tuple(
-            (sample.index, sample.forward.value, sample.reverse.value, sample.spacing)
+        # ``_value_`` is what an enum's ``value`` property returns, minus its frames.
+        samples = tuple([
+            (sample.index, sample.forward._value_, sample.reverse._value_, sample.spacing)
             for sample in report.result.samples
-        )
+        ])
     return (
         record.round_index,
         record.host_address,
-        record.test.value,
+        record.test._value_,
         record.scenario or "",
         report.error or "",
         report.ineligible,

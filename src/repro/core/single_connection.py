@@ -19,6 +19,7 @@ acknowledgments.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from repro.core.probe_connection import ProbeConnection
@@ -26,9 +27,16 @@ from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.host.raw_socket import CapturedPacket, ProbeHost
 from repro.net.errors import MeasurementError, SampleTimeoutError
 from repro.net.packet import TcpFlags
-from repro.net.seqnum import seq_add, seq_gt
+from repro.net.seqnum import SEQ_HALF, SEQ_MODULO
 
 TEST_NAME = "single-connection"
+
+# Flags are tested on the int, and seq_add and seq_gt are spelled out: the
+# sample loop runs per packet.
+_ACK = TcpFlags.ACK.value
+_ACK_SYN_RST = int(TcpFlags.ACK | TcpFlags.SYN | TcpFlags.RST)
+_ack_of = attrgetter("packet.tcp.ack")
+_uid_of = attrgetter("packet.uid")
 
 
 class SingleConnectionTest:
@@ -134,7 +142,7 @@ class SingleConnectionTest:
         )
         acks = self._pure_acks(replies)
         forward, reverse, detail = self._classify(acks, hole_base)
-        response_uids = tuple(captured.packet.uid for captured in acks[:2])
+        response_uids = tuple(map(_uid_of, acks[:2]))
         self._resynchronize(connection, hole_base, acks)
 
         return ReorderSample(
@@ -181,26 +189,24 @@ class SingleConnectionTest:
                 remote_addr=self.remote_addr,
             )
             for captured in self._pure_acks(replies):
-                tcp = captured.packet.tcp
-                assert tcp is not None
-                if tcp.ack == hole_base:
+                ack = captured.packet.tcp.ack
+                if ack == hole_base:
                     return hole_base
-                if seq_gt(tcp.ack, hole_base):
+                if 0 < (ack - hole_base) % SEQ_MODULO <= SEQ_HALF:
                     # The receiver is further along than we believed; adopt
                     # its view and prepare again relative to it.
-                    connection.note_remote_progress(tcp.ack)
-                    hole_base = tcp.ack
+                    connection.note_remote_progress(ack)
+                    hole_base = ack
                     break
         return None
 
     @staticmethod
     def _pure_acks(replies: tuple[CapturedPacket, ...]) -> list[CapturedPacket]:
+        """The replies that are ACKs and neither SYNs nor RSTs."""
         acks = []
         for captured in replies:
             tcp = captured.packet.tcp
-            if tcp is None:
-                continue
-            if tcp.has(TcpFlags.ACK) and not tcp.has(TcpFlags.SYN) and not tcp.has(TcpFlags.RST):
+            if tcp is not None and int.__and__(tcp.flags, _ACK_SYN_RST) == _ACK:
                 acks.append(captured)
         return acks
 
@@ -209,10 +215,11 @@ class SingleConnectionTest:
         acks: list[CapturedPacket],
         hole_base: int,
     ) -> tuple[SampleOutcome, SampleOutcome, str]:
-        full_ack = seq_add(hole_base, 3)
-        in_order_marker = hole_base if self.reversed_order else seq_add(hole_base, 2)
-        reordered_marker = seq_add(hole_base, 2) if self.reversed_order else hole_base
-        values = [captured.packet.tcp.ack for captured in acks if captured.packet.tcp is not None]
+        full_ack = (hole_base + 3) % SEQ_MODULO
+        filled_marker = (hole_base + 2) % SEQ_MODULO
+        in_order_marker = hole_base if self.reversed_order else filled_marker
+        reordered_marker = filled_marker if self.reversed_order else hole_base
+        values = list(map(_ack_of, acks))
 
         if not values:
             return SampleOutcome.LOST, SampleOutcome.LOST, "no acknowledgments received"
@@ -256,13 +263,12 @@ class SingleConnectionTest:
         three-byte series; after losses we explicitly fill the range so the
         next sample starts from a clean state.
         """
-        full_ack = seq_add(hole_base, 3)
+        full_ack = (hole_base + 3) % SEQ_MODULO
         highest: Optional[int] = None
         for captured in acks:
-            tcp = captured.packet.tcp
-            assert tcp is not None
-            if highest is None or seq_gt(tcp.ack, highest):
-                highest = tcp.ack
+            ack = captured.packet.tcp.ack
+            if highest is None or 0 < (ack - highest) % SEQ_MODULO <= SEQ_HALF:
+                highest = ack
         if highest == full_ack:
             connection.note_remote_progress(full_ack)
             return
@@ -277,12 +283,11 @@ class SingleConnectionTest:
                 local_port=connection.local_port,
                 remote_addr=self.remote_addr,
             )
-            fills = self._pure_acks(replies)
-            for captured in fills:
-                tcp = captured.packet.tcp
-                assert tcp is not None
-                if tcp.ack == full_ack or seq_gt(tcp.ack, full_ack):
-                    connection.note_remote_progress(tcp.ack)
+            for captured in self._pure_acks(replies):
+                ack = captured.packet.tcp.ack
+                # seq_ge(ack, full_ack), spelled out.
+                if (ack - full_ack) % SEQ_MODULO <= SEQ_HALF:
+                    connection.note_remote_progress(ack)
                     return
         # Give up: adopt the highest acknowledgment we have seen.
         connection.note_remote_progress(highest if highest is not None else full_ack)

@@ -20,6 +20,7 @@ After classification the prober completes and closes the connection (the
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from repro.core.probe_connection import ProbeConnection
@@ -27,9 +28,15 @@ from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.host.raw_socket import CapturedPacket, ProbeHost
 from repro.net.errors import MeasurementError
 from repro.net.packet import TcpFlags
-from repro.net.seqnum import seq_add
+from repro.net.seqnum import SEQ_MODULO
 
 TEST_NAME = "syn"
+
+# Flags are tested on the int, and seq_add is spelled out: the sample loop
+# runs per packet.
+_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
+_ACK_OR_RST = int(TcpFlags.ACK | TcpFlags.RST)
+_uid_of = attrgetter("packet.uid")
 
 
 class SynTest:
@@ -86,7 +93,7 @@ class SynTest:
     def _collect_sample(self, index: int, spacing: float) -> ReorderSample:
         connection = ProbeConnection(self.probe, self.remote_addr, self.remote_port)
         first_seq = connection.state.iss
-        second_seq = seq_add(first_seq, self.sequence_offset)
+        second_seq = (first_seq + self.sequence_offset) % SEQ_MODULO
 
         cursor = self.probe.capture_cursor()
         sample_time = self.probe.sim.now
@@ -113,7 +120,7 @@ class SynTest:
             reverse=reverse,
             detail=detail,
             probe_uids=(first.uid, second.uid),
-            response_uids=tuple(captured.packet.uid for captured in replies[:2]),
+            response_uids=tuple(map(_uid_of, replies[:2])),
         )
 
     def _classify(
@@ -125,11 +132,10 @@ class SynTest:
         syn_ack: Optional[CapturedPacket] = None
         other: Optional[CapturedPacket] = None
         for captured in replies:
-            tcp = captured.packet.tcp
-            assert tcp is not None
-            if tcp.has(TcpFlags.SYN) and tcp.has(TcpFlags.ACK) and syn_ack is None:
+            flags = captured.packet.tcp.flags
+            if int.__and__(flags, _SYN_ACK) == _SYN_ACK and syn_ack is None:
                 syn_ack = captured
-            elif other is None and (tcp.has(TcpFlags.RST) or tcp.has(TcpFlags.ACK)):
+            elif other is None and int.__and__(flags, _ACK_OR_RST):
                 other = captured
 
         if syn_ack is None:
@@ -138,10 +144,9 @@ class SynTest:
             return SampleOutcome.AMBIGUOUS, SampleOutcome.AMBIGUOUS, "no SYN/ACK observed"
 
         syn_ack_tcp = syn_ack.packet.tcp
-        assert syn_ack_tcp is not None
-        if syn_ack_tcp.ack == seq_add(first_seq, 1):
+        if syn_ack_tcp.ack == (first_seq + 1) % SEQ_MODULO:
             forward = SampleOutcome.IN_ORDER
-        elif syn_ack_tcp.ack == seq_add(second_seq, 1):
+        elif syn_ack_tcp.ack == (second_seq + 1) % SEQ_MODULO:
             forward = SampleOutcome.REORDERED
         else:
             forward = SampleOutcome.AMBIGUOUS
@@ -162,15 +167,15 @@ class SynTest:
         syn_ack_tcp = None
         for captured in replies:
             tcp = captured.packet.tcp
-            assert tcp is not None
-            if tcp.has(TcpFlags.SYN) and tcp.has(TcpFlags.ACK):
+            if int.__and__(tcp.flags, _SYN_ACK) == _SYN_ACK:
                 syn_ack_tcp = tcp
                 break
         if syn_ack_tcp is not None:
-            connection.state.irs = syn_ack_tcp.seq
-            connection.state.rcv_nxt = seq_add(syn_ack_tcp.seq, 1)
-            connection.state.snd_nxt = syn_ack_tcp.ack
-            connection.state.established = True
+            state = connection.state
+            state.irs = syn_ack_tcp.seq
+            state.rcv_nxt = (syn_ack_tcp.seq + 1) % SEQ_MODULO
+            state.snd_nxt = syn_ack_tcp.ack
+            state.established = True
             if self.polite:
                 connection.send_ack()
         connection.send_reset()

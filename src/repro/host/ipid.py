@@ -128,7 +128,6 @@ class IpStack:
     def __init__(self, address: int, ipid_policy: IpidPolicy) -> None:
         self.address = address
         self._policy = ipid_policy
-        self.packets_stamped = 0
 
     @property
     def policy(self) -> IpidPolicy:
@@ -137,5 +136,4 @@ class IpStack:
 
     def next_ipid(self, dst: int) -> int:
         """Return the IPID to stamp on the next packet sent to ``dst``."""
-        self.packets_stamped += 1
         return self._policy.next_value(dst)

@@ -22,21 +22,6 @@ PacketFilter = Callable[[Packet], bool]
 _tuple_new = tuple.__new__
 
 
-def _tcp_filter(local_port: Optional[int], remote_addr: Optional[int], match: Optional[PacketFilter] = None) -> PacketFilter:
-    """Match TCP packets to ``local_port`` from ``remote_addr`` that pass ``match``."""
-
-    def _matches(packet: Packet) -> bool:
-        tcp = packet.tcp
-        return (
-            tcp is not None
-            and (local_port is None or tcp.dst_port == local_port)
-            and (remote_addr is None or packet.ip.src == remote_addr)
-            and (match is None or match(packet))
-        )
-
-    return _matches
-
-
 def _icmp_filter(remote_addr: Optional[int]) -> PacketFilter:
     """Match ICMP packets from ``remote_addr``."""
     return lambda packet: packet.icmp is not None and (remote_addr is None or packet.ip.src == remote_addr)
@@ -73,22 +58,24 @@ class ProbeHost:
     """
 
     def __init__(self, sim: Simulator, address: int, first_port: int = 33000) -> None:
-        self._sim = sim
+        self.sim = sim
+        """The simulator this probe host lives in.  A plain attribute: every
+        technique reads it per sample.  Treat it as read-only."""
         self.address = address
         self._transmit: Optional[TransmitFn] = None
         self._received: list[CapturedPacket] = []
         self._waiter = Waiter()
-        # The active flow wait's filter, count and matches (see _wait_for_matches).
+        # The active flow wait (see wait_for_packets): a TCP wait's port,
+        # address and match or an ICMP wait's filter, its count and matches.
+        self._wait_tcp = False
+        self._wait_port: Optional[int] = None
+        self._wait_addr: Optional[int] = None
+        self._wait_match: Optional[PacketFilter] = None
         self._wait_filter: Optional[PacketFilter] = None
         self._wait_count = 0
         self._wait_matches: list[CapturedPacket] = []
         self._next_port = first_port
         self.packets_sent = 0
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulator this probe host lives in."""
-        return self._sim
 
     def set_transmit(self, transmit: TransmitFn) -> None:
         """Provide the function that injects packets into the network."""
@@ -116,22 +103,36 @@ class ProbeHost:
     def deliver(self, packet: Packet) -> None:
         """Record a packet arriving from the network (called by the topology).
 
-        During a flow wait the packet is matched here, and the waiter wakes
-        only once the wait has its count; otherwise every capture wakes it.
+        During a flow wait the packet is matched here (a TCP wait's test is
+        :meth:`_tcp_matches_since`'s, written out), and the waiter wakes only
+        once the wait has its count; otherwise every capture wakes it.
         """
-        if packet.ip.dst != self.address:
+        ip = packet.ip
+        if ip.dst != self.address:
             return
         received = self._received
-        captured = _tuple_new(CapturedPacket, (self._sim.now, packet, len(received)))
+        captured = _tuple_new(CapturedPacket, (self.sim.now, packet, len(received)))
         received.append(captured)
-        wait_filter = self._wait_filter
-        if wait_filter is None:
-            self._waiter.wake()
-        elif wait_filter(packet):
-            matches = self._wait_matches
-            matches.append(captured)
-            if len(matches) >= self._wait_count:
+        if self._wait_tcp:
+            tcp = packet.tcp
+            if (
+                tcp is None
+                or (self._wait_port is not None and tcp.dst_port != self._wait_port)
+                or (self._wait_addr is not None and ip.src != self._wait_addr)
+                or (self._wait_match is not None and not self._wait_match(packet))
+            ):
+                return
+        else:
+            wait_filter = self._wait_filter
+            if wait_filter is None:
                 self._waiter.wake()
+                return
+            if not wait_filter(packet):
+                return
+        matches = self._wait_matches
+        matches.append(captured)
+        if len(matches) >= self._wait_count:
+            self._waiter.wake()
 
     @property
     def received(self) -> tuple[CapturedPacket, ...]:
@@ -165,14 +166,30 @@ class ProbeHost:
         remote_addr: Optional[int] = None,
     ) -> tuple[CapturedPacket, ...]:
         """Return captured TCP packets after ``cursor`` filtered by port / peer."""
-        return self._matches_since(cursor, _tcp_filter(local_port, remote_addr))
+        return tuple(self._tcp_matches_since(cursor, local_port, remote_addr, None))
 
     def icmp_packets_since(self, cursor: int, remote_addr: Optional[int] = None) -> tuple[CapturedPacket, ...]:
         """Return captured ICMP packets after ``cursor`` filtered by peer address."""
-        return self._matches_since(cursor, _icmp_filter(remote_addr))
-
-    def _matches_since(self, cursor: int, match: PacketFilter) -> tuple[CapturedPacket, ...]:
+        match = _icmp_filter(remote_addr)
         return tuple(captured for captured in self._received[cursor:] if match(captured.packet))
+
+    def _tcp_matches_since(
+        self, cursor: int, local_port: Optional[int], remote_addr: Optional[int], match: Optional[PacketFilter]
+    ) -> list[CapturedPacket]:
+        """TCP packets captured after ``cursor`` to ``local_port`` from ``remote_addr``
+        that pass ``match`` (``None`` accepts any)."""
+        matches = []
+        for captured in self._received[cursor:]:
+            packet = captured.packet
+            tcp = packet.tcp
+            if (
+                tcp is not None
+                and (local_port is None or tcp.dst_port == local_port)
+                and (remote_addr is None or packet.ip.src == remote_addr)
+                and (match is None or match(packet))
+            ):
+                matches.append(captured)
+        return matches
 
     # ------------------------------------------------------------------ #
     # Blocking-style helpers for the measurement techniques
@@ -193,8 +210,30 @@ class ProbeHost:
         (``None`` accepts any) and, if given, ``match(packet)`` holds.  Returns
         every match after ``cursor``, which may be fewer than ``count`` on
         timeout — callers decide how to classify incomplete samples.
+
+        This is a flow wait.  Packets captured since ``cursor`` are scanned
+        once; from then on :meth:`deliver` matches each packet as it is
+        captured and wakes the waiter only when the count is reached, so the
+        run loop re-checks the count after exactly the events that can satisfy
+        it.  On return the matches are every matching packet after ``cursor``,
+        including any captured in the same event as the one that satisfied the
+        wait, or up to the deadline on timeout.  The wait then drops its match
+        list, so the probe holds no packet for a finished wait.
         """
-        return self._wait_for_matches(cursor, count, timeout, _tcp_filter(local_port, remote_addr, match))
+        matches = self._tcp_matches_since(cursor, local_port, remote_addr, match)
+        self._wait_matches = matches
+        self._wait_count = count
+        self._wait_port = local_port
+        self._wait_addr = remote_addr
+        self._wait_match = match
+        self._wait_tcp = True
+        try:
+            self.sim.run_until(self._wait_satisfied, timeout=timeout, waiter=self._waiter)
+        finally:
+            self._wait_tcp = False
+            self._wait_match = None
+            self._wait_matches = []
+        return tuple(matches)
 
     def wait_for_predicate(
         self, predicate: Callable[[], bool], timeout: float, *, poll: bool = False
@@ -208,36 +247,22 @@ class ProbeHost:
         after-every-event fallback.
         """
         waiter = None if poll else self._waiter
-        return self._sim.run_until(predicate, timeout=timeout, waiter=waiter)
+        return self.sim.run_until(predicate, timeout=timeout, waiter=waiter)
 
     def wait_for_icmp(self, cursor: int, count: int, timeout: float, remote_addr: Optional[int] = None) -> tuple[CapturedPacket, ...]:
         """Run the simulator until ``count`` ICMP packets from ``remote_addr`` arrive or timeout.
 
-        Returns every match after ``cursor``, which may be fewer than ``count``.
+        The flow wait of :meth:`wait_for_packets`, with a filter for
+        :meth:`deliver` to call.  Returns every match after ``cursor``, which
+        may be fewer than ``count``.
         """
-        return self._wait_for_matches(cursor, count, timeout, _icmp_filter(remote_addr))
-
-    def _wait_for_matches(self, cursor: int, count: int, timeout: float, match: PacketFilter) -> tuple[CapturedPacket, ...]:
-        """The flow wait behind every capture wait.
-
-        Packets captured since ``cursor`` are scanned once; from then on
-        :meth:`deliver` matches each packet as it is captured and wakes the
-        waiter only when the count is reached, so the run loop re-checks the
-        count after exactly the events that can satisfy it.  On return the
-        matches are every matching packet after ``cursor``, including any
-        captured in the same event as the one that satisfied the wait, or up
-        to the deadline on timeout.  The wait then drops its match list, so
-        the probe holds no packet for a finished wait.
-        """
-        matches: list[CapturedPacket] = []
-        for captured in self._received[cursor:]:
-            if match(captured.packet):
-                matches.append(captured)
+        match = _icmp_filter(remote_addr)
+        matches = [captured for captured in self._received[cursor:] if match(captured.packet)]
         self._wait_matches = matches
         self._wait_count = count
         self._wait_filter = match
         try:
-            self._sim.run_until(self._wait_satisfied, timeout=timeout, waiter=self._waiter)
+            self.sim.run_until(self._wait_satisfied, timeout=timeout, waiter=self._waiter)
         finally:
             self._wait_filter = None
             self._wait_matches = []

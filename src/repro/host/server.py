@@ -52,12 +52,7 @@ class WebServer:
         """
         if not payload or self.REQUEST_TERMINATOR not in payload:
             return
-        key = (
-            connection.key.src_addr,
-            connection.key.src_port,
-            connection.key.dst_addr,
-            connection.key.dst_port,
-        )
+        key = connection.key
         if key in self._responded:
             return
         self._responded.add(key)

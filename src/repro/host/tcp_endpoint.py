@@ -33,8 +33,8 @@ from repro.host.ipid import IpStack
 from repro.host.os_profiles import OsProfile, SecondSynResponse
 from repro.net.errors import TcpStateError
 from repro.net.flow import FourTuple
-from repro.net.packet import PROTO_TCP, IPv4Header, Packet, TcpFlags, TcpHeader, TcpOption
-from repro.net.seqnum import SEQ_HALF, SEQ_MODULO, seq_add, seq_diff, seq_ge, seq_gt, seq_le
+from repro.net.packet import PROTO_TCP, IPv4Header, Packet, PricedOptions, TcpFlags, TcpHeader, TcpOption
+from repro.net.seqnum import SEQ_HALF, SEQ_MODULO, seq_diff
 from repro.sim.events import Event
 from repro.sim.random import SeededRandom
 from repro.sim.simulator import Simulator
@@ -55,7 +55,11 @@ _SYN = TcpFlags.SYN.value
 _ACK = TcpFlags.ACK.value
 _RST = TcpFlags.RST.value
 _FIN = TcpFlags.FIN.value
-_MSS_OPTIONS = (TcpOption.mss(DEFAULT_MSS),)
+_MSS_OPTIONS = PricedOptions((TcpOption.mss(DEFAULT_MSS),))
+
+ConnectionKey = tuple[int, int, int, int]
+"""The four-tuple of a peer's segments as plain ints: (peer address, peer
+port, local address, local port)."""
 
 
 class TcpState(enum.Enum):
@@ -71,7 +75,7 @@ class TcpState(enum.Enum):
 class TcpConnection:
     """Per-connection state, keyed by the remote peer's four-tuple."""
 
-    key: FourTuple
+    key: ConnectionKey
     state: TcpState
     irs: int
     rcv_nxt: int
@@ -126,19 +130,18 @@ class TcpEndpoint:
         on_data: Optional[Callable[["TcpEndpoint", TcpConnection, bytes], None]] = None,
     ) -> None:
         self._sim = sim
-        self._stack = stack
         self.address = stack.address
         """The host address this endpoint answers for."""
         self._profile = profile
         self._rng = rng
         self._listen_ports = set(listen_ports)
         self._transmit: Optional[TransmitFn] = None
+        self._next_ipid = stack.policy.next_value
+        """The shared IPID policy's own ``next_value``: one frame per packet sent."""
         self._on_data = on_data
-        # Keyed by (peer addr, peer port, local port) plain tuples rather
-        # than FourTuple: the receive path looks a connection up per packet,
-        # and hashing three ints beats constructing + hashing a validated
-        # dataclass.  The local address is implied (it is this endpoint's).
-        self._connections: dict[tuple[int, int, int], TcpConnection] = {}
+        # The receive path looks a connection up per packet by the ints its
+        # headers hold.
+        self._connections: dict[ConnectionKey, TcpConnection] = {}
         self.packets_received = 0
         self.packets_sent = 0
         self.resets_sent = 0
@@ -152,7 +155,7 @@ class TcpEndpoint:
     @property
     def connections(self) -> dict[FourTuple, TcpConnection]:
         """Live connections keyed by the peer's four-tuple (read-only view)."""
-        return {connection.key: connection for connection in self._connections.values()}
+        return {FourTuple(*key): connection for key, connection in self._connections.items()}
 
     def set_transmit(self, transmit: TransmitFn) -> None:
         """Provide the function used to send packets toward the probe host."""
@@ -169,10 +172,12 @@ class TcpEndpoint:
     def deliver(self, packet: Packet) -> None:
         """Accept a packet arriving from the network."""
         tcp = packet.tcp
-        if tcp is None or packet.ip.dst != self.address:
+        ip = packet.ip
+        if tcp is None or ip.dst != self.address:
             return
         self.packets_received += 1
-        connection = self._connections.get((packet.ip.src, tcp.src_port, tcp.dst_port))
+        key = (ip.src, tcp.src_port, ip.dst, tcp.dst_port)
+        connection = self._connections.get(key)
         flags = int(tcp.flags)
 
         if flags & _RST:
@@ -181,18 +186,14 @@ class TcpEndpoint:
             return
 
         if flags & _SYN and not flags & _ACK:
-            self._handle_syn(packet.four_tuple(), tcp, connection)
+            self._handle_syn(key, tcp, connection)
             return
 
         if connection is None:
             # A non-SYN segment for an unknown connection: answer with RST so
             # misbehaving probes notice, as real stacks do.
             if tcp.dst_port in self._listen_ports:
-                self._send_reset(
-                    packet.four_tuple(),
-                    seq=tcp.ack,
-                    ack=seq_add(tcp.seq, len(packet.payload)),
-                )
+                self._send_reset(key, seq=tcp.ack, ack=(tcp.seq + len(packet.payload)) % SEQ_MODULO)
             return
 
         connection.segments_received += 1
@@ -203,9 +204,9 @@ class TcpEndpoint:
         if flags & _FIN:
             self._handle_fin(connection, tcp, payload_length=len(packet.payload))
 
-    def _handle_syn(self, key: FourTuple, tcp: TcpHeader, connection: Optional[TcpConnection]) -> None:
+    def _handle_syn(self, key: ConnectionKey, tcp: TcpHeader, connection: Optional[TcpConnection]) -> None:
         if tcp.dst_port not in self._listen_ports:
-            self._send_reset(key, seq=0, ack=seq_add(tcp.seq, 1))
+            self._send_reset(key, seq=0, ack=(tcp.seq + 1) % SEQ_MODULO)
             return
         if connection is None or connection.state == TcpState.CLOSED:
             self._accept_connection(key, tcp)
@@ -213,21 +214,22 @@ class TcpEndpoint:
         connection.syn_packets_seen += 1
         self._handle_second_syn(connection, tcp)
 
-    def _accept_connection(self, key: FourTuple, tcp: TcpHeader) -> None:
+    def _accept_connection(self, key: ConnectionKey, tcp: TcpHeader) -> None:
         iss = self._rng.randint(1_000_000, 0xFFFF0000)
+        snd_nxt = (iss + 1) % SEQ_MODULO
         connection = TcpConnection(
             key=key,
             state=TcpState.SYN_RECEIVED,
             irs=tcp.seq,
-            rcv_nxt=seq_add(tcp.seq, 1),
+            rcv_nxt=(tcp.seq + 1) % SEQ_MODULO,
             iss=iss,
-            snd_nxt=seq_add(iss, 1),
-            snd_una=seq_add(iss, 1),
+            snd_nxt=snd_nxt,
+            snd_una=snd_nxt,
             peer_window=tcp.window,
-            peer_mss=tcp.mss() or DEFAULT_MSS,
+            peer_mss=(tcp.mss() or DEFAULT_MSS) if tcp.options else DEFAULT_MSS,
             advertised_window=self._profile.advertised_window,
         )
-        self._connections[(key.src_addr, key.src_port, key.dst_port)] = connection
+        self._connections[key] = connection
         self.connections_accepted += 1
         self._send_segment(
             connection,
@@ -241,18 +243,20 @@ class TcpEndpoint:
         response = self._profile.second_syn_response
         if response is SecondSynResponse.IGNORE:
             return
+        syn_end = (tcp.seq + 1) % SEQ_MODULO
         if response is SecondSynResponse.ALWAYS_RST:
-            self._send_reset(connection.key, seq=connection.snd_nxt, ack=seq_add(tcp.seq, 1))
+            self._send_reset(connection.key, seq=connection.snd_nxt, ack=syn_end)
             return
         if response is SecondSynResponse.DUAL_RST:
-            self._send_reset(connection.key, seq=connection.snd_nxt, ack=seq_add(tcp.seq, 1))
-            self._send_reset(connection.key, seq=connection.snd_nxt, ack=seq_add(tcp.seq, 1))
+            self._send_reset(connection.key, seq=connection.snd_nxt, ack=syn_end)
+            self._send_reset(connection.key, seq=connection.snd_nxt, ack=syn_end)
             return
         if response is SecondSynResponse.SPEC_COMPLIANT:
             # RFC 793: a SYN in the receive window on a half-open connection is
             # answered with a reset; an old (below-window) SYN gets a pure ACK.
-            if seq_ge(tcp.seq, connection.rcv_nxt):
-                self._send_reset(connection.key, seq=connection.snd_nxt, ack=seq_add(tcp.seq, 1))
+            # seq_ge(tcp.seq, rcv_nxt), spelled out.
+            if (tcp.seq - connection.rcv_nxt) % SEQ_MODULO <= SEQ_HALF:
+                self._send_reset(connection.key, seq=connection.snd_nxt, ack=syn_end)
             else:
                 self._send_segment(
                     connection,
@@ -277,18 +281,20 @@ class TcpEndpoint:
             self._try_send_app_data(connection)
 
     def _handle_data(self, connection: TcpConnection, tcp: TcpHeader, payload: bytes) -> None:
+        # seq_add, seq_le and seq_gt spelled out: this runs per data segment.
         seg_seq = tcp.seq
         seg_len = len(payload)
-        seg_end = seq_add(seg_seq, seg_len)
+        seg_end = (seg_seq + seg_len) % SEQ_MODULO
+        rcv_nxt = connection.rcv_nxt
 
-        if seq_le(seg_end, connection.rcv_nxt):
+        if not 0 < (seg_end - rcv_nxt) % SEQ_MODULO <= SEQ_HALF:
             # Entirely old or duplicate data: acknowledge immediately (this is
             # the path the single-connection test's repeated preparation
             # packet and the dual-connection test's samples exercise).
             self._send_ack(connection, immediate=True)
             return
 
-        if seq_gt(seg_seq, connection.rcv_nxt):
+        if 0 < (seg_seq - rcv_nxt) % SEQ_MODULO <= SEQ_HALF:
             # Out-of-order data above a hole: queue it and (normally) send an
             # immediate duplicate ACK so fast retransmit keeps working.
             connection.out_of_order[seg_seq] = max(connection.out_of_order.get(seg_seq, 0), seg_len)
@@ -301,7 +307,7 @@ class TcpEndpoint:
         # In-order (or partially overlapping) data: advance rcv_nxt, then
         # merge any queued segments that have become contiguous.
         connection.rcv_nxt = seg_end
-        filled_hole = self._merge_out_of_order(connection)
+        filled_hole = bool(connection.out_of_order) and self._merge_out_of_order(connection)
         if self._on_data is not None:
             self._on_data(self, connection, payload)
         if filled_hole and self._profile.ack_on_hole_fill:
@@ -322,21 +328,25 @@ class TcpEndpoint:
         while progressed:
             progressed = False
             for seq, length in list(connection.out_of_order.items()):
-                end = seq_add(seq, length)
-                if seq_le(seq, connection.rcv_nxt) and seq_gt(end, connection.rcv_nxt):
+                # seq_le(seq, rcv_nxt) and seq_gt(end, rcv_nxt), then
+                # seq_le(end, rcv_nxt), spelled out.
+                rcv_nxt = connection.rcv_nxt
+                end = (seq + length) % SEQ_MODULO
+                end_beyond = 0 < (end - rcv_nxt) % SEQ_MODULO <= SEQ_HALF
+                if end_beyond and not 0 < (seq - rcv_nxt) % SEQ_MODULO <= SEQ_HALF:
                     connection.rcv_nxt = end
                     del connection.out_of_order[seq]
                     merged = True
                     progressed = True
-                elif seq_le(end, connection.rcv_nxt):
+                elif not end_beyond:
                     del connection.out_of_order[seq]
                     progressed = True
         return merged or bool(connection.out_of_order)
 
     def _handle_fin(self, connection: TcpConnection, tcp: TcpHeader, payload_length: int) -> None:
-        fin_seq = seq_add(tcp.seq, payload_length)
+        fin_seq = (tcp.seq + payload_length) % SEQ_MODULO
         if fin_seq == connection.rcv_nxt:
-            connection.rcv_nxt = seq_add(connection.rcv_nxt, 1)
+            connection.rcv_nxt = (connection.rcv_nxt + 1) % SEQ_MODULO
         self._send_segment(
             connection,
             flags=_FLAGS_FIN_ACK,
@@ -366,36 +376,28 @@ class TcpEndpoint:
         transmit = self._transmit
         if transmit is None:
             transmit = self._require_transmit()
-        key = connection.key
+        peer_addr, peer_port, _local_addr, local_port = connection.key
         header = TcpHeader(
-            key.dst_port, key.src_port, seq, ack, flags, connection.advertised_window, 0, options
+            local_port, peer_port, seq, ack, flags, connection.advertised_window, 0, options
         )
-        dst = key.src_addr
         packet = Packet(
-            IPv4Header(self.address, dst, PROTO_TCP, self._stack.next_ipid(dst)), header, None, payload
+            IPv4Header(self.address, peer_addr, PROTO_TCP, self._next_ipid(peer_addr)), header, None, payload
         )
         self.packets_sent += 1
         if int.__and__(flags, _ACK):
             connection.acks_sent += 1
         transmit(packet)
 
-    def _send_reset(self, key: FourTuple, seq: int, ack: int) -> None:
+    def _send_reset(self, key: ConnectionKey, seq: int, ack: int) -> None:
         transmit = self._transmit
         if transmit is None:
             transmit = self._require_transmit()
-        header = TcpHeader(
-            src_port=key.dst_port,
-            dst_port=key.src_port,
-            seq=seq,
-            ack=ack,
-            flags=_FLAGS_RST_ACK,
-            window=0,
-        )
-        packet = Packet.tcp_packet(
-            src=self.address,
-            dst=key.src_addr,
-            tcp=header,
-            ident=self._stack.next_ipid(key.src_addr),
+        peer_addr, peer_port, _local_addr, local_port = key
+        packet = Packet(
+            IPv4Header(self.address, peer_addr, PROTO_TCP, self._next_ipid(peer_addr)),
+            TcpHeader(local_port, peer_port, seq, ack, _FLAGS_RST_ACK, 0),
+            None,
+            b"",
         )
         self.packets_sent += 1
         self.resets_sent += 1
@@ -403,7 +405,8 @@ class TcpEndpoint:
 
     def _send_ack(self, connection: TcpConnection, immediate: bool) -> None:
         del immediate
-        self._cancel_delayed_ack(connection)
+        if connection.delayed_ack_event is not None:
+            self._cancel_delayed_ack(connection)
         connection.delayed_ack_pending = 0
         self._send_segment(
             connection,
@@ -431,8 +434,7 @@ class TcpEndpoint:
         self._cancel_delayed_ack(connection)
         self._cancel_retransmit(connection)
         connection.state = TcpState.CLOSED
-        key = connection.key
-        self._connections.pop((key.src_addr, key.src_port, key.dst_port), None)
+        self._connections.pop(connection.key, None)
 
     # ------------------------------------------------------------------ #
     # Application data transfer (used by the web server)
@@ -468,7 +470,7 @@ class TcpEndpoint:
                 ack=connection.rcv_nxt,
                 payload=payload,
             )
-            connection.snd_nxt = seq_add(connection.snd_nxt, segment_size)
+            connection.snd_nxt = (connection.snd_nxt + segment_size) % SEQ_MODULO
             connection.app_bytes_queued -= segment_size
             connection.app_bytes_sent += segment_size
             sent_any = True

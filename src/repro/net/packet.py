@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple, Optional, Union
 
-from repro.net.flow import FourTuple, format_address
+from repro.net.flow import format_address
 from repro.net.icmp import IcmpError
 
 PROTO_ICMP = 1
@@ -94,6 +94,25 @@ class TcpOption:
 def _option_bytes(options: tuple[TcpOption, ...]) -> int:
     """Return the encoded length of ``options`` in bytes, before padding."""
     return sum(option.encoded_length() for option in options)
+
+
+class PricedOptions(tuple):
+    """A constant option tuple that carries its encoded lengths.
+
+    A header and a packet built with one read ``option_bytes`` and
+    ``header_bytes`` instead of summing the options, so pricing it costs no
+    Python frame per packet; the 40-byte check still runs.  It equals, and
+    hashes as, the plain tuple of the same options.
+    """
+
+    option_bytes: int
+    header_bytes: int
+
+    def __new__(cls, options: Iterable[TcpOption]) -> "PricedOptions":
+        self = super().__new__(cls, options)
+        self.option_bytes = _option_bytes(self)
+        self.header_bytes = TCP_HEADER_LEN + (self.option_bytes + 3) // 4 * 4
+        return self
 
 
 # Headers are tuples validated once in ``__new__``: every simulated packet
@@ -221,7 +240,7 @@ class TcpHeader(_Revalidated, _TcpFields):
                 ("flags", flags, 0xFF), ("urgent", urgent, 0xFFFF),
             )
         if options:
-            option_bytes = _option_bytes(options)
+            option_bytes = options.option_bytes if type(options) is PricedOptions else _option_bytes(options)
             if option_bytes > MAX_TCP_OPTION_BYTES:
                 raise ValueError(f"options too long: {option_bytes} bytes (max {MAX_TCP_OPTION_BYTES})")
         return _tuple_new(cls, (src_port, dst_port, seq, ack, flags, window, urgent, options))
@@ -322,8 +341,10 @@ class Packet:
                 raise ValueError("packet cannot carry both TCP and ICMP")
             if ip.protocol != PROTO_TCP:
                 raise ValueError("TCP payload requires protocol 6")
-            if tcp.options:
-                length = IPV4_HEADER_LEN + tcp.header_length() + len(payload)
+            options = tcp.options
+            if options:
+                header = options.header_bytes if type(options) is PricedOptions else tcp.header_length()
+                length = IPV4_HEADER_LEN + header + len(payload)
             else:
                 length = IPV4_HEADER_LEN + TCP_HEADER_LEN + len(payload)
         elif icmp is not None:
@@ -386,12 +407,6 @@ class Packet:
     def is_icmp(self) -> bool:
         """Return True when the packet carries an ICMP message."""
         return self.icmp is not None
-
-    def four_tuple(self) -> FourTuple:
-        """Return the directed transport four-tuple (TCP packets only)."""
-        if self.tcp is None:
-            raise ValueError("four_tuple() requires a TCP packet")
-        return FourTuple(self.ip.src, self.tcp.src_port, self.ip.dst, self.tcp.dst_port)
 
     def total_length(self) -> int:
         """Return the packet's total length in bytes as it would appear on the wire."""

@@ -8,7 +8,6 @@ probe packets, so downstream queue imbalance is less likely to invert them.
 
 from __future__ import annotations
 
-from repro.net.errors import SimulationError
 from repro.net.packet import Packet
 from repro.sim.path import PathElement
 
@@ -41,8 +40,6 @@ class Link(PathElement):
 
     def handle_packet(self, packet: Packet) -> None:
         sim = self._sim
-        if sim is None:
-            raise SimulationError("Link used before attach()")
         now = sim.now
         start = self._busy_until
         if now > start:

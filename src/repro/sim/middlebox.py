@@ -29,8 +29,11 @@ from typing import Callable, Optional, Protocol, Sequence
 
 from repro.net.flow import FlowKey
 from repro.net.icmp import IcmpError
-from repro.net.packet import PROTO_ICMP, Packet, TcpFlags
+from repro.net.packet import PROTO_ICMP, IPv4Header, Packet, TcpFlags, TcpHeader
 from repro.sim.path import PathElement
+
+_SYN = TcpFlags.SYN.value
+_SYN_OR_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
 
 class Site(Protocol):
@@ -147,7 +150,7 @@ class IcmpRateLimiter(PathElement):
         if packet.ip.protocol != PROTO_ICMP:
             self._emit(packet)
             return
-        self._refill(self.sim.now)
+        self._refill(self._sim.now)
         if self._tokens >= 1.0:
             self._tokens -= 1.0
             self.icmp_forwarded += 1
@@ -261,14 +264,15 @@ class NatForward(PathElement):
         self.rewritten = 0
 
     def handle_packet(self, packet: Packet) -> None:
-        if packet.tcp is None:
+        tcp = packet.tcp
+        if tcp is None:
             self._emit(packet)
             return
-        external = self.table.translate_forward(
-            packet.ip.src, packet.tcp.src_port, self.sim.now
-        )
-        if external != packet.tcp.src_port:
-            packet = packet.with_tcp(src_port=external)
+        external = self.table.translate_forward(packet.ip.src, tcp.src_port, self._sim.now)
+        if external != tcp.src_port:
+            # ``with_tcp(src_port=external)``, with the header built straight
+            # through its validating ``__new__``; the forward keeps the uid.
+            packet = Packet(packet.ip, TcpHeader(external, *tcp[1:]), None, packet.payload, packet.uid)
             self.rewritten += 1
         self._emit(packet)
 
@@ -288,16 +292,18 @@ class NatReverse(PathElement):
         self.unmapped_dropped = 0
 
     def handle_packet(self, packet: Packet) -> None:
-        if packet.tcp is None:
+        tcp = packet.tcp
+        if tcp is None:
             self._emit(packet)
             return
-        internal = self.table.translate_reverse(packet.tcp.dst_port, self.sim.now)
+        internal = self.table.translate_reverse(tcp.dst_port, self._sim.now)
         if internal is None:
             self.unmapped_dropped += 1
             return
         _addr, port = internal
-        if port != packet.tcp.dst_port:
-            packet = packet.with_tcp(dst_port=port)
+        if port != tcp.dst_port:
+            header = TcpHeader(tcp.src_port, port, *tcp[2:])
+            packet = Packet(packet.ip, header, None, packet.payload, packet.uid)
             self.restored += 1
         self._emit(packet)
 
@@ -325,7 +331,8 @@ class SynFirewall(PathElement):
         self.burst = burst
         self._tokens = float(burst)
         self._last_refill = 0.0
-        self._allowed: set[FlowKey] = set()
+        self._allowed: set[tuple[int, int, int, int]] = set()
+        """Admitted flows, each keyed as :class:`FlowKey` orders its endpoints."""
         self.syn_passed = 0
         self.syn_dropped = 0
         self.out_of_state_dropped = 0
@@ -336,12 +343,14 @@ class SynFirewall(PathElement):
         self._last_refill = now
 
     def handle_packet(self, packet: Packet) -> None:
-        if packet.tcp is None:
+        tcp = packet.tcp
+        if tcp is None:
             self._emit(packet)
             return
-        key = packet.four_tuple().flow_key()
-        if packet.tcp.has(TcpFlags.SYN) and not packet.tcp.has(TcpFlags.ACK):
-            self._refill(self.sim.now)
+        source, destination = (packet.ip.src, tcp.src_port), (packet.ip.dst, tcp.dst_port)
+        key = source + destination if source <= destination else destination + source
+        if int.__and__(tcp.flags, _SYN_OR_ACK) == _SYN:
+            self._refill(self._sim.now)
             if self._tokens >= 1.0:
                 self._tokens -= 1.0
                 self._allowed.add(key)
@@ -410,8 +419,12 @@ class EcnMarker(PathElement):
         self.marked = 0
 
     def handle_packet(self, packet: Packet) -> None:
-        if (packet.ip.tos & ECN_MASK) != self.codepoint:
-            packet = packet.with_ip(tos=(packet.ip.tos & ~ECN_MASK) | self.codepoint)
+        ip = packet.ip
+        if (ip.tos & ECN_MASK) != self.codepoint:
+            # ``with_ip(tos=...)``, with the header built straight through its
+            # validating ``__new__`` (``tos`` is its last field); keeps the uid.
+            header = IPv4Header(*ip[:-1], (ip.tos & ~ECN_MASK) | self.codepoint)
+            packet = Packet(header, packet.tcp, packet.icmp, packet.payload, packet.uid)
             self.marked += 1
         self._emit(packet)
 
@@ -424,7 +437,9 @@ class EcnBleacher(PathElement):
         self.bleached = 0
 
     def handle_packet(self, packet: Packet) -> None:
-        if packet.ip.tos & ECN_MASK:
-            packet = packet.with_ip(tos=packet.ip.tos & ~ECN_MASK)
+        ip = packet.ip
+        if ip.tos & ECN_MASK:
+            header = IPv4Header(*ip[:-1], ip.tos & ~ECN_MASK)
+            packet = Packet(header, packet.tcp, packet.icmp, packet.payload, packet.uid)
             self.bleached += 1
         self._emit(packet)

@@ -19,6 +19,15 @@ from repro.sim.simulator import Simulator
 PacketSink = Callable[[Packet], None]
 
 
+class _Unattached:
+    """A path element's ``_sim`` until :meth:`PathElement.attach` sets its own."""
+
+    def __get__(self, element: object, owner: type) -> Simulator:
+        if element is None:
+            return self  # type: ignore[return-value]
+        raise SimulationError(f"{owner.__name__} used before attach()")
+
+
 class PathElement(ABC):
     """Base class for all unidirectional path elements.
 
@@ -29,11 +38,10 @@ class PathElement(ABC):
     ``when > now``: one heap entry, with no handle to cancel it.  An element
     must be attached (to a simulator and a downstream sink) before it sees
     traffic; one that never was raises :class:`SimulationError` on its first
-    packet.
+    packet, because until :meth:`attach` both ``_sim`` and ``_emit`` raise.
     """
 
-    def __init__(self) -> None:
-        self._sim: Optional[Simulator] = None
+    _sim: Simulator = _Unattached()  # type: ignore[assignment]
 
     def attach(self, sim: Simulator, downstream: PacketSink) -> None:
         """Bind this element to a simulator and its downstream sink.
@@ -49,13 +57,6 @@ class PathElement(ABC):
 
     def _on_attached(self) -> None:
         """Hook for subclasses that need setup after attachment."""
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulator this element is attached to."""
-        if self._sim is None:
-            raise SimulationError(f"{type(self).__name__} used before attach()")
-        return self._sim
 
     @abstractmethod
     def handle_packet(self, packet: Packet) -> None:
@@ -74,7 +75,7 @@ class PathElement(ABC):
         if delay <= 0.0:
             self._emit(packet)
             return
-        sim = self.sim
+        sim = self._sim
         sim.schedule_hop_at(sim.now + delay, self._emit, packet)
 
 
@@ -84,7 +85,6 @@ class Pipeline:
     def __init__(self, elements: Sequence[PathElement] = ()) -> None:
         self._elements: list[PathElement] = list(elements)
         self._sink: Optional[PacketSink] = None
-        self._sim: Optional[Simulator] = None
         self._entry: Optional[PacketSink] = None
 
     @property
@@ -105,7 +105,6 @@ class Pipeline:
         ``handle_packet``, or ``sink`` itself for an empty pipeline.  Callers
         that inject packets on a hot path call it directly.
         """
-        self._sim = sim
         self._sink = sink
         downstream: PacketSink = sink
         for element in reversed(self._elements):
@@ -132,11 +131,6 @@ class DuplexPath:
     def __init__(self, forward: Pipeline, reverse: Pipeline) -> None:
         self.forward = forward
         self.reverse = reverse
-
-    @classmethod
-    def symmetric(cls, forward_elements: Sequence[PathElement], reverse_elements: Sequence[PathElement]) -> "DuplexPath":
-        """Build a duplex path from two independent element lists."""
-        return cls(Pipeline(forward_elements), Pipeline(reverse_elements))
 
     def attach(
         self, sim: Simulator, forward_sink: PacketSink, reverse_sink: PacketSink

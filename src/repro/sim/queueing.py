@@ -44,7 +44,7 @@ class DropTailQueue(PathElement):
         if self._occupancy >= self.capacity_packets:
             self.packets_dropped += 1
             return
-        sim = self.sim
+        sim = self._sim
         start = max(sim.now, self._busy_until)
         service_time = packet.total_length() * BITS_PER_BYTE / self.service_rate_bps
         departure = start + service_time

@@ -101,7 +101,7 @@ class AdjacentSwapReorderer(PathElement):
         p = self.swap_probability
         if p > 0.0 and (p >= 1.0 or self._random() < p):
             self._held = packet
-            self._flush_event = self.sim.schedule(self.max_hold_time, self._flush_held)
+            self._flush_event = self._sim.schedule(self.max_hold_time, self._flush_held)
             return
         self._emit(packet)
 

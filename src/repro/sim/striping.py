@@ -11,7 +11,6 @@ against.
 
 from __future__ import annotations
 
-from repro.net.errors import SimulationError
 from repro.net.packet import Packet
 from repro.sim.link import BITS_PER_BYTE
 from repro.sim.path import PathElement
@@ -74,8 +73,6 @@ class StripedPathModel(PathElement):
         # Both draws follow :meth:`SeededRandom.bernoulli`'s rule on the
         # stream's own ``random``: no draw at probability 0 or 1.
         sim = self._sim
-        if sim is None:
-            raise SimulationError("StripedPathModel used before attach()")
         now = sim.now
         p = self.switch_probability
         if p > 0.0 and (p >= 1.0 or self._random() < p):

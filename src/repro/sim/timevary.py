@@ -123,7 +123,7 @@ class RouteFlapReorderer(AdjacentSwapReorderer):
         self._next_toggle: Optional[float] = None
 
     def _advance_schedule(self) -> None:
-        now = self.sim.now
+        now = self._sim.now
         if self._next_toggle is None:
             self._next_toggle = now + self._rng.exponential(self.mean_quiet_interval)
         while now >= self._next_toggle:
@@ -186,6 +186,6 @@ class DiurnalCongestionElement(PathElement):
 
     def handle_packet(self, packet: Packet) -> None:
         self.packets_seen += 1
-        mean = self.jitter_mean_at(self.sim.now)
+        mean = self.jitter_mean_at(self._sim.now)
         jitter = self._rng.exponential(mean) if mean > 0.0 else 0.0
         self._emit_after(self.base_delay + jitter, packet)

@@ -12,9 +12,8 @@ exchanged in flight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from repro.net.errors import SimulationError
 from repro.net.packet import Packet
 from repro.sim.path import PathElement
 
@@ -49,8 +48,6 @@ class TraceCapture(PathElement):
 
     def handle_packet(self, packet: Packet) -> None:
         sim = self._sim
-        if sim is None:
-            raise SimulationError("TraceCapture used before attach()")
         self._append((sim.now, packet))
         self._emit(packet)
 
@@ -69,13 +66,6 @@ class TraceCapture(PathElement):
     def clear(self) -> None:
         """Discard all captured records (e.g. between validation runs)."""
         self._entries.clear()
-
-    def arrival_time(self, uid: int) -> Optional[float]:
-        """Return the first arrival time of the packet with the given ``uid``."""
-        for time, packet in self._entries:
-            if packet.uid == uid:
-                return time
-        return None
 
     def arrival_order(self, uids: Iterable[int]) -> list[int]:
         """Return the subset of ``uids`` that were captured, in arrival order."""
@@ -100,10 +90,6 @@ class TraceCapture(PathElement):
         if len(order) != 2:
             return None
         return order[0] == second_uid
-
-    def count_exchanged_pairs(self, pairs: Sequence[tuple[int, int]]) -> int:
-        """Count how many (first_uid, second_uid) pairs arrived exchanged."""
-        return sum(1 for first, second in pairs if self.was_exchanged(first, second) is True)
 
     def describe(self) -> str:
         """Return the whole trace as a multi-line string (for debugging)."""

@@ -8,11 +8,13 @@ from repro.baselines.bennett import BennettProbe, BennettSummary, sack_blocks_ne
 from repro.baselines.paxson import PaxsonStudy
 from repro.net.errors import MeasurementError
 from repro.net.flow import parse_address
-from repro.sim.middlebox import IcmpRateLimiter
+from repro.sim.build import IcmpPolicerSpec
 from repro.workloads.testbed import HostSpec, PathSpec, Testbed
 
 
-def _testbed(reverse: float = 0.0, forward: float = 0.0, icmp: bool = True, seed: int = 55):
+def _testbed(
+    reverse: float = 0.0, forward: float = 0.0, icmp: bool = True, seed: int = 55, forward_conditions=()
+):
     testbed = Testbed(seed=seed)
     address = parse_address("10.9.0.2")
     testbed.add_site(
@@ -23,6 +25,7 @@ def _testbed(reverse: float = 0.0, forward: float = 0.0, icmp: bool = True, seed
                 forward_swap_probability=forward,
                 reverse_swap_probability=reverse,
                 propagation_delay=0.002,
+                forward_conditions=forward_conditions,
             ),
             web_object_size=32 * 1024,
             icmp_enabled=icmp,
@@ -83,12 +86,8 @@ def test_bennett_detects_reordering_but_cannot_attribute_direction():
 
 
 def test_bennett_rate_limited_host_loses_samples():
-    testbed, address = _testbed()
-    # Install an ICMP rate limiter on the forward path of the existing site.
-    path = testbed.topology.path_for(address)
-    limiter = IcmpRateLimiter(rate_per_second=2.0, burst=2)
-    limiter.attach(testbed.sim, testbed.site("target").primary_host.deliver)
-    path.forward.elements[-1].attach(testbed.sim, limiter.handle_packet)
+    # An ICMP rate limiter on the site's forward path.
+    testbed, address = _testbed(forward_conditions=(IcmpPolicerSpec(rate_per_second=2.0, burst=2),))
     probe = BennettProbe(testbed.probe, burst_size=5, reply_timeout=0.5)
     summary = probe.run(address, bursts=4, inter_burst_gap=0.05)
     assert summary.loss_fraction() > 0.3

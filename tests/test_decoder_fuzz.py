@@ -41,6 +41,7 @@ from repro.distributed.protocol import (
     unpack_result,
 )
 from repro.net.errors import ParseError, ProtocolError, TransportError
+from repro.net.flow import FourTuple
 from repro.net.icmp import IcmpError, parse_icmp_error
 from repro.net.packet import ICMP_ECHO_REQUEST, IcmpEcho, Packet, TcpFlags, TcpHeader, TcpOption
 from repro.net.wire import parse_packet, serialize_packet
@@ -224,7 +225,7 @@ def test_packet_seeds_decode():
     assert packets[0].tcp.mss() == 1460
     assert packets[1].payload.startswith(b"GET")
     assert packets[2].icmp.sequence == 9
-    assert packets[3].icmp.quoted_flow().four_tuple() == packets[1].four_tuple()
+    assert packets[3].icmp.quoted_flow().four_tuple() == FourTuple(_PROBE, 33001, _HOST, 80)
     assert [parse_icmp_error(body).describe() for body in _icmp_error_bodies()] == [
         f"ttl-exceeded quoting {_PROBE}:33001>{_HOST}:80",
         f"frag-needed mtu=576 quoting {_PROBE}:33001>{_HOST}:80",

@@ -74,9 +74,8 @@ def test_constant_zero():
     assert not policy.monotonic_per_destination
 
 
-def test_ip_stack_counts_and_delegates():
+def test_ip_stack_delegates_to_its_policy():
     stack = IpStack(address=42, ipid_policy=GlobalCounterIpid(start=7))
     assert stack.next_ipid(DST_A) == 7
     assert stack.next_ipid(DST_A) == 8
-    assert stack.packets_stamped == 2
     assert stack.policy.monotonic_per_destination

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.net.checksum import verify_checksum
 from repro.net.errors import ParseError
+from repro.net.flow import FourTuple
 from repro.net.icmp import (
     CODE_FRAG_NEEDED,
     ICMP_DEST_UNREACHABLE,
@@ -114,7 +115,7 @@ def test_quoted_flow_recovers_the_offending_four_tuple(src, dst, sport, dport):
     ):
         flow = error.quoted_flow()
         assert flow is not None
-        assert flow.four_tuple() == original.four_tuple()
+        assert flow.four_tuple() == FourTuple(src, sport, dst, dport)
         # The round-tripped error recovers the same flow from the same quote.
         wire = parse_packet(serialize_packet(Packet.icmp_error_packet(dst, src, error)))
         assert wire.icmp.quoted_flow() == flow

@@ -17,6 +17,7 @@ from repro.net.packet import (
     IcmpEcho,
     IPv4Header,
     Packet,
+    PricedOptions,
     TcpFlags,
     TcpHeader,
     TcpOption,
@@ -109,11 +110,11 @@ def test_packet_total_length():
     assert packet.total_length() == 20 + 20 + 3
 
 
-def test_four_tuple_requires_tcp():
+def test_with_tcp_requires_tcp():
     echo = IcmpEcho(ICMP_ECHO_REQUEST, identifier=1, sequence=2)
     packet = Packet.icmp_packet(SRC, DST, echo)
     with pytest.raises(ValueError):
-        packet.four_tuple()
+        packet.with_tcp(window=5)
     assert packet.is_icmp() and packet.tcp is None
 
 
@@ -326,3 +327,17 @@ def test_stored_length_matches_the_computed_length_for_every_shape():
     for packet in packets + rewritten:
         assert packet.total_length() == _computed_length(packet), packet.describe()
     assert [packet.total_length() for packet in rewritten] == [140, 47, 144, 43, 32, 56]
+
+
+def test_priced_options_read_the_same_lengths_and_keep_the_40_byte_check():
+    plain = (TcpOption.mss(1460), TcpOption(TcpOption.KIND_SACK, b"\x00" * 5))
+    priced = PricedOptions(plain)
+    assert priced == plain and hash(priced) == hash(plain)
+    header = _tcp_header(options=priced)
+    assert header == _tcp_header(options=plain) and header.header_length() == 32
+    packet = Packet.tcp_packet(SRC, DST, header, payload=b"abc")
+    assert packet.total_length() == _computed_length(packet) == 55
+    copied = pickle.loads(pickle.dumps(header)).options
+    assert type(copied) is PricedOptions and copied.header_bytes == 32
+    with pytest.raises(ValueError, match="options too long"):
+        _tcp_header(options=PricedOptions((TcpOption(TcpOption.KIND_SACK, b"\x00" * 40),)))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.flow import parse_address
+from repro.net.flow import FourTuple, parse_address
 from repro.net.icmp import IcmpError
 from repro.net.packet import ICMP_ECHO_REQUEST, IcmpEcho, Packet, TcpHeader
 from repro.sim.middlebox import IcmpFilter, IcmpRateLimiter, LoadBalancer
@@ -49,11 +49,13 @@ def test_same_flow_always_hits_same_backend():
 def test_both_directions_of_a_flow_share_a_backend():
     backends = [_RecordingBackend() for _ in range(4)]
     balancer = LoadBalancer(backends, hash_salt=3)
-    forward = _tcp(src_port=41000)
-    reverse = Packet.tcp_packet(VIP, PROBE, TcpHeader(src_port=80, dst_port=41000))
-    index_forward = balancer.backend_for_flow(forward.four_tuple().flow_key())
-    index_reverse = balancer.backend_for_flow(reverse.four_tuple().flow_key())
+    index_forward = balancer.backend_for_flow(FourTuple(PROBE, 41000, VIP, 80).flow_key())
+    index_reverse = balancer.backend_for_flow(FourTuple(VIP, 80, PROBE, 41000).flow_key())
     assert index_forward == index_reverse
+    # The packets of both directions reach the backend their flow key names.
+    balancer.deliver(_tcp(src_port=41000))
+    balancer.deliver(Packet.tcp_packet(VIP, PROBE, TcpHeader(src_port=80, dst_port=41000)))
+    assert len(backends[index_forward].packets) == 2
 
 
 def test_distinct_connections_spread_across_backends():
@@ -87,7 +89,7 @@ def test_icmp_error_follows_the_flow_it_quotes():
     for port in range(43000, 43040):
         flow_packet = _tcp(src_port=port)
         balancer.deliver(flow_packet)
-        index = balancer.backend_for_flow(flow_packet.four_tuple().flow_key())
+        index = balancer.backend_for_flow(FourTuple(PROBE, port, VIP, 80).flow_key())
         for error in (
             IcmpError.ttl_exceeded(flow_packet),
             IcmpError.frag_needed(flow_packet, next_hop_mtu=296),

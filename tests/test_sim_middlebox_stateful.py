@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.flow import parse_address
+from repro.net.flow import FourTuple, parse_address
 from repro.net.packet import ICMP_ECHO_REQUEST, IcmpEcho, Packet, TcpFlags, TcpHeader
 from repro.sim.middlebox import (
     ECN_CE,
@@ -150,12 +150,18 @@ def test_nat_pair_rewrites_and_restores_ports():
     fwd.attach(sim, outbound.append)
     rev.attach(sim, inbound.append)
 
-    fwd.handle_packet(_syn(src_port=40000))
+    syn, reply = _syn(src_port=40000), _reply(dst_port=2000)
+    fwd.handle_packet(syn)
     assert outbound[0].tcp.src_port == 2000
     assert fwd.rewritten == 1
-    rev.handle_packet(_reply(dst_port=2000))
+    rev.handle_packet(reply)
     assert inbound[0].tcp.dst_port == 40000
     assert rev.restored == 1
+    # A rewrite forwards the same packet: only the port changes, the uid stays.
+    for sent, seen in ((syn, outbound[0]), (reply, inbound[0])):
+        assert seen.uid == sent.uid and seen.ip == sent.ip and seen.payload == sent.payload
+    assert outbound[0].tcp == syn.tcp._replace(src_port=2000)
+    assert inbound[0].tcp == reply.tcp._replace(dst_port=40000)
 
 
 def test_reply_after_timeout_is_dropped_by_the_reverse_half():
@@ -241,6 +247,26 @@ def test_syn_firewall_ignores_syn_ack_and_non_tcp():
     assert firewall.syn_passed == 1
 
 
+@pytest.mark.parametrize("client", [CLIENT, parse_address("10.200.0.1")], ids=["below", "above"])
+def test_syn_firewall_admits_both_directions_of_a_flow(client):
+    # The flow key orders the endpoints as FlowKey does, whichever side the
+    # client's address falls on.
+    sim = Simulator()
+    out = []
+    firewall = SynFirewall(rate_per_second=1.0, burst=1)
+    firewall.attach(sim, out.append)
+
+    def ack(src, dst, src_port, dst_port):
+        return Packet.tcp_packet(src, dst, TcpHeader(src_port=src_port, dst_port=dst_port, flags=TcpFlags.ACK))
+
+    firewall.handle_packet(_syn(src_port=40000, src=client))
+    firewall.handle_packet(ack(SERVER, client, 80, 40000))
+    firewall.handle_packet(ack(client, SERVER, 40000, 80))
+    assert len(out) == 3 and firewall.out_of_state_dropped == 0
+    firewall.handle_packet(ack(SERVER, client, 80, 40001))
+    assert firewall.out_of_state_dropped == 1
+
+
 def test_syn_firewall_validation():
     with pytest.raises(ValueError):
         SynFirewall(rate_per_second=0.0)
@@ -304,7 +330,7 @@ def test_error_sink_turns_the_hole_into_an_rfc1191_router():
     assert error_packet.ip.dst == CLIENT  # back to the offender's source
     assert error_packet.icmp.is_frag_needed()
     assert error_packet.icmp.next_hop_mtu == 256
-    assert error_packet.icmp.quoted_flow().four_tuple() == offending.four_tuple()
+    assert error_packet.icmp.quoted_flow().four_tuple() == FourTuple(CLIENT, 40000, SERVER, 80)
 
 
 def test_black_hole_validation():
@@ -322,8 +348,10 @@ def test_marker_stamps_only_unmarked_packets():
     out = []
     marker = EcnMarker(codepoint=ECN_ECT0)
     marker.attach(sim, out.append)
-    marker.handle_packet(_syn(src_port=40000))
+    syn = _syn(src_port=40000)
+    marker.handle_packet(syn)
     assert out[0].ip.tos & ECN_MASK == ECN_ECT0
+    assert out[0].ip == syn.ip._replace(tos=ECN_ECT0) and out[0].tcp == syn.tcp and out[0].uid == syn.uid
     marker.handle_packet(out[0])  # already carries the codepoint
     assert marker.marked == 1
 
@@ -337,6 +365,7 @@ def test_bleacher_erases_any_codepoint_and_preserves_dscp():
     marked = _syn(src_port=40000).with_ip(tos=dscp | ECN_CE)
     bleacher.handle_packet(marked)
     assert out[0].ip.tos == dscp
+    assert out[0].ip == marked.ip._replace(tos=dscp) and out[0].uid == marked.uid
     bleacher.handle_packet(out[0])  # nothing left to bleach
     assert bleacher.bleached == 1
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.sim.random import SeededRandom
@@ -66,3 +68,21 @@ def test_uniform_bounds():
     for _ in range(100):
         value = rng.uniform(2.0, 3.0)
         assert 2.0 <= value <= 3.0
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(5, 5), (0, 0), (0, 1), (0, 7), (0, 1 << 16), (1, 1 << 30), (0, 0xFFFF), (1, 8), (1_000_000, 0xFFFF0000)],
+)
+def test_randint_draws_what_random_randint_draws(low, high):
+    # Spans of 1, powers of two and the endpoint's ISS range: the values and
+    # the generator's state afterwards both match random.Random on one seed.
+    ours = SeededRandom(2002)
+    theirs = random.Random(ours.seed)
+    assert [ours.randint(low, high) for _ in range(300)] == [theirs.randint(low, high) for _ in range(300)]
+    assert ours.random() == theirs.random()
+
+
+def test_randint_rejects_an_empty_range():
+    with pytest.raises(ValueError):
+        SeededRandom(1).randint(6, 5)
