@@ -80,7 +80,6 @@ from repro.workloads import (
     Testbed,
     build_testbed,
     generate_population,
-    generate_population_shards,
     partition_specs,
 )
 
@@ -128,7 +127,6 @@ __all__ = [
     "build_scenario_hosts",
     "build_testbed",
     "generate_population",
-    "generate_population_shards",
     "get_scenario",
     "list_scenarios",
     "partition_specs",

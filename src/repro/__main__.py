@@ -42,13 +42,13 @@ import signal
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.streaming import StreamingSurvey, survey_from_envelope, survey_from_store
+from repro.analysis.streaming import StreamingSurvey, survey_from_envelope
 from repro.api.backends import backend_names
 from repro.api.envelope import ResultEnvelope
 from repro.api.requests import CampaignRequest, ResumeRequest
 from repro.api.session import Session
 from repro.core.campaign import CampaignConfig
-from repro.core.runner import EXECUTOR_PROCESS, result_digest
+from repro.core.runner import EXECUTOR_PROCESS, record_signature, signature_digest
 from repro.distributed.chaos import ChaosSpec
 from repro.distributed.worker import DEFAULT_HEARTBEAT_INTERVAL, run_worker
 from repro.net.errors import StoreError
@@ -236,7 +236,12 @@ def cmd_report(argv: Sequence[str]) -> int:
     try:
         store = CampaignStore.open(args.store)
         plan = store.plan()
-        survey = survey_from_store(store)
+        # One pass over the log feeds both the tables and the digest.
+        survey = StreamingSurvey(host_addresses=plan.host_addresses)
+        signatures = []
+        for record in store.iter_records():
+            survey.observe(record)
+            signatures.append(record_signature(record))
     except StoreError as error:
         print(f"store error: {error}", file=sys.stderr)
         return 1
@@ -249,7 +254,7 @@ def cmd_report(argv: Sequence[str]) -> int:
     _print_survey(survey)
     if store.is_complete():
         print()
-        print(f"result-digest={result_digest(store.load_result())}")
+        print(f"result-digest={signature_digest(signatures)}")
     return 0
 
 
@@ -305,10 +310,12 @@ def cmd_workers(argv: Sequence[str]) -> int:
     )
     args = parser.parse_args(argv)
     host, _, raw_port = args.connect.rpartition(":")
-    if not host or not raw_port.isdigit():
-        print(f"--connect must be HOST:PORT, got {args.connect!r}", file=sys.stderr)
+    # ``getaddrinfo`` would keep only the low 16 bits of a larger port.
+    port = int(raw_port) if raw_port.isdecimal() else 0
+    if not host or not 1 <= port <= 0xFFFF:
+        print(f"--connect must be HOST:PORT with PORT in 1-65535, got {args.connect!r}",
+              file=sys.stderr)
         return 2
-    port = int(raw_port)
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2

@@ -64,10 +64,6 @@ class HostDiagnosis:
     causes: tuple[str, ...]
     errors: tuple[str, ...] = ()
 
-    def has(self, cause: str) -> bool:
-        """True when this host was attributed the given cause."""
-        return cause in self.causes
-
 
 @dataclass(slots=True)
 class MiddleboxTaxonomy:
@@ -83,10 +79,6 @@ class MiddleboxTaxonomy:
             for cause in diagnosis.causes:
                 counts[cause] += 1
         return counts
-
-    def hosts_with(self, cause: str) -> int:
-        """Number of hosts attributed the given cause."""
-        return self.counts().get(cause, 0)
 
     def to_table(self) -> str:
         """Render the taxonomy table (extends the E6 eligibility report)."""

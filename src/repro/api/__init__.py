@@ -5,9 +5,9 @@ This package is the library's one front door.  Build a request
 or :class:`ResumeRequest`), submit it to a :class:`Session`, and get back a
 :class:`JobHandle` whose :meth:`~repro.api.jobs.JobHandle.result` is a
 versioned :class:`ResultEnvelope` carrying the dataset plus its identity
-(scenario label, plan digest, result digest).  Work executes on a pluggable
-:class:`ExecutionBackend` (``serial`` / ``process`` / ``remote`` built in,
-more via :func:`register_backend`), and one session shares one warm pool
+(scenario label, plan digest, result digest).  Work executes on an
+:class:`ExecutionBackend` (``serial``, ``process`` or ``remote``, or an
+instance passed in), and one session shares one warm pool
 across every job, shard, and matrix cell it runs.  The session is the only
 place shards execute; ``python -m repro`` is a thin veneer over it.
 
@@ -26,7 +26,6 @@ from repro.api.backends import (
     SerialBackend,
     backend_names,
     create_backend,
-    register_backend,
 )
 from repro.api.envelope import (
     ENVELOPE_VERSION,
@@ -71,6 +70,5 @@ __all__ = [
     "backend_names",
     "create_backend",
     "plan_digest",
-    "register_backend",
     "unwrap_result",
 ]

@@ -4,11 +4,10 @@ One small interface puts every way of running shard tasks behind a name, so
 that a single backend — and, for the process backend, a single warm pool —
 can be shared across campaigns, matrix cells, and resumed runs alike.
 
-Three backends are registered: ``serial`` (inline execution), ``process``
+Three backends exist: ``serial`` (inline execution), ``process``
 (:class:`~concurrent.futures.ProcessPoolExecutor`), and ``remote`` (TCP
-workers, :mod:`repro.distributed`).  Additional backends can be registered
-with :func:`register_backend` and selected by name anywhere an executor name
-is accepted.
+workers, :mod:`repro.distributed`), each selected by name anywhere an
+executor name is accepted.
 
 Two execution shapes cover every caller:
 
@@ -358,24 +357,28 @@ class ProcessBackend(_PoolBackend):
 
 BackendFactory = Callable[[Optional[int]], ExecutionBackend]
 
-_BACKENDS: dict[str, BackendFactory] = {}
 
+def _remote_factory(max_workers: Optional[int]) -> ExecutionBackend:
+    """Lazy factory for the socket-based remote backend.
 
-def register_backend(
-    name: str, factory: BackendFactory, *, replace: bool = False
-) -> None:
-    """Register an execution backend under ``name``.
-
-    ``factory`` is called as ``factory(max_workers)`` whenever a session or
-    CLI invocation selects the backend by name.
+    Imported on first use so :mod:`repro.api` never pays for (or cycles
+    with) the distributed machinery unless a caller selects ``remote``.
     """
-    if name in _BACKENDS and not replace:
-        raise MeasurementError(f"execution backend already registered: {name!r}")
-    _BACKENDS[name] = factory
+    from repro.distributed.backend import RemoteBackend
+
+    return RemoteBackend(max_workers)
+
+
+_BACKENDS: dict[str, BackendFactory] = {
+    SerialBackend.name: SerialBackend,
+    ProcessBackend.name: ProcessBackend,
+    "remote": _remote_factory,
+}
+"""Each backend name's factory, called as ``factory(max_workers)``."""
 
 
 def backend_names() -> tuple[str, ...]:
-    """Registered backend names, in registration order."""
+    """The backend names, in registry order."""
     return tuple(_BACKENDS)
 
 
@@ -395,22 +398,6 @@ def create_backend(
     return factory(max_workers)
 
 
-def _remote_factory(max_workers: Optional[int]) -> ExecutionBackend:
-    """Lazy factory for the socket-based remote backend.
-
-    Imported on first use so :mod:`repro.api` never pays for (or cycles
-    with) the distributed machinery unless a caller selects ``remote``.
-    """
-    from repro.distributed.backend import RemoteBackend
-
-    return RemoteBackend(max_workers)
-
-
-register_backend(SerialBackend.name, SerialBackend)
-register_backend(ProcessBackend.name, ProcessBackend)
-register_backend("remote", _remote_factory)
-
-
 __all__ = [
     "POOL_FAILURES",
     "ExecutionBackend",
@@ -418,5 +405,4 @@ __all__ = [
     "SerialBackend",
     "backend_names",
     "create_backend",
-    "register_backend",
 ]

@@ -34,11 +34,6 @@ class BennettBurstResult:
     exchanges: int
     sack_blocks: int
 
-    @property
-    def complete(self) -> bool:
-        """True when every probe in the burst was answered."""
-        return self.replies_received == self.burst_size
-
 
 @dataclass(slots=True)
 class BennettSummary:

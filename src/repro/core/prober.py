@@ -138,7 +138,3 @@ class Prober:
         if result.sample_count() == 0:
             error = result.notes or "no samples collected"
         return ProbeReport(test=test, host_address=address, result=result, error=error)
-
-    def run_all(self, address: int, spacing: float = 0.0) -> dict[TestName, ProbeReport]:
-        """Run every technique once against ``address`` (one survey visit)."""
-        return {test: self.run(test, address, spacing=spacing) for test in TestName.all()}

@@ -139,7 +139,16 @@ def result_digest(result: CampaignResult) -> str:
     CI resume-smoke job compare: two campaigns measured the same thing
     exactly when their digests match.
     """
-    return hashlib.sha256(repr(result_signature(result)).encode()).hexdigest()
+    return signature_digest(map(record_signature, result.records))
+
+
+def signature_digest(signatures: Iterable[tuple]) -> str:
+    """sha256 hex digest of record signatures taken in sorted order.
+
+    The one digest formula: :func:`result_digest` feeds it a result's
+    records, and ``python -m repro report`` a store's, as it streams them.
+    """
+    return hashlib.sha256(repr(tuple(sorted(signatures))).encode()).hexdigest()
 
 
 def merge_records(

@@ -97,14 +97,6 @@ class MeasurementResult:
         """Samples classified as reordered in ``direction``."""
         return sum(1 for s in self.samples if s.outcome(direction) is SampleOutcome.REORDERED)
 
-    def ambiguous_samples(self, direction: Direction) -> int:
-        """Samples that could not be classified in ``direction``."""
-        return sum(
-            1
-            for s in self.samples
-            if s.outcome(direction) in (SampleOutcome.AMBIGUOUS, SampleOutcome.LOST)
-        )
-
     def reordering_rate(self, direction: Direction) -> Optional[float]:
         """Point estimate of the reordering rate, or None if no valid samples."""
         valid = self.valid_samples(direction)

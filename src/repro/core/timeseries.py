@@ -56,13 +56,6 @@ class SpacingSweepResult:
         """Return (spacing seconds, rate) pairs in sweep order."""
         return [(point.spacing, point.rate) for point in self.points]
 
-    def rate_at(self, spacing: float) -> Optional[float]:
-        """Return the measured rate at an exact spacing, if present."""
-        for point in self.points:
-            if point.spacing == spacing:
-                return point.rate
-        return None
-
     def half_life(self) -> Optional[float]:
         """Return the first spacing at which the rate drops below half the
         back-to-back rate, or None if it never does within the sweep."""

@@ -235,19 +235,14 @@ class ProbeHost:
             self._wait_matches = []
         return tuple(matches)
 
-    def wait_for_predicate(
-        self, predicate: Callable[[], bool], timeout: float, *, poll: bool = False
-    ) -> bool:
+    def wait_for_predicate(self, predicate: Callable[[], bool], timeout: float) -> bool:
         """Run the simulator until ``predicate`` holds or ``timeout`` elapses.
 
-        By default the wait is driven by the capture waiter, so ``predicate``
-        must depend only on the probe's capture buffer (true of every
-        measurement technique in :mod:`repro.core`).  Pass ``poll=True`` for a
-        predicate reading other simulated state; that restores the re-check-
-        after-every-event fallback.
+        The wait is driven by the capture waiter, so ``predicate`` must
+        depend only on the probe's capture buffer (true of every measurement
+        technique in :mod:`repro.core`).
         """
-        waiter = None if poll else self._waiter
-        return self.sim.run_until(predicate, timeout=timeout, waiter=waiter)
+        return self.sim.run_until(predicate, timeout=timeout, waiter=self._waiter)
 
     def wait_for_icmp(self, cursor: int, count: int, timeout: float, remote_addr: Optional[int] = None) -> tuple[CapturedPacket, ...]:
         """Run the simulator until ``count`` ICMP packets from ``remote_addr`` arrive or timeout.

@@ -32,7 +32,6 @@ from typing import Callable, Optional
 from repro.host.ipid import IpStack
 from repro.host.os_profiles import OsProfile, SecondSynResponse
 from repro.net.errors import TcpStateError
-from repro.net.flow import FourTuple
 from repro.net.packet import PROTO_TCP, IPv4Header, Packet, PricedOptions, TcpFlags, TcpHeader, TcpOption
 from repro.net.seqnum import SEQ_HALF, SEQ_MODULO, seq_diff
 from repro.sim.events import Event
@@ -153,9 +152,9 @@ class TcpEndpoint:
         return self._profile
 
     @property
-    def connections(self) -> dict[FourTuple, TcpConnection]:
-        """Live connections keyed by the peer's four-tuple (read-only view)."""
-        return {FourTuple(*key): connection for key, connection in self._connections.items()}
+    def connections(self) -> dict[ConnectionKey, TcpConnection]:
+        """A copy of the live connections, keyed by the peer's four-tuple."""
+        return dict(self._connections)
 
     def set_transmit(self, transmit: TransmitFn) -> None:
         """Provide the function used to send packets toward the probe host."""

@@ -1,7 +1,7 @@
 """Packet models and wire formats.
 
 This package provides the protocol-level substrate used by the simulator and
-the measurement techniques: IPv4 / TCP / ICMP header models, flow tuples,
+the measurement techniques: IPv4 / TCP / ICMP header models,
 TCP sequence-number arithmetic, the Internet checksum, and byte-level
 serialization / parsing.
 
@@ -11,15 +11,8 @@ sequence and acknowledgment numbers, TCP flags, ports, MSS and window
 advertisements).
 """
 
-from repro.net.checksum import internet_checksum, verify_checksum
-from repro.net.errors import (
-    ChecksumError,
-    PacketError,
-    ParseError,
-    ReproError,
-    SerializationError,
-)
-from repro.net.flow import FlowKey, FourTuple
+from repro.net.checksum import internet_checksum
+from repro.net.errors import PacketError, ParseError, ReproError, SerializationError
 from repro.net.icmp import (
     CODE_FRAG_NEEDED,
     ICMP_DEST_UNREACHABLE,
@@ -47,7 +40,6 @@ from repro.net.packet import (
 from repro.net.seqnum import (
     SEQ_MODULO,
     seq_add,
-    seq_between,
     seq_diff,
     seq_ge,
     seq_gt,
@@ -57,10 +49,7 @@ from repro.net.seqnum import (
 from repro.net.wire import parse_packet, serialize_packet
 
 __all__ = [
-    "ChecksumError",
     "CODE_FRAG_NEEDED",
-    "FlowKey",
-    "FourTuple",
     "ICMP_DEST_UNREACHABLE",
     "ICMP_ECHO_REPLY",
     "ICMP_ECHO_REQUEST",
@@ -88,12 +77,10 @@ __all__ = [
     "parse_packet",
     "quote_packet",
     "seq_add",
-    "seq_between",
     "seq_diff",
     "seq_ge",
     "seq_gt",
     "seq_le",
     "seq_lt",
     "serialize_packet",
-    "verify_checksum",
 ]

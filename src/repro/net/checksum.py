@@ -1,9 +1,9 @@
 """The Internet checksum (RFC 1071) used by IPv4, TCP, and ICMP.
 
 The simulator does not strictly need checksums to function, but the wire
-serialization layer computes and verifies them so that traces captured from
-the simulator look like real traffic and so that corruption models have a
-well-defined notion of "detected" versus "undetected" errors.
+serialization layer computes them so that traces captured from the simulator
+look like real traffic.  A buffer whose embedded checksum is intact sums to
+zero: ``internet_checksum(buffer) == 0``.
 """
 
 from __future__ import annotations
@@ -54,15 +54,6 @@ def internet_checksum(data: Buffer, initial: int = 0) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
-
-
-def verify_checksum(data: Buffer, initial: int = 0) -> bool:
-    """Return ``True`` when ``data`` (including its checksum field) sums to zero.
-
-    A buffer whose embedded checksum is correct produces an all-ones
-    intermediate sum, so :func:`internet_checksum` over it returns zero.
-    """
-    return internet_checksum(data, initial=initial) == 0
 
 
 def pseudo_header_sum(src: int, dst: int, protocol: int, length: int) -> int:

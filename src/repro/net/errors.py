@@ -25,10 +25,6 @@ class SerializationError(PacketError):
     """Raised when a packet model cannot be serialized to bytes."""
 
 
-class ChecksumError(PacketError):
-    """Raised when checksum verification fails on a parsed packet."""
-
-
 class SimulationError(ReproError):
     """Raised for simulator misconfiguration or invariant violations."""
 
@@ -92,12 +88,6 @@ class TransportError(MeasurementError):
         self.offset = offset
         self.shard_indexes = tuple(shard_indexes)
         self.decoded_indexes = tuple(decoded_indexes)
-
-    @property
-    def lost_indexes(self) -> "tuple[int, ...]":
-        """Shards that were in flight but did not survive the decode."""
-        decoded = set(self.decoded_indexes)
-        return tuple(i for i in self.shard_indexes if i not in decoded)
 
 
 class ProtocolError(ReproError):

@@ -1,14 +1,11 @@
-"""Flow identification: the TCP/UDP four-tuple and directionless flow keys.
+"""IPv4 addresses in dotted-quad text form.
 
-Load balancers in the simulator hash the four-tuple to pick a backend, and
-the probe host demultiplexes replies to the measurement connection that sent
-the matching sample packet, exactly as the paper's tools key acknowledgments
+A flow is a plain ``(src_addr, src_port, dst_addr, dst_port)`` tuple
+wherever the simulator keys one, as the paper's tools key acknowledgments
 to connections "using the source and destination port numbers as a key".
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def format_address(addr: int) -> str:
@@ -30,69 +27,3 @@ def parse_address(text: str) -> int:
             raise ValueError(f"octet out of range in {text!r}")
         value = (value << 8) | octet
     return value
-
-
-@dataclass(frozen=True, slots=True)
-class FourTuple:
-    """A directed transport flow: (source addr, source port, dest addr, dest port)."""
-
-    src_addr: int
-    src_port: int
-    dst_addr: int
-    dst_port: int
-
-    def __post_init__(self) -> None:
-        # Unrolled (no getattr loop): a FourTuple is built for every TCP
-        # packet an endpoint receives, so this runs on the campaign hot path.
-        if self.src_addr < 0 or self.src_addr > 0xFFFFFFFF:
-            raise ValueError(f"src_addr out of range: {self.src_addr}")
-        if self.dst_addr < 0 or self.dst_addr > 0xFFFFFFFF:
-            raise ValueError(f"dst_addr out of range: {self.dst_addr}")
-        if self.src_port < 0 or self.src_port > 0xFFFF:
-            raise ValueError(f"src_port out of range: {self.src_port}")
-        if self.dst_port < 0 or self.dst_port > 0xFFFF:
-            raise ValueError(f"dst_port out of range: {self.dst_port}")
-
-    def reversed(self) -> "FourTuple":
-        """Return the four-tuple of traffic flowing in the opposite direction."""
-        return FourTuple(self.dst_addr, self.dst_port, self.src_addr, self.src_port)
-
-    def flow_key(self) -> "FlowKey":
-        """Return the direction-agnostic key identifying this conversation."""
-        return FlowKey.from_four_tuple(self)
-
-    def __str__(self) -> str:
-        return (
-            f"{format_address(self.src_addr)}:{self.src_port} -> "
-            f"{format_address(self.dst_addr)}:{self.dst_port}"
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class FlowKey:
-    """A direction-agnostic conversation key.
-
-    Both directions of a TCP connection map to the same :class:`FlowKey`,
-    which is what per-flow devices (load balancers, NAT) use so that forward
-    and reverse traffic reach the same backend.
-    """
-
-    addr_a: int
-    port_a: int
-    addr_b: int
-    port_b: int
-
-    @classmethod
-    def from_four_tuple(cls, four_tuple: FourTuple) -> "FlowKey":
-        """Build a canonical (sorted-endpoint) key from a directed tuple."""
-        a = (four_tuple.src_addr, four_tuple.src_port)
-        b = (four_tuple.dst_addr, four_tuple.dst_port)
-        if a > b:
-            a, b = b, a
-        return cls(a[0], a[1], b[0], b[1])
-
-    def __str__(self) -> str:
-        return (
-            f"{format_address(self.addr_a)}:{self.port_a} <-> "
-            f"{format_address(self.addr_b)}:{self.port_b}"
-        )

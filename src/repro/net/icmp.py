@@ -5,18 +5,16 @@ ICMP.  Filtering and rate limiting break ping-based measurement (Bennett et
 al.), PMTUD black holes eat fragmentation-needed errors, and load balancers
 mishandle errors that quote someone else's packet.  Modelling those failure
 modes requires the errors themselves, so this module provides the typed ICMP
-error messages the middlebox layer generates and consumes:
-
-* time exceeded (type 11) — a router dropped the packet at TTL zero;
-* destination unreachable / fragmentation needed (type 3 code 4) — a router
-  refused a too-big DF packet and advertises its next-hop MTU;
-* source quench (type 4) — the deprecated congestion signal, kept because
-  2002-era paths still emitted it.
+error messages the middlebox layer generates and consumes.  The middleboxes
+build one kind, :meth:`IcmpError.frag_needed` (type 3 code 4: a router
+refused a too-big DF packet and advertises its next-hop MTU).  Time exceeded
+(type 11) and the deprecated source quench (type 4), which 2002-era paths
+still emitted, decode and encode too.
 
 Every error quotes the offending packet (original IP header plus the first
 eight payload bytes, per RFC 792), and :meth:`IcmpError.quoted_flow` recovers
-the transport four-tuple from that quote — exactly what a NAT or load
-balancer must do to route an error to the flow that caused it.
+the transport addresses and ports from that quote — exactly what a NAT or
+load balancer must do to route an error to the flow that caused it.
 
 Echo request/reply live in :mod:`repro.net.packet` (:class:`IcmpEcho`); the
 wire codec for both lives in :mod:`repro.net.wire`.
@@ -29,7 +27,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.errors import ParseError
-from repro.net.flow import FourTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (packet imports nothing from here)
     from repro.net.packet import Packet
@@ -59,12 +56,6 @@ class QuotedFlow:
     src_port: Optional[int] = None
     dst_port: Optional[int] = None
 
-    def four_tuple(self) -> Optional[FourTuple]:
-        """Return the quoted TCP four-tuple, or None for non-TCP quotes."""
-        if self.src_port is None or self.dst_port is None:
-            return None
-        return FourTuple(self.src, self.src_port, self.dst, self.dst_port)
-
 
 @dataclass(frozen=True, slots=True)
 class IcmpError:
@@ -92,13 +83,8 @@ class IcmpError:
             raise ValueError("next_hop_mtu is only meaningful for fragmentation-needed")
 
     # ------------------------------------------------------------------ #
-    # Constructors quoting an offending packet
+    # Constructor quoting an offending packet
     # ------------------------------------------------------------------ #
-
-    @classmethod
-    def ttl_exceeded(cls, original: "Packet") -> "IcmpError":
-        """A router's time-exceeded-in-transit error for ``original``."""
-        return cls(ICMP_TTL_EXCEEDED, code=0, quoted=quote_packet(original))
 
     @classmethod
     def frag_needed(cls, original: "Packet", next_hop_mtu: int) -> "IcmpError":
@@ -109,11 +95,6 @@ class IcmpError:
             next_hop_mtu=next_hop_mtu,
             quoted=quote_packet(original),
         )
-
-    @classmethod
-    def source_quench(cls, original: "Packet") -> "IcmpError":
-        """The deprecated source-quench congestion signal for ``original``."""
-        return cls(ICMP_SOURCE_QUENCH, code=0, quoted=quote_packet(original))
 
     # ------------------------------------------------------------------ #
     # Shape shared with IcmpEcho so Packet treats both uniformly

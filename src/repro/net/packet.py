@@ -412,29 +412,6 @@ class Packet:
         """Return the packet's total length in bytes as it would appear on the wire."""
         return self.wire_length
 
-    def with_ip(self, **changes: object) -> "Packet":
-        """Return a copy of this packet with selected IP header fields replaced.
-
-        The copy keeps the original ``uid`` so that ground-truth tracking
-        survives header rewriting by middleboxes (e.g. TTL decrement).
-        """
-        return Packet(self.ip._replace(**changes), self.tcp, self.icmp, self.payload, self.uid)
-
-    def with_tcp(self, **changes: object) -> "Packet":
-        """Return a copy of this packet with selected TCP header fields replaced.
-
-        Like :meth:`with_ip` the copy keeps the original ``uid``: a NAT
-        rewriting ports forwards the *same* packet, it does not originate a
-        new one.
-        """
-        if self.tcp is None:
-            raise ValueError("with_tcp() requires a TCP packet")
-        return Packet(self.ip, self.tcp._replace(**changes), None, self.payload, self.uid)
-
-    def clone(self) -> "Packet":
-        """Return a copy of this packet with a fresh ``uid`` (a re-send, not a forward)."""
-        return Packet(ip=self.ip, tcp=self.tcp, icmp=self.icmp, payload=self.payload)
-
     def describe(self) -> str:
         """Return a single-line human-readable summary for logs and traces."""
         src = format_address(self.ip.src)

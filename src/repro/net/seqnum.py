@@ -67,23 +67,6 @@ def seq_ge(a: int, b: int, modulo: int = SEQ_MODULO) -> bool:
     return (a - b) % modulo <= modulo // 2
 
 
-def seq_between(low: int, value: int, high: int, modulo: int = SEQ_MODULO) -> bool:
-    """Return True when ``value`` lies in the half-open modular window ``[low, high)``.
-
-    This is the window test TCP uses to decide whether a segment is
-    acceptable; the SYN-test classification relies on it to model the
-    specification-following "second SYN inside the window" behaviour.
-    """
-    low %= modulo
-    value %= modulo
-    high %= modulo
-    if low == high:
-        return False
-    if low < high:
-        return low <= value < high
-    return value >= low or value < high
-
-
 def ipid_diff(a: int, b: int) -> int:
     """Signed modular distance between two IPID values (16-bit space)."""
     return seq_diff(a, b, IPID_MODULO)

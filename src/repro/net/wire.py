@@ -76,9 +76,9 @@ def serialize_packet(packet: Packet) -> bytes:
     work, repeat calls (trace persistence, round-trip tests, corruption
     models re-reading the same packet) return the same ``bytes`` object.
     The cache is sound because headers are frozen and packets are treated as
-    immutable after construction — every rewrite path
-    (:meth:`~repro.net.packet.Packet.with_ip`, ``clone``) builds a new
-    instance with an empty cache.
+    immutable after construction — every rewrite (the NAT and ECN
+    middleboxes) builds a new :class:`~repro.net.packet.Packet` with an
+    empty cache.
     """
     cached = packet._wire
     if cached is not None:

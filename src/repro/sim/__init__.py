@@ -28,14 +28,12 @@ from repro.sim.build import (
     TraceSpec,
     build_duplex_pairs,
     build_elements,
-    build_pipeline,
 )
 from repro.sim.events import Event, EventQueue
 from repro.sim.link import Link
 from repro.sim.middlebox import (
     EcnBleacher,
     EcnMarker,
-    IcmpFilter,
     IcmpRateLimiter,
     LoadBalancer,
     NatForward,
@@ -47,12 +45,7 @@ from repro.sim.middlebox import (
 from repro.sim.path import DuplexPath, Pipeline
 from repro.sim.queueing import DropTailQueue
 from repro.sim.random import SeededRandom
-from repro.sim.reorder import (
-    AdjacentSwapReorderer,
-    DelayJitterReorderer,
-    LossElement,
-    PassthroughElement,
-)
+from repro.sim.reorder import AdjacentSwapReorderer, DelayJitterReorderer, LossElement
 from repro.sim.simulator import Simulator, Waiter
 from repro.sim.striping import StripedPathModel
 from repro.sim.timevary import (
@@ -80,7 +73,6 @@ __all__ = [
     "EventQueue",
     "GilbertElliottLossElement",
     "GilbertLossSpec",
-    "IcmpFilter",
     "IcmpPolicerSpec",
     "IcmpRateLimiter",
     "JitterSpec",
@@ -93,7 +85,6 @@ __all__ = [
     "NatReverse",
     "NatSpec",
     "NatTable",
-    "PassthroughElement",
     "Pipeline",
     "PmtudBlackHole",
     "PmtudBlackHoleSpec",
@@ -113,5 +104,4 @@ __all__ = [
     "Waiter",
     "build_duplex_pairs",
     "build_elements",
-    "build_pipeline",
 ]

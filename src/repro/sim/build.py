@@ -3,8 +3,9 @@
 Path pipelines used to be assembled by hand-written ``if`` chains in the
 testbed layer; every new kind of path condition meant editing that builder.
 This module inverts the dependency: a path is *described* as an ordered list
-of small, frozen :class:`ElementSpec` dataclasses, and :func:`build_pipeline`
-turns any such description into a wired :class:`~repro.sim.path.Pipeline`.
+of small, frozen :class:`ElementSpec` dataclasses, and :func:`build_elements`
+turns any such description into the elements of a
+:class:`~repro.sim.path.Pipeline`.
 
 Specs are plain data — hashable, comparable, and encoded by their field
 tables (:mod:`repro.core.schema`) — so host specs cross process and socket
@@ -33,7 +34,7 @@ from repro.sim.middlebox import (
     PmtudBlackHole,
     SynFirewall,
 )
-from repro.sim.path import PathElement, Pipeline
+from repro.sim.path import PathElement
 from repro.sim.random import SeededRandom
 from repro.sim.reorder import AdjacentSwapReorderer, DelayJitterReorderer, LossElement
 from repro.sim.striping import StripedPathModel
@@ -318,8 +319,3 @@ def build_elements(
 
 def _stream(spec: ElementSpec | DuplexSpec, rng: SeededRandom) -> Optional[SeededRandom]:
     return rng.fork(spec.label) if spec.label is not None else None
-
-
-def build_pipeline(specs: Sequence[ElementSpec], rng: SeededRandom) -> Pipeline:
-    """Build a unidirectional pipeline from an ordered spec list."""
-    return Pipeline(build_elements(specs, rng))

@@ -23,11 +23,10 @@ it reaches the top, without moving the clock or counting as processed.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heappush as _heappush
 
 from repro.net.errors import SimulationError
 
@@ -55,17 +54,12 @@ class Event:
     __slots__ = ("time", "sequence", "callback", "_state", "_queue")
 
     def __init__(self, time: float, sequence: int, callback: EventCallback,
-                 queue: Optional["EventQueue"] = None) -> None:
+                 queue: "EventQueue") -> None:
         self.time = time
         self.sequence = sequence
         self.callback = callback
         self._state = _PENDING
         self._queue = queue
-
-    @property
-    def cancelled(self) -> bool:
-        """True once this event has been cancelled (fired events stay False)."""
-        return self._state == _CANCELLED
 
     def cancel(self) -> None:
         """Mark this event so the event loop skips it (idempotent).
@@ -76,8 +70,7 @@ class Event:
         """
         if self._state == _PENDING:
             self._state = _CANCELLED
-            if self._queue is not None:
-                self._queue._cancelled += 1
+            self._queue._cancelled += 1
 
     def __repr__(self) -> str:
         state = {_PENDING: "pending", _FIRED: "fired", _CANCELLED: "cancelled"}[self._state]
@@ -108,10 +101,6 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap) - self._cancelled
 
-    def is_empty(self) -> bool:
-        """Return True when no live (non-cancelled) entries remain."""
-        return len(self._heap) == self._cancelled
-
     def push(self, time: float, callback: EventCallback) -> Event:
         """Schedule ``callback`` at absolute simulated ``time`` and return its handle."""
         if time < 0.0:
@@ -130,38 +119,3 @@ class EventQueue:
         if time < 0.0:
             raise SimulationError(f"cannot schedule an event before time zero: {time}")
         _heappush(self._heap, (time, self._next_sequence(), fn, arg))
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously pushed event (idempotent, safe after it fired)."""
-        event.cancel()
-
-    def _drop_cancelled_head(self) -> None:
-        heap = self._heap
-        while heap and heap[0][2] is fire_timer and heap[0][3]._state:
-            _heappop(heap)
-            self._cancelled -= 1
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the next live entry, or None when empty."""
-        self._drop_cancelled_head()
-        heap = self._heap
-        return heap[0][0] if heap else None
-
-    def pop(self) -> Optional[Event]:
-        """Remove the next live entry and return it as a fired :class:`Event`.
-
-        A timer comes back as the handle ``push`` returned; a hop comes back
-        as a new handle whose callback makes the hop's call.  The simulator's
-        run loop reads the heap itself and never builds these.
-        """
-        self._drop_cancelled_head()
-        heap = self._heap
-        if not heap:
-            return None
-        time, sequence, fn, arg = _heappop(heap)
-        if fn is fire_timer:
-            event: Event = arg
-        else:
-            event = Event(time, sequence, functools.partial(fn, arg))
-        event._state = _FIRED
-        return event

@@ -8,7 +8,7 @@ plus the rest of the middlebox taxonomy the single-point methodology has to
 survive:
 
 * :class:`LoadBalancer` — per-flow backend hashing (now ICMP-error aware);
-* :class:`IcmpRateLimiter` / :class:`IcmpFilter` — ICMP policing/filtering;
+* :class:`IcmpRateLimiter` — ICMP policing;
 * :class:`NatForward` / :class:`NatReverse` — a port-rewriting NAT pair
   sharing a :class:`NatTable` with idle-timeout expiry;
 * :class:`SynFirewall` — a stateful firewall that rate limits inbound SYNs;
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence
 
-from repro.net.flow import FlowKey
 from repro.net.icmp import IcmpError
 from repro.net.packet import PROTO_ICMP, IPv4Header, Packet, TcpFlags, TcpHeader
 from repro.sim.path import PathElement
@@ -46,8 +45,9 @@ class Site(Protocol):
 class LoadBalancer:
     """A transparent per-flow load balancer in front of several backend hosts.
 
-    Flows are assigned to backends by hashing the direction-agnostic flow key
-    (the common "hash on the four-tuple" strategy the paper describes), so
+    Flows are assigned to backends by hashing the four-tuple with its lower
+    ``(address, port)`` endpoint first (the common "hash on the four-tuple"
+    strategy the paper describes, made direction-agnostic), so
     every packet of a TCP connection — including both SYNs of the SYN test —
     reaches the same backend, while two distinct connections will frequently
     land on different backends.
@@ -67,12 +67,8 @@ class LoadBalancer:
         """The backend sites behind this balancer."""
         return tuple(self._backends)
 
-    def backend_for_flow(self, key: FlowKey) -> int:
-        """Return the index of the backend serving the given flow."""
-        return self._backend_for(key.addr_a, key.port_a, key.addr_b, key.port_b)
-
     def _backend_for(self, src_addr: int, src_port: int, dst_addr: int, dst_port: int) -> int:
-        """Hash a flow's endpoints in :class:`FlowKey` order (both directions alike)."""
+        """Hash a flow's endpoints, lower ``(address, port)`` first: both directions alike."""
         if (src_addr, src_port) > (dst_addr, dst_port):
             src_addr, src_port, dst_addr, dst_port = dst_addr, dst_port, src_addr, src_port
         salted = (src_addr, src_port, dst_addr, dst_port, self._hash_salt)
@@ -86,7 +82,7 @@ class LoadBalancer:
         fragmentation-needed errors on backend 0 while the affected
         connection lives elsewhere (breaking PMTUD behind the VIP).  Quoted
         flows are therefore hashed exactly like the TCP packets they quote —
-        the direction-agnostic flow key guarantees the error lands on the
+        the endpoint ordering guarantees the error lands on the
         backend serving the original connection.
         """
         self.packets_forwarded += 1
@@ -159,20 +155,6 @@ class IcmpRateLimiter(PathElement):
             self.icmp_dropped += 1
 
 
-class IcmpFilter(PathElement):
-    """Drops all ICMP traffic (a site that does not answer ping at all)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.icmp_dropped = 0
-
-    def handle_packet(self, packet: Packet) -> None:
-        if packet.ip.protocol == PROTO_ICMP:
-            self.icmp_dropped += 1
-            return
-        self._emit(packet)
-
-
 @dataclass(slots=True)
 class _NatMapping:
     """One live translation: internal (addr, port) <-> external port."""
@@ -208,10 +190,6 @@ class NatTable:
         self._reverse: dict[int, _NatMapping] = {}
         self.mappings_created = 0
         self.mappings_expired = 0
-
-    def active_mappings(self) -> int:
-        """The number of live (possibly stale) table entries."""
-        return len(self._forward)
 
     def _expire(self, mapping: _NatMapping) -> None:
         del self._forward[mapping.internal]
@@ -270,8 +248,8 @@ class NatForward(PathElement):
             return
         external = self.table.translate_forward(packet.ip.src, tcp.src_port, self._sim.now)
         if external != tcp.src_port:
-            # ``with_tcp(src_port=external)``, with the header built straight
-            # through its validating ``__new__``; the forward keeps the uid.
+            # The header is built straight through its validating ``__new__``
+            # (``src_port`` is its first field); the forward keeps the uid.
             packet = Packet(packet.ip, TcpHeader(external, *tcp[1:]), None, packet.payload, packet.uid)
             self.rewritten += 1
         self._emit(packet)
@@ -332,7 +310,8 @@ class SynFirewall(PathElement):
         self._tokens = float(burst)
         self._last_refill = 0.0
         self._allowed: set[tuple[int, int, int, int]] = set()
-        """Admitted flows, each keyed as :class:`FlowKey` orders its endpoints."""
+        """Admitted flows, keyed by the four-tuple with its lower ``(address, port)``
+        endpoint first, so both directions of a flow share one key."""
         self.syn_passed = 0
         self.syn_dropped = 0
         self.out_of_state_dropped = 0
@@ -421,8 +400,8 @@ class EcnMarker(PathElement):
     def handle_packet(self, packet: Packet) -> None:
         ip = packet.ip
         if (ip.tos & ECN_MASK) != self.codepoint:
-            # ``with_ip(tos=...)``, with the header built straight through its
-            # validating ``__new__`` (``tos`` is its last field); keeps the uid.
+            # The header is built straight through its validating ``__new__``
+            # (``tos`` is its last field); the rewrite keeps the uid.
             header = IPv4Header(*ip[:-1], (ip.tos & ~ECN_MASK) | self.codepoint)
             packet = Packet(header, packet.tcp, packet.icmp, packet.payload, packet.uid)
             self.marked += 1

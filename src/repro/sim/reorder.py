@@ -18,18 +18,6 @@ from repro.sim.path import PathElement
 from repro.sim.random import SeededRandom
 
 
-class PassthroughElement(PathElement):
-    """An element that forwards every packet untouched (useful in tests)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.packets_seen = 0
-
-    def handle_packet(self, packet: Packet) -> None:
-        self.packets_seen += 1
-        self._emit(packet)
-
-
 class LossElement(PathElement):
     """Drops each packet independently with a fixed probability.
 

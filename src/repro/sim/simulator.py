@@ -34,10 +34,10 @@ class Waiter:
     """A wake flag connecting a state-owning endpoint to ``run_until``.
 
     The endpoint calls :meth:`wake` whenever the state a waiting predicate
-    might read has changed; the event loop calls :meth:`consume` after each
-    event and only re-evaluates the predicate when a wake happened.  A waiter
-    may be shared by any number of sequential waits (the probe host keeps one
-    for its whole capture buffer).
+    might read has changed; after each event the run loop tests and clears
+    the wake flag itself, and re-evaluates the predicate only when a wake
+    happened.  A waiter may be shared by any number of sequential waits (the
+    probe host keeps one for its whole capture buffer).
     """
 
     __slots__ = ("_signaled",)
@@ -48,13 +48,6 @@ class Waiter:
     def wake(self) -> None:
         """Signal that predicate-visible state has changed."""
         self._signaled = True
-
-    def consume(self) -> bool:
-        """Return True (and reset) when a wake happened since the last call."""
-        if self._signaled:
-            self._signaled = False
-            return True
-        return False
 
 
 class Simulator:
@@ -100,12 +93,6 @@ class Simulator:
         if delay < 0.0:
             raise SimulationError(f"delay cannot be negative: {delay}")
         return self._events.push(self.now + delay, callback)
-
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to fire at absolute simulated time ``when``."""
-        if when < self.now:
-            raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
-        return self._events.push(when, callback)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent, safe after it fired)."""

@@ -12,12 +12,7 @@ from repro.stats.descriptive import (
     summarize,
     variance,
 )
-from repro.stats.intervals import (
-    BinomialEstimate,
-    binomial_estimate,
-    normal_interval,
-    wilson_interval,
-)
+from repro.stats.intervals import BinomialEstimate, binomial_estimate, wilson_interval
 from repro.stats.pair_difference import PairDifferenceResult, paired_difference_test
 from repro.stats.student_t import t_quantile
 
@@ -28,7 +23,6 @@ __all__ = [
     "binomial_estimate",
     "mean",
     "median",
-    "normal_interval",
     "paired_difference_test",
     "quantile",
     "quantile_index",

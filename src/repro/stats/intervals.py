@@ -91,18 +91,6 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     return low, high
 
 
-def normal_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Return the simple normal-approximation (Wald) interval."""
-    if trials <= 0:
-        raise AnalysisError("normal interval requires at least one trial")
-    if not 0 <= successes <= trials:
-        raise AnalysisError(f"successes out of range: {successes}/{trials}")
-    z = _z_for_confidence(confidence)
-    p_hat = successes / trials
-    margin = z * math.sqrt(p_hat * (1 - p_hat) / trials)
-    return max(0.0, p_hat - margin), min(1.0, p_hat + margin)
-
-
 def binomial_estimate(successes: int, trials: int, confidence: float = 0.95) -> BinomialEstimate:
     """Build a :class:`BinomialEstimate` using the Wilson interval."""
     low, high = wilson_interval(successes, trials, confidence)

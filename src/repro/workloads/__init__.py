@@ -15,9 +15,7 @@ This package builds all three from declarative specs.
 
 from repro.workloads.population import (
     PopulationSpec,
-    address_block,
     generate_population,
-    generate_population_shards,
     partition_specs,
 )
 from repro.workloads.testbed import HostSpec, PathSpec, StripingSpec, Testbed, build_testbed
@@ -39,10 +37,8 @@ __all__ = [
     "ValidationCell",
     "ValidationRunResult",
     "ValidationSummary",
-    "address_block",
     "build_testbed",
     "generate_population",
-    "generate_population_shards",
     "paper_rate_grid",
     "partition_specs",
     "run_validation_cell",

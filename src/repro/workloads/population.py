@@ -30,9 +30,7 @@ from repro.workloads.testbed import HostSpec, PathSpec
 
 __all__ = [
     "PopulationSpec",
-    "address_block",
     "generate_population",
-    "generate_population_shards",
     "partition_specs",
     "popular_site_specs",
 ]
@@ -79,19 +77,13 @@ def popular_site_specs(seed: int = 11) -> list[HostSpec]:
     return specs
 
 
-def address_block(specs: Sequence[HostSpec]) -> list[int]:
-    """Return the addresses of a host spec list (convenience for campaigns)."""
-    return [spec.address for spec in specs]
-
-
 def partition_specs(items: Sequence[T], shards: int) -> list[list[T]]:
     """Split ``items`` into at most ``shards`` contiguous, balanced partitions.
 
     Partition sizes differ by at most one, original order is preserved, and no
     empty partitions are produced: asking for more shards than there are items
     yields one singleton partition per item.  This is the partitioning rule
-    the sharded campaign runner applies to host spec lists, kept here so
-    population builders and the runner agree on shard composition.
+    the sharded campaign runner applies to host spec lists.
     """
     if shards < 1:
         raise SimulationError(f"partitioning needs at least one shard: {shards}")
@@ -106,16 +98,3 @@ def partition_specs(items: Sequence[T], shards: int) -> list[list[T]]:
         partitions.append(list(items[start : start + size]))
         start += size
     return partitions
-
-
-def generate_population_shards(
-    spec: PopulationSpec, seed: int = 7, shards: int = 1
-) -> list[list[HostSpec]]:
-    """Generate a population and partition it for a sharded campaign.
-
-    The full population is always generated first (host specs are a function
-    of ``(spec, seed)`` alone) and then split with :func:`partition_specs`, so
-    the union of the returned shards is identical to
-    :func:`generate_population` no matter how many shards are requested.
-    """
-    return partition_specs(generate_population(spec, seed=seed), shards)

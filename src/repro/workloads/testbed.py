@@ -113,11 +113,6 @@ class SiteHandle:
     forward_trace: TraceCapture
     reverse_trace: TraceCapture
 
-    @property
-    def primary_host(self) -> RemoteHost:
-        """The single backend (or the first backend of a balanced cluster)."""
-        return self.hosts[0]
-
 
 class Testbed:
     """A fully wired simulation environment ready for measurements."""

@@ -10,6 +10,7 @@ from repro.__main__ import build_parser, main
 from repro.api import CampaignRequest, Session
 from repro.core.campaign import CampaignConfig
 from repro.scenarios import scenario_names
+from repro.store.store import CampaignStore
 
 
 def test_list_scenarios_prints_catalogue(capsys):
@@ -99,7 +100,23 @@ def test_missing_subcommand_is_a_usage_error(argv, capsys):
     assert captured.err == "usage: python -m repro {run,resume,report,migrate,workers,lint} ...\n"
 
 
-def test_run_with_store_then_report_and_resume(tmp_path, capsys):
+@pytest.mark.parametrize("port", ["0", "65536", "70000"])
+def test_workers_reject_a_port_outside_1_to_65535(port, monkeypatch, capsys):
+    """A port past 65535 would reach ``getaddrinfo``, which keeps its low 16
+    bits (70000 dials 4464): refuse it, and port 0, before any dial."""
+
+    def dial(*args, **kwargs):
+        raise AssertionError("a worker dialled the coordinator")
+
+    monkeypatch.setattr("repro.__main__.run_worker", dial)
+    for workers in ("1", "2"):
+        argv = ["workers", "--connect", f"127.0.0.1:{port}", "--workers", workers]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"--connect must be HOST:PORT with PORT in 1-65535, got '127.0.0.1:{port}'\n"
+
+
+def test_run_with_store_then_report_and_resume(tmp_path, capsys, monkeypatch):
     store = str(tmp_path / "campaign")
     argv = [
         "run",
@@ -116,7 +133,22 @@ def test_run_with_store_then_report_and_resume(tmp_path, capsys):
     run_out = capsys.readouterr().out
     digest = [l for l in run_out.splitlines() if l.startswith("result-digest=")][0]
 
-    assert main(["report", "--store", store]) == 0
+    # The report reads the log once: the same pass feeds tables and digest.
+    passes = []
+    iter_records = CampaignStore.iter_records
+
+    def counted(self):
+        passes.append(self)
+        return iter_records(self)
+
+    def load_result(self):
+        raise AssertionError("report materialised the whole store")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CampaignStore, "iter_records", counted)
+        patch.setattr(CampaignStore, "load_result", load_result)
+        assert main(["report", "--store", store]) == 0
+    assert len(passes) == 1
     report_out = capsys.readouterr().out
     assert "shards=2/2 (complete)" in report_out
     assert digest in report_out

@@ -17,7 +17,7 @@ def test_establish_completes_three_way_handshake(clean_testbed):
     assert connection.established
     # Let the final ACK of the handshake propagate to the server.
     clean_testbed.sim.run_for(0.05)
-    server = clean_testbed.site("target").primary_host
+    server = clean_testbed.site("target").hosts[0]
     server_connections = list(server.tcp.connections.values())
     assert len(server_connections) == 1
     assert server_connections[0].state is TcpState.ESTABLISHED
@@ -49,7 +49,7 @@ def test_out_of_order_probe_and_reset(clean_testbed):
 
     connection.send_reset()
     clean_testbed.sim.run_for(0.1)
-    server = clean_testbed.site("target").primary_host
+    server = clean_testbed.site("target").hosts[0]
     assert not server.tcp.connections
 
 
@@ -66,6 +66,6 @@ def test_mss_option_is_advertised(clean_testbed):
     address = clean_testbed.address_of("target")
     connection = ProbeConnection(clean_testbed.probe, address, mss=256)
     connection.establish()
-    server = clean_testbed.site("target").primary_host
+    server = clean_testbed.site("target").hosts[0]
     server_connection = list(server.tcp.connections.values())[0]
     assert server_connection.peer_mss == 256

@@ -26,7 +26,6 @@ from repro.scenarios import LEGACY_SCENARIO, build_scenario_hosts, get_scenario
 from repro.workloads.population import (
     PopulationSpec,
     generate_population,
-    generate_population_shards,
     partition_specs,
 )
 from repro.workloads.testbed import build_testbed
@@ -86,12 +85,6 @@ def test_partition_empty_and_invalid():
     assert partition_specs([], 3) == []
     with pytest.raises(Exception):
         partition_specs([1], 0)
-
-
-def test_generate_population_shards_union_matches_full(specs):
-    shards = generate_population_shards(POPULATION, seed=SEED, shards=4)
-    flattened = [spec for shard in shards for spec in shard]
-    assert flattened == specs
 
 
 def test_runner_shard_plan_covers_population(specs):

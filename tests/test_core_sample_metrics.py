@@ -48,7 +48,7 @@ def test_measurement_result_counts_and_rates():
     assert result.valid_samples(Direction.FORWARD) == 2
     assert result.reordered_samples(Direction.FORWARD) == 1
     assert result.reordering_rate(Direction.FORWARD) == pytest.approx(0.5)
-    assert result.ambiguous_samples(Direction.FORWARD) == 2
+    assert result.sample_count() - result.valid_samples(Direction.FORWARD) == 2
     assert result.reordering_rate(Direction.REVERSE) == pytest.approx(1.0 / 3.0)
     assert result.has_reordering()
     estimate = result.estimate(Direction.FORWARD)

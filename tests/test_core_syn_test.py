@@ -91,4 +91,4 @@ def test_connections_are_cleaned_up_politely():
     SynTest(testbed.probe, address, polite=True).run(num_samples=10)
     handle = testbed.site("target")
     # No half-open connections are left behind on the server.
-    assert not handle.primary_host.tcp.connections
+    assert not handle.hosts[0].tcp.connections

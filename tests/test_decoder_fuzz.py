@@ -41,9 +41,8 @@ from repro.distributed.protocol import (
     unpack_result,
 )
 from repro.net.errors import ParseError, ProtocolError, TransportError
-from repro.net.flow import FourTuple
-from repro.net.icmp import IcmpError, parse_icmp_error
-from repro.net.packet import ICMP_ECHO_REQUEST, IcmpEcho, Packet, TcpFlags, TcpHeader, TcpOption
+from repro.net.icmp import ICMP_TTL_EXCEEDED, IcmpError, QuotedFlow, parse_icmp_error, quote_packet
+from repro.net.packet import ICMP_ECHO_REQUEST, PROTO_TCP, IcmpEcho, Packet, TcpFlags, TcpHeader, TcpOption
 from repro.net.wire import parse_packet, serialize_packet
 from repro.scenarios import build_scenario_hosts, get_scenario, scenario_names
 from test_golden_signatures import GOLDEN_CONFIG, GOLDEN_HOSTS, GOLDEN_SEED
@@ -202,7 +201,9 @@ def _packet_seeds() -> tuple[bytes, ...]:
         Packet.tcp_packet(_PROBE, _HOST, syn, ident=7),
         data,
         Packet.icmp_packet(_PROBE, _HOST, IcmpEcho(ICMP_ECHO_REQUEST, 7, 9, b"ping"), ident=9),
-        Packet.icmp_error_packet(_ROUTER, _PROBE, IcmpError.ttl_exceeded(data), ident=10),
+        Packet.icmp_error_packet(
+            _ROUTER, _PROBE, IcmpError(ICMP_TTL_EXCEEDED, quoted=quote_packet(data)), ident=10
+        ),
     )
     return tuple(serialize_packet(packet) for packet in packets)
 
@@ -225,7 +226,7 @@ def test_packet_seeds_decode():
     assert packets[0].tcp.mss() == 1460
     assert packets[1].payload.startswith(b"GET")
     assert packets[2].icmp.sequence == 9
-    assert packets[3].icmp.quoted_flow().four_tuple() == FourTuple(_PROBE, 33001, _HOST, 80)
+    assert packets[3].icmp.quoted_flow() == QuotedFlow(_PROBE, _HOST, PROTO_TCP, 33001, 80)
     assert [parse_icmp_error(body).describe() for body in _icmp_error_bodies()] == [
         f"ttl-exceeded quoting {_PROBE}:33001>{_HOST}:80",
         f"frag-needed mtu=576 quoting {_PROBE}:33001>{_HOST}:80",

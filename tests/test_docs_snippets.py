@@ -1,9 +1,11 @@
-"""Documentation checks: code snippets must run, module references must exist.
+"""Documentation checks: code snippets must run, dotted references must exist.
 
 Every fenced ``python`` block in ``README.md`` and ``docs/architecture.md``
-is executed, and every ``repro.*`` dotted module path mentioned anywhere in
-the documents must resolve to a real module — so the docs cannot drift from
-the code without failing CI.
+is executed, and every ``repro.*`` dotted path mentioned anywhere in the
+documents must resolve to a real module and, past the module, to a real
+attribute at every step (``repro.net.flow.format_address``,
+``repro.api.Session.submit``) — so the docs cannot drift from the code
+without failing CI.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS = [REPO_ROOT / "README.md", REPO_ROOT / "docs" / "architecture.md"]
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
-_MODULE_REF = re.compile(r"\brepro(?:\.[a-z_][a-z0-9_]*)+")
+_MODULE_REF = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 
 def _python_blocks() -> list[tuple[str, int, str]]:
@@ -33,11 +35,7 @@ def _python_blocks() -> list[tuple[str, int, str]]:
 def _module_refs() -> set[str]:
     refs = set()
     for doc in DOCS:
-        for match in _MODULE_REF.finditer(doc.read_text()):
-            dotted = match.group(0)
-            # Trim trailing attribute names until the prefix is a module;
-            # "repro.core.runner.CampaignRunner" → "repro.core.runner".
-            refs.add(dotted)
+        refs.update(match.group(0) for match in _MODULE_REF.finditer(doc.read_text()))
     return refs
 
 
@@ -63,14 +61,15 @@ def test_doc_snippet_executes(doc, index, source):
 
 
 def test_doc_module_references_resolve():
-    """Every dotted repro.* path in the docs must lead to a real module."""
+    """Every dotted repro.* path in the docs must lead to a real module, then
+    through a real attribute for each name after it."""
     missing = []
     for dotted in sorted(_module_refs()):
         parts = dotted.split(".")
         found = False
-        # A reference may name a module or an attribute of one (class or
-        # function); accept it if any prefix of length >= 2 is importable
-        # and, when attributes remain, the module exposes the next name.
+        # A reference may name a module or an attribute path inside one
+        # (class, function, method); the longest importable prefix of length
+        # >= 2 is the module, and every remaining name must resolve in turn.
         for cut in range(len(parts), 1, -1):
             module_name = ".".join(parts[:cut])
             try:
@@ -79,11 +78,13 @@ def test_doc_module_references_resolve():
                 continue
             if spec is None:
                 continue
-            if cut == len(parts):
-                found = True
-            else:
-                module = importlib.import_module(module_name)
-                found = hasattr(module, parts[cut])
+            owner = importlib.import_module(module_name)
+            found = True
+            for name in parts[cut:]:
+                if not hasattr(owner, name):
+                    found = False
+                    break
+                owner = getattr(owner, name)
             break
         if not found:
             missing.append(dotted)

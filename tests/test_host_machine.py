@@ -43,8 +43,7 @@ def test_web_server_requires_complete_request():
             self.sent.append(num_bytes)
 
     class FakeConnection:
-        class key:  # noqa: N801 - mimic the FourTuple attribute access
-            src_addr, src_port, dst_addr, dst_port = 1, 2, 3, 4
+        key = (1, 2, 3, 4)
 
     endpoint = FakeEndpoint()
     server = WebServer(object_size=1000)
@@ -165,7 +164,7 @@ def _deliver_at(sim, probe, when, *packets):
         for packet in packets:
             probe.deliver(packet)
 
-    sim.schedule_at(when, deliver)
+    sim.schedule(when - sim.now, deliver)
 
 
 def _echo_reply(src, sequence):
@@ -277,7 +276,7 @@ def test_a_finished_wait_holds_no_packet():
     def fail():
         raise RuntimeError("element fault")
 
-    sim.schedule_at(0.3, fail)
+    sim.schedule(0.3 - sim.now, fail)
     assert len(probe.wait_for_packets(0, count=1, timeout=1.0, local_port=port)) == 1
     assert len(probe.wait_for_packets(0, count=5, timeout=0.15, local_port=port)) == 2
     probe.deliver(packets[2])

@@ -1,10 +1,10 @@
-"""Tests for addresses, four-tuples, and flow keys."""
+"""Tests for dotted-quad address parsing and rendering."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.net.flow import FlowKey, FourTuple, format_address, parse_address
+from repro.net.flow import format_address, parse_address
 
 
 def test_address_round_trip():
@@ -22,41 +22,3 @@ def test_parse_address_rejects_bad_input():
 def test_format_address_rejects_out_of_range():
     with pytest.raises(ValueError):
         format_address(1 << 32)
-
-
-def test_four_tuple_validation():
-    with pytest.raises(ValueError):
-        FourTuple(src_addr=-1, src_port=80, dst_addr=1, dst_port=80)
-    with pytest.raises(ValueError):
-        FourTuple(src_addr=1, src_port=70000, dst_addr=1, dst_port=80)
-
-
-def test_four_tuple_reversed():
-    tuple_ = FourTuple(parse_address("10.0.0.1"), 1234, parse_address("10.0.0.2"), 80)
-    back = tuple_.reversed()
-    assert back.src_addr == tuple_.dst_addr
-    assert back.dst_port == tuple_.src_port
-    assert back.reversed() == tuple_
-
-
-def test_flow_key_direction_agnostic():
-    forward = FourTuple(parse_address("10.0.0.1"), 1234, parse_address("10.0.0.2"), 80)
-    assert forward.flow_key() == forward.reversed().flow_key()
-
-
-def test_flow_key_distinguishes_ports():
-    a = FourTuple(parse_address("10.0.0.1"), 1234, parse_address("10.0.0.2"), 80)
-    b = FourTuple(parse_address("10.0.0.1"), 1235, parse_address("10.0.0.2"), 80)
-    assert a.flow_key() != b.flow_key()
-
-
-def test_flow_key_from_four_tuple_canonical_order():
-    a = FourTuple(parse_address("10.0.0.2"), 80, parse_address("10.0.0.1"), 1234)
-    key = FlowKey.from_four_tuple(a)
-    assert (key.addr_a, key.port_a) <= (key.addr_b, key.port_b)
-
-
-def test_string_renderings():
-    tuple_ = FourTuple(parse_address("10.0.0.1"), 1234, parse_address("10.0.0.2"), 80)
-    assert "10.0.0.1:1234" in str(tuple_)
-    assert "<->" in str(tuple_.flow_key())

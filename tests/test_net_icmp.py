@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.checksum import verify_checksum
+from repro.net.checksum import internet_checksum
 from repro.net.errors import ParseError
-from repro.net.flow import FourTuple
 from repro.net.icmp import (
     CODE_FRAG_NEEDED,
     ICMP_DEST_UNREACHABLE,
@@ -26,12 +25,14 @@ from repro.net.icmp import (
     ICMP_TTL_EXCEEDED,
     QUOTE_LIMIT,
     IcmpError,
+    QuotedFlow,
     parse_icmp_error,
     quote_packet,
 )
 from repro.net.packet import (
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
+    PROTO_TCP,
     IcmpEcho,
     Packet,
     TcpHeader,
@@ -108,14 +109,14 @@ def test_quoted_flow_recovers_the_offending_four_tuple(src, dst, sport, dport):
     original = Packet.tcp_packet(
         src, dst, TcpHeader(src_port=sport, dst_port=dport), payload=b"abcdefgh"
     )
+    quoted = quote_packet(original)
     for error in (
-        IcmpError.ttl_exceeded(original),
+        IcmpError(ICMP_TTL_EXCEEDED, quoted=quoted),
         IcmpError.frag_needed(original, next_hop_mtu=576),
-        IcmpError.source_quench(original),
+        IcmpError(ICMP_SOURCE_QUENCH, quoted=quoted),
     ):
         flow = error.quoted_flow()
-        assert flow is not None
-        assert flow.four_tuple() == FourTuple(src, sport, dst, dport)
+        assert flow == QuotedFlow(src, dst, PROTO_TCP, sport, dport)
         # The round-tripped error recovers the same flow from the same quote.
         wire = parse_packet(serialize_packet(Packet.icmp_error_packet(dst, src, error)))
         assert wire.icmp.quoted_flow() == flow
@@ -141,8 +142,8 @@ def test_error_checksum_matches_reference_oracle(src, dst, error):
     embedded = struct.unpack("!H", body[2:4])[0]
     zeroed = body[:2] + b"\x00\x00" + body[4:]
     assert embedded == reference_checksum(zeroed)
-    assert verify_checksum(body)
-    assert verify_checksum(raw[:20])  # the IP header checksum too
+    assert internet_checksum(body) == 0
+    assert internet_checksum(raw[:20]) == 0  # the IP header checksum too
 
 
 @given(addresses, addresses, echo_messages)
@@ -152,7 +153,7 @@ def test_echo_checksum_matches_reference_oracle(src, dst, echo):
     body = raw[20:]
     embedded = struct.unpack("!H", body[2:4])[0]
     assert embedded == reference_checksum(body[:2] + b"\x00\x00" + body[4:])
-    assert verify_checksum(body)
+    assert internet_checksum(body) == 0
 
 
 # --------------------------------------------------------------------- #
@@ -235,7 +236,7 @@ def test_predicates_and_describe():
     frag = IcmpError.frag_needed(original, next_hop_mtu=296)
     assert frag.is_frag_needed() and not frag.is_ttl_exceeded()
     assert "mtu=296" in frag.describe()
-    ttl = IcmpError.ttl_exceeded(original)
+    ttl = IcmpError(ICMP_TTL_EXCEEDED, quoted=quote_packet(original))
     assert ttl.is_ttl_exceeded() and not ttl.is_source_quench()
     assert "3>2:80" in ttl.describe()
-    assert IcmpError.source_quench(original).is_source_quench()
+    assert IcmpError(ICMP_SOURCE_QUENCH, quoted=quote_packet(original)).is_source_quench()

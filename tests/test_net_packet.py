@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from repro.net.flow import parse_address
-from repro.net.icmp import IcmpError
+from repro.net.icmp import ICMP_TTL_EXCEEDED, IcmpError, quote_packet
 from repro.net.packet import (
     ICMP_ECHO_REQUEST,
     PROTO_TCP,
@@ -91,18 +91,23 @@ def test_ip_header_validation():
         IPv4Header(src=SRC, dst=DST, protocol=PROTO_TCP, tos=300)
 
 
-def test_packet_uid_unique_and_preserved_by_with_ip():
+def _rewrite_ip(packet: Packet, **changes) -> Packet:
+    """A forward with IP fields replaced, built the way the ECN middleboxes build one."""
+    return Packet(packet.ip._replace(**changes), packet.tcp, packet.icmp, packet.payload, packet.uid)
+
+
+def _rewrite_tcp(packet: Packet, **changes) -> Packet:
+    """A forward with TCP fields replaced, built the way the NAT builds one."""
+    return Packet(packet.ip, packet.tcp._replace(**changes), None, packet.payload, packet.uid)
+
+
+def test_packet_uid_unique_and_preserved_by_a_rewrite():
     a = Packet.tcp_packet(SRC, DST, _tcp_header())
     b = Packet.tcp_packet(SRC, DST, _tcp_header())
     assert a.uid != b.uid
-    rewritten = a.with_ip(ttl=10)
+    rewritten = _rewrite_ip(a, ttl=10)
     assert rewritten.uid == a.uid
     assert rewritten.ip.ttl == 10
-
-
-def test_packet_clone_gets_new_uid():
-    a = Packet.tcp_packet(SRC, DST, _tcp_header())
-    assert a.clone().uid != a.uid
 
 
 def test_packet_total_length():
@@ -110,16 +115,10 @@ def test_packet_total_length():
     assert packet.total_length() == 20 + 20 + 3
 
 
-def test_with_tcp_requires_tcp():
-    echo = IcmpEcho(ICMP_ECHO_REQUEST, identifier=1, sequence=2)
-    packet = Packet.icmp_packet(SRC, DST, echo)
-    with pytest.raises(ValueError):
-        packet.with_tcp(window=5)
-    assert packet.is_icmp() and packet.tcp is None
-
-
 def test_packet_cannot_mix_transports():
     echo = IcmpEcho(ICMP_ECHO_REQUEST, identifier=1, sequence=2)
+    assert Packet.icmp_packet(SRC, DST, echo).is_icmp()
+    assert not Packet.tcp_packet(SRC, DST, _tcp_header()).is_icmp()
     ip = IPv4Header(src=SRC, dst=DST, protocol=PROTO_TCP)
     with pytest.raises(ValueError):
         Packet(ip=ip, tcp=_tcp_header(), icmp=echo)
@@ -144,9 +143,9 @@ def test_headers_reject_field_assignment():
 def test_packet_rewrites_validate_the_new_header():
     packet = Packet.tcp_packet(SRC, DST, _tcp_header())
     with pytest.raises(ValueError, match="TTL"):
-        packet.with_ip(ttl=300)
+        _rewrite_ip(packet, ttl=300)
     with pytest.raises(ValueError, match="seq"):
-        packet.with_tcp(seq=-1)
+        _rewrite_tcp(packet, seq=-1)
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
@@ -312,17 +311,17 @@ def test_stored_length_matches_the_computed_length_for_every_shape():
     mss = Packet.tcp_packet(SRC, DST, _tcp_header(options=(TcpOption.mss(1460),)), payload=b"abc")
     padded = Packet.tcp_packet(SRC, DST, _tcp_header(options=(TcpOption(TcpOption.KIND_SACK, b"\x00" * 5),)))
     echo = Packet.icmp_packet(SRC, DST, IcmpEcho(ICMP_ECHO_REQUEST, identifier=1, sequence=2, payload=b"ping"))
-    error = Packet.icmp_error_packet(DST, SRC, IcmpError.ttl_exceeded(plain))
+    error = Packet.icmp_error_packet(DST, SRC, IcmpError(ICMP_TTL_EXCEEDED, quoted=quote_packet(plain)))
     bare = Packet(IPv4Header(SRC, DST, PROTO_UDP), payload=b"datagram")
     packets = [plain, mss, padded, echo, error, bare]
     assert [packet.total_length() for packet in packets] == [140, 47, 48, 32, 56, 28]
     rewritten = [
-        plain.with_ip(ttl=3),
-        mss.with_tcp(seq=5),
-        plain.with_tcp(options=(TcpOption.mss(536),)),
-        mss.with_tcp(options=()),
-        echo.with_ip(ident=9),
-        error.with_ip(tos=4),
+        _rewrite_ip(plain, ttl=3),
+        _rewrite_tcp(mss, seq=5),
+        _rewrite_tcp(plain, options=(TcpOption.mss(536),)),
+        _rewrite_tcp(mss, options=()),
+        _rewrite_ip(echo, ident=9),
+        _rewrite_ip(error, tos=4),
     ]
     for packet in packets + rewritten:
         assert packet.total_length() == _computed_length(packet), packet.describe()

@@ -11,7 +11,6 @@ from repro.net.seqnum import (
     SEQ_MODULO,
     ipid_diff,
     seq_add,
-    seq_between,
     seq_diff,
     seq_ge,
     seq_gt,
@@ -48,25 +47,6 @@ def test_ordering_across_wrap():
     near_top = SEQ_MODULO - 10
     assert seq_gt(5, near_top)
     assert seq_lt(near_top, 5)
-
-
-def test_seq_between_simple_window():
-    assert seq_between(10, 15, 20)
-    assert not seq_between(10, 25, 20)
-    assert seq_between(10, 10, 20)
-    assert not seq_between(10, 20, 20)
-
-
-def test_seq_between_wrapping_window():
-    low = SEQ_MODULO - 5
-    high = 5
-    assert seq_between(low, SEQ_MODULO - 1, high)
-    assert seq_between(low, 2, high)
-    assert not seq_between(low, 100, high)
-
-
-def test_seq_between_empty_window():
-    assert not seq_between(7, 7, 7)
 
 
 def test_ipid_diff_uses_16_bit_space():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.checksum import pseudo_header_sum, verify_checksum
+from repro.net.checksum import internet_checksum, pseudo_header_sum
 from repro.net.errors import ParseError
 from repro.net.flow import parse_address
 from repro.net.packet import (
@@ -61,7 +61,7 @@ def test_icmp_round_trip():
 def test_ip_header_checksum_is_valid():
     packet = Packet.tcp_packet(SRC, DST, TcpHeader(src_port=1, dst_port=2))
     raw = serialize_packet(packet)
-    assert verify_checksum(raw[:20])
+    assert internet_checksum(raw[:20]) == 0
 
 
 def test_tcp_checksum_includes_pseudo_header():
@@ -69,7 +69,7 @@ def test_tcp_checksum_includes_pseudo_header():
     raw = serialize_packet(packet)
     segment = raw[20:]
     pseudo = pseudo_header_sum(SRC, DST, PROTO_TCP, len(segment))
-    assert verify_checksum(segment, initial=pseudo)
+    assert internet_checksum(segment, initial=pseudo) == 0
 
 
 def test_parse_rejects_truncated_buffer():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,11 +15,13 @@ from repro.core.runner import EXECUTOR_SERIAL, result_signature
 from repro.core.single_connection import SingleConnectionTest
 from repro.scenarios import build_scenario_hosts, get_scenario, scenario_names
 from repro.workloads.testbed import build_testbed
-from repro.net.checksum import internet_checksum, verify_checksum
-from repro.net.flow import FourTuple, format_address, parse_address
+from repro.net.checksum import internet_checksum
+from repro.net.flow import format_address, parse_address
 from repro.net.packet import Packet, TcpFlags, TcpHeader
 from repro.net.seqnum import SEQ_MODULO, seq_add, seq_diff, seq_ge, seq_lt
 from repro.net.wire import parse_packet, serialize_packet
+from repro.sim.middlebox import LoadBalancer, SynFirewall
+from repro.sim.simulator import Simulator
 from repro.stats.cdf import EmpiricalCdf
 from repro.stats.intervals import wilson_interval
 from repro.stats.student_t import t_cdf, t_quantile
@@ -35,7 +39,7 @@ def test_checksum_self_verifies(data):
     # implicitly zero-padded for the computation, so pad before appending.
     if len(data) % 2:
         data += b"\x00"
-    assert verify_checksum(data + checksum.to_bytes(2, "big"))
+    assert internet_checksum(data + checksum.to_bytes(2, "big")) == 0
 
 
 @given(addresses)
@@ -43,10 +47,23 @@ def test_address_round_trip(addr):
     assert parse_address(format_address(addr)) == addr
 
 
+@given(addresses, ports, addresses, ports, st.integers(min_value=0, max_value=0xFFFF))
+def test_load_balancer_sends_both_directions_of_a_flow_to_one_backend(src, sport, dst, dport, salt):
+    inboxes = [[] for _ in range(4)]
+    balancer = LoadBalancer([SimpleNamespace(deliver=inbox.append) for inbox in inboxes], hash_salt=salt)
+    balancer.deliver(Packet.tcp_packet(src, dst, TcpHeader(src_port=sport, dst_port=dport)))
+    balancer.deliver(Packet.tcp_packet(dst, src, TcpHeader(src_port=dport, dst_port=sport)))
+    assert sorted(map(len, inboxes)) == [0, 0, 0, 2]
+
+
 @given(addresses, ports, addresses, ports)
-def test_flow_key_symmetry(src, sport, dst, dport):
-    tuple_ = FourTuple(src, sport, dst, dport)
-    assert tuple_.flow_key() == tuple_.reversed().flow_key()
+def test_syn_firewall_passes_the_reverse_direction_of_an_admitted_flow(src, sport, dst, dport):
+    passed = []
+    firewall = SynFirewall(rate_per_second=1.0, burst=1)
+    firewall.attach(Simulator(), passed.append)
+    firewall.handle_packet(Packet.tcp_packet(src, dst, TcpHeader(src_port=sport, dst_port=dport, flags=TcpFlags.SYN)))
+    firewall.handle_packet(Packet.tcp_packet(dst, src, TcpHeader(src_port=dport, dst_port=sport, flags=TcpFlags.ACK)))
+    assert len(passed) == 2 and firewall.out_of_state_dropped == 0
 
 
 @given(seqs, st.integers(min_value=0, max_value=2**20))

@@ -18,6 +18,8 @@ from __future__ import annotations
 import concurrent.futures
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 
 import pytest
 
@@ -66,7 +68,6 @@ REPRO_ALL = [
     "build_scenario_hosts",
     "build_testbed",
     "generate_population",
-    "generate_population_shards",
     "get_scenario",
     "list_scenarios",
     "partition_specs",
@@ -99,7 +100,6 @@ REPRO_API_ALL = [
     "backend_names",
     "create_backend",
     "plan_digest",
-    "register_backend",
     "unwrap_result",
 ]
 
@@ -219,8 +219,6 @@ def test_traced_functions_are_bound_where_the_tracer_finds_them():
 def test_store_resume_analysis_entry_points_import():
     """The store-resume workload compares ``survey_from_store(store)`` with
     ``summarize_eligibility(result)``; both keep their import paths."""
-    import inspect
-
     from repro.analysis.streaming import survey_from_store
     from repro.analysis.survey import summarize_eligibility
 
@@ -364,6 +362,75 @@ def test_no_package_reexports_a_deleted_analysis_name():
     for package in ("repro", "repro.analysis", "repro.core", "repro.sim", "repro.stats"):
         back = names & set(vars(importlib.import_module(package)))
         assert not back, f"{package} re-exports {sorted(back)}"
+
+
+#: Definitions that only tests called, or nothing did: flows are plain
+#: ``(address, port, address, port)`` tuples, the simulator's run loop is the
+#: event queue's one consumer, and rewrites build packets directly.
+DELETED_TEST_ONLY_NAMES = [
+    "repro.net.flow.FourTuple",
+    "repro.net.flow.FlowKey",
+    "repro.net.icmp.QuotedFlow.four_tuple",
+    "repro.sim.middlebox.LoadBalancer.backend_for_flow",
+    "repro.sim.events.EventQueue.pop",
+    "repro.sim.events.EventQueue.peek_time",
+    "repro.sim.events.EventQueue.is_empty",
+    "repro.sim.events.EventQueue.cancel",
+    "repro.sim.events.EventQueue._drop_cancelled_head",
+    "repro.sim.events.Event.cancelled",
+    "repro.sim.simulator.Waiter.consume",
+    "repro.sim.simulator.Simulator.schedule_at",
+    "repro.net.packet.Packet.with_ip",
+    "repro.net.packet.Packet.with_tcp",
+    "repro.net.packet.Packet.clone",
+    "repro.sim.reorder.PassthroughElement",
+    "repro.sim.build.build_pipeline",
+    "repro.net.seqnum.seq_between",
+    "repro.net.checksum.verify_checksum",
+    "repro.net.errors.ChecksumError",
+    "repro.net.errors.TransportError.lost_indexes",
+    "repro.stats.intervals.normal_interval",
+    "repro.workloads.population.address_block",
+    "repro.workloads.population.generate_population_shards",
+    "repro.core.prober.Prober.run_all",
+    "repro.core.sample.MeasurementResult.ambiguous_samples",
+    "repro.sim.middlebox.NatTable.active_mappings",
+    "repro.workloads.testbed.SiteHandle.primary_host",
+    "repro.net.icmp.IcmpError.ttl_exceeded",
+    "repro.net.icmp.IcmpError.source_quench",
+    "repro.sim.middlebox.IcmpFilter",
+    "repro.analysis.middlebox.MiddleboxTaxonomy.hosts_with",
+    "repro.analysis.middlebox.HostDiagnosis.has",
+    "repro.baselines.bennett.BennettBurstResult.complete",
+    "repro.core.timeseries.SpacingSweepResult.rate_at",
+    "repro.api.backends.register_backend",
+]
+
+
+@pytest.mark.parametrize("path", DELETED_TEST_ONLY_NAMES)
+def test_deleted_test_only_name_stays_deleted(path):
+    owner, name = _owner(path)
+    assert not hasattr(owner, name), f"{path} is back"
+
+
+def test_no_package_reexports_a_deleted_test_only_name():
+    module_level = {
+        name for owner, name in map(_owner, DELETED_TEST_ONLY_NAMES) if inspect.ismodule(owner)
+    }
+    packages = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+    ]
+    for package in packages:
+        back = module_level & set(vars(importlib.import_module(package)))
+        assert not back, f"{package} re-exports {sorted(back)}"
+
+
+def test_probe_wait_takes_no_polling_switch():
+    from repro.host.raw_socket import ProbeHost
+
+    assert list(inspect.signature(ProbeHost.wait_for_predicate).parameters) == [
+        "self", "predicate", "timeout"
+    ]
 
 
 @pytest.mark.parametrize("name", DELETED_MODULES)

@@ -1,15 +1,14 @@
-"""Property tests: the tuple-heap event queue against a naive model.
+"""Property tests: the simulator's tuple-heap event queue against a naive model.
 
 The :class:`~repro.sim.events.EventQueue` stores ``(time, seq, fn, arg)``
 tuples in a lazy-deletion heap: packet hops with no handle, and cancellable
-timers.  These tests drive it with arbitrary interleavings of timer push /
-hop push / cancel / pop / peek operations and compare every observable
-against a brutally simple model — a sorted list with eager deletion — so
-ordering, cancellation, live counting, and ``peek_time`` can never drift
-from the obvious semantics.  The same model then drives whole simulator
-runs, where a cancelled timer must never move the clock or count as
-processed, and a final test asserts runs are schedule-order deterministic
-under interleaved cancels.
+timers.  These tests drive a :class:`~repro.sim.simulator.Simulator` with
+arbitrary interleavings of timer / hop / cancel / run / single-step
+operations and compare every observable against a brutally simple model — a
+sorted list with eager deletion — so ordering, cancellation and live
+counting can never drift from the obvious semantics.  A cancelled timer must
+never move the clock or count as processed, and a final test asserts runs
+are schedule-order deterministic under interleaved cancels.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 
 
@@ -51,117 +49,34 @@ class ModelQueue:
         return len(self._entries)
 
 
-# An operation schedule: each element either pushes a timer or a hop at a
-# time drawn from a small float range (collisions on purpose, to exercise
-# insertion-order tie-breaks) or references an earlier timer by index for
-# cancel.  Hops have no handle, so only timers are cancel targets.
-op_strategy = st.lists(
-    st.one_of(
-        st.tuples(st.just("push"), st.floats(min_value=0.0, max_value=4.0, width=16)),
-        st.tuples(st.just("hop"), st.floats(min_value=0.0, max_value=4.0, width=16)),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=60)),
-        st.tuples(st.just("pop"), st.just(0)),
-        st.tuples(st.just("peek"), st.just(0)),
+# A simulator schedule: timers and hops ``delay`` after the current clock
+# (at times drawn from a small float range, so collisions exercise the
+# insertion-order tie-break), cancels aimed at any earlier timer (pending,
+# fired or cancelled), runs up to ``delay`` past the clock, and steps that
+# fire exactly the next live entry.  The final drain runs until idle.
+sim_op_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["timer", "hop", "cancel", "run", "step"]),
+        st.floats(min_value=0.0, max_value=2.0, width=16),
+        st.integers(min_value=0, max_value=40),
     ),
     max_size=80,
 )
 
-
-def _ignore(_arg: object) -> None:
-    pass
-
-
-def _check_pop(queue: EventQueue, model: ModelQueue, fired: list) -> bool:
-    """Pop one entry from each side and compare; False once both are empty."""
-    event = queue.pop()
-    expected = model.pop()
-    if expected is None:
-        assert event is None
-        return False
-    assert event is not None
-    assert (event.time, event.sequence) == expected
-    # Firing the popped entry runs the call it was scheduled with.
-    event.callback()
-    assert fired[-1] == expected
-    return True
-
-
-@given(op_strategy)
-@settings(max_examples=200, deadline=None)
-def test_tuple_heap_matches_naive_sorted_model(ops):
-    queue = EventQueue()
-    model = ModelQueue()
-    timers = []  # (real handle, model key) per timer, in push order
-    fired: list[tuple[float, int]] = []
-
-    for op, arg in ops:
-        if op == "push":
-            key = model.push(arg)
-            timers.append((queue.push(arg, lambda key=key: fired.append(key)), key))
-        elif op == "hop":
-            key = model.push(arg)
-            queue.push_hop(arg, fired.append, key)
-        elif op == "cancel" and timers:
-            event, key = timers[arg % len(timers)]
-            queue.cancel(event)
-            model.cancel(key)
-        elif op == "pop":
-            _check_pop(queue, model, fired)
-        elif op == "peek":
-            assert queue.peek_time() == model.peek_time()
-        assert len(queue) == len(model)
-        assert queue.is_empty() == (len(model) == 0)
-
-    # Drain: remaining live entries must come out in exact model order.
-    while _check_pop(queue, model, fired):
-        pass
-
-
-@given(op_strategy)
-@settings(max_examples=100, deadline=None)
-def test_cancel_never_corrupts_live_count(ops):
-    """Cancels aimed at popped, cancelled, and pending timers in any order,
-    among hops that can never be cancelled, keep the live count equal to the
-    model's (and never negative)."""
-    queue = EventQueue()
-    model = ModelQueue()
-    timers = []
-    for op, arg in ops:
-        if op == "push":
-            timers.append((queue.push(arg, lambda: None), model.push(arg)))
-        elif op == "hop":
-            queue.push_hop(arg, _ignore, None)
-            model.push(arg)
-        elif op == "cancel" and timers:
-            event, key = timers[arg % len(timers)]
-            queue.cancel(event)
-            model.cancel(key)
-        elif op == "pop":
-            queue.pop()
-            model.pop()
-        assert len(queue) == len(model) >= 0
-
-
-# A simulator schedule: timers and hops ``delay`` after the current clock,
-# cancels aimed at any earlier timer (pending, fired or cancelled), and runs
-# up to ``delay`` past the clock.  The final drain runs until idle.
-sim_op_strategy = st.lists(
-    st.tuples(
-        st.sampled_from(["timer", "hop", "cancel", "run"]),
-        st.floats(min_value=0.0, max_value=2.0, width=16),
-        st.integers(min_value=0, max_value=40),
-    ),
-    max_size=60,
-)
+_HORIZON = 2.0
+"""Every entry is scheduled at most ``_HORIZON`` after the clock, which only
+moves forward, so a run of that length reaches any live entry."""
 
 
 @given(sim_op_strategy)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_simulator_fires_hops_and_timers_like_the_model(ops):
     """Hops and timers interleave in (time, insertion) order through the
     simulator's run loop.  A cancelled timer is dropped when it reaches the
     top of the heap: it never moves the clock and never counts as processed,
-    so an idle run stops the clock at the last entry that fired."""
+    so an idle run stops the clock at the last entry that fired.  Cancels of
+    fired and cancelled timers change nothing, so the live count stays the
+    model's and is never negative."""
     sim = Simulator()
     model = ModelQueue()
     timers = []
@@ -194,6 +109,15 @@ def test_simulator_fires_hops_and_timers_like_the_model(ops):
             expected_fired += expect_run(deadline)
             sim.run_until_time(deadline)
             assert sim.now == deadline
+        elif op == "step":
+            # Fire exactly the next live entry, and stop the clock on it.
+            processed = sim.processed_events
+            stepped = sim.run_until(lambda: sim.processed_events > processed, timeout=_HORIZON)
+            assert stepped == (len(model) > 0)
+            if stepped:
+                key = model.pop()
+                expected_fired.append((key[0], key))
+                assert sim.now == key[0]
         assert fired == expected_fired
         assert sim.processed_events == len(expected_fired)
         assert sim.pending_events == len(model)

@@ -1,13 +1,13 @@
-"""Tests for the load balancer and ICMP limiting middleboxes."""
+"""Tests for the load balancer and ICMP rate-limiting middleboxes."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.net.flow import FourTuple, parse_address
-from repro.net.icmp import IcmpError
+from repro.net.flow import parse_address
+from repro.net.icmp import ICMP_TTL_EXCEEDED, IcmpError, quote_packet
 from repro.net.packet import ICMP_ECHO_REQUEST, IcmpEcho, Packet, TcpHeader
-from repro.sim.middlebox import IcmpFilter, IcmpRateLimiter, LoadBalancer
+from repro.sim.middlebox import IcmpRateLimiter, LoadBalancer
 from repro.sim.simulator import Simulator
 
 PROBE = parse_address("10.0.0.1")
@@ -31,6 +31,12 @@ def _icmp() -> Packet:
     return Packet.icmp_packet(PROBE, VIP, echo)
 
 
+def _holder(backends: list[_RecordingBackend], packet: Packet) -> int:
+    """The index of the one backend whose last packet is ``packet``."""
+    (index,) = [i for i, backend in enumerate(backends) if backend.packets[-1:] == [packet]]
+    return index
+
+
 def test_load_balancer_requires_backends():
     with pytest.raises(ValueError):
         LoadBalancer([])
@@ -49,13 +55,10 @@ def test_same_flow_always_hits_same_backend():
 def test_both_directions_of_a_flow_share_a_backend():
     backends = [_RecordingBackend() for _ in range(4)]
     balancer = LoadBalancer(backends, hash_salt=3)
-    index_forward = balancer.backend_for_flow(FourTuple(PROBE, 41000, VIP, 80).flow_key())
-    index_reverse = balancer.backend_for_flow(FourTuple(VIP, 80, PROBE, 41000).flow_key())
-    assert index_forward == index_reverse
-    # The packets of both directions reach the backend their flow key names.
     balancer.deliver(_tcp(src_port=41000))
-    balancer.deliver(Packet.tcp_packet(VIP, PROBE, TcpHeader(src_port=80, dst_port=41000)))
-    assert len(backends[index_forward].packets) == 2
+    reply = Packet.tcp_packet(VIP, PROBE, TcpHeader(src_port=80, dst_port=41000))
+    balancer.deliver(reply)
+    assert len(backends[_holder(backends, reply)].packets) == 2
 
 
 def test_distinct_connections_spread_across_backends():
@@ -89,9 +92,9 @@ def test_icmp_error_follows_the_flow_it_quotes():
     for port in range(43000, 43040):
         flow_packet = _tcp(src_port=port)
         balancer.deliver(flow_packet)
-        index = balancer.backend_for_flow(FourTuple(PROBE, port, VIP, 80).flow_key())
+        index = _holder(backends, flow_packet)
         for error in (
-            IcmpError.ttl_exceeded(flow_packet),
+            IcmpError(ICMP_TTL_EXCEEDED, quoted=quote_packet(flow_packet)),
             IcmpError.frag_needed(flow_packet, next_hop_mtu=296),
         ):
             # The router reports back to the flow's source; the balancer sees
@@ -109,7 +112,8 @@ def test_icmp_error_without_a_usable_quote_goes_to_first_backend():
     # An empty quote names no flow; an echo quote has no ports.  Both fall
     # back to the flowless default, backend 0.
     balancer.deliver(Packet.icmp_error_packet(VIP, PROBE, IcmpError(11)))
-    balancer.deliver(Packet.icmp_error_packet(VIP, PROBE, IcmpError.ttl_exceeded(_icmp())))
+    echo_quote = IcmpError(ICMP_TTL_EXCEEDED, quoted=quote_packet(_icmp()))
+    balancer.deliver(Packet.icmp_error_packet(VIP, PROBE, echo_quote))
     assert len(backends[0].packets) == 2
     assert balancer.icmp_errors_routed == 0
     assert balancer.non_tcp_packets == 2
@@ -146,13 +150,3 @@ def test_icmp_rate_limiter_validation():
     with pytest.raises(ValueError):
         IcmpRateLimiter(rate_per_second=1.0, burst=0)
 
-
-def test_icmp_filter_drops_only_icmp():
-    sim = Simulator()
-    out = []
-    element = IcmpFilter()
-    element.attach(sim, out.append)
-    element.handle_packet(_icmp())
-    element.handle_packet(_tcp(src_port=50000))
-    assert len(out) == 1
-    assert element.icmp_dropped == 1

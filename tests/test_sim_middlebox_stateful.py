@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.flow import FourTuple, parse_address
-from repro.net.packet import ICMP_ECHO_REQUEST, IcmpEcho, Packet, TcpFlags, TcpHeader
+from repro.net.flow import parse_address
+from repro.net.icmp import QuotedFlow
+from repro.net.packet import ICMP_ECHO_REQUEST, PROTO_TCP, IcmpEcho, Packet, TcpFlags, TcpHeader
 from repro.sim.middlebox import (
     ECN_CE,
     ECN_ECT0,
@@ -60,8 +61,11 @@ def test_nat_table_allocates_monotonic_external_ports():
     assert table.translate_forward(CLIENT, 40000, now=0.0) == 2000
     assert table.translate_forward(CLIENT, 40001, now=0.0) == 2001
     assert table.translate_forward(CLIENT + 1, 40000, now=0.0) == 2002
-    assert table.active_mappings() == 3
     assert table.mappings_created == 3
+    # All three mappings are live in the reverse direction.
+    assert [table.translate_reverse(port, now=0.0) for port in (2000, 2001, 2002)] == [
+        (CLIENT, 40000), (CLIENT, 40001), (CLIENT + 1, 40000)
+    ]
 
 
 def test_nat_mapping_is_stable_while_refreshed():
@@ -134,7 +138,7 @@ def test_nat_table_agrees_with_independent_expiry_model(schedule):
         assert table.translate_forward(CLIENT, 40000 + flow, now=now) == entry[0]
     # Expiry is lazy (stale entries linger until touched), so the table holds
     # exactly one mapping per flow ever seen.
-    assert table.active_mappings() == len(model)
+    assert table.mappings_created - table.mappings_expired == len(model)
 
 
 # --------------------------------------------------------------------- #
@@ -189,7 +193,7 @@ def test_nat_pair_passes_non_tcp_untouched():
     fwd.handle_packet(_echo())
     rev.handle_packet(_echo())
     assert len(outbound) == 1 and len(inbound) == 1
-    assert table.active_mappings() == 0
+    assert table.mappings_created == 0
 
 
 # --------------------------------------------------------------------- #
@@ -249,8 +253,8 @@ def test_syn_firewall_ignores_syn_ack_and_non_tcp():
 
 @pytest.mark.parametrize("client", [CLIENT, parse_address("10.200.0.1")], ids=["below", "above"])
 def test_syn_firewall_admits_both_directions_of_a_flow(client):
-    # The flow key orders the endpoints as FlowKey does, whichever side the
-    # client's address falls on.
+    # The flow key puts the lower (address, port) endpoint first, whichever
+    # side the client's address falls on.
     sim = Simulator()
     out = []
     firewall = SynFirewall(rate_per_second=1.0, burst=1)
@@ -309,7 +313,8 @@ def test_black_hole_eats_big_df_packets_silently():
     hole.attach(sim, out.append)
     hole.handle_packet(_big_segment(10))  # fits: passes
     hole.handle_packet(_big_segment(400))  # too big + DF: vanishes
-    big_no_df = _big_segment(400).with_ip(dont_fragment=False)
+    big = _big_segment(400)
+    big_no_df = Packet(big.ip._replace(dont_fragment=False), big.tcp, None, big.payload, big.uid)
     hole.handle_packet(big_no_df)  # too big but fragmentable: passes
     assert len(out) == 2
     assert hole.black_holed == 1
@@ -330,7 +335,7 @@ def test_error_sink_turns_the_hole_into_an_rfc1191_router():
     assert error_packet.ip.dst == CLIENT  # back to the offender's source
     assert error_packet.icmp.is_frag_needed()
     assert error_packet.icmp.next_hop_mtu == 256
-    assert error_packet.icmp.quoted_flow().four_tuple() == FourTuple(CLIENT, 40000, SERVER, 80)
+    assert error_packet.icmp.quoted_flow() == QuotedFlow(CLIENT, SERVER, PROTO_TCP, 40000, 80)
 
 
 def test_black_hole_validation():
@@ -362,7 +367,8 @@ def test_bleacher_erases_any_codepoint_and_preserves_dscp():
     bleacher = EcnBleacher()
     bleacher.attach(sim, out.append)
     dscp = 0b101000
-    marked = _syn(src_port=40000).with_ip(tos=dscp | ECN_CE)
+    syn = _syn(src_port=40000)
+    marked = Packet(syn.ip._replace(tos=dscp | ECN_CE), syn.tcp, None, syn.payload, syn.uid)
     bleacher.handle_packet(marked)
     assert out[0].ip.tos == dscp
     assert out[0].ip == marked.ip._replace(tos=dscp) and out[0].uid == marked.uid

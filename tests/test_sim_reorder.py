@@ -7,12 +7,7 @@ import pytest
 from repro.net.flow import parse_address
 from repro.net.packet import Packet, TcpHeader
 from repro.sim.random import SeededRandom
-from repro.sim.reorder import (
-    AdjacentSwapReorderer,
-    DelayJitterReorderer,
-    LossElement,
-    PassthroughElement,
-)
+from repro.sim.reorder import AdjacentSwapReorderer, DelayJitterReorderer, LossElement
 from repro.sim.simulator import Simulator
 
 SRC = parse_address("10.0.0.1")
@@ -37,18 +32,6 @@ def _run_pairs(element, sim, pairs: int) -> float:
         if [p.uid for p in out] == [second.uid, first.uid]:
             exchanged += 1
     return exchanged / pairs
-
-
-def test_passthrough_forwards_everything():
-    sim = Simulator()
-    out = []
-    element = PassthroughElement()
-    element.attach(sim, out.append)
-    packets = [_packet() for _ in range(5)]
-    for packet in packets:
-        element.handle_packet(packet)
-    assert [p.uid for p in out] == [p.uid for p in packets]
-    assert element.packets_seen == 5
 
 
 def test_swap_zero_probability_never_reorders():

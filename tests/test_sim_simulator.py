@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.net.errors import ClockError, SimulationError
-from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator, Waiter
 
 
@@ -16,26 +15,25 @@ def test_clock_rejects_negative_start():
 
 
 def test_event_queue_orders_by_time_then_insertion():
-    queue = EventQueue()
+    sim = Simulator()
     fired = []
-    queue.push(2.0, lambda: fired.append("late"))
-    queue.push(1.0, lambda: fired.append("early-1"))
-    queue.push(1.0, lambda: fired.append("early-2"))
-    while (event := queue.pop()) is not None:
-        event.callback()
+    sim.schedule(2.0, lambda: fired.append("late"))
+    sim.schedule(1.0, lambda: fired.append("early-1"))
+    sim.schedule(1.0, lambda: fired.append("early-2"))
+    sim.run_until_idle()
     assert fired == ["early-1", "early-2", "late"]
 
 
 def test_event_cancellation():
-    queue = EventQueue()
+    sim = Simulator()
     fired = []
-    keep = queue.push(1.0, lambda: fired.append("keep"))
-    drop = queue.push(0.5, lambda: fired.append("drop"))
-    queue.cancel(drop)
-    assert len(queue) == 1
-    event = queue.pop()
-    assert event is keep
-    del fired
+    sim.schedule(1.0, lambda: fired.append("keep"))
+    drop = sim.schedule(0.5, lambda: fired.append("drop"))
+    sim.cancel(drop)
+    assert sim.pending_events == 1
+    sim.run_until_idle()
+    assert fired == ["keep"]
+    assert sim.processed_events == 1  # the cancelled timer did not count
 
 
 def test_simulator_schedule_and_run():
@@ -106,42 +104,29 @@ def test_cancel_scheduled_event_via_simulator():
     assert not fired
 
 
-def test_cancel_after_pop_does_not_corrupt_live_count():
-    """Regression: cancelling an already-popped event used to double-decrement
-    the live count, driving it negative and making is_empty() lie."""
-    queue = EventQueue()
-    popped = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    assert queue.pop() is popped
-    queue.cancel(popped)  # fired already: must be a no-op
-    queue.cancel(popped)  # and idempotent
-    assert len(queue) == 1
-    assert not queue.is_empty()
-    remaining = queue.pop()
-    assert remaining is not None and remaining.time == 2.0
-    assert len(queue) == 0
-    assert queue.is_empty()
-
-
 def test_cancel_is_idempotent_on_pending_events():
-    queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    queue.cancel(event)
-    queue.cancel(event)
-    assert len(queue) == 1
+    sim = Simulator()
+    event = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    sim.cancel(event)
+    sim.cancel(event)
+    assert sim.pending_events == 1
 
 
 def test_cancel_after_fire_via_simulator_keeps_queue_consistent():
+    """Regression: cancelling an already-fired event used to double-decrement
+    the live count, driving it negative."""
     sim = Simulator()
     fired = []
     event = sim.schedule(0.5, lambda: fired.append("a"))
     sim.schedule(1.0, lambda: fired.append("b"))
     sim.run_for(0.6)
     sim.cancel(event)  # already fired: no-op
+    sim.cancel(event)  # and idempotent
     assert sim.pending_events == 1
     sim.run_until_idle()
     assert fired == ["a", "b"]
+    assert sim.pending_events == 0
 
 
 def test_run_until_time_fires_event_exactly_at_deadline():
@@ -212,9 +197,19 @@ def test_run_until_with_waiter_times_out_with_final_check():
     assert sim.now == pytest.approx(1.0)
 
 
-def test_waiter_consume_resets_the_flag():
+def test_run_loop_clears_the_wake_flag_after_each_wake():
+    """The predicate is re-checked once per wake, never after a quiet event."""
+    sim = Simulator()
     waiter = Waiter()
-    assert not waiter.consume()
-    waiter.wake()
-    assert waiter.consume()
-    assert not waiter.consume()
+    checked = []
+
+    def predicate() -> bool:
+        checked.append(sim.now)
+        return False
+
+    waiter.wake()  # a wake before the wait: the entry check already covers it
+    sim.schedule(0.1, waiter.wake)
+    sim.schedule(0.2, lambda: None)
+    sim.schedule(0.3, waiter.wake)
+    assert not sim.run_until(predicate, timeout=1.0, waiter=waiter)
+    assert checked == [0.0, 0.1, 0.3, 1.0]

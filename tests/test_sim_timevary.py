@@ -16,9 +16,9 @@ from repro.sim.build import (
     SwapSpec,
     TraceSpec,
     build_elements,
-    build_pipeline,
 )
 from repro.sim.link import Link
+from repro.sim.path import Pipeline
 from repro.sim.random import SeededRandom
 from repro.sim.reorder import AdjacentSwapReorderer, LossElement
 from repro.sim.simulator import Simulator
@@ -244,12 +244,12 @@ def test_deterministic_specs_consume_no_randomness():
     assert swap_stream(bare) == swap_stream(padded)
 
 
-def test_build_pipeline_wires_traffic_through():
+def test_built_elements_wire_traffic_through_a_pipeline():
     sim = Simulator()
-    pipeline = build_pipeline(
+    pipeline = Pipeline(build_elements(
         (LinkSpec(propagation_delay=0.001), JitterSpec(0.0, stream="j"), TraceSpec(point="p")),
         SeededRandom(2),
-    )
+    ))
     out: list[Packet] = []
     pipeline.attach(sim, out.append)
     packet = _packet()

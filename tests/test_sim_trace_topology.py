@@ -7,8 +7,7 @@ import pytest
 from repro.net.errors import SimulationError, TopologyError
 from repro.net.flow import parse_address
 from repro.net.packet import Packet, TcpHeader
-from repro.sim.path import DuplexPath, Pipeline
-from repro.sim.reorder import PassthroughElement
+from repro.sim.path import DuplexPath, PathElement, Pipeline
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology
 from repro.sim.trace import TraceCapture
@@ -19,6 +18,18 @@ SERVER = parse_address("10.0.0.2")
 
 def _packet(dst: int = SERVER) -> Packet:
     return Packet.tcp_packet(PROBE, dst, TcpHeader(src_port=1000, dst_port=80))
+
+
+class PassthroughElement(PathElement):
+    """An element that forwards every packet untouched, counting them."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.packets_seen = 0
+
+    def handle_packet(self, packet: Packet) -> None:
+        self.packets_seen += 1
+        self._emit(packet)
 
 
 def test_trace_records_and_orders():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.errors import AnalysisError
-from repro.stats.intervals import binomial_estimate, normal_interval, wilson_interval
+from repro.stats.intervals import binomial_estimate, wilson_interval
 
 
 def test_wilson_interval_contains_point_estimate():
@@ -33,19 +33,13 @@ def test_wilson_wider_at_higher_confidence():
     assert (high999 - low999) > (high95 - low95)
 
 
-def test_normal_interval_reasonable():
-    low, high = normal_interval(50, 100)
-    assert low == pytest.approx(0.5 - 1.96 * 0.05, abs=1e-3)
-    assert high == pytest.approx(0.5 + 1.96 * 0.05, abs=1e-3)
-
-
 def test_invalid_inputs_rejected():
     with pytest.raises(AnalysisError):
         wilson_interval(1, 0)
     with pytest.raises(AnalysisError):
         wilson_interval(5, 3)
     with pytest.raises(AnalysisError):
-        normal_interval(-1, 10)
+        wilson_interval(-1, 10)
 
 
 def test_binomial_estimate_fields():
