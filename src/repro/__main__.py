@@ -142,6 +142,8 @@ def _print_survey(survey: StreamingSurvey) -> None:
 
 
 def _print_envelope(scenario_name: str, seed: int, shards: int, envelope: ResultEnvelope) -> None:
+    for warning in envelope.meta.get("warnings", ()):
+        print(f"warning: {warning}", file=sys.stderr)
     result = envelope.result
     print(
         f"scenario={scenario_name} hosts={len(result.host_addresses)} "

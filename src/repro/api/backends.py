@@ -9,35 +9,31 @@ Three backends exist: ``serial`` (inline execution), ``process``
 workers, :mod:`repro.distributed`), each selected by name anywhere an
 executor name is accepted.
 
-Two execution shapes cover every caller:
-
-* :meth:`ExecutionBackend.map_shards` / :meth:`ExecutionBackend.iter_shards`
-  run a :class:`~repro.core.runner.ShardTask` list — ordered barrier map
-  and completion-order iteration respectively.  The list is one campaign's
-  shards, or every cell's shards of a matrix sweep; indexes are unique
-  within it.  Shards are dispatched in adaptive *batches* (one pool future
-  — for the process backend, one IPC round-trip — per batch; sizing in
-  :func:`repro.core.transport.next_batch_size`).  Tasks ship whole, packed
-  as one :class:`~repro.core.transport.Batch` record, so a batch may span
-  cells, and its results come back as one struct-packed blob.
-* :meth:`ExecutionBackend.map_items` runs arbitrary picklable work items,
-  preserving their order.
+Each backend runs a :class:`~repro.core.runner.ShardTask` list two ways:
+:meth:`ExecutionBackend.map_shards` is an ordered barrier map and
+:meth:`ExecutionBackend.iter_shards` yields in completion order.  The list is
+one campaign's shards, or every cell's shards of a matrix sweep; indexes are
+unique within it.  Shards are dispatched in adaptive *batches* (one pool
+future — for the process backend, one IPC round-trip — per batch; sizing in
+:func:`repro.core.transport.next_batch_size`).  Tasks ship whole, packed as
+one :class:`~repro.core.transport.Batch` record, so a batch may span cells,
+and its results come back as one struct-packed blob.
 
 Failure discipline: backends raise the pool-infrastructure exceptions in
 :data:`POOL_FAILURES` (no semaphores in a sandbox, fork restrictions, broken
-workers) and nothing else of their own; the session catches exactly those
-and re-executes the remaining shards inline, because shard tasks are pure
-functions.  Exceptions raised *by the work itself* propagate unwrapped.
+workers) and nothing else of their own.  The process backend dispatches once:
+a broken pool is discarded and the failure raised.  The session catches
+exactly those exceptions and runs the remaining shards inline, because shard
+tasks are pure functions.  Exceptions raised *by the work itself* propagate
+unwrapped.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 from abc import ABC, abstractmethod
 from collections import deque
-from contextlib import closing
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -51,13 +47,7 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from repro.core.runner import ShardOutcome, ShardTask, run_shard
 from repro.core.schema import pack, unpack
-from repro.core.transport import (
-    Batch,
-    batch_size_override,
-    decode_outcomes,
-    encode_outcomes,
-    next_batch_size,
-)
+from repro.core.transport import Batch, decode_outcomes, encode_outcomes, next_batch_size
 from repro.net.errors import MeasurementError
 
 _ItemT = TypeVar("_ItemT")
@@ -134,12 +124,6 @@ class ExecutionBackend(ABC):
         the background.
         """
 
-    @abstractmethod
-    def map_items(
-        self, fn: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
-    ) -> list[_ResultT]:
-        """Run ``fn`` over arbitrary work items, preserving item order."""
-
     def close(self) -> None:
         """Release pool resources.  Idempotent; the serial backend is a no-op."""
 
@@ -165,11 +149,6 @@ class SerialBackend(ExecutionBackend):
     def iter_shards(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
         for task in tasks:
             yield run_shard(task)
-
-    def map_items(
-        self, fn: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
-    ) -> list[_ResultT]:
-        return [fn(item) for item in items]
 
 
 class _PoolBackend(ExecutionBackend):
@@ -225,47 +204,7 @@ class _PoolBackend(ExecutionBackend):
         pool = self._ensure_pool()
         return lambda batch: pool.submit(_run_task_batch, pack(Batch(0, list(batch))))
 
-    def _batch_dispatch(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
-        """Yield shard outcomes in completion order, fault-tolerant once.
-
-        Dispatch itself lives in :meth:`_dispatch_batches`; this wrapper adds
-        the retry discipline: when the pool breaks mid-campaign
-        (:class:`BrokenExecutor` — one worker dying takes the whole stdlib
-        pool with it), the broken pool is discarded and the shards that have
-        not been yielded yet are re-dispatched **once** on a fresh pool, so a
-        single transient worker death no longer kills a whole campaign.  A
-        second break propagates: something is systematically wrong.  Shard
-        tasks are pure functions, so re-running an in-flight shard can never
-        change a result — only recompute it.
-        """
-        remaining: "dict[int, ShardTask]" = {task.index: task for task in tasks}
-        retried = False
-        while True:
-            batch_tasks = tuple(remaining.values())
-            try:
-                submit = self._shard_submitter()
-                with closing(self._dispatch_batches(batch_tasks, submit)) as results:
-                    for outcome in results:
-                        remaining.pop(outcome.index, None)
-                        yield outcome
-                return
-            except BrokenExecutor as exc:
-                self._reset_broken_pool()
-                if retried or not remaining:
-                    raise
-                retried = True
-                warnings.warn(
-                    f"{self.name} pool broke mid-campaign ({exc!r}); retrying "
-                    f"{len(remaining)} in-flight shard(s) once on a fresh pool",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-
-    def _dispatch_batches(
-        self,
-        tasks: Sequence[ShardTask],
-        submit: Callable[[tuple[ShardTask, ...]], "Future"],
-    ) -> Iterator[ShardOutcome]:
+    def _dispatch_batches(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
         """Yield shard outcomes in completion order, batched per round-trip.
 
         Guided scheduling: the tasks are cut into batches of
@@ -275,18 +214,21 @@ class _PoolBackend(ExecutionBackend):
         batch is submitted up front, so the executor's call queue hands each
         worker its next batch without a round trip through this thread, and
         the batches of concurrent jobs on one pool run first in, first out.
+
+        The dispatch happens once.  When the pool breaks (:class:`BrokenExecutor`
+        — one worker dying takes the whole stdlib pool with it), the pool is
+        discarded and the failure raised; the session runs the shards not yet
+        yielded inline.
         """
+        submit = self._shard_submitter()
         pending = deque(tasks)
         with self._pool_lock:
             workers = max(1, self._workers)
-        override = batch_size_override()
         cost = _shard_cost(tasks[0])
         inflight: "dict[Future, tuple[ShardTask, ...]]" = {}
         try:
             while pending:
-                size = next_batch_size(
-                    len(pending), workers, shard_cost=cost, override=override
-                )
+                size = next_batch_size(len(pending), workers, shard_cost=cost)
                 batch = tuple(pending.popleft() for _ in range(size))
                 inflight[submit(batch)] = batch
             while inflight:
@@ -296,12 +238,15 @@ class _PoolBackend(ExecutionBackend):
                     yield from decode_outcomes(
                         future.result(), shard_indexes=tuple(task.index for task in batch)
                     )
+        except BrokenExecutor:
+            self._reset_broken_pool()
+            raise
         finally:
             # Reached on success, pool failure, and early close (the consumer
             # raised): cancel the batches that have not started.  Those the
             # executor already moved into its call queue (at most workers + 1)
-            # cannot be cancelled and finish in the background.  The pool
-            # itself stays warm — it may be shared with other work.
+            # cannot be cancelled and finish in the background.  A healthy
+            # pool stays warm — it may be shared with other work.
             for future in inflight:
                 future.cancel()
 
@@ -309,18 +254,19 @@ class _PoolBackend(ExecutionBackend):
         if not tasks:
             return []
         by_index: dict[int, ShardOutcome] = {}
-        for outcome in self._batch_dispatch(tasks):
+        for outcome in self._dispatch_batches(tasks):
             by_index[outcome.index] = outcome
         return [by_index[task.index] for task in tasks]
 
     def iter_shards(self, tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
         if not tasks:
             return
-        yield from self._batch_dispatch(tasks)
+        yield from self._dispatch_batches(tasks)
 
     def map_items(
         self, fn: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
     ) -> list[_ResultT]:
+        """Run ``fn`` over picklable work items on the pool, in item order."""
         if not items:
             return []
         pool = self._ensure_pool()

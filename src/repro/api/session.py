@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import warnings
 from contextlib import closing
 from typing import Any, Iterator, Optional, Sequence, Union
 
@@ -101,8 +102,9 @@ def _iter_completed(
     of the ``yield`` and are never mistaken for pool infrastructure problems
     — and closing the generator cancels the queued shards rather than
     running the rest of the work first.  On pool failure, shards already
-    yielded are not re-run; the rest execute inline (shards are pure
-    functions, so the retry yields identical records).
+    yielded are not re-run; the rest execute inline after one
+    ``RuntimeWarning`` (shards are pure functions, so the inline run yields
+    identical records).
     """
     if _dispatches(tasks, backend):
         done: set[int] = set()
@@ -114,8 +116,13 @@ def _iter_completed(
                     done.add(outcome.index)
                     yield outcome
                 return
-            except POOL_FAILURES:
-                pass
+            except POOL_FAILURES as failure:
+                warnings.warn(
+                    f"{backend.name} backend failed ({failure!r}); "
+                    f"running {len(tasks) - len(done)} shard(s) inline",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         tasks = [task for task in tasks if task.index not in done]
     for task in tasks:
         yield run_shard(task)

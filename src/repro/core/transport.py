@@ -26,15 +26,15 @@ a corruption guard rather than a compatibility promise.
 
 Batch size
 ----------
-``REPRO_BATCH_SIZE=n`` pins the adaptive batch size to ``n`` shards per IPC
-round-trip (the digest-invariance tests sweep it).  The codec's exactness is
-pinned against a pickle round-trip of the same objects in the tests.
+:func:`next_batch_size` is the one rule both dispatchers follow: the process
+pool when it cuts a campaign into batches, and the remote lease book when it
+grants one.  The codec's exactness is pinned against a pickle round-trip of
+the same objects in the tests.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -43,29 +43,10 @@ from repro.core.runner import ShardOutcome, ShardTask
 from repro.core.schema import Buffer, read, write
 from repro.net.errors import MeasurementError, TransportError
 
-BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
-"""Set to a positive integer to pin the shards-per-batch instead of adapting."""
-
 TRANSPORT_MAGIC = b"RB"
 TRANSPORT_VERSION = 2
 
 _HEADER = struct.Struct("!2sBxI")  # magic, version, pad, outcome count
-
-
-def batch_size_override() -> Optional[int]:
-    """The pinned shards-per-batch from the environment, if any."""
-    raw = os.environ.get(BATCH_SIZE_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise MeasurementError(
-            f"{BATCH_SIZE_ENV} must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise MeasurementError(f"{BATCH_SIZE_ENV} must be >= 1, got {value}")
-    return value
 
 
 MIN_BATCH_SAMPLES = 64
@@ -82,7 +63,6 @@ def next_batch_size(
     remaining: int,
     workers: int,
     shard_cost: Optional[int] = None,
-    override: Optional[int] = None,
 ) -> int:
     """How many shards the next batch should carry.
 
@@ -97,13 +77,9 @@ def next_batch_size(
       still ship enough work per round-trip to dwarf the IPC cost;
     * a single worker has nothing to balance, so the whole remainder
       travels as one batch (one IPC round-trip total).
-
-    ``override`` (from :data:`BATCH_SIZE_ENV`) pins the size instead.
     """
     if remaining < 1:
         raise MeasurementError(f"no shards remaining to batch: {remaining}")
-    if override is not None:
-        return min(override, remaining)
     if workers <= 1:
         return remaining
     size = math.ceil(remaining / (2 * workers))
@@ -195,12 +171,10 @@ def decode_outcomes(
 
 
 __all__ = [
-    "BATCH_SIZE_ENV",
     "Batch",
     "MIN_BATCH_SAMPLES",
     "TRANSPORT_VERSION",
     "TransportError",
-    "batch_size_override",
     "decode_outcomes",
     "encode_outcomes",
     "next_batch_size",

@@ -9,15 +9,17 @@ Coordinator` on ``host:port`` (loopback, ephemeral port by default) and —
 unless told otherwise — spawns ``spawn_workers`` local worker processes via
 ``python -m repro workers``, the same entry point an operator uses to join
 workers from other machines.  Shard batches then flow over TCP with the
-full fault-tolerance discipline of :mod:`repro.distributed.leases`.
+full fault-tolerance discipline of :mod:`repro.distributed.leases`.  The
+constructor's keyword arguments are the backend's only settings.
 
-Two degradation paths keep a campaign alive without remote workers:
+Two degradation paths keep a campaign alive without remote workers, and
+both run shards inline, in :meth:`RemoteBackend.iter_shards`:
 
-* **Nobody ever connected** (within ``wait_timeout``): the whole job runs on
-  the local ``process`` backend and the
-  :class:`~repro.api.ResultEnvelope` carries a warning.
+* **Nobody ever connected** (within ``wait_timeout``): every shard runs
+  inline and the :class:`~repro.api.ResultEnvelope` carries a warning.
 * **Everyone died mid-job**: the coordinator strands the job; this backend
-  atomically takes over the unfinished shards and finishes them locally.
+  atomically takes over the unfinished shards (never a quarantined one) and
+  runs them inline.
 
 Either way — and under every chaos fault — the campaign digest is
 bit-identical to serial execution, because shard tasks are pure functions
@@ -37,12 +39,11 @@ import sys
 import threading
 from pathlib import Path
 from queue import Empty
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Iterator, Optional, Sequence
 
 import repro
-from repro.api.backends import ExecutionBackend, ProcessBackend, _shard_cost
-from repro.core.runner import ShardOutcome, ShardTask
-from repro.core.transport import batch_size_override
+from repro.api.backends import ExecutionBackend, _shard_cost
+from repro.core.runner import ShardOutcome, ShardTask, run_shard
 from repro.distributed.chaos import CHAOS_ENV, ChaosSpec
 from repro.distributed.coordinator import (
     DEFAULT_MAX_ATTEMPTS,
@@ -53,37 +54,8 @@ from repro.distributed.coordinator import (
 from repro.distributed.worker import DEFAULT_HEARTBEAT_INTERVAL
 from repro.net.errors import MeasurementError
 
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
-
-WORKERS_ENV = "REPRO_REMOTE_WORKERS"
-HEARTBEAT_ENV = "REPRO_REMOTE_HEARTBEAT"
-LEASE_TIMEOUT_ENV = "REPRO_REMOTE_LEASE_TIMEOUT"
-WAIT_ENV = "REPRO_REMOTE_WAIT"
-MAX_ATTEMPTS_ENV = "REPRO_REMOTE_MAX_ATTEMPTS"
-
 DEFAULT_SPAWN_WORKERS = 2
 DEFAULT_WAIT_TIMEOUT = 20.0
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise MeasurementError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise MeasurementError(f"{name} must be an integer, got {raw!r}") from None
 
 
 class RemoteBackend(ExecutionBackend):
@@ -98,46 +70,30 @@ class RemoteBackend(ExecutionBackend):
         host: str = "127.0.0.1",
         port: int = 0,
         spawn_workers: Optional[int] = None,
-        heartbeat_interval: Optional[float] = None,
+        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         lease_timeout: Optional[float] = None,
-        wait_timeout: Optional[float] = None,
-        max_attempts: Optional[int] = None,
+        wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         chaos: Optional[ChaosSpec] = None,
-        batch_size: Optional[int] = None,
     ) -> None:
         self.max_workers = max_workers
         self.host = host
         self.port = port
-        self.heartbeat_interval = (
-            heartbeat_interval
-            if heartbeat_interval is not None
-            else _env_float(HEARTBEAT_ENV, DEFAULT_HEARTBEAT_INTERVAL)
-        )
+        self.heartbeat_interval = heartbeat_interval
         self.lease_timeout = (
-            lease_timeout
-            if lease_timeout is not None
-            else _env_float(LEASE_TIMEOUT_ENV, max(2.0, 4 * self.heartbeat_interval))
+            lease_timeout if lease_timeout is not None else max(2.0, 4 * heartbeat_interval)
         )
-        self.wait_timeout = (
-            wait_timeout if wait_timeout is not None else _env_float(WAIT_ENV, DEFAULT_WAIT_TIMEOUT)
-        )
-        self.max_attempts = (
-            max_attempts
-            if max_attempts is not None
-            else _env_int(MAX_ATTEMPTS_ENV, DEFAULT_MAX_ATTEMPTS)
-        )
+        self.wait_timeout = wait_timeout
+        self.max_attempts = max_attempts
         self.chaos = chaos
-        self.batch_size = batch_size
-        if spawn_workers is not None:
-            self._spawn_count = spawn_workers
-        else:
-            self._spawn_count = max_workers or _env_int(WORKERS_ENV, DEFAULT_SPAWN_WORKERS)
+        self._spawn_count = (
+            spawn_workers if spawn_workers is not None else max_workers or DEFAULT_SPAWN_WORKERS
+        )
         self._lock = threading.RLock()
         self._coordinator: Optional[Coordinator] = None
         self._procs: "list[subprocess.Popen]" = []
         self._spawned = False
         self._fleet_assembled = False
-        self._fallback_backend: Optional[ProcessBackend] = None
         self._report: dict = {}
         self._closed = False
 
@@ -193,12 +149,6 @@ class RemoteBackend(ExecutionBackend):
                     subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
                 )
 
-    def _local(self) -> ProcessBackend:
-        with self._lock:
-            if self._fallback_backend is None:
-                self._fallback_backend = ProcessBackend(self.max_workers)
-            return self._fallback_backend
-
     def pop_job_report(self) -> dict:
         """The last finished job's fault and degradation report, once.
 
@@ -234,21 +184,16 @@ class RemoteBackend(ExecutionBackend):
         if connected == 0:
             warning = (
                 f"no remote workers connected within {self.wait_timeout:.1f}s; "
-                "degraded to local process execution"
+                f"running {len(tasks)} shard(s) inline"
             )
             with self._lock:
                 self._report = {"degraded": True, "warnings": [warning]}
-            yield from self._local().iter_shards(tasks)
+            for task in tasks:
+                yield run_shard(task)
             return
-        job = coordinator.submit_job(
-            tasks,
-            shard_cost=_shard_cost(tasks[0]),
-            batch_override=(
-                self.batch_size if self.batch_size is not None else batch_size_override()
-            ),
-        )
+        job = coordinator.submit_job(tasks, shard_cost=_shard_cost(tasks[0]))
         # Watchdog floor: even if every liveness mechanism failed at once, a
-        # silent queue eventually strands the job onto local execution
+        # silent queue eventually strands the job onto inline execution
         # instead of hanging the campaign forever.
         stall_timeout = max(30.0, 20 * self.lease_timeout)
         degraded = False
@@ -261,7 +206,7 @@ class RemoteBackend(ExecutionBackend):
                     item = JOB_STRANDED
                     warnings.append(
                         f"no progress from remote workers for {stall_timeout:.0f}s; "
-                        "taking remaining shards over locally"
+                        "taking remaining shards over inline"
                     )
                 if item is JOB_DONE:
                     break
@@ -271,10 +216,10 @@ class RemoteBackend(ExecutionBackend):
                         degraded = True
                         warnings.append(
                             f"remote workers lost mid-campaign; running "
-                            f"{len(leftover)} shard(s) on the local "
-                            "process backend"
+                            f"{len(leftover)} shard(s) inline"
                         )
-                        yield from self._local().iter_shards(leftover)
+                        for task in leftover:
+                            yield run_shard(task)
                     continue
                 yield item
         finally:
@@ -303,13 +248,6 @@ class RemoteBackend(ExecutionBackend):
         # not be measured.
         return [by_index[task.index] for task in tasks if task.index in by_index]
 
-    def map_items(
-        self, fn: Callable[[_ItemT], _ResultT], items: Sequence[_ItemT]
-    ) -> list[_ResultT]:
-        # Arbitrary work items are not shard tasks; they run on the local
-        # fallback pool.
-        return self._local().map_items(fn, items)
-
     def close(self) -> None:
         with self._lock:
             if self._closed:
@@ -317,7 +255,6 @@ class RemoteBackend(ExecutionBackend):
             self._closed = True
             coordinator, self._coordinator = self._coordinator, None
             procs, self._procs = self._procs, []
-            fallback, self._fallback_backend = self._fallback_backend, None
         if coordinator is not None:
             coordinator.close()
         for proc in procs:
@@ -329,17 +266,6 @@ class RemoteBackend(ExecutionBackend):
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=5)
-        if fallback is not None:
-            fallback.close()
 
 
-__all__ = [
-    "DEFAULT_SPAWN_WORKERS",
-    "DEFAULT_WAIT_TIMEOUT",
-    "HEARTBEAT_ENV",
-    "LEASE_TIMEOUT_ENV",
-    "MAX_ATTEMPTS_ENV",
-    "RemoteBackend",
-    "WAIT_ENV",
-    "WORKERS_ENV",
-]
+__all__ = ["DEFAULT_SPAWN_WORKERS", "DEFAULT_WAIT_TIMEOUT", "RemoteBackend"]

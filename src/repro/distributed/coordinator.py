@@ -88,16 +88,10 @@ class Coordinator:
                 self._workers_changed.wait(remaining)
             return len(self._peers)
 
-    def submit_job(
-        self,
-        tasks: Sequence[ShardTask],
-        *,
-        shard_cost: Optional[int] = None,
-        batch_override: Optional[int] = None,
-    ) -> Job:
+    def submit_job(self, tasks: Sequence[ShardTask], *, shard_cost: Optional[int] = None) -> Job:
         """Queue a campaign's shards and start dispatching to idle workers."""
         with self._lock:
-            job = self._book.start(tasks, shard_cost, batch_override)
+            job = self._book.start(tasks, shard_cost)
             grants = self._grants_locked(time.monotonic())
         self._send(grants)
         return job

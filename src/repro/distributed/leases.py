@@ -85,7 +85,6 @@ class Job:
 
     shards: "dict[int, _Shard]"
     shard_cost: Optional[int]
-    override: Optional[int]
     leases: "dict[int, set[int]]" = field(default_factory=dict)  # batch id -> owed
     outstanding: int = 0
     results: "Queue[object]" = field(default_factory=Queue)
@@ -141,13 +140,11 @@ class LeaseBook:
         if not self.workers and job.outstanding:
             job.results.put(JOB_STRANDED)
 
-    def start(
-        self, tasks: Sequence[ShardTask], shard_cost: Optional[int], override: Optional[int]
-    ) -> Job:
+    def start(self, tasks: Sequence[ShardTask], shard_cost: Optional[int]) -> Job:
         """Attach a new job; only one is live at a time."""
         if self.job is not None:
             raise MeasurementError("coordinator already has an active job")
-        job = Job({task.index: _Shard(task) for task in tasks}, shard_cost, override)
+        job = Job({task.index: _Shard(task) for task in tasks}, shard_cost)
         job.outstanding = len(job.shards)
         if not job.outstanding:
             job.results.put(JOB_DONE)
@@ -173,9 +170,7 @@ class LeaseBook:
         for uid, worker in idle:
             if not ready:
                 break
-            size = next_batch_size(
-                len(ready), len(self.workers), shard_cost=job.shard_cost, override=job.override
-            )
+            size = next_batch_size(len(ready), len(self.workers), shard_cost=job.shard_cost)
             taken, ready = ready[:size], ready[size:]
             for index in taken:
                 self._move(job, index, GRANT)

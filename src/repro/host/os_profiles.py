@@ -63,34 +63,25 @@ class OsProfile:
     ipid:
         The host's IPID scheme; :meth:`build_ipid_policy` builds its policy
         from a seeded RNG (random policies need their own stream).
-    delayed_ack:
-        Whether in-order data is acknowledged lazily.
     delayed_ack_timeout:
         Maximum time an ACK for in-order data may be delayed, in seconds.
-    delayed_ack_threshold:
-        Number of unacknowledged in-order segments that forces an ACK.
     ack_on_hole_fill:
         Whether a segment that fills a sequence hole is acknowledged
         immediately (RFC 5681 behaviour).  Stacks without it exhibit the
         "single ack 4" ambiguity described in Section III-B.
-    immediate_ack_out_of_order:
-        Whether out-of-order segments generate an immediate duplicate ACK
-        (required for fast retransmit, assumed by all the tests).
     second_syn_response:
         Behaviour for the SYN test's second SYN.
-    advertised_window:
-        Receive window advertised by the host.
+
+    Every stack delays in-order ACKs, acknowledges every second segment,
+    answers out-of-order data with an immediate duplicate ACK and advertises
+    a 65535-byte window (:mod:`repro.host.tcp_endpoint`).
     """
 
     name: str
     ipid: IpidScheme
-    delayed_ack: bool = True
     delayed_ack_timeout: float = 0.2
-    delayed_ack_threshold: int = 2
     ack_on_hole_fill: bool = True
-    immediate_ack_out_of_order: bool = True
     second_syn_response: SecondSynResponse = SecondSynResponse.ALWAYS_RST
-    advertised_window: int = 65535
 
     def build_ipid_policy(self, rng: SeededRandom) -> IpidPolicy:
         """Instantiate this profile's IPID policy."""

@@ -7,10 +7,10 @@ configurably:
 * three-way handshake (SYN -> SYN/ACK -> ACK);
 * immediate duplicate ACK for out-of-order or duplicate data (required for
   fast retransmit, exploited by every test);
-* delayed ACK for in-order data, with a configurable timeout, segment
-  threshold, and the optional "ACK immediately when a hole is filled"
-  refinement (RFC 5681) whose absence causes the single-connection test's
-  ambiguity;
+* delayed ACK for in-order data, with a per-profile timeout, an ACK for
+  every second segment, and the optional "ACK immediately when a hole is
+  filled" refinement (RFC 5681) whose absence causes the single-connection
+  test's ambiguity;
 * configurable response to a second SYN on a half-open connection (RST,
   specification-compliant RST/ACK choice, dual RST, or silence) for the SYN
   test;
@@ -42,6 +42,7 @@ TransmitFn = Callable[[Packet], None]
 
 DEFAULT_MSS = 1460
 RETRANSMIT_TIMEOUT = 1.0
+DELAYED_ACK_THRESHOLD = 2  # unacknowledged in-order segments that force an ACK
 
 # Flag combinations used on the segment send/receive hot paths, built once:
 # every ``TcpFlags.X | TcpFlags.Y`` at runtime walks the IntFlag machinery to
@@ -226,7 +227,6 @@ class TcpEndpoint:
             snd_una=snd_nxt,
             peer_window=tcp.window,
             peer_mss=(tcp.mss() or DEFAULT_MSS) if tcp.options else DEFAULT_MSS,
-            advertised_window=self._profile.advertised_window,
         )
         self._connections[key] = connection
         self.connections_accepted += 1
@@ -294,13 +294,10 @@ class TcpEndpoint:
             return
 
         if 0 < (seg_seq - rcv_nxt) % SEQ_MODULO <= SEQ_HALF:
-            # Out-of-order data above a hole: queue it and (normally) send an
-            # immediate duplicate ACK so fast retransmit keeps working.
+            # Out-of-order data above a hole: queue it and send an immediate
+            # duplicate ACK so fast retransmit keeps working.
             connection.out_of_order[seg_seq] = max(connection.out_of_order.get(seg_seq, 0), seg_len)
-            if self._profile.immediate_ack_out_of_order:
-                self._send_ack(connection, immediate=True)
-            else:
-                self._schedule_delayed_ack(connection)
+            self._send_ack(connection, immediate=True)
             return
 
         # In-order (or partially overlapping) data: advance rcv_nxt, then
@@ -311,14 +308,12 @@ class TcpEndpoint:
             self._on_data(self, connection, payload)
         if filled_hole and self._profile.ack_on_hole_fill:
             self._send_ack(connection, immediate=True)
-        elif self._profile.delayed_ack:
+        else:
             connection.delayed_ack_pending += 1
-            if connection.delayed_ack_pending >= self._profile.delayed_ack_threshold:
+            if connection.delayed_ack_pending >= DELAYED_ACK_THRESHOLD:
                 self._send_ack(connection, immediate=True)
             else:
                 self._schedule_delayed_ack(connection)
-        else:
-            self._send_ack(connection, immediate=True)
 
     def _merge_out_of_order(self, connection: TcpConnection) -> bool:
         """Merge queued segments contiguous with rcv_nxt; return True if any merged."""

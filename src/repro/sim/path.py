@@ -80,23 +80,12 @@ class PathElement(ABC):
 
 
 class Pipeline:
-    """An ordered chain of path elements ending in a final sink."""
+    """An ordered chain of path elements, fixed at construction, ending in a
+    final sink."""
 
     def __init__(self, elements: Sequence[PathElement] = ()) -> None:
-        self._elements: list[PathElement] = list(elements)
-        self._sink: Optional[PacketSink] = None
+        self._elements = tuple(elements)
         self._entry: Optional[PacketSink] = None
-
-    @property
-    def elements(self) -> tuple[PathElement, ...]:
-        """The elements of this pipeline, upstream first."""
-        return tuple(self._elements)
-
-    def append(self, element: PathElement) -> None:
-        """Add an element at the downstream end (before the final sink)."""
-        if self._sink is not None:
-            raise SimulationError("cannot modify a pipeline after attach()")
-        self._elements.append(element)
 
     def attach(self, sim: Simulator, sink: PacketSink) -> PacketSink:
         """Wire up all elements so traffic flows element-to-element into ``sink``.
@@ -105,7 +94,6 @@ class Pipeline:
         ``handle_packet``, or ``sink`` itself for an empty pipeline.  Callers
         that inject packets on a hot path call it directly.
         """
-        self._sink = sink
         downstream: PacketSink = sink
         for element in reversed(self._elements):
             element.attach(sim, downstream)

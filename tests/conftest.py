@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.transport as transport
 from repro.host.os_profiles import FREEBSD_44
 from repro.net.flow import parse_address
 from repro.workloads.testbed import HostSpec, PathSpec, Testbed
@@ -65,3 +66,12 @@ def lossy_testbed() -> Testbed:
         )
     )
     return testbed
+
+
+@pytest.fixture
+def per_shard_leases(monkeypatch):
+    """Lower the batch cost floor to one sample, so the remote lease book
+    grants one-shard batches of four one-host shards on a 2- or 4-worker
+    fleet: every worker, the chaos-armed one included, takes part.  The
+    lease book runs in the test process and reads the floor at call time."""
+    monkeypatch.setattr(transport, "MIN_BATCH_SAMPLES", 1)

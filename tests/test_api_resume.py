@@ -10,6 +10,7 @@ bit-identical to an uninterrupted run — including the harshest path, a real
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -138,13 +139,16 @@ def test_resume_request_reapplies_an_os_name_override(tmp_path):
     assert resumed.result_digest == uninterrupted.result_digest
 
 
-def _crash_then_resume(request: CampaignRequest) -> tuple[str, str]:
-    """Crash ``request`` after its first durable shard, resume the store with
-    a ResumeRequest, and return the resumed and the uninterrupted digests."""
+def _crash_then_resume(request: CampaignRequest, edit=None) -> tuple[str, str]:
+    """Crash ``request`` after its first durable shard, let ``edit`` change
+    the store's files, resume the store with a ResumeRequest, and return the
+    resumed and the uninterrupted digests."""
     with Session(backend=EXECUTOR_SERIAL) as session:
         with pytest.raises(SimulatedCrash):
             session.run(dataclasses.replace(request, on_checkpoint=_crash_after(1)))
         assert not CampaignStore.open(request.store).is_complete()
+        if edit is not None:
+            edit(Path(request.store))
         resumed = session.run(ResumeRequest(store=request.store))
         uninterrupted = session.run(dataclasses.replace(request, store=None))
     assert CampaignStore.open(request.store).is_complete()
@@ -174,6 +178,39 @@ def test_resume_request_resumes_an_unregistered_scenario_store(tmp_path):
             scenario=scenario, config=GOLDEN_CONFIG, hosts=3, seed=GOLDEN_SEED, shards=2,
             store=tmp_path / "custom",
         )
+    )
+    assert resumed == uninterrupted
+
+
+#: Four ``OsProfile`` fields that every built-in profile set alike, with
+#: those values.  The TCP endpoint now applies them to every host, but a
+#: format-3 manifest written while the profile had them still carries them.
+_RETIRED_PROFILE_FIELDS = {
+    "advertised_window": 65535,
+    "delayed_ack": True,
+    "delayed_ack_threshold": 2,
+    "immediate_ack_out_of_order": True,
+}
+
+
+def test_a_store_whose_profiles_carry_retired_fields_still_resumes(tmp_path):
+    """The manifest is rewritten as a build with those fields wrote it (the
+    store's sorted, compact JSON, byte for byte); decoding a profile reads
+    the fields it has and ignores the rest, so the store resumes."""
+
+    def write_the_old_profiles(store: Path) -> None:
+        manifest = store / "manifest.json"
+        data = json.loads(manifest.read_text())
+        for spec in data["plan"]["specs"]:
+            spec["profile"].update(_RETIRED_PROFILE_FIELDS)
+        manifest.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+
+    resumed, uninterrupted = _crash_then_resume(
+        CampaignRequest(
+            scenario="imc2002-survey", config=GOLDEN_CONFIG, hosts=GOLDEN_HOSTS,
+            seed=GOLDEN_SEED, shards=3, store=tmp_path / "old-profiles",
+        ),
+        edit=write_the_old_profiles,
     )
     assert resumed == uninterrupted
 

@@ -10,6 +10,7 @@ surfaces must behave as documented.
 from __future__ import annotations
 
 import gc
+import re
 import threading
 import weakref
 
@@ -568,11 +569,17 @@ def test_pool_failure_runs_only_the_unyielded_shards_inline(
     monkeypatch, three_shard_digest, failure
 ):
     """A pool failure mid-stream reruns nothing already yielded; the rest
-    run inline, through the session module's ``run_shard``, in task order."""
+    run inline, through the session module's ``run_shard``, in task order,
+    after one warning that names the backend, the failure and the count."""
     inline = _count_inline_shards(monkeypatch)
     backend = _StreamFailsAfterOneShard(failure("injected pool failure"))
+    expected = (
+        f"fails-after-one-shard backend failed "
+        f"({failure('injected pool failure')!r}); running 2 shard(s) inline"
+    )
     with Session(backend=backend) as session:
-        envelope = session.run(_request("imc2002-survey", shards=3))
+        with pytest.warns(RuntimeWarning, match=re.escape(expected)):
+            envelope = session.run(_request("imc2002-survey", shards=3))
     assert inline == [1, 2]
     assert envelope.result_digest == three_shard_digest
 

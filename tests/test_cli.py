@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import repro.api.backends as backends
 from repro.__main__ import build_parser, main
 from repro.api import CampaignRequest, Session
 from repro.core.campaign import CampaignConfig
@@ -202,10 +203,38 @@ def test_a_manifest_int_no_codec_carries_is_a_store_error(tmp_path, capsys):
     manifest = store / "manifest.json"
     data = json.loads(manifest.read_text())
     for spec in data["plan"]["specs"]:
-        spec["profile"]["delayed_ack_threshold"] = 2**64
+        spec["load_balancer_backends"] = 2**64
     manifest.write_text(json.dumps(data))
     for argv in (["report"], ["resume", "--executor", "serial"]):
         assert main([*argv, "--store", str(store)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("store error: malformed campaign plan in manifest:"), err
-        assert "delayed_ack_threshold" in err
+        assert "load_balancer_backends" in err
+
+
+def test_run_prints_the_envelope_warnings_to_stderr(monkeypatch, capsys):
+    """A degraded remote run says so: the envelope's warnings go to stderr,
+    and the tables and digest still match a serial run."""
+    from repro.distributed.backend import RemoteBackend
+
+    monkeypatch.setitem(
+        backends._BACKENDS,
+        "remote",
+        lambda max_workers: RemoteBackend(spawn_workers=0, wait_timeout=0.2),
+    )
+    argv = [
+        "run",
+        "--scenario", "imc2002-survey",
+        "--hosts", "4",
+        "--seed", "5",
+        "--rounds", "1",
+        "--samples", "4",
+        "--shards", "2",
+    ]
+    assert main([*argv, "--executor", "serial"]) == 0
+    serial = capsys.readouterr()
+    assert serial.err == ""
+    assert main([*argv, "--executor", "remote"]) == 0
+    remote = capsys.readouterr()
+    assert remote.err.startswith("warning: no remote workers connected within 0.2s"), remote.err
+    assert remote.out == serial.out

@@ -63,13 +63,14 @@ REQUEUE_EXPECTED = frozenset(("kill", "hang", "drop", "corrupt", "truncate"))
 # --------------------------------------------------------------------- #
 
 
+@pytest.mark.usefixtures("per_shard_leases")
 @pytest.mark.parametrize("workers", (2, 4), ids=("workers2", "workers4"))
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_every_scenario_digest_survives_the_fault(fault, workers):
     spec = FAULTS[fault]
-    # batch_size=1 guarantees the chaos-armed worker receives a batch (and
+    # One-shard leases guarantee the chaos-armed worker receives a batch (and
     # therefore fires) instead of one fast worker draining the whole queue.
-    backend = make_backend(spawn_workers=workers, chaos=spec, batch_size=1)
+    backend = make_backend(spawn_workers=workers, chaos=spec)
     totals = {"requeues": 0, "evictions": 0, "disconnects": 0, "transport_faults": 0}
     try:
         with Session(backend=backend) as session:
@@ -163,9 +164,10 @@ def test_matrix_batches_spanning_cells_survive_the_fault(fault, workers):
         )
 
 
+@pytest.mark.usefixtures("per_shard_leases")
 def test_losing_every_worker_strands_the_job_onto_local_execution():
     spec = ChaosSpec(kind="kill", workers=(0, 1), seed=21)
-    backend = make_backend(spawn_workers=2, chaos=spec, batch_size=1)
+    backend = make_backend(spawn_workers=2, chaos=spec)
     try:
         with Session(backend=backend) as session:
             envelope = session.run(request("imc2002-survey", shards=SHARDS))

@@ -49,6 +49,9 @@ from test_golden_signatures import GOLDEN_CONFIG
 MAX_ATTEMPTS = 3
 LEASE_TIMEOUT = 1.0
 MAX_SHARDS = 6
+#: Samples per shard: no estimate, then costs whose floor of
+#: ``MIN_BATCH_SAMPLES`` (64) makes batches of at least 1, 2 and 3 shards.
+SHARD_COSTS = (None, 64, 32, 22)
 
 _SCENARIO = get_scenario("nat-timeout").with_population(num_hosts=1)
 (_TASK,) = CampaignRunner(
@@ -112,12 +115,12 @@ class LeaseBookMachine(RuleBasedStateMachine):
     @initialize(
         workers=st.integers(1, 3),
         shards=st.integers(1, MAX_SHARDS),
-        override=st.sampled_from((None, 1, 2)),
+        shard_cost=st.sampled_from(SHARD_COSTS),
     )
-    def fleet_serving_a_job(self, workers: int, shards: int, override) -> None:
+    def fleet_serving_a_job(self, workers: int, shards: int, shard_cost) -> None:
         for _ in range(workers):
             self.join()
-        self.start(shards, override)
+        self.start(shards, shard_cost)
         self.grant()
 
     @rule()
@@ -159,8 +162,8 @@ class LeaseBookMachine(RuleBasedStateMachine):
     # Jobs and frames
     # ------------------------------------------------------------------ #
 
-    @rule(shards=st.integers(0, MAX_SHARDS), override=st.sampled_from((None, 1, 2, 3)))
-    def start(self, shards: int, override) -> None:
+    @rule(shards=st.integers(0, MAX_SHARDS), shard_cost=st.sampled_from(SHARD_COSTS))
+    def start(self, shards: int, shard_cost) -> None:
         if self.job is not None:
             report = self.book.finish(self.job)
             quarantined = sorted(entry["shard"] for entry in report["quarantined"])
@@ -173,7 +176,7 @@ class LeaseBookMachine(RuleBasedStateMachine):
             self.finished.append((self.job, snapshot))
         self.serial += 1
         tasks = [replace(_TASK, index=index, seed=self.serial) for index in range(shards)]
-        self.job = self.book.start(tasks, None, override)
+        self.job = self.book.start(tasks, shard_cost)
         self.open, self.served, self.delivered, self.done = {}, set(), set(), 0
 
     @rule()
@@ -318,7 +321,7 @@ TestLeaseBookMachine = LeaseBookMachine.TestCase
 
 def test_an_illegal_shard_move_raises():
     book = LeaseBook(lease_timeout=LEASE_TIMEOUT, max_attempts=MAX_ATTEMPTS)
-    job = book.start([replace(_TASK, index=0)], None, None)
+    job = book.start([replace(_TASK, index=0)], None)
     book.takeover()
     assert job.results.get_nowait() is JOB_DONE
     with pytest.raises(MeasurementError, match="no 'grant' move from 'local'"):

@@ -18,6 +18,7 @@ import socket
 import subprocess
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -285,14 +286,6 @@ def test_iter_shards_with_no_tasks_yields_nothing():
         backend.close()
 
 
-def test_map_items_runs_on_the_local_fallback():
-    backend = make_backend(spawn_workers=0)
-    try:
-        assert backend.map_items(len, ["ab", "c", ""]) == [2, 1, 0]
-    finally:
-        backend.close()
-
-
 # --------------------------------------------------------------------- #
 # Conformance: every scenario, 2- and 4-worker fleets
 # --------------------------------------------------------------------- #
@@ -307,8 +300,7 @@ def fleet2():
 
 @pytest.fixture(scope="module")
 def fleet4():
-    # batch_size=1 forces per-shard leases so all four workers take part.
-    backend = make_backend(spawn_workers=4, batch_size=1)
+    backend = make_backend(spawn_workers=4)
     yield backend
     backend.close()
 
@@ -331,6 +323,7 @@ def test_every_scenario_digest_matches_serial_on_two_workers(fleet2, name):
         )
 
 
+@pytest.mark.usefixtures("per_shard_leases")  # so all four workers take part
 @pytest.mark.parametrize("name", sorted(scenario_names()))
 def test_every_scenario_digest_matches_serial_on_four_workers(fleet4, name):
     with Session(backend=fleet4) as session:
@@ -360,9 +353,48 @@ def test_degrades_to_local_when_no_worker_connects():
     assert any("no remote workers" in w for w in envelope.meta["warnings"])
 
 
+@pytest.fixture
+def pools_built(monkeypatch):
+    """Every ``ProcessPoolExecutor`` constructed while the test runs.
+
+    The constructor is recorded, not failed: a pool failure would only send
+    the session to its inline fallback and so hide a pool that was built.
+    """
+    built: list = []
+    real_init = ProcessPoolExecutor.__init__
+
+    def init(self, *args, **kwargs):
+        built.append((args, kwargs))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", init)
+    return built
+
+
+@pytest.mark.usefixtures("per_shard_leases")
+@pytest.mark.parametrize("case", ("degraded", "stranded"))
+def test_a_degraded_or_stranded_campaign_runs_inline_without_a_pool(pools_built, case):
+    """No worker ever connects, or every worker dies on its first batch:
+    either way the shards run inline, on no second pool."""
+    if case == "degraded":
+        backend = make_backend(spawn_workers=0, wait_timeout=0.3)
+    else:
+        backend = make_backend(chaos=ChaosSpec(kind="kill", workers=(0, 1), seed=21))
+    try:
+        with Session(backend=backend) as session:
+            envelope = session.run(request("imc2002-survey", shards=4))
+    finally:
+        backend.close()
+    assert pools_built == []
+    assert envelope.result_digest == serial_digest("imc2002-survey", shards=4)
+    assert envelope.meta["remote"]["degraded"] is True
+    assert any("inline" in w for w in envelope.meta["warnings"])
+
+
+@pytest.mark.usefixtures("per_shard_leases")
 def test_poison_shard_is_quarantined_and_reported():
     chaos = ChaosSpec(kind="poison-shard", workers=(0, 1), poison_shards=(1,))
-    backend = make_backend(chaos=chaos, max_attempts=2, batch_size=1)
+    backend = make_backend(chaos=chaos, max_attempts=2)
     try:
         with Session(backend=backend) as session:
             envelope = session.run(request("imc2002-survey", shards=4))
@@ -382,9 +414,10 @@ def test_poison_shard_is_quarantined_and_reported():
     assert envelope.result_digest != serial_digest("imc2002-survey", shards=4)
 
 
+@pytest.mark.usefixtures("per_shard_leases")
 def test_matrix_cell_with_a_quarantined_shard_still_reports_done():
     chaos = ChaosSpec(kind="poison-shard", workers=(0, 1), poison_shards=(1,))
-    backend = make_backend(chaos=chaos, max_attempts=2, batch_size=1)
+    backend = make_backend(chaos=chaos, max_attempts=2)
     matrix = MatrixRequest(
         scenarios=("imc2002-survey", "bursty-loss"),
         config=GOLDEN_CONFIG,
@@ -438,8 +471,9 @@ def test_externally_launched_cli_workers_serve_a_campaign():
     assert envelope.meta["remote"]["workers"]
 
 
+@pytest.mark.usefixtures("per_shard_leases")
 def test_cancel_mid_campaign_leaves_the_backend_reusable():
-    backend = make_backend(batch_size=1)
+    backend = make_backend()
     checkpointed = threading.Event()
     release = threading.Event()
 

@@ -404,6 +404,30 @@ DELETED_TEST_ONLY_NAMES = [
     "repro.baselines.bennett.BennettBurstResult.complete",
     "repro.core.timeseries.SpacingSweepResult.rate_at",
     "repro.api.backends.register_backend",
+    # One execution path per backend: the pool's retry rule, the remote
+    # backend's second pool, and the dispatch settings only tests set.
+    "repro.api.backends._PoolBackend._batch_dispatch",
+    "repro.api.backends.ExecutionBackend.map_items",
+    "repro.api.backends.SerialBackend.map_items",
+    "repro.distributed.backend.RemoteBackend.map_items",
+    "repro.distributed.backend.RemoteBackend._local",
+    "repro.core.transport.BATCH_SIZE_ENV",
+    "repro.core.transport.batch_size_override",
+    "repro.distributed.backend.WORKERS_ENV",
+    "repro.distributed.backend.HEARTBEAT_ENV",
+    "repro.distributed.backend.LEASE_TIMEOUT_ENV",
+    "repro.distributed.backend.WAIT_ENV",
+    "repro.distributed.backend.MAX_ATTEMPTS_ENV",
+    "repro.distributed.backend._env_float",
+    "repro.distributed.backend._env_int",
+    # Profile fields every built-in profile set alike, and a pipeline's
+    # mutators: pipelines are built from their element list.
+    "repro.host.os_profiles.OsProfile.delayed_ack",
+    "repro.host.os_profiles.OsProfile.delayed_ack_threshold",
+    "repro.host.os_profiles.OsProfile.immediate_ack_out_of_order",
+    "repro.host.os_profiles.OsProfile.advertised_window",
+    "repro.sim.path.Pipeline.append",
+    "repro.sim.path.Pipeline.elements",
 ]
 
 
@@ -441,8 +465,13 @@ def test_deleted_module_stays_deleted(name):
 def test_deleted_execution_switches_are_rejected():
     """No backend name, constructor argument or fallback choice survives
     for a deleted execution path."""
+    import dataclasses
+
     from repro.core.runner import CampaignRunner
+    from repro.core.transport import next_batch_size
     from repro.distributed.backend import RemoteBackend
+    from repro.distributed.coordinator import Coordinator
+    from repro.distributed.leases import Job, LeaseBook
     from repro.net.errors import MeasurementError
     from repro.workloads.population import PopulationSpec, generate_population
 
@@ -455,3 +484,23 @@ def test_deleted_execution_switches_are_rejected():
             CampaignRunner(specs, **{argument: None})
     with pytest.raises(TypeError, match="fallback"):
         RemoteBackend(fallback="serial")
+    with pytest.raises(TypeError, match="batch_size"):
+        RemoteBackend(batch_size=1)
+    # The guided schedule and its cost floor are the only batch-size rule:
+    # no dispatcher, job or remote backend carries a pinned size.
+    assert list(inspect.signature(next_batch_size).parameters) == [
+        "remaining", "workers", "shard_cost"
+    ]
+    assert list(inspect.signature(Coordinator.submit_job).parameters) == [
+        "self", "tasks", "shard_cost"
+    ]
+    assert list(inspect.signature(LeaseBook.start).parameters) == [
+        "self", "tasks", "shard_cost"
+    ]
+    assert "override" not in {field.name for field in dataclasses.fields(Job)}
+    backend = RemoteBackend()
+    try:
+        assert not hasattr(backend, "batch_size")
+        assert not hasattr(backend, "_fallback_backend")
+    finally:
+        backend.close()

@@ -246,17 +246,18 @@ def test_deterministic_specs_consume_no_randomness():
 
 def test_built_elements_wire_traffic_through_a_pipeline():
     sim = Simulator()
-    pipeline = Pipeline(build_elements(
+    elements = build_elements(
         (LinkSpec(propagation_delay=0.001), JitterSpec(0.0, stream="j"), TraceSpec(point="p")),
         SeededRandom(2),
-    ))
+    )
+    pipeline = Pipeline(elements)
     out: list[Packet] = []
     pipeline.attach(sim, out.append)
     packet = _packet()
     pipeline.handle_packet(packet)
     sim.run_until_idle()
     assert [p.uid for p in out] == [packet.uid]
-    trace = pipeline.elements[-1]
+    trace = elements[-1]
     assert isinstance(trace, TraceCapture)
     assert len(trace) == 1
 

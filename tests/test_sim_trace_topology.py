@@ -94,12 +94,19 @@ def test_empty_pipeline_is_a_wire():
     assert len(seen) == 1
 
 
-def test_pipeline_cannot_be_modified_after_attach():
+def test_pipeline_keeps_its_own_element_list():
+    """A pipeline is fixed at construction: the caller's list, changed after
+    attach, does not reach the wired chain."""
     sim = Simulator()
-    pipeline = Pipeline()
-    pipeline.attach(sim, lambda p: None)
-    with pytest.raises(SimulationError):
-        pipeline.append(PassthroughElement())
+    seen = []
+    elements = []
+    pipeline = Pipeline(elements)
+    pipeline.attach(sim, lambda p: seen.append(p.uid))
+    late = PassthroughElement()
+    elements.append(late)
+    pipeline.handle_packet(_packet())
+    assert len(seen) == 1
+    assert late.packets_seen == 0
 
 
 def test_pipeline_use_before_attach_rejected():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import re
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.api.backends as backends
+import repro.distributed.leases as leases
 from repro.api import CampaignRequest, ProcessBackend, Session, create_backend
 from repro.api.backends import _run_task_batch, _shard_cost
 from repro.core.campaign import CampaignConfig, HostRoundResult
@@ -30,7 +32,6 @@ from repro.core.runner import ShardOutcome, ShardTask, record_signature, run_sha
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.core.schema import pack
 from repro.core.transport import (
-    BATCH_SIZE_ENV,
     MIN_BATCH_SAMPLES,
     Batch,
     decode_outcomes,
@@ -199,9 +200,7 @@ def test_next_batch_size_respects_cost_floor():
     assert size * 2 >= MIN_BATCH_SAMPLES
 
 
-def test_next_batch_size_override_pins():
-    assert next_batch_size(100, workers=4, override=7) == 7
-    assert next_batch_size(3, workers=4, override=7) == 3
+def test_next_batch_size_rejects_an_empty_remainder():
     with pytest.raises(MeasurementError):
         next_batch_size(0, workers=4)
 
@@ -233,6 +232,18 @@ def _digest(backend) -> str:
     return _envelope(backend).result_digest
 
 
+def _pin_batch_size(monkeypatch, size: int) -> None:
+    """Pin the shards-per-batch where each dispatcher looks its rule up: the
+    process pool's dispatch loop and the remote lease book (which runs in
+    this process, beside the coordinator)."""
+
+    def pinned(remaining: int, workers: int, shard_cost=None) -> int:
+        return min(size, remaining)
+
+    monkeypatch.setattr(backends, "next_batch_size", pinned)
+    monkeypatch.setattr(leases, "next_batch_size", pinned)
+
+
 @pytest.fixture(scope="module")
 def serial_digest():
     return _digest("serial")
@@ -246,14 +257,15 @@ def remote_fleet():
 
 
 @pytest.mark.parametrize("backend", ["process", "remote"])
-@pytest.mark.parametrize("batch_size", ["1", "2", "7", str(_SHARDS)])
+@pytest.mark.parametrize("batch_size", [1, 2, 7, _SHARDS])
 def test_digest_invariant_across_batch_sizes(
     request, monkeypatch, serial_digest, backend, batch_size
 ):
-    monkeypatch.setenv(BATCH_SIZE_ENV, batch_size)
+    _pin_batch_size(monkeypatch, batch_size)
     if backend == "remote":
-        # One warm fleet serves every batch size; the override is read per
-        # dispatch, so each campaign leases batches of the size under test.
+        # One warm fleet serves every batch size; the lease book looks the
+        # rule up per grant, so each campaign leases batches of the size
+        # under test.
         envelope = _envelope(request.getfixturevalue("remote_fleet"))
         assert envelope.meta["remote"]["workers"], "the fleet must serve the shards"
         assert not envelope.meta["remote"].get("degraded")
@@ -290,7 +302,7 @@ def test_the_pool_only_ever_receives_bytes(monkeypatch, serial_digest):
         return real_submit(self, fn, *args, **kwargs)
 
     monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
-    monkeypatch.setenv(BATCH_SIZE_ENV, "2")
+    _pin_batch_size(monkeypatch, 2)
     assert _digest("process") == serial_digest
     assert len(calls) == math.ceil(_SHARDS / 2)
     for fn, args, kwargs in calls:
@@ -300,7 +312,7 @@ def test_the_pool_only_ever_receives_bytes(monkeypatch, serial_digest):
 
 def test_map_shards_returns_outcomes_in_task_order(monkeypatch):
     """Completion order may interleave; the barrier map must not."""
-    monkeypatch.setenv(BATCH_SIZE_ENV, "2")
+    _pin_batch_size(monkeypatch, 2)
     specs = generate_population(_POPULATION, seed=_SEED)
     shard_tasks = [
         ShardTask(
@@ -425,7 +437,6 @@ def test_every_batch_is_submitted_before_the_first_result_is_decoded(monkeypatch
     """The executor's call queue, not a refill after each result, hands a
     worker its next batch, so the whole guided schedule is submitted up
     front."""
-    monkeypatch.delenv(BATCH_SIZE_ENV, raising=False)
     tasks = _one_host_shard_tasks()
     backend = _QueueingProcessBackend(real=len(tasks))
     submitted_at_decode: list[int] = []
@@ -442,8 +453,7 @@ def test_every_batch_is_submitted_before_the_first_result_is_decoded(monkeypatch
     assert submitted_at_decode[0] == len(backend.sizes)
 
 
-def test_closing_the_stream_cancels_every_batch_that_has_not_started(monkeypatch):
-    monkeypatch.delenv(BATCH_SIZE_ENV, raising=False)
+def test_closing_the_stream_cancels_every_batch_that_has_not_started():
     tasks = _one_host_shard_tasks()
     with _QueueingProcessBackend(real=1) as backend:
         stream = backend.iter_shards(tasks)
@@ -454,8 +464,18 @@ def test_closing_the_stream_cancels_every_batch_that_has_not_started(monkeypatch
     assert all(future.cancelled() for future in backend.placeholders)
 
 
+def test_an_environment_variable_does_not_pin_the_batch_size(monkeypatch):
+    """The guided schedule is the only batch-size rule: no environment
+    variable pins the size."""
+    monkeypatch.setenv("REPRO_BATCH_SIZE", "1")
+    tasks = _one_host_shard_tasks()
+    with _QueueingProcessBackend(real=len(tasks)) as backend:
+        assert len(list(backend.iter_shards(tasks))) == len(tasks)
+    assert backend.sizes == [3, 3, 2, 1, 1, 1, 1]
+
+
 # ------------------------------------------------------------------ #
-# Broken-pool retry: one transient pool death cannot kill a campaign
+# A broken pool: discarded, and the session runs the rest inline
 # ------------------------------------------------------------------ #
 
 
@@ -495,28 +515,35 @@ def _shard_tasks() -> list[ShardTask]:
     ]
 
 
-def test_broken_pool_retries_in_flight_shards_once(monkeypatch, serial_digest):
-    """One transient pool death: a warning, a fresh pool, the same digest.
+def test_a_broken_pool_is_discarded_and_the_rest_runs_inline(monkeypatch, serial_digest):
+    """One pool death: the pool is discarded, the session warns once and runs
+    the unfinished shards inline, and the digest equals serial.
 
     Outcomes are compared by digest, not object equality — probe uids come
     from a process-global allocator, so re-running a shard in the same
     process yields equal measurements under different uids.
     """
-    monkeypatch.setenv(BATCH_SIZE_ENV, "1")
+    _pin_batch_size(monkeypatch, 1)
     with _FlakyProcessBackend(breaks=1) as backend:
-        with pytest.warns(RuntimeWarning, match="retrying .* in-flight shard"):
+        with pytest.warns(RuntimeWarning) as caught:
             digest = _digest(backend)
+        assert backend._pool is None, "a broken pool must not be kept"
     assert backend.breaks == 0, "the injected break must actually have fired"
+    (warning,) = [w for w in caught if w.category is RuntimeWarning]
+    assert re.fullmatch(
+        r"process backend failed \(BrokenExecutor\('injected worker death'\)\); "
+        r"running [1-5] shard\(s\) inline",
+        str(warning.message),
+    ), warning.message
     assert digest == serial_digest
 
 
-def test_persistently_broken_pool_propagates_after_one_retry(monkeypatch):
-    monkeypatch.setenv(BATCH_SIZE_ENV, "1")
-    tasks = _shard_tasks()
-    with _FlakyProcessBackend(breaks=1_000) as backend:
-        with pytest.warns(RuntimeWarning, match="retrying"):
-            with pytest.raises(BrokenExecutor):
-                backend.map_shards(tasks)
+def test_map_shards_raises_on_the_first_break(monkeypatch):
+    _pin_batch_size(monkeypatch, 1)
+    with _FlakyProcessBackend(breaks=1) as backend:
+        with pytest.raises(BrokenExecutor):
+            backend.map_shards(_shard_tasks())
+        assert backend._pool is None
 
 
 def test_enum_wire_tables_pin_definition_order():
