@@ -30,9 +30,8 @@ import pytest
 from repro.api import MatrixRequest
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
-from repro.core.runner import CampaignRunner, run_shard
+from repro.core.runner import run_shard
 from repro.core.transport import decode_outcomes, encode_outcomes
-from repro.scenarios import build_scenario_hosts
 from repro.scenarios.registry import scenario_names
 from repro.store.codec import decode_record, encode_record
 
@@ -56,19 +55,10 @@ def _dumps(obj) -> str:
 
 @pytest.fixture(scope="session")
 def sweep_batch():
-    outcomes = []
-    for cell in REQUEST.normalized().cells:
-        runner = CampaignRunner(
-            build_scenario_hosts(cell.scenario, seed=cell.seed),
-            cell.config,
-            seed=cell.seed,
-            remote_port=cell.remote_port,
-            shards=cell.shards,
-            scenario=cell.label,
-        )
-        tasks = runner.shard_tasks(cell.tests, first_index=len(outcomes))
-        outcomes.extend(run_shard(task) for task in tasks)
-    return outcomes
+    tasks = []
+    for plan in REQUEST.normalized():
+        tasks.extend(plan.shard_tasks(first_index=len(tasks)))
+    return [run_shard(task) for task in tasks]
 
 
 @pytest.fixture(scope="session")

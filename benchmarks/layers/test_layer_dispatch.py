@@ -33,8 +33,7 @@ import pytest
 from repro.api import MatrixRequest, ProcessBackend
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
-from repro.core.runner import CampaignRunner, run_shard
-from repro.scenarios import build_scenario_hosts
+from repro.core.runner import run_shard
 from repro.scenarios.registry import scenario_names
 
 SEED = 1
@@ -57,16 +56,8 @@ REQUEST = MatrixRequest(
 @pytest.fixture(scope="module")
 def sweep_tasks():
     tasks = []
-    for cell in REQUEST.normalized().cells:
-        runner = CampaignRunner(
-            build_scenario_hosts(cell.scenario, seed=cell.seed),
-            cell.config,
-            seed=cell.seed,
-            remote_port=cell.remote_port,
-            shards=cell.shards,
-            scenario=cell.label,
-        )
-        tasks.extend(runner.shard_tasks(cell.tests, first_index=len(tasks)))
+    for plan in REQUEST.normalized():
+        tasks.extend(plan.shard_tasks(first_index=len(tasks)))
     assert len(tasks) == 48
     return tasks
 

@@ -134,7 +134,7 @@ def test_bench_scenario_sweep(benchmark):
         f"speedup x{serial_elapsed / remote_elapsed:.2f})"
     )
     print()
-    records = (record for run in serial.runs.values() for record in run.result.records)
+    records = (record for result in serial.runs.values() for record in result.records)
     print(stream_survey(records).comparison().to_table())
     # Tiny (CI smoke) runs are recorded under their own section so the
     # regression gate always compares like-for-like configurations.
@@ -158,7 +158,7 @@ def test_bench_scenario_sweep(benchmark):
     # Executor choice must never change what a fixed matrix layout measured.
     assert set(sharded.runs) == set(serial.runs)
     assert set(remote.runs) == set(serial.runs)
-    for label, run in serial.runs.items():
-        assert run.result.scenario == label
-        assert result_signature(sharded.runs[label].result) == result_signature(run.result)
-        assert result_signature(remote.runs[label].result) == result_signature(run.result)
+    for label, result in serial.runs.items():
+        assert result.scenario == label
+        assert result_signature(sharded.runs[label]) == result_signature(result)
+        assert result_signature(remote.runs[label]) == result_signature(result)

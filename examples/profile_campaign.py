@@ -40,10 +40,9 @@ from repro.api import MatrixRequest
 from repro.api.backends import backend_names, create_backend
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
-from repro.core.runner import CampaignRunner
+from repro.core.runner import merge_records
 from repro.net.packet import Packet, TcpHeader
 from repro.scenarios import MIXED_OS, ScenarioMatrix, scenario_names
-from repro.scenarios.population import build_scenario_hosts
 
 SEED = 1302
 
@@ -89,32 +88,24 @@ def main() -> None:
     request = MatrixRequest(
         matrix=matrix, config=config, hosts=args.hosts, seed=SEED, shards=args.shards
     )
-    cells = request.normalized().cells
 
     total_measurements = 0
     profiler = cProfile.Profile()
     with create_backend(args.backend) as backend:
         first_uid = marker_uid()
         profiler.enable()
-        runners, tasks, cell_of = [], [], {}
-        for position, cell in enumerate(cells):
-            runner = CampaignRunner(
-                build_scenario_hosts(cell.scenario, seed=cell.seed),
-                cell.config,
-                seed=cell.seed,
-                remote_port=cell.remote_port,
-                shards=cell.shards,
-                scenario=cell.label,
-            )
-            cell_tasks = runner.shard_tasks(cell.tests, first_index=len(tasks))
+        plans = request.normalized()  # the population builds are profiled too
+        tasks, cell_of = [], {}
+        for position, plan in enumerate(plans):
+            cell_tasks = plan.shard_tasks(first_index=len(tasks))
             cell_of.update((task.index, position) for task in cell_tasks)
             tasks.extend(cell_tasks)
-            runners.append(runner)
-        outcomes = [[] for _ in cells]
+        outcomes = [[] for _ in plans]
         for outcome in backend.iter_shards(tasks):
             outcomes[cell_of[outcome.index]].append(outcome)
-        for cell, runner, cell_outcomes in zip(cells, runners, outcomes):
-            result = runner.merge(cell_outcomes, cell.tests)
+        for plan, cell_outcomes in zip(plans, outcomes):
+            records = (record for outcome in cell_outcomes for record in outcome.records)
+            result = merge_records(records, plan)
             total_measurements += sum(
                 1 for record in result.records if record.report.result is not None
             )
@@ -129,7 +120,7 @@ def main() -> None:
     if args.out:
         stats.dump_stats(args.out)
     print(
-        f"profiled sweep: {len(cells)} cells on backend {args.backend!r}, "
+        f"profiled sweep: {len(plans)} cells on backend {args.backend!r}, "
         f"{total_measurements} measurements"
     )
     if packets:

@@ -27,7 +27,7 @@ Campaigns, resumes, and scenario sweeps run the same way, as
 :class:`~repro.api.requests.MatrixRequest`; the session is the only place
 their shards execute.  Below it, ``quick_testbed`` and the
 per-technique test classes remain available for single measurements, and
-:class:`~repro.core.runner.CampaignRunner` is a campaign's shard plan.
+:class:`~repro.core.runner.CampaignPlan` is the one description of a campaign.
 """
 
 from repro.api import (
@@ -43,8 +43,8 @@ from repro.api import (
 from repro.core import (
     Campaign,
     CampaignConfig,
+    CampaignPlan,
     CampaignResult,
-    CampaignRunner,
     DataTransferTest,
     Direction,
     DualConnectionTest,
@@ -88,9 +88,9 @@ __version__ = "1.0.0"
 __all__ = [
     "Campaign",
     "CampaignConfig",
+    "CampaignPlan",
     "CampaignRequest",
     "CampaignResult",
-    "CampaignRunner",
     "DataTransferTest",
     "Direction",
     "DualConnectionTest",

@@ -41,7 +41,6 @@ from repro.api.jobs import (
 )
 from repro.api.requests import (
     CampaignRequest,
-    CellPlan,
     MatrixRequest,
     ProbeRequest,
     Request,
@@ -51,7 +50,6 @@ from repro.api.session import Session
 
 __all__ = [
     "CampaignRequest",
-    "CellPlan",
     "ENVELOPE_VERSION",
     "ExecutionBackend",
     "JobCancelled",

@@ -29,7 +29,7 @@ from repro.net.errors import MeasurementError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.campaign import CampaignResult, HostRoundResult
-    from repro.store.store import CampaignPlan
+    from repro.core.runner import CampaignPlan
 
 ENVELOPE_VERSION = 1
 """Version of the envelope contract.  Bumped only on incompatible change."""

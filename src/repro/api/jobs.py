@@ -3,9 +3,9 @@
 :meth:`repro.api.Session.submit` returns a :class:`JobHandle` immediately;
 the work runs on a dedicated worker thread (shard- and cell-level
 parallelism still comes from the session's execution backend underneath).
-The handle exposes the job-oriented surface the ROADMAP's service shape
-needs: :meth:`~JobHandle.status`, blocking :meth:`~JobHandle.result`,
-progress/checkpoint callbacks, and cooperative :meth:`~JobHandle.cancel`.
+The handle exposes :meth:`~JobHandle.status`, blocking
+:meth:`~JobHandle.result`, progress/checkpoint callbacks, and cooperative
+:meth:`~JobHandle.cancel`.
 
 Cancellation is honoured at *progress boundaries* — shard checkpoints for
 campaigns, cell boundaries for matrix sweeps — because a shard mid-flight is

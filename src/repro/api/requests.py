@@ -7,8 +7,9 @@ Each request dataclass captures one kind of work the library can do —
 :class:`ResumeRequest` (continue an interrupted campaign from its durable
 store) — and owns the normalization that used to be re-implemented by every
 entry point: scenario names resolve to specs, population sizes and OS mixes
-apply, per-cell seeds derive, and store paths become
-:class:`~repro.store.store.CampaignStore` objects, all in one place.
+apply and per-cell seeds derive, all in one place.  A campaign normalizes to
+one :class:`~repro.core.runner.CampaignPlan` and a sweep to one per cell; a
+resume's plan is the one its store holds.
 
 Requests are frozen and carry no execution state; the same request can be
 submitted to any :class:`repro.api.Session` (any backend) and, by the
@@ -24,7 +25,7 @@ from typing import Optional, Union
 
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
-from repro.core.runner import CheckpointHook
+from repro.core.runner import CampaignPlan, CheckpointHook
 from repro.net.errors import MeasurementError
 from repro.scenarios.matrix import (
     MIXED_OS,
@@ -34,7 +35,6 @@ from repro.scenarios.matrix import (
     resolve_scenario,
 )
 from repro.scenarios.population import build_scenario_hosts
-from repro.scenarios.spec import NetworkScenario
 from repro.store.store import CampaignStore
 from repro.workloads.testbed import HostSpec, PathSpec
 
@@ -48,51 +48,6 @@ def as_store(store: StoreLike, *, create: bool) -> CampaignStore:
     if create:
         return CampaignStore(store)  # begin() writes the manifest on first use
     return CampaignStore.open(store)
-
-
-# --------------------------------------------------------------------- #
-# Normalized (execution-ready) forms
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class NormalizedCampaign:
-    """A campaign with every front-door option resolved to concrete values."""
-
-    specs: tuple[HostSpec, ...]
-    config: CampaignConfig
-    seed: int
-    shards: int
-    remote_port: int
-    tests: Optional[tuple[TestName, ...]]
-    label: Optional[str]
-    store: Optional[CampaignStore]
-    resume: bool
-    on_checkpoint: Optional[CheckpointHook]
-
-
-@dataclass(frozen=True)
-class CellPlan:
-    """One matrix cell, fully materialized.
-
-    ``scenario`` already carries the population-size and OS overrides, so
-    the cell's host specs are a pure function of ``(scenario, seed)``.
-    """
-
-    label: str
-    scenario: NetworkScenario
-    seed: int
-    shards: int
-    remote_port: int
-    config: CampaignConfig
-    tests: Optional[tuple[TestName, ...]]
-
-
-@dataclass(frozen=True)
-class NormalizedMatrix:
-    """A sweep reduced to an ordered tuple of independent cell plans."""
-
-    cells: tuple[CellPlan, ...]
 
 
 # --------------------------------------------------------------------- #
@@ -166,7 +121,8 @@ class CampaignRequest:
     resume: bool = False
     on_checkpoint: Optional[CheckpointHook] = None
 
-    def normalized(self) -> NormalizedCampaign:
+    def normalized(self) -> CampaignPlan:
+        """The campaign's plan; the store options stay on the request."""
         if (self.scenario is None) == (self.specs is None):
             raise MeasurementError(
                 "CampaignRequest needs exactly one population source: "
@@ -188,18 +144,14 @@ class CampaignRequest:
                     "not explicit host specs"
                 )
             specs = tuple(self.specs or ())
-        store = as_store(self.store, create=True) if self.store is not None else None
-        return NormalizedCampaign(
-            specs=specs,
-            config=self.config or CampaignConfig(),
+        return CampaignPlan.of(
+            specs,
+            self.config,
             seed=self.seed,
-            shards=self.shards,
             remote_port=self.remote_port,
-            tests=tuple(self.tests) if self.tests is not None else None,
-            label=label,
-            store=store,
-            resume=self.resume,
-            on_checkpoint=self.on_checkpoint,
+            shards=self.shards,
+            scenario=label,
+            tests=self.tests,
         )
 
 
@@ -225,37 +177,39 @@ class MatrixRequest:
     remote_port: int = 80
     tests: Optional[tuple[TestName, ...]] = None
 
-    def scenario_matrix(self) -> ScenarioMatrix:
-        if self.matrix is not None:
-            return self.matrix
-        if not self.scenarios:
-            raise MeasurementError(
-                "MatrixRequest needs a matrix or a non-empty scenario list"
-            )
-        return ScenarioMatrix.of(self.scenarios, self.os_names)
+    def normalized(self) -> tuple[CampaignPlan, ...]:
+        """One plan per cell, in row-major order, each stamped with its label.
 
-    def _cell_scenario(self, cell) -> NetworkScenario:
-        scenario = cell.materialized_scenario()
-        if self.hosts is not None:
-            scenario = scenario.with_population(num_hosts=self.hosts)
-        return scenario
-
-    def normalized(self) -> NormalizedMatrix:
-        matrix = self.scenario_matrix()
-        config = self.config or CampaignConfig()
-        cells = tuple(
-            CellPlan(
-                label=cell.label,
-                scenario=self._cell_scenario(cell),
-                seed=derive_cell_seed(self.seed, cell.scenario.name, cell.os_name),
-                shards=self.shards,
+        A sweep without cells is refused, and so is a label that appears
+        twice: a cell's seed derives from its names, so a repeat would run
+        the same campaign again and collide with it in the payload.
+        """
+        matrix = self.matrix
+        if matrix is None:
+            matrix = ScenarioMatrix.of(self.scenarios, self.os_names)
+        cells = matrix.cells()
+        if not cells:
+            raise MeasurementError("MatrixRequest needs at least one scenario and one OS name")
+        labels = [cell.label for cell in cells]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise MeasurementError(f"MatrixRequest repeats the cell(s) {', '.join(repeated)}")
+        plans = []
+        for cell in cells:
+            scenario = cell.materialized_scenario()
+            if self.hosts is not None:
+                scenario = scenario.with_population(num_hosts=self.hosts)
+            seed = derive_cell_seed(self.seed, cell.scenario.name, cell.os_name)
+            plans.append(CampaignPlan.of(
+                build_scenario_hosts(scenario, seed=seed),
+                self.config,
+                seed=seed,
                 remote_port=self.remote_port,
-                config=config,
-                tests=tuple(self.tests) if self.tests is not None else None,
-            )
-            for cell in matrix.cells()
-        )
-        return NormalizedMatrix(cells=cells)
+                shards=self.shards,
+                scenario=cell.label,
+                tests=self.tests,
+            ))
+        return tuple(plans)
 
 
 @dataclass(frozen=True)
@@ -272,24 +226,13 @@ class ResumeRequest:
     store: StoreLike
     on_checkpoint: Optional[CheckpointHook] = None
 
-    def normalized(self) -> NormalizedCampaign:
-        store = as_store(self.store, create=False)
-        plan = store.plan()
-        return NormalizedCampaign(
-            plan.specs, plan.config, plan.seed, plan.shards, plan.remote_port, plan.tests,
-            label=plan.scenario, store=store, resume=True, on_checkpoint=self.on_checkpoint,
-        )
-
 
 Request = Union[ProbeRequest, CampaignRequest, MatrixRequest, ResumeRequest]
 
 
 __all__ = [
     "CampaignRequest",
-    "CellPlan",
     "MatrixRequest",
-    "NormalizedCampaign",
-    "NormalizedMatrix",
     "ProbeRequest",
     "Request",
     "ResumeRequest",

@@ -49,26 +49,26 @@ from repro.api.envelope import (
 from repro.api.jobs import JobHandle, ProgressEvent
 from repro.api.requests import (
     CampaignRequest,
-    CellPlan,
     MatrixRequest,
-    NormalizedCampaign,
     ProbeRequest,
     Request,
     ResumeRequest,
+    as_store,
 )
-from repro.core.campaign import CampaignResult
 from repro.core.prober import ProbeReport, Prober
 from repro.core.runner import (
     EXECUTOR_SERIAL,
-    CampaignRunner,
+    CampaignPlan,
+    CheckpointHook,
     ShardOutcome,
     ShardTask,
+    merge_records,
     result_digest,
     run_shard,
 )
 from repro.net.errors import MeasurementError
-from repro.scenarios.matrix import MatrixResult, ScenarioRun
-from repro.scenarios.population import build_scenario_hosts
+from repro.scenarios.matrix import MatrixResult
+from repro.store.store import CampaignStore
 from repro.workloads.testbed import build_testbed
 
 
@@ -86,6 +86,21 @@ def _probe_signature(report: ProbeReport) -> tuple:
 def _dispatches(tasks: Sequence[ShardTask], backend: ExecutionBackend) -> bool:
     """True when :func:`_iter_completed` hands ``tasks`` to ``backend``."""
     return backend.name != EXECUTOR_SERIAL and len(tasks) > 1
+
+
+def _campaign_envelope(
+    plan: CampaignPlan, digest: str, outcomes: Sequence[ShardOutcome], meta: dict[str, Any]
+) -> ResultEnvelope:
+    """Merge ``plan``'s shard outcomes, in any order, digest and wrap the result."""
+    result = merge_records((record for outcome in outcomes for record in outcome.records), plan)
+    return ResultEnvelope(
+        kind=KIND_CAMPAIGN,
+        payload=result,
+        scenario=plan.scenario,
+        plan_digest=digest,
+        result_digest=result_digest(result),
+        meta=meta,
+    )
 
 
 def _iter_completed(
@@ -135,8 +150,8 @@ class Session:
     ----------
     backend:
         A backend name from the :mod:`repro.api.backends` registry
-        (``"serial"``, ``"process"``, ``"remote"``, or anything registered)
-        or an :class:`ExecutionBackend` instance to share.  Named backends
+        (``"serial"``, ``"process"`` or ``"remote"``) or an
+        :class:`ExecutionBackend` instance to share.  Named backends
         are created lazily and owned (closed) by the session; instances are
         borrowed and left open.
     max_workers:
@@ -258,8 +273,13 @@ class Session:
     def _execute(self, request: Request, job: JobHandle) -> ResultEnvelope:
         if isinstance(request, ProbeRequest):
             return self._run_probe(request, job)
-        if isinstance(request, (CampaignRequest, ResumeRequest)):
-            return self._run_campaign(request.normalized(), job)
+        if isinstance(request, CampaignRequest):
+            plan = request.normalized()
+            store = None if request.store is None else as_store(request.store, create=True)
+            return self._run_campaign(plan, job, store, request.resume, request.on_checkpoint)
+        if isinstance(request, ResumeRequest):
+            store = as_store(request.store, create=False)
+            return self._run_campaign(store.plan(), job, store, True, request.on_checkpoint)
         if isinstance(request, MatrixRequest):
             return self._run_matrix(request, job)
         raise MeasurementError(
@@ -301,7 +321,14 @@ class Session:
             },
         )
 
-    def _run_campaign(self, norm: NormalizedCampaign, job: JobHandle) -> ResultEnvelope:
+    def _run_campaign(
+        self,
+        plan: CampaignPlan,
+        job: JobHandle,
+        store: Optional[CampaignStore],
+        resume: bool,
+        on_checkpoint: Optional[CheckpointHook],
+    ) -> ResultEnvelope:
         """One campaign's shards as a completion-order stream on the backend.
 
         With a store, shards it already holds are read back instead of
@@ -309,22 +336,12 @@ class Session:
         hook and progress event fire — so a crash or a cancel at any shard
         boundary leaves a store that resumes to the same digest.
         """
-        runner = CampaignRunner(
-            norm.specs,
-            norm.config,
-            seed=norm.seed,
-            remote_port=norm.remote_port,
-            shards=norm.shards,
-            scenario=norm.label,
-        )
-        tasks = runner.shard_tasks(norm.tests)
+        tasks = plan.shard_tasks()
         total = len(tasks)
-        plan = runner.plan(norm.tests)
         digest = plan_digest(plan)  # first, so a value no codec carries fails before any shard
-        store = norm.store
         durable: frozenset[int] = frozenset()
         if store is not None:
-            durable = store.begin(plan, resume=norm.resume)
+            durable = store.begin(plan, resume=resume)
             tasks = [task for task in tasks if task.index not in durable]
         fresh: list[ShardOutcome] = []
         with closing(_iter_completed(tasks, self.backend)) as stream:
@@ -335,26 +352,19 @@ class Session:
                 # With a store, progress counts every durable shard, so a
                 # resumed run picks up where the interrupted one stopped.
                 completed = len(fresh) if store is None else len(store.completed_shards())
-                if norm.on_checkpoint is not None:
-                    norm.on_checkpoint(outcome, completed, total)
-                job._report(ProgressEvent("shard", completed, total, label=norm.label))
+                if on_checkpoint is not None:
+                    on_checkpoint(outcome, completed, total)
+                job._report(ProgressEvent("shard", completed, total, label=plan.scenario))
         # Shards executed this run merge from memory; only previously durable
         # shards are read back (the codec is lossless, so both sources yield
         # signature-identical records).
         outcomes = [store.read_shard(index) for index in sorted(durable)] + fresh
-        result = runner.merge(outcomes, norm.tests)
-        return self._campaign_envelope(plan, digest, norm, result, _dispatches(tasks, self.backend))
-
-    def _campaign_envelope(
-        self, plan: Any, digest: str, norm: NormalizedCampaign, result: CampaignResult,
-        dispatched: bool,
-    ) -> ResultEnvelope:
-        meta = {
-            "seed": norm.seed,
+        meta: dict[str, Any] = {
+            "seed": plan.seed,
             "shards": plan.shards,
-            "hosts": len(norm.specs),
-            "resumed": norm.resume,
-            "store": str(norm.store.root) if norm.store is not None else None,
+            "hosts": len(plan.specs),
+            "resumed": resume,
+            "store": str(store.root) if store is not None else None,
             "backend": self._backend_name,
         }
         # A fault-tolerant backend (the remote pool) accumulates a per-job
@@ -365,25 +375,18 @@ class Session:
         # or a resume with every shard durable) gave the backend no job, so
         # the report there belongs to someone else.
         reporter = getattr(self.backend, "pop_job_report", None)
-        if dispatched and callable(reporter):
+        if _dispatches(tasks, self.backend) and callable(reporter):
             report = reporter()
             if report:
                 meta["remote"] = report
                 if report.get("warnings"):
                     meta["warnings"] = tuple(report["warnings"])
-        return ResultEnvelope(
-            kind=KIND_CAMPAIGN,
-            payload=result,
-            scenario=result.scenario or norm.label,
-            plan_digest=digest,
-            result_digest=result_digest(result),
-            meta=meta,
-        )
+        return _campaign_envelope(plan, digest, outcomes, meta)
 
     def _run_matrix(self, request: MatrixRequest, job: JobHandle) -> ResultEnvelope:
         """Every cell's shards as one completion-order stream on the backend.
 
-        Each cell keeps its own runner, shard layout, and merge; only the
+        Each cell keeps its own plan, shard layout, and merge; only the
         shard indexes run on across cells, so one dispatch carries them all
         and no worker idles at a cell boundary.  A cell is merged, digested
         and reported as soon as its last shard lands, so that work overlaps
@@ -391,34 +394,26 @@ class Session:
         cancelling at that boundary closes the stream, which drops the
         batches that have not started.
         """
-        cells = request.normalized().cells
-        runners: list[CampaignRunner] = []
+        plans = request.normalized()
         tasks: list[ShardTask] = []
         owner: dict[int, int] = {}  # shard index -> cell position
         unfinished: dict[int, int] = {}  # cell position -> shards still out
-        for position, cell in enumerate(cells):
-            runner = CampaignRunner(
-                build_scenario_hosts(cell.scenario, seed=cell.seed),
-                cell.config,
-                seed=cell.seed,
-                remote_port=cell.remote_port,
-                shards=cell.shards,
-                scenario=cell.label,
-            )
-            cell_tasks = runner.shard_tasks(cell.tests, first_index=len(tasks))
+        for position, plan in enumerate(plans):
+            cell_tasks = plan.shard_tasks(first_index=len(tasks))
             owner.update((task.index, position) for task in cell_tasks)
             unfinished[position] = len(cell_tasks)
             tasks.extend(cell_tasks)
-            runners.append(runner)
-        outcomes: list[list[ShardOutcome]] = [[] for _ in cells]
+        outcomes: list[list[ShardOutcome]] = [[] for _ in plans]
         children: dict[int, ResultEnvelope] = {}  # cell position -> its envelope
 
         def finish(position: int) -> None:
             del unfinished[position]
-            cell, runner = cells[position], runners[position]
-            result = runner.merge(outcomes[position], cell.tests)
-            children[position] = self._cell_envelope(cell, runner.plan(cell.tests), result)
-            job._report(ProgressEvent("cell", len(children), len(cells), label=cell.label))
+            plan = plans[position]
+            meta = {"seed": plan.seed, "shards": plan.shards, "backend": self._backend_name}
+            children[position] = _campaign_envelope(
+                plan, plan_digest(plan), outcomes[position], meta
+            )
+            job._report(ProgressEvent("cell", len(children), len(plans), label=plan.scenario))
 
         with closing(_iter_completed(tasks, self.backend)) as stream:
             for outcome in stream:
@@ -431,38 +426,22 @@ class Session:
         # as complete as it will get once the stream ends.
         for position in sorted(unfinished):
             finish(position)
-        envelopes = tuple(children[position] for position in range(len(cells)))
-        runs = {
-            cell.label: ScenarioRun(scenario=cell.scenario, seed=cell.seed, result=child.payload)
-            for cell, child in zip(cells, envelopes)
-        }
+        envelopes = tuple(children[position] for position in range(len(plans)))
         cell_digests = tuple(
             sorted((child.scenario or "", child.result_digest or "") for child in envelopes)
         )
         return ResultEnvelope(
             kind=KIND_MATRIX,
-            payload=MatrixResult(runs=runs),
+            payload=MatrixResult(runs={child.scenario: child.payload for child in envelopes}),
             scenario=None,
             plan_digest=None,
             result_digest=hashlib.sha256(repr(cell_digests).encode()).hexdigest(),
             meta={
                 "seed": request.seed,
-                "cells": len(cells),
+                "cells": len(plans),
                 "backend": self._backend_name,
             },
             children=envelopes,
-        )
-
-    def _cell_envelope(
-        self, cell: CellPlan, plan: Any, result: CampaignResult
-    ) -> ResultEnvelope:
-        return ResultEnvelope(
-            kind=KIND_CAMPAIGN,
-            payload=result,
-            scenario=cell.label,
-            plan_digest=plan_digest(plan),
-            result_digest=result_digest(result),
-            meta={"seed": cell.seed, "shards": plan.shards, "backend": self._backend_name},
         )
 
 

@@ -41,7 +41,7 @@ from repro.core.timeseries import SpacingPoint, SpacingSweep, SpacingSweepResult
 # Imported last: the runner pulls in repro.workloads (testbed construction),
 # which itself imports the core submodules loaded above.
 from repro.core.runner import (
-    CampaignRunner,
+    CampaignPlan,
     ShardOutcome,
     ShardTask,
     record_signature,
@@ -52,8 +52,8 @@ from repro.core.runner import (
 __all__ = [
     "Campaign",
     "CampaignConfig",
+    "CampaignPlan",
     "CampaignResult",
-    "CampaignRunner",
     "DataTransferTest",
     "Direction",
     "DualConnectionTest",

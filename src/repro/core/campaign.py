@@ -7,11 +7,11 @@ per-host time series, the eligibility table, and the pairwise-agreement
 statistics.
 
 :class:`Campaign` here is the single-simulator engine: one event loop, one
-probe host, hosts visited strictly in sequence.  Survey-scale runs go
-through :class:`repro.core.runner.CampaignRunner`, which partitions the host
-list into shards whose ``Campaign`` s each run on their own simulator
+probe host, hosts visited strictly in sequence.  Survey-scale runs follow
+a :class:`repro.core.runner.CampaignPlan`, which partitions the host list
+into shards whose ``Campaign`` s each run on their own simulator
 (optionally in parallel worker processes, via a :class:`repro.api.Session`)
-and merges the shard records back into one :class:`CampaignResult`.  The
+and whose shard records merge back into one :class:`CampaignResult`.  The
 layering and the determinism guarantees are documented in
 ``docs/architecture.md``.
 """

@@ -6,9 +6,9 @@ between the techniques (eligibility failures, handshake failures, variable
 sample counts) into a single :class:`ProbeReport`.
 
 One prober serves one simulator.  Survey-scale work drives many probers at
-once: :class:`repro.core.runner.CampaignRunner` gives every shard of a host
-population its own simulator, probe host, and ``Prober``, and merges the
-reports — see ``docs/architecture.md`` ("The sharded campaign runner") for
+once: a :class:`repro.core.runner.CampaignPlan` gives every shard of a host
+population its own simulator, probe host, and ``Prober``, and the reports
+merge against it — see ``docs/architecture.md`` ("The sharded campaign runner") for
 how the pieces fit together.
 """
 

@@ -6,13 +6,14 @@ reproduces that faithfully — one simulator, one probe host, hosts visited in
 sequence — which also makes it the scaling bottleneck: a single event loop on
 a single core bounds how large a survey can get.
 
-:class:`CampaignRunner` removes that bound.  It is a campaign's *shard plan*:
-it partitions the host spec list into independent shards, turns each into a
-self-contained :class:`ShardTask` (run by :func:`run_shard`, which builds the
-shard its own :class:`~repro.sim.simulator.Simulator`,
+:class:`CampaignPlan` removes that bound.  It is the one description of a
+campaign, kept verbatim in a durable store's manifest: it partitions the host
+spec list into independent shards and turns each into a self-contained
+:class:`ShardTask` (run by :func:`run_shard`, which builds the shard its own
+:class:`~repro.sim.simulator.Simulator`,
 :class:`~repro.host.raw_socket.ProbeHost`, and
-:class:`~repro.core.prober.Prober`), describes the campaign to a durable store,
-and merges the per-shard records into one
+:class:`~repro.core.prober.Prober`), and :func:`merge_records` merges the
+per-shard records against it into one
 :class:`~repro.core.campaign.CampaignResult` in canonical round-robin order.
 Executing the tasks is the :class:`repro.api.Session`'s job: it streams them
 through its execution backend and checkpoints each one as it completes.
@@ -49,16 +50,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.core.campaign import Campaign, CampaignConfig, CampaignResult, HostRoundResult
 from repro.core.prober import TestName
 from repro.net.errors import MeasurementError
 from repro.workloads.population import partition_specs
 from repro.workloads.testbed import HostSpec, build_testbed
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import (the store sits above core)
-    from repro.store.store import CampaignPlan
 
 CheckpointHook = Callable[["ShardOutcome", int, int], None]
 """Called after each shard becomes durable: ``(outcome, completed, total)``."""
@@ -95,6 +93,98 @@ class ShardOutcome:
     index: int
     host_addresses: tuple[int, ...]
     records: list[HostRoundResult]
+
+
+@dataclass(frozen=True, slots=True)
+class CampaignPlan:
+    """A campaign: everything that fixes its merged dataset, host specs included.
+
+    A request normalizes to a plan, a store keeps one in its manifest, and a
+    :class:`repro.api.Session` runs one by taking :meth:`shard_tasks` through
+    its execution backend and merging the outcomes with
+    :func:`merge_records`.  Two runs with equal plans produce bit-identical
+    merged signatures, which is why resume refuses a plan that differs from
+    the stored one, and why a resume needs only the store.
+
+    ``seed`` is the base seed of every shard testbed: with stable per-site
+    seeding the merged result is a pure function of the plan (see the module
+    docstring), whatever backend and worker count run the shards.
+    ``scenario`` is stamped on every record and on the merged result, so
+    sweep datasets stay self-describing.
+    """
+
+    seed: int
+    shards: int
+    remote_port: int
+    scenario: Optional[str]
+    tests: tuple[TestName, ...]
+    config: CampaignConfig
+    specs: tuple[HostSpec, ...]
+
+    def __post_init__(self) -> None:
+        # Checked on construction, so a plan decoded from a manifest meets
+        # the same rules as one built from a request.
+        if not self.specs:
+            raise MeasurementError("campaign plan requires at least one host spec")
+        if not 1 <= self.shards <= len(self.specs):
+            raise MeasurementError(
+                f"campaign plan shards must be in [1, {len(self.specs)}], its host count: "
+                f"{self.shards}"
+            )
+        if not 0 <= self.seed < 2**64:
+            raise MeasurementError(f"campaign seed must be in [0, 2**64): {self.seed}")
+
+    @classmethod
+    def of(
+        cls,
+        specs: Iterable[HostSpec],
+        config: Optional[CampaignConfig] = None,
+        *,
+        seed: int = 1,
+        remote_port: int = 80,
+        shards: int = 1,
+        scenario: Optional[str] = None,
+        tests: Optional[Iterable[TestName]] = None,
+    ) -> "CampaignPlan":
+        """The plan of a campaign over ``specs``.  Shards beyond the host
+        count are dropped rather than left empty, and ``tests`` defaults to
+        the config's cycle."""
+        hosts = tuple(specs)
+        config = config or CampaignConfig()
+        return cls(
+            seed=seed,
+            shards=min(shards, len(hosts)),
+            remote_port=remote_port,
+            scenario=scenario,
+            tests=config.tests if tests is None else tuple(tests),
+            config=config,
+            specs=hosts,
+        )
+
+    @property
+    def host_addresses(self) -> tuple[int, ...]:
+        """Addresses of the whole population, in spec order."""
+        return tuple(spec.address for spec in self.specs)
+
+    def shard_tasks(self, *, first_index: int = 0) -> list[ShardTask]:
+        """This campaign's shard work orders, indexed from ``first_index``.
+
+        A matrix sweep numbers each cell's shards on from the previous
+        cell's, so one dispatch can carry every cell; the index only names a
+        shard and never affects what it measures.
+        """
+        return [
+            ShardTask(
+                index=first_index + offset,
+                specs=tuple(shard),
+                config=self.config,
+                tests=self.tests,
+                seed=self.seed,
+                remote_port=self.remote_port,
+                scenario=self.scenario,
+            )
+            for offset, shard in enumerate(partition_specs(self.specs, self.shards))
+        ]
 
 
 def record_signature(record: HostRoundResult) -> tuple:
@@ -151,15 +241,8 @@ def signature_digest(signatures: Iterable[tuple]) -> str:
     return hashlib.sha256(repr(tuple(sorted(signatures))).encode()).hexdigest()
 
 
-def merge_records(
-    records: Iterable[HostRoundResult],
-    *,
-    config: CampaignConfig,
-    host_addresses: tuple[int, ...],
-    tests: tuple[TestName, ...],
-    scenario: Optional[str],
-) -> CampaignResult:
-    """Merge shard records into one result in canonical round-robin order.
+def merge_records(records: Iterable[HostRoundResult], plan: CampaignPlan) -> CampaignResult:
+    """Merge ``plan``'s shard records into one result in canonical round-robin order.
 
     The canonical order is the exact sequence the serial Campaign visits
     (round, then host in spec order, then test in cycle order), so merged
@@ -167,8 +250,9 @@ def merge_records(
     records came straight from workers or back out of a
     :class:`~repro.store.store.CampaignStore`.
     """
+    host_addresses = plan.host_addresses
     host_order = {address: index for index, address in enumerate(host_addresses)}
-    test_order = {test: index for index, test in enumerate(tests)}
+    test_order = {test: index for index, test in enumerate(plan.tests)}
     ordered = sorted(
         records,
         key=lambda record: (
@@ -177,7 +261,9 @@ def merge_records(
             test_order[record.test],
         ),
     )
-    result = CampaignResult(config=config, host_addresses=host_addresses, scenario=scenario)
+    result = CampaignResult(
+        config=plan.config, host_addresses=host_addresses, scenario=plan.scenario
+    )
     result.extend(ordered)
     return result
 
@@ -208,122 +294,3 @@ def run_shard(task: ShardTask) -> ShardOutcome:
         records=result.records,
     )
 
-
-class CampaignRunner:
-    """A campaign's shard plan: partition, work orders, store plan, and merge.
-
-    The runner executes nothing itself.  A :class:`repro.api.Session` runs a
-    campaign by taking :meth:`shard_tasks` through its execution backend,
-    checkpointing each outcome against :meth:`plan` when a store is given,
-    and folding the outcomes back together with :meth:`merge`.
-
-    Parameters
-    ----------
-    specs:
-        Host specs for the whole population (e.g. from
-        :func:`repro.workloads.population.generate_population`).
-    config:
-        Campaign schedule, shared by every shard.
-    seed:
-        Base seed for every shard testbed.  Combined with stable per-site
-        seeding, this makes the merged result a pure function of
-        ``(specs, config, seed, tests, shards)``; the backend that runs the
-        shards and its worker count change wall-clock time, never records.
-        Shard *count* is also irrelevant to the records except for sites
-        behind port-hashing load balancers (see the module docstring's
-        determinism notes).  It must fit the u64 every codec sends it as.
-    shards:
-        Number of partitions.  Shards beyond ``len(specs)`` are dropped
-        rather than left empty.
-    scenario:
-        Optional scenario name stamped on every record and on the merged
-        result, so sweep datasets remain self-describing (the scenario layer
-        in :mod:`repro.scenarios` sets this automatically).
-    """
-
-    def __init__(
-        self,
-        specs: Sequence[HostSpec],
-        config: Optional[CampaignConfig] = None,
-        *,
-        seed: int = 1,
-        remote_port: int = 80,
-        shards: int = 1,
-        scenario: Optional[str] = None,
-    ) -> None:
-        if not specs:
-            raise MeasurementError("campaign runner requires at least one host spec")
-        if shards < 1:
-            raise MeasurementError(f"campaign runner needs at least one shard: {shards}")
-        if not 0 <= seed < 2**64:
-            raise MeasurementError(f"campaign seed must be in [0, 2**64): {seed}")
-        self.specs = tuple(specs)
-        self.config = config or CampaignConfig()
-        self.seed = seed
-        self.remote_port = remote_port
-        self.shards = shards
-        self.scenario = scenario
-
-    @property
-    def host_addresses(self) -> tuple[int, ...]:
-        """Addresses of the whole population, in spec order."""
-        return tuple(spec.address for spec in self.specs)
-
-    def shard_plan(self) -> list[list[HostSpec]]:
-        """The partitions the runner will execute, in order."""
-        return partition_specs(self.specs, self.shards)
-
-    def plan(self, tests: Optional[Iterable[TestName]] = None) -> "CampaignPlan":
-        """The durable-store plan describing exactly this runner's campaign,
-        host specs included, so a resume needs nothing but the store."""
-        from repro.store.store import CampaignPlan
-
-        return CampaignPlan(
-            seed=self.seed,
-            shards=len(self.shard_plan()),
-            remote_port=self.remote_port,
-            scenario=self.scenario,
-            tests=self._active_tests(tests),
-            config=self.config,
-            specs=self.specs,
-        )
-
-    def shard_tasks(
-        self, tests: Optional[Iterable[TestName]] = None, *, first_index: int = 0
-    ) -> list[ShardTask]:
-        """This campaign's shard work orders, indexed from ``first_index``.
-
-        A matrix sweep numbers each cell's shards on from the previous
-        cell's, so one dispatch can carry every cell; the index only names a
-        shard and never affects what it measures.
-        """
-        active_tests = self._active_tests(tests)
-        return [
-            ShardTask(
-                index=first_index + offset,
-                specs=tuple(shard),
-                config=self.config,
-                tests=active_tests,
-                seed=self.seed,
-                remote_port=self.remote_port,
-                scenario=self.scenario,
-            )
-            for offset, shard in enumerate(self.shard_plan())
-        ]
-
-    def merge(
-        self,
-        outcomes: Iterable[ShardOutcome],
-        tests: Optional[Iterable[TestName]] = None,
-    ) -> CampaignResult:
-        """Merge this campaign's shard outcomes, in any order, into one result."""
-        return merge_records(
-            (record for outcome in outcomes for record in outcome.records),
-            config=self.config,
-            host_addresses=self.host_addresses,
-            tests=self._active_tests(tests),
-            scenario=self.scenario,
-        )
-
-    def _active_tests(self, tests: Optional[Iterable[TestName]]) -> tuple[TestName, ...]:
-        return tuple(tests) if tests is not None else self.config.tests

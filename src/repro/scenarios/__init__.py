@@ -20,7 +20,6 @@ from repro.scenarios.matrix import (
     MatrixCell,
     MatrixResult,
     ScenarioMatrix,
-    ScenarioRun,
     derive_cell_seed,
     resolve_scenario,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "PopulationSpec",
     "RouteFlapCondition",
     "ScenarioMatrix",
-    "ScenarioRun",
     "build_scenario_hosts",
     "derive_cell_seed",
     "get_scenario",

@@ -42,15 +42,6 @@ def derive_cell_seed(seed: int, scenario_name: str, os_name: str = MIXED_OS) -> 
     return SeededRandom(seed).derive(f"scenario::{scenario_name}::os::{os_name}").seed
 
 
-@dataclass(slots=True)
-class ScenarioRun:
-    """One executed scenario: its spec, the seed used, and the records."""
-
-    scenario: NetworkScenario
-    seed: int
-    result: "CampaignResult"
-
-
 @dataclass(frozen=True, slots=True)
 class MatrixCell:
     """One (scenario, OS) combination of a sweep."""
@@ -105,9 +96,9 @@ class ScenarioMatrix:
 
 @dataclass(slots=True)
 class MatrixResult:
-    """Every cell's run, keyed by its ``scenario/os`` label."""
+    """Every cell's merged result, keyed by its ``scenario/os`` label."""
 
-    runs: dict[str, ScenarioRun]
+    runs: dict[str, "CampaignResult"]
 
     def total_measurements(self) -> int:
-        return sum(len(run.result.records) for run in self.runs.values())
+        return sum(len(result.records) for result in self.runs.values())

@@ -62,6 +62,7 @@ from typing import Any, BinaryIO, Iterator, NamedTuple, Optional
 
 from repro.core.campaign import CampaignConfig, CampaignResult, HostRoundResult
 from repro.core.prober import TestName
+from repro.core.runner import CampaignPlan, ShardOutcome, merge_records
 from repro.core.schema import from_json, to_json
 from repro.net.errors import MeasurementError, ReproError, StoreError
 from repro.store.codec import (
@@ -73,7 +74,6 @@ from repro.store.codec import (
     read_frame,
     require,
 )
-from repro.workloads.testbed import HostSpec
 
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "shards.log"
@@ -110,33 +110,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
     except OSError as exc:
         raise StoreError(f"cannot write {path}: {exc}") from exc
     _fsync_directory(path.parent)
-
-
-@dataclass(frozen=True, slots=True)
-class CampaignPlan:
-    """Everything that fixes a campaign's merged dataset, host specs included.
-
-    Two runs with equal plans produce bit-identical merged signatures, which
-    is why resume refuses to proceed when the plan on disk differs from the
-    one the resuming runner derived, and why a resume needs only the store.
-    """
-
-    seed: int
-    shards: int
-    remote_port: int
-    scenario: Optional[str]
-    tests: tuple[TestName, ...]
-    config: CampaignConfig
-    specs: tuple[HostSpec, ...]
-
-    @property
-    def host_addresses(self) -> tuple[int, ...]:
-        """Addresses of the whole population, in spec order."""
-        return tuple(spec.address for spec in self.specs)
-
-    def differences(self, other: "CampaignPlan") -> list[str]:
-        """Names of fields on which two plans disagree (empty == compatible)."""
-        return [f.name for f in fields(self) if getattr(self, f.name) != getattr(other, f.name)]
 
 
 class _ShardHeader(NamedTuple):
@@ -203,7 +176,7 @@ class CampaignStore:
         return store
 
     def begin(self, plan: CampaignPlan, *, resume: bool = False) -> frozenset[int]:
-        """Bind a runner's plan to this store and report durable shards.
+        """Bind a campaign's plan to this store and report durable shards.
 
         Creates the manifest when the store is fresh.  When the store already
         holds data, the stored plan must match ``plan`` exactly, and any
@@ -219,10 +192,12 @@ class CampaignStore:
         else:  # the manifest is write-once: only the log can have grown
             self._scan()
         stored = self.plan()
-        mismatched = stored.differences(plan)
+        mismatched = [
+            f.name for f in fields(plan) if getattr(stored, f.name) != getattr(plan, f.name)
+        ]
         require(
             not mismatched,
-            "stored campaign plan does not match the resuming runner "
+            "stored campaign plan does not match the resuming campaign "
             f"(differs on: {', '.join(mismatched)})",
         )
         completed = self.completed_shards()
@@ -252,10 +227,8 @@ class CampaignStore:
         """True when every shard of the plan has a durable frame."""
         return len(self.completed_shards()) == self.plan().shards
 
-    def read_shard(self, index: int) -> "ShardOutcome":
+    def read_shard(self, index: int) -> ShardOutcome:
         """Load one shard's outcome back from its frame."""
-        from repro.core.runner import ShardOutcome
-
         require(
             index in self.completed_shards(),
             f"shard {index} is not durable in {self.root}",
@@ -290,27 +263,19 @@ class CampaignStore:
         Requires a complete store: merging a partial campaign would silently
         present a subset as the whole survey.
         """
-        from repro.core.runner import merge_records
-
         plan = self.plan()
         require(
             self.is_complete(),
             f"store at {self.root} is incomplete "
             f"({len(self.completed_shards())}/{plan.shards} shards durable)",
         )
-        return merge_records(
-            self.iter_records(),
-            config=plan.config,
-            host_addresses=plan.host_addresses,
-            tests=plan.tests,
-            scenario=plan.scenario,
-        )
+        return merge_records(self.iter_records(), plan)
 
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
 
-    def write_shard(self, outcome: "ShardOutcome") -> None:
+    def write_shard(self, outcome: ShardOutcome) -> None:
         """Commit one shard's records as one durable frame of the log.
 
         Re-committing an already durable shard is rejected: frames are
@@ -578,7 +543,10 @@ def _rebuilt_plan(data: Any) -> CampaignPlan:
         "the hosts rebuilt from the store's origin differ from its host addresses",
     )
     shared = [getattr(legacy, f.name) for f in fields(CampaignPlan) if f.name != "specs"]
-    return CampaignPlan(*shared, specs=specs)
+    try:
+        return CampaignPlan(*shared, specs=specs)
+    except MeasurementError as exc:
+        raise StoreError(f"malformed campaign plan in manifest: {exc}") from exc
 
 
 def migrate_store(root: os.PathLike | str) -> bool:
@@ -656,7 +624,6 @@ def _remove_format_1_leftovers(store: CampaignStore) -> None:
 
 
 __all__ = [
-    "CampaignPlan",
     "CampaignStore",
     "LOG_NAME",
     "MANIFEST_NAME",

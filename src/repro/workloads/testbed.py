@@ -314,7 +314,7 @@ def build_testbed(
     With ``stable_site_seeds=True`` the per-site random streams depend only on
     ``seed`` and each site's name, so building a testbed from any subset of
     ``specs`` reproduces the same sites the full build would contain — the
-    property the sharded :class:`repro.core.runner.CampaignRunner` needs.
+    property a sharded :class:`repro.core.runner.CampaignPlan` needs.
     """
     testbed = Testbed(seed=seed, stable_site_seeds=stable_site_seeds)
     for spec in specs:

@@ -107,7 +107,7 @@ def test_matrix_comparison_equals_the_oracle_cell_by_cell():
             shards=2,
         )
     )
-    cells = {label: run.result for label, run in envelope.payload.runs.items()}
+    cells = dict(envelope.payload.runs)
     survey = survey_from_envelope(envelope)
     assert list(survey.scenario_slices()) == list(cells)
     assert_same_comparison(survey.comparison(), oracle.compare_scenarios(cells))

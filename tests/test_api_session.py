@@ -34,11 +34,17 @@ from repro.analysis.survey import summarize_eligibility
 from repro.api.backends import POOL_FAILURES
 from repro.core.campaign import CampaignConfig
 from repro.core.prober import TestName
-from repro.core.runner import EXECUTOR_SERIAL, CampaignRunner, result_digest, run_shard
+from repro.core.runner import (
+    EXECUTOR_SERIAL,
+    CampaignPlan,
+    merge_records,
+    result_digest,
+    run_shard,
+)
 from repro.net.errors import MeasurementError
 from repro.net.packet import Packet, TcpFlags, TcpHeader
 from repro.scenarios import scenario_names
-from repro.scenarios.matrix import MIXED_OS, derive_cell_seed
+from repro.scenarios.matrix import MIXED_OS, ScenarioMatrix, derive_cell_seed
 from repro.workloads.testbed import PROBE_ADDRESS
 from _remote_helpers import make_backend
 from test_golden_signatures import (
@@ -610,6 +616,46 @@ def test_campaign_request_validates_population_source():
         CampaignRequest(scenario="imc2002-survey", specs=()).normalized()
 
 
+def _no_shard(task):
+    raise AssertionError(f"shard {task.index} ran")
+
+
+@pytest.mark.parametrize(
+    "sweep, label",
+    [
+        (MatrixRequest(scenarios=("imc2002-survey", "imc2002-survey"), hosts=2),
+         "imc2002-survey/mixed"),
+        (MatrixRequest(scenarios=("syn-filtered",), os_names=("linux-2.4", "linux-2.4"), hosts=2),
+         "syn-filtered/linux-2.4"),
+    ],
+    ids=["scenario", "os-name"],
+)
+def test_a_sweep_refuses_a_repeated_cell_before_any_shard_runs(monkeypatch, sweep, label):
+    """A repeated cell derives the same seed, so it would run the same
+    campaign twice and collide with it under one ``runs`` label."""
+    monkeypatch.setattr(session_module, "run_shard", _no_shard)
+    with Session(backend="serial") as session:
+        with pytest.raises(MeasurementError, match=f"repeats the cell\\(s\\) {label}$"):
+            session.run(sweep)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        MatrixRequest(),
+        MatrixRequest(scenarios=("imc2002-survey",), os_names=()),
+        MatrixRequest(matrix=ScenarioMatrix(scenarios=())),
+    ],
+    ids=["no-scenarios", "no-os-names", "empty-matrix"],
+)
+def test_a_sweep_without_cells_is_refused_before_any_shard_runs(monkeypatch, sweep):
+    """An empty sweep used to return the digest of no cells."""
+    monkeypatch.setattr(session_module, "run_shard", _no_shard)
+    with Session(backend="serial") as session:
+        with pytest.raises(MeasurementError, match="at least one scenario and one OS name"):
+            session.run(sweep)
+
+
 @pytest.mark.parametrize("backend", (EXECUTOR_SERIAL, "process", "remote"))
 def test_a_spec_value_no_codec_carries_fails_before_any_shard_runs(tmp_path, backend):
     """The plan digest packs the host specs first, so a value outside its
@@ -635,14 +681,15 @@ def test_a_spec_value_no_codec_carries_fails_before_any_shard_runs(tmp_path, bac
 
 
 def test_explicit_spec_campaign_matches_runner_output():
-    """An explicit-spec request measures exactly the runner's shard plan:
-    its shard tasks run by hand and merged give the session's digest."""
+    """An explicit-spec request measures exactly its plan: the plan's shard
+    tasks run by hand and merged give the session's digest."""
     from repro.workloads.population import PopulationSpec, generate_population
 
     specs = tuple(generate_population(PopulationSpec(num_hosts=3), seed=5))
     config = CampaignConfig(rounds=1, samples_per_measurement=3)
-    runner = CampaignRunner(specs, config, seed=5, shards=2)
-    by_hand = runner.merge(run_shard(task) for task in runner.shard_tasks())
+    plan = CampaignPlan.of(specs, config, seed=5, shards=2)
+    records = (record for task in plan.shard_tasks() for record in run_shard(task).records)
+    by_hand = merge_records(records, plan)
     for backend in BACKENDS:
         with Session(backend=backend) as session:
             envelope = session.run(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -210,6 +211,48 @@ def test_a_manifest_int_no_codec_carries_is_a_store_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("store error: malformed campaign plan in manifest:"), err
         assert "load_balancer_backends" in err
+
+
+@pytest.fixture(scope="module")
+def three_shard_store(tmp_path_factory):
+    """A complete store of a 3-host, 3-shard campaign."""
+    root = tmp_path_factory.mktemp("stores") / "campaign"
+    request = CampaignRequest(
+        scenario="imc2002-survey",
+        config=CampaignConfig(rounds=1, samples_per_measurement=2),
+        hosts=3,
+        seed=11,
+        shards=3,
+        store=root,
+    )
+    with Session(backend="serial") as session:
+        session.run(request)
+    return root
+
+
+@pytest.mark.parametrize("command", [["report"], ["resume", "--executor", "serial"]],
+                         ids=["report", "resume"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("shards", 10), ("shards", 0), ("specs", [])],
+    ids=["more-shards-than-hosts", "no-shards", "no-hosts"],
+)
+def test_a_manifest_plan_that_breaks_its_invariants_is_a_store_error(
+    three_shard_store, tmp_path, capsys, command, key, value
+):
+    """The plan checks itself when the manifest is decoded, so ``report`` and
+    ``resume`` refuse the store on the plan: a report used to call a store
+    claiming 10 shards incomplete, and a resume of one with no hosts died
+    in a traceback."""
+    store = tmp_path / "campaign"
+    shutil.copytree(three_shard_store, store)
+    manifest = store / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["plan"][key] = value
+    manifest.write_text(json.dumps(data))
+    assert main([*command, "--store", str(store)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("store error: malformed campaign plan in manifest:"), err
 
 
 def test_run_prints_the_envelope_warnings_to_stderr(monkeypatch, capsys):

@@ -13,7 +13,7 @@ from repro.core.prober import ProbeReport, TestName
 from repro.core.runner import (
     EXECUTOR_PROCESS,
     EXECUTOR_SERIAL,
-    CampaignRunner,
+    CampaignPlan,
     ShardTask,
     record_signature,
     result_signature,
@@ -88,10 +88,9 @@ def test_partition_empty_and_invalid():
 
 
 def test_runner_shard_plan_covers_population(specs):
-    runner = CampaignRunner(specs, CONFIG, seed=SEED, shards=4)
-    plan = runner.shard_plan()
-    assert len(plan) == 4
-    assert [spec for shard in plan for spec in shard] == list(specs)
+    tasks = CampaignPlan.of(specs, CONFIG, seed=SEED, shards=4).shard_tasks()
+    assert len(tasks) == 4
+    assert [spec for task in tasks for spec in task.specs] == list(specs)
 
 
 # --------------------------------------------------------------------- #
@@ -193,17 +192,17 @@ def test_run_shard_frees_every_packet_it_simulated():
 
 def test_runner_validation(specs):
     with pytest.raises(MeasurementError):
-        CampaignRunner([], CONFIG)
+        CampaignPlan.of([], CONFIG)
     with pytest.raises(MeasurementError):
-        CampaignRunner(specs, CONFIG, shards=0)
+        CampaignPlan.of(specs, CONFIG, shards=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_runner_refuses_a_seed_no_codec_can_send(specs, seed):
     """Every backend refuses it alike, not only the one whose wire is a u64."""
     with pytest.raises(MeasurementError, match="seed"):
-        CampaignRunner(specs, CONFIG, seed=seed)
-    CampaignRunner(specs, CONFIG, seed=2**64 - 1)
+        CampaignPlan.of(specs, CONFIG, seed=seed)
+    CampaignPlan.of(specs, CONFIG, seed=2**64 - 1)
 
 
 # --------------------------------------------------------------------- #

@@ -28,7 +28,7 @@ from functools import cache
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.runner import CampaignRunner, run_shard
+from repro.core.runner import CampaignPlan, run_shard
 from repro.core.schema import pack
 from repro.core.transport import decode_outcomes, encode_outcomes
 from repro.distributed.protocol import (
@@ -59,14 +59,14 @@ def _result_blobs() -> tuple[bytes, ...]:
     blobs = []
     for name in ("imc2002-survey", "icmp-hostile", "syn-filtered"):
         scenario = get_scenario(name).with_population(num_hosts=GOLDEN_HOSTS)
-        runner = CampaignRunner(
+        plan = CampaignPlan.of(
             build_scenario_hosts(scenario, seed=GOLDEN_SEED),
             GOLDEN_CONFIG,
             seed=GOLDEN_SEED,
             shards=2,
             scenario=name,
         )
-        blobs.append(encode_outcomes([run_shard(task) for task in runner.shard_tasks()]))
+        blobs.append(encode_outcomes([run_shard(task) for task in plan.shard_tasks()]))
     return tuple(blobs)
 
 
@@ -76,13 +76,13 @@ def _batch_payloads() -> tuple[bytes, ...]:
     tasks = []
     for name in scenario_names():
         scenario = get_scenario(name).with_population(num_hosts=GOLDEN_HOSTS)
-        runner = CampaignRunner(
+        plan = CampaignPlan.of(
             build_scenario_hosts(scenario, seed=GOLDEN_SEED),
             GOLDEN_CONFIG,
             seed=GOLDEN_SEED,
             scenario=name,
         )
-        tasks.extend(runner.shard_tasks(first_index=len(tasks)))
+        tasks.extend(plan.shard_tasks(first_index=len(tasks)))
     assert len(tasks) == 12
     return pack(Batch(7, tasks)), pack(Batch(2**40, tasks[-1:]))
 

@@ -28,7 +28,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.runner import CampaignRunner, ShardOutcome
+from repro.core.runner import CampaignPlan, ShardOutcome
 from repro.distributed.leases import (
     BACKOFF_CAP,
     DONE,
@@ -54,7 +54,7 @@ MAX_SHARDS = 6
 SHARD_COSTS = (None, 64, 32, 22)
 
 _SCENARIO = get_scenario("nat-timeout").with_population(num_hosts=1)
-(_TASK,) = CampaignRunner(
+(_TASK,) = CampaignPlan.of(
     build_scenario_hosts(_SCENARIO, seed=5), GOLDEN_CONFIG, shards=1
 ).shard_tasks()
 

@@ -32,7 +32,7 @@ from repro.api.backends import backend_names
 from repro.distributed.backend import RemoteBackend
 from repro.distributed.chaos import CHAOS_ENV, ChaosSpec
 from repro.distributed.coordinator import JOB_DONE, Coordinator
-from repro.core.runner import CampaignRunner, ShardOutcome
+from repro.core.runner import CampaignPlan, ShardOutcome
 from repro.core.schema import pack
 from repro.core.transport import encode_outcomes
 from repro.distributed.protocol import (
@@ -126,8 +126,8 @@ def test_shard_error_codec_roundtrip():
 
 def test_hello_batch_and_result_payloads_roundtrip():
     scenario = get_scenario("nat-timeout").with_population(num_hosts=3)
-    runner = CampaignRunner(build_scenario_hosts(scenario, seed=5), GOLDEN_CONFIG, shards=2)
-    batch = Batch(2**40, runner.shard_tasks())
+    plan = CampaignPlan.of(build_scenario_hosts(scenario, seed=5), GOLDEN_CONFIG, shards=2)
+    batch = Batch(2**40, plan.shard_tasks())
     assert decode_payload(Batch, pack(batch)) == batch
     assert decode_payload(Hello, pack(Hello(3, 4242))) == Hello(3, 4242)
     assert unpack_result(pack_result(9, b"blob")) == (9, b"blob")
@@ -192,8 +192,8 @@ def test_a_finished_jobs_result_settles_no_shard_of_the_next_job():
     shard 0 is leased afresh and the stale outcome never reaches its queue.
     Reading that fresh BATCH orders the check after the stale RESULT."""
     scenario = get_scenario("nat-timeout").with_population(num_hosts=1)
-    runner = CampaignRunner(build_scenario_hosts(scenario, seed=5), GOLDEN_CONFIG, shards=1)
-    (task,) = runner.shard_tasks()
+    plan = CampaignPlan.of(build_scenario_hosts(scenario, seed=5), GOLDEN_CONFIG, shards=1)
+    (task,) = plan.shard_tasks()
     with Coordinator(lease_timeout=5.0) as coordinator:
         peer = socket.create_connection(coordinator.address, timeout=5.0)
         try:

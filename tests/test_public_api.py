@@ -15,11 +15,13 @@ execute, none of which may come back as an alias or a warning shim.
 
 from __future__ import annotations
 
+import ast
 import concurrent.futures
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -29,9 +31,9 @@ import repro.api
 REPRO_ALL = [
     "Campaign",
     "CampaignConfig",
+    "CampaignPlan",
     "CampaignRequest",
     "CampaignResult",
-    "CampaignRunner",
     "DataTransferTest",
     "Direction",
     "DualConnectionTest",
@@ -81,7 +83,6 @@ REPRO_ALL = [
 
 REPRO_API_ALL = [
     "CampaignRequest",
-    "CellPlan",
     "ENVELOPE_VERSION",
     "ExecutionBackend",
     "JobCancelled",
@@ -329,8 +330,8 @@ DELETED_PLAN_CODEC_NAMES = [
     "repro.store.store.specs_digest",
     "repro.store.codec.check_types",
     "repro.store.codec.int_tuple",
-    "repro.store.store.CampaignPlan.to_mapping",
-    "repro.store.store.CampaignPlan.from_mapping",
+    "repro.core.runner.CampaignPlan.to_mapping",
+    "repro.core.runner.CampaignPlan.from_mapping",
     "repro.core.campaign.CampaignConfig.to_mapping",
     "repro.core.campaign.CampaignConfig.from_mapping",
     "repro.host.os_profiles.OsProfile.ipid_policy_factory",
@@ -428,6 +429,17 @@ DELETED_TEST_ONLY_NAMES = [
     "repro.host.os_profiles.OsProfile.advertised_window",
     "repro.sim.path.Pipeline.append",
     "repro.sim.path.Pipeline.elements",
+    # One description of a campaign: the plan replaced the runner, the
+    # requests' normalized forms, the sweep's per-cell run and the session's
+    # second envelope builder.
+    "repro.core.runner.CampaignRunner",
+    "repro.api.requests.CellPlan",
+    "repro.api.requests.NormalizedMatrix",
+    "repro.api.requests.NormalizedCampaign",
+    "repro.api.requests.ResumeRequest.normalized",
+    "repro.scenarios.matrix.ScenarioRun",
+    "repro.api.session.Session._cell_envelope",
+    "repro.api.session.Session._campaign_envelope",
 ]
 
 
@@ -449,6 +461,47 @@ def test_no_package_reexports_a_deleted_test_only_name():
         assert not back, f"{package} re-exports {sorted(back)}"
 
 
+def test_the_plan_has_one_home():
+    """The store keeps the plan it is given; it re-exports no alias of it."""
+    import repro.core.runner
+    import repro.store
+    import repro.store.store
+
+    assert repro.CampaignPlan is repro.core.CampaignPlan is repro.core.runner.CampaignPlan
+    assert repro.store.store.CampaignPlan is repro.core.runner.CampaignPlan
+    assert "CampaignPlan" not in repro.store.__all__
+    assert not hasattr(repro.store, "CampaignPlan")
+
+
+def _imported_modules(path: Path, package: str) -> set[str]:
+    """Every module an import statement in ``path`` names, wherever it sits
+    (type-checking blocks and function bodies included)."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_core_imports_nothing_above_it():
+    """``repro.core`` sits below the store, the session layer and the remote
+    backend: the store depends on ``core.runner``'s plan, never the reverse."""
+    import repro.core
+
+    above = ("repro.store", "repro.api", "repro.distributed")
+    upward = sorted(
+        f"{path.name} imports {name}"
+        for path in Path(repro.core.__file__).parent.glob("*.py")
+        for name in _imported_modules(path, "repro.core")
+        if any(name == layer or name.startswith(layer + ".") for layer in above)
+    )
+    assert not upward, upward
+
+
 def test_probe_wait_takes_no_polling_switch():
     from repro.host.raw_socket import ProbeHost
 
@@ -467,7 +520,7 @@ def test_deleted_execution_switches_are_rejected():
     for a deleted execution path."""
     import dataclasses
 
-    from repro.core.runner import CampaignRunner
+    from repro.core.runner import CampaignPlan
     from repro.core.transport import next_batch_size
     from repro.distributed.backend import RemoteBackend
     from repro.distributed.coordinator import Coordinator
@@ -481,7 +534,7 @@ def test_deleted_execution_switches_are_rejected():
     specs = generate_population(PopulationSpec(num_hosts=2), seed=1)
     for argument in ("executor", "max_workers", "backend"):
         with pytest.raises(TypeError, match=argument):
-            CampaignRunner(specs, **{argument: None})
+            CampaignPlan.of(specs, **{argument: None})
     with pytest.raises(TypeError, match="fallback"):
         RemoteBackend(fallback="serial")
     with pytest.raises(TypeError, match="batch_size"):

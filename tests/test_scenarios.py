@@ -348,9 +348,9 @@ def test_matrix_request_is_reproducible_and_stamped():
     )
     first, second = _run(request).payload, _run(request).payload
     assert set(first.runs) == {"bursty-loss/mixed", "icmp-hostile/mixed"}
-    for label, run in first.runs.items():
-        assert run.result.scenario == label
-        assert result_signature(run.result) == result_signature(second.runs[label].result)
+    for label, result in first.runs.items():
+        assert result.scenario == label
+        assert result_signature(result) == result_signature(second.runs[label])
     assert first.total_measurements() == 2 * 3 * len(SMALL_CONFIG.tests)
 
 

@@ -36,12 +36,11 @@ from hypothesis import strategies as st
 
 import test_transport
 from repro.core.campaign import HostRoundResult
-from repro.core.runner import ShardOutcome
+from repro.core.runner import CampaignPlan, ShardOutcome
 from repro.core.schema import from_json, pack, table_for, to_json, unpack
 from repro.distributed.protocol import Batch, Hello, ShardErrors
 from repro.host.os_profiles import OS_PROFILES
 from repro.scenarios import build_scenario_hosts, get_scenario, scenario_names
-from repro.store import CampaignPlan
 from repro.workloads.testbed import HostSpec
 
 

@@ -59,17 +59,25 @@ def test_rewriting_the_format_2_fixture_reproduces_its_bytes(migrated, tmp_path)
         assert (copy.root / name).read_bytes() == (migrated / name).read_bytes(), name
 
 
-def test_a_store_without_a_scenario_origin_is_refused_unchanged(tmp_path, capsys):
-    """Its manifest holds neither specs nor a way to rebuild them."""
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("origin", None, "no scenario origin"), ("shards", 10, "malformed campaign plan")],
+    ids=["no-origin", "more-shards-than-hosts"],
+)
+def test_a_legacy_plan_that_cannot_be_rebuilt_is_refused_unchanged(
+    tmp_path, capsys, key, value, message
+):
+    """A manifest that holds neither specs nor a way to rebuild them, or
+    whose rebuilt plan breaks the plan's invariants, is left as it was."""
     from repro.__main__ import main
 
     root = tmp_path / "store"
     shutil.copytree(FIXTURE, root)
     manifest = json.loads((root / MANIFEST_NAME).read_text())
-    manifest["plan"]["origin"] = None
+    manifest["plan"][key] = value
     (root / MANIFEST_NAME).write_text(json.dumps(manifest))
     before = {path.name: path.read_bytes() for path in root.iterdir()}
 
     assert main(["migrate", "--store", str(root)]) == 1
-    assert "no scenario origin" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in root.iterdir()} == before

@@ -28,14 +28,13 @@ from repro.analysis.streaming import survey_from_store
 from repro.api import CampaignRequest, ResumeRequest, Session
 from repro.core.campaign import CampaignConfig, HostRoundResult
 from repro.core.prober import ProbeReport, TestName
-from repro.core.runner import EXECUTOR_SERIAL, ShardOutcome
+from repro.core.runner import EXECUTOR_SERIAL, CampaignPlan, ShardOutcome
 from repro.core.sample import MeasurementResult, ReorderSample, SampleOutcome
 from repro.core.schema import from_json, to_json
 from repro.net.errors import StoreError
 from repro.workloads.testbed import HostSpec
 from repro.store import (
     FORMAT_VERSION,
-    CampaignPlan,
     CampaignStore,
     decode_record,
     encode_record,
@@ -218,8 +217,8 @@ def test_store_detects_corrupt_json(tmp_path):
 
 
 def test_begin_rejects_mismatched_plan(tmp_path):
-    store = CampaignStore.create(tmp_path / "c", _plan(shards=2))
-    other = _plan(shards=3)
+    store = CampaignStore.create(tmp_path / "c", _plan(shards=2, host_addresses=(1, 2, 3)))
+    other = _plan(shards=3, host_addresses=(1, 2, 3))
     with pytest.raises(StoreError, match="differs on: shards"):
         CampaignStore(tmp_path / "c").begin(other, resume=True)
 
@@ -438,7 +437,7 @@ def test_every_read_path_checks_the_header_shard_claim(tmp_path):
 
 
 def _two_frame_store(root: Path) -> CampaignStore:
-    store = CampaignStore.create(root, _plan(shards=3))
+    store = CampaignStore.create(root, _plan(shards=3, host_addresses=(1, 2, 3)))
     store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record(0, 1)]))
     store.write_shard(ShardOutcome(index=1, host_addresses=(2,), records=[_record(0, 2)]))
     return store
