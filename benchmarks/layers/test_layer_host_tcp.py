@@ -57,13 +57,15 @@ def _segment(seq: int, ack: int, flags: TcpFlags = ACK, payload: bytes = b"") ->
 
 def _established(object_size: int = 0):
     """A fresh endpoint past the handshake; returns it, its sent list and the server's next seq."""
-    endpoint = TcpEndpoint(
-        Simulator(), IpStack(SERVER, GlobalCounterIpid(start=100)), FREEBSD_44, SeededRandom(1)
-    )
-    if object_size:
-        WebServer(object_size).install(endpoint)
     sent: list[Packet] = []
-    endpoint.set_transmit(sent.append)
+    endpoint = TcpEndpoint(
+        Simulator(),
+        IpStack(SERVER, GlobalCounterIpid(start=100)),
+        FREEBSD_44,
+        SeededRandom(1),
+        sent.append,
+        on_data=WebServer(object_size).on_data if object_size else None,
+    )
     syn = TcpHeader(PORT, 80, ISN, 0, TcpFlags.SYN, WINDOW, 0, (TcpOption.mss(MSS),))
     endpoint.deliver(Packet.tcp_packet(PROBE, SERVER, syn))
     server_next = (sent[-1].tcp.seq + 1) % (1 << 32)

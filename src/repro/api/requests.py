@@ -79,6 +79,8 @@ class ProbeRequest:
             raise MeasurementError(
                 f"probe request needs at least one sample per measurement: {self.samples}"
             )
+        if not 1 <= self.remote_port <= 65535:
+            raise MeasurementError(f"probe remote port must be in [1, 65535]: {self.remote_port}")
 
     def host_spec(self) -> HostSpec:
         """The host to visit: the explicit spec, or the quick-testbed target."""

@@ -133,6 +133,8 @@ class CampaignPlan:
             )
         if not 0 <= self.seed < 2**64:
             raise MeasurementError(f"campaign seed must be in [0, 2**64): {self.seed}")
+        if not 1 <= self.remote_port <= 65535:
+            raise MeasurementError(f"campaign remote port must be in [1, 65535]: {self.remote_port}")
 
     @classmethod
     def of(

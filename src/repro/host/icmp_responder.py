@@ -13,7 +13,7 @@ surfaces errors to the socket layer.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.host.ipid import IpStack
 from repro.net.icmp import IcmpError
@@ -25,18 +25,14 @@ TransmitFn = Callable[[Packet], None]
 class IcmpResponder:
     """Answers ICMP echo requests addressed to this host."""
 
-    def __init__(self, stack: IpStack, enabled: bool = True) -> None:
+    def __init__(self, stack: IpStack, transmit: TransmitFn, enabled: bool = True) -> None:
         self._stack = stack
-        self._transmit: Optional[TransmitFn] = None
+        self._transmit = transmit
         self.enabled = enabled
         self.requests_seen = 0
         self.replies_sent = 0
         self.errors_received = 0
         self.errors_by_type: dict[tuple[int, int], int] = {}
-
-    def set_transmit(self, transmit: TransmitFn) -> None:
-        """Provide the function used to send replies toward the probe host."""
-        self._transmit = transmit
 
     def deliver(self, packet: Packet) -> None:
         """Accept an ICMP packet arriving from the network."""
@@ -54,7 +50,7 @@ class IcmpResponder:
         if not icmp.is_request():
             return
         self.requests_seen += 1
-        if not self.enabled or self._transmit is None:
+        if not self.enabled:
             return
         reply = IcmpEcho(
             icmp_type=ICMP_ECHO_REPLY,

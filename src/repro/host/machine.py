@@ -1,7 +1,7 @@
 """A complete simulated remote host: IP stack + TCP endpoint + ICMP responder.
 
-:class:`RemoteHost` is the unit the topology attaches at a remote address and
-the unit a :class:`~repro.sim.middlebox.LoadBalancer` multiplexes.  All
+:class:`RemoteHost` is the unit a testbed deploys at a remote address and the
+unit a :class:`~repro.sim.middlebox.LoadBalancer` multiplexes.  All
 transport entities on the host share one :class:`~repro.host.ipid.IpStack`,
 so the IPID stream observed by a probe reflects every packet the host sends —
 the property the dual-connection test depends on.
@@ -36,6 +36,8 @@ class RemoteHost:
         OS behaviour profile (IPID policy, delayed-ACK behaviour, ...).
     rng:
         Seeded randomness for this host (ISNs, random IPIDs).
+    transmit:
+        Sends the host's outbound packets: the entry of its site's reverse path.
     listen_ports:
         TCP ports accepting connections (port 80 by default).
     web_server:
@@ -50,6 +52,7 @@ class RemoteHost:
         address: int,
         profile: OsProfile,
         rng: SeededRandom,
+        transmit: TransmitFn,
         listen_ports: tuple[int, ...] = (80,),
         web_server: Optional[WebServer] = None,
         icmp_enabled: bool = True,
@@ -62,18 +65,13 @@ class RemoteHost:
             stack=self.stack,
             profile=profile,
             rng=rng.fork("tcp"),
+            transmit=transmit,
             listen_ports=listen_ports,
+            on_data=None if web_server is None else web_server.on_data,
         )
-        self.icmp = IcmpResponder(stack=self.stack, enabled=icmp_enabled)
+        self.icmp = IcmpResponder(stack=self.stack, transmit=transmit, enabled=icmp_enabled)
         self.web_server = web_server
-        if web_server is not None:
-            web_server.install(self.tcp)
         self.packets_delivered = 0
-
-    def set_transmit(self, transmit: TransmitFn) -> None:
-        """Wire the host's outbound traffic into the reverse path pipeline."""
-        self.tcp.set_transmit(transmit)
-        self.icmp.set_transmit(transmit)
 
     def deliver(self, packet: Packet) -> None:
         """Accept a packet arriving from the network and dispatch by protocol."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from repro.net.errors import SimulationError
 from repro.net.packet import Packet
 from repro.sim.simulator import Simulator, Waiter
 
@@ -57,12 +56,14 @@ class ProbeHost:
     (and successive samples of the same test) never collide on a local port.
     """
 
-    def __init__(self, sim: Simulator, address: int, first_port: int = 33000) -> None:
+    def __init__(
+        self, sim: Simulator, address: int, transmit: TransmitFn, first_port: int = 33000
+    ) -> None:
         self.sim = sim
         """The simulator this probe host lives in.  A plain attribute: every
         technique reads it per sample.  Treat it as read-only."""
         self.address = address
-        self._transmit: Optional[TransmitFn] = None
+        self._transmit = transmit
         self._received: list[CapturedPacket] = []
         self._waiter = Waiter()
         # The active flow wait (see wait_for_packets): a TCP wait's port,
@@ -76,10 +77,6 @@ class ProbeHost:
         self._wait_matches: list[CapturedPacket] = []
         self._next_port = first_port
         self.packets_sent = 0
-
-    def set_transmit(self, transmit: TransmitFn) -> None:
-        """Provide the function that injects packets into the network."""
-        self._transmit = transmit
 
     def allocate_port(self) -> int:
         """Return a fresh local TCP source port."""
@@ -95,13 +92,11 @@ class ProbeHost:
 
     def send(self, packet: Packet) -> None:
         """Inject a crafted packet into the network."""
-        if self._transmit is None:
-            raise SimulationError("probe host transmit function not set; wire a topology first")
         self.packets_sent += 1
         self._transmit(packet)
 
     def deliver(self, packet: Packet) -> None:
-        """Record a packet arriving from the network (called by the topology).
+        """Record a packet arriving from the network (the end of every reverse path).
 
         During a flow wait the packet is matched here (a TCP wait's test is
         :meth:`_tcp_matches_since`'s, written out), and the waiter wakes only

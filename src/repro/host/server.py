@@ -36,10 +36,6 @@ class WebServer:
         self.requests_served = 0
         self._responded: set[tuple[int, int, int, int]] = set()
 
-    def install(self, endpoint: TcpEndpoint) -> None:
-        """Attach this server to an endpoint as its data callback."""
-        endpoint.set_on_data(self.on_data)
-
     REQUEST_TERMINATOR = b"\r\n\r\n"
 
     def on_data(self, endpoint: TcpEndpoint, connection: TcpConnection, payload: bytes) -> None:

@@ -113,6 +113,8 @@ class TcpEndpoint:
         The OS behaviour profile.
     rng:
         Seeded randomness used for initial sequence number selection.
+    transmit:
+        Sends a packet toward the probe host (the site's reverse path).
     listen_ports:
         TCP ports accepting new connections.
     on_data:
@@ -126,6 +128,7 @@ class TcpEndpoint:
         stack: IpStack,
         profile: OsProfile,
         rng: SeededRandom,
+        transmit: TransmitFn,
         listen_ports: tuple[int, ...] = (80,),
         on_data: Optional[Callable[["TcpEndpoint", TcpConnection, bytes], None]] = None,
     ) -> None:
@@ -135,7 +138,7 @@ class TcpEndpoint:
         self._profile = profile
         self._rng = rng
         self._listen_ports = set(listen_ports)
-        self._transmit: Optional[TransmitFn] = None
+        self._transmit = transmit
         self._next_ipid = stack.policy.next_value
         """The shared IPID policy's own ``next_value``: one frame per packet sent."""
         self._on_data = on_data
@@ -156,14 +159,6 @@ class TcpEndpoint:
     def connections(self) -> dict[ConnectionKey, TcpConnection]:
         """A copy of the live connections, keyed by the peer's four-tuple."""
         return dict(self._connections)
-
-    def set_transmit(self, transmit: TransmitFn) -> None:
-        """Provide the function used to send packets toward the probe host."""
-        self._transmit = transmit
-
-    def set_on_data(self, on_data: Callable[["TcpEndpoint", TcpConnection, bytes], None]) -> None:
-        """Install (or replace) the application data callback."""
-        self._on_data = on_data
 
     # ------------------------------------------------------------------ #
     # Receive path
@@ -353,11 +348,6 @@ class TcpEndpoint:
     # Send path
     # ------------------------------------------------------------------ #
 
-    def _require_transmit(self) -> TransmitFn:
-        if self._transmit is None:
-            raise TcpStateError("endpoint transmit function not set; call set_transmit()")
-        return self._transmit
-
     def _send_segment(
         self,
         connection: TcpConnection,
@@ -367,9 +357,6 @@ class TcpEndpoint:
         payload: bytes = b"",
         options: tuple[TcpOption, ...] = (),
     ) -> None:
-        transmit = self._transmit
-        if transmit is None:
-            transmit = self._require_transmit()
         peer_addr, peer_port, _local_addr, local_port = connection.key
         header = TcpHeader(
             local_port, peer_port, seq, ack, flags, connection.advertised_window, 0, options
@@ -380,12 +367,9 @@ class TcpEndpoint:
         self.packets_sent += 1
         if int.__and__(flags, _ACK):
             connection.acks_sent += 1
-        transmit(packet)
+        self._transmit(packet)
 
     def _send_reset(self, key: ConnectionKey, seq: int, ack: int) -> None:
-        transmit = self._transmit
-        if transmit is None:
-            transmit = self._require_transmit()
         peer_addr, peer_port, _local_addr, local_port = key
         packet = Packet(
             IPv4Header(self.address, peer_addr, PROTO_TCP, self._next_ipid(peer_addr)),
@@ -395,7 +379,7 @@ class TcpEndpoint:
         )
         self.packets_sent += 1
         self.resets_sent += 1
-        transmit(packet)
+        self._transmit(packet)
 
     def _send_ack(self, connection: TcpConnection, immediate: bool) -> None:
         del immediate

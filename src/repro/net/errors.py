@@ -30,7 +30,7 @@ class SimulationError(ReproError):
 
 
 class TopologyError(SimulationError):
-    """Raised when a topology is malformed (unknown host, missing path...)."""
+    """Raised when a testbed is malformed (unknown site, duplicate address...)."""
 
 
 class ClockError(SimulationError):

@@ -42,7 +42,7 @@ from repro.sim.middlebox import (
     PmtudBlackHole,
     SynFirewall,
 )
-from repro.sim.path import DuplexPath, Pipeline
+from repro.sim.path import attach_chain
 from repro.sim.queueing import DropTailQueue
 from repro.sim.random import SeededRandom
 from repro.sim.reorder import AdjacentSwapReorderer, DelayJitterReorderer, LossElement
@@ -53,7 +53,6 @@ from repro.sim.timevary import (
     GilbertElliottLossElement,
     RouteFlapReorderer,
 )
-from repro.sim.topology import Topology
 from repro.sim.trace import TraceCapture, TraceRecord
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "DiurnalCongestionElement",
     "DiurnalJitterSpec",
     "DropTailQueue",
-    "DuplexPath",
     "DuplexSpec",
     "EcnBleachSpec",
     "EcnBleacher",
@@ -85,7 +83,6 @@ __all__ = [
     "NatReverse",
     "NatSpec",
     "NatTable",
-    "Pipeline",
     "PmtudBlackHole",
     "PmtudBlackHoleSpec",
     "RouteFlapReorderer",
@@ -97,11 +94,11 @@ __all__ = [
     "SwapSpec",
     "SynFirewall",
     "SynFirewallSpec",
-    "Topology",
     "TraceCapture",
     "TraceRecord",
     "TraceSpec",
     "Waiter",
+    "attach_chain",
     "build_duplex_pairs",
     "build_elements",
 ]

@@ -1,11 +1,11 @@
-"""Data-driven path construction: element specs in, wired pipelines out.
+"""Data-driven path construction: element specs in, path elements out.
 
-Path pipelines used to be assembled by hand-written ``if`` chains in the
-testbed layer; every new kind of path condition meant editing that builder.
-This module inverts the dependency: a path is *described* as an ordered list
-of small, frozen :class:`ElementSpec` dataclasses, and :func:`build_elements`
-turns any such description into the elements of a
-:class:`~repro.sim.path.Pipeline`.
+Paths used to be assembled by hand-written ``if`` chains in the testbed
+layer; every new kind of path condition meant editing that builder.  This
+module inverts the dependency: a path is *described* as an ordered list of
+small, frozen :class:`ElementSpec` dataclasses, and :func:`build_elements`
+turns any such description into the elements of a chain for
+:func:`~repro.sim.path.attach_chain`.
 
 Specs are plain data — hashable, comparable, and encoded by their field
 tables (:mod:`repro.core.schema`) — so host specs cross process and socket
@@ -20,7 +20,8 @@ removing them never perturbs neighbouring streams.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 from typing import Optional, Sequence
 
 from repro.sim.link import Link
@@ -50,82 +51,92 @@ from repro.sim.trace import TraceCapture
 class ElementSpec(ABC):
     """A declarative description of one path element.
 
-    ``label`` names the random stream the element forks from the path rng:
-    the spec's ``stream`` field, or ``None`` for a deterministic element (no
-    stream is consumed).
+    Each spec names its element class once (``element = Link``), and its
+    fields are that class's keyword arguments, except ``stream``.  ``label``
+    names the random stream the element forks from the path rng and takes as
+    ``rng``: the spec's ``stream`` field, or ``None`` for a deterministic
+    element (no stream is consumed).
     """
+
+    @property
+    @abstractmethod
+    def element(self) -> type[PathElement]:
+        """The class this spec builds."""
 
     @property
     def label(self) -> Optional[str]:
         return getattr(self, "stream", None)
 
-    @abstractmethod
     def build(self, rng: Optional[SeededRandom]) -> PathElement:
         """Instantiate the element (``rng`` is the forked stream, or None)."""
+        arguments = {name: getattr(self, name) for name in _arguments(type(self))}
+        if rng is not None:
+            arguments["rng"] = rng
+        return self.element(**arguments)
+
+
+@cache
+def _arguments(spec_type: type[ElementSpec]) -> tuple[str, ...]:
+    """The element's keyword arguments a spec class carries: its fields but ``stream``."""
+    return tuple(field.name for field in fields(spec_type) if field.name != "stream")
 
 
 @dataclass(frozen=True, slots=True)
 class LinkSpec(ElementSpec):
     """A FIFO link with serialization and propagation delay."""
 
+    element = Link
+
     bandwidth_bps: Optional[float] = None
     propagation_delay: float = 0.0
-
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        return Link(bandwidth_bps=self.bandwidth_bps, propagation_delay=self.propagation_delay)
 
 
 @dataclass(frozen=True, slots=True)
 class TraceSpec(ElementSpec):
     """A transparent capture point (the simulated tcpdump)."""
 
-    point: str = "capture"
+    element = TraceCapture
 
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        return TraceCapture(point=self.point)
+    point: str = "capture"
 
 
 @dataclass(frozen=True, slots=True)
 class LossSpec(ElementSpec):
     """Independent per-packet loss with a fixed probability."""
 
+    element = LossElement
+
     probability: float = 0.0
     stream: str = "loss"
-
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        assert rng is not None
-        return LossElement(self.probability, rng)
 
 
 @dataclass(frozen=True, slots=True)
 class SwapSpec(ElementSpec):
     """Adjacent-swap reordering (the paper's modified-dummynet model)."""
 
+    element = AdjacentSwapReorderer
+
     probability: float = 0.0
     stream: str = "swap"
     max_hold_time: float = 0.03
-
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        assert rng is not None
-        return AdjacentSwapReorderer(self.probability, rng, max_hold_time=self.max_hold_time)
 
 
 @dataclass(frozen=True, slots=True)
 class JitterSpec(ElementSpec):
     """Independent exponential extra delay per packet."""
 
+    element = DelayJitterReorderer
+
     jitter_mean: float = 0.0
     base_delay: float = 0.0
     stream: str = "jitter"
-
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        assert rng is not None
-        return DelayJitterReorderer(self.base_delay, self.jitter_mean, rng)
 
 
 @dataclass(frozen=True, slots=True)
 class StripeSpec(ElementSpec):
     """Per-packet striping over parallel links (the §IV-C reordering source)."""
+
+    element = StripedPathModel
 
     num_links: int = 2
     link_rate_bps: float = 1e9
@@ -134,21 +145,12 @@ class StripeSpec(ElementSpec):
     imbalance_probability: float = 0.6
     stream: str = "stripe"
 
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        assert rng is not None
-        return StripedPathModel(
-            rng=rng,
-            num_links=self.num_links,
-            link_rate_bps=self.link_rate_bps,
-            queue_imbalance_scale=self.queue_imbalance_scale,
-            switch_probability=self.switch_probability,
-            imbalance_probability=self.imbalance_probability,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class GilbertLossSpec(ElementSpec):
     """Bursty (two-state Markov) loss episodes."""
+
+    element = GilbertElliottLossElement
 
     good_loss: float = 0.0
     bad_loss: float = 0.3
@@ -156,20 +158,12 @@ class GilbertLossSpec(ElementSpec):
     p_bad_to_good: float = 0.2
     stream: str = "gilbert-loss"
 
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        assert rng is not None
-        return GilbertElliottLossElement(
-            rng,
-            good_loss=self.good_loss,
-            bad_loss=self.bad_loss,
-            p_good_to_bad=self.p_good_to_bad,
-            p_bad_to_good=self.p_bad_to_good,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class RouteFlapSpec(ElementSpec):
     """Reordering that spikes during randomly timed route-flap episodes."""
+
+    element = RouteFlapReorderer
 
     base_swap_probability: float = 0.0
     flap_swap_probability: float = 0.35
@@ -178,21 +172,12 @@ class RouteFlapSpec(ElementSpec):
     max_hold_time: float = 0.03
     stream: str = "route-flap"
 
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        assert rng is not None
-        return RouteFlapReorderer(
-            rng,
-            base_swap_probability=self.base_swap_probability,
-            flap_swap_probability=self.flap_swap_probability,
-            mean_quiet_interval=self.mean_quiet_interval,
-            mean_flap_duration=self.mean_flap_duration,
-            max_hold_time=self.max_hold_time,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class DiurnalJitterSpec(ElementSpec):
     """Sinusoidally modulated congestion jitter (simulated time of day)."""
+
+    element = DiurnalCongestionElement
 
     peak_jitter: float = 0.002
     period: float = 86_400.0
@@ -200,65 +185,50 @@ class DiurnalJitterSpec(ElementSpec):
     base_delay: float = 0.0
     stream: str = "diurnal"
 
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        assert rng is not None
-        return DiurnalCongestionElement(
-            rng,
-            peak_jitter=self.peak_jitter,
-            period=self.period,
-            phase=self.phase,
-            base_delay=self.base_delay,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class SynFirewallSpec(ElementSpec):
     """A stateful SYN-rate-limiting firewall (deterministic; forward path)."""
 
+    element = SynFirewall
+
     rate_per_second: float = 5.0
     burst: int = 1
-
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        return SynFirewall(rate_per_second=self.rate_per_second, burst=self.burst)
 
 
 @dataclass(frozen=True, slots=True)
 class IcmpPolicerSpec(ElementSpec):
     """A token-bucket ICMP policer (deterministic)."""
 
+    element = IcmpRateLimiter
+
     rate_per_second: float = 1.0
     burst: int = 1
-
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        return IcmpRateLimiter(rate_per_second=self.rate_per_second, burst=self.burst)
 
 
 @dataclass(frozen=True, slots=True)
 class PmtudBlackHoleSpec(ElementSpec):
     """A silent small-MTU hop: too-big DF packets vanish, no errors escape."""
 
-    mtu: int = 256
+    element = PmtudBlackHole
 
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        return PmtudBlackHole(mtu=self.mtu)
+    mtu: int = 256
 
 
 @dataclass(frozen=True, slots=True)
 class EcnMarkSpec(ElementSpec):
     """Stamp an ECN codepoint on every packet (deterministic)."""
 
-    codepoint: int = 0b10
+    element = EcnMarker
 
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        return EcnMarker(codepoint=self.codepoint)
+    codepoint: int = 0b10
 
 
 @dataclass(frozen=True, slots=True)
 class EcnBleachSpec(ElementSpec):
     """Clear the ECN codepoint on every packet (deterministic)."""
 
-    def build(self, rng: Optional[SeededRandom]) -> PathElement:
-        return EcnBleacher()
+    element = EcnBleacher
 
 
 @dataclass(frozen=True, slots=True)

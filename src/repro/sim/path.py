@@ -1,16 +1,17 @@
-"""Path elements and pipelines.
+"""Path elements and the chains they form.
 
 A path element is a unidirectional packet processor: it receives a packet,
-possibly delays / drops / reorders it, and emits it downstream.  Elements are
-chained into a :class:`Pipeline`; a :class:`DuplexPath` holds one pipeline per
-direction, which is exactly the shape of the paper's experiments (independent
-forward-path and reverse-path reordering processes).
+possibly delays / drops / reorders it, and emits it downstream.
+:func:`attach_chain` wires a sequence of elements into one chain ending in a
+sink; a testbed attaches two chains per site, one per direction, which is
+exactly the shape of the paper's experiments (independent forward-path and
+reverse-path reordering processes).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.net.errors import SimulationError
 from repro.net.packet import Packet
@@ -53,10 +54,6 @@ class PathElement(ABC):
         """
         self._sim = sim
         self._emit = downstream  # type: ignore[method-assign]
-        self._on_attached()
-
-    def _on_attached(self) -> None:
-        """Hook for subclasses that need setup after attachment."""
 
     @abstractmethod
     def handle_packet(self, packet: Packet) -> None:
@@ -79,52 +76,15 @@ class PathElement(ABC):
         sim.schedule_hop_at(sim.now + delay, self._emit, packet)
 
 
-class Pipeline:
-    """An ordered chain of path elements, fixed at construction, ending in a
-    final sink."""
+def attach_chain(elements: Sequence[PathElement], sim: Simulator, sink: PacketSink) -> PacketSink:
+    """Wire ``elements`` so traffic flows element to element into ``sink``.
 
-    def __init__(self, elements: Sequence[PathElement] = ()) -> None:
-        self._elements = tuple(elements)
-        self._entry: Optional[PacketSink] = None
-
-    def attach(self, sim: Simulator, sink: PacketSink) -> PacketSink:
-        """Wire up all elements so traffic flows element-to-element into ``sink``.
-
-        Returns the pipeline's entry: the upstream-most element's
-        ``handle_packet``, or ``sink`` itself for an empty pipeline.  Callers
-        that inject packets on a hot path call it directly.
-        """
-        downstream: PacketSink = sink
-        for element in reversed(self._elements):
-            element.attach(sim, downstream)
-            downstream = element.handle_packet
-        self._entry = downstream
-        return downstream
-
-    def handle_packet(self, packet: Packet) -> None:
-        """Inject a packet at the upstream end of the pipeline."""
-        entry = self._entry
-        if entry is None:
-            raise SimulationError("pipeline used before attach()")
-        entry(packet)
-
-
-class DuplexPath:
-    """A forward pipeline and a reverse pipeline between two endpoints.
-
-    The forward direction is probe-to-server; the reverse direction is
-    server-to-probe, mirroring the paper's one-way measurement framing.
+    Attaches them last to first and returns the chain's entry: the first
+    element's ``handle_packet``, or ``sink`` itself when there are none.
+    Callers that inject packets on a hot path call the entry directly.
     """
-
-    def __init__(self, forward: Pipeline, reverse: Pipeline) -> None:
-        self.forward = forward
-        self.reverse = reverse
-
-    def attach(
-        self, sim: Simulator, forward_sink: PacketSink, reverse_sink: PacketSink
-    ) -> tuple[PacketSink, PacketSink]:
-        """Attach both pipelines: forward traffic into the server, reverse into the probe.
-
-        Returns the ``(forward, reverse)`` entries (see :meth:`Pipeline.attach`).
-        """
-        return self.forward.attach(sim, forward_sink), self.reverse.attach(sim, reverse_sink)
+    entry = sink
+    for element in reversed(elements):
+        element.attach(sim, entry)
+        entry = element.handle_packet
+    return entry

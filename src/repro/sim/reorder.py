@@ -25,11 +25,11 @@ class LossElement(PathElement):
     stream's own ``random``: no draw at probability 0 or 1, one otherwise.
     """
 
-    def __init__(self, loss_probability: float, rng: SeededRandom) -> None:
+    def __init__(self, probability: float, rng: SeededRandom) -> None:
         super().__init__()
-        if not 0.0 <= loss_probability <= 1.0:
-            raise ValueError(f"loss probability out of range: {loss_probability}")
-        self.loss_probability = loss_probability
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(f"loss probability out of range: {probability}")
+        self.loss_probability = probability
         self._random = rng.random
         self.packets_dropped = 0
         self.packets_forwarded = 0
@@ -46,7 +46,7 @@ class LossElement(PathElement):
 class AdjacentSwapReorderer(PathElement):
     """Swap adjacent packets with a configurable probability (dummynet mod).
 
-    With probability ``swap_probability`` an arriving packet is held back; it
+    With the swap ``probability`` an arriving packet is held back; it
     is released immediately *after* the next packet passes, producing exactly
     one adjacent exchange.  If no follow-up packet arrives within
     ``max_hold_time`` the held packet is flushed so isolated packets are not
@@ -55,16 +55,16 @@ class AdjacentSwapReorderer(PathElement):
 
     def __init__(
         self,
-        swap_probability: float,
+        probability: float,
         rng: SeededRandom,
         max_hold_time: float = 0.03,
     ) -> None:
         super().__init__()
-        if not 0.0 <= swap_probability <= 1.0:
-            raise ValueError(f"swap probability out of range: {swap_probability}")
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(f"swap probability out of range: {probability}")
         if max_hold_time <= 0.0:
             raise ValueError(f"max hold time must be positive: {max_hold_time}")
-        self.swap_probability = swap_probability
+        self.swap_probability = probability
         self.max_hold_time = max_hold_time
         self._rng = rng
         self._random = rng.random

@@ -35,8 +35,10 @@ tail*: it does not count, and the next append overwrites it.  Any other bad
 frame, and any valid frame claiming a shard outside the plan or a shard
 already claimed, raises :class:`~repro.net.errors.StoreError`.  Every read
 re-checks its frame's CRC and validates the whole payload (JSON lines, the
-header's shard claim and host list, the record count) and then every
-record against its header and the plan before any record is used.
+header's shard claim, its host list against the plan's partition for that
+shard, the record count) and then every record against its header and the
+plan before any record is used.  A write checks its outcome's hosts the
+same way, so a frame filed under another shard's hosts never counts.
 
 Stores in format 1 (one ``shard-NNNNN.jsonl`` file per shard) or format 2
 (a plan without host specs) are refused with a pointer to
@@ -74,6 +76,7 @@ from repro.store.codec import (
     read_frame,
     require,
 )
+from repro.workloads.population import partition_specs
 
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "shards.log"
@@ -137,7 +140,7 @@ class CampaignStore:
     def __init__(self, root: os.PathLike | str) -> None:
         self.root = Path(root)
         self._plan: Optional[CampaignPlan] = None
-        self._plan_hosts: frozenset[int] = frozenset()
+        self._shard_hosts: tuple[tuple[int, ...], ...] = ()  # each shard's hosts, by index
         self._frames: dict[int, int] = {}  # durable shard -> its frame's offset
         self._end = 0  # end of the log's durable prefix: where the next frame goes
 
@@ -290,6 +293,7 @@ class CampaignStore:
             outcome.index not in self._frames,
             f"shard {outcome.index} is already durable in {self.root}",
         )
+        self._require_shard_hosts(outcome.index, tuple(outcome.host_addresses))
         header = _ShardHeader(outcome.index, outcome.host_addresses, len(outcome.records))
         lines = [_dumps(to_json(header))]
         lines.extend(_dumps(encode_record(record)) for record in outcome.records)
@@ -312,7 +316,19 @@ class CampaignStore:
 
     def _bind(self, plan: CampaignPlan) -> None:
         self._plan = plan
-        self._plan_hosts = frozenset(plan.host_addresses)
+        # plan.shard_tasks()'s partition rule, applied to the addresses alone,
+        # so that opening a store builds no shard tasks.
+        self._shard_hosts = tuple(
+            tuple(hosts) for hosts in partition_specs(plan.host_addresses, plan.shards)
+        )
+
+    def _require_shard_hosts(self, index: int, hosts: tuple[int, ...]) -> None:
+        """Refuse a shard whose host list is not the plan's partition for ``index``."""
+        expected = self._shard_hosts[index]
+        require(
+            hosts == expected,
+            f"shard {index} lists hosts {list(hosts)}, but the plan gives it {list(expected)}",
+        )
 
     def _initialise(self, plan: CampaignPlan) -> None:
         """Create the empty log, then commit the manifest that names it."""
@@ -415,8 +431,9 @@ class CampaignStore:
         """Validate shard ``index``'s payload before any of its records is used.
 
         Every line must be a JSON object, the header must claim shard
-        ``index``, list only plan hosts, and promise exactly the records that
-        follow it.  Returns the header's hosts and the undecoded records.
+        ``index``, list exactly the hosts the plan gives that shard, and
+        promise exactly the records that follow it.  Returns the header's
+        hosts and the undecoded records.
         """
         try:
             text = payload.decode("utf-8")
@@ -448,10 +465,7 @@ class CampaignStore:
             f"shard {index}'s payload is truncated: header promises "
             f"{header.records!r} record(s), found {len(records)}",
         )
-        require(
-            self._plan_hosts.issuperset(header.host_addresses),
-            f"shard {index}'s header lists hosts outside the plan",
-        )
+        self._require_shard_hosts(index, header.host_addresses)
         return header.host_addresses, records
 
     def _decode_record(

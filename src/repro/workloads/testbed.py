@@ -1,13 +1,14 @@
 """Declarative construction of simulated testbeds.
 
 A testbed is one probe host plus any number of remote sites, each reachable
-over its own duplex path.  Paths are not assembled by hand here: a site's
-:class:`PathSpec` is *compiled* to an ordered list of
-:class:`~repro.sim.build.ElementSpec` descriptions by
-:func:`path_element_specs`, and the data-driven
-:func:`~repro.sim.build.build_elements` turns the description into wired
-elements.  Scenario-defined conditions (bursty loss, route flaps, diurnal
-congestion — any :class:`~repro.sim.build.ElementSpec`) ride along in
+over its own pair of element chains, one per direction.  Paths are not
+assembled by hand here: a site's :class:`PathSpec` is *compiled* to an
+ordered list of :class:`~repro.sim.build.ElementSpec` descriptions by
+:func:`path_element_specs`, the data-driven
+:func:`~repro.sim.build.build_elements` turns the description into elements,
+and :func:`~repro.sim.path.attach_chain` wires them.  Scenario-defined
+conditions (bursty loss, route flaps, diurnal congestion — any
+:class:`~repro.sim.build.ElementSpec`) ride along in
 ``PathSpec.forward_conditions`` / ``reverse_conditions`` without this module
 knowing their concrete types.  Trace captures are installed at the server
 side of the forward path and at the server egress of the reverse path so
@@ -22,9 +23,10 @@ from typing import Optional
 from repro.host.machine import RemoteHost
 from repro.host.os_profiles import FREEBSD_44, OsProfile
 from repro.host.raw_socket import ProbeHost
-from repro.host.server import WebServer, build_server
+from repro.host.server import build_server
 from repro.net.errors import TopologyError
-from repro.net.flow import parse_address
+from repro.net.flow import format_address, parse_address
+from repro.net.packet import Packet
 from repro.sim.build import (
     DuplexSpec,
     ElementSpec,
@@ -38,10 +40,9 @@ from repro.sim.build import (
     build_elements,
 )
 from repro.sim.middlebox import LoadBalancer
-from repro.sim.path import DuplexPath, PathElement, Pipeline
+from repro.sim.path import PacketSink, attach_chain
 from repro.sim.random import SeededRandom
 from repro.sim.simulator import Simulator
-from repro.sim.topology import Topology
 from repro.sim.trace import TraceCapture
 
 PROBE_ADDRESS = parse_address("10.0.0.1")
@@ -73,12 +74,12 @@ class PathSpec:
     forward_jitter_mean: float = 0.0
     reverse_jitter_mean: float = 0.0
     forward_conditions: tuple[ElementSpec, ...] = ()
-    """Extra declarative path elements appended to the forward pipeline
+    """Extra declarative path elements appended to the forward path
     (upstream of the arrival trace).  The scenario layer uses these slots for
     time-varying conditions the scalar fields above cannot express."""
 
     reverse_conditions: tuple[ElementSpec, ...] = ()
-    """Extra declarative elements for the reverse pipeline (after the egress
+    """Extra declarative elements for the reverse path (after the egress
     trace, before the access link)."""
 
     middleboxes: tuple[DuplexSpec, ...] = ()
@@ -128,11 +129,11 @@ class Testbed:
         any subset of a spec list gives each site the same stream as the full
         build.  The sharded campaign runner relies on this to keep per-shard
         rebuilds byte-for-byte reproducible."""
-        self.topology = Topology(self.sim)
-        self.probe = ProbeHost(self.sim, PROBE_ADDRESS)
-        self.topology.attach_probe(self.probe)
-        self.probe.set_transmit(self.topology.send_from_probe)
+        self.probe = ProbeHost(self.sim, PROBE_ADDRESS, self._send_from_probe)
         self.sites: dict[str, SiteHandle] = {}
+        self._routes: dict[int, PacketSink] = {}
+        """Each site's forward chain entry, by the site's address."""
+        self.packets_unroutable = 0
 
     def site(self, name: str) -> SiteHandle:
         """Look up a deployed site by name."""
@@ -154,9 +155,9 @@ class Testbed:
 
         The probe's capture buffer and each site's two traces keep every
         packet they saw.  The testbed's wiring is a reference cycle (the
-        probe transmits into the topology, whose pipelines deliver back to
-        the probe), so without this call those packets live until the
-        cyclic collector next runs; with it, reference counting frees them
+        probe transmits through the testbed's routes, whose chains deliver
+        back to the probe), so without this call those packets live until
+        the cyclic collector next runs; with it, reference counting frees them
         here.  Packets still in flight stay with their pending events.  Only
         the testbed's owner calls it: the traces are the ground truth a
         validation run reads afterwards.
@@ -167,35 +168,59 @@ class Testbed:
             handle.reverse_trace.clear()
 
     def add_site(self, spec: HostSpec) -> SiteHandle:
-        """Deploy a site from its spec: build hosts, middleboxes, and the path."""
+        """Deploy a site from its spec: build its path, hosts and middleboxes, and wire them.
+
+        The reverse chain is attached first, so its entry is the hosts'
+        transmit; the forward chain then runs into the site's entry point (its
+        one host or its load balancer).  Attaching draws no randomness, so the
+        site's streams are forked in spec order: path elements, duplex
+        middleboxes, hosts, then the load balancer's salt.
+        """
         if spec.name in self.sites:
             raise TopologyError(f"duplicate site name: {spec.name}")
+        if spec.address in self._routes:
+            raise TopologyError(f"duplicate site address: {format_address(spec.address)}")
         if self.stable_site_seeds:
             site_rng = self.rng.derive(f"site:{spec.name}")
         else:
             site_rng = self.rng.fork(f"site:{spec.name}")
 
-        forward_elements, reverse_elements, forward_trace, reverse_trace = self._build_path(
-            spec, site_rng
-        )
-        path = DuplexPath(Pipeline(forward_elements), Pipeline(reverse_elements))
+        forward_specs, reverse_specs = path_element_specs(spec)
+        forward = build_elements(forward_specs, site_rng)
+        reverse = build_elements(reverse_specs, site_rng)
+        # path_element_specs ends the forward path with its arrival trace and
+        # starts the reverse path with its egress trace.
+        forward_trace, reverse_trace = forward[-1], reverse[0]
+        assert isinstance(forward_trace, TraceCapture) and isinstance(reverse_trace, TraceCapture)
+        # Duplex middleboxes wrap the path at the probe edge: the forward
+        # half becomes the outermost upstream element, the reverse half the
+        # final element before delivery back to the probe.  Building them
+        # after the unidirectional elements keeps fork order — and therefore
+        # every existing stream — identical when the tuple is empty.
+        for forward_element, reverse_element in build_duplex_pairs(spec.path.middleboxes, site_rng):
+            forward.insert(0, forward_element)
+            reverse.append(reverse_element)
+        transmit = attach_chain(reverse, self.sim, self.probe.deliver)
 
-        backend_count = max(1, spec.load_balancer_backends)
         hosts = [
-            self._build_host(spec, site_rng.fork(f"backend:{index}"))
-            for index in range(backend_count)
+            RemoteHost(
+                sim=self.sim,
+                address=spec.address,
+                profile=spec.profile,
+                rng=site_rng.fork(f"backend:{index}"),
+                transmit=transmit,
+                web_server=None if spec.web_object_size is None else build_server(spec.web_object_size),
+                icmp_enabled=spec.icmp_enabled,
+            )
+            for index in range(max(1, spec.load_balancer_backends))
         ]
         load_balancer: Optional[LoadBalancer] = None
         if spec.load_balancer_backends >= 2:
             load_balancer = LoadBalancer(hosts, hash_salt=site_rng.randint(0, 1 << 30))
-            entry_point = load_balancer
+            entry_point = load_balancer.deliver
         else:
-            entry_point = hosts[0]
-
-        self.topology.add_site(spec.address, entry_point, path)
-        transmit = self.topology.transmit_for_site(spec.address)
-        for host in hosts:
-            host.set_transmit(transmit)
+            entry_point = hosts[0].deliver
+        self._routes[spec.address] = attach_chain(forward, self.sim, entry_point)
 
         handle = SiteHandle(
             spec=spec,
@@ -207,42 +232,13 @@ class Testbed:
         self.sites[spec.name] = handle
         return handle
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    def _build_host(self, spec: HostSpec, rng: SeededRandom) -> RemoteHost:
-        web_server: Optional[WebServer] = None
-        if spec.web_object_size is not None:
-            web_server = build_server(spec.web_object_size)
-        return RemoteHost(
-            sim=self.sim,
-            address=spec.address,
-            profile=spec.profile,
-            rng=rng,
-            web_server=web_server,
-            icmp_enabled=spec.icmp_enabled,
-        )
-
-    def _build_path(
-        self,
-        spec: HostSpec,
-        rng: SeededRandom,
-    ) -> tuple[list[PathElement], list[PathElement], TraceCapture, TraceCapture]:
-        forward_specs, reverse_specs = path_element_specs(spec)
-        forward = build_elements(forward_specs, rng)
-        reverse = build_elements(reverse_specs, rng)
-        # Duplex middleboxes wrap the path at the probe edge: the forward
-        # half becomes the outermost upstream element, the reverse half the
-        # final element before delivery back to the probe.  Building them
-        # after the unidirectional elements keeps fork order — and therefore
-        # every existing stream — identical when the tuple is empty.
-        for fwd_element, rev_element in build_duplex_pairs(spec.path.middleboxes, rng):
-            forward.insert(0, fwd_element)
-            reverse.append(rev_element)
-        forward_trace = _find_trace(forward, spec, "forward")
-        reverse_trace = _find_trace(reverse, spec, "reverse")
-        return forward, reverse, forward_trace, reverse_trace
+    def _send_from_probe(self, packet: Packet) -> None:
+        """The probe's transmit: put ``packet`` on its destination's forward chain."""
+        forward = self._routes.get(packet.ip.dst)
+        if forward is None:
+            self.packets_unroutable += 1
+            return
+        forward(packet)
 
 
 def _striping_spec(spec: StripingSpec, stream: str) -> StripeSpec:
@@ -261,9 +257,9 @@ def path_element_specs(
 ) -> tuple[tuple[ElementSpec, ...], tuple[ElementSpec, ...]]:
     """Compile a site's :class:`PathSpec` into declarative element specs.
 
-    Returns ``(forward, reverse)`` ordered spec tuples.  The forward pipeline
+    Returns ``(forward, reverse)`` ordered spec tuples.  The forward path
     runs access link → loss → jitter → striping → swap → scenario conditions
-    → arrival trace; the reverse pipeline mirrors it (egress trace first,
+    → arrival trace; the reverse path mirrors it (egress trace first,
     access link last).  Stream labels match the historical per-site fork
     labels, and absent stages emit no spec at all, so paths described by the
     scalar ``PathSpec`` fields reproduce pre-declarative builds bit for bit.
@@ -297,13 +293,6 @@ def path_element_specs(
         LinkSpec(bandwidth_bps=path.access_bandwidth_bps, propagation_delay=path.propagation_delay)
     )
     return tuple(forward), tuple(reverse)
-
-
-def _find_trace(elements: list[PathElement], spec: HostSpec, direction: str) -> TraceCapture:
-    for element in elements:
-        if isinstance(element, TraceCapture):
-            return element
-    raise TopologyError(f"site {spec.name!r} has no {direction} trace capture")
 
 
 def build_testbed(

@@ -163,6 +163,13 @@ def test_probe_request_rejects_fewer_than_one_sample(samples):
             )
 
 
+@pytest.mark.parametrize("port", (0, 65536, 70000))
+def test_probe_request_rejects_a_remote_port_outside_1_to_65535(port):
+    """Port 0 used to run to completion and 70000 to fail in the first TCP header."""
+    with pytest.raises(MeasurementError, match=f"remote port must be in \\[1, 65535\\]: {port}"):
+        ProbeRequest(samples=2, remote_port=port)
+
+
 def test_probe_request_frees_its_captured_and_traced_packets():
     """The probe testbed is a reference cycle; the packets its capture buffer
     and traces hold must not wait for the cyclic collector.  Only the last
@@ -678,6 +685,21 @@ def test_a_spec_value_no_codec_carries_fails_before_any_shard_runs(tmp_path, bac
             session.run(request)
     assert checkpoints == []
     assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("port", (0, 70000))
+def test_a_remote_port_outside_1_to_65535_fails_before_any_shard_runs(monkeypatch, tmp_path, port):
+    """The plan refuses the port, so no shard runs and no manifest is written
+    (a serial run used to write the manifest and then die in the first TCP
+    header)."""
+    monkeypatch.setattr(session_module, "run_shard", _no_shard)
+    request = CampaignRequest(
+        scenario="imc2002-survey", hosts=2, remote_port=port, store=tmp_path / "store"
+    )
+    with Session(backend="serial") as session:
+        with pytest.raises(MeasurementError, match=f"remote port must be in \\[1, 65535\\]: {port}"):
+            session.run(request)
+    assert not (tmp_path / "store" / "manifest.json").exists()
 
 
 def test_explicit_spec_campaign_matches_runner_output():

@@ -234,16 +234,17 @@ def three_shard_store(tmp_path_factory):
                          ids=["report", "resume"])
 @pytest.mark.parametrize(
     "key, value",
-    [("shards", 10), ("shards", 0), ("specs", [])],
-    ids=["more-shards-than-hosts", "no-shards", "no-hosts"],
+    [("shards", 10), ("shards", 0), ("specs", []), ("remote_port", 70000), ("remote_port", 0)],
+    ids=["more-shards-than-hosts", "no-shards", "no-hosts", "port-above-65535", "port-zero"],
 )
 def test_a_manifest_plan_that_breaks_its_invariants_is_a_store_error(
     three_shard_store, tmp_path, capsys, command, key, value
 ):
     """The plan checks itself when the manifest is decoded, so ``report`` and
     ``resume`` refuse the store on the plan: a report used to call a store
-    claiming 10 shards incomplete, and a resume of one with no hosts died
-    in a traceback."""
+    claiming 10 shards incomplete, a resume of one with no hosts died in a
+    traceback, and a port outside 1–65535 passed ``report`` and broke
+    ``resume`` in the first TCP header."""
     store = tmp_path / "campaign"
     shutil.copytree(three_shard_store, store)
     manifest = store / "manifest.json"

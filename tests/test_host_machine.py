@@ -12,7 +12,6 @@ from repro.host.machine import RemoteHost
 from repro.host.os_profiles import FREEBSD_44
 from repro.host.raw_socket import ProbeHost
 from repro.host.server import RedirectingServer, WebServer, build_server
-from repro.net.errors import SimulationError
 from repro.net.flow import parse_address
 from repro.net.packet import (
     ICMP_ECHO_REPLY,
@@ -31,13 +30,15 @@ CLIENT = parse_address("10.0.0.1")
 SERVER = parse_address("10.0.0.2")
 
 
+def _no_send(packet):
+    """The transmit of a probe whose test never sends."""
+    raise AssertionError(f"unexpected send: {packet.describe()}")
+
+
 def test_web_server_requires_complete_request():
     class FakeEndpoint:
         def __init__(self) -> None:
             self.sent = []
-
-        def set_on_data(self, callback) -> None:
-            self.callback = callback
 
         def send_app_data(self, connection, num_bytes) -> None:
             self.sent.append(num_bytes)
@@ -47,7 +48,6 @@ def test_web_server_requires_complete_request():
 
     endpoint = FakeEndpoint()
     server = WebServer(object_size=1000)
-    server.install(endpoint)
     server.on_data(endpoint, FakeConnection(), b"GET")
     assert not endpoint.sent
     server.on_data(endpoint, FakeConnection(), b"GET / HTTP/1.0\r\n\r\n")
@@ -70,9 +70,8 @@ def test_build_server_redirect_threshold():
 
 def test_icmp_responder_replies_with_matching_fields():
     stack = IpStack(address=SERVER, ipid_policy=GlobalCounterIpid(start=50))
-    responder = IcmpResponder(stack)
     sent = []
-    responder.set_transmit(sent.append)
+    responder = IcmpResponder(stack, sent.append)
     echo = IcmpEcho(ICMP_ECHO_REQUEST, identifier=9, sequence=3, payload=b"ping")
     responder.deliver(Packet.icmp_packet(CLIENT, SERVER, echo))
     assert len(sent) == 1
@@ -86,25 +85,22 @@ def test_icmp_responder_replies_with_matching_fields():
 
 def test_icmp_responder_disabled_or_wrong_target_is_silent():
     stack = IpStack(address=SERVER, ipid_policy=GlobalCounterIpid())
-    responder = IcmpResponder(stack, enabled=False)
     sent = []
-    responder.set_transmit(sent.append)
+    responder = IcmpResponder(stack, sent.append, enabled=False)
     echo = IcmpEcho(ICMP_ECHO_REQUEST, identifier=1, sequence=1)
     responder.deliver(Packet.icmp_packet(CLIENT, SERVER, echo))
     assert not sent
     assert responder.requests_seen == 1
 
-    enabled = IcmpResponder(stack, enabled=True)
-    enabled.set_transmit(sent.append)
+    enabled = IcmpResponder(stack, sent.append, enabled=True)
     enabled.deliver(Packet.icmp_packet(CLIENT, parse_address("10.0.0.9"), echo))
     assert not sent
 
 
 def test_remote_host_dispatches_by_protocol():
     sim = Simulator()
-    host = RemoteHost(sim, SERVER, FREEBSD_44, SeededRandom(1), web_server=WebServer(2048))
     sent = []
-    host.set_transmit(sent.append)
+    host = RemoteHost(sim, SERVER, FREEBSD_44, SeededRandom(1), sent.append, web_server=WebServer(2048))
     # TCP SYN produces a SYN/ACK; ICMP echo produces a reply; both share IPIDs.
     syn = Packet.tcp_packet(CLIENT, SERVER, TcpHeader(src_port=4000, dst_port=80, seq=1, flags=TcpFlags.SYN))
     host.deliver(syn)
@@ -118,9 +114,8 @@ def test_remote_host_dispatches_by_protocol():
 
 def test_probe_host_capture_filtering_and_ports():
     sim = Simulator()
-    probe = ProbeHost(sim, CLIENT)
     sent = []
-    probe.set_transmit(sent.append)
+    probe = ProbeHost(sim, CLIENT, sent.append)
     port_a = probe.allocate_port()
     port_b = probe.allocate_port()
     assert port_a != port_b
@@ -141,15 +136,9 @@ def test_probe_host_capture_filtering_and_ports():
     assert serials == sorted(serials)
 
 
-def test_probe_host_requires_transmit():
-    probe = ProbeHost(Simulator(), CLIENT)
-    with pytest.raises(SimulationError):
-        probe.send(Packet.tcp_packet(CLIENT, SERVER, TcpHeader(src_port=1, dst_port=2)))
-
-
 def test_probe_host_wait_helpers_time_out():
     sim = Simulator()
-    probe = ProbeHost(sim, CLIENT)
+    probe = ProbeHost(sim, CLIENT, _no_send)
     cursor = probe.capture_cursor()
     replies = probe.wait_for_packets(cursor, count=1, timeout=0.2, local_port=1234)
     assert replies == ()
@@ -173,7 +162,7 @@ def _echo_reply(src, sequence):
 
 def test_wait_for_icmp_stops_on_the_count_th_reply_and_returns_every_match():
     sim = Simulator()
-    probe = ProbeHost(sim, CLIENT)
+    probe = ProbeHost(sim, CLIENT, _no_send)
     probe.deliver(_echo_reply(SERVER, 0))  # before the cursor: not counted
     cursor = probe.capture_cursor()
     other = parse_address("10.0.0.7")
@@ -197,7 +186,7 @@ def test_wait_for_icmp_stops_on_the_count_th_reply_and_returns_every_match():
 
 def test_wait_for_packets_match_stops_at_the_first_matching_packet():
     sim = Simulator()
-    probe = ProbeHost(sim, CLIENT)
+    probe = ProbeHost(sim, CLIENT, _no_send)
     port = probe.allocate_port()
 
     def segment(seq, payload=b""):
@@ -234,7 +223,7 @@ def _data_segment(port, seq, payload=b"x"):
 
 def test_a_flow_wait_returns_every_match_of_its_satisfying_event():
     sim = Simulator()
-    probe = ProbeHost(sim, CLIENT)
+    probe = ProbeHost(sim, CLIENT, _no_send)
     port = probe.allocate_port()
     cursor = probe.capture_cursor()
     # One event captures two matching segments and one for another port.
@@ -247,7 +236,7 @@ def test_a_flow_wait_returns_every_match_of_its_satisfying_event():
 
 def test_a_flow_wait_that_times_out_returns_every_match_up_to_the_deadline():
     sim = Simulator()
-    probe = ProbeHost(sim, CLIENT)
+    probe = ProbeHost(sim, CLIENT, _no_send)
     port = probe.allocate_port()
     probe.deliver(_data_segment(port, 0))  # before the wait began, after its cursor
     cursor = probe.capture_cursor() - 1
@@ -265,7 +254,7 @@ class _TrackedPacket(Packet):
 
 def test_a_finished_wait_holds_no_packet():
     sim = Simulator()
-    probe = ProbeHost(sim, CLIENT)
+    probe = ProbeHost(sim, CLIENT, _no_send)
     port = probe.allocate_port()
     header = TcpHeader(src_port=80, dst_port=port, seq=1, ack=1, flags=TcpFlags.ACK)
     packets = [_TrackedPacket(IPv4Header(SERVER, CLIENT, PROTO_TCP), header, None, b"x") for _ in range(3)]
@@ -289,7 +278,7 @@ def test_a_finished_wait_holds_no_packet():
 
 def test_a_predicate_wait_is_woken_by_every_capture():
     sim = Simulator()
-    probe = ProbeHost(sim, CLIENT)
+    probe = ProbeHost(sim, CLIENT, _no_send)
     port = probe.allocate_port()
     for index, when in enumerate((0.1, 0.2, 0.3)):
         _deliver_at(sim, probe, when, _data_segment(port + index, index))
@@ -304,7 +293,7 @@ def test_a_predicate_wait_is_woken_by_every_capture():
 
 
 def test_probe_host_port_allocation_wraps():
-    probe = ProbeHost(Simulator(), CLIENT, first_port=64998)
+    probe = ProbeHost(Simulator(), CLIENT, _no_send, first_port=64998)
     ports = [probe.allocate_port() for _ in range(5)]
     assert all(33000 <= port <= 65000 for port in ports)
     assert len(set(ports)) == len(ports)

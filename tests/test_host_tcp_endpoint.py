@@ -31,15 +31,15 @@ class Harness:
     def __init__(self, profile: OsProfile = FREEBSD_44) -> None:
         self.sim = Simulator()
         self.stack = IpStack(address=SERVER, ipid_policy=GlobalCounterIpid(start=100))
+        self.sent: list[Packet] = []
         self.endpoint = TcpEndpoint(
             sim=self.sim,
             stack=self.stack,
             profile=profile,
             rng=SeededRandom(1),
+            transmit=self.sent.append,
             listen_ports=(80,),
         )
-        self.sent: list[Packet] = []
-        self.endpoint.set_transmit(self.sent.append)
 
     def deliver(self, flags: TcpFlags, seq: int, ack: int = 0, payload: bytes = b"",
                 port: int = CLIENT_PORT, options: tuple = ()) -> None:

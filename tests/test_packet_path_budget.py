@@ -30,11 +30,11 @@ from repro.core.runner import ShardTask, run_shard
 from repro.net.packet import Packet, TcpHeader
 from repro.scenarios import LEGACY_SCENARIO, build_scenario_hosts, get_scenario, scenario_names
 
-SURVEY_MEASURED = 18.24
-"""Calls per packet on the survey shard: 18.24 on CPython 3.11.7, 18.18 on 3.12.1 and 3.13.0."""
+SURVEY_MEASURED = 18.20
+"""Calls per packet on the survey shard: 18.20 on CPython 3.11.7, 18.13 on 3.12.1 and 3.13.0."""
 
-SWEEP_MEASURED = 21.06
-"""Calls per packet on the sweep's shards: 21.06 on CPython 3.11.7, 21.02 on 3.12.1 and 3.13.0."""
+SWEEP_MEASURED = 20.91
+"""Calls per packet on the sweep's shards: 20.91 on CPython 3.11.7, 20.81 on 3.12.1 and 3.13.0."""
 
 
 def _task(index: int, scenario_name: str, tests: tuple[TestName, ...]) -> ShardTask:

@@ -298,7 +298,7 @@ DELETED_ANALYSIS_NAMES = [
     "repro.stats.cdf.merge_cdfs",
 ]
 
-DELETED_MODULES = ["repro.stats.streaming", "repro.sim.clock", "repro.lint.codec"]
+DELETED_MODULES = ["repro.stats.streaming", "repro.sim.clock", "repro.lint.codec", "repro.sim.topology"]
 
 #: Both record codecs walk one field table per record type
 #: (``repro.core.schema``); these were the store's per-level JSON helpers.
@@ -421,14 +421,25 @@ DELETED_TEST_ONLY_NAMES = [
     "repro.distributed.backend.MAX_ATTEMPTS_ENV",
     "repro.distributed.backend._env_float",
     "repro.distributed.backend._env_int",
-    # Profile fields every built-in profile set alike, and a pipeline's
-    # mutators: pipelines are built from their element list.
+    # Profile fields every built-in profile set alike.
     "repro.host.os_profiles.OsProfile.delayed_ack",
     "repro.host.os_profiles.OsProfile.delayed_ack_threshold",
     "repro.host.os_profiles.OsProfile.immediate_ack_out_of_order",
     "repro.host.os_profiles.OsProfile.advertised_window",
-    "repro.sim.path.Pipeline.append",
-    "repro.sim.path.Pipeline.elements",
+    # A testbed is built and wired in one pass: it attaches each site's two
+    # element chains itself, and every host object takes its transmit (and
+    # the endpoint its data callback) when it is constructed.
+    "repro.sim.path.Pipeline",
+    "repro.sim.path.DuplexPath",
+    "repro.sim.path.PathElement._on_attached",
+    "repro.host.raw_socket.ProbeHost.set_transmit",
+    "repro.host.machine.RemoteHost.set_transmit",
+    "repro.host.tcp_endpoint.TcpEndpoint.set_transmit",
+    "repro.host.tcp_endpoint.TcpEndpoint.set_on_data",
+    "repro.host.tcp_endpoint.TcpEndpoint._require_transmit",
+    "repro.host.icmp_responder.IcmpResponder.set_transmit",
+    "repro.host.server.WebServer.install",
+    "repro.workloads.testbed._find_trace",
     # One description of a campaign: the plan replaced the runner, the
     # requests' normalized forms, the sweep's per-cell run and the session's
     # second envelope builder.
@@ -500,6 +511,13 @@ def test_core_imports_nothing_above_it():
         if any(name == layer or name.startswith(layer + ".") for layer in above)
     )
     assert not upward, upward
+
+
+def test_a_testbed_routes_without_a_topology():
+    from repro.workloads.testbed import HostSpec, build_testbed
+
+    testbed = build_testbed([HostSpec(name="a", address=0x0A010002)])
+    assert not hasattr(testbed, "topology")
 
 
 def test_probe_wait_takes_no_polling_switch():

@@ -82,23 +82,23 @@ def test_large_packets_see_less_reordering_than_small():
     # stage, the mechanism the paper uses to explain why the data-transfer
     # test under-reports reordering (design decision D4).
     from repro.sim.link import Link
-    from repro.sim.path import Pipeline
+    from repro.sim.path import attach_chain
 
     def fraction_for(payload: int) -> float:
         sim = Simulator()
-        pipeline = Pipeline([
-            Link(bandwidth_bps=100e6, propagation_delay=0.0),
-            StripedPathModel(rng=SeededRandom(37)),
-        ])
         out: list[int] = []
-        pipeline.attach(sim, lambda p: out.append(p.uid))
+        entry = attach_chain(
+            [Link(bandwidth_bps=100e6, propagation_delay=0.0), StripedPathModel(rng=SeededRandom(37))],
+            sim,
+            lambda p: out.append(p.uid),
+        )
         exchanged = 0
         pairs = 600
         for _ in range(pairs):
             out.clear()
             first, second = _packet(payload), _packet(payload)
-            pipeline.handle_packet(first)
-            pipeline.handle_packet(second)
+            entry(first)
+            entry(second)
             sim.run_for(0.05)
             if out == [second.uid, first.uid]:
                 exchanged += 1

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.net.flow import parse_address
 from repro.net.packet import Packet, TcpHeader
 from repro.sim.build import (
     DiurnalJitterSpec,
+    ElementSpec,
     GilbertLossSpec,
     JitterSpec,
     LinkSpec,
@@ -18,7 +22,7 @@ from repro.sim.build import (
     build_elements,
 )
 from repro.sim.link import Link
-from repro.sim.path import Pipeline
+from repro.sim.path import attach_chain
 from repro.sim.random import SeededRandom
 from repro.sim.reorder import AdjacentSwapReorderer, LossElement
 from repro.sim.simulator import Simulator
@@ -244,22 +248,58 @@ def test_deterministic_specs_consume_no_randomness():
     assert swap_stream(bare) == swap_stream(padded)
 
 
-def test_built_elements_wire_traffic_through_a_pipeline():
+def test_built_elements_wire_traffic_through_a_chain():
     sim = Simulator()
     elements = build_elements(
         (LinkSpec(propagation_delay=0.001), JitterSpec(0.0, stream="j"), TraceSpec(point="p")),
         SeededRandom(2),
     )
-    pipeline = Pipeline(elements)
     out: list[Packet] = []
-    pipeline.attach(sim, out.append)
+    entry = attach_chain(elements, sim, out.append)
     packet = _packet()
-    pipeline.handle_packet(packet)
+    entry(packet)
     sim.run_until_idle()
     assert [p.uid for p in out] == [packet.uid]
     trace = elements[-1]
     assert isinstance(trace, TraceCapture)
     assert len(trace) == 1
+
+
+def _concrete_specs() -> list[type[ElementSpec]]:
+    """Every concrete ``ElementSpec`` subclass, newest per name (a ``slots=True``
+    dataclass leaves the class it replaced a subclass too)."""
+    found: dict[str, type[ElementSpec]] = {}
+    pending: list[type] = [ElementSpec]
+    while pending:
+        for subtype in pending.pop().__subclasses__():
+            pending.append(subtype)
+            if not inspect.isabstract(subtype):
+                found[subtype.__qualname__] = subtype
+    return [found[name] for name in sorted(found)]
+
+
+@pytest.mark.parametrize("spec_type", _concrete_specs(), ids=lambda spec_type: spec_type.__name__)
+def test_a_spec_builds_its_element_from_its_fields(spec_type):
+    """The one ``ElementSpec.build`` passes every field but ``stream`` to the
+    spec's element class, and the forked stream as ``rng``."""
+    assert "build" not in vars(spec_type)
+    names = {field.name for field in dataclasses.fields(spec_type)}
+    parameters = inspect.signature(spec_type.element).parameters
+    assert names - {"stream"} <= set(parameters)
+    assert ("rng" in parameters) == ("stream" in names)
+    spec = spec_type()
+    element = spec.build(SeededRandom(3) if spec.label is not None else None)
+    assert isinstance(element, spec_type.element)
+
+
+def test_every_exported_element_spec_is_checked():
+    import repro.sim
+
+    exported = {
+        name for name in repro.sim.__all__
+        if inspect.isclass(value := getattr(repro.sim, name)) and issubclass(value, ElementSpec)
+    }
+    assert exported - {"ElementSpec"} == {spec_type.__name__ for spec_type in _concrete_specs()}
 
 
 def test_element_specs_are_value_objects():

@@ -1,4 +1,4 @@
-"""Tests for trace capture, pipelines, and the topology."""
+"""Tests for trace capture, element chains, and a testbed's routes."""
 
 from __future__ import annotations
 
@@ -6,11 +6,11 @@ import pytest
 
 from repro.net.errors import SimulationError, TopologyError
 from repro.net.flow import parse_address
-from repro.net.packet import Packet, TcpHeader
-from repro.sim.path import DuplexPath, PathElement, Pipeline
+from repro.net.packet import Packet, TcpFlags, TcpHeader
+from repro.sim.path import PathElement, attach_chain
 from repro.sim.simulator import Simulator
-from repro.sim.topology import Topology
 from repro.sim.trace import TraceCapture
+from repro.workloads.testbed import HostSpec, Testbed
 
 PROBE = parse_address("10.0.0.1")
 SERVER = parse_address("10.0.0.2")
@@ -71,60 +71,34 @@ def test_trace_exchanged_pairs_and_clear():
     assert len(trace) == 0
 
 
-def test_pipeline_chains_elements_in_order():
+def test_chain_passes_packets_through_its_elements_in_order():
     sim = Simulator()
     seen = []
     first = PassthroughElement()
     second = PassthroughElement()
-    pipeline = Pipeline([first, second])
-    pipeline.attach(sim, lambda p: seen.append(p.uid))
+    entry = attach_chain([first, second], sim, lambda p: seen.append(p.uid))
+    assert entry == first.handle_packet
     packet = _packet()
-    pipeline.handle_packet(packet)
+    entry(packet)
     assert seen == [packet.uid]
     assert first.packets_seen == 1
     assert second.packets_seen == 1
 
 
-def test_empty_pipeline_is_a_wire():
-    sim = Simulator()
+def test_empty_chain_is_its_sink():
     seen = []
-    pipeline = Pipeline()
-    pipeline.attach(sim, lambda p: seen.append(p.uid))
-    pipeline.handle_packet(_packet())
-    assert len(seen) == 1
-
-
-def test_pipeline_keeps_its_own_element_list():
-    """A pipeline is fixed at construction: the caller's list, changed after
-    attach, does not reach the wired chain."""
-    sim = Simulator()
-    seen = []
-    elements = []
-    pipeline = Pipeline(elements)
-    pipeline.attach(sim, lambda p: seen.append(p.uid))
-    late = PassthroughElement()
-    elements.append(late)
-    pipeline.handle_packet(_packet())
-    assert len(seen) == 1
-    assert late.packets_seen == 0
-
-
-def test_pipeline_use_before_attach_rejected():
-    pipeline = Pipeline()
-    with pytest.raises(SimulationError):
-        pipeline.handle_packet(_packet())
+    assert attach_chain([], Simulator(), seen.append) == seen.append
 
 
 def test_reattaching_an_element_reroutes_its_next_packet():
     sim = Simulator()
     first, second = [], []
     element = PassthroughElement()
-    pipeline = Pipeline([element])
-    pipeline.attach(sim, first.append)
-    pipeline.handle_packet(_packet())
+    entry = attach_chain([element], sim, first.append)
+    entry(_packet())
     element.attach(sim, second.append)
     rerouted = _packet()
-    pipeline.handle_packet(rerouted)
+    entry(rerouted)
     assert len(first) == 1
     assert second == [rerouted]
 
@@ -135,58 +109,31 @@ def test_element_never_attached_rejects_its_first_packet():
             element.handle_packet(_packet())
 
 
-class _Probe:
-    def __init__(self, address: int) -> None:
-        self.address = address
-        self.received = []
-
-    def deliver(self, packet: Packet) -> None:
-        self.received.append(packet)
-
-
-class _Site:
-    def __init__(self) -> None:
-        self.received = []
-
-    def deliver(self, packet: Packet) -> None:
-        self.received.append(packet)
+def test_testbed_routes_forward_and_reverse():
+    testbed = Testbed()
+    handle = testbed.add_site(HostSpec(name="server", address=SERVER))
+    syn = Packet.tcp_packet(PROBE, SERVER, TcpHeader(src_port=1000, dst_port=80, flags=TcpFlags.SYN))
+    testbed.probe.send(syn)
+    testbed.sim.run_until_idle()
+    assert [record.packet for record in handle.forward_trace.records] == [syn]
+    replies = [record.packet for record in handle.reverse_trace.records]
+    assert [captured.packet for captured in testbed.probe.received] == replies
+    assert replies and replies[0].ip.src == SERVER and replies[0].tcp.dst_port == 1000
+    assert testbed.packets_unroutable == 0
 
 
-def test_topology_routes_forward_and_reverse():
-    sim = Simulator()
-    topology = Topology(sim)
-    probe = _Probe(PROBE)
-    site = _Site()
-    topology.attach_probe(probe)
-    topology.add_site(SERVER, site, DuplexPath(Pipeline(), Pipeline()))
-
-    probe_packet = _packet()
-    topology.send_from_probe(probe_packet)
-    assert site.received == [probe_packet]
-
-    reply = Packet.tcp_packet(SERVER, PROBE, TcpHeader(src_port=80, dst_port=1000))
-    topology.transmit_for_site(SERVER)(reply)
-    assert probe.received == [reply]
+def test_testbed_counts_unroutable_packets():
+    testbed = Testbed()
+    testbed.add_site(HostSpec(name="server", address=SERVER))
+    testbed.probe.send(_packet(dst=parse_address("203.0.113.9")))
+    testbed.sim.run_until_idle()
+    assert testbed.packets_unroutable == 1
+    assert testbed.probe.received == ()
 
 
-def test_topology_unroutable_packets_counted():
-    sim = Simulator()
-    topology = Topology(sim)
-    topology.attach_probe(_Probe(PROBE))
-    topology.send_from_probe(_packet(dst=parse_address("203.0.113.9")))
-    assert topology.packets_unroutable == 1
-
-
-def test_topology_rejects_misuse():
-    sim = Simulator()
-    topology = Topology(sim)
-    with pytest.raises(TopologyError):
-        topology.add_site(SERVER, _Site(), DuplexPath(Pipeline(), Pipeline()))
-    topology.attach_probe(_Probe(PROBE))
-    topology.add_site(SERVER, _Site(), DuplexPath(Pipeline(), Pipeline()))
-    with pytest.raises(TopologyError):
-        topology.add_site(SERVER, _Site(), DuplexPath(Pipeline(), Pipeline()))
-    with pytest.raises(TopologyError):
-        topology.transmit_for_site(parse_address("198.51.100.1"))
-    assert topology.addresses() == (SERVER,)
-    assert topology.transmit_for_site(SERVER) is not None
+def test_testbed_refuses_a_second_site_at_one_address():
+    testbed = Testbed()
+    testbed.add_site(HostSpec(name="first", address=SERVER))
+    with pytest.raises(TopologyError, match="duplicate site address: 10.0.0.2"):
+        testbed.add_site(HostSpec(name="second", address=SERVER))
+    assert testbed.addresses() == [SERVER]

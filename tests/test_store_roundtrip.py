@@ -39,6 +39,7 @@ from repro.store import (
     decode_record,
     encode_record,
 )
+from repro.store.codec import encode_frame
 from _store_helpers import FRAME, frame, frame_payloads
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -210,7 +211,7 @@ def test_store_detects_truncated_segment(tmp_path):
 
 def test_store_detects_corrupt_json(tmp_path):
     store = CampaignStore.create(tmp_path / "c", _plan())
-    store.write_shard(ShardOutcome(index=0, host_addresses=(1,), records=[_record()]))
+    store.write_shard(ShardOutcome(index=0, host_addresses=(1, 2), records=[_record()]))
     _rewrite_payload(tmp_path / "c", 0, lambda lines: [lines[0], lines[1][:-10] + "not json}"])
     with pytest.raises(StoreError, match="corrupt JSON"):
         CampaignStore.open(tmp_path / "c").read_shard(0)
@@ -456,7 +457,7 @@ def test_a_torn_final_frame_is_not_durable_at_any_offset(tmp_path):
         reopened = CampaignStore.open(root)
         assert reopened.completed_shards() == frozenset({0}), cut
         assert reopened.read_shard(0).records == [_record(0, 1)]
-    reopened.write_shard(ShardOutcome(index=2, host_addresses=(2,), records=[_record(0, 2)]))
+    reopened.write_shard(ShardOutcome(index=2, host_addresses=(3,), records=[_record(0, 3)]))
     assert CampaignStore.open(root).completed_shards() == frozenset({0, 2})
     assert (root / "shards.log").stat().st_size == len(log)
 
@@ -505,6 +506,33 @@ def test_a_valid_frame_with_a_bad_claim_raises(tmp_path, claim, message):
     _rewrite_payload(root, 1, reclaim)
     with pytest.raises(StoreError, match=message):
         CampaignStore.open(root)
+
+
+def test_a_write_refuses_a_shard_filed_under_another_shards_hosts(tmp_path):
+    """Shard 2 of a 3-host, 3-shard plan is host 3's: an outcome carrying
+    shard 1's host and record used to commit, and the store then read back
+    "complete" with host 2 measured twice and host 3 never."""
+    store = _two_frame_store(tmp_path / "c")
+    with pytest.raises(StoreError, match=r"shard 2 lists hosts \[2\], but the plan gives it \[3\]"):
+        store.write_shard(ShardOutcome(index=2, host_addresses=(2,), records=[_record(0, 2)]))
+    assert store.completed_shards() == frozenset({0, 1})
+
+
+def test_a_read_refuses_a_frame_filed_under_another_shards_hosts(tmp_path):
+    """The same frame appended by hand is valid and claims a shard in the
+    plan, so the store opens complete, but no read merges it."""
+    root = tmp_path / "c"
+    _two_frame_store(root)
+    header, *records = _frames(root)[1].decode().splitlines()
+    claim = json.loads(header)
+    claim["shard"] = 2
+    payload = ("\n".join([json.dumps(claim), *records]) + "\n").encode()
+    with open(root / "shards.log", "ab") as log:
+        log.write(encode_frame(payload))
+    reopened = CampaignStore.open(root)
+    assert reopened.is_complete()
+    with pytest.raises(StoreError, match=r"shard 2 lists hosts \[2\], but the plan gives it \[3\]"):
+        reopened.load_result()
 
 
 class _Interrupt(BaseException):
