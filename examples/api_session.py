@@ -3,7 +3,8 @@
 Demonstrates the ``repro.api`` surface end to end:
 
 1. a ``ProbeRequest`` (the "hello world": one host, one technique),
-2. a ``CampaignRequest`` with a durable store plus job-handle progress,
+2. a ``CampaignRequest`` with a durable store, printing each durable shard
+   from its ``on_checkpoint`` hook,
 3. a ``ResumeRequest`` over the same store (a no-op here — the run
    completed — but the exact call that continues a crashed campaign),
 4. a ``MatrixRequest`` sweeping scenarios × OS columns as one shard stream.
@@ -56,8 +57,11 @@ def main() -> None:
             print(f"  {test.value:18s} succeeded={report.succeeded}")
         print(f"  result-digest={probe.result_digest[:16]}…")
 
-        # 2. A sharded, checkpointed campaign driven through a job handle.
-        job = session.submit(
+        # 2. A sharded, checkpointed campaign.  The hook runs on this thread
+        #    after each shard is durable; raising from it would stop the run
+        #    there, and step 3 would finish it.
+        print("== campaign (checkpointed) ==")
+        campaign = session.run(
             CampaignRequest(
                 scenario="bursty-loss",
                 config=config,
@@ -65,14 +69,11 @@ def main() -> None:
                 seed=7,
                 shards=4,
                 store=store,
+                on_checkpoint=lambda outcome, completed, total: print(
+                    f"  shard {completed}/{total} durable"
+                ),
             )
         )
-        job.add_progress_callback(
-            lambda event: print(f"  {event.kind} {event.completed}/{event.total} durable")
-        )
-        print("== campaign (checkpointed) ==")
-        campaign = job.result()
-        print(f"  status={job.status().value}")
         print(summarize_eligibility(campaign).to_table())
         print(f"  result-digest={campaign.result_digest[:16]}…")
 

@@ -11,7 +11,7 @@ Quickstart
 ----------
 
 The :mod:`repro.api` session layer is the front door: build a typed request,
-submit it to a :class:`~repro.api.session.Session`, read the result envelope.
+run it on a :class:`~repro.api.session.Session`, read the result envelope.
 
 >>> from repro import Direction, ProbeRequest, Session, TestName
 >>> with Session(backend="serial") as session:
@@ -32,8 +32,6 @@ per-technique test classes remain available for single measurements, and
 
 from repro.api import (
     CampaignRequest,
-    JobHandle,
-    JobStatus,
     MatrixRequest,
     ProbeRequest,
     ResultEnvelope,
@@ -97,8 +95,6 @@ __all__ = [
     "HostSpec",
     "IpidClass",
     "IpidValidationReport",
-    "JobHandle",
-    "JobStatus",
     "MatrixRequest",
     "MeasurementResult",
     "NetworkScenario",

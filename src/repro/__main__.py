@@ -12,7 +12,7 @@ Subcommands::
     python -m repro lint --format json
 
 The CLI is a thin veneer over the :mod:`repro.api` session layer: ``run``
-submits a :class:`~repro.api.requests.CampaignRequest` and ``resume`` a
+hands a :class:`~repro.api.requests.CampaignRequest` and ``resume`` a
 :class:`~repro.api.requests.ResumeRequest` to a
 :class:`~repro.api.session.Session`, printing the summary tables plus the
 envelope's ``result-digest`` line.  With ``--store`` a run checkpoints every
@@ -28,7 +28,8 @@ converts a store written in format 1 (one file per shard) or format 2 (a
 manifest without host specs) to the current format in place; on a current
 store it does nothing.  An invocation
 that does not start with a subcommand prints a one-line usage message and
-exits with status 2.
+exits with status 2, as does a ``run`` flag value the request refuses
+(``--shards 0``, a negative ``--seed``), after one ``error:`` line.
 
 Output is deterministic for a fixed ``(--scenario, --hosts, --seed,
 --shards)``.
@@ -51,7 +52,7 @@ from repro.core.campaign import CampaignConfig
 from repro.core.runner import EXECUTOR_PROCESS, record_signature, signature_digest
 from repro.distributed.chaos import ChaosSpec
 from repro.distributed.worker import DEFAULT_HEARTBEAT_INTERVAL, run_worker
-from repro.net.errors import StoreError
+from repro.net.errors import ReproError, StoreError
 from repro.scenarios.registry import LEGACY_SCENARIO, list_scenarios, scenario_names
 from repro.store.codec import FORMAT_VERSION
 from repro.store.store import CampaignStore, migrate_store
@@ -183,21 +184,24 @@ def cmd_run(argv: Sequence[str]) -> int:
         print("--crash-after-shards requires --store", file=sys.stderr)
         return 2
 
-    request = CampaignRequest(
-        scenario=args.scenario,
-        config=CampaignConfig(rounds=args.rounds, samples_per_measurement=args.samples),
-        hosts=args.hosts,
-        seed=args.seed,
-        shards=args.shards,
-        store=args.store,
-        on_checkpoint=_crash_hook(args.crash_after_shards),
-    )
     try:
+        request = CampaignRequest(
+            scenario=args.scenario,
+            config=CampaignConfig(rounds=args.rounds, samples_per_measurement=args.samples),
+            hosts=args.hosts,
+            seed=args.seed,
+            shards=args.shards,
+            store=args.store,
+            on_checkpoint=_crash_hook(args.crash_after_shards),
+        )
         with Session(backend=args.executor) as session:
             envelope = session.run(request)
     except StoreError as error:
         print(f"store error: {error}", file=sys.stderr)
         return 1
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     _print_envelope(args.scenario, args.seed, args.shards, envelope)
     return 0
 

@@ -2,19 +2,17 @@
 
 This package is the library's one front door.  Build a request
 (:class:`ProbeRequest`, :class:`CampaignRequest`, :class:`MatrixRequest`,
-or :class:`ResumeRequest`), submit it to a :class:`Session`, and get back a
-:class:`JobHandle` whose :meth:`~repro.api.jobs.JobHandle.result` is a
+or :class:`ResumeRequest`), hand it to :meth:`Session.run`, and get back a
 versioned :class:`ResultEnvelope` carrying the dataset plus its identity
 (scenario label, plan digest, result digest).  Work executes on an
 :class:`ExecutionBackend` (``serial``, ``process`` or ``remote``, or an
 instance passed in), and one session shares one warm pool
-across every job, shard, and matrix cell it runs.  The session is the only
-place shards execute; ``python -m repro`` is a thin veneer over it.
+across every request, shard, and matrix cell it runs.  The session is the
+only place shards execute; ``python -m repro`` is a thin veneer over it.
 
 >>> from repro.api import ProbeRequest, Session
 >>> with Session(backend="serial") as session:
-...     job = session.submit(ProbeRequest(samples=20, seed=3))
-...     envelope = job.result()
+...     envelope = session.run(ProbeRequest(samples=20, seed=3))
 >>> envelope.kind, envelope.version
 ('probe', 1)
 """
@@ -33,12 +31,6 @@ from repro.api.envelope import (
     plan_digest,
     unwrap_result,
 )
-from repro.api.jobs import (
-    JobCancelled,
-    JobHandle,
-    JobStatus,
-    ProgressEvent,
-)
 from repro.api.requests import (
     CampaignRequest,
     MatrixRequest,
@@ -52,14 +44,10 @@ __all__ = [
     "CampaignRequest",
     "ENVELOPE_VERSION",
     "ExecutionBackend",
-    "JobCancelled",
-    "JobHandle",
-    "JobStatus",
     "MatrixRequest",
     "POOL_FAILURES",
     "ProbeRequest",
     "ProcessBackend",
-    "ProgressEvent",
     "Request",
     "ResultEnvelope",
     "ResumeRequest",

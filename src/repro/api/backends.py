@@ -31,7 +31,6 @@ unwrapped.
 from __future__ import annotations
 
 import os
-import threading
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import (
@@ -56,12 +55,12 @@ _ResultT = TypeVar("_ResultT")
 POOL_FAILURES = (OSError, PicklingError, BrokenExecutor, RuntimeError)
 """Pool-infrastructure failures that justify an inline serial retry.
 
-``RuntimeError`` covers the stdlib's "cannot schedule new futures after
-shutdown" raised when a shared pool is reset/closed underneath a concurrent
-job.  Including it is safe for correctness: shard tasks are pure functions,
-so a ``RuntimeError`` raised by the *work itself* simply re-raises from the
-inline retry (one redundant execution in that pathological case, never a
-wrong result).
+``RuntimeError`` covers the stdlib executor's refusal to take work once it,
+or the interpreter, is shutting down ("cannot schedule new futures after
+shutdown").  Including it is safe for correctness: shard tasks are pure
+functions, so a ``RuntimeError`` raised by the *work itself* simply
+re-raises from the inline retry (one redundant execution in that
+pathological case, never a wrong result).
 """
 
 
@@ -102,6 +101,10 @@ class ExecutionBackend(ABC):
     first use and keeps it warm across calls, which is what lets a
     matrix sweep amortise worker spin-up over all of its cells.  Backends are
     context managers; :meth:`close` is idempotent.
+
+    A backend serves one thread at a time: a :class:`repro.api.Session`
+    runs each request on its caller's thread, and no backend locks its own
+    state.
 
     Executor choice never affects *what is measured* — shard tasks and
     matrix cells are pure functions of their inputs — only where and how
@@ -152,20 +155,12 @@ class SerialBackend(ExecutionBackend):
 
 
 class _PoolBackend(ExecutionBackend):
-    """The pool machinery behind :class:`ProcessBackend`.
-
-    Pool lifecycle (creation, broken-pool reset, close) is serialized by a
-    reentrant lock because a :class:`repro.api.Session` runs each submitted
-    job on its own worker thread against the one shared backend.  Work
-    submission itself needs no extra locking — the stdlib executors are
-    thread-safe.
-    """
+    """The pool machinery behind :class:`ProcessBackend`."""
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
         self._pool: Optional[Executor] = None
         self._workers = 0
-        self._pool_lock = threading.RLock()
 
     def _worker_count(self) -> int:
         """Pool width: the explicit cap, else one worker per core.
@@ -180,11 +175,10 @@ class _PoolBackend(ExecutionBackend):
         raise NotImplementedError
 
     def _ensure_pool(self) -> Executor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._workers = self._worker_count()
-                self._pool = self._create_pool()
-            return self._pool
+        if self._pool is None:
+            self._workers = self._worker_count()
+            self._pool = self._create_pool()
+        return self._pool
 
     def _reset_broken_pool(self) -> None:
         """Discard a broken pool so the next call starts a fresh one.
@@ -192,10 +186,9 @@ class _PoolBackend(ExecutionBackend):
         A per-run pool could simply be abandoned; a shared backend must not
         keep serving a corpse to every later campaign.
         """
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
     def _shard_submitter(self) -> Callable[[tuple[ShardTask, ...]], "Future"]:
         """A callable submitting one shard batch to the warm pool, packed as
@@ -212,8 +205,7 @@ class _PoolBackend(ExecutionBackend):
         batches are large and the tail shrinks toward single shards — a
         straggling worker near the end holds at most one small batch.  Every
         batch is submitted up front, so the executor's call queue hands each
-        worker its next batch without a round trip through this thread, and
-        the batches of concurrent jobs on one pool run first in, first out.
+        worker its next batch without a round trip through this thread.
 
         The dispatch happens once.  When the pool breaks (:class:`BrokenExecutor`
         — one worker dying takes the whole stdlib pool with it), the pool is
@@ -222,8 +214,7 @@ class _PoolBackend(ExecutionBackend):
         """
         submit = self._shard_submitter()
         pending = deque(tasks)
-        with self._pool_lock:
-            workers = max(1, self._workers)
+        workers = max(1, self._workers)
         cost = _shard_cost(tasks[0])
         inflight: "dict[Future, tuple[ShardTask, ...]]" = {}
         try:
@@ -277,8 +268,7 @@ class _PoolBackend(ExecutionBackend):
             raise
 
     def close(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
+        pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 

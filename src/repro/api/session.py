@@ -1,8 +1,8 @@
 """The :class:`Session` facade: one front door for all measurement work.
 
 A session owns an execution backend (and hence at most one warm worker
-pool), accepts the typed requests from :mod:`repro.api.requests`, and
-returns :class:`~repro.api.jobs.JobHandle` s whose results are versioned
+pool), runs the typed requests from :mod:`repro.api.requests` on the
+caller's thread, and returns versioned
 :class:`~repro.api.envelope.ResultEnvelope` s.  It is the only place shards
 execute: library callers and the ``python -m repro`` CLI both route through
 here, so argument conventions for seeds, shards, stores, OS mixes, and
@@ -28,7 +28,6 @@ worker count change wall-clock time and memory, never ``result_digest``.
 from __future__ import annotations
 
 import hashlib
-import threading
 import warnings
 from contextlib import closing
 from typing import Any, Iterator, Optional, Sequence, Union
@@ -46,7 +45,6 @@ from repro.api.envelope import (
     ResultEnvelope,
     plan_digest,
 )
-from repro.api.jobs import JobHandle, ProgressEvent
 from repro.api.requests import (
     CampaignRequest,
     MatrixRequest,
@@ -113,9 +111,9 @@ def _iter_completed(
     unique within the list.  A one-shard list and the serial backend run
     inline, so neither ever spins up a pool.  A generator so that only
     *pool* failures trigger the inline fallback: exceptions raised by the
-    consumer (store writes, checkpoint hooks, a cancelled job) propagate out
-    of the ``yield`` and are never mistaken for pool infrastructure problems
-    — and closing the generator cancels the queued shards rather than
+    consumer (store writes, checkpoint hooks, a KeyboardInterrupt) propagate
+    out of the ``yield`` and are never mistaken for pool infrastructure
+    problems — and closing the generator cancels the queued shards rather than
     running the rest of the work first.  On pool failure, shards already
     yielded are not re-run; the rest execute inline after one
     ``RuntimeWarning`` (shards are pure functions, so the inline run yields
@@ -144,7 +142,7 @@ def _iter_completed(
 
 
 class Session:
-    """A configured entry point that turns requests into jobs.
+    """A configured entry point that runs requests.
 
     Parameters
     ----------
@@ -157,11 +155,10 @@ class Session:
     max_workers:
         Worker cap for backends the session creates itself.
 
-    Sessions are context managers.  :meth:`submit` returns immediately with
-    a :class:`JobHandle`; :meth:`run` is the blocking convenience.  One
-    session may run many jobs, and a process session reuses a single warm
-    pool across all of them — including across every cell of a matrix
-    sweep.
+    Sessions are context managers.  :meth:`run` executes a request on the
+    calling thread and returns its envelope.  One session may run many
+    requests, and a process session reuses a single warm pool across all of
+    them — including across every cell of a matrix sweep.
     """
 
     def __init__(
@@ -180,8 +177,6 @@ class Session:
         self._owns_backend = isinstance(backend, str)
         self.max_workers = max_workers
         self._backend: Optional[ExecutionBackend] = None
-        self._jobs: list[JobHandle] = []
-        self._lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -190,37 +185,17 @@ class Session:
 
     @property
     def backend(self) -> ExecutionBackend:
-        """The session's backend, created on first use for named backends.
-
-        A closed session refuses to create a *new* backend (nothing would
-        ever close it again), but keeps returning the existing one so jobs
-        still draining during :meth:`close` can finish their work.
-        """
-        with self._lock:
-            if self._backend is None:
-                if self._closed:
-                    raise MeasurementError("session is closed")
-                self._backend = create_backend(self._backend_spec, self.max_workers)
-            return self._backend
+        """The session's backend, created on first use for named backends."""
+        if self._closed:
+            raise MeasurementError("session is closed")
+        if self._backend is None:
+            self._backend = create_backend(self._backend_spec, self.max_workers)
+        return self._backend
 
     def close(self) -> None:
-        """Wait for outstanding jobs, then release the owned backend.
-
-        Jobs are started under the session lock, so every job visible here
-        has a thread to join — a submit racing with close either completes
-        first (and is joined) or observes the closed flag and is refused.
-        The backend is detached only after every job has drained.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            jobs, self._jobs = self._jobs, []
-        for job in jobs:
-            if job._thread is not None:
-                job._thread.join()
-        with self._lock:
-            backend, self._backend = self._backend, None
+        """Release the owned backend.  Idempotent."""
+        self._closed = True
+        backend, self._backend = self._backend, None
         if self._owns_backend and backend is not None:
             backend.close()
 
@@ -228,66 +203,41 @@ class Session:
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        if exc_type is not None:
-            # Exceptional exit (including KeyboardInterrupt): ask running
-            # jobs to stop at their next progress boundary instead of
-            # blocking the unwind until every campaign finishes.
-            with self._lock:
-                jobs = list(self._jobs)
-            for job in jobs:
-                job.cancel()
         self.close()
-
-    # ------------------------------------------------------------------ #
-    # Submission
-    # ------------------------------------------------------------------ #
-
-    def submit(self, request: Request) -> JobHandle:
-        """Start a job for ``request`` and return its handle immediately."""
-        with self._lock:
-            if self._closed:
-                raise MeasurementError("cannot submit to a closed session")
-            # Create the backend eagerly so a job accepted here can never
-            # lose a race with close() before it first touches the pool
-            # (workers spawn lazily, so this is cheap).
-            if self._backend is None:
-                self._backend = create_backend(self._backend_spec, self.max_workers)
-            job = JobHandle(request, lambda handle: self._execute(request, handle))
-            # Finished jobs are dropped here, so a long-lived session holds
-            # only the handles (and envelopes) of jobs still running.
-            self._jobs = [other for other in self._jobs if not other.done()]
-            self._jobs.append(job)
-            # Started under the lock so close() can never observe a job
-            # without a thread to join.
-            job._start()
-        return job
-
-    def run(self, request: Request) -> ResultEnvelope:
-        """Submit ``request`` and block for its envelope (errors re-raise)."""
-        return self.submit(request).result()
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
 
-    def _execute(self, request: Request, job: JobHandle) -> ResultEnvelope:
+    def run(self, request: Request) -> ResultEnvelope:
+        """Run ``request`` on the calling thread and return its envelope.
+
+        A campaign's or resume's ``on_checkpoint(outcome, completed,
+        total)`` is the one progress hook, called on this thread after each
+        durable shard.  An exception it raises, or a KeyboardInterrupt,
+        closes the shard stream — the batches that have not started are
+        dropped — and propagates from here; a store keeps its durable
+        shards, so a :class:`ResumeRequest` finishes the campaign later.
+        """
+        if self._closed:
+            raise MeasurementError("session is closed")
         if isinstance(request, ProbeRequest):
-            return self._run_probe(request, job)
+            return self._run_probe(request)
         if isinstance(request, CampaignRequest):
             plan = request.normalized()
             store = None if request.store is None else as_store(request.store, create=True)
-            return self._run_campaign(plan, job, store, request.resume, request.on_checkpoint)
+            return self._run_campaign(plan, store, request.resume, request.on_checkpoint)
         if isinstance(request, ResumeRequest):
             store = as_store(request.store, create=False)
-            return self._run_campaign(store.plan(), job, store, True, request.on_checkpoint)
+            return self._run_campaign(store.plan(), store, True, request.on_checkpoint)
         if isinstance(request, MatrixRequest):
-            return self._run_matrix(request, job)
+            return self._run_matrix(request)
         raise MeasurementError(
             f"unsupported request type: {type(request).__name__} "
             "(expected ProbeRequest, CampaignRequest, MatrixRequest, or ResumeRequest)"
         )
 
-    def _run_probe(self, request: ProbeRequest, job: JobHandle) -> ResultEnvelope:
+    def _run_probe(self, request: ProbeRequest) -> ResultEnvelope:
         spec = request.host_spec()
         testbed = build_testbed([spec], seed=request.seed)
         prober = Prober(
@@ -297,12 +247,9 @@ class Session:
         )
         reports: dict = {}
         try:
-            for index, test in enumerate(request.tests):
+            for test in request.tests:
                 reports[test] = prober.run(
                     test, spec.address, num_samples=request.samples, spacing=request.spacing
-                )
-                job._report(
-                    ProgressEvent("probe", index + 1, len(request.tests), label=test.value)
                 )
         finally:
             testbed.close()
@@ -324,7 +271,6 @@ class Session:
     def _run_campaign(
         self,
         plan: CampaignPlan,
-        job: JobHandle,
         store: Optional[CampaignStore],
         resume: bool,
         on_checkpoint: Optional[CheckpointHook],
@@ -333,7 +279,7 @@ class Session:
 
         With a store, shards it already holds are read back instead of
         re-executed, and each fresh shard is durable before its checkpoint
-        hook and progress event fire — so a crash or a cancel at any shard
+        hook runs — so a crash, or an exception from the hook, at any shard
         boundary leaves a store that resumes to the same digest.
         """
         tasks = plan.shard_tasks()
@@ -349,12 +295,10 @@ class Session:
                 if store is not None:
                     store.write_shard(outcome)
                 fresh.append(outcome)
-                # With a store, progress counts every durable shard, so a
-                # resumed run picks up where the interrupted one stopped.
-                completed = len(fresh) if store is None else len(store.completed_shards())
                 if on_checkpoint is not None:
-                    on_checkpoint(outcome, completed, total)
-                job._report(ProgressEvent("shard", completed, total, label=plan.scenario))
+                    # With a store, the count includes every durable shard, so
+                    # a resumed run picks up where the interrupted one stopped.
+                    on_checkpoint(outcome, len(durable) + len(fresh), total)
         # Shards executed this run merge from memory; only previously durable
         # shards are read back (the codec is lossless, so both sources yield
         # signature-identical records).
@@ -383,16 +327,16 @@ class Session:
                     meta["warnings"] = tuple(report["warnings"])
         return _campaign_envelope(plan, digest, outcomes, meta)
 
-    def _run_matrix(self, request: MatrixRequest, job: JobHandle) -> ResultEnvelope:
+    def _run_matrix(self, request: MatrixRequest) -> ResultEnvelope:
         """Every cell's shards as one completion-order stream on the backend.
 
         Each cell keeps its own plan, shard layout, and merge; only the
         shard indexes run on across cells, so one dispatch carries them all
-        and no worker idles at a cell boundary.  A cell is merged, digested
-        and reported as soon as its last shard lands, so that work overlaps
-        the shards still running and cells finish in completion order;
-        cancelling at that boundary closes the stream, which drops the
-        batches that have not started.
+        and no worker idles at a cell boundary.  A cell is merged and
+        digested as soon as its last shard lands, so that work overlaps the
+        shards still running; an exception at that boundary (or a
+        KeyboardInterrupt) closes the stream, which drops the batches that
+        have not started.
         """
         plans = request.normalized()
         tasks: list[ShardTask] = []
@@ -413,7 +357,6 @@ class Session:
             children[position] = _campaign_envelope(
                 plan, plan_digest(plan), outcomes[position], meta
             )
-            job._report(ProgressEvent("cell", len(children), len(plans), label=plan.scenario))
 
         with closing(_iter_completed(tasks, self.backend)) as stream:
             for outcome in stream:

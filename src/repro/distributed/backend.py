@@ -36,7 +36,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 from queue import Empty
 from typing import Iterator, Optional, Sequence
@@ -89,7 +88,6 @@ class RemoteBackend(ExecutionBackend):
         self._spawn_count = (
             spawn_workers if spawn_workers is not None else max_workers or DEFAULT_SPAWN_WORKERS
         )
-        self._lock = threading.RLock()
         self._coordinator: Optional[Coordinator] = None
         self._procs: "list[subprocess.Popen]" = []
         self._spawned = False
@@ -102,52 +100,50 @@ class RemoteBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
 
     def _ensure_coordinator(self) -> Coordinator:
-        with self._lock:
-            if self._closed:
-                raise MeasurementError("remote backend is closed")
-            if self._coordinator is None:
-                self._coordinator = Coordinator(
-                    self.host,
-                    self.port,
-                    lease_timeout=self.lease_timeout,
-                    max_attempts=self.max_attempts,
-                )
-            return self._coordinator
+        if self._closed:
+            raise MeasurementError("remote backend is closed")
+        if self._coordinator is None:
+            self._coordinator = Coordinator(
+                self.host,
+                self.port,
+                lease_timeout=self.lease_timeout,
+                max_attempts=self.max_attempts,
+            )
+        return self._coordinator
 
     def _ensure_workers(self) -> None:
         """Spawn the local worker fleet once (``spawn_workers=0`` = external
         workers only — e.g. launched by hand with ``python -m repro workers``)."""
-        with self._lock:
-            if self._spawned or self._spawn_count <= 0:
-                return
-            self._spawned = True
-            host, port = self._ensure_coordinator().address
-            src_root = Path(repro.__file__).resolve().parent.parent
-            env = os.environ.copy()
-            existing = env.get("PYTHONPATH", "")
-            env["PYTHONPATH"] = (
-                f"{src_root}{os.pathsep}{existing}" if existing else str(src_root)
+        if self._spawned or self._spawn_count <= 0:
+            return
+        self._spawned = True
+        host, port = self._ensure_coordinator().address
+        src_root = Path(repro.__file__).resolve().parent.parent
+        env = os.environ.copy()
+        existing = env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = (
+            f"{src_root}{os.pathsep}{existing}" if existing else str(src_root)
+        )
+        if self.chaos is not None:
+            env[CHAOS_ENV] = self.chaos.to_json()
+        else:
+            env.pop(CHAOS_ENV, None)
+        for index in range(self._spawn_count):
+            command = [
+                sys.executable,
+                "-m",
+                "repro",
+                "workers",
+                "--connect",
+                f"{host}:{port}",
+                "--index",
+                str(index),
+                "--heartbeat",
+                str(self.heartbeat_interval),
+            ]
+            self._procs.append(
+                subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
             )
-            if self.chaos is not None:
-                env[CHAOS_ENV] = self.chaos.to_json()
-            else:
-                env.pop(CHAOS_ENV, None)
-            for index in range(self._spawn_count):
-                command = [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "workers",
-                    "--connect",
-                    f"{host}:{port}",
-                    "--index",
-                    str(index),
-                    "--heartbeat",
-                    str(self.heartbeat_interval),
-                ]
-                self._procs.append(
-                    subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
-                )
 
     def pop_job_report(self) -> dict:
         """The last finished job's fault and degradation report, once.
@@ -155,9 +151,8 @@ class RemoteBackend(ExecutionBackend):
         The :class:`~repro.api.Session` calls this after each campaign and
         folds a non-empty report into the envelope's ``meta["remote"]``.
         """
-        with self._lock:
-            report, self._report = self._report, {}
-            return report
+        report, self._report = self._report, {}
+        return report
 
     # ------------------------------------------------------------------ #
     # ExecutionBackend surface
@@ -175,19 +170,16 @@ class RemoteBackend(ExecutionBackend):
         # we never hold a later campaign hostage to full strength again — a
         # worker lost to a fault is an expected operational state, and any
         # survivor can serve the job.
-        with self._lock:
-            wanted = 1 if self._fleet_assembled else max(1, self._spawn_count)
+        wanted = 1 if self._fleet_assembled else max(1, self._spawn_count)
         connected = coordinator.wait_for_workers(wanted, timeout=self.wait_timeout)
         if connected >= wanted:
-            with self._lock:
-                self._fleet_assembled = True
+            self._fleet_assembled = True
         if connected == 0:
             warning = (
                 f"no remote workers connected within {self.wait_timeout:.1f}s; "
                 f"running {len(tasks)} shard(s) inline"
             )
-            with self._lock:
-                self._report = {"degraded": True, "warnings": [warning]}
+            self._report = {"degraded": True, "warnings": [warning]}
             for task in tasks:
                 yield run_shard(task)
             return
@@ -236,8 +228,7 @@ class RemoteBackend(ExecutionBackend):
                 report["degraded"] = True
             if warnings:
                 report["warnings"] = warnings
-            with self._lock:
-                self._report = report
+            self._report = report
 
     def map_shards(self, tasks: Sequence[ShardTask]) -> list[ShardOutcome]:
         by_index: "dict[int, ShardOutcome]" = {}
@@ -249,12 +240,11 @@ class RemoteBackend(ExecutionBackend):
         return [by_index[task.index] for task in tasks if task.index in by_index]
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            coordinator, self._coordinator = self._coordinator, None
-            procs, self._procs = self._procs, []
+        if self._closed:
+            return
+        self._closed = True
+        coordinator, self._coordinator = self._coordinator, None
+        procs, self._procs = self._procs, []
         if coordinator is not None:
             coordinator.close()
         for proc in procs:

@@ -2,7 +2,7 @@
 
 Satellite coverage for the API redesign: for **all 7** registry scenarios, a
 campaign interrupted mid-run and continued via
-``Session.submit(ResumeRequest(...))`` must merge to a ``result_digest``
+``Session.run(ResumeRequest(...))`` must merge to a ``result_digest``
 bit-identical to an uninterrupted run — including the harshest path, a real
 ``SIGKILL`` through the CLI followed by an in-process API resume.
 """
@@ -15,12 +15,11 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
 
-from repro.api import CampaignRequest, JobCancelled, JobStatus, ResumeRequest, Session
+from repro.api import CampaignRequest, ProcessBackend, ResumeRequest, Session
 from repro.core.runner import EXECUTOR_SERIAL
 from repro.scenarios import get_scenario, scenario_names
 from repro.store import CampaignStore
@@ -71,15 +70,13 @@ def _uninterrupted_digest(name: str) -> str:
 def test_resume_request_reproduces_the_uninterrupted_digest(tmp_path, name):
     store_dir = tmp_path / name
     with Session(backend=EXECUTOR_SERIAL) as session:
-        job = session.submit(_request(name, store=store_dir, on_checkpoint=_crash_after(1)))
         with pytest.raises(SimulatedCrash):
-            job.result(timeout=300)
-        assert job.status() is JobStatus.FAILED
+            session.run(_request(name, store=store_dir, on_checkpoint=_crash_after(1)))
     durable = CampaignStore.open(store_dir).completed_shards()
     assert durable and len(durable) < SHARDS, "crash must land mid-campaign"
 
     with Session(backend=EXECUTOR_SERIAL) as session:
-        envelope = session.submit(ResumeRequest(store=store_dir)).result(timeout=300)
+        envelope = session.run(ResumeRequest(store=store_dir))
     assert envelope.kind == "campaign"
     assert envelope.meta["resumed"] is True
     assert envelope.result_digest == _uninterrupted_digest(name)
@@ -123,13 +120,12 @@ def test_resume_request_reapplies_an_os_name_override(tmp_path):
         store=store_dir,
     )
     with Session(backend=EXECUTOR_SERIAL) as session:
-        job = session.submit(
-            CampaignRequest(
-                **{**request.__dict__, "on_checkpoint": _crash_after(1)}
-            )
-        )
         with pytest.raises(SimulatedCrash):
-            job.result(timeout=300)
+            session.run(
+                CampaignRequest(
+                    **{**request.__dict__, "on_checkpoint": _crash_after(1)}
+                )
+            )
     with Session(backend=EXECUTOR_SERIAL) as session:
         resumed = session.run(ResumeRequest(store=store_dir))
     with Session(backend=EXECUTOR_SERIAL) as session:
@@ -234,7 +230,7 @@ def test_sigkill_via_cli_resumes_through_the_api(tmp_path):
     assert not CampaignStore.open(tmp_path / "s").is_complete()
 
     with Session(backend=EXECUTOR_SERIAL) as session:
-        envelope = session.submit(ResumeRequest(store=tmp_path / "s")).result(timeout=300)
+        envelope = session.run(ResumeRequest(store=tmp_path / "s"))
     assert CampaignStore.open(tmp_path / "s").is_complete()
 
     # The CLI's config for these flags matches nothing golden, so compare
@@ -256,29 +252,17 @@ def test_sigkill_via_cli_resumes_through_the_api(tmp_path):
 
 @pytest.mark.parametrize("backend", (EXECUTOR_SERIAL, "process"))
 def test_cancel_mid_campaign_then_resume_matches_uninterrupted(tmp_path, backend):
-    """``JobHandle.cancel()`` at a progress boundary leaves a resumable store.
+    """A hook that raises at a shard boundary leaves a resumable store.
 
-    The checkpoint hook parks the session at its first progress boundary;
-    cancelling there guarantees the campaign stops with exactly one durable
-    shard, whether the shards run inline or the pool raced ahead.
+    Raising at the first checkpoint stops the campaign with exactly one
+    durable shard, whether the shards run inline or the pool raced ahead.
     """
     name = "imc2002-survey"
     store_dir = tmp_path / f"cancelled-{backend}"
-    checkpointed = threading.Event()
-    release = threading.Event()
-
-    def hold(outcome, completed, total):
-        checkpointed.set()
-        release.wait(30)
 
     with Session(backend=backend) as session:
-        job = session.submit(_request(name, store=store_dir, on_checkpoint=hold))
-        assert checkpointed.wait(120), "campaign never reached a checkpoint"
-        job.cancel()
-        release.set()
-        with pytest.raises(JobCancelled):
-            job.result(timeout=300)
-        assert job.status() is JobStatus.CANCELLED
+        with pytest.raises(SimulatedCrash):
+            session.run(_request(name, store=store_dir, on_checkpoint=_crash_after(1)))
 
     durable = CampaignStore.open(store_dir).completed_shards()
     assert durable and len(durable) < SHARDS, "cancel must land mid-campaign"
@@ -292,10 +276,35 @@ def test_cancel_mid_campaign_then_resume_matches_uninterrupted(tmp_path, backend
         assert envelope.result_digest == GOLDEN_DIGESTS[name]
 
 
+def test_a_keyboard_interrupt_stops_a_pool_campaign_on_the_callers_thread(tmp_path):
+    """A KeyboardInterrupt from the hook closes the shard stream and leaves
+    the caller's ``with`` block with one durable shard; the borrowed pool
+    then resumes the store to the uninterrupted digest."""
+    store_dir = tmp_path / "interrupted"
+    request = dataclasses.replace(_request("imc2002-survey", store=store_dir), shards=4)
+
+    def interrupt(outcome, completed, total):
+        raise KeyboardInterrupt
+
+    backend = ProcessBackend(max_workers=2)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            with Session(backend=backend) as session:
+                session.run(dataclasses.replace(request, on_checkpoint=interrupt))
+        assert len(CampaignStore.open(store_dir).completed_shards()) == 1
+        with Session(backend=backend) as session:
+            resumed = session.run(ResumeRequest(store=store_dir))
+    finally:
+        backend.close()
+    with Session(backend=EXECUTOR_SERIAL) as session:
+        uninterrupted = session.run(dataclasses.replace(request, store=None))
+    assert resumed.result_digest == uninterrupted.result_digest
+
+
 @pytest.mark.parametrize("backend", (EXECUTOR_SERIAL, "process"))
-def test_checkpoint_hook_and_progress_count_durable_shards(tmp_path, backend):
+def test_checkpoint_hook_counts_durable_shards(tmp_path, backend):
     """The ``(completed, total)`` a checkpoint hook sees, before and after an
-    interruption, and the progress event each finished job ends on.
+    interruption.
 
     With a store, ``completed`` counts every durable shard, so a resumed run
     continues the count where the interrupted one stopped.  Which shard
@@ -306,12 +315,7 @@ def test_checkpoint_hook_and_progress_count_durable_shards(tmp_path, backend):
 
     def run(request):
         with Session(backend=backend, max_workers=2) as session:
-            job = session.submit(request)
-            try:
-                job.result(timeout=300)
-            finally:
-                last = job.progress()
-        return (last.kind, last.completed, last.total)
+            session.run(request)
 
     def checkpoints(seen):
         return lambda outcome, completed, total: seen.append(
@@ -322,7 +326,7 @@ def test_checkpoint_hook_and_progress_count_durable_shards(tmp_path, backend):
     request = dataclasses.replace(
         _request("imc2002-survey"), shards=3, on_checkpoint=checkpoints(fresh)
     )
-    assert run(request) == ("shard", 3, 3)
+    run(request)
     assert [(completed, total) for _, completed, total in fresh] == [(1, 3), (2, 3), (3, 3)]
 
     interrupted: list = []
@@ -338,8 +342,7 @@ def test_checkpoint_hook_and_progress_count_durable_shards(tmp_path, backend):
     assert CampaignStore.open(store_dir).completed_shards() == {first_index}
 
     resumed: list = []
-    last = run(ResumeRequest(store=store_dir, on_checkpoint=checkpoints(resumed)))
-    assert last == ("shard", 3, 3)
+    run(ResumeRequest(store=store_dir, on_checkpoint=checkpoints(resumed)))
     assert [(completed, total) for _, completed, total in resumed] == [(2, 3), (3, 3)]
     missing = [index for index in range(3) if index != first_index]
     resumed_indexes = [index for index, _, _ in resumed]

@@ -1,26 +1,24 @@
 """Session-layer acceptance: the API front door changes nothing measured.
 
 The hard bar from the redesign: for **every** registry scenario, a campaign
-submitted through :class:`repro.api.Session` on the serial and process
+run through :class:`repro.api.Session` on the serial and process
 backends must produce a ``result_digest`` bit-identical to the
-pre-redesign golden digests — and the envelope, job-handle, and backend
-surfaces must behave as documented.
+pre-redesign golden digests — and the envelope, checkpoint-hook, and
+backend surfaces must behave as documented.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import re
 import threading
-import weakref
 
 import pytest
 
 import repro.api.session as session_module
 from repro.api import (
     CampaignRequest,
-    JobCancelled,
-    JobStatus,
     MatrixRequest,
     ProbeRequest,
     ProcessBackend,
@@ -41,7 +39,7 @@ from repro.core.runner import (
     result_digest,
     run_shard,
 )
-from repro.net.errors import MeasurementError
+from repro.net.errors import MeasurementError, SimulationError
 from repro.net.packet import Packet, TcpFlags, TcpHeader
 from repro.scenarios import scenario_names
 from repro.scenarios.matrix import MIXED_OS, ScenarioMatrix, derive_cell_seed
@@ -251,19 +249,6 @@ class _LoggingBackend(ProcessBackend):
         return super().iter_shards(tasks)
 
 
-class _GatedBackend(ProcessBackend):
-    """A process backend whose dispatch waits until the test opens a gate,
-    so progress callbacks can be attached before the first cell lands."""
-
-    def __init__(self) -> None:
-        super().__init__(max_workers=2)
-        self.gate = threading.Event()
-
-    def iter_shards(self, tasks):
-        assert self.gate.wait(60), "the test never opened the dispatch gate"
-        yield from super().iter_shards(tasks)
-
-
 def test_matrix_dispatches_every_cell_in_one_call():
     backend = _LoggingBackend()
     try:
@@ -319,44 +304,34 @@ def test_matrix_digests_are_backend_invariant_and_match_standalone_cells(shards)
         )
 
 
-def test_matrix_progress_is_per_cell_and_cancel_closes_the_stream():
+class _Stop(Exception):
+    """Raised by a test to stop a run at a shard or cell boundary."""
+
+
+def test_an_error_at_a_cell_boundary_closes_the_stream(monkeypatch):
+    """An exception while the first finished cell is folded propagates from
+    ``run``; the stream is closed, so the sweep's unstarted batches never
+    land in the next sweep on the same warm pool."""
     with Session(backend=EXECUTOR_SERIAL) as session:
         reference = session.run(SMALL_MATRIX).result_digest
-    backend = _GatedBackend()
+    folded: list = []
+
+    def fail_at_first_cell(plan, digest, outcomes, meta):
+        folded.append(plan.scenario)
+        raise _Stop(plan.scenario)
+
+    backend = ProcessBackend(max_workers=2)
     try:
         with Session(backend=backend) as session:
-            events = []
-            job = session.submit(SMALL_MATRIX)
-            job.add_progress_callback(events.append)
-            backend.gate.set()
-            envelope = job.result(timeout=300)
-
-            backend.gate.clear()
-            cancelled_events = []
-            job_box = {}
-
-            def cancel_at_first_cell(event):
-                cancelled_events.append(event)
-                job_box["job"].cancel()
-
-            job_box["job"] = cancelled = session.submit(SMALL_MATRIX)
-            cancelled.add_progress_callback(cancel_at_first_cell)
-            backend.gate.set()
-            with pytest.raises(JobCancelled):
-                cancelled.result(timeout=300)
-            assert cancelled.status() is JobStatus.CANCELLED
-
+            with monkeypatch.context() as patch:
+                patch.setattr(session_module, "_campaign_envelope", fail_at_first_cell)
+                with pytest.raises(_Stop):
+                    session.run(SMALL_MATRIX)
             again = session.run(SMALL_MATRIX)
     finally:
         backend.close()
-    assert [event.kind for event in events] == ["cell"] * 6
-    assert [event.completed for event in events] == [1, 2, 3, 4, 5, 6]
-    assert {event.total for event in events} == {6}
-    assert sorted(event.label for event in events) == sorted(
-        child.scenario for child in envelope.children
-    )
-    assert [event.completed for event in cancelled_events] == [1]
-    assert envelope.result_digest == again.result_digest == reference
+    assert len(folded) == 1
+    assert again.result_digest == reference
 
 
 class _CountingStreamBackend(SerialBackend):
@@ -397,94 +372,46 @@ def test_matrix_folds_each_cell_as_its_last_shard_lands(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# Jobs
+# Running a request: the caller's thread and the checkpoint hook
 # --------------------------------------------------------------------- #
 
 
-def test_job_handle_lifecycle_and_progress():
-    events = []
+def test_run_calls_the_hook_on_the_callers_thread_and_starts_no_thread():
+    seen = []
+    before = set(threading.enumerate())
+
+    def hook(outcome, completed, total):
+        started = set(threading.enumerate()) - before
+        seen.append((threading.current_thread(), started, completed))
+
     with Session(backend=EXECUTOR_SERIAL) as session:
-        job = session.submit(_request("imc2002-survey"))
-        job.add_progress_callback(events.append)
-        envelope = job.result(timeout=120)
-    assert job.status() is JobStatus.SUCCEEDED
-    assert job.done()
-    assert job.error() is None
+        envelope = session.run(dataclasses.replace(_request("imc2002-survey"), on_checkpoint=hook))
+    caller = threading.current_thread()
+    assert seen == [(caller, set(), 1), (caller, set(), 2)]
     assert envelope.result_digest == _reference_digest("imc2002-survey")
-    final = job.progress()
-    assert final is not None and final.completed == final.total
-    assert final.fraction == 1.0
 
 
-def test_job_failure_reraises_from_result():
+def test_a_failing_request_raises_from_run_and_the_session_stays_usable():
     with Session(backend=EXECUTOR_SERIAL) as session:
-        job = session.submit(CampaignRequest(scenario="no-such-scenario"))
-        with pytest.raises(Exception, match="no-such-scenario"):
-            job.result(timeout=60)
-    assert job.status() is JobStatus.FAILED
-    assert job.error() is not None
+        with pytest.raises(SimulationError, match="no-such-scenario"):
+            session.run(CampaignRequest(scenario="no-such-scenario"))
+        envelope = session.run(_request("imc2002-survey"))
+    assert envelope.result_digest == _reference_digest("imc2002-survey")
 
 
-def test_cancel_takes_effect_at_the_next_progress_boundary():
+def test_a_hook_that_raises_stops_the_campaign_at_that_shard(monkeypatch):
+    """The hook's exception propagates from ``run`` at shard 1 of 2, and
+    shard 2 never runs."""
+    inline = _count_inline_shards(monkeypatch)
+
+    def stop(outcome, completed, total):
+        raise _Stop(f"stopped after {completed}/{total}")
+
+    request = dataclasses.replace(_request("imc2002-survey", shards=2), on_checkpoint=stop)
     with Session(backend=EXECUTOR_SERIAL) as session:
-        cancel_requested = threading.Event()
-
-        def hold_first_shard(outcome, completed, total):
-            # Park the worker at its first boundary until cancel() has fired,
-            # making the cancellation point deterministic.
-            assert cancel_requested.wait(30)
-
-        job = session.submit(
-            CampaignRequest(
-                scenario="imc2002-survey",
-                config=GOLDEN_CONFIG,
-                hosts=GOLDEN_HOSTS,
-                seed=GOLDEN_SEED,
-                shards=2,
-                on_checkpoint=hold_first_shard,
-            )
-        )
-        assert job.cancel() is True
-        cancel_requested.set()
-        with pytest.raises(JobCancelled):
-            job.result(timeout=120)
-        assert job.status() is JobStatus.CANCELLED
-
-
-def test_cancel_mid_campaign_stops_at_a_shard_boundary():
-    with Session(backend=EXECUTOR_SERIAL) as session:
-        job_box = {}
-
-        def cancel_self(event):
-            job_box["job"].cancel()
-
-        job = session.submit(_request("imc2002-survey", shards=2))
-        job_box["job"] = job
-        job.add_progress_callback(cancel_self)
-        with pytest.raises(JobCancelled):
-            job.result(timeout=120)
-        assert job.status() is JobStatus.CANCELLED
-
-
-def test_session_releases_finished_jobs():
-    """A long-lived session must not keep every finished handle (and its
-    request and envelope) alive until close()."""
-    with Session(backend=EXECUTOR_SERIAL) as session:
-        first = session.submit(ProbeRequest(samples=5, seed=2))
-        first.result(timeout=60)
-        released = weakref.ref(first)
-        del first
-        for seed in (3, 4, 5):
-            session.run(ProbeRequest(samples=5, seed=seed))
-        gc.collect()
-        assert released() is None, "the session still holds a finished job"
-
-
-def test_cancel_after_completion_returns_false():
-    with Session(backend=EXECUTOR_SERIAL) as session:
-        job = session.submit(ProbeRequest(samples=5, seed=2))
-        job.result(timeout=60)
-        assert job.cancel() is False
+        with pytest.raises(_Stop, match="stopped after 1/2"):
+            session.run(request)
+    assert inline == [0]
 
 
 # --------------------------------------------------------------------- #
@@ -492,13 +419,13 @@ def test_cancel_after_completion_returns_false():
 # --------------------------------------------------------------------- #
 
 
-def test_session_rejects_unknown_backend_and_closed_submit():
+def test_session_rejects_unknown_backend_and_a_run_after_close():
     with pytest.raises(MeasurementError, match="unknown execution backend"):
         Session(backend="gpu")
     session = Session(backend=EXECUTOR_SERIAL)
     session.close()
-    with pytest.raises(MeasurementError, match="closed session"):
-        session.submit(ProbeRequest())
+    with pytest.raises(MeasurementError, match="session is closed"):
+        session.run(ProbeRequest())
 
 
 def test_borrowed_backend_is_not_closed_by_the_session():
@@ -512,18 +439,6 @@ def test_borrowed_backend_is_not_closed_by_the_session():
         assert digest == again == _reference_digest("imc2002-survey")
     finally:
         backend.close()
-
-
-def test_concurrent_jobs_share_one_backend_safely():
-    """Two jobs submitted back-to-back race on the shared warm pool."""
-    with Session(backend="process", max_workers=2) as session:
-        jobs = [
-            session.submit(_request(name))
-            for name in ("imc2002-survey", "bursty-loss")
-        ]
-        digests = [job.result(timeout=300).result_digest for job in jobs]
-    assert digests[0] == _reference_digest("imc2002-survey")
-    assert digests[1] == _reference_digest("bursty-loss")
 
 
 # --------------------------------------------------------------------- #

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.api.backends as backends
 from repro.__main__ import build_parser, main
@@ -25,6 +29,57 @@ def test_list_scenarios_prints_catalogue(capsys):
 def test_unknown_scenario_is_a_usage_error(capsys):
     assert main(["run", "--scenario", "definitely-not-registered"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
+
+
+REFUSED_RUN_FLAGS = [
+    ("--shards", "0"),
+    ("--rounds", "0"),
+    ("--samples", "0"),
+    ("--seed", "-1"),
+    ("--seed", str(2**64)),
+    ("--hosts", "0"),
+]
+
+
+def _tiny_run(*flags: str) -> list[str]:
+    return ["run", "--scenario", "imc2002-survey", "--hosts", "2", "--executor", "serial", *flags]
+
+
+@pytest.mark.parametrize("flag, value", REFUSED_RUN_FLAGS, ids=lambda item: item)
+def test_a_refused_run_flag_is_one_error_line(flag, value, capsys):
+    """The request refuses the value before any shard runs, and the CLI
+    says so on one line, as it does for an unknown scenario."""
+    assert main(_tiny_run(flag, value)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hosts=st.integers(max_value=3),
+    rounds=st.integers(max_value=2),
+    samples=st.integers(max_value=2),
+    shards=st.integers(),
+    seed=st.integers(),
+)
+@example(hosts=2, rounds=1, samples=1, shards=2, seed=0)
+def test_every_numeric_run_flag_exits_0_or_2_without_a_traceback(
+    hosts, rounds, samples, shards, seed
+):
+    argv = [
+        "run", "--scenario", "imc2002-survey", "--executor", "serial",
+        "--hosts", str(hosts), "--rounds", str(rounds), "--samples", str(samples),
+        "--shards", str(shards), "--seed", str(seed),
+    ]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
 
 
 def _tables(out: str) -> list[str]:

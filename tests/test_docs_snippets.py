@@ -4,7 +4,7 @@ Every fenced ``python`` block in ``README.md`` and ``docs/architecture.md``
 is executed, and every ``repro.*`` dotted path mentioned anywhere in the
 documents must resolve to a real module and, past the module, to a real
 attribute at every step (``repro.net.flow.format_address``,
-``repro.api.Session.submit``) — so the docs cannot drift from the code
+``repro.api.Session.run``) — so the docs cannot drift from the code
 without failing CI.
 """
 

@@ -40,8 +40,6 @@ REPRO_ALL = [
     "HostSpec",
     "IpidClass",
     "IpidValidationReport",
-    "JobHandle",
-    "JobStatus",
     "MatrixRequest",
     "MeasurementResult",
     "NetworkScenario",
@@ -85,14 +83,10 @@ REPRO_API_ALL = [
     "CampaignRequest",
     "ENVELOPE_VERSION",
     "ExecutionBackend",
-    "JobCancelled",
-    "JobHandle",
-    "JobStatus",
     "MatrixRequest",
     "POOL_FAILURES",
     "ProbeRequest",
     "ProcessBackend",
-    "ProgressEvent",
     "Request",
     "ResultEnvelope",
     "ResumeRequest",
@@ -298,7 +292,13 @@ DELETED_ANALYSIS_NAMES = [
     "repro.stats.cdf.merge_cdfs",
 ]
 
-DELETED_MODULES = ["repro.stats.streaming", "repro.sim.clock", "repro.lint.codec", "repro.sim.topology"]
+DELETED_MODULES = [
+    "repro.stats.streaming",
+    "repro.sim.clock",
+    "repro.lint.codec",
+    "repro.sim.topology",
+    "repro.api.jobs",
+]
 
 #: Both record codecs walk one field table per record type
 #: (``repro.core.schema``); these were the store's per-level JSON helpers.
@@ -451,6 +451,9 @@ DELETED_TEST_ONLY_NAMES = [
     "repro.scenarios.matrix.ScenarioRun",
     "repro.api.session.Session._cell_envelope",
     "repro.api.session.Session._campaign_envelope",
+    # One way to run a request: on the caller's thread, with no job handle.
+    "repro.api.session.Session.submit",
+    "repro.api.session.Session._execute",
 ]
 
 
@@ -511,6 +514,18 @@ def test_core_imports_nothing_above_it():
         if any(name == layer or name.startswith(layer + ".") for layer in above)
     )
     assert not upward, upward
+
+
+def test_the_request_path_imports_no_threading():
+    """A session runs each request on its caller's thread and a backend
+    serves one thread at a time, so neither starts a thread or takes a lock."""
+    import repro.api.backends
+    import repro.api.session
+    import repro.distributed.backend
+
+    for module in (repro.api.session, repro.api.backends, repro.distributed.backend):
+        imported = _imported_modules(Path(module.__file__), module.__package__)
+        assert "threading" not in imported, module.__name__
 
 
 def test_a_testbed_routes_without_a_topology():
